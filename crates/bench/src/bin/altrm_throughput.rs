@@ -27,10 +27,9 @@
 //! the pruned scan degrades gracefully to the full one plus an `O(N)`
 //! sweep.)
 //!
-//! Appends an `"altrm"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version on a tiny pool and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! Appends an `"altrm"` section to `BENCH_service.json`. `--smoke` runs a
+//! seconds-long version on a tiny pool and writes nothing — CI uses it to
+//! keep this binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin altrm_throughput [-- --smoke]
@@ -174,8 +173,7 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput) with the
-    // altrm section.
+    // Extend BENCH_service.json with the altrm section.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

@@ -1,11 +1,11 @@
 //! `bench_schema_check` — CI guard for `BENCH_service.json`'s shape.
 //!
-//! Every service emitter owns one section of `BENCH_service.json`
-//! (`service_throughput` rewrites the whole file; the others re-insert
-//! their section). A refactor that silently drops a previously-present
-//! section would erase a perf trajectory without anyone noticing, so CI
-//! runs this check after the smoke emitters: it fails (non-zero exit)
-//! unless every required section is present and non-trivial.
+//! Every service emitter owns one section of `BENCH_service.json` and
+//! re-inserts only that section. A refactor that silently drops a
+//! previously-present section would erase a perf trajectory without anyone
+//! noticing, so CI runs this check after the smoke emitters: it fails
+//! (non-zero exit) unless every required section is present and
+//! non-trivial.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin bench_schema_check

@@ -20,10 +20,9 @@
 //! a writer commit returning to the follower's watcher noticing and
 //! adopting it, sampled over several churn rounds.
 //!
-//! Appends a `"failover"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a sub-second version on a tiny fleet and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! Appends a `"failover"` section to `BENCH_service.json`. `--smoke` runs a
+//! sub-second version on a tiny fleet and writes nothing — CI uses it to
+//! keep this binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin failover_throughput [-- --smoke]
@@ -243,8 +242,8 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput) with
-    // the failover section rather than clobbering the baseline document.
+    // Extend BENCH_service.json with the failover section rather than
+    // clobbering the baseline document.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

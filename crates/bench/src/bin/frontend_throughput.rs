@@ -27,10 +27,9 @@
 //! must keep them within 2x) and an over-the-wire **HTTP spot check**
 //! (one keep-alive connection round-tripping real requests).
 //!
-//! Appends a `"frontend"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version and writes nothing — CI uses it to keep
-//! this binary from rotting.
+//! Appends a `"frontend"` section to `BENCH_service.json`. `--smoke` runs a
+//! seconds-long version and writes nothing — CI uses it to keep this binary
+//! from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin frontend_throughput [-- --smoke]
@@ -402,8 +401,7 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput, extended
-    // by the other emitters) with the front-end section.
+    // Extend BENCH_service.json with the front-end section.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

@@ -19,10 +19,9 @@
 //! re-join), timing the detach→solve and rejoin→solve halves and
 //! asserting the detach/re-join counters moved.
 //!
-//! Appends a `"multi_tenant"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version and writes nothing — CI uses it to keep
-//! this binary from rotting.
+//! Appends a `"multi_tenant"` section to `BENCH_service.json`. `--smoke`
+//! runs a seconds-long version and writes nothing — CI uses it to keep this
+//! binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin multi_tenant_throughput [-- --smoke]
@@ -174,8 +173,7 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput, extended
-    // by the sharded/staircase/altrm emitters) with the store section.
+    // Extend BENCH_service.json with the store section.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

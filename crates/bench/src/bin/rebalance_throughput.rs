@@ -16,10 +16,9 @@
 //!   latency a tenant sees once the membership permutation has healed
 //!   the shard.
 //!
-//! Appends a `"rebalance"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version on tiny pools and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! Appends a `"rebalance"` section to `BENCH_service.json`. `--smoke` runs
+//! a seconds-long version on tiny pools and writes nothing — CI uses it to
+//! keep this binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin rebalance_throughput [-- --smoke]
@@ -194,8 +193,8 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput) with the
-    // rebalance section rather than clobbering the baseline document.
+    // Extend BENCH_service.json with the rebalance section rather than
+    // clobbering the baseline document.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

@@ -22,10 +22,9 @@
 //! the 10⁶-juror scale, come in at least 10× cheaper than the full
 //! rewrite.
 //!
-//! Appends a `"restart"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a sub-second version on a tiny pool and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! Appends a `"restart"` section to `BENCH_service.json`. `--smoke` runs a
+//! sub-second version on a tiny pool and writes nothing — CI uses it to
+//! keep this binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin restart_throughput [-- --smoke]
@@ -214,8 +213,8 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput) with the
-    // restart section rather than clobbering the baseline document.
+    // Extend BENCH_service.json with the restart section rather than
+    // clobbering the baseline document.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

@@ -6,10 +6,11 @@
 //! per task (fresh sort + fresh buffers every time — what the examples
 //! did before the service existed).
 //!
-//! Prints the table and writes `BENCH_service.json` into the current
-//! directory so successive PRs can diff the trajectory (run
-//! `sharded_throughput` afterwards — it appends its section to the same
-//! file). `--smoke` runs a seconds-long version on tiny pools and writes
+//! Prints the table and merges its top-level fields (`bench`,
+//! `workload`, `pool_sizes`, `batch_sizes`, `results`) into
+//! `BENCH_service.json` in the current directory, keeping every other
+//! emitter's section, so successive PRs can diff the trajectory.
+//! `--smoke` runs a seconds-long version on tiny pools and writes
 //! nothing — CI uses it to keep this binary from rotting. Run from the
 //! repo root:
 //!
@@ -144,14 +145,24 @@ fn main() {
         return;
     }
 
-    let doc = Value::object([
+    // Replace this emitter's fields in BENCH_service.json, keeping the
+    // other emitters' sections.
+    let path = "BENCH_service.json";
+    let mut doc = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| json::parse(&text).ok())
+        .unwrap_or_else(|| Value::Object(Vec::new()));
+    let ours = [
         ("bench", "service_throughput".to_value()),
         ("workload", "2/3 AltrM + 1/3 PayM (cycling budgets), warm cache".to_value()),
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
         ("batch_sizes", Value::Array(batch_sizes.iter().map(|n| n.to_value()).collect())),
         ("results", Value::Array(rows)),
-    ]);
-    let path = "BENCH_service.json";
+    ];
+    if let Value::Object(fields) = &mut doc {
+        fields.retain(|(key, _)| ours.iter().all(|(k, _)| key != k));
+        fields.splice(0..0, ours.map(|(k, v)| (k.to_string(), v)));
+    }
     std::fs::write(path, json::to_string_pretty(&doc)).expect("write BENCH_service.json");
     println!("[json] {path}");
 }

@@ -11,10 +11,9 @@
 //! comfortably at 10⁶ and the repair work scales with the shard size,
 //! not the pool size.
 //!
-//! Appends a `"sharded"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version on tiny pools and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! Appends a `"sharded"` section to `BENCH_service.json`. `--smoke` runs a
+//! seconds-long version on tiny pools and writes nothing — CI uses it to
+//! keep this binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin sharded_throughput [-- --smoke]
@@ -156,8 +155,8 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput) with the
-    // sharded section rather than clobbering the baseline document.
+    // Extend BENCH_service.json with the sharded section rather than
+    // clobbering the baseline document.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

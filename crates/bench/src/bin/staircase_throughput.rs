@@ -17,10 +17,9 @@
 //! answers post-mutation PayM in milliseconds where it previously paid a
 //! full cache rebuild.
 //!
-//! Appends a `"staircase"` section to `BENCH_service.json` (run
-//! `service_throughput` first — it rewrites the whole file). `--smoke`
-//! runs a seconds-long version on tiny pools and writes nothing — CI
-//! uses it to keep this binary from rotting.
+//! Appends a `"staircase"` section to `BENCH_service.json`. `--smoke` runs
+//! a seconds-long version on tiny pools and writes nothing — CI uses it to
+//! keep this binary from rotting.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin staircase_throughput [-- --smoke]
@@ -134,8 +133,7 @@ fn main() {
         return;
     }
 
-    // Extend BENCH_service.json (written by service_throughput, extended
-    // by sharded_throughput) with the staircase section.
+    // Extend BENCH_service.json with the staircase section.
     let path = "BENCH_service.json";
     let mut doc = std::fs::read_to_string(path)
         .ok()

@@ -154,14 +154,9 @@
 //!   founding sequence position-for-position shares *everything*: both
 //!   orders, sorted ε values, pmf ladder, JER profile, the Arc'd AltrM
 //!   answer and the (lazily growing, lock-guarded) PayM budget
-//!   staircase. A pool that is a *permutation* of the founding sequence
-//!   still shares every rank-space artifact pointer-equal (sorted ε
-//!   values, ladder, profile, the AltrM answer's JER/cost/stats) and
-//!   derives its position-space orders by an `O(N)` sort-free
-//!   translation; its staircase stays private (recorded selections are
-//!   position-space). Permuted sharing additionally requires the entry
-//!   to be **tie-free** (no equal-ε, different-cost juror pair), which
-//!   makes the translated orders bit-identical to the pool's own sort.
+//!   staircase. Nothing else shares: a pool holding the same multiset
+//!   in a different arrangement has an equal fingerprint but builds
+//!   privately, and the entry already interned under that key keeps it.
 //! * **CoW detach and re-join.** Mutations never write through a shared
 //!   entry: the pool detaches first (sole holders reclaim the artifacts
 //!   zero-copy; pools with siblings clone exactly what the repair will
@@ -400,10 +395,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use store::{
-    translate_selection, ArtifactSet, ArtifactStore, Attach, LayoutKey, PermutedView, StoreKey,
-    StoreLink,
-};
+use store::{ArtifactSet, ArtifactStore, LayoutKey, StoreKey, StoreLink};
 
 /// Upper bound on sequential staircase-recording scans per batch. Only
 /// `(pool, budget)` pairs that repeat within the batch are recorded up
@@ -876,7 +868,7 @@ fn stat_field(value: &Value, name: &str) -> Result<usize, SerdeError> {
 type AltrAnswer = Result<Arc<Selection>, JuryError>;
 
 /// Everything derived from one immutable snapshot of a flat pool.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PoolCache {
     /// Pool indices ascending by ε — AltrALG's visit order.
     eps_order: Vec<usize>,
@@ -904,37 +896,23 @@ struct PoolCache {
 
 /// A flat pool's warm state: cold, privately owned (mutated in place by
 /// the repair paths), or attached to a shared warm-artifact set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum FlatCache {
     /// Nothing warm yet.
     Cold,
     /// Privately-owned artifacts — the only state repairs write to.
     Private(PoolCache),
     /// Attached to an interned [`ArtifactSet`]; mutations detach first.
-    Shared(SharedFlat),
-}
-
-/// A flat pool's attachment to a store entry.
-#[derive(Debug, Clone)]
-struct SharedFlat {
-    link: StoreLink,
-    /// `None` for sequence-identical attachers (founding position space
-    /// *is* this pool's); `Some` for permuted attachers, holding the
-    /// σ-translated orders plus the position-space artifacts that cannot
-    /// be shared across permutations.
-    view: Option<PermutedView>,
+    Shared(StoreLink),
 }
 
 impl FlatCache {
-    /// The position-space ε order, however the cache is held.
+    /// The ε order, however the cache is held.
     fn eps_order(&self) -> Option<&[usize]> {
         match self {
             Self::Cold => None,
             Self::Private(c) => Some(&c.eps_order),
-            Self::Shared(sf) => Some(match &sf.view {
-                None => &sf.link.set.eps_order,
-                Some(view) => &view.eps_order,
-            }),
+            Self::Shared(link) => Some(&link.set.eps_order),
         }
     }
 
@@ -948,16 +926,13 @@ impl FlatCache {
         match self {
             Self::Cold => false,
             Self::Private(c) => c.altr.is_some(),
-            Self::Shared(sf) => match &sf.view {
-                None => sf.link.set.altr.get().is_some(),
-                Some(view) => view.altr.is_some(),
-            },
+            Self::Shared(link) => link.set.altr.get().is_some(),
         }
     }
 }
 
 /// How a registered pool is served: flat (one sorted scan) or sharded.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PoolState {
     /// Below the shard threshold: one cache over the whole pool.
     Flat {
@@ -974,7 +949,57 @@ enum PoolState {
     },
 }
 
-#[derive(Debug, Clone)]
+impl PoolState {
+    /// The store entry this pool is attached to, if any.
+    fn link(&self) -> Option<&StoreLink> {
+        match self {
+            Self::Flat { cache: FlatCache::Shared(link) }
+            | Self::Sharded { link: Some(link), .. } => Some(link),
+            _ => None,
+        }
+    }
+
+    /// PayM read access: runs `read` on the warm greedy order and its
+    /// budget staircase, whichever layout holds them (a shared entry's
+    /// staircase under its read lock, so batch workers replay
+    /// concurrently). `None` while the orders are cold.
+    fn paym_read<R>(&self, read: impl FnOnce(&[usize], &Staircase) -> R) -> Option<R> {
+        match self {
+            Self::Flat { cache: FlatCache::Cold } => None,
+            Self::Flat { cache: FlatCache::Private(c) } => {
+                Some(read(&c.greedy_order, &c.staircase))
+            }
+            Self::Flat { cache: FlatCache::Shared(link) } => {
+                Some(read(&link.set.greedy_order, &link.set.staircase_read()))
+            }
+            Self::Sharded { sp, .. } => {
+                sp.paym_view().map(|(order, staircase)| read(order, staircase))
+            }
+        }
+    }
+
+    /// PayM record access: like [`PoolState::paym_read`], with the
+    /// staircase writable so a scan can record its step (a shared
+    /// entry's under its write lock — reachable only through the
+    /// registry's `&mut`).
+    fn paym_record<R>(&mut self, record: impl FnOnce(&[usize], &mut Staircase) -> R) -> Option<R> {
+        match self {
+            Self::Flat { cache: FlatCache::Cold } => None,
+            Self::Flat { cache: FlatCache::Private(c) } => {
+                Some(record(&c.greedy_order, &mut c.staircase))
+            }
+            Self::Flat { cache: FlatCache::Shared(link) } => {
+                let set = &link.set;
+                Some(set.record_staircase(|staircase| record(&set.greedy_order, staircase)))
+            }
+            Self::Sharded { sp, .. } => {
+                sp.paym_cache().map(|(order, staircase)| record(order, staircase))
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
 struct PoolEntry {
     jurors: Vec<Juror>,
     state: PoolState,
@@ -1016,49 +1041,8 @@ pub struct JuryService {
     snapshots: Option<snapshot::Catalog>,
     /// Writer-side snapshot state: holder identity, per-directory
     /// generation/lease view (see the crate docs' *multi-process
-    /// contract*). Never cloned — a cloned service is a distinct
-    /// would-be writer.
+    /// contract*).
     snap: snapshot::WriterState,
-}
-
-impl Clone for JuryService {
-    /// A fully independent copy. The warm-artifact store is
-    /// deep-cloned — every interned entry re-wrapped in a fresh `Arc`
-    /// (immutable innards still share memory) and every attached pool
-    /// re-linked to its copy — because sharing entries across services
-    /// would break the exact strong-count accounting behind sole-owner
-    /// detach and orphan eviction. Warm state, counters and pool ids
-    /// carry over; worker scratches start empty (they refill lazily).
-    fn clone(&self) -> Self {
-        let (store, remap) = self.store.deep_clone();
-        let mut pools = self.pools.clone();
-        for entry in pools.values_mut() {
-            let link = match &mut entry.state {
-                PoolState::Flat { cache: FlatCache::Shared(sf) } => Some(&mut sf.link),
-                PoolState::Sharded { link: Some(link), .. } => Some(link),
-                _ => None,
-            };
-            if let Some(link) = link {
-                // Every attached pool's handle is the map's (publish
-                // never replaces an entry), so the remap always hits;
-                // the fallback keeps an unexpected stray handle working
-                // as a plain non-sole holder.
-                if let Some(copy) = remap.get(&Arc::as_ptr(&link.set)) {
-                    link.set = copy.clone();
-                }
-            }
-        }
-        Self {
-            config: self.config.clone(),
-            pools,
-            next_pool: self.next_pool,
-            stats: self.stats,
-            scratches: Vec::new(),
-            store,
-            snapshots: self.snapshots.clone(),
-            snap: snapshot::WriterState::default(),
-        }
-    }
 }
 
 /// The solver-relevant configuration bits entering every store key: the
@@ -1292,11 +1276,7 @@ impl JuryService {
     /// holds any more are evicted from the store).
     pub fn remove_pool(&mut self, pool: PoolId) -> Result<Vec<Juror>, ServiceError> {
         let entry = self.pools.remove(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let key = match &entry.state {
-            PoolState::Flat { cache: FlatCache::Shared(sf) } => Some(sf.link.key),
-            PoolState::Sharded { link: Some(link), .. } => Some(link.key),
-            _ => None,
-        };
+        let key = entry.state.link().map(|link| link.key);
         let jurors = entry.jurors;
         drop(entry.state);
         if let Some(key) = key {
@@ -1321,17 +1301,11 @@ impl JuryService {
     /// either is cold, privately detached, or the pools' content
     /// diverged.
     pub fn shares_artifacts_with(&self, a: PoolId, b: PoolId) -> Result<bool, ServiceError> {
-        let set_of = |id: PoolId| -> Result<Option<&Arc<ArtifactSet>>, ServiceError> {
-            let entry = self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?;
-            Ok(match &entry.state {
-                PoolState::Flat { cache: FlatCache::Shared(sf) } => Some(&sf.link.set),
-                PoolState::Sharded { link: Some(link), .. } => Some(&link.set),
-                _ => None,
-            })
+        let link_of = |id: PoolId| -> Result<Option<&StoreLink>, ServiceError> {
+            Ok(self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?.state.link())
         };
-        let (sa, sb) = (set_of(a)?, set_of(b)?);
-        Ok(match (sa, sb) {
-            (Some(sa), Some(sb)) => Arc::ptr_eq(sa, sb),
+        Ok(match (link_of(a)?, link_of(b)?) {
+            (Some(la), Some(lb)) => Arc::ptr_eq(&la.set, &lb.set),
             _ => false,
         })
     }
@@ -1556,25 +1530,22 @@ impl JuryService {
                     // dropping them — the whole cohort then skips the
                     // O(N²) rebuild (repair lineage is the documented
                     // numerical carve-out either way).
-                    if let (FlatCache::Private(c), FlatCache::Shared(sf)) = (&mut *cache, &shared) {
+                    if let FlatCache::Private(c) = cache {
                         if let Some(ladder) = c.ladder.take() {
-                            sf.link.set.set_ladder(ladder);
+                            shared.set.set_ladder(ladder);
                         }
                         if let Some(profile) = c.profile.take() {
-                            sf.link.set.set_profile(Arc::new(profile));
+                            shared.set.set_profile(Arc::new(profile));
                         }
                     }
-                    *cache = shared;
+                    *cache = FlatCache::Shared(shared);
                     stats.artifact_rejoins += 1;
                 } else if had_siblings && !store.contains(&key) {
                     let FlatCache::Private(c) = std::mem::replace(cache, FlatCache::Cold) else {
                         unreachable!("checked above");
                     };
                     *cache = match store.publish(key, ArtifactSet::from_cache(c, &entry.jurors)) {
-                        Ok(set) => FlatCache::Shared(SharedFlat {
-                            link: StoreLink { key, set },
-                            view: None,
-                        }),
+                        Ok(set) => FlatCache::Shared(StoreLink { key, set }),
                         Err(set) => FlatCache::Private(set.into_cache()),
                     };
                 }
@@ -1589,7 +1560,7 @@ impl JuryService {
                     config: config_bits,
                 };
                 if let Some(set) = store.get(&key) {
-                    if matches!(set.match_pool(&entry.jurors), Some(Attach::Identical)) {
+                    if set.match_pool(&entry.jurors) {
                         // A re-joining pool is fully warm (repairs never
                         // drop shards), so seed the entry's shard layer
                         // if it is still empty — identically-mutated
@@ -1754,57 +1725,19 @@ impl JuryService {
                                     builds += 1;
                                 }
                             }
-                            FlatCache::Shared(sf) => match &mut sf.view {
-                                None => {
-                                    if sf.link.set.altr.get().is_none() {
-                                        let answer = solve_altr_cached(
-                                            jurors,
-                                            &sf.link.set.eps_order,
-                                            &altr_config,
-                                            &mut scratch,
-                                        );
-                                        pruned += altr_pruned(Some(&answer));
-                                        builds += 1;
-                                        sf.link.set.set_altr(answer);
-                                    }
+                            FlatCache::Shared(link) => {
+                                if link.set.altr.get().is_none() {
+                                    let answer = solve_altr_cached(
+                                        jurors,
+                                        &link.set.eps_order,
+                                        &altr_config,
+                                        &mut scratch,
+                                    );
+                                    pruned += altr_pruned(Some(&answer));
+                                    builds += 1;
+                                    link.set.set_altr(answer);
                                 }
-                                Some(view) => {
-                                    if view.altr.is_none() {
-                                        let answer = match sf.link.set.altr.get() {
-                                            Some(Ok(sel)) => Ok(Arc::new(translate_selection(
-                                                sel,
-                                                &view.sigma,
-                                                jurors,
-                                            ))),
-                                            Some(Err(e)) => Err(e.clone()),
-                                            None => {
-                                                let ans = solve_altr_cached(
-                                                    jurors,
-                                                    &view.eps_order,
-                                                    &altr_config,
-                                                    &mut scratch,
-                                                );
-                                                pruned += altr_pruned(Some(&ans));
-                                                builds += 1;
-                                                // Publish the answer in
-                                                // founding space so later
-                                                // attachers replay instead
-                                                // of re-solving.
-                                                let set = &sf.link.set;
-                                                let founding = match &ans {
-                                                    Ok(sel) => Ok(Arc::new(
-                                                        set.untranslate_selection(sel, &view.sigma),
-                                                    )),
-                                                    Err(e) => Err(e.clone()),
-                                                };
-                                                set.set_altr(founding);
-                                                ans
-                                            }
-                                        };
-                                        view.altr = Some(answer);
-                                    }
-                                }
-                            },
+                            }
                         }
                     }
                     PoolState::Sharded { sp, link } => {
@@ -1826,9 +1759,10 @@ impl JuryService {
                                     &mut stale_skips,
                                 );
                             }
-                            let attached = share.then(|| store.get(&key)).flatten().filter(|set| {
-                                matches!(set.match_pool(jurors), Some(Attach::Identical))
-                            });
+                            let attached = share
+                                .then(|| store.get(&key))
+                                .flatten()
+                                .filter(|set| set.match_pool(jurors));
                             match attached {
                                 Some(set) => {
                                     // Adopt the interned per-shard layer
@@ -1993,13 +1927,11 @@ impl JuryService {
                     }
                     Ok(c.profile.as_ref().expect("built above").entries())
                 }
-                FlatCache::Shared(sf) => {
-                    // The profile is rank-space (a function of the sorted
-                    // ε values alone), so one shared build serves every
-                    // attacher, permuted ones included. The ladder is
-                    // laid alongside like the private path, so a later
+                FlatCache::Shared(link) => {
+                    // One shared build serves every attacher. The ladder
+                    // is laid alongside like the private path, so a later
                     // detach repairs it instead of rebuilding.
-                    let set = &sf.link.set;
+                    let set = &link.set;
                     let profile = set.profile_or_init(|| {
                         set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
                         Arc::new(JerProfile::build(&set.eps_sorted))
@@ -2081,10 +2013,8 @@ impl JuryService {
                         c.ladder.get_or_insert_with(|| PmfLadder::build(&c.eps_sorted)),
                         &c.eps_sorted,
                     ),
-                    FlatCache::Shared(sf) => {
-                        // Rank-space: one shared ladder serves every
-                        // attacher, permuted ones included.
-                        let set = &sf.link.set;
+                    FlatCache::Shared(link) => {
+                        let set = &link.set;
                         (set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted)), &set.eps_sorted)
                     }
                 };
@@ -2227,54 +2157,14 @@ impl JuryService {
         }
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        let entry = self.pools.get_mut(&pool.0).expect("warmed above");
+        let PoolEntry { jurors, state, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
         let mut hit = false;
-        let result = match &mut entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Cold => pay.solve_with(&entry.jurors, &mut scratch),
-                FlatCache::Private(c) => {
-                    hit = c.staircase.covers(budget);
-                    pay.solve_staircase(
-                        &entry.jurors,
-                        &c.greedy_order,
-                        &mut c.staircase,
-                        &mut scratch,
-                    )
-                }
-                FlatCache::Shared(sf) => match &mut sf.view {
-                    None => {
-                        // Recording happens under the registry's
-                        // exclusive borrow; batch workers only take the
-                        // read lock for replays.
-                        let set = &sf.link.set;
-                        let mut staircase = set.staircase_write();
-                        hit = staircase.covers(budget);
-                        pay.solve_staircase(
-                            &entry.jurors,
-                            &set.greedy_order,
-                            &mut staircase,
-                            &mut scratch,
-                        )
-                    }
-                    Some(view) => {
-                        hit = view.staircase.covers(budget);
-                        pay.solve_staircase(
-                            &entry.jurors,
-                            &view.greedy_order,
-                            &mut view.staircase,
-                            &mut scratch,
-                        )
-                    }
-                },
-            },
-            PoolState::Sharded { sp, .. } => match sp.paym_cache() {
-                Some((order, staircase)) => {
-                    hit = staircase.covers(budget);
-                    pay.solve_staircase(&entry.jurors, order, staircase, &mut scratch)
-                }
-                None => pay.solve_with(&entry.jurors, &mut scratch),
-            },
-        };
+        let result = state
+            .paym_record(|order, staircase| {
+                hit = staircase.covers(budget);
+                pay.solve_staircase(jurors, order, staircase, &mut scratch)
+            })
+            .unwrap_or_else(|| pay.solve_with(jurors, &mut scratch));
         self.scratches.push(scratch);
         if hit {
             self.stats.staircase_hits += 1;
@@ -2521,16 +2411,8 @@ impl JuryService {
 
     /// Whether the pool's warm staircase already covers `budget`.
     fn staircase_covers(&self, pool: PoolId, budget: f64) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| match &entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Cold => false,
-                FlatCache::Private(c) => c.staircase.covers(budget),
-                FlatCache::Shared(sf) => match &sf.view {
-                    None => sf.link.set.staircase_read().covers(budget),
-                    Some(view) => view.staircase.covers(budget),
-                },
-            },
-            PoolState::Sharded { sp, .. } => sp.staircase_covers(budget),
+        self.pools.get(&pool.0).is_some_and(|entry| {
+            entry.state.paym_read(|_, staircase| staircase.covers(budget)).unwrap_or(false)
         })
     }
 
@@ -2540,45 +2422,10 @@ impl JuryService {
     fn record_staircase_step(&mut self, pool: PoolId, budget: f64) {
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        if let Some(entry) = self.pools.get_mut(&pool.0) {
-            match &mut entry.state {
-                PoolState::Flat { cache } => match cache {
-                    FlatCache::Cold => {}
-                    FlatCache::Private(c) => {
-                        let _ = pay.solve_staircase(
-                            &entry.jurors,
-                            &c.greedy_order,
-                            &mut c.staircase,
-                            &mut scratch,
-                        );
-                    }
-                    FlatCache::Shared(sf) => match &mut sf.view {
-                        None => {
-                            let set = &sf.link.set;
-                            let mut staircase = set.staircase_write();
-                            let _ = pay.solve_staircase(
-                                &entry.jurors,
-                                &set.greedy_order,
-                                &mut staircase,
-                                &mut scratch,
-                            );
-                        }
-                        Some(view) => {
-                            let _ = pay.solve_staircase(
-                                &entry.jurors,
-                                &view.greedy_order,
-                                &mut view.staircase,
-                                &mut scratch,
-                            );
-                        }
-                    },
-                },
-                PoolState::Sharded { sp, .. } => {
-                    if let Some((order, staircase)) = sp.paym_cache() {
-                        let _ = pay.solve_staircase(&entry.jurors, order, staircase, &mut scratch);
-                    }
-                }
-            }
+        if let Some(PoolEntry { jurors, state, .. }) = self.pools.get_mut(&pool.0) {
+            state.paym_record(|order, staircase| {
+                let _ = pay.solve_staircase(jurors, order, staircase, &mut scratch);
+            });
         }
         self.scratches.push(scratch);
     }
@@ -2672,25 +2519,35 @@ fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
 /// the sorted orders plus the AltrM answer (profile and ladder stay
 /// lazy).
 fn build_full_cache(jurors: &[Juror], altr: &AltrConfig, scratch: &mut SolverScratch) -> PoolCache {
-    let mut cache = build_orders_only(jurors);
-    cache.altr = Some(solve_altr_cached(jurors, &cache.eps_order, altr, scratch));
-    cache
+    build_cache(jurors, |eps_order| Some(solve_altr_cached(jurors, eps_order, altr, scratch)))
 }
 
 /// Builds just the sorted orders (no solve, no profile) — the cache
 /// state an `update_juror` repair also leaves behind; `warm_pool`
 /// completes it with a rescan-free bound-pruned solve on demand.
 fn build_orders_only(jurors: &[Juror]) -> PoolCache {
+    build_cache(jurors, |_| None)
+}
+
+/// Sorts both orders, running `solve_altr` on the ε order before the
+/// greedy sort. The order matters at scale: the AltrM scan evicts the
+/// jurors from cache, and the greedy sort's reads bring them back for
+/// the PayM scan that usually follows a cold build.
+fn build_cache(
+    jurors: &[Juror],
+    solve_altr: impl FnOnce(&[usize]) -> Option<AltrAnswer>,
+) -> PoolCache {
     let mut eps_order = Vec::with_capacity(jurors.len());
     jury_core::solver::sorted_order_into(jurors, &mut eps_order);
     let eps_sorted = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
+    let altr = solve_altr(&eps_order);
     let mut greedy_order = Vec::with_capacity(jurors.len());
     PayAlg::greedy_order_into(jurors, &mut greedy_order);
     PoolCache {
         eps_order,
         eps_sorted,
         greedy_order,
-        altr: None,
+        altr,
         profile: None,
         ladder: None,
         staircase: Staircase::new(),
@@ -2822,104 +2679,44 @@ fn solve_on_entry(
     config: &ServiceConfig,
     scratch: &mut SolverScratch,
 ) -> Result<Arc<Selection>, ServiceError> {
-    match &entry.state {
-        PoolState::Flat { cache } => match (task.model, cache) {
-            (CrowdModel::Altruism, FlatCache::Private(cache)) => match cache.altr.as_ref() {
-                Some(answer) => answer.clone().map_err(ServiceError::from),
-                None => solve_altr_cached(&entry.jurors, &cache.eps_order, &config.altr, scratch)
-                    .map_err(ServiceError::from),
-            },
-            (CrowdModel::Altruism, FlatCache::Shared(sf)) => match &sf.view {
-                None => {
-                    // `altr_or_init` is thread-safe: the first worker to
-                    // need an unfilled answer solves it once for every
-                    // attached pool.
-                    let set = &sf.link.set;
-                    set.altr_or_init(|| {
-                        solve_altr_cached(&entry.jurors, &set.eps_order, &config.altr, scratch)
-                    })
-                    .clone()
-                    .map_err(ServiceError::from)
-                }
-                Some(view) => match &view.altr {
-                    Some(answer) => answer.clone().map_err(ServiceError::from),
-                    // `prepare` fills the view before workers run; this
-                    // fallback keeps stray cold paths correct without
-                    // mutating the (shared) registry.
-                    None => match sf.link.set.altr.get() {
-                        Some(Ok(sel)) => {
-                            Ok(Arc::new(translate_selection(sel, &view.sigma, &entry.jurors)))
-                        }
-                        Some(Err(e)) => Err(ServiceError::from(e.clone())),
-                        None => {
-                            solve_altr_cached(&entry.jurors, &view.eps_order, &config.altr, scratch)
-                                .map_err(ServiceError::from)
-                        }
-                    },
-                },
-            },
-            (CrowdModel::Altruism, FlatCache::Cold) => AltrAlg::new(config.altr)
-                .solve_with(&entry.jurors, scratch)
+    let jurors = &entry.jurors;
+    let result = match (task.model, &entry.state) {
+        (CrowdModel::PayAsYouGo { budget }, state) => {
+            let pay = PayAlg::new(budget, config.pay);
+            state
+                .paym_read(|order, staircase| {
+                    staircase
+                        .lookup(budget)
+                        .unwrap_or_else(|| pay.solve_presorted(jurors, order, scratch))
+                })
+                .unwrap_or_else(|| pay.solve_with(jurors, scratch))
                 .map(Arc::new)
-                .map_err(ServiceError::from),
-            (CrowdModel::PayAsYouGo { budget }, FlatCache::Private(cache)) => {
-                match cache.staircase.lookup(budget) {
-                    Some(replay) => replay.map(Arc::new).map_err(ServiceError::from),
-                    None => PayAlg::new(budget, config.pay)
-                        .solve_presorted(&entry.jurors, &cache.greedy_order, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                }
+        }
+        (CrowdModel::Altruism, PoolState::Flat { cache: FlatCache::Private(cache) }) => {
+            match &cache.altr {
+                Some(answer) => answer.clone(),
+                None => solve_altr_cached(jurors, &cache.eps_order, &config.altr, scratch),
             }
-            (CrowdModel::PayAsYouGo { budget }, FlatCache::Shared(sf)) => {
-                let (greedy_order, replay) = match &sf.view {
-                    None => {
-                        (&*sf.link.set.greedy_order, sf.link.set.staircase_read().lookup(budget))
-                    }
-                    Some(view) => (&view.greedy_order, view.staircase.lookup(budget)),
-                };
-                match replay {
-                    Some(replay) => replay.map(Arc::new).map_err(ServiceError::from),
-                    None => PayAlg::new(budget, config.pay)
-                        .solve_presorted(&entry.jurors, greedy_order, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                }
-            }
-            (CrowdModel::PayAsYouGo { budget }, FlatCache::Cold) => PayAlg::new(budget, config.pay)
-                .solve_with(&entry.jurors, scratch)
-                .map(Arc::new)
-                .map_err(ServiceError::from),
-        },
-        PoolState::Sharded { sp, .. } => match task.model {
-            CrowdModel::Altruism => {
-                if let Some(result) = sp.cached_altr() {
-                    result.clone().map_err(ServiceError::from)
-                } else if let Some(order) = sp.merged_eps_order() {
-                    solve_altr_cached(&entry.jurors, order, &config.altr, scratch)
-                        .map_err(ServiceError::from)
-                } else {
-                    AltrAlg::new(config.altr)
-                        .solve_with(&entry.jurors, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from)
-                }
-            }
-            CrowdModel::PayAsYouGo { budget } => match sp.staircase_lookup(budget) {
-                Some(replay) => replay.map(Arc::new).map_err(ServiceError::from),
-                None => match sp.merged_greedy_order() {
-                    Some(order) => PayAlg::new(budget, config.pay)
-                        .solve_presorted(&entry.jurors, order, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                    None => PayAlg::new(budget, config.pay)
-                        .solve_with(&entry.jurors, scratch)
-                        .map(Arc::new)
-                        .map_err(ServiceError::from),
-                },
+        }
+        (CrowdModel::Altruism, PoolState::Flat { cache: FlatCache::Shared(link) }) => {
+            // `altr_or_init` is thread-safe: the first worker to need an
+            // unfilled answer solves it once for every attached pool.
+            let set = &link.set;
+            set.altr_or_init(|| solve_altr_cached(jurors, &set.eps_order, &config.altr, scratch))
+                .clone()
+        }
+        (CrowdModel::Altruism, PoolState::Sharded { sp, .. }) => match sp.cached_altr() {
+            Some(answer) => answer.clone(),
+            None => match sp.merged_eps_order() {
+                Some(order) => solve_altr_cached(jurors, order, &config.altr, scratch),
+                None => AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new),
             },
         },
-    }
+        (CrowdModel::Altruism, PoolState::Flat { cache: FlatCache::Cold }) => {
+            AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new)
+        }
+    };
+    result.map_err(ServiceError::from)
 }
 
 /// Seeds the store from the snapshot catalog before an attach: when
@@ -2976,8 +2773,8 @@ fn acquire_flat(
     build: impl FnOnce() -> PoolCache,
 ) -> (FlatCache, bool) {
     if share {
-        if let Some(shared) = attach_flat(store, key, jurors) {
-            return (shared, true);
+        if let Some(link) = attach_flat(store, key, jurors) {
+            return (FlatCache::Shared(link), true);
         }
     }
     let built = build();
@@ -2985,33 +2782,23 @@ fn acquire_flat(
         return (FlatCache::Private(built), false);
     }
     let cache = match store.publish(key, ArtifactSet::from_cache(built, jurors)) {
-        Ok(set) => FlatCache::Shared(SharedFlat { link: StoreLink { key, set }, view: None }),
+        Ok(set) => FlatCache::Shared(StoreLink { key, set }),
         Err(set) => FlatCache::Private(set.into_cache()),
     };
     (cache, false)
 }
 
-/// Attaches a flat pool to the interned entry at `key`, if one exists
-/// and its content admits this pool: sequence-identical attachers share
-/// the entry outright, permuted-but-equal ones get a σ-translated
-/// position-space view. Returns `None` when there is no entry or the
-/// verification refuses (content differs, or a tie-violating entry
-/// cannot serve a permuted attacher). The single place the attach rules
-/// live — registration ([`JuryService::warm_pool`] /
-/// [`JuryService::warm_orders`]) and post-mutation re-join
-/// ([`JuryService::settle_after_mutation`]) all route through it.
-fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option<FlatCache> {
-    let set = store.get(&key)?;
-    let attach = set.match_pool(jurors)?;
-    Some(match attach {
-        Attach::Identical => {
-            FlatCache::Shared(SharedFlat { link: StoreLink { key, set }, view: None })
-        }
-        Attach::Permuted(sigma) => {
-            let view = PermutedView::new(&set, sigma);
-            FlatCache::Shared(SharedFlat { link: StoreLink { key, set }, view: Some(view) })
-        }
-    })
+/// Attaches a flat pool to the interned entry at `key` when the entry's
+/// founding sequence equals the pool's ([`ArtifactSet::match_pool`]).
+/// Returns `None` when there is no entry or the content differs (a
+/// collision, or the same multiset in another arrangement). The single
+/// place the attach rule lives — registration
+/// ([`JuryService::warm_pool`] / [`JuryService::warm_orders`]) and
+/// post-mutation re-join ([`JuryService::settle_after_mutation`]) all
+/// route through it.
+fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option<StoreLink> {
+    let set = store.get(&key).filter(|set| set.match_pool(jurors))?;
+    Some(StoreLink { key, set })
 }
 
 /// Drops a flat pool's shared attachment *without* materialising a
@@ -3028,12 +2815,12 @@ fn discard_flat_share(
     if !matches!(cache, FlatCache::Shared(_)) {
         return None;
     }
-    let FlatCache::Shared(sf) = std::mem::replace(cache, FlatCache::Cold) else {
+    let FlatCache::Shared(link) = std::mem::replace(cache, FlatCache::Cold) else {
         unreachable!("checked above");
     };
-    let key = sf.link.key;
-    let had_siblings = Arc::strong_count(&sf.link.set) > 2;
-    drop(sf);
+    let key = link.key;
+    let had_siblings = Arc::strong_count(&link.set) > 2;
+    drop(link);
     store.release(&key, ttl_enabled);
     Some(had_siblings)
 }
@@ -3058,41 +2845,22 @@ fn detach_pool(
             if !matches!(cache, FlatCache::Shared(_)) {
                 return None;
             }
-            let FlatCache::Shared(sf) = std::mem::replace(cache, FlatCache::Cold) else {
+            let FlatCache::Shared(StoreLink { key, set }) =
+                std::mem::replace(cache, FlatCache::Cold)
+            else {
                 unreachable!("checked above");
             };
-            let had_siblings = Arc::strong_count(&sf.link.set) > 2;
+            let had_siblings = Arc::strong_count(&set) > 2;
             if !ttl_enabled {
-                store.take_if_sole(&sf.link.key, &sf.link.set);
+                store.take_if_sole(&key, &set);
             }
-            let SharedFlat { link: StoreLink { key, set }, view } = sf;
-            let private = match view {
-                None => match Arc::try_unwrap(set) {
-                    Ok(owned) => owned.into_cache(),
-                    Err(set) => {
-                        let cloned = set.cache_clone();
-                        drop(set);
-                        store.release(&key, ttl_enabled);
-                        cloned
-                    }
-                },
-                Some(view) => {
-                    // Same rank-space reclaim as an identical-sequence
-                    // detach (zero-copy for a sole holder); only the
-                    // position-space orders come from the σ-translated
-                    // view.
-                    let mut private = match Arc::try_unwrap(set) {
-                        Ok(owned) => owned.into_cache(),
-                        Err(set) => {
-                            let cloned = set.cache_clone();
-                            drop(set);
-                            store.release(&key, ttl_enabled);
-                            cloned
-                        }
-                    };
-                    private.eps_order = view.eps_order;
-                    private.greedy_order = view.greedy_order;
-                    private
+            let private = match Arc::try_unwrap(set) {
+                Ok(owned) => owned.into_cache(),
+                Err(set) => {
+                    let cloned = set.cache_clone();
+                    drop(set);
+                    store.release(&key, ttl_enabled);
+                    cloned
                 }
             };
             *cache = FlatCache::Private(private);
@@ -3476,6 +3244,28 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.staircase_hits, 27 + 30);
         assert_eq!(stats.cache_hits, 30);
+    }
+
+    #[test]
+    fn only_recorded_staircase_steps_mark_a_shared_entry_dirty() {
+        // The snapshot writer re-encodes an entry whose mutation version
+        // moved, so a covered-budget replay must leave it alone.
+        let mut service = JuryService::new();
+        let pool = service.create_pool(figure1());
+        service.warm_pool(pool).unwrap();
+        let version = |service: &JuryService| {
+            service.pools[&pool.0].state.link().expect("attached").set.mutation_version()
+        };
+        let before = version(&service);
+        service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
+        let recorded = version(&service);
+        assert!(recorded > before, "an uncovered budget records a step");
+        service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
+        service.record_staircase_step(pool, 1.0);
+        assert_eq!(service.stats().staircase_hits, 1);
+        assert_eq!(version(&service), recorded, "covered budgets leave the entry clean");
+        service.record_staircase_step(pool, 0.3);
+        assert!(version(&service) > recorded, "a new step marks it dirty again");
     }
 
     #[test]

@@ -52,12 +52,10 @@
 
 use crate::ladder::PmfLadder;
 use jury_core::altr::{AltrConfig, JerProfile};
-use jury_core::error::JuryError;
 use jury_core::jer::JerEngine;
 use jury_core::juror::Juror;
 use jury_core::merge::kway_merge_by;
 use jury_core::paym::{PayAlg, Staircase};
-use jury_core::problem::Selection;
 use jury_core::solver::{eps_cmp, SolverScratch};
 use jury_numeric::conv::ConvScratch;
 use jury_numeric::poibin::PoiBin;
@@ -178,7 +176,7 @@ struct Shard {
 /// the warm-artifact store ([`crate::store`]); in-place repairs go
 /// through `Arc::make_mut`, which is exactly the copy-on-write boundary
 /// (a sole owner repairs in place, an attached pool clones off first).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MergedCache {
     /// K-way merge of the shards' `eps_order` runs — bit-identical to
     /// the flat pool's ε-sorted order.
@@ -235,7 +233,7 @@ pub(crate) struct MutationEffect {
 /// content); the caches are `Arc`-shared, and `Arc::make_mut` at every
 /// repair site copies a shard off privately the moment its pool
 /// mutates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ShardLayer {
     owner: Vec<u32>,
     caches: Vec<Arc<ShardCache>>,
@@ -354,7 +352,7 @@ pub(crate) struct ShardWarmOutcome {
 
 /// A pool partitioned into K shards. Owns no jurors — all methods take
 /// the registry's juror slice; member values are positions into it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ShardedPool {
     shards: Vec<Shard>,
     /// Owning shard per pool position.
@@ -797,6 +795,7 @@ impl ShardedPool {
     }
 
     /// The merged greedy order, if warm.
+    #[cfg(test)]
     pub(crate) fn merged_greedy_order(&self) -> Option<&[usize]> {
         self.merged.as_ref().map(|m| m.greedy_order.as_slice())
     }
@@ -810,15 +809,10 @@ impl ShardedPool {
         })
     }
 
-    /// Read-only staircase replay for `budget` (the worker path of
-    /// batched solving), if warm and covered.
-    pub(crate) fn staircase_lookup(&self, budget: f64) -> Option<Result<Selection, JuryError>> {
-        self.merged.as_ref().and_then(|m| m.staircase.lookup(budget))
-    }
-
-    /// Whether the warm staircase already covers `budget`.
-    pub(crate) fn staircase_covers(&self, budget: f64) -> bool {
-        self.merged.as_ref().is_some_and(|m| m.staircase.covers(budget))
+    /// The merged greedy order together with its budget staircase, for
+    /// read-only replays (the worker path of batched solving).
+    pub(crate) fn paym_view(&self) -> Option<(&[usize], &Staircase)> {
+        self.merged.as_ref().map(|m| (m.greedy_order.as_slice(), &m.staircase))
     }
 
     /// The cached AltrM selection, if already solved.

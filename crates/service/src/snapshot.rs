@@ -726,8 +726,7 @@ fn load_entry(
     // in-memory entry would run. A doctored manifest that borrows
     // another pool's fingerprint dies on the KEY cross-check above; a
     // colliding fingerprint dies here.
-    set.match_pool(jurors)?;
-    Some(set)
+    set.match_pool(jurors).then_some(set)
 }
 
 // ---------------------------------------------------------------------
@@ -797,7 +796,7 @@ fn scan_manifests(dir: &Path) -> Vec<(u64, String)> {
 /// whose layout or config bits have since drifted still registers a
 /// counted rejection (the snapshot promised this content and cannot
 /// deliver it) rather than a silent miss.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Catalog {
     dir: PathBuf,
     /// Manifests present but none readable (corrupt JSON, version

@@ -12,36 +12,18 @@
 //! `(fingerprint, layout, solver config)` so N equal pools hold N `Arc`
 //! clones of **one** artifact set, built once.
 //!
-//! ## Verification, identity and permutation
+//! ## Verification
 //!
 //! The fingerprint only *addresses* an entry; a candidate pool is
 //! admitted by content comparison (hash collisions can cost a missed
-//! share, never a wrong answer). Two grades of match exist:
-//!
-//! * **Identical sequence** — the pool's juror content equals the
-//!   entry's founding sequence position for position. Everything is
-//!   position-space-compatible and shared outright: orders, ladder,
-//!   profile, the Arc'd AltrM answer, and the (lock-guarded, lazily
-//!   growing) budget staircase.
-//! * **Permuted** — same multiset, different arrangement. Rank-space
-//!   artifacts (sorted ε values, pmf ladder, JER profile, the AltrM
-//!   answer's JER/cost/stats) are still shared pointer-equal; the
-//!   position-space orders are derived by translating the founding
-//!   orders through the matching permutation σ (`O(N)`, sort-free), and
-//!   the budget staircase stays private (its recorded selections are
-//!   position-space). Permuted sharing requires the entry to be
-//!   **tie-free** — no two jurors with equal ε bits but different cost
-//!   bits — because only then is every solver tie-break class a single
-//!   content class, making the translated orders (and therefore every
-//!   downstream float evaluation) bit-identical to the pool's own
-//!   private build. Tie-violating entries simply refuse permuted
-//!   attachment.
-//!
-//! The matching permutation maps the *k*-th occurrence (in founding
-//! position order) of each `(ε bits, cost bits)` content class to the
-//! *k*-th occurrence in the candidate's position order, which preserves
-//! the position-ascending tie-break of both comparators across the
-//! translation — see [`ArtifactSet::match_pool`].
+//! share, never a wrong answer). A pool attaches only when its juror
+//! content equals the entry's founding sequence position for position
+//! ([`ArtifactSet::match_pool`]); everything is then shared outright:
+//! orders, ladder, profile, the Arc'd AltrM answer, and the
+//! (lock-guarded, lazily growing) budget staircase. A pool holding the
+//! same multiset in a different arrangement has the same fingerprint but
+//! is refused: it builds privately, and the incumbent entry keeps its key
+//! ([`ArtifactStore::publish`]).
 //!
 //! ## Copy-on-write detach, re-join, eviction
 //!
@@ -63,8 +45,7 @@ use jury_core::altr::JerProfile;
 use jury_core::fingerprint::{juror_content, FingerprintKey};
 use jury_core::juror::Juror;
 use jury_core::paym::Staircase;
-use jury_core::problem::Selection;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
@@ -96,16 +77,6 @@ pub(crate) struct StoreKey {
     pub config: u64,
 }
 
-/// How a candidate pool relates to an entry's founding sequence.
-#[derive(Debug, Clone)]
-pub(crate) enum Attach {
-    /// Content equal position for position: full position-space share.
-    Identical,
-    /// Same multiset, different arrangement: `sigma[founding_pos]` is the
-    /// candidate position holding that juror content.
-    Permuted(Vec<usize>),
-}
-
 /// One pool-content snapshot's warm artifacts, shared by every pool
 /// whose jurors match. Orders and sorted rates are immutable once
 /// published; the lazily-derived artifacts fill exactly once
@@ -117,18 +88,13 @@ pub(crate) struct ArtifactSet {
     /// Founding `(ε bits, cost bits)` per pool position — the content
     /// identity candidates are verified against.
     seq: Vec<(u64, u64)>,
-    /// Whether no two jurors share ε bits with different cost bits — the
-    /// precondition for cross-permutation sharing (see module docs).
-    tie_free: bool,
-    /// Positions ascending by ε (founding position space).
+    /// Positions ascending by ε.
     pub eps_order: Arc<Vec<usize>>,
     /// ε values aligned with `eps_order` — rank space, multiset-determined.
     pub eps_sorted: Arc<Vec<f64>>,
-    /// PayALG's greedy visit order (founding position space).
+    /// PayALG's greedy visit order.
     pub greedy_order: Arc<Vec<usize>>,
-    /// The solved AltrM answer (founding position space; JER/cost/stats
-    /// are rank-space and shared bit-identically even across
-    /// permutations).
+    /// The solved AltrM answer.
     pub altr: OnceLock<AltrAnswer>,
     /// The odd-size JER profile — rank space.
     pub profile: OnceLock<Arc<JerProfile>>,
@@ -142,11 +108,11 @@ pub(crate) struct ArtifactSet {
     /// simply builds its shards privately. Flat layouts leave this
     /// empty.
     pub shard_layer: OnceLock<crate::shard::ShardLayer>,
-    /// The PayM budget staircase over `greedy_order` (founding position
-    /// space), recorded lazily per budget.
+    /// The PayM budget staircase over `greedy_order`, recorded lazily
+    /// per budget.
     pub staircase: RwLock<Staircase>,
     /// Monotone mutation counter: bumped whenever a lazy slot fills or
-    /// the staircase takes a write lock. The incremental snapshot
+    /// the staircase records a step. The incremental snapshot
     /// writer compares it against the version it last persisted to
     /// decide cleanness without re-encoding; over-counting (a bump
     /// that changed nothing) is harmless — the writer's
@@ -160,10 +126,8 @@ pub(crate) struct ArtifactSet {
 impl ArtifactSet {
     /// Interns a privately-built flat cache (zero-copy moves).
     pub(crate) fn from_cache(cache: PoolCache, jurors: &[Juror]) -> Self {
-        let tie_free = tie_free(jurors, &cache.eps_order);
         Self {
             seq: jurors.iter().map(juror_content).collect(),
-            tie_free,
             eps_order: Arc::new(cache.eps_order),
             eps_sorted: Arc::new(cache.eps_sorted),
             greedy_order: Arc::new(cache.greedy_order),
@@ -185,10 +149,8 @@ impl ArtifactSet {
         jurors: &[Juror],
     ) -> Self {
         let eps_sorted: Vec<f64> = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
-        let tie_free = tie_free(jurors, &eps_order);
         Self {
             seq: jurors.iter().map(juror_content).collect(),
-            tie_free,
             eps_order,
             eps_sorted: Arc::new(eps_sorted),
             greedy_order,
@@ -207,9 +169,7 @@ impl ArtifactSet {
         &self.seq
     }
 
-    /// Reassembles an entry from verified snapshot parts. `tie_free` is
-    /// *recomputed* from the sequence, never trusted from disk — it gates
-    /// permuted sharing, where a wrong `true` would break bit-identity.
+    /// Reassembles an entry from verified snapshot parts.
     /// Content/shape validation (the permutation and binding checks) is
     /// the snapshot loader's job; this only rebuilds the struct.
     #[allow(clippy::too_many_arguments)]
@@ -224,13 +184,8 @@ impl ArtifactSet {
         shard_layer: Option<crate::shard::ShardLayer>,
         staircase: Staircase,
     ) -> Self {
-        let tie_free = eps_order.windows(2).all(|w| {
-            let (a, b) = (seq[w[0]], seq[w[1]]);
-            a.0 != b.0 || a.1 == b.1
-        });
         Self {
             seq,
-            tie_free,
             eps_order: Arc::new(eps_order),
             eps_sorted: Arc::new(eps_sorted),
             greedy_order: Arc::new(greedy_order),
@@ -243,34 +198,12 @@ impl ArtifactSet {
         }
     }
 
-    /// Classifies `jurors` against the founding sequence: identical,
-    /// permuted-but-equal (tie-free entries only), or no match (content
-    /// differs — a fingerprint collision, which only costs the share).
-    pub(crate) fn match_pool(&self, jurors: &[Juror]) -> Option<Attach> {
-        if jurors.len() != self.seq.len() {
-            return None;
-        }
-        if jurors.iter().zip(&self.seq).all(|(j, &fc)| juror_content(j) == fc) {
-            return Some(Attach::Identical);
-        }
-        if !self.tie_free {
-            return None;
-        }
-        // k-th-occurrence matching per content class, both sides walked
-        // in ascending position order: preserves each comparator's
-        // position tie-break across the translation.
-        let mut ours: HashMap<(u64, u64), VecDeque<usize>> = HashMap::with_capacity(jurors.len());
-        for (pos, juror) in jurors.iter().enumerate() {
-            ours.entry(juror_content(juror)).or_default().push_back(pos);
-        }
-        let mut sigma = vec![0usize; self.seq.len()];
-        for (founding_pos, content) in self.seq.iter().enumerate() {
-            match ours.get_mut(content).and_then(VecDeque::pop_front) {
-                Some(pos) => sigma[founding_pos] = pos,
-                None => return None,
-            }
-        }
-        Some(Attach::Permuted(sigma))
+    /// Whether `jurors` equals the founding sequence position for
+    /// position — the only admission rule (a fingerprint collision or a
+    /// permuted arrangement only costs the share).
+    pub(crate) fn match_pool(&self, jurors: &[Juror]) -> bool {
+        jurors.len() == self.seq.len()
+            && jurors.iter().zip(&self.seq).all(|(j, &fc)| juror_content(j) == fc)
     }
 
     /// Takes the artifacts back as a private flat cache, zero-copy and
@@ -307,58 +240,26 @@ impl ArtifactSet {
         }
     }
 
-    /// Translates a permuted attacher's AltrM selection back into
-    /// founding position space (inverse σ; the cost re-summed in
-    /// ascending founding order from the founding sequence's cost bits)
-    /// — so one bound-pruned solve serves every later attacher. The
-    /// tie-free precondition that admitted the permuted attacher makes
-    /// this bit-identical to the solve a founding-sequence pool would
-    /// run: same ε value sequence (JER/stats bits), same cost multiset
-    /// summed in the same ascending-member order.
-    pub(crate) fn untranslate_selection(&self, ours: &Selection, sigma: &[usize]) -> Selection {
-        let mut inverse = vec![0usize; sigma.len()];
-        for (founding, &pos) in sigma.iter().enumerate() {
-            inverse[pos] = founding;
-        }
-        let mut members: Vec<usize> = ours.members.iter().map(|&m| inverse[m]).collect();
-        members.sort_unstable();
-        let total_cost = members.iter().map(|&f| f64::from_bits(self.seq[f].1)).sum();
-        Selection { members, jer: ours.jer, total_cost, stats: ours.stats }
-    }
-
-    /// A copy for an independent store (see [`ArtifactStore::deep_clone`]):
-    /// the immutable innards still share memory through their inner
-    /// `Arc`s, while the lazy cells and the staircase snapshot their
-    /// current state into fresh containers.
-    fn snapshot(&self) -> Self {
-        Self {
-            seq: self.seq.clone(),
-            tie_free: self.tie_free,
-            eps_order: self.eps_order.clone(),
-            eps_sorted: self.eps_sorted.clone(),
-            greedy_order: self.greedy_order.clone(),
-            altr: once_from(self.altr.get().cloned()),
-            profile: once_from(self.profile.get().cloned()),
-            ladder: once_from(self.ladder.get().cloned()),
-            shard_layer: once_from(self.shard_layer.get().cloned()),
-            staircase: RwLock::new(self.staircase_read().clone()),
-            version: AtomicU64::new(self.version.load(Ordering::Acquire)),
-        }
-    }
-
     /// Read access to the (possibly poisoned — recover, steps are
     /// append-only) staircase.
     pub(crate) fn staircase_read(&self) -> std::sync::RwLockReadGuard<'_, Staircase> {
         self.staircase.read().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Write access for recording a step. Conservatively counts as a
-    /// mutation (see [`ArtifactSet::note_mutation`]) — a write lock
-    /// that records nothing is caught by the snapshot writer's
-    /// encode-and-compare fallback.
-    pub(crate) fn staircase_write(&self) -> std::sync::RwLockWriteGuard<'_, Staircase> {
-        self.note_mutation();
-        self.staircase.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Runs `record` under the staircase write lock, marking the entry
+    /// dirty (see [`ArtifactSet::note_mutation`]) only when it recorded
+    /// a step — a covered-budget replay leaves the version alone. Steps
+    /// are append-only on a shared staircase (mutations detach first),
+    /// so a grown step count is exactly "something was recorded".
+    pub(crate) fn record_staircase<R>(&self, record: impl FnOnce(&mut Staircase) -> R) -> R {
+        let mut staircase =
+            self.staircase.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let steps = staircase.len();
+        let out = record(&mut staircase);
+        if staircase.len() != steps {
+            self.note_mutation();
+        }
+        out
     }
 
     /// The current mutation version (see the `version` field).
@@ -446,82 +347,18 @@ fn once_from<T>(value: Option<T>) -> OnceLock<T> {
     lock
 }
 
-/// Whether the ε-sorted run contains no equal-ε, different-cost pair
-/// (equal ε values are adjacent in the run).
-fn tie_free(jurors: &[Juror], eps_order: &[usize]) -> bool {
-    eps_order.windows(2).all(|w| {
-        let (a, b) = (&jurors[w[0]], &jurors[w[1]]);
-        a.epsilon().to_bits() != b.epsilon().to_bits() || a.cost.to_bits() == b.cost.to_bits()
-    })
-}
-
 /// One pool's attachment to a store entry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StoreLink {
     pub key: StoreKey,
     pub set: Arc<ArtifactSet>,
-}
-
-/// A permuted attacher's position-space view of a shared entry: the
-/// founding orders translated through σ once at attach (`O(N)`,
-/// sort-free), plus the two artifacts that cannot be shared across
-/// permutations (the position-space AltrM selection, translated lazily
-/// from the shared answer, and a private budget staircase).
-#[derive(Debug, Clone)]
-pub(crate) struct PermutedView {
-    /// `sigma[founding_pos]` = this pool's position for that content.
-    pub sigma: Vec<usize>,
-    /// σ-translated ε order — bit-identical to this pool's own sort.
-    pub eps_order: Vec<usize>,
-    /// σ-translated greedy order — bit-identical to this pool's own sort.
-    pub greedy_order: Vec<usize>,
-    /// Position-space AltrM answer (JER/cost/stats bits shared with the
-    /// entry's; members σ-translated).
-    pub altr: Option<AltrAnswer>,
-    /// Private staircase (recorded selections are position-space).
-    pub staircase: Staircase,
-}
-
-impl PermutedView {
-    pub(crate) fn new(set: &ArtifactSet, sigma: Vec<usize>) -> Self {
-        Self {
-            eps_order: translate_order(&set.eps_order, &sigma),
-            greedy_order: translate_order(&set.greedy_order, &sigma),
-            altr: None,
-            staircase: Staircase::new(),
-            sigma,
-        }
-    }
-}
-
-/// Maps a founding-position order into the attacher's position space.
-pub(crate) fn translate_order(order: &[usize], sigma: &[usize]) -> Vec<usize> {
-    order.iter().map(|&p| sigma[p]).collect()
-}
-
-/// Translates a founding-position selection into the attacher's position
-/// space: members are σ-mapped and re-sorted ascending, the cost is
-/// re-summed in that ascending order (exactly what the attacher's
-/// private solve would do), JER bits and stats are shared verbatim (they
-/// are functions of the ε value sequence, which tie-free permutation
-/// equality preserves).
-pub(crate) fn translate_selection(
-    founding: &Selection,
-    sigma: &[usize],
-    jurors: &[Juror],
-) -> Selection {
-    let mut members: Vec<usize> = founding.members.iter().map(|&m| sigma[m]).collect();
-    members.sort_unstable();
-    let total_cost = members.iter().map(|&i| jurors[i].cost).sum();
-    Selection { members, jer: founding.jer, total_cost, stats: founding.stats }
 }
 
 /// The per-service interning map. Entries are kept alive by attached
 /// pools' `Arc`s; [`ArtifactStore::evict_if_orphaned`] reaps entries
 /// only the map still holds. Deliberately **not** `Clone`: a shared-map
 /// copy would break the exact strong-count accounting the eviction
-/// logic relies on — cloning services goes through
-/// [`ArtifactStore::deep_clone`].
+/// logic relies on.
 #[derive(Debug, Default)]
 pub(crate) struct ArtifactStore {
     entries: HashMap<StoreKey, Arc<ArtifactSet>>,
@@ -533,21 +370,6 @@ pub(crate) struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// An independent copy for a cloned service: every entry is
-    /// re-wrapped in a fresh `Arc` (the immutable innards still share
-    /// memory) so the clone's strong counts track only *its* pools.
-    /// Returns the new store plus the old-pointer → new-handle mapping
-    /// the caller uses to re-link attached pools.
-    pub(crate) fn deep_clone(&self) -> (Self, HashMap<*const ArtifactSet, Arc<ArtifactSet>>) {
-        let mut remap = HashMap::with_capacity(self.entries.len());
-        let mut entries = HashMap::with_capacity(self.entries.len());
-        for (key, arc) in &self.entries {
-            let copy = Arc::new(arc.snapshot());
-            remap.insert(Arc::as_ptr(arc), copy.clone());
-            entries.insert(*key, copy);
-        }
-        (Self { entries, orphans: self.orphans.clone() }, remap)
-    }
     /// The entry at `key`, if interned.
     pub(crate) fn get(&self, key: &StoreKey) -> Option<Arc<ArtifactSet>> {
         self.entries.get(key).cloned()

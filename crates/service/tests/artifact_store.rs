@@ -1,6 +1,7 @@
-//! The warm-artifact store's observable contract: equal-content pools
-//! share one artifact set (fingerprints intern, attaches are
-//! pointer-equal, counters prove nothing was rebuilt), mutations detach
+//! The warm-artifact store's observable contract: sequence-identical
+//! pools share one artifact set (fingerprints intern, attaches are
+//! pointer-equal, counters prove nothing was rebuilt), permuted pools
+//! share a fingerprint but never an artifact set, mutations detach
 //! copy-on-write and re-join when content converges again — and none of
 //! it ever changes an answer (every shared-artifact reply is pinned
 //! bit-identical against the direct solvers).
@@ -23,7 +24,7 @@ fn private_service() -> JuryService {
 }
 
 /// Random `(ε, cost)` pools with quantised rates (so equal-ε ties occur
-/// routinely, both tie-free and tie-violating) and a sprinkling of the
+/// routinely, with equal and with different costs) and a sprinkling of the
 /// adversarial rates the deconvolution proptests use (½ ± 1e-12 and the
 /// near-0/1 boundary values).
 fn pools(max_len: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -55,14 +56,9 @@ fn shuffled<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
     out
 }
 
-/// Whether no two jurors share ε bits with different cost bits — the
-/// documented precondition for cross-permutation sharing.
-fn tie_free(jurors: &[Juror]) -> bool {
-    jurors.iter().enumerate().all(|(i, a)| {
-        jurors[..i].iter().all(|b| {
-            a.epsilon().to_bits() != b.epsilon().to_bits() || a.cost.to_bits() == b.cost.to_bits()
-        })
-    })
+/// The solver-relevant content of a juror sequence, position by position.
+fn content(jurors: &[Juror]) -> Vec<(u64, u64)> {
+    jurors.iter().map(|j| (j.epsilon().to_bits(), j.cost.to_bits())).collect()
 }
 
 /// Asserts a service AltrM reply matches the direct solver bit-for-bit
@@ -230,119 +226,78 @@ fn identically_mutated_siblings_follow_published_entries() {
 }
 
 #[test]
-fn reversed_pool_shares_artifacts_and_translates_orders() {
-    // A deterministic permuted attach: reversal with ε ties (equal
-    // cost, so tie-free). The permuted pool's orders, answers and
-    // staircase-served PayM selections must be bit-identical to its own
-    // direct solves, while the rank-space artifacts stay pointer-shared.
-    let pairs =
-        [(0.3, 0.2), (0.1, 0.5), (0.3, 0.2), (0.45, 0.1), (0.2, 0.9), (0.2, 0.9), (0.05, 0.4)];
-    let jurors = build(&pairs);
-    let mut reversed = jurors.clone();
-    reversed.reverse();
-    let mut service = JuryService::new();
-    let a = service.create_pool(jurors);
-    let b = service.create_pool(reversed.clone());
-    service.warm_pool(a).unwrap();
-    service.warm_pool(b).unwrap();
-    assert!(service.shares_artifacts_with(a, b).unwrap(), "reversal is a tie-free permutation");
-    assert_eq!(service.stats().artifact_share_hits, 1);
-    // The translated ε order equals the permuted pool's own sort.
-    let mut own_order = Vec::new();
-    jury_core::solver::sorted_order_into(&reversed, &mut own_order);
-    assert_eq!(service.reliability_order(b).unwrap(), own_order.as_slice());
-    assert_altr_matches_direct(&mut service, b, "reversed pool");
-    for budget in [0.0, 0.35, 0.81, 2.0, f64::MAX] {
-        assert_paym_matches_direct(&mut service, b, budget, "reversed pool");
+fn reversed_pools_build_privately() {
+    let cases: [(&str, &[(f64, f64)]); 2] = [
+        (
+            "equal-cost ties",
+            &[(0.3, 0.2), (0.1, 0.5), (0.3, 0.2), (0.45, 0.1), (0.2, 0.9), (0.2, 0.9), (0.05, 0.4)],
+        ),
+        ("mixed-cost ties", &[(0.2, 0.1), (0.2, 0.9), (0.1, 0.3), (0.35, 0.2)]),
+    ];
+    // Each reversed pool shares the fingerprint but never the entry; a
+    // third, sequence-identical pool still attaches to the incumbent, and
+    // every pool answers bit-identically to its own direct solves.
+    for (ctx, pairs) in cases {
+        let jurors = build(pairs);
+        let mut permuted = jurors.clone();
+        permuted.reverse();
+        let mut service = JuryService::new();
+        let a = service.create_pool(jurors.clone());
+        let b = service.create_pool(permuted.clone());
+        let c = service.create_pool(jurors.clone());
+        assert_eq!(service.fingerprint(a).unwrap(), service.fingerprint(b).unwrap(), "{ctx}");
+        service.warm_pool(a).unwrap();
+        service.warm_pool(b).unwrap();
+        assert!(!service.shares_artifacts_with(a, b).unwrap(), "{ctx}: permuted pools never share");
+        assert_eq!(service.artifact_entries(), 1, "{ctx}: the permuted pool must not clobber");
+        service.warm_pool(c).unwrap();
+        assert!(service.shares_artifacts_with(a, c).unwrap(), "{ctx}: the incumbent survives");
+        assert!(!service.shares_artifacts_with(b, c).unwrap(), "{ctx}");
+        assert_eq!(
+            service.stats().artifact_share_hits,
+            1,
+            "{ctx}: only the identical pool attaches"
+        );
+        for (pool, name) in [(a, "founding"), (b, "permuted"), (c, "identical")] {
+            assert_altr_matches_direct(&mut service, pool, &format!("{ctx} {name}"));
+            for budget in [0.0, 0.35, 0.81, 2.0, f64::MAX] {
+                assert_paym_matches_direct(&mut service, pool, budget, &format!("{ctx} {name}"));
+            }
+        }
+        assert_eq!(service.artifact_entries(), 1, "{ctx}: solving never publishes over it");
+        // The permuted pool's private ε order is its own sort.
+        let mut own_order = Vec::new();
+        jury_core::solver::sorted_order_into(&permuted, &mut own_order);
+        assert_eq!(service.reliability_order(b).unwrap(), own_order.as_slice(), "{ctx}");
     }
 }
 
 #[test]
-fn permuted_solver_publishes_the_answer_for_later_attachers() {
-    // A publishes an orders-only entry (probe warming); permuted B runs
-    // the first AltrM solve and must translate it back into founding
-    // space so an identical-to-A pool C replays instead of re-solving.
-    let jurors = build(&[(0.3, 0.2), (0.1, 0.5), (0.22, 0.3), (0.45, 0.1), (0.05, 0.4)]);
-    let mut reversed = jurors.clone();
-    reversed.reverse();
+fn mutated_back_permuted_pool_never_rejoins() {
+    // A mutation whose post-mutation multiset matches an interned entry
+    // in a different arrangement stays private; the entry is untouched.
+    let jurors = build(&[(0.12, 0.3), (0.2, 0.2), (0.31, 0.1), (0.44, 0.6)]);
+    let mut swapped = jurors.clone();
+    swapped.swap(0, 3);
     let mut service = JuryService::new();
     let a = service.create_pool(jurors.clone());
-    service.jer_probe(a, 1).unwrap(); // orders-only entry, no AltrM answer yet
-    assert_eq!(service.stats().cache_builds, 0, "probe warming builds no solved artifacts");
-
-    let b = service.create_pool(reversed);
-    assert_altr_matches_direct(&mut service, b, "permuted first solver");
-    let builds_after_b = service.stats().cache_builds;
-
-    let c = service.create_pool(jurors.clone());
-    assert_altr_matches_direct(&mut service, c, "founding-sequence follower");
-    assert_eq!(
-        service.stats().cache_builds,
-        builds_after_b,
-        "the follower replays the permuted solver's published answer"
-    );
-    // And the founding pool itself replays it too.
-    assert_altr_matches_direct(&mut service, a, "founding pool");
-    assert_eq!(service.stats().cache_builds, builds_after_b);
-}
-
-#[test]
-fn refused_attach_never_clobbers_the_incumbent_entry() {
-    // Tie-violating content (equal ε, different costs): permuted
-    // arrangements can never share, and a refused attach must leave the
-    // incumbent entry in place — the permuted pool stays private
-    // instead of publishing over its siblings' entry, so
-    // identical-sequence attachers keep sharing.
-    let jurors = build(&[(0.2, 0.1), (0.2, 0.9), (0.1, 0.3), (0.35, 0.2)]);
-    let mut reversed = jurors.clone();
-    reversed.reverse();
-    let mut service = JuryService::new();
-    let a = service.create_pool(jurors.clone());
-    let b = service.create_pool(reversed);
-    let c = service.create_pool(jurors.clone());
+    let b = service.create_pool(jurors.clone());
+    let p = service.create_pool(swapped.clone());
     service.warm_pool(a).unwrap();
     service.warm_pool(b).unwrap();
-    assert_eq!(service.fingerprint(a).unwrap(), service.fingerprint(b).unwrap());
-    assert!(!service.shares_artifacts_with(a, b).unwrap(), "tie-violating permutation refused");
-    assert_eq!(service.artifact_entries(), 1, "the refused pool must not clobber the entry");
-    service.warm_pool(c).unwrap();
-    assert!(service.shares_artifacts_with(a, c).unwrap(), "identical pools keep sharing");
-    assert_eq!(service.stats().artifact_share_hits, 1);
-    assert_altr_matches_direct(&mut service, b, "refused permuted pool");
-}
-
-#[test]
-fn cloned_services_keep_independent_stores() {
-    // Cloning a service deep-copies the store: the clone's pools hold
-    // fresh entry handles, so eviction and sole-owner detach accounting
-    // in either service never sees the other's references.
-    let jurors = build(&[(0.15, 0.3), (0.28, 0.2), (0.4, 0.1), (0.07, 0.8)]);
-    let mut original = JuryService::new();
-    let p1 = original.create_pool(jurors.clone());
-    let p2 = original.create_pool(jurors.clone());
-    original.warm_pool(p1).unwrap();
-    original.warm_pool(p2).unwrap();
-    assert_eq!(original.artifact_entries(), 1);
-
-    let mut cloned = original.clone();
-    assert_eq!(cloned.artifact_entries(), 1);
-    assert!(cloned.shares_artifacts_with(p1, p2).unwrap(), "attachments survive the clone");
-
-    // Mutate both of the clone's pools away from the founding content:
-    // p1 detaches with a sibling (publishes the repaired artifacts),
-    // p2's detach leaves the founding entry orphaned — it must be
-    // evicted from the clone's store despite the original's references.
-    cloned.update_juror(p1, 0, Juror::new(70, ErrorRate::new(0.33).unwrap(), 0.3)).unwrap();
-    cloned.update_juror(p2, 1, Juror::new(71, ErrorRate::new(0.21).unwrap(), 0.2)).unwrap();
-    assert_eq!(cloned.artifact_entries(), 1, "founding entry evicted, p1's publication interned");
-    assert_eq!(original.artifact_entries(), 1, "the original is untouched");
-    assert!(original.shares_artifacts_with(p1, p2).unwrap());
-
-    // Both services keep answering bit-identically for their own state.
-    assert_altr_matches_direct(&mut cloned, p1, "clone p1");
-    assert_altr_matches_direct(&mut cloned, p2, "clone p2");
-    assert_altr_matches_direct(&mut original, p1, "original p1");
-    assert_paym_matches_direct(&mut original, p2, 0.7, "original p2");
+    service.warm_pool(p).unwrap();
+    // Move p away from the shared multiset and back: same fingerprint as
+    // the entry, different arrangement.
+    let away = Juror::new(60, ErrorRate::new(0.27).unwrap(), 0.15);
+    service.update_juror(p, 1, away).unwrap();
+    service.update_juror(p, 1, swapped[1]).unwrap();
+    assert_eq!(service.fingerprint(p).unwrap(), service.fingerprint(a).unwrap());
+    assert!(!service.shares_artifacts_with(a, p).unwrap());
+    assert_eq!(service.stats().artifact_rejoins, 0);
+    assert!(service.shares_artifacts_with(a, b).unwrap(), "the incumbent keeps its holders");
+    assert_altr_matches_direct(&mut service, p, "mutated permuted pool");
+    assert_paym_matches_direct(&mut service, p, 0.7, "mutated permuted pool");
+    assert_altr_matches_direct(&mut service, a, "incumbent holder");
 }
 
 #[test]
@@ -516,14 +471,13 @@ fn sharing_disabled_stays_private() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Satellite contract: permuted-but-equal juror multisets produce
-    // equal fingerprints and — when the content is tie-free — shared,
-    // pointer-equal artifact sets; every answer stays bit-identical to
-    // the permuted pool's own direct solve either way. Tie-violating
-    // content (equal ε, different cost) must refuse the permuted share
-    // and build privately.
+    // Rearranged juror multisets produce equal fingerprints but
+    // share artifacts only when the arrangement is content-identical
+    // (a shuffle can land on the founding sequence); every answer stays
+    // bit-identical to the pool's own direct solve, and the incumbent
+    // entry is never clobbered.
     #[test]
-    fn permuted_pools_share_fingerprints_and_artifacts(
+    fn permuted_pools_share_fingerprints_never_artifacts(
         pairs in pools(60),
         seed in 1u64..u64::MAX,
         budget in 0.0..3.0f64,
@@ -540,21 +494,17 @@ proptest! {
         );
         service.warm_pool(a).unwrap();
         service.warm_pool(b).unwrap();
-        let shared = service.shares_artifacts_with(a, b).unwrap();
-        if tie_free(&jurors) {
-            prop_assert!(shared, "tie-free permuted multisets must share pointer-equal artifacts");
-            prop_assert_eq!(service.stats().artifact_share_hits, 1);
-            prop_assert_eq!(service.artifact_entries(), 1);
-        } else {
-            prop_assert!(!shared, "tie-violating content must refuse the permuted share");
-        }
-        // Shared or not, the permuted pool's answers are its own:
-        // bit-identical to the direct solvers on *its* juror order.
+        let identical = content(&jurors) == content(&permuted);
+        prop_assert_eq!(service.shares_artifacts_with(a, b).unwrap(), identical);
+        prop_assert_eq!(service.stats().artifact_share_hits, usize::from(identical));
+        prop_assert_eq!(service.artifact_entries(), 1, "the incumbent is never clobbered");
         assert_altr_matches_direct(&mut service, a, "founding pool");
         assert_altr_matches_direct(&mut service, b, "permuted pool");
         assert_paym_matches_direct(&mut service, a, budget, "founding pool");
         assert_paym_matches_direct(&mut service, b, budget, "permuted pool");
-        // Rank-space artifacts agree bit-for-bit across the permutation.
+        prop_assert_eq!(service.artifact_entries(), 1);
+        // Independently built profiles agree bit-for-bit across the
+        // permutation (they depend on the sorted ε values alone).
         let profile_a = service.jer_profile(a).unwrap().to_vec();
         let profile_b = service.jer_profile(b).unwrap().to_vec();
         for ((na, ja), (nb, jb)) in profile_a.iter().zip(&profile_b) {

@@ -47,8 +47,10 @@ fn assert_bit_identical(
 }
 
 fn exercise(threads: usize, batch: usize) {
+    // `build_service` is deterministic, so a second call is an identical
+    // untimed twin.
     let (mut timed_service, tasks) = build_service(threads);
-    let mut untimed_service = timed_service.clone();
+    let (mut untimed_service, _) = build_service(threads);
     let tasks = &tasks[..batch];
 
     // A dirty buffer must come back cleared and exactly batch-sized.

@@ -77,7 +77,7 @@ pub struct Outcome {
 /// reselection (after [`DecisionSystem::recalibrate`] updates the
 /// members' rates) reuses the service's cached orders and scratch
 /// buffers rather than re-running a standalone solver.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DecisionSystem {
     candidates: EstimatedCandidates,
     config: SystemConfig,
