@@ -14,6 +14,13 @@
 //! churned pool is asserted bit-identical to the writer's before
 //! anything is reported.
 //!
+//! A fleet-size axis then holds the pool size at 10² jurors and grows
+//! the fleet to 10³ and 10⁴ pools, recording the manifest size, the
+//! writer's one-entry incremental commit and the follower's adoption.
+//! Both re-parse a manifest with one record per pool, so adoption cost
+//! per manifest entry must stay flat across the axis (within 3×) —
+//! a superlinear manifest parse would show up here first.
+//!
 //! Two more figures complete the failover story: *time-to-promote* —
 //! a follower's first successful probe over a stale writer lease
 //! (break, fence, no-op commit) — and *follower lag* — wall time from
@@ -31,7 +38,9 @@
 use jury_bench::report::{fmt_secs, Report};
 use jury_bench::timing::time_it;
 use jury_core::juror::{pool_from_rates_and_costs, Juror};
-use jury_service::{DecisionTask, JuryService, ServiceConfig, SnapshotWatcher};
+use jury_service::{
+    AdoptReport, DecisionTask, JuryService, ServiceConfig, SnapshotReport, SnapshotWatcher,
+};
 use serde::{json, Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -74,6 +83,63 @@ fn register_fleet(
         .collect()
 }
 
+/// A writer and a warm follower over one directory, after the writer
+/// churned one pool, committed, and the follower adopted that commit.
+struct Churned {
+    writer: JuryService,
+    follower: JuryService,
+    /// The churned-in pool, on each side.
+    writer_replacement: jury_service::PoolId,
+    follower_replacement: jury_service::PoolId,
+    commit: SnapshotReport,
+    commit_secs: f64,
+    adopted: AdoptReport,
+    adopt_secs: f64,
+}
+
+/// Writer warms `fleet` pools of `per` jurors and commits generation 1;
+/// a follower restores it warm. The writer then replaces one pool and
+/// commits generation 2, and the follower — holding the replacement
+/// cold — adopts it, restoring exactly that one entry.
+fn churn_and_adopt(dir: &Path, fleet: usize, per: usize) -> Churned {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut writer = service_over(dir);
+    let writer_ids = register_fleet(&mut writer, fleet, per);
+    let gen1 = writer.snapshot(dir).expect("writer commits generation 1").generation;
+
+    let mut follower = service_over(dir);
+    register_fleet(&mut follower, fleet, per);
+    assert!(
+        follower.stats().snapshot_restores >= fleet,
+        "the follower must restore the fleet, not rebuild it"
+    );
+
+    writer.remove_pool(writer_ids[0]).expect("pool retires");
+    let writer_replacement = writer.create_pool(distinct_pool(per, fleet));
+    writer.warm_pool(writer_replacement).expect("replacement warms");
+    let (commit, commit_secs) = time_it(|| writer.snapshot(dir));
+    let commit = commit.expect("writer commits generation 2");
+    assert_eq!(commit.generation, gen1 + 1);
+    assert_eq!(commit.written, 1, "only the churned entry is rewritten");
+    let follower_replacement = follower.create_pool(distinct_pool(per, fleet));
+
+    let (adopted, adopt_secs) = time_it(|| follower.adopt_snapshot());
+    let adopted = adopted.expect("the follower adopts the newer generation");
+    assert_eq!(adopted.generation, commit.generation);
+    assert_eq!(adopted.restored, 1, "adoption restores exactly the churned entry");
+    assert_eq!(adopted.rejected, 0, "nothing fails verification");
+    Churned {
+        writer,
+        follower,
+        writer_replacement,
+        follower_replacement,
+        commit,
+        commit_secs,
+        adopted,
+        adopt_secs,
+    }
+}
+
 /// Forges the writer lease stale so a follower probe finds a dead
 /// writer: same wire format the lease module writes, heartbeat two
 /// minutes in the past (far beyond the default 30s ttl).
@@ -94,6 +160,8 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (sizes, fleet, lag_rounds): (Vec<usize>, usize, usize) =
         if smoke { (vec![400], 10, 2) } else { (vec![10_000, 1_000_000], 100, 5) };
+    let (fleet_axis, fleet_axis_per): (Vec<usize>, usize) =
+        if smoke { (vec![20, 200], 8) } else { (vec![1_000, 10_000], 100) };
 
     let base: PathBuf = std::env::temp_dir().join(format!(
         "jury-failover-bench-{}{}",
@@ -110,39 +178,17 @@ fn main() {
 
     for &n in &sizes {
         let per = (n / fleet).max(4);
-        let churned = fleet.div_ceil(100);
         let dir = base.join(format!("gen-{n}"));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Writer: warm fleet, commit generation 1.
-        let mut writer = service_over(&dir);
-        let writer_ids = register_fleet(&mut writer, fleet, per);
-        let gen1 = writer.snapshot(&dir).expect("writer commits generation 1").generation;
-
-        // Follower: restores generation 1 warm.
-        let mut follower = service_over(&dir);
-        register_fleet(&mut follower, fleet, per);
-        assert!(
-            follower.stats().snapshot_restores >= fleet,
-            "the follower must restore the fleet, not rebuild it"
-        );
-
-        // Writer churns ~1% and commits generation 2. The follower
-        // registers the replacement content cold, so adoption has real
-        // restore work to do — exactly the churned slice.
-        writer.remove_pool(writer_ids[0]).expect("pool retires");
-        let replacement = writer.create_pool(distinct_pool(per, fleet));
-        writer.warm_pool(replacement).expect("replacement warms");
-        let commit = writer.snapshot(&dir).expect("writer commits generation 2");
-        assert_eq!(commit.generation, gen1 + 1);
-        assert_eq!(commit.written, churned, "only the churned entries are rewritten");
-        let follower_replacement = follower.create_pool(distinct_pool(per, fleet));
-
-        let (adopted, adopt_secs) = time_it(|| follower.adopt_snapshot());
-        let adopted = adopted.expect("the follower adopts the newer generation");
-        assert_eq!(adopted.generation, commit.generation);
-        assert_eq!(adopted.restored, churned, "adoption restores exactly the churned slice");
-        assert_eq!(adopted.rejected, 0, "nothing fails verification");
+        let Churned {
+            mut writer,
+            mut follower,
+            writer_replacement: replacement,
+            follower_replacement,
+            commit,
+            adopted,
+            adopt_secs,
+            ..
+        } = churn_and_adopt(&dir, fleet, per);
 
         // The adopted answer is the writer's answer, bit for bit.
         let task = DecisionTask::altruism(replacement);
@@ -221,7 +267,7 @@ fn main() {
         rows.push(Value::object([
             ("pool_size", n.to_value()),
             ("fleet", fleet.to_value()),
-            ("churned", churned.to_value()),
+            ("churned", 1usize.to_value()),
             ("adopt_secs", adopt_secs.to_value()),
             ("adopt_restored", adopted.restored.to_value()),
             ("cold_restart_secs", cold_secs.to_value()),
@@ -233,12 +279,59 @@ fn main() {
         ]));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // Fleet-size axis: one manifest record per pool, one churned pool.
+    let mut fleet_report = Report::new(
+        "failover_fleet_axis",
+        "adoption and incremental commit vs fleet size (one churned pool)",
+        &["fleet", "pool", "manifest", "commit", "adopt", "adopt/entry"],
+    );
+    let mut fleet_rows: Vec<Value> = Vec::new();
+    let mut adopt_per_entry: Vec<f64> = Vec::new();
+    for &pools in &fleet_axis {
+        let dir = base.join(format!("fleet-{pools}"));
+        let churned = churn_and_adopt(&dir, pools, fleet_axis_per);
+        let manifest = dir.join(format!("manifest-{}.json", churned.commit.generation));
+        let manifest_bytes = std::fs::metadata(&manifest).expect("committed manifest").len();
+        let per_entry = churned.adopt_secs / pools as f64;
+        adopt_per_entry.push(per_entry);
+        fleet_report.row(&[
+            &pools,
+            &fleet_axis_per,
+            &format!("{:.1}KB", manifest_bytes as f64 / 1024.0),
+            &fmt_secs(churned.commit_secs),
+            &fmt_secs(churned.adopt_secs),
+            &format!("{:.2}us", per_entry * 1e6),
+        ]);
+        fleet_rows.push(Value::object([
+            ("fleet", pools.to_value()),
+            ("pool_size", fleet_axis_per.to_value()),
+            ("manifest_bytes", manifest_bytes.to_value()),
+            ("commit_secs", churned.commit_secs.to_value()),
+            ("adopt_secs", churned.adopt_secs.to_value()),
+            ("adopt_restored", churned.adopted.restored.to_value()),
+        ]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     let _ = std::fs::remove_dir_all(&base);
 
     report.emit();
+    fleet_report.emit();
+    if !smoke {
+        let (small, large) = (adopt_per_entry[0], adopt_per_entry[adopt_per_entry.len() - 1]);
+        assert!(
+            large <= 3.0 * small,
+            "adoption per manifest entry must not grow with the fleet: {:.2}us at {} pools vs \
+             {:.2}us at {} pools",
+            large * 1e6,
+            fleet_axis[fleet_axis.len() - 1],
+            small * 1e6,
+            fleet_axis[0]
+        );
+    }
 
     if smoke {
-        println!("[smoke] failover_throughput ok ({} measurements)", rows.len());
+        println!("[smoke] failover_throughput ok ({} measurements)", rows.len() + fleet_rows.len());
         return;
     }
 
@@ -260,6 +353,20 @@ fn main() {
         ),
         ("pool_sizes", Value::Array(sizes.iter().map(|n| n.to_value()).collect())),
         ("results", Value::Array(rows)),
+        (
+            "fleet_axis",
+            Value::object([
+                (
+                    "workload",
+                    "fleet of 10^3 and 10^4 pools of 10^2 jurors each, one pool churned: \
+                     manifest size, the writer's incremental commit (re-parses the previous \
+                     manifest) and the follower's adoption (parses the new one, restores the \
+                     churned entry)"
+                        .to_value(),
+                ),
+                ("results", Value::Array(fleet_rows)),
+            ]),
+        ),
     ]);
     if let Value::Object(fields) = &mut doc {
         fields.retain(|(key, _)| key != "failover");

@@ -116,6 +116,32 @@ fn protocol_failures_answer_structured_errors_and_spare_the_server() {
     assert!(service.stats().tasks_solved >= 2);
 }
 
+/// Bodies at the size cap that used to stall a worker (one long string,
+/// parsed quadratically) or abort the process (deep nesting, which
+/// overflowed the worker's stack) now answer a plain 400.
+#[test]
+fn adversarial_json_bodies_answer_400_and_spare_the_server() {
+    let (server, pool) = start_server(FrontendConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // The request body cap, `proto::MAX_BODY`.
+    let max_body = 256 * 1024;
+    let long_string = format!("\"{}\"", "x".repeat(max_body - 2));
+    let deep_nesting = "[".repeat(200 * 1024);
+    for body in [long_string, deep_nesting] {
+        let response = client.request("POST", "/v1/solve", Some(&body)).unwrap();
+        assert_eq!(response.status, 400);
+        assert_eq!(response.result.unwrap_err().kind, "bad-request");
+    }
+
+    let solved = client.solve("t0", &DecisionTask::altruism(pool)).unwrap().unwrap();
+    assert!(!solved.members.is_empty(), "the same server still solves");
+    let stats = client.stats().unwrap().unwrap();
+    assert_eq!(stats.frontend.worker_panics, 0);
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn overflow_returns_429_with_retry_hint() {
     let (server, pool) = start_server(FrontendConfig {

@@ -276,9 +276,16 @@ pub mod json {
         T::from_value(&parse(text)?)
     }
 
-    /// Parses JSON text into the [`Value`] model.
+    /// Nesting limit for arrays and objects, matching serde_json's
+    /// default recursion limit. The parser recurses once per level, so
+    /// without a cap a body of `[[[…` overflows the thread's stack —
+    /// which aborts the process rather than unwinding.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parses JSON text into the [`Value`] model in one pass over
+    /// `text`. Documents nested deeper than [`MAX_DEPTH`] are rejected.
     pub fn parse(text: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -371,8 +378,11 @@ pub mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -405,11 +415,26 @@ pub mod json {
                 Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
                 Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
                 Some(b'"') => self.string().map(Value::String),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
+                Some(b'[') => self.nested(Self::array),
+                Some(b'{') => self.nested(Self::object),
                 Some(b'-' | b'0'..=b'9') => self.number(),
                 other => Err(Error::custom(format!("unexpected {other:?} at byte {}", self.pos))),
             }
+        }
+
+        /// Parses one array or object one level deeper, refusing to go
+        /// past [`MAX_DEPTH`].
+        fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+            if self.depth == MAX_DEPTH {
+                return Err(Error::custom(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            let value = parse(self);
+            self.depth -= 1;
+            value
         }
 
         fn array(&mut self) -> Result<Value, Error> {
@@ -492,12 +517,14 @@ pub mod json {
                                     .bytes
                                     .get(self.pos + 1..self.pos + 5)
                                     .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| Error::custom("bad \\u escape"))?,
-                                    16,
-                                )
-                                .map_err(|_| Error::custom("bad \\u escape"))?;
+                                // Exactly four hex digits: `from_str_radix`
+                                // alone would also take a leading `+`.
+                                if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                    return Err(Error::custom("bad \\u escape"));
+                                }
+                                let code = hex.iter().fold(0, |code, &b| {
+                                    code << 4 | char::from(b).to_digit(16).expect("hex digit")
+                                });
                                 // Surrogate pairs are not needed by the
                                 // workspace's ASCII payloads.
                                 out.push(
@@ -511,12 +538,16 @@ pub mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| Error::custom("invalid UTF-8"))?;
-                        let c = rest.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        // Copy the whole run up to the next `"` or `\`.
+                        // Both are ASCII, which never occurs inside a
+                        // multi-byte UTF-8 sequence, so the run ends on a
+                        // char boundary of the already-valid `text`.
+                        let run = self.bytes[self.pos..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(self.bytes.len() - self.pos);
+                        out.push_str(&self.text[self.pos..self.pos + run]);
+                        self.pos += run;
                     }
                 }
             }
@@ -531,8 +562,7 @@ pub mod json {
                     break;
                 }
             }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| Error::custom("invalid UTF-8 in number"))?;
+            let text = &self.text[start..self.pos];
             text.parse::<f64>()
                 .map(Value::Number)
                 .map_err(|_| Error::custom(format!("bad number `{text}`")))
@@ -609,6 +639,110 @@ mod tests {
         assert_eq!(json::from_str::<i32>("-7").unwrap(), -7);
         // Floats stay lossless/lossy as floats.
         assert_eq!(json::from_str::<f64>("1.7").unwrap(), 1.7);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(json::from_str::<String>(r#""\u0041\u00e9\u00C9""#).unwrap(), "AéÉ");
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04G1""#, r#""\u12""#] {
+            assert!(json::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    /// Strings drawn from the characters the string parser treats
+    /// specially — the delimiters, every escaped class, and scalars of
+    /// each UTF-8 width — survive a write/parse round trip.
+    mod string_round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn parse_inverts_to_string(s in "[\"\\/\n\t\u{1}é日😀a-z ]{0,48}") {
+                let back: String = json::from_str(&json::to_string(&s)).unwrap();
+                prop_assert_eq!(back, s);
+            }
+        }
+
+        #[test]
+        fn multi_byte_scalars_next_to_escapes() {
+            for s in ["", "é\n", "\n日", "😀\"😀", "\\é\\", "日\u{1}é"] {
+                let back: String = json::from_str(&json::to_string(&s)).unwrap();
+                assert_eq!(back, s);
+            }
+            assert_eq!(json::from_str::<String>(r#""é\u0041日""#).unwrap(), "éA日");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested =
+            |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+        assert!(json::parse(&nested(json::MAX_DEPTH, "[", "]")).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1, "[", "]")).is_err());
+        assert!(json::parse(&nested(json::MAX_DEPTH, r#"{"k":"#, "}").replace(":}", ":0}")).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1, r#"{"k":"#, "}").replace(":}", ":0}"))
+            .is_err());
+        // Siblings do not add depth: the cap is on nesting, not size.
+        assert!(json::parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_errors_instead_of_overflowing_a_small_stack() {
+        let body = "[".repeat(100_000);
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || json::parse(&body).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(outcome, "10^5 unclosed arrays must be an error");
+    }
+
+    /// Parsing is linear in the input: the old per-character
+    /// re-validation took over a second on the first document and
+    /// minutes on the second. The bounds leave ample room for debug
+    /// builds and slow hosts.
+    #[test]
+    fn large_documents_parse_in_linear_time() {
+        use std::time::{Duration, Instant};
+
+        // One string filling a whole HTTP body (256 KiB).
+        let body = format!("\"{}\"", "x".repeat(256 * 1024 - 2));
+        let started = Instant::now();
+        assert_eq!(json::parse(&body).unwrap().as_str().map(str::len), Some(256 * 1024 - 2));
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(250), "256 KiB string took {elapsed:?}");
+
+        // A snapshot-manifest-shaped document with 10^4 entries.
+        let hex = |n: u64| Value::String(format!("{n:016x}"));
+        let entries = (0..10_000u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                Value::object([
+                    ("lanes", Value::Array(vec![hex(h), hex(h.rotate_left(17))])),
+                    ("len", hex(100)),
+                    ("layout", Value::String("flat".into())),
+                    ("file", Value::String(format!("art-{h:016x}-g{i}-e1.snap"))),
+                    ("config", hex(h >> 7)),
+                    ("bytes", hex(4096 + i)),
+                    ("checksum", hex(h ^ 0x5555)),
+                ])
+            })
+            .collect();
+        let manifest = json::to_string_pretty(&Value::object([
+            ("format", Value::String("jury-snapshot".into())),
+            ("entries", Value::Array(entries)),
+        ]));
+        assert!(manifest.len() > 2_500_000, "manifest is {} bytes", manifest.len());
+        let started = Instant::now();
+        let parsed = json::parse(&manifest).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            parsed.get("entries").and_then(Value::as_array).map(<[Value]>::len),
+            Some(10_000)
+        );
+        assert!(elapsed < Duration::from_secs(2), "10^4-entry manifest took {elapsed:?}");
     }
 
     #[test]
