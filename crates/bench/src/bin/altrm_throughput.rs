@@ -40,7 +40,7 @@ use jury_bench::timing::time_best_of;
 use jury_core::altr::AltrAlg;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::solver::{sorted_order_into, SolverScratch};
-use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig, ShardConfig};
+use jury_service::{DecisionTask, JuryService, PoolId};
 use serde::{json, Serialize, Value};
 
 /// Number of reliable experts, independent of pool size.
@@ -112,58 +112,44 @@ fn full_rescan_baseline(jurors: &[Juror], repeats: usize) -> f64 {
     secs
 }
 
-fn sharded_service(k: usize) -> JuryService {
-    JuryService::with_config(ServiceConfig {
-        shard: ShardConfig { threshold: 1, shards: k, ..Default::default() },
-        ..Default::default()
-    })
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (pool_sizes, shard_counts, repeats): (Vec<usize>, Vec<usize>, usize) =
-        if smoke { (vec![500], vec![4], 1) } else { (vec![1_000, 10_000, 100_000], vec![16], 5) };
+    let (pool_sizes, repeats): (Vec<usize>, usize) =
+        if smoke { (vec![500], 1) } else { (vec![1_000, 10_000, 100_000], 5) };
 
     let mut report = Report::new(
         "altrm_throughput",
         "warm AltrM: cached replay (steady) vs one juror update + bound-pruned re-solve, \
          against the O(N^2) full-rescan baseline",
-        &["pool", "layout", "steady warm", "post-mutation", "full rescan", "speedup", "pruned"],
+        &["pool", "steady warm", "post-mutation", "full rescan", "speedup", "pruned"],
     );
     let mut rows: Vec<Value> = Vec::new();
 
     for &n in &pool_sizes {
         let jurors = pool(n);
         let rescan = (n <= RESCAN_BASELINE_MAX).then(|| full_rescan_baseline(&jurors, repeats));
-        let mut run = |service: &mut JuryService, layout: String, shards: Option<usize>| {
-            let id = service.create_pool(jurors.clone());
-            let (steady, post, pruned) = measure(service, id, n, repeats);
-            assert!(pruned > 0, "the mob tail must prune on this pool");
-            let speedup = rescan.map(|r| r / post);
-            report.row(&[
-                &n,
-                &layout,
-                &fmt_secs(steady),
-                &fmt_secs(post),
-                &rescan.map_or("-".into(), fmt_secs),
-                &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
-                &pruned,
-            ]);
-            rows.push(Value::object([
-                ("pool_size", n.to_value()),
-                ("shards", shards.map_or(Value::Null, |k| k.to_value())),
-                ("model", "altrm".to_value()),
-                ("steady_warm_hit_secs", steady.to_value()),
-                ("post_mutation_secs", post.to_value()),
-                ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
-                ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
-                ("sizes_pruned_per_solve", pruned.to_value()),
-            ]));
-        };
-        for &k in &shard_counts {
-            run(&mut sharded_service(k), format!("sharded/{k}"), Some(k));
-        }
-        run(&mut JuryService::new(), "flat".into(), None);
+        let mut service = JuryService::new();
+        let id = service.create_pool(jurors);
+        let (steady, post, pruned) = measure(&mut service, id, n, repeats);
+        assert!(pruned > 0, "the mob tail must prune on this pool");
+        let speedup = rescan.map(|r| r / post);
+        report.row(&[
+            &n,
+            &fmt_secs(steady),
+            &fmt_secs(post),
+            &rescan.map_or("-".into(), fmt_secs),
+            &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
+            &pruned,
+        ]);
+        rows.push(Value::object([
+            ("pool_size", n.to_value()),
+            ("model", "altrm".to_value()),
+            ("steady_warm_hit_secs", steady.to_value()),
+            ("post_mutation_secs", post.to_value()),
+            ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
+            ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
+            ("sizes_pruned_per_solve", pruned.to_value()),
+        ]));
     }
 
     report.emit();
@@ -190,7 +176,6 @@ fn main() {
         ),
         ("experts", EXPERTS.to_value()),
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
-        ("shard_counts", Value::Array(shard_counts.iter().map(|k| k.to_value()).collect())),
         (
             "rescan_baseline_note",
             format!(

@@ -17,14 +17,13 @@ use std::process::ExitCode;
 /// Every section an emitter has ever published, with the emitter that
 /// owns it. Grows monotonically: removing an entry here is a reviewed
 /// decision, not an accident.
-const REQUIRED_SECTIONS: [(&str, &str); 9] = [
+const REQUIRED_SECTIONS: [(&str, &str); 8] = [
     ("results", "service_throughput"),
-    ("sharded", "sharded_throughput"),
     ("staircase", "staircase_throughput"),
     ("altrm", "altrm_throughput"),
     ("multi_tenant", "multi_tenant_throughput"),
     ("frontend", "frontend_throughput"),
-    ("rebalance", "rebalance_throughput"),
+    ("insert", "insert_throughput"),
     ("restart", "restart_throughput"),
     ("failover", "failover_throughput"),
 ];

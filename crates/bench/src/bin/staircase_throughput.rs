@@ -8,14 +8,11 @@
 //!   hit (one selection clone, no greedy rescan);
 //! * **post-mutation** — one juror update (a re-estimated error rate)
 //!   followed by the next task: the update repairs every sorted order
-//!   and pmf ladder *in place* (no shard re-sort, no K-way re-merge, no
-//!   re-convolution), the cleared staircase re-records its step with a
-//!   single greedy scan.
+//!   and pmf ladder *in place* (no re-sort, no re-convolution), the
+//!   cleared staircase re-records its step with a single greedy scan.
 //!
-//! Flat pools are measured through the same path — the PayM lane never
-//! builds the `O(N²)` AltrM artefacts, so even a 10⁶-juror flat pool
-//! answers post-mutation PayM in milliseconds where it previously paid a
-//! full cache rebuild.
+//! The PayM lane never builds the `O(N²)` AltrM artefacts, so even a
+//! 10⁶-juror pool answers post-mutation PayM in milliseconds.
 //!
 //! Appends a `"staircase"` section to `BENCH_service.json`. `--smoke` runs
 //! a seconds-long version on tiny pools and writes nothing — CI uses it to
@@ -28,7 +25,7 @@
 use jury_bench::report::{fmt_secs, Report};
 use jury_bench::timing::time_best_of;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
-use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig, ShardConfig};
+use jury_service::{DecisionTask, JuryService, PoolId};
 use serde::{json, Serialize, Value};
 
 /// Deterministic pool: rates spread over (0.02, 0.95), convex prices —
@@ -76,54 +73,29 @@ fn measure(
     (warm_hit, post_mutation)
 }
 
-fn sharded_service(k: usize) -> JuryService {
-    JuryService::with_config(ServiceConfig {
-        shard: ShardConfig { threshold: 1, shards: k, ..Default::default() },
-        ..Default::default()
-    })
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let budget = 3.0f64;
-    let (pool_sizes, shard_counts, repeats): (Vec<usize>, Vec<usize>, usize) =
-        if smoke { (vec![400], vec![4], 1) } else { (vec![1_000, 10_000, 1_000_000], vec![16], 5) };
+    let (pool_sizes, repeats): (Vec<usize>, usize) =
+        if smoke { (vec![400], 1) } else { (vec![1_000, 10_000, 1_000_000], 5) };
 
     let mut report = Report::new(
         "staircase_throughput",
         "warm PayM via the budget staircase: steady hit vs one juror update + next solve",
-        &["pool", "layout", "steady warm (hit)", "post-mutation"],
+        &["pool", "steady warm (hit)", "post-mutation"],
     );
     let mut rows: Vec<Value> = Vec::new();
-    let push = |report: &mut Report,
-                rows: &mut Vec<Value>,
-                n: usize,
-                layout: String,
-                shards: Option<usize>,
-                warm_hit: f64,
-                post: f64| {
-        report.row(&[&n, &layout, &fmt_secs(warm_hit), &fmt_secs(post)]);
+    for &n in &pool_sizes {
+        let mut service = JuryService::new();
+        let id = service.create_pool(pool(n));
+        let (warm_hit, post) = measure(&mut service, id, n, budget, repeats);
+        report.row(&[&n, &fmt_secs(warm_hit), &fmt_secs(post)]);
         rows.push(Value::object([
             ("pool_size", n.to_value()),
-            ("shards", shards.map_or(Value::Null, |k| k.to_value())),
             ("model", "paym".to_value()),
             ("steady_warm_hit_secs", warm_hit.to_value()),
             ("post_mutation_secs", post.to_value()),
         ]));
-    };
-
-    for &n in &pool_sizes {
-        let jurors = pool(n);
-        for &k in &shard_counts {
-            let mut service = sharded_service(k);
-            let id = service.create_pool(jurors.clone());
-            let (warm_hit, post) = measure(&mut service, id, n, budget, repeats);
-            push(&mut report, &mut rows, n, format!("sharded/{k}"), Some(k), warm_hit, post);
-        }
-        let mut service = JuryService::new();
-        let id = service.create_pool(jurors.clone());
-        let (warm_hit, post) = measure(&mut service, id, n, budget, repeats);
-        push(&mut report, &mut rows, n, "flat".into(), None, warm_hit, post);
     }
 
     report.emit();
@@ -148,7 +120,6 @@ fn main() {
         ),
         ("budget", budget.to_value()),
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
-        ("shard_counts", Value::Array(shard_counts.iter().map(|k| k.to_value()).collect())),
         ("results", Value::Array(rows)),
     ]);
     if let Value::Object(fields) = &mut doc {

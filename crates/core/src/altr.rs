@@ -143,12 +143,11 @@ impl AltrAlg {
     }
 
     /// Runs the prefix scan over a precomputed ε-ascending visit order
-    /// (which must be exactly what
-    /// [`sorted_order_into`] produces for `pool` — e.g. a K-way merge of
-    /// per-shard sorted orders, which yields the identical permutation
-    /// because the order is total). Skipping the sort is the serving
-    /// layer's sharded fast path; results are bit-identical to
-    /// [`AltrAlg::solve`], stats included.
+    /// (which must be exactly what [`sorted_order_into`] produces for
+    /// `pool` — e.g. a cached order kept current by rank-insert repairs,
+    /// which yields the identical permutation because the order is
+    /// total). Skipping the sort is the serving layer's warm path;
+    /// results are bit-identical to [`AltrAlg::solve`], stats included.
     pub fn solve_presorted(
         &self,
         pool: &[Juror],

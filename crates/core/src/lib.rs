@@ -24,8 +24,6 @@
 //!   NP-hard budgeted model.
 //! * [`exact`] — exact PayM solvers (DFS enumeration with budget
 //!   pruning, and a thread-parallel version) used as ground truth.
-//! * [`merge`] — K-way merging of per-shard sorted orders; the
-//!   bit-identity argument behind the serving layer's pool sharding.
 //! * [`solver`] — the [`Solver`] trait + [`SolverScratch`] workspace:
 //!   every algorithm behind one interface, with caller-owned buffers so
 //!   repeated solves (the `jury-service` serving layer) allocate nothing
@@ -64,7 +62,6 @@ pub mod fingerprint;
 pub mod jer;
 pub mod juror;
 pub mod jury;
-pub mod merge;
 pub mod metrics;
 pub mod model;
 pub mod paym;

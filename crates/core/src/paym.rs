@@ -90,9 +90,9 @@ impl PayAlg {
 
     /// The greedy visit order of Algorithm 4 line 1 as a total order over
     /// pool positions: ascending `ε_i·r_i`, ties broken by cost, then ε,
-    /// then position. Strict for distinct positions, so per-shard sorted
-    /// runs K-way-merge into exactly the global order (see
-    /// [`crate::merge`]).
+    /// then position. Strict for distinct positions, so the sorted
+    /// permutation is unique: a cached order repaired by remove +
+    /// rank-insert equals a fresh sort.
     #[inline]
     pub fn greedy_cmp(pool: &[Juror], a: usize, b: usize) -> std::cmp::Ordering {
         pool[a]

@@ -109,8 +109,8 @@ pub trait Solver {
 
 /// The ε-ascending total order over pool positions: `ε` by `total_cmp`,
 /// ties by position. Strict for distinct positions, which is what makes a
-/// K-way merge of per-shard sorted runs reproduce the global sort
-/// permutation-for-permutation (see [`crate::merge`]).
+/// cached order repaired by remove + rank-insert reproduce a fresh sort
+/// permutation-for-permutation.
 #[inline]
 pub fn eps_cmp(pool: &[Juror], a: usize, b: usize) -> std::cmp::Ordering {
     pool[a].epsilon().total_cmp(&pool[b].epsilon()).then(a.cmp(&b))

@@ -157,7 +157,7 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), &'static str>
         "HTTP/1.0" => false,
         _ => return Err("unsupported HTTP version"),
     };
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = http11;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -168,7 +168,18 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), &'static str>
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().map_err(|_| "unparseable content-length")?;
+            // `1*DIGIT` only: `str::parse` alone would also accept a
+            // leading `+`. A repeated header must repeat the same value —
+            // letting the last one win would frame the body differently
+            // from any intermediary that honoured the first.
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err("unparseable content-length");
+            }
+            let len = value.parse().map_err(|_| "unparseable content-length")?;
+            if content_length.is_some_and(|seen| seen != len) {
+                return Err("conflicting content-length headers");
+            }
+            content_length = Some(len);
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close")
                 && (http11 || value.eq_ignore_ascii_case("keep-alive"));
@@ -176,7 +187,7 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), &'static str>
             return Err("chunked bodies are not supported");
         }
     }
-    Ok((method.to_string(), path.to_string(), content_length, keep_alive))
+    Ok((method.to_string(), path.to_string(), content_length.unwrap_or(0), keep_alive))
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -237,6 +248,18 @@ mod tests {
         assert!(parse_head("GET /x HTTP/2\r\n").is_err());
         assert!(parse_head("GET\r\n").is_err());
         assert!(parse_head("POST /x HTTP/1.1\r\nContent-Length: eel").is_err());
+        // Content-Length is `1*DIGIT`: no sign, no whitespace inside, no
+        // empty value, no overflow.
+        for bad in ["+12", "-0", "1 2", "", "0x10", "12,12", "99999999999999999999999"] {
+            let head = format!("POST /x HTTP/1.1\r\nContent-Length: {bad}");
+            assert!(parse_head(&head).is_err(), "accepted content-length {bad:?}");
+        }
+        // A repeated header must repeat the same value.
+        let (.., len, _) =
+            parse_head("POST /x HTTP/1.1\r\nContent-Length: 7\r\ncontent-length: 7").unwrap();
+        assert_eq!(len, 7);
+        assert!(parse_head("POST /x HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 70").is_err());
+        assert!(parse_head("POST /x HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5").is_err());
         assert!(parse_head("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked").is_err());
     }
 }

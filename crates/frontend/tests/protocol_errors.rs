@@ -142,6 +142,41 @@ fn adversarial_json_bodies_answer_400_and_spare_the_server() {
     server.shutdown();
 }
 
+/// Conflicting duplicate `Content-Length` headers (a request-smuggling
+/// vector: the last one used to win silently) and a signed length both
+/// answer 400 and close the connection; the server keeps solving.
+#[test]
+fn ambiguous_content_length_answers_400_and_spares_the_server() {
+    use std::io::Read as _;
+    let (server, pool) = start_server(FrontendConfig::default());
+    let addr = server.local_addr();
+    let body = r#"{"tenant": "t0", "task": {"pool": 0, "task": {"model": "altruism"}}}"#;
+    // Each head would frame a well-formed solve if the last duplicate won
+    // or the sign were ignored, so only the strict framing answers 400.
+    for lengths in [vec!["2".to_string(), body.len().to_string()], vec![format!("+{}", body.len())]]
+    {
+        let mut head = String::from("POST /v1/solve HTTP/1.1\r\nconnection: close\r\n");
+        for len in &lengths {
+            head.push_str(&format!("content-length: {len}\r\n"));
+        }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(format!("{head}\r\n{body}").as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        let text = String::from_utf8_lossy(&raw);
+        assert!(text.starts_with("HTTP/1.1 400"), "{lengths:?}: got {text}");
+        assert!(text.contains("bad-request"), "{lengths:?}: got {text}");
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    let solved = client.solve("t0", &DecisionTask::altruism(pool)).unwrap().unwrap();
+    assert!(!solved.members.is_empty(), "the same server still solves");
+    let stats = client.stats().unwrap().unwrap();
+    assert!(stats.frontend.malformed_requests >= 2, "both refusals are counted");
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn overflow_returns_429_with_retry_hint() {
     let (server, pool) = start_server(FrontendConfig {

@@ -55,7 +55,7 @@
 //! bit-) equal to building the distribution without that factor; callers
 //! that need exactness must rebuild.
 
-use crate::conv::{convolve_into, convolve_with, ConvScratch, ConvStrategy};
+use crate::conv::{convolve_with, ConvStrategy};
 use crate::float::is_probability;
 use crate::kahan::KahanSum;
 use std::fmt;
@@ -289,8 +289,8 @@ impl PoiBin {
     /// a SplitMix64-style fold over the trial count and every pmf entry's
     /// IEEE-754 bits. Two distributions hash equal iff their pmf vectors
     /// are bit-identical, so warm-artifact stores and differential tests
-    /// can compare cached prefix-pmf checkpoints (a flat ladder rung, a
-    /// shard's resume point) without materialising both sides — e.g.
+    /// can compare cached prefix-pmf checkpoints (a ladder rung) without
+    /// materialising both sides — e.g.
     /// asserting that a shared checkpoint is the same evaluation lineage
     /// as a privately built one, or that a deconvolution repair changed
     /// it. Purely content-addressed: no RandomState, stable across runs
@@ -374,27 +374,6 @@ impl PoiBin {
             self.pmf[k] = self.pmf[k] * q + self.pmf[k - 1] * e;
         }
         self.pmf[0] *= q;
-    }
-
-    /// Merges two independent counts: the distribution of `C₁ + C₂`.
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            pmf: convolve_with(&self.pmf, &other.pmf, ConvStrategy::Adaptive)
-                .into_iter()
-                .map(|p| p.clamp(0.0, 1.0))
-                .collect(),
-        }
-    }
-
-    /// The workspace form of [`PoiBin::merge`]: writes the distribution of
-    /// `C₁ + C₂` into `out`, reusing `out`'s pmf buffer and the
-    /// convolution workspace (FFT plans and transform buffers). With
-    /// warmed buffers the merge allocates nothing.
-    pub fn merge_into(&self, other: &Self, scratch: &mut ConvScratch, out: &mut Self) {
-        convolve_into(&self.pmf, &other.pmf, ConvStrategy::Adaptive, scratch, &mut out.pmf);
-        for p in &mut out.pmf {
-            *p = p.clamp(0.0, 1.0);
-        }
     }
 
     /// Divides one Bernoulli factor with success probability `p` back out
@@ -731,17 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_joint_construction() {
-        let a = [0.1, 0.2, 0.3];
-        let b = [0.4, 0.5];
-        let merged = PoiBin::from_error_rates(&a).merge(&PoiBin::from_error_rates(&b));
-        let joint = PoiBin::from_error_rates(&[0.1, 0.2, 0.3, 0.4, 0.5]);
-        for k in 0..=5 {
-            assert!(approx_eq(merged.prob_eq(k), joint.prob_eq(k), 1e-12));
-        }
-    }
-
-    #[test]
     fn tail_dp_matches_pmf_tail() {
         let eps = [0.12, 0.5, 0.33, 0.9, 0.01, 0.45, 0.62];
         let d = PoiBin::from_error_rates(&eps);
@@ -812,19 +780,6 @@ mod tests {
         let mut dst = PoiBin::from_error_rates(&[0.9; 10]);
         dst.copy_from(&src);
         assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn merge_into_matches_merge() {
-        let a = PoiBin::from_error_rates(&[0.1, 0.2, 0.3]);
-        let b = PoiBin::from_error_rates(&[0.4, 0.5]);
-        let mut scratch = ConvScratch::new();
-        let mut out = PoiBin::empty();
-        a.merge_into(&b, &mut scratch, &mut out);
-        assert_eq!(out, a.merge(&b));
-        // Reuse the same scratch and output for a second merge.
-        b.merge_into(&a, &mut scratch, &mut out);
-        assert_eq!(out, b.merge(&a));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use jury_numeric::bounds::{
     cantelli_upper_bound, chernoff_upper_bound, paley_zygmund_lower_bound, PrefixMoments, TailBound,
 };
-use jury_numeric::conv::{convolve_direct, convolve_fft, ConvScratch};
+use jury_numeric::conv::{convolve_direct, convolve_fft};
 use jury_numeric::fft::Fft;
 use jury_numeric::poibin::{tail_probability_dp, DeconvError, PoiBin, DECONV_GUARD_BAND};
 use jury_numeric::Complex64;
@@ -107,21 +107,6 @@ proptest! {
         let batch = PoiBin::from_error_rates_dp(&eps);
         for k in 0..=eps.len() {
             prop_assert!((inc.prob_eq(k) - batch.prob_eq(k)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn merge_is_commutative_and_joint(a in error_rates(20), b in error_rates(20)) {
-        let da = PoiBin::from_error_rates(&a);
-        let db = PoiBin::from_error_rates(&b);
-        let ab = da.merge(&db);
-        let ba = db.merge(&da);
-        let mut joint_eps = a.clone();
-        joint_eps.extend_from_slice(&b);
-        let joint = PoiBin::from_error_rates(&joint_eps);
-        for k in 0..=joint_eps.len() {
-            prop_assert!((ab.prob_eq(k) - ba.prob_eq(k)).abs() < 1e-10);
-            prop_assert!((ab.prob_eq(k) - joint.prob_eq(k)).abs() < 1e-9);
         }
     }
 
@@ -251,12 +236,13 @@ proptest! {
     }
 
     #[test]
-    fn remove_factor_inverts_merge_into(
+    fn remove_factor_inverts_construction(
         eps in error_rates(60),
         i in any::<prop::sample::Index>(),
     ) {
-        // Dividing one factor out of a merged distribution recovers the
-        // distribution built without it, for any position of the factor.
+        // Dividing one factor out of a batch-built distribution recovers
+        // the distribution built without it, for any position of the
+        // factor.
         let i = i.index(eps.len());
         let rest: Vec<f64> = eps
             .iter()
@@ -265,18 +251,13 @@ proptest! {
             .map(|(_, &e)| e)
             .collect();
         prop_assume!((eps[i] - 0.5).abs() >= DECONV_GUARD_BAND);
-        let mut merged = PoiBin::empty();
-        PoiBin::from_error_rates(&rest).merge_into(
-            &PoiBin::from_error_rates(&[eps[i]]),
-            &mut ConvScratch::new(),
-            &mut merged,
-        );
-        merged.remove_factor(eps[i]).expect("guard admitted the factor");
+        let mut full = PoiBin::from_error_rates(&eps);
+        full.remove_factor(eps[i]).expect("guard admitted the factor");
         let want = PoiBin::from_error_rates(&rest);
         for k in 0..=rest.len() {
             prop_assert!(
-                (merged.prob_eq(k) - want.prob_eq(k)).abs() < 1e-9,
-                "i={} k={}: {} vs {}", i, k, merged.prob_eq(k), want.prob_eq(k)
+                (full.prob_eq(k) - want.prob_eq(k)).abs() < 1e-9,
+                "i={} k={}: {} vs {}", i, k, full.prob_eq(k), want.prob_eq(k)
             );
         }
     }

@@ -4,9 +4,8 @@
 //! `L` most reliable jurors of one ε-sorted run at checkpoint lengths
 //! roughly every [`LADDER_SPACING`] jurors up to [`LADDER_MAX`], so a JER
 //! point query resumes from the nearest checkpoint (`O(n·spacing)` pushes)
-//! instead of rebuilding the prefix distribution from scratch. Both
-//! layouts use it: each shard lays a ladder over its own sorted rates, and
-//! flat pools lay one over the global ε order for
+//! instead of rebuilding the prefix distribution from scratch. Each pool
+//! lays one over its ε order for
 //! [`jer_probe`](crate::JuryService::jer_probe) and for resuming JER
 //! *profile* repairs.
 //!

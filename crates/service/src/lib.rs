@@ -17,13 +17,13 @@
 //!   warm PayM task is a **budget-staircase** lookup (below), falling
 //!   back to one greedy scan on the cached order.
 //! * **rescan-free mutation repair** — every juror mutation — *update*,
-//!   *removal* and *insert*, flat or sharded — repairs warm state in
-//!   place instead of invalidating it: every sorted order (flat,
-//!   per-shard and merged) gets one rank-insert (plus one remove for
-//!   updates/removals; `O(n)` memmoves, provably the same permutation a
-//!   re-sort would produce), every affected prefix-pmf checkpoint is
-//!   patched by dividing the juror's `(1−ε, ε)` factor out of the
-//!   Poisson binomial
+//!   *removal* and *insert* — repairs warm state in place instead of
+//!   invalidating it: both sorted orders get one rank-insert (plus one
+//!   remove for updates/removals; `O(n)` memmoves, provably the same
+//!   permutation a re-sort would produce, because both visit orders are
+//!   total with the pool position as final tie-break), every affected
+//!   prefix-pmf checkpoint is patched by dividing the juror's
+//!   `(1−ε, ε)` factor out of the Poisson binomial
 //!   ([`jury_numeric::poibin::PoiBin::remove_factor`]; inserts need
 //!   only a push) — `O(n)` per checkpoint instead of
 //!   `O(n·spacing + n log n)` re-convolution — and a materialised JER
@@ -44,16 +44,6 @@
 //!   [`jury_core::paym::Staircase`]: recorded step intervals map any
 //!   covered budget to its selection by binary search, and a miss costs
 //!   exactly one instrumented greedy scan that records a new step.
-//! * **pool sharding** — pools at or above
-//!   [`ShardConfig::threshold`] are partitioned into K shards, each with
-//!   its own ε-sorted order, greedy frontier and prefix Poisson-binomial
-//!   pmf ladder. The global orders are K-way merges of the per-shard
-//!   sorted runs, kept warm across mutations by the in-place repairs
-//!   above; a cold pool's per-shard builds fan out in parallel under
-//!   `std::thread::scope`. Shards hollowed out by skewed churn are
-//!   **re-balanced online**: a degeneracy episode moves members from the
-//!   largest shards into the starved one, repairing both sides' runs
-//!   and ladders in place ([`ServiceStats::shard_rebalances`]).
 //! * **batched parallel solving** — [`JuryService::solve_batch`] fans a
 //!   slice of [`DecisionTask`]s across scoped worker threads, each with
 //!   its own persistent [`SolverScratch`], so a warm task performs no
@@ -63,11 +53,10 @@
 //!
 //! Selections — members, JER bits, cost bits — are **bit-identical** to
 //! calling [`AltrAlg::solve`] / [`PayAlg::solve`] directly: cold cache,
-//! warm cache, batched, staircase-replayed, bound-pruned, flat and
-//! sharded paths all reduce to the same scratch-threaded solver
-//! internals (`tests/equivalence.rs` and
-//! `tests/sharded_differential.rs` assert this). The caching layers sit
-//! on either side of that line:
+//! warm cache, batched, staircase-replayed, bound-pruned and repaired
+//! paths all reduce to the same scratch-threaded solver internals
+//! (`tests/equivalence.rs` and `tests/flat_differential.rs` assert
+//! this). The caching layers sit on either side of that line:
 //!
 //! * **Staircase replays are bit-identical.** A staircase step is
 //!   recorded by the ordinary greedy scan, instrumented only to remember
@@ -100,37 +89,6 @@
 //!   fallback ([`ServiceStats::pmf_rebuilds`]) bounding the drift.
 //!   Nothing on the bit-identical side ever reads a repaired pmf.
 //!
-//! # Sharding invariants
-//!
-//! For sharded pools the bit-identity guarantee rests on three facts:
-//!
-//! 1. **Orders merge bit-identically.** Both solver visit orders are
-//!    *total* orders with the pool position as final tie-break
-//!    ([`jury_core::solver::eps_cmp`], [`PayAlg::greedy_cmp`]), so the
-//!    sorted permutation is unique: a K-way merge of per-shard sorted
-//!    runs ([`jury_core::merge`]) equals the flat pool's single sort,
-//!    permutation-for-permutation. The merge only *compares* floats;
-//!    every float *evaluation* (the AltrALG prefix scan, PayALG's pair
-//!    trials) then runs over the identical sequence via
-//!    [`AltrAlg::solve_presorted`] / [`PayAlg::solve_presorted`], hence
-//!    identical bits, [`SolverStats`](jury_core::SolverStats) included.
-//! 2. **Pmfs do not.** Convolving per-shard carelessness distributions
-//!    ([`jury_core`'s `PoiBin::merge_into`]) yields the same
-//!    distribution mathematically but a different float evaluation order
-//!    than the flat path's sequential pushes. Anything contractually
-//!    bit-identical therefore never flows through pmf merging; the
-//!    merged-pmf path powers only [`JuryService::jer_probe`], whose
-//!    contract is numerical equality within convolution rounding.
-//! 3. **The partition is not part of the answer.** Which shard owns a
-//!    juror never influences a selection — only the merged orders do —
-//!    so *inserts* repair the owning shard and the merged orders by
-//!    rank-insert (no shard drop, no re-merge), and *re-balancing*
-//!    (healing a shard hollowed out by skewed churn by stealing members
-//!    from the largest shards) is a pure permutation of shard
-//!    membership: per-shard runs change hands, the merged global orders
-//!    are untouched, and `tests/sharded_differential.rs` proves
-//!    selections bit-identical across forced-degeneracy episodes.
-//!
 //! # The warm-artifact store and its fingerprint contract
 //!
 //! All pools of one service share a **content-addressed warm-artifact
@@ -139,13 +97,12 @@
 //! one interned set. The contract:
 //!
 //! * **What is keyed.** Every artifact set is interned under
-//!   `(fingerprint, layout, solver config)`. The fingerprint is a
-//!   commutative multiset hash
-//!   ([`jury_core::fingerprint::PoolFingerprint`]) over each juror's
-//!   solver-relevant content — the pair `(ε.to_bits(), cost.to_bits())`;
-//!   juror *ids* are payload and never enter the key. The layout
-//!   separates flat from K-shard artifact shapes; the config covers the
-//!   [`AltrConfig`]/[`PayConfig`] knobs that change solver output.
+//!   `(fingerprint, solver config)`. The fingerprint is a commutative
+//!   multiset hash ([`jury_core::fingerprint::PoolFingerprint`]) over
+//!   each juror's solver-relevant content — the pair
+//!   `(ε.to_bits(), cost.to_bits())`; juror *ids* are payload and never
+//!   enter the key. The config covers the [`AltrConfig`]/[`PayConfig`]
+//!   knobs that change solver output.
 //!   Because raw IEEE-754 bits are hashed, the fingerprint is exactly as
 //!   strict as the solvers' `total_cmp` orders (`0.5` vs `0.5 + 1e-12`
 //!   is different content). Maintained incrementally: one
@@ -178,15 +135,7 @@
 //!   [`JuryService::jer_profile`] entries remain numerical-contract
 //!   ([`PROBE_REPAIR_TOL`]), and a re-joining pool adopts the entry's
 //!   pmf-lineage artifacts (fresh-built or repaired), which is
-//!   indistinguishable within that same tolerance. For sharded pools
-//!   the store interns the merged-layer artifacts (merged orders, AltrM
-//!   answer, profile) *and* the per-shard layer (owner assignment plus
-//!   every shard's runs and ladder — adopted only when the partitions
-//!   match exactly, since different mutation histories may partition
-//!   equal content differently) for sequence-identical pools; the
-//!   sharded staircase stays per-pool. Adopted shard caches are
-//!   copy-on-write: `Arc::make_mut` at every repair site clones the one
-//!   touched shard off privately.
+//!   indistinguishable within that same tolerance.
 //!
 //! Sharing is on by default; [`ServiceConfig::share_artifacts`] turns it
 //! off (the `multi_tenant_throughput` bench measures the difference).
@@ -195,17 +144,24 @@
 //! or insert costs a few `O(n)` memmoves plus `O(ladder)` factor
 //! divisions (pushes for inserts), the next PayM task re-records its
 //! staircase step with a single greedy scan, and the next AltrM task
-//! re-solves with the bound-pruned sweep — no re-sort, no K-way
-//! re-merge, no `O(N²)` rescan on either lane (on pools whose sorted
-//! prefix mean crosses ½; below that the pruned scan degrades
-//! gracefully to the full one plus an `O(N)` sweep). The
-//! [`ServiceStats`] counters (`cache_invalidations`, `order_repairs`,
-//! `insert_repairs`, `staircase_hits`, `pmf_repairs`, `pmf_rebuilds`,
-//! `profile_repairs`, `bound_pruned`, `shard_repairs`, `full_repairs`,
-//! `degenerate_shards`, `shard_rebalances`) make that behaviour
-//! observable; the `sharded_throughput`, `staircase_throughput`,
-//! `altrm_throughput` and `rebalance_throughput` benches record it at
-//! pool sizes up to 10⁶.
+//! re-solves with the bound-pruned sweep — no re-sort and no `O(N²)`
+//! rescan on either lane (on pools whose sorted prefix mean crosses ½;
+//! below that the pruned scan degrades gracefully to the full one plus
+//! an `O(N)` sweep). The [`ServiceStats`] counters
+//! (`cache_invalidations`, `order_repairs`, `insert_repairs`,
+//! `staircase_hits`, `pmf_repairs`, `pmf_rebuilds`, `profile_repairs`,
+//! `bound_pruned`, `full_repairs`) make that behaviour observable; the
+//! `staircase_throughput`, `altrm_throughput` and `insert_throughput`
+//! benches record it at pool sizes up to 10⁶.
+//!
+//! Every pool is served by one flat cache: a single ε-sorted order and
+//! greedy order over the whole pool, which is exactly what AltrALG and
+//! PayALG scan (by Lemma 3 the best size-`k` jury is the `k` lowest-ε
+//! jurors). Its repairs memmove whole orders. Partitioning a pool into
+//! K sorted shards and K-way merging their runs was tried and removed:
+//! no served workload or benchmark enabled it, its 10⁵-juror rows were
+//! within 1.03× of the flat cache, and its 10⁶-juror rows were within
+//! run-to-run noise.
 //!
 //! # Persistence contract
 //!
@@ -226,15 +182,14 @@
 //!   re-checksummed, every section is re-checksummed and decoded, the
 //!   orders are checked to be permutations, sorted ε values re-bound
 //!   bit-for-bit against the registering pool's jurors, the pmf
-//!   ladder's content hash re-derived, shard layouts re-validated
-//!   (the shard layer's owner/cache binding), and the decoded
-//!   juror content compared against the pool's actual content — the
+//!   ladder's content hash re-derived, and the decoded juror content
+//!   compared against the pool's actual content — the
 //!   same `match_pool` comparison the in-memory attach path uses. A
 //!   restored artifact set is therefore indistinguishable from one the
 //!   store built itself, and restored answers are bit-identical to
 //!   cold-built ones.
 //! * **Failure is always a cold build.** Any mismatch — truncation, a
-//!   flipped bit anywhere, a stale manifest, layout or config drift, a
+//!   flipped bit anywhere, a stale manifest, config drift, a
 //!   snapshot of different juror content — rejects that entry and
 //!   falls back to the ordinary cold build. Restore failures are never
 //!   an error and can never change an answer; they cost exactly one
@@ -366,12 +321,11 @@
 #![warn(rust_2018_idioms)]
 
 mod ladder;
-mod shard;
+mod repair;
 mod snapshot;
 mod store;
 
 pub use ladder::PROBE_REPAIR_TOL;
-pub use shard::ShardConfig;
 pub use snapshot::{
     snapshot_checksum, FaultAction, FaultPlane, FaultScheduler, LeaseConfig, NoFaults,
     SnapshotError, SnapshotReport, SnapshotWatcher,
@@ -388,14 +342,14 @@ use jury_core::problem::Selection;
 use jury_core::solver::SolverScratch;
 use jury_numeric::poibin::PoiBin;
 use ladder::PmfLadder;
+use repair::{repair_flat_insert, repair_flat_remove, repair_flat_update, MutationEffect};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use shard::{reinsert_eps, reinsert_greedy, renumber_out, MutationEffect, ShardedPool};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use store::{ArtifactSet, ArtifactStore, LayoutKey, StoreKey, StoreLink};
+use store::{ArtifactSet, ArtifactStore, StoreKey, StoreLink};
 
 /// Upper bound on sequential staircase-recording scans per batch. Only
 /// `(pool, budget)` pairs that repeat within the batch are recorded up
@@ -556,8 +510,6 @@ pub struct ServiceConfig {
     pub altr: AltrConfig,
     /// PayALG configuration used for PayM tasks.
     pub pay: PayConfig,
-    /// When pools are partitioned into shards (disabled by default).
-    pub shard: ShardConfig,
     /// Whether equal-content pools share one warm artifact set through
     /// the content-addressed store (on by default; see the crate docs
     /// for the fingerprint contract). Turning it off makes every pool
@@ -607,7 +559,6 @@ impl Default for ServiceConfig {
             threads: 0,
             altr: AltrConfig::default(),
             pay: PayConfig::default(),
-            shard: ShardConfig::default(),
             share_artifacts: true,
             store_ttl: None,
             snapshot_dir: None,
@@ -644,27 +595,25 @@ impl Default for ServiceConfig {
 pub struct ServiceStats {
     /// Tasks solved (single or batched).
     pub tasks_solved: usize,
-    /// Tasks whose pool cache was already warm (orders present) when the
-    /// request arrived (cold solves and unknown pools are not hits; a
-    /// sharded pool's lazily-pending AltrM selection still counts as
-    /// warm — hits are order-level).
+    /// Tasks whose needed state was already warm when the request
+    /// arrived — the AltrM answer for AltrM tasks, the sorted orders for
+    /// PayM tasks (cold solves and unknown pools are not hits).
     pub cache_hits: usize,
-    /// Cache (re)builds: a flat pool's artefact build, or a sharded
-    /// pool's merged-order rebuild.
+    /// Cache (re)builds: a pool's from-scratch artefact build, or an
+    /// AltrM re-solve on repaired orders.
     pub cache_builds: usize,
     /// `solve_batch` invocations.
     pub batches: usize,
     /// Mutations that invalidated (dropped or repaired) warm cached
     /// state. Mutations on cold pools count nothing.
     pub cache_invalidations: usize,
-    /// Juror mutations whose sorted orders (flat, per-shard and merged)
-    /// were repaired in place (`O(n)` remove + insert, plus a
-    /// renumbering pass for removals) instead of being recomputed.
+    /// Juror mutations whose sorted orders were repaired in place
+    /// (`O(n)` remove + insert, plus a renumbering pass for removals)
+    /// instead of being recomputed.
     pub order_repairs: usize,
     /// Juror inserts absorbed by in-place repair — one rank-insert per
     /// sorted run plus a [`PoiBin::push`] per affected pmf-ladder
-    /// checkpoint — on a warm pool, flat or sharded (a sharded insert
-    /// used to drop the owning shard; this counter gates the fix).
+    /// checkpoint — on a warm pool.
     pub insert_repairs: usize,
     /// Warm PayM tasks answered from the budget staircase — a binary
     /// search plus a selection clone instead of a greedy rescan.
@@ -678,15 +627,8 @@ pub struct ServiceStats {
     /// [`jury_numeric::poibin::DECONV_GUARD_BAND`] of ½, or error budget
     /// exceeded).
     pub pmf_rebuilds: usize,
-    /// Shard-local repairs: per-shard cache rebuilds performed while
-    /// the rest of the warm state survived — other shards stayed warm,
-    /// or the merged layer was adopted from an interned artifact set
-    /// (per-shard caches are always built per pool; each rebuilt shard
-    /// counts once).
-    pub shard_repairs: usize,
-    /// Full repairs: cache builds that recomputed everything — a flat
-    /// pool's from-scratch build, or a sharded warm-up with every shard
-    /// cold (including each pool's first build).
+    /// Full repairs: cache builds that recomputed everything — a pool's
+    /// from-scratch build (including each pool's first build).
     pub full_repairs: usize,
     /// Materialised JER profiles repaired in place after a juror
     /// mutation (prefix entries reused verbatim, suffix re-derived from
@@ -698,19 +640,6 @@ pub struct ServiceStats {
     /// comparison) across all AltrM (re)solves — exact JER was never
     /// computed for these.
     pub bound_pruned: usize,
-    /// Shards observed shrinking below the configured fraction of the
-    /// mean shard size ([`ShardConfig::degenerate_percent`]); each shard
-    /// counts once per episode of degeneracy. Under the default
-    /// [`ShardConfig::rebalance`] policy every episode is healed online
-    /// (see [`ServiceStats::shard_rebalances`]); with re-balancing off
-    /// this is detection only.
-    pub degenerate_shards: usize,
-    /// Online re-balancing episodes: a degeneracy-flagged pool had
-    /// members moved between shards, each move repairing both shards'
-    /// runs and ladders in place. Membership permutation only — the
-    /// merged orders, and therefore every selection, are unchanged. Each
-    /// episode counts once however many jurors moved.
-    pub shard_rebalances: usize,
     /// Pools that attached to an already-interned warm-artifact set
     /// instead of building their own (registration-time and
     /// warm-time attaches; re-joins after mutations count separately).
@@ -789,12 +718,9 @@ impl Serialize for ServiceStats {
             ("staircase_hits", self.staircase_hits.to_value()),
             ("pmf_repairs", self.pmf_repairs.to_value()),
             ("pmf_rebuilds", self.pmf_rebuilds.to_value()),
-            ("shard_repairs", self.shard_repairs.to_value()),
             ("full_repairs", self.full_repairs.to_value()),
             ("profile_repairs", self.profile_repairs.to_value()),
             ("bound_pruned", self.bound_pruned.to_value()),
-            ("degenerate_shards", self.degenerate_shards.to_value()),
-            ("shard_rebalances", self.shard_rebalances.to_value()),
             ("artifact_share_hits", self.artifact_share_hits.to_value()),
             ("artifact_detaches", self.artifact_detaches.to_value()),
             ("artifact_rejoins", self.artifact_rejoins.to_value()),
@@ -828,12 +754,9 @@ impl Deserialize for ServiceStats {
             staircase_hits: stat_field(value, "staircase_hits")?,
             pmf_repairs: stat_field(value, "pmf_repairs")?,
             pmf_rebuilds: stat_field(value, "pmf_rebuilds")?,
-            shard_repairs: stat_field(value, "shard_repairs")?,
             full_repairs: stat_field(value, "full_repairs")?,
             profile_repairs: stat_field(value, "profile_repairs")?,
             bound_pruned: stat_field(value, "bound_pruned")?,
-            degenerate_shards: stat_field(value, "degenerate_shards")?,
-            shard_rebalances: stat_field(value, "shard_rebalances")?,
             artifact_share_hits: stat_field(value, "artifact_share_hits")?,
             artifact_detaches: stat_field(value, "artifact_detaches")?,
             artifact_rejoins: stat_field(value, "artifact_rejoins")?,
@@ -894,8 +817,8 @@ struct PoolCache {
     staircase: Staircase,
 }
 
-/// A flat pool's warm state: cold, privately owned (mutated in place by
-/// the repair paths), or attached to a shared warm-artifact set.
+/// A pool's warm state: cold, privately owned (mutated in place by the
+/// repair paths), or attached to a shared warm-artifact set.
 #[derive(Debug)]
 enum FlatCache {
     /// Nothing warm yet.
@@ -929,71 +852,38 @@ impl FlatCache {
             Self::Shared(link) => link.set.altr.get().is_some(),
         }
     }
-}
 
-/// How a registered pool is served: flat (one sorted scan) or sharded.
-#[derive(Debug)]
-enum PoolState {
-    /// Below the shard threshold: one cache over the whole pool.
-    Flat {
-        /// The per-generation cache.
-        cache: FlatCache,
-    },
-    /// At or above the shard threshold: K shards with per-shard caches;
-    /// `link` attaches the merged-layer artifacts to the store.
-    Sharded {
-        /// The sharded pool.
-        sp: ShardedPool,
-        /// Store attachment of the merged-layer artifacts, if any.
-        link: Option<StoreLink>,
-    },
-}
-
-impl PoolState {
     /// The store entry this pool is attached to, if any.
     fn link(&self) -> Option<&StoreLink> {
         match self {
-            Self::Flat { cache: FlatCache::Shared(link) }
-            | Self::Sharded { link: Some(link), .. } => Some(link),
+            Self::Shared(link) => Some(link),
             _ => None,
         }
     }
 
     /// PayM read access: runs `read` on the warm greedy order and its
-    /// budget staircase, whichever layout holds them (a shared entry's
-    /// staircase under its read lock, so batch workers replay
-    /// concurrently). `None` while the orders are cold.
+    /// budget staircase (a shared entry's staircase under its read lock,
+    /// so batch workers replay concurrently). `None` while the orders
+    /// are cold.
     fn paym_read<R>(&self, read: impl FnOnce(&[usize], &Staircase) -> R) -> Option<R> {
         match self {
-            Self::Flat { cache: FlatCache::Cold } => None,
-            Self::Flat { cache: FlatCache::Private(c) } => {
-                Some(read(&c.greedy_order, &c.staircase))
-            }
-            Self::Flat { cache: FlatCache::Shared(link) } => {
-                Some(read(&link.set.greedy_order, &link.set.staircase_read()))
-            }
-            Self::Sharded { sp, .. } => {
-                sp.paym_view().map(|(order, staircase)| read(order, staircase))
-            }
+            Self::Cold => None,
+            Self::Private(c) => Some(read(&c.greedy_order, &c.staircase)),
+            Self::Shared(link) => Some(read(&link.set.greedy_order, &link.set.staircase_read())),
         }
     }
 
-    /// PayM record access: like [`PoolState::paym_read`], with the
+    /// PayM record access: like [`FlatCache::paym_read`], with the
     /// staircase writable so a scan can record its step (a shared
     /// entry's under its write lock — reachable only through the
     /// registry's `&mut`).
     fn paym_record<R>(&mut self, record: impl FnOnce(&[usize], &mut Staircase) -> R) -> Option<R> {
         match self {
-            Self::Flat { cache: FlatCache::Cold } => None,
-            Self::Flat { cache: FlatCache::Private(c) } => {
-                Some(record(&c.greedy_order, &mut c.staircase))
-            }
-            Self::Flat { cache: FlatCache::Shared(link) } => {
+            Self::Cold => None,
+            Self::Private(c) => Some(record(&c.greedy_order, &mut c.staircase)),
+            Self::Shared(link) => {
                 let set = &link.set;
                 Some(set.record_staircase(|staircase| record(&set.greedy_order, staircase)))
-            }
-            Self::Sharded { sp, .. } => {
-                sp.paym_cache().map(|(order, staircase)| record(order, staircase))
             }
         }
     }
@@ -1002,7 +892,7 @@ impl PoolState {
 #[derive(Debug)]
 struct PoolEntry {
     jurors: Vec<Juror>,
-    state: PoolState,
+    cache: FlatCache,
     /// Running multiset hash of the jurors' solver-relevant content —
     /// the store key, updated in `O(1)` per mutation.
     fp: PoolFingerprint,
@@ -1046,8 +936,8 @@ pub struct JuryService {
 }
 
 /// The solver-relevant configuration bits entering every store key: the
-/// knobs that change what a solver *outputs* (threads, shard thresholds
-/// and degeneracy percentages only change how fast).
+/// knobs that change what a solver *outputs* (threads only change how
+/// fast).
 fn config_key(config: &ServiceConfig) -> u64 {
     let strategy = match config.altr.strategy {
         AltrStrategy::PaperRecompute => 0u64,
@@ -1193,30 +1083,15 @@ impl JuryService {
             let config_bits = config_key(&self.config);
             let max_age = self.config.max_snapshot_age;
             let Self { pools, store, stats, snapshots, .. } = &mut *self;
-            for entry in pools.values() {
-                let key = match &entry.state {
-                    PoolState::Flat { cache: FlatCache::Cold } => StoreKey {
-                        fp: entry.fp.key(),
-                        layout: LayoutKey::Flat,
-                        config: config_bits,
-                    },
-                    PoolState::Sharded { sp, link: None } if !sp.is_warm() => StoreKey {
-                        fp: entry.fp.key(),
-                        layout: LayoutKey::Sharded { shards: sp.shard_count() },
-                        config: config_bits,
-                    },
-                    // Anything warm keeps serving what it has.
-                    _ => continue,
-                };
+            // Anything warm keeps serving what it has.
+            for entry in pools.values().filter(|entry| !entry.cache.has_orders()) {
                 restore_into_store(
                     store,
                     snapshots.as_ref(),
-                    &key,
+                    &StoreKey { fp: entry.fp.key(), config: config_bits },
                     &entry.jurors,
                     max_age,
-                    &mut stats.snapshot_restores,
-                    &mut stats.snapshot_rejections,
-                    &mut stats.stale_snapshot_skips,
+                    stats,
                 );
             }
         }
@@ -1247,25 +1122,12 @@ impl JuryService {
     // ------------------------------------------------------------------
 
     /// Registers a pool and returns its handle. The pool may be empty
-    /// (tasks on it then fail exactly like the direct solvers do). Pools
-    /// at or above [`ShardConfig::threshold`] are sharded immediately.
+    /// (tasks on it then fail exactly like the direct solvers do).
     pub fn create_pool(&mut self, jurors: Vec<Juror>) -> PoolId {
         let id = self.next_pool;
         self.next_pool += 1;
-        let state = if self.config.shard.applies(jurors.len()) {
-            PoolState::Sharded {
-                sp: ShardedPool::new(
-                    jurors.len(),
-                    self.config.shard.shards,
-                    self.config.shard.degenerate_percent,
-                ),
-                link: None,
-            }
-        } else {
-            PoolState::Flat { cache: FlatCache::Cold }
-        };
         let fp = PoolFingerprint::from_jurors(&jurors);
-        self.pools.insert(id, PoolEntry { jurors, state, fp });
+        self.pools.insert(id, PoolEntry { jurors, cache: FlatCache::Cold, fp });
         PoolId(id)
     }
 
@@ -1276,9 +1138,9 @@ impl JuryService {
     /// holds any more are evicted from the store).
     pub fn remove_pool(&mut self, pool: PoolId) -> Result<Vec<Juror>, ServiceError> {
         let entry = self.pools.remove(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let key = entry.state.link().map(|link| link.key);
+        let key = entry.cache.link().map(|link| link.key);
         let jurors = entry.jurors;
-        drop(entry.state);
+        drop(entry.cache);
         if let Some(key) = key {
             self.store.release(&key, self.config.store_ttl.is_some());
         }
@@ -1302,7 +1164,7 @@ impl JuryService {
     /// diverged.
     pub fn shares_artifacts_with(&self, a: PoolId, b: PoolId) -> Result<bool, ServiceError> {
         let link_of = |id: PoolId| -> Result<Option<&StoreLink>, ServiceError> {
-            Ok(self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?.state.link())
+            Ok(self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?.cache.link())
         };
         Ok(match (link_of(a)?, link_of(b)?) {
             (Some(la), Some(lb)) => Arc::ptr_eq(&la.set, &lb.set),
@@ -1326,97 +1188,37 @@ impl JuryService {
             .ok_or(ServiceError::UnknownPool(pool))
     }
 
-    /// Whether `pool` is currently served sharded.
-    pub fn is_sharded(&self, pool: PoolId) -> Result<bool, ServiceError> {
-        self.pools
-            .get(&pool.0)
-            .map(|entry| matches!(entry.state, PoolState::Sharded { .. }))
-            .ok_or(ServiceError::UnknownPool(pool))
-    }
-
-    /// The number of shards serving `pool` (`None` for flat pools).
-    pub fn shard_count(&self, pool: PoolId) -> Result<Option<usize>, ServiceError> {
-        self.pools
-            .get(&pool.0)
-            .map(|entry| match &entry.state {
-                PoolState::Flat { .. } => None,
-                PoolState::Sharded { sp, .. } => Some(sp.shard_count()),
-            })
-            .ok_or(ServiceError::UnknownPool(pool))
-    }
-
-    /// Appends a juror; returns its position. A warm pool — flat or
-    /// sharded — is repaired in place: one rank-insert per sorted order
-    /// (the owning shard's runs and the merged orders, for sharded
-    /// pools), one [`PoiBin::push`] per affected pmf-ladder checkpoint
-    /// and (flat) an in-place profile repair; only the AltrM answer
-    /// (re-solved rescan-free by the bound-pruned scan) and the budget
-    /// staircase drop. A flat pool crossing [`ShardConfig::threshold`]
-    /// is promoted to sharded (a full rebuild); a sharded insert that
-    /// tips a shard into degeneracy triggers an online re-balance.
+    /// Appends a juror; returns its position. A warm pool is repaired in
+    /// place: one rank-insert per sorted order, one [`PoiBin::push`] per
+    /// affected pmf-ladder checkpoint and an in-place profile repair;
+    /// only the AltrM answer (re-solved rescan-free by the bound-pruned
+    /// scan) and the budget staircase drop.
     pub fn insert_juror(&mut self, pool: PoolId, juror: Juror) -> Result<usize, ServiceError> {
-        let shard_config = self.config.shard;
         let ttl_enabled = self.config.store_ttl.is_some();
         let Self { pools, store, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let promote = matches!(entry.state, PoolState::Flat { .. })
-            && shard_config.applies(entry.jurors.len() + 1);
-        let flat_was_warm = matches!(&entry.state, PoolState::Flat { cache } if cache.has_orders());
-        // A promotion replaces the flat cache wholesale, so a shared
-        // attachment is merely dropped — never materialised into the
-        // private copy an in-place repair would need.
-        let detached = if promote {
-            discard_flat_share(store, &mut entry.state, ttl_enabled)
-        } else {
-            detach_pool(store, &mut entry.state, ttl_enabled)
-        };
+        let detached = detach_pool(store, &mut entry.cache, ttl_enabled);
         entry.fp.insert(&juror);
         entry.jurors.push(juror);
         let pos = entry.jurors.len() - 1;
-        let effect = match &mut entry.state {
-            PoolState::Flat { cache } if promote => {
-                *cache = FlatCache::Cold;
-                MutationEffect { invalidated: flat_was_warm, ..Default::default() }
-            }
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Private(c) => repair_flat_insert(c, &entry.jurors, pos),
-                _ => MutationEffect::default(),
-            },
-            PoolState::Sharded { sp, .. } => {
-                let mut effect = sp.insert(&entry.jurors);
-                effect.newly_degenerate = sp.refresh_degeneracy(shard_config.degenerate_percent);
-                if shard_config.rebalance && effect.newly_degenerate > 0 {
-                    effect.rebalanced =
-                        sp.rebalance(&entry.jurors, shard_config.degenerate_percent);
-                    sp.refresh_degeneracy(shard_config.degenerate_percent);
-                }
-                effect
-            }
+        let effect = match &mut entry.cache {
+            FlatCache::Private(c) => repair_flat_insert(c, &entry.jurors, pos),
+            _ => MutationEffect::default(),
         };
-        if promote {
-            entry.state = PoolState::Sharded {
-                sp: ShardedPool::new(
-                    entry.jurors.len(),
-                    shard_config.shards,
-                    shard_config.degenerate_percent,
-                ),
-                link: None,
-            };
-        }
         self.count_mutation(effect);
         self.settle_after_mutation(pool, detached);
         Ok(pos)
     }
 
     /// Replaces the juror at `index` (e.g. a re-estimated error rate).
-    /// Warm state is *repaired in place*, flat or sharded: every sorted
-    /// order gets one remove + one rank-insert (`O(n)`, bit-identical to
-    /// a re-sort), pmf checkpoint ladders get one factor division per
-    /// affected checkpoint (numerically equal to a re-convolution; the
+    /// Warm state is *repaired in place*: both sorted orders get one
+    /// remove + one rank-insert (`O(n)`, bit-identical to a re-sort),
+    /// the pmf checkpoint ladder gets one factor division per affected
+    /// checkpoint (numerically equal to a re-convolution; the
     /// deconvolution guard falls back to a rebuild, observable as
     /// [`ServiceStats::pmf_rebuilds`]). Only the lazily-derived artefacts
-    /// whose answers may genuinely change (AltrM selection, profile,
-    /// budget staircase) are dropped.
+    /// whose answers may genuinely change (AltrM selection, budget
+    /// staircase) are dropped; a materialised profile is repaired.
     pub fn update_juror(
         &mut self,
         pool: PoolId,
@@ -1435,13 +1237,10 @@ impl JuryService {
         let old = *slot;
         *slot = juror;
         entry.fp.replace(&old, &juror);
-        let detached = detach_pool(store, &mut entry.state, ttl_enabled);
-        let effect = match &mut entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Private(c) => repair_flat_update(c, &entry.jurors, index, &old),
-                _ => MutationEffect::default(),
-            },
-            PoolState::Sharded { sp, .. } => sp.update(index, &entry.jurors, &old),
+        let detached = detach_pool(store, &mut entry.cache, ttl_enabled);
+        let effect = match &mut entry.cache {
+            FlatCache::Private(c) => repair_flat_update(c, &entry.jurors, index, &old),
+            _ => MutationEffect::default(),
         };
         self.count_mutation(effect);
         self.settle_after_mutation(pool, detached);
@@ -1454,7 +1253,6 @@ impl JuryService {
     /// [`JuryService::update_juror`], with an extra renumbering pass over
     /// the surviving positions.
     pub fn remove_juror(&mut self, pool: PoolId, index: usize) -> Result<Juror, ServiceError> {
-        let shard_config = self.config.shard;
         let ttl_enabled = self.config.store_ttl.is_some();
         let Self { pools, store, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
@@ -1462,25 +1260,13 @@ impl JuryService {
         if index >= len {
             return Err(ServiceError::JurorOutOfRange { pool, index, len });
         }
-        let detached = detach_pool(store, &mut entry.state, ttl_enabled);
-        let mut effect = match &mut entry.state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Private(c) => repair_flat_remove(c, index),
-                _ => MutationEffect::default(),
-            },
-            // The victim is still present: its runs entries are located
-            // by binary rank against the pre-removal pool.
-            PoolState::Sharded { sp, .. } => sp.remove(index, &entry.jurors),
+        let detached = detach_pool(store, &mut entry.cache, ttl_enabled);
+        let effect = match &mut entry.cache {
+            FlatCache::Private(c) => repair_flat_remove(c, index),
+            _ => MutationEffect::default(),
         };
         let removed = entry.jurors.remove(index);
         entry.fp.remove(&removed);
-        if let PoolState::Sharded { sp, .. } = &mut entry.state {
-            effect.newly_degenerate = sp.refresh_degeneracy(shard_config.degenerate_percent);
-            if shard_config.rebalance && effect.newly_degenerate > 0 {
-                effect.rebalanced = sp.rebalance(&entry.jurors, shard_config.degenerate_percent);
-                sp.refresh_degeneracy(shard_config.degenerate_percent);
-            }
-        }
         self.count_mutation(effect);
         self.settle_after_mutation(pool, detached);
         Ok(removed)
@@ -1517,78 +1303,31 @@ impl JuryService {
         let Some(entry) = pools.get_mut(&pool.0) else {
             return;
         };
-        match &mut entry.state {
-            PoolState::Flat { cache } => {
-                if !matches!(cache, FlatCache::Private(_)) {
-                    return;
-                }
-                let key =
-                    StoreKey { fp: entry.fp.key(), layout: LayoutKey::Flat, config: config_bits };
-                if let Some(shared) = attach_flat(store, key, &entry.jurors) {
-                    // Seed the entry's empty lazy slots with the
-                    // just-repaired rank-space artifacts instead of
-                    // dropping them — the whole cohort then skips the
-                    // O(N²) rebuild (repair lineage is the documented
-                    // numerical carve-out either way).
-                    if let FlatCache::Private(c) = cache {
-                        if let Some(ladder) = c.ladder.take() {
-                            shared.set.set_ladder(ladder);
-                        }
-                        if let Some(profile) = c.profile.take() {
-                            shared.set.set_profile(Arc::new(profile));
-                        }
-                    }
-                    *cache = FlatCache::Shared(shared);
-                    stats.artifact_rejoins += 1;
-                } else if had_siblings && !store.contains(&key) {
-                    let FlatCache::Private(c) = std::mem::replace(cache, FlatCache::Cold) else {
-                        unreachable!("checked above");
-                    };
-                    *cache = match store.publish(key, ArtifactSet::from_cache(c, &entry.jurors)) {
-                        Ok(set) => FlatCache::Shared(StoreLink { key, set }),
-                        Err(set) => FlatCache::Private(set.into_cache()),
-                    };
-                }
+        let FlatCache::Private(c) = &mut entry.cache else {
+            return;
+        };
+        let key = StoreKey { fp: entry.fp.key(), config: config_bits };
+        if let Some(shared) = attach_flat(store, key, &entry.jurors) {
+            // Seed the entry's empty lazy slots with the just-repaired
+            // rank-space artifacts instead of dropping them — the whole
+            // cohort then skips the O(N²) rebuild (repair lineage is the
+            // documented numerical carve-out either way).
+            if let Some(ladder) = c.ladder.take() {
+                shared.set.set_ladder(ladder);
             }
-            PoolState::Sharded { sp, link } => {
-                if !sp.is_warm() {
-                    return;
-                }
-                let key = StoreKey {
-                    fp: entry.fp.key(),
-                    layout: LayoutKey::Sharded { shards: sp.shard_count() },
-                    config: config_bits,
-                };
-                if let Some(set) = store.get(&key) {
-                    if set.match_pool(&entry.jurors) {
-                        // A re-joining pool is fully warm (repairs never
-                        // drop shards), so seed the entry's shard layer
-                        // if it is still empty — identically-mutated
-                        // siblings then adopt these repaired caches
-                        // (repair lineage is the documented numerical
-                        // carve-out either way).
-                        if set.shard_layer.get().is_none() {
-                            if let Some(layer) = sp.export_shard_layer() {
-                                set.set_shard_layer(layer);
-                            }
-                        }
-                        sp.adopt_merged(set.eps_order.clone(), set.greedy_order.clone());
-                        *link = Some(StoreLink { key, set });
-                        stats.artifact_rejoins += 1;
-                    }
-                } else if had_siblings {
-                    if let Some((eps, greedy)) = sp.merged_order_arcs() {
-                        if let Ok(set) =
-                            store.publish(key, ArtifactSet::from_merged(eps, greedy, &entry.jurors))
-                        {
-                            if let Some(layer) = sp.export_shard_layer() {
-                                set.set_shard_layer(layer);
-                            }
-                            *link = Some(StoreLink { key, set });
-                        }
-                    }
-                }
+            if let Some(profile) = c.profile.take() {
+                shared.set.set_profile(profile);
             }
+            entry.cache = FlatCache::Shared(shared);
+            stats.artifact_rejoins += 1;
+        } else if had_siblings && !store.contains(&key) {
+            let FlatCache::Private(c) = std::mem::replace(&mut entry.cache, FlatCache::Cold) else {
+                unreachable!("matched above");
+            };
+            entry.cache = match store.publish(key, ArtifactSet::from_cache(c, &entry.jurors)) {
+                Ok(set) => FlatCache::Shared(StoreLink { key, set }),
+                Err(set) => FlatCache::Private(set.into_cache()),
+            };
         }
     }
 
@@ -1637,258 +1376,101 @@ impl JuryService {
         if effect.insert_repaired {
             self.stats.insert_repairs += 1;
         }
-        self.stats.degenerate_shards += effect.newly_degenerate;
-        if effect.rebalanced > 0 {
-            self.stats.shard_rebalances += 1;
-        }
     }
 
     // ------------------------------------------------------------------
     // Cache
     // ------------------------------------------------------------------
 
-    /// Builds whatever cached state is cold: a flat pool's orders and
-    /// AltrM answer (just the answer after an order repair — a
-    /// bound-pruned rescan-free solve), a sharded pool's cold shards
-    /// plus the merged orders. Called automatically by the solve paths;
+    /// Builds whatever cached state is cold: the pool's orders and AltrM
+    /// answer (just the answer after an order repair — a bound-pruned
+    /// rescan-free solve). Called automatically by the solve paths;
     /// exposed so benches can separate cold from warm.
     pub fn warm_pool(&mut self, pool: PoolId) -> Result<(), ServiceError> {
         let altr_config = self.config.altr;
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
+        let max_age = self.config.max_snapshot_age;
         // Borrow-split: the scratch is taken out while the entry is
         // borrowed mutably.
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        let mut builds = 0usize;
-        let mut fulls = 0usize;
-        let mut shard_reps = 0usize;
-        let mut pruned = 0usize;
-        let mut share_hits = 0usize;
-        let mut restores = 0usize;
-        let mut rejections = 0usize;
-        let mut stale_skips = 0usize;
-        let max_age = self.config.max_snapshot_age;
-        let Self { pools, store, snapshots, .. } = &mut *self;
-        let outcome = match pools.get_mut(&pool.0) {
-            None => Err(ServiceError::UnknownPool(pool)),
-            Some(PoolEntry { jurors, state, fp }) => {
-                match state {
-                    PoolState::Flat { cache } => {
-                        // Phase 1: a cold pool attaches to an interned
-                        // artifact set, or builds one and publishes it.
-                        if matches!(cache, FlatCache::Cold) {
-                            let key = StoreKey {
-                                fp: fp.key(),
-                                layout: LayoutKey::Flat,
-                                config: config_bits,
-                            };
-                            if share {
-                                restore_into_store(
-                                    store,
-                                    snapshots.as_ref(),
-                                    &key,
-                                    jurors,
-                                    max_age,
-                                    &mut restores,
-                                    &mut rejections,
-                                    &mut stale_skips,
-                                );
-                            }
-                            let (acquired, attached) =
-                                acquire_flat(store, key, jurors, share, || {
-                                    let built =
-                                        build_full_cache(jurors, &altr_config, &mut scratch);
-                                    pruned += altr_pruned(built.altr.as_ref());
-                                    builds += 1;
-                                    fulls += 1;
-                                    built
-                                });
-                            share_hits += usize::from(attached);
-                            *cache = acquired;
-                        }
-                        // Phase 2: ensure the AltrM answer wherever the
-                        // cache lives (attached orders-only entries and
-                        // post-repair private caches solve it here —
-                        // rescan-free, bound-pruned).
-                        match cache {
-                            FlatCache::Cold => unreachable!("filled above"),
-                            FlatCache::Private(c) => {
-                                if c.altr.is_none() {
-                                    let answer = solve_altr_cached(
-                                        jurors,
-                                        &c.eps_order,
-                                        &altr_config,
-                                        &mut scratch,
-                                    );
-                                    pruned += altr_pruned(Some(&answer));
-                                    c.altr = Some(answer);
-                                    builds += 1;
-                                }
-                            }
-                            FlatCache::Shared(link) => {
-                                if link.set.altr.get().is_none() {
-                                    let answer = solve_altr_cached(
-                                        jurors,
-                                        &link.set.eps_order,
-                                        &altr_config,
-                                        &mut scratch,
-                                    );
-                                    pruned += altr_pruned(Some(&answer));
-                                    builds += 1;
-                                    link.set.set_altr(answer);
-                                }
-                            }
-                        }
-                    }
-                    PoolState::Sharded { sp, link } => {
-                        if !sp.is_warm() {
-                            let key = StoreKey {
-                                fp: fp.key(),
-                                layout: LayoutKey::Sharded { shards: sp.shard_count() },
-                                config: config_bits,
-                            };
-                            if share {
-                                restore_into_store(
-                                    store,
-                                    snapshots.as_ref(),
-                                    &key,
-                                    jurors,
-                                    max_age,
-                                    &mut restores,
-                                    &mut rejections,
-                                    &mut stale_skips,
-                                );
-                            }
-                            let attached = share
-                                .then(|| store.get(&key))
-                                .flatten()
-                                .filter(|set| set.match_pool(jurors));
-                            match attached {
-                                Some(set) => {
-                                    // Adopt the interned per-shard layer
-                                    // first (partition-verified): covered
-                                    // shards skip their private build
-                                    // entirely; only the holes are built.
-                                    if let Some(layer) = set.shard_layer.get() {
-                                        sp.adopt_shard_layer(layer);
-                                    }
-                                    let shards_built = sp.warm_shards(jurors);
-                                    sp.adopt_merged(
-                                        set.eps_order.clone(),
-                                        set.greedy_order.clone(),
-                                    );
-                                    if set.shard_layer.get().is_none() {
-                                        if let Some(layer) = sp.export_shard_layer() {
-                                            set.set_shard_layer(layer);
-                                        }
-                                    }
-                                    *link = Some(StoreLink { key, set });
-                                    share_hits += 1;
-                                    // Only the shards the interned layer
-                                    // did not cover were built privately.
-                                    shard_reps += shards_built;
-                                }
-                                None => {
-                                    let shards_built = sp.warm_shards(jurors);
-                                    sp.ensure_merged(jurors);
-                                    builds += 1;
-                                    if shards_built == sp.shard_count() {
-                                        fulls += 1;
-                                    } else {
-                                        shard_reps += shards_built;
-                                    }
-                                    if share {
-                                        if let Some((eps, greedy)) = sp.merged_order_arcs() {
-                                            // An occupied key refused the
-                                            // attach above — the incumbent
-                                            // wins and this pool stays
-                                            // unlinked.
-                                            if let Ok(set) = store.publish(
-                                                key,
-                                                ArtifactSet::from_merged(eps, greedy, jurors),
-                                            ) {
-                                                if let Some(layer) = sp.export_shard_layer() {
-                                                    set.set_shard_layer(layer);
-                                                }
-                                                *link = Some(StoreLink { key, set });
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
+        let Self { pools, store, snapshots, stats, .. } = &mut *self;
+        let Some(PoolEntry { jurors, cache, fp }) = pools.get_mut(&pool.0) else {
+            self.scratches.push(scratch);
+            return Err(ServiceError::UnknownPool(pool));
         };
+        // Phase 1: a cold pool attaches to an interned artifact set, or
+        // builds one and publishes it.
+        if matches!(cache, FlatCache::Cold) {
+            let key = StoreKey { fp: fp.key(), config: config_bits };
+            if share {
+                restore_into_store(store, snapshots.as_ref(), &key, jurors, max_age, stats);
+            }
+            let (acquired, attached) = acquire_flat(store, key, jurors, share, || {
+                let built = build_full_cache(jurors, &altr_config, &mut scratch);
+                stats.bound_pruned += altr_pruned(built.altr.as_ref());
+                stats.cache_builds += 1;
+                stats.full_repairs += 1;
+                built
+            });
+            stats.artifact_share_hits += usize::from(attached);
+            *cache = acquired;
+        }
+        // Phase 2: ensure the AltrM answer wherever the cache lives
+        // (attached orders-only entries and post-repair private caches
+        // solve it here — rescan-free, bound-pruned).
+        let mut solve = |order: &[usize]| {
+            let answer = solve_altr_cached(jurors, order, &altr_config, &mut scratch);
+            stats.bound_pruned += altr_pruned(Some(&answer));
+            stats.cache_builds += 1;
+            answer
+        };
+        match cache {
+            FlatCache::Cold => unreachable!("filled above"),
+            FlatCache::Private(c) => {
+                if c.altr.is_none() {
+                    c.altr = Some(solve(&c.eps_order));
+                }
+            }
+            FlatCache::Shared(link) => {
+                if link.set.altr.get().is_none() {
+                    link.set.set_altr(solve(&link.set.eps_order));
+                }
+            }
+        }
         self.scratches.push(scratch);
-        self.stats.cache_builds += builds;
-        self.stats.full_repairs += fulls;
-        self.stats.shard_repairs += shard_reps;
-        self.stats.bound_pruned += pruned;
-        self.stats.artifact_share_hits += share_hits;
-        self.stats.snapshot_restores += restores;
-        self.stats.snapshot_rejections += rejections;
-        self.stats.stale_snapshot_skips += stale_skips;
-        outcome
+        Ok(())
     }
 
-    /// Drops every piece of `pool`'s warm state — orders, ladders,
-    /// profile, staircase, per-shard caches and any store attachment —
-    /// so the next [`JuryService::warm_pool`] pays the full cold build.
-    /// An operational hook (reclaim the memory of a pool gone quiet,
-    /// force a from-scratch rebuild) and the referee for the repair
-    /// paths: the `rebalance_throughput` bench measures warm in-place
-    /// insert repairs against exactly this invalidate-and-rebuild
-    /// baseline. Sharded pools are re-partitioned round-robin; entries
-    /// the store holds for sibling pools survive.
+    /// Drops every piece of `pool`'s warm state — orders, ladder,
+    /// profile, staircase and any store attachment — so the next
+    /// [`JuryService::warm_pool`] pays the full cold build. An
+    /// operational hook (reclaim the memory of a pool gone quiet, force
+    /// a from-scratch rebuild) and the referee for the repair paths: the
+    /// `insert_throughput` bench measures warm in-place insert repairs
+    /// against exactly this invalidate-and-rebuild baseline. A shared
+    /// attachment is dropped, never materialised; entries the store
+    /// holds for sibling pools survive.
     pub fn invalidate_warm(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        let shard_config = self.config.shard;
         let ttl_enabled = self.config.store_ttl.is_some();
-        let Self { pools, store, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        match &mut entry.state {
-            PoolState::Flat { .. } => {
-                // A shared attachment is dropped, never materialised.
-                let _ = discard_flat_share(store, &mut entry.state, ttl_enabled);
-                if let PoolState::Flat { cache } = &mut entry.state {
-                    *cache = FlatCache::Cold;
-                }
-            }
-            PoolState::Sharded { sp, link } => {
-                if let Some(taken) = link.take() {
-                    let key = taken.key;
-                    drop(taken);
-                    store.release(&key, ttl_enabled);
-                }
-                *sp = ShardedPool::new(
-                    entry.jurors.len(),
-                    sp.shard_count(),
-                    shard_config.degenerate_percent,
-                );
-            }
+        let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        if let FlatCache::Shared(link) = std::mem::replace(&mut entry.cache, FlatCache::Cold) {
+            let key = link.key;
+            drop(link);
+            self.store.release(&key, ttl_enabled);
         }
         Ok(())
     }
 
-    /// Whether `pool`'s cache is currently warm (flat: orders and the
-    /// AltrM answer present — the profile and ladder stay lazy; sharded:
-    /// merged orders present — the AltrM selection and profile may still
-    /// be lazily pending).
+    /// Whether `pool`'s cache is currently warm: orders and the AltrM
+    /// answer present (the profile and ladder stay lazy).
     pub fn is_warm(&self, pool: PoolId) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| match &entry.state {
-            PoolState::Flat { cache } => cache.has_altr(),
-            PoolState::Sharded { sp, .. } => sp.is_warm(),
-        })
+        self.pools.get(&pool.0).is_some_and(|entry| entry.cache.has_altr())
     }
 
     /// Whether the sorted orders — all a PayM task needs — are present.
     fn has_orders(&self, pool: PoolId) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| match &entry.state {
-            PoolState::Flat { cache } => cache.has_orders(),
-            PoolState::Sharded { sp, .. } => sp.is_warm(),
-        })
+        self.pools.get(&pool.0).is_some_and(|entry| entry.cache.has_orders())
     }
 
     /// Whether the state `task` actually consumes is warm: solved
@@ -1901,57 +1483,36 @@ impl JuryService {
     }
 
     /// The cached odd-size JER profile of `pool` (computed on demand):
-    /// `(n, JER of the n lowest-ε jurors)` for `n = 1, 3, 5, …`.
-    /// Fresh builds are bit-identical between flat and sharded pools
-    /// (both run the same sequential pushes over the same ε-sorted
-    /// order). After juror mutations a flat pool's materialised profile
-    /// is *repaired in place* — entries whose prefix is untouched are
-    /// reused verbatim, the suffix resumes from the pmf ladder — so
-    /// repaired entries are only *numerically* equal to a rebuild
-    /// (within [`PROBE_REPAIR_TOL`], like
-    /// [`jer_probe`](JuryService::jer_probe); see the crate docs).
+    /// `(n, JER of the n lowest-ε jurors)` for `n = 1, 3, 5, …`. After
+    /// juror mutations a materialised profile is *repaired in place* —
+    /// entries whose prefix is untouched are reused verbatim, the suffix
+    /// resumes from the pmf ladder — so repaired entries are only
+    /// *numerically* equal to a rebuild (within [`PROBE_REPAIR_TOL`],
+    /// like [`jer_probe`](JuryService::jer_probe); see the crate docs).
     pub fn jer_profile(&mut self, pool: PoolId) -> Result<&[(usize, f64)], ServiceError> {
         self.warm_pool(pool)?;
-        let PoolEntry { jurors, state, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
-        match state {
-            PoolState::Flat { cache } => match cache {
-                FlatCache::Cold => unreachable!("warmed above"),
-                FlatCache::Private(c) => {
-                    if c.profile.is_none() {
-                        // The ladder gives future profile repairs their
-                        // resume checkpoints; build it alongside.
-                        if c.ladder.is_none() {
-                            c.ladder = Some(PmfLadder::build(&c.eps_sorted));
-                        }
-                        c.profile = Some(JerProfile::build(&c.eps_sorted));
+        match &mut self.pools.get_mut(&pool.0).expect("warmed above").cache {
+            FlatCache::Cold => unreachable!("warmed above"),
+            FlatCache::Private(c) => {
+                if c.profile.is_none() {
+                    // The ladder gives future profile repairs their
+                    // resume checkpoints; build it alongside.
+                    if c.ladder.is_none() {
+                        c.ladder = Some(PmfLadder::build(&c.eps_sorted));
                     }
-                    Ok(c.profile.as_ref().expect("built above").entries())
+                    c.profile = Some(JerProfile::build(&c.eps_sorted));
                 }
-                FlatCache::Shared(link) => {
-                    // One shared build serves every attacher. The ladder
-                    // is laid alongside like the private path, so a later
-                    // detach repairs it instead of rebuilding.
-                    let set = &link.set;
-                    let profile = set.profile_or_init(|| {
-                        set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
-                        Arc::new(JerProfile::build(&set.eps_sorted))
-                    });
-                    Ok(profile.entries())
-                }
-            },
-            PoolState::Sharded { sp, link } => {
-                // Seed a missing profile from the attached entry, and
-                // publish a freshly built one back to it — rank-space,
-                // bit-identical across equal pools either way.
-                if !sp.has_profile() {
-                    if let Some(shared) = link.as_ref().and_then(|l| l.set.profile.get()) {
-                        sp.seed_profile(shared.clone());
-                    }
-                }
-                let profile = sp.ensure_profile(jurors);
-                if let Some(l) = link.as_ref() {
-                    l.set.set_profile(profile.clone());
-                }
+                Ok(c.profile.as_ref().expect("built above").entries())
+            }
+            FlatCache::Shared(link) => {
+                // One shared build serves every attacher. The ladder is
+                // laid alongside like the private path, so a later detach
+                // repairs it instead of rebuilding.
+                let set = &link.set;
+                let profile = set.profile_or_init(|| {
+                    set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
+                    JerProfile::build(&set.eps_sorted)
+                });
                 Ok(profile.entries())
             }
         }
@@ -1962,11 +1523,7 @@ impl JuryService {
     /// jury by Lemma 3.
     pub fn reliability_order(&mut self, pool: PoolId) -> Result<&[usize], ServiceError> {
         self.warm_pool(pool)?;
-        let entry = &self.pools[&pool.0];
-        match &entry.state {
-            PoolState::Flat { cache } => Ok(cache.eps_order().expect("warmed above")),
-            PoolState::Sharded { sp, .. } => Ok(sp.merged_eps_order().expect("warmed above")),
-        }
+        Ok(self.pools[&pool.0].cache.eps_order().expect("warmed above"))
     }
 
     /// JER of the best `n`-juror jury of `pool` (odd `n`, clamped to the
@@ -1974,16 +1531,14 @@ impl JuryService {
     /// [`AltrAlg::solve_fixed_size`]) — a point query on the Figure 3(a)
     /// curve without materialising the whole profile.
     ///
-    /// Flat pools resume the prefix distribution from their own
-    /// checkpoint ladder (built on the first probe); sharded pools merge
-    /// per-shard prefix pmfs (resumed from their ladders) by
-    /// convolution. The paths agree within convolution rounding — and,
-    /// after deconvolution-repaired mutations, within
-    /// [`PROBE_REPAIR_TOL`] of a from-scratch evaluation — so this query
-    /// is *numerically* stable but deliberately outside the bit-identity
-    /// contract (see the crate docs).
+    /// The prefix distribution resumes from the pool's checkpoint ladder
+    /// (built on the first probe). After deconvolution-repaired
+    /// mutations the answer is within [`PROBE_REPAIR_TOL`] of a
+    /// from-scratch evaluation, so this query is *numerically* stable
+    /// but deliberately outside the bit-identity contract (see the crate
+    /// docs).
     ///
-    /// Probing warms only what it reads: on a cold flat pool the sorted
+    /// Probing warms only what it reads: on a cold pool the sorted
     /// orders are built (`O(N log N)`) *without* the `O(N²)` profile and
     /// AltrM solve; a later [`JuryService::warm_pool`] reuses them.
     ///
@@ -1993,7 +1548,7 @@ impl JuryService {
     /// [`JuryError::EvenJurySize`]).
     pub fn jer_probe(&mut self, pool: PoolId, n: usize) -> Result<f64, ServiceError> {
         self.warm_orders(pool)?;
-        let PoolEntry { jurors, state, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
+        let PoolEntry { jurors, cache, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
         if jurors.is_empty() {
             return Err(ServiceError::Solver(JuryError::EmptyPool));
         }
@@ -2005,66 +1560,42 @@ impl JuryService {
         }
         let len = jurors.len();
         let n = n.min(if len % 2 == 1 { len } else { len - 1 });
-        match state {
-            PoolState::Flat { cache } => {
-                let (ladder, eps_sorted): (&PmfLadder, &[f64]) = match cache {
-                    FlatCache::Cold => unreachable!("warmed above"),
-                    FlatCache::Private(c) => (
-                        c.ladder.get_or_insert_with(|| PmfLadder::build(&c.eps_sorted)),
-                        &c.eps_sorted,
-                    ),
-                    FlatCache::Shared(link) => {
-                        let set = &link.set;
-                        (set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted)), &set.eps_sorted)
-                    }
-                };
-                let mut pmf = PoiBin::empty();
-                ladder.prefix_into(eps_sorted, n, &mut pmf);
-                Ok(pmf.tail(JerEngine::majority_threshold(n)))
+        let (ladder, eps_sorted): (&PmfLadder, &[f64]) = match cache {
+            FlatCache::Cold => unreachable!("warmed above"),
+            FlatCache::Private(c) => {
+                (c.ladder.get_or_insert_with(|| PmfLadder::build(&c.eps_sorted)), &c.eps_sorted)
             }
-            PoolState::Sharded { sp, .. } => Ok(sp.jer_probe(n)),
-        }
+            FlatCache::Shared(link) => {
+                let set = &link.set;
+                (set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted)), &set.eps_sorted)
+            }
+        };
+        let mut pmf = PoiBin::empty();
+        ladder.prefix_into(eps_sorted, n, &mut pmf);
+        Ok(pmf.tail(JerEngine::majority_threshold(n)))
     }
 
-    /// Warms only the sorted orders: full [`JuryService::warm_pool`] for
-    /// sharded pools (their warm is already order-level — the AltrM
-    /// solve stays lazy), an orders-only attach or build for cold flat
-    /// pools so order consumers like [`JuryService::jer_probe`] never
-    /// pay for the pmf-derived artefacts they do not read. An attach
-    /// shares whatever the entry already holds; an orders-only build is
-    /// published with its lazy slots empty, filled later by whichever
-    /// attached pool first needs them.
+    /// Warms only the sorted orders: an orders-only attach or build for
+    /// a cold pool, so order consumers like [`JuryService::jer_probe`]
+    /// and PayM tasks never pay for the pmf-derived artefacts they do
+    /// not read. An attach shares whatever the entry already holds; an
+    /// orders-only build is published with its lazy slots empty, filled
+    /// later by whichever attached pool first needs them.
     fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        if self.is_sharded(pool)? {
-            return self.warm_pool(pool);
-        }
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
         let max_age = self.config.max_snapshot_age;
         let Self { pools, store, stats, snapshots, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).expect("checked above");
-        if let PoolState::Flat { cache } = &mut entry.state {
-            if matches!(cache, FlatCache::Cold) {
-                let key =
-                    StoreKey { fp: entry.fp.key(), layout: LayoutKey::Flat, config: config_bits };
-                if share {
-                    restore_into_store(
-                        store,
-                        snapshots.as_ref(),
-                        &key,
-                        &entry.jurors,
-                        max_age,
-                        &mut stats.snapshot_restores,
-                        &mut stats.snapshot_rejections,
-                        &mut stats.stale_snapshot_skips,
-                    );
-                }
-                let (acquired, attached) = acquire_flat(store, key, &entry.jurors, share, || {
-                    build_orders_only(&entry.jurors)
-                });
-                stats.artifact_share_hits += usize::from(attached);
-                *cache = acquired;
+        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        if matches!(entry.cache, FlatCache::Cold) {
+            let key = StoreKey { fp: entry.fp.key(), config: config_bits };
+            if share {
+                restore_into_store(store, snapshots.as_ref(), &key, &entry.jurors, max_age, stats);
             }
+            let (acquired, attached) =
+                acquire_flat(store, key, &entry.jurors, share, || build_orders_only(&entry.jurors));
+            stats.artifact_share_hits += usize::from(attached);
+            entry.cache = acquired;
         }
         Ok(())
     }
@@ -2076,8 +1607,8 @@ impl JuryService {
     /// Solves one task, warming the pool cache if needed.
     ///
     /// Members, JER and cost are bit-identical to [`AltrAlg::solve`] /
-    /// [`PayAlg::solve`] on the pool's current jurors, flat or sharded
-    /// (AltrM solver *stats* reflect the service's bound-pruned scan;
+    /// [`PayAlg::solve`] on the pool's current jurors (AltrM solver
+    /// *stats* reflect the service's bound-pruned scan;
     /// see the crate docs). A warm PayM task whose budget falls inside a
     /// recorded staircase step is answered without a greedy rescan
     /// ([`ServiceStats::staircase_hits`]); a PayM task never builds the
@@ -2118,7 +1649,7 @@ impl JuryService {
         let was_warm = self.is_warm(task.pool);
         let had_orders = self.has_orders(task.pool);
         let full_repairs_before = self.stats.full_repairs;
-        self.prepare(task)?;
+        self.warm_pool(task.pool)?;
         if had_orders {
             debug_assert_eq!(
                 self.stats.full_repairs, full_repairs_before,
@@ -2157,9 +1688,9 @@ impl JuryService {
         }
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        let PoolEntry { jurors, state, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
+        let PoolEntry { jurors, cache, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
         let mut hit = false;
-        let result = state
+        let result = cache
             .paym_record(|order, staircase| {
                 hit = staircase.covers(budget);
                 pay.solve_staircase(jurors, order, staircase, &mut scratch)
@@ -2175,9 +1706,9 @@ impl JuryService {
     /// Solves a batch of tasks, preserving order.
     ///
     /// All referenced pools are warmed first (sequentially — warming
-    /// mutates the registry; sharded pools referenced by AltrM tasks also
-    /// get their lazy AltrM selection solved once here rather than per
-    /// worker), then the tasks fan out over `config.threads` scoped
+    /// mutates the registry; pools referenced by AltrM tasks get their
+    /// AltrM answer solved once here rather than per worker), then the
+    /// tasks fan out over `config.threads` scoped
     /// workers (capped so each receives at least
     /// [`MIN_TASKS_PER_WORKER`] tasks), each with a persistent
     /// [`SolverScratch`]; on a warm cache a task's solver path performs
@@ -2294,7 +1825,6 @@ impl JuryService {
         // below so the batch result stays positional.
         let mut warmed: Vec<u64> = Vec::with_capacity(tasks.len().min(self.pools.len()));
         let mut orders_warmed: Vec<u64> = Vec::new();
-        let mut altr_prepared: Vec<u64> = Vec::new();
         let mut budgets_recorded: Vec<(u64, u64)> = Vec::new();
         for task in tasks {
             match task.model {
@@ -2302,10 +1832,6 @@ impl JuryService {
                     if !warmed.contains(&task.pool.0) {
                         warmed.push(task.pool.0);
                         let _ = self.warm_pool(task.pool);
-                    }
-                    if !altr_prepared.contains(&task.pool.0) {
-                        altr_prepared.push(task.pool.0);
-                        let _ = self.prepare(task);
                     }
                 }
                 CrowdModel::PayAsYouGo { budget } => {
@@ -2412,7 +1938,7 @@ impl JuryService {
     /// Whether the pool's warm staircase already covers `budget`.
     fn staircase_covers(&self, pool: PoolId, budget: f64) -> bool {
         self.pools.get(&pool.0).is_some_and(|entry| {
-            entry.state.paym_read(|_, staircase| staircase.covers(budget)).unwrap_or(false)
+            entry.cache.paym_read(|_, staircase| staircase.covers(budget)).unwrap_or(false)
         })
     }
 
@@ -2422,47 +1948,12 @@ impl JuryService {
     fn record_staircase_step(&mut self, pool: PoolId, budget: f64) {
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        if let Some(PoolEntry { jurors, state, .. }) = self.pools.get_mut(&pool.0) {
-            state.paym_record(|order, staircase| {
+        if let Some(PoolEntry { jurors, cache, .. }) = self.pools.get_mut(&pool.0) {
+            cache.paym_record(|order, staircase| {
                 let _ = pay.solve_staircase(jurors, order, staircase, &mut scratch);
             });
         }
         self.scratches.push(scratch);
-    }
-
-    /// Warms the task's pool, including the lazy AltrM selection of a
-    /// sharded pool when the task needs it (workers then replay it
-    /// read-only instead of each re-running the scan).
-    fn prepare(&mut self, task: &DecisionTask) -> Result<(), ServiceError> {
-        self.warm_pool(task.pool)?;
-        if matches!(task.model, CrowdModel::Altruism) {
-            let altr_config = self.config.altr;
-            let mut scratch = self.scratches.pop().unwrap_or_default();
-            let mut pruned = 0usize;
-            if let Some(PoolEntry { jurors, state: PoolState::Sharded { sp, link }, .. }) =
-                self.pools.get_mut(&task.pool.0)
-            {
-                if sp.cached_altr().is_none() {
-                    // An attached entry's answer rides the identical
-                    // merged order — seed it instead of re-solving; a
-                    // fresh solve is published back for siblings.
-                    let seeded = link.as_ref().and_then(|l| l.set.altr.get()).cloned();
-                    match seeded {
-                        Some(answer) => sp.seed_altr(answer),
-                        None => {
-                            let answer = sp.ensure_altr(jurors, &altr_config, &mut scratch).clone();
-                            pruned = altr_pruned(Some(&answer));
-                            if let Some(l) = link.as_ref() {
-                                l.set.set_altr(answer);
-                            }
-                        }
-                    }
-                }
-            }
-            self.scratches.push(scratch);
-            self.stats.bound_pruned += pruned;
-        }
-        Ok(())
     }
 
     /// Single-task solve assuming `warm_pool` already ran for its pool.
@@ -2485,14 +1976,14 @@ impl JuryService {
     }
 }
 
-/// Solves AltrM over a cached (or merged) ε-sorted order, with the
+/// Solves AltrM over a cached ε-sorted order, with the
 /// bound-pruned rescan-free scan whenever the configured strategy is the
 /// default [`AltrStrategy::Incremental`] — members, JER and cost are
 /// bit-identical either way (`AltrAlg::solve_pruned`'s contract), only
 /// the [`jury_core::SolverStats`] reflect which scan ran. Other
 /// strategies run the configured presorted scan verbatim. The answer is
 /// wrapped for shared replay.
-pub(crate) fn solve_altr_cached(
+fn solve_altr_cached(
     jurors: &[Juror],
     order: &[usize],
     config: &AltrConfig,
@@ -2554,117 +2045,6 @@ fn build_cache(
     }
 }
 
-/// Repairs a materialised JER profile in place after the flat pool's
-/// sorted run changed at `rank` (the lowest affected rank): entries for
-/// prefixes below the rank are reused verbatim, the suffix is re-derived
-/// by sequential pushes resumed from the deepest pmf-ladder checkpoint
-/// at or below the rank. The ladder must already be repaired for the
-/// post-mutation run. Resumed entries carry the checkpoint's lineage —
-/// numerically within [`PROBE_REPAIR_TOL`] of a rebuild, outside the
-/// bit-identity contract (nothing on a solver path reads a profile).
-fn repair_profile(cache: &mut PoolCache, rank: usize, effect: &mut MutationEffect) {
-    let Some(profile) = cache.profile.as_mut() else {
-        return;
-    };
-    let mut pmf = PoiBin::empty();
-    let resume = match cache.ladder.as_ref().and_then(|l| l.resume_for(rank)) {
-        Some((len, checkpoint)) => {
-            pmf.copy_from(checkpoint);
-            len
-        }
-        None => 0,
-    };
-    profile.repair_from(&cache.eps_sorted, rank, resume, &mut pmf);
-    effect.profile_repaired = true;
-}
-
-/// Repairs a flat cache after `jurors[idx]` was replaced (its old rate
-/// was `old_eps`): one remove + one insert per sorted order (`O(n)`
-/// memmoves, no re-sort), one factor division per affected pmf-ladder
-/// checkpoint, and an in-place profile repair (prefix entries reused
-/// verbatim). The orders are total with distinct keys, so remove +
-/// rank-insert lands on exactly the permutation a full re-sort would
-/// produce. Only the AltrM answer is dropped — the selection it holds
-/// may genuinely change — and the next AltrM task re-solves it
-/// rescan-free with the bound-pruned scan; the budget staircase is
-/// cleared likewise.
-fn repair_flat_update(
-    cache: &mut PoolCache,
-    jurors: &[Juror],
-    idx: usize,
-    old: &Juror,
-) -> MutationEffect {
-    let (r_old, r_new) =
-        reinsert_eps(&mut cache.eps_order, Some(&mut cache.eps_sorted), jurors, idx, old);
-    reinsert_greedy(&mut cache.greedy_order, jurors, idx, old);
-
-    let mut effect =
-        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        if ladder.repair_update(&cache.eps_sorted, old.epsilon(), r_old, r_new) {
-            effect.pmf_repaired = true;
-        } else {
-            effect.pmf_rebuilt = true;
-        }
-    }
-    repair_profile(cache, r_old.min(r_new), &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
-    effect
-}
-
-/// Repairs a flat cache after `jurors[idx]` was removed: one remove per
-/// sorted order plus a renumbering pass (positions above `idx` shift
-/// down, preserving both total orders), one factor division per
-/// affected ladder checkpoint, and an in-place profile repair.
-fn repair_flat_remove(cache: &mut PoolCache, idx: usize) -> MutationEffect {
-    let pos = cache.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
-    let old_eps = cache.eps_sorted[pos];
-    cache.eps_sorted.remove(pos);
-    renumber_out(&mut cache.eps_order, idx);
-    renumber_out(&mut cache.greedy_order, idx);
-
-    let mut effect =
-        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        if ladder.repair_remove(&cache.eps_sorted, old_eps, pos) {
-            effect.pmf_repaired = true;
-        } else {
-            effect.pmf_rebuilt = true;
-        }
-    }
-    repair_profile(cache, pos, &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
-    effect
-}
-
-/// Repairs a flat cache after a juror was appended at pool position
-/// `idx`: one rank-insert per sorted order, one [`PoiBin::push`] per
-/// affected ladder checkpoint (inserts never need deconvolution), and
-/// an in-place profile repair. Like the other repairs, only the AltrM
-/// answer and the staircase drop.
-fn repair_flat_insert(cache: &mut PoolCache, jurors: &[Juror], idx: usize) -> MutationEffect {
-    let r_new =
-        shard::rank_insert_eps(&mut cache.eps_order, Some(&mut cache.eps_sorted), jurors, idx);
-    shard::rank_insert_greedy(&mut cache.greedy_order, jurors, idx);
-
-    let mut effect = MutationEffect {
-        invalidated: true,
-        orders_repaired: true,
-        insert_repaired: true,
-        ..Default::default()
-    };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        ladder.repair_insert(&cache.eps_sorted, r_new);
-        effect.pmf_repaired = true;
-    }
-    repair_profile(cache, r_new, &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
-    effect
-}
-
 /// Dispatches one task against a warm (or deliberately cold) entry.
 ///
 /// AltrM replays the cached selection by bumping its [`Arc`] (the
@@ -2680,10 +2060,10 @@ fn solve_on_entry(
     scratch: &mut SolverScratch,
 ) -> Result<Arc<Selection>, ServiceError> {
     let jurors = &entry.jurors;
-    let result = match (task.model, &entry.state) {
-        (CrowdModel::PayAsYouGo { budget }, state) => {
+    let result = match (task.model, &entry.cache) {
+        (CrowdModel::PayAsYouGo { budget }, cache) => {
             let pay = PayAlg::new(budget, config.pay);
-            state
+            cache
                 .paym_read(|order, staircase| {
                     staircase
                         .lookup(budget)
@@ -2692,27 +2072,18 @@ fn solve_on_entry(
                 .unwrap_or_else(|| pay.solve_with(jurors, scratch))
                 .map(Arc::new)
         }
-        (CrowdModel::Altruism, PoolState::Flat { cache: FlatCache::Private(cache) }) => {
-            match &cache.altr {
-                Some(answer) => answer.clone(),
-                None => solve_altr_cached(jurors, &cache.eps_order, &config.altr, scratch),
-            }
-        }
-        (CrowdModel::Altruism, PoolState::Flat { cache: FlatCache::Shared(link) }) => {
+        (CrowdModel::Altruism, FlatCache::Private(cache)) => match &cache.altr {
+            Some(answer) => answer.clone(),
+            None => solve_altr_cached(jurors, &cache.eps_order, &config.altr, scratch),
+        },
+        (CrowdModel::Altruism, FlatCache::Shared(link)) => {
             // `altr_or_init` is thread-safe: the first worker to need an
             // unfilled answer solves it once for every attached pool.
             let set = &link.set;
             set.altr_or_init(|| solve_altr_cached(jurors, &set.eps_order, &config.altr, scratch))
                 .clone()
         }
-        (CrowdModel::Altruism, PoolState::Sharded { sp, .. }) => match sp.cached_altr() {
-            Some(answer) => answer.clone(),
-            None => match sp.merged_eps_order() {
-                Some(order) => solve_altr_cached(jurors, order, &config.altr, scratch),
-                None => AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new),
-            },
-        },
-        (CrowdModel::Altruism, PoolState::Flat { cache: FlatCache::Cold }) => {
+        (CrowdModel::Altruism, FlatCache::Cold) => {
             AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new)
         }
     };
@@ -2726,16 +2097,13 @@ fn solve_on_entry(
 /// rejected or absent candidate simply leaves the store unchanged (the
 /// caller cold-builds). No-op without a catalog or when the key is
 /// already interned (live state always wins).
-#[allow(clippy::too_many_arguments)]
 fn restore_into_store(
     store: &mut ArtifactStore,
     catalog: Option<&snapshot::Catalog>,
     key: &StoreKey,
     jurors: &[Juror],
     max_age: Option<Duration>,
-    restores: &mut usize,
-    rejections: &mut usize,
-    stale_skips: &mut usize,
+    stats: &mut ServiceStats,
 ) {
     let Some(catalog) = catalog else { return };
     if store.contains(key) {
@@ -2746,14 +2114,14 @@ fn restore_into_store(
     // counted, never an error — and the pool cold-builds. Only pools
     // the snapshot could actually have served count a skip.
     if catalog.has_candidates(&key.fp) && catalog.is_stale(max_age) {
-        *stale_skips += 1;
+        stats.stale_snapshot_skips += 1;
         return;
     }
     let attempt = catalog.restore(key, jurors);
-    *rejections += attempt.rejections;
+    stats.snapshot_rejections += attempt.rejections;
     if let Some(set) = attempt.set {
         if store.publish(*key, set).is_ok() {
-            *restores += 1;
+            stats.snapshot_restores += 1;
         }
     }
 }
@@ -2801,30 +2169,6 @@ fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option
     Some(StoreLink { key, set })
 }
 
-/// Drops a flat pool's shared attachment *without* materialising a
-/// private copy — for mutations that immediately discard the flat cache
-/// anyway (shard promotion). Same return contract as [`detach_pool`].
-fn discard_flat_share(
-    store: &mut ArtifactStore,
-    state: &mut PoolState,
-    ttl_enabled: bool,
-) -> Option<bool> {
-    let PoolState::Flat { cache } = state else {
-        return None;
-    };
-    if !matches!(cache, FlatCache::Shared(_)) {
-        return None;
-    }
-    let FlatCache::Shared(link) = std::mem::replace(cache, FlatCache::Cold) else {
-        unreachable!("checked above");
-    };
-    let key = link.key;
-    let had_siblings = Arc::strong_count(&link.set) > 2;
-    drop(link);
-    store.release(&key, ttl_enabled);
-    Some(had_siblings)
-}
-
 /// Converts a pool's shared warm state into privately-owned state ahead
 /// of a mutation's in-place repair — the copy-on-write boundary. A sole
 /// holder reclaims the interned artifacts zero-copy (the entry is
@@ -2837,44 +2181,31 @@ fn discard_flat_share(
 /// when a detach happened, `None` for cold and already-private pools.
 fn detach_pool(
     store: &mut ArtifactStore,
-    state: &mut PoolState,
+    cache: &mut FlatCache,
     ttl_enabled: bool,
 ) -> Option<bool> {
-    match state {
-        PoolState::Flat { cache } => {
-            if !matches!(cache, FlatCache::Shared(_)) {
-                return None;
-            }
-            let FlatCache::Shared(StoreLink { key, set }) =
-                std::mem::replace(cache, FlatCache::Cold)
-            else {
-                unreachable!("checked above");
-            };
-            let had_siblings = Arc::strong_count(&set) > 2;
-            if !ttl_enabled {
-                store.take_if_sole(&key, &set);
-            }
-            let private = match Arc::try_unwrap(set) {
-                Ok(owned) => owned.into_cache(),
-                Err(set) => {
-                    let cloned = set.cache_clone();
-                    drop(set);
-                    store.release(&key, ttl_enabled);
-                    cloned
-                }
-            };
-            *cache = FlatCache::Private(private);
-            Some(had_siblings)
-        }
-        PoolState::Sharded { link, .. } => {
-            let taken = link.take()?;
-            let had_siblings = Arc::strong_count(&taken.set) > 2;
-            let key = taken.key;
-            drop(taken);
-            store.release(&key, ttl_enabled);
-            Some(had_siblings)
-        }
+    if !matches!(cache, FlatCache::Shared(_)) {
+        return None;
     }
+    let FlatCache::Shared(StoreLink { key, set }) = std::mem::replace(cache, FlatCache::Cold)
+    else {
+        unreachable!("checked above");
+    };
+    let had_siblings = Arc::strong_count(&set) > 2;
+    if !ttl_enabled {
+        store.take_if_sole(&key, &set);
+    }
+    let private = match Arc::try_unwrap(set) {
+        Ok(owned) => owned.into_cache(),
+        Err(set) => {
+            let cloned = set.cache_clone();
+            drop(set);
+            store.release(&key, ttl_enabled);
+            cloned
+        }
+    };
+    *cache = FlatCache::Private(private);
+    Some(had_siblings)
 }
 
 #[cfg(test)]
@@ -2893,13 +2224,6 @@ mod tests {
             (0.4, 0.05),
         ])
         .unwrap()
-    }
-
-    fn sharded_config(threshold: usize, shards: usize) -> ServiceConfig {
-        ServiceConfig {
-            shard: ShardConfig { threshold, shards, ..Default::default() },
-            ..Default::default()
-        }
     }
 
     #[test]
@@ -3133,55 +2457,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mutations_repair_in_place() {
-        let mut service = JuryService::with_config(sharded_config(1, 4));
-        let jurors =
-            pool_from_rates(&(0..40).map(|i| 0.05 + (i as f64) / 50.0).collect::<Vec<_>>())
-                .unwrap();
-        let pool = service.create_pool(jurors);
-        assert_eq!(service.is_sharded(pool), Ok(true));
-        assert_eq!(service.shard_count(pool), Ok(Some(4)));
-        service.warm_pool(pool).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.cache_builds, stats.full_repairs, stats.shard_repairs), (1, 1, 0));
-
-        // An update is repaired in place: the pool *stays warm*, nothing
-        // is rebuilt on the next warm_pool, and the repair counters tick.
-        service.update_juror(pool, 7, Juror::new(7, ErrorRate::new(0.33).unwrap(), 0.0)).unwrap();
-        let stats = service.stats();
-        assert_eq!(stats.cache_invalidations, 1);
-        assert_eq!(stats.order_repairs, 1);
-        assert_eq!(stats.pmf_repairs + stats.pmf_rebuilds, 1);
-        assert!(service.is_warm(pool), "repair must keep the pool warm");
-        service.warm_pool(pool).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.cache_builds, stats.full_repairs, stats.shard_repairs), (1, 1, 0));
-
-        // A removal is repaired too (owning shard patched, the rest
-        // renumbered, merged orders kept).
-        service.remove_juror(pool, 0).unwrap();
-        assert!(service.is_warm(pool));
-        let stats = service.stats();
-        assert_eq!(stats.cache_invalidations, 2);
-        assert_eq!(stats.order_repairs, 2);
-        service.warm_pool(pool).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.cache_builds, stats.full_repairs, stats.shard_repairs), (1, 1, 0));
-
-        // An insert repairs the owning shard in place too: the pool
-        // stays warm and no shard is ever rebuilt.
-        service.insert_juror(pool, Juror::new(99, ErrorRate::new(0.2).unwrap(), 0.0)).unwrap();
-        assert!(service.is_warm(pool), "insert repairs the owning shard in place");
-        service.warm_pool(pool).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.cache_builds, stats.full_repairs, stats.shard_repairs), (1, 1, 0));
-        assert_eq!(stats.cache_invalidations, 3);
-        assert_eq!(stats.insert_repairs, 1);
-        // Repairs never queued a full rebuild of pmf artefacts.
-        assert_eq!(stats.pmf_repairs + stats.pmf_rebuilds, 3);
-    }
-
-    #[test]
     fn budget_changes_never_invalidate_pmf_artefacts() {
         // The satellite regression this pins: a stream of PayM tasks that
         // differ only in budget must never trigger a full repair (the
@@ -3200,26 +2475,15 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.tasks_solved, 12);
         assert_eq!(stats.staircase_hits, 8, "four budgets scan once each");
-        // The same holds on a sharded pool.
-        let mut sharded = JuryService::with_config(sharded_config(1, 4));
-        let pool = sharded.create_pool(figure1());
-        for _ in 0..2 {
-            for budget in [0.3, 0.7, 1.1] {
-                sharded.solve(&DecisionTask::pay_as_you_go(pool, budget)).unwrap();
-            }
-        }
-        let stats = sharded.stats();
-        assert_eq!(stats.full_repairs, 1, "only the initial cold warm-up");
-        assert_eq!(stats.staircase_hits, 3);
 
         // A mutation clears the staircase; the next solve re-scans once,
         // without any full repair.
-        sharded.update_juror(pool, 2, Juror::new(2, ErrorRate::new(0.11).unwrap(), 0.2)).unwrap();
-        sharded.solve(&DecisionTask::pay_as_you_go(pool, 0.3)).unwrap();
-        sharded.solve(&DecisionTask::pay_as_you_go(pool, 0.3)).unwrap();
-        let stats = sharded.stats();
-        assert_eq!(stats.full_repairs, 1);
-        assert_eq!(stats.staircase_hits, 4, "second post-mutation solve hits again");
+        service.update_juror(pool, 2, Juror::new(2, ErrorRate::new(0.11).unwrap(), 0.2)).unwrap();
+        service.solve(&DecisionTask::pay_as_you_go(pool, 0.3)).unwrap();
+        service.solve(&DecisionTask::pay_as_you_go(pool, 0.3)).unwrap();
+        let stats = service.stats();
+        assert_eq!(stats.full_repairs, 0);
+        assert_eq!(stats.staircase_hits, 9, "second post-mutation solve hits again");
     }
 
     #[test]
@@ -3254,7 +2518,7 @@ mod tests {
         let pool = service.create_pool(figure1());
         service.warm_pool(pool).unwrap();
         let version = |service: &JuryService| {
-            service.pools[&pool.0].state.link().expect("attached").set.mutation_version()
+            service.pools[&pool.0].cache.link().expect("attached").set.mutation_version()
         };
         let before = version(&service);
         service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
@@ -3274,36 +2538,32 @@ mod tests {
         // must ride the repaired orders and the bound-pruned scan — no
         // full rebuild, ever (the debug_assert in `solve` enforces it in
         // debug builds; this pins the counters in any build).
-        for (label, config) in
-            [("flat", ServiceConfig::default()), ("sharded", sharded_config(1, 4))]
-        {
-            let rates: Vec<f64> =
-                (0..60).map(|i| 0.02 + 0.9 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
-            let mut service = JuryService::with_config(config);
-            let pool = service.create_pool(pool_from_rates(&rates).unwrap());
-            service.solve(&DecisionTask::altruism(pool)).unwrap();
-            let full_repairs_cold = service.stats().full_repairs;
-            assert_eq!(full_repairs_cold, 1, "{label}: the cold build is the only full repair");
+        let rates: Vec<f64> =
+            (0..60).map(|i| 0.02 + 0.9 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
+        let mut service = JuryService::new();
+        let pool = service.create_pool(pool_from_rates(&rates).unwrap());
+        service.solve(&DecisionTask::altruism(pool)).unwrap();
+        let full_repairs_cold = service.stats().full_repairs;
+        assert_eq!(full_repairs_cold, 1, "the cold build is the only full repair");
 
-            for round in 0..3 {
-                let idx = (round * 17 + 3) % rates.len();
-                let e = 0.05 + round as f64 * 0.21;
-                service
-                    .update_juror(pool, idx, Juror::new(900, ErrorRate::new(e).unwrap(), 0.1))
-                    .unwrap();
-                let sel = service.solve(&DecisionTask::altruism(pool)).unwrap();
-                let stats = service.stats();
-                assert_eq!(
-                    stats.full_repairs, full_repairs_cold,
-                    "{label} round {round}: AltrM re-solve must not full-repair"
-                );
-                assert_eq!(stats.order_repairs, round + 1, "{label}: orders repaired in place");
-                // The rescan-free answer matches the direct solver.
-                let direct =
-                    AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).unwrap();
-                assert_eq!(sel.members, direct.members, "{label} round {round}");
-                assert_eq!(sel.jer.to_bits(), direct.jer.to_bits(), "{label} round {round}");
-            }
+        for round in 0..3 {
+            let idx = (round * 17 + 3) % rates.len();
+            let e = 0.05 + round as f64 * 0.21;
+            service
+                .update_juror(pool, idx, Juror::new(900, ErrorRate::new(e).unwrap(), 0.1))
+                .unwrap();
+            let sel = service.solve(&DecisionTask::altruism(pool)).unwrap();
+            let stats = service.stats();
+            assert_eq!(
+                stats.full_repairs, full_repairs_cold,
+                "round {round}: AltrM re-solve must not full-repair"
+            );
+            assert_eq!(stats.order_repairs, round + 1, "orders repaired in place");
+            // The rescan-free answer matches the direct solver.
+            let direct =
+                AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).unwrap();
+            assert_eq!(sel.members, direct.members, "round {round}");
+            assert_eq!(sel.jer.to_bits(), direct.jer.to_bits(), "round {round}");
         }
     }
 
@@ -3359,51 +2619,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shards_are_detected_once_per_episode() {
-        // Re-balancing off: this test pins the *detector's* episode
-        // arithmetic, which requires the drained shard to stay drained.
-        let mut service = JuryService::with_config(ServiceConfig {
-            shard: ShardConfig { threshold: 1, shards: 4, rebalance: false, ..Default::default() },
-            ..Default::default()
-        });
-        let pool = service.create_pool(pool_from_rates(&[0.2; 40]).unwrap());
-        // Drain shard 0 (original positions 0, 4, 8, …): after removing
-        // original 4k the juror originally at 4(k+1) sits at position
-        // 3(k+1).
-        for k in 0..9 {
-            service.remove_juror(pool, 3 * k).unwrap();
-        }
-        // Shard 0 holds 1 of 31 jurors; mean is 31/4: 1 < 25% of mean.
-        let stats = service.stats();
-        assert_eq!(stats.degenerate_shards, 1, "one shard entered degeneracy once");
-        // Draining it completely is the same episode — no double count.
-        service.remove_juror(pool, 27).unwrap();
-        assert_eq!(service.stats().degenerate_shards, 1);
-        // Inserts land on the smallest shard: the episode ends, and a
-        // fresh drain counts as a new one.
-        for i in 0..6 {
-            service
-                .insert_juror(pool, Juror::new(100 + i, ErrorRate::new(0.3).unwrap(), 0.0))
-                .unwrap();
-        }
-        assert_eq!(service.stats().degenerate_shards, 1, "recovered shard re-arms");
-    }
-
-    #[test]
-    fn shards_born_tiny_are_not_degeneracy_episodes() {
-        // A pool smaller than K leaves shards empty from creation; their
-        // flags are pre-armed, so the counter tracks only shards
-        // *hollowed out by mutations*.
-        let mut service = JuryService::with_config(sharded_config(1, 8));
-        let pool = service.create_pool(pool_from_rates(&[0.1, 0.2, 0.3]).unwrap());
-        service.insert_juror(pool, Juror::new(10, ErrorRate::new(0.25).unwrap(), 0.0)).unwrap();
-        assert_eq!(service.stats().degenerate_shards, 0, "born-empty shards never register");
-        // Removing a shard's only member IS a genuine episode.
-        service.remove_juror(pool, 0).unwrap();
-        assert_eq!(service.stats().degenerate_shards, 1, "a mutation-emptied shard counts once");
-    }
-
-    #[test]
     fn shared_batches_share_replayed_answers() {
         let mut service = JuryService::new();
         let pool = service.create_pool(figure1());
@@ -3441,106 +2656,71 @@ mod tests {
             let eps: Vec<f64> = order.iter().map(|&i| jurors[i].epsilon()).collect();
             PoiBin::from_error_rates(&eps[..n]).tail(JerEngine::majority_threshold(n))
         };
-        // K = 2 keeps each shard's run longer than one ladder spacing,
-        // so the sharded ladders actually hold checkpoints to repair.
-        for (label, config) in
-            [("flat", ServiceConfig::default()), ("sharded", sharded_config(1, 2))]
-        {
-            let mut service = JuryService::with_config(config);
-            let pool = service.create_pool(pool_from_rates(&rates).unwrap());
-            // First probe lays the ladder(s).
-            service.jer_probe(pool, 65).unwrap();
+        let mut service = JuryService::new();
+        let pool = service.create_pool(pool_from_rates(&rates).unwrap());
+        // First probe lays the ladder.
+        service.jer_probe(pool, 65).unwrap();
 
-            // A well-conditioned update is repaired by deconvolution.
-            service
-                .update_juror(pool, 10, Juror::new(10, ErrorRate::new(0.07).unwrap(), 0.0))
-                .unwrap();
-            let stats = service.stats();
-            assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (1, 0), "{label}");
+        // A well-conditioned update is repaired by deconvolution.
+        service.update_juror(pool, 10, Juror::new(10, ErrorRate::new(0.07).unwrap(), 0.0)).unwrap();
+        let stats = service.stats();
+        assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (1, 0));
 
-            // Park a ½-mass-degenerate rate, then move it away: removing
-            // the 0.5 factor trips the guard and exercises the rebuild
-            // fallback.
-            service
-                .update_juror(pool, 20, Juror::new(20, ErrorRate::new(0.5).unwrap(), 0.0))
-                .unwrap();
-            service
-                .update_juror(pool, 20, Juror::new(20, ErrorRate::new(0.9).unwrap(), 0.0))
-                .unwrap();
-            let stats = service.stats();
-            assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (2, 1), "{label}");
+        // Park a ½-mass-degenerate rate, then move it away: removing the
+        // 0.5 factor trips the guard and exercises the rebuild fallback.
+        service.update_juror(pool, 20, Juror::new(20, ErrorRate::new(0.5).unwrap(), 0.0)).unwrap();
+        service.update_juror(pool, 20, Juror::new(20, ErrorRate::new(0.9).unwrap(), 0.0)).unwrap();
+        let stats = service.stats();
+        assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (2, 1));
 
-            // A removal repairs too, and every probe stays within the
-            // documented bound of a from-scratch evaluation.
-            service.remove_juror(pool, 100).unwrap();
-            let jurors = service.pool(pool).unwrap().to_vec();
-            for n in [1usize, 63, 65, 129, 199] {
-                let probed = service.jer_probe(pool, n).unwrap();
-                let direct = direct_probe(&jurors, n);
-                assert!(
-                    (probed - direct).abs() < PROBE_REPAIR_TOL,
-                    "{label} n={n}: {probed} vs {direct}"
-                );
-            }
+        // A removal repairs too, and every probe stays within the
+        // documented bound of a from-scratch evaluation.
+        service.remove_juror(pool, 100).unwrap();
+        let jurors = service.pool(pool).unwrap().to_vec();
+        for n in [1usize, 63, 65, 129, 199] {
+            let probed = service.jer_probe(pool, n).unwrap();
+            let direct = direct_probe(&jurors, n);
+            assert!((probed - direct).abs() < PROBE_REPAIR_TOL, "n={n}: {probed} vs {direct}");
         }
     }
 
     #[test]
-    fn flat_pool_promotes_to_sharded_when_crossing_threshold() {
-        let mut service = JuryService::with_config(sharded_config(6, 3));
-        let pool = service.create_pool(figure1()[..4].to_vec());
-        assert_eq!(service.is_sharded(pool), Ok(false));
-        service.insert_juror(pool, Juror::new(10, ErrorRate::new(0.25).unwrap(), 0.1)).unwrap();
-        assert_eq!(service.is_sharded(pool), Ok(false), "below threshold stays flat");
-        service.insert_juror(pool, Juror::new(11, ErrorRate::new(0.15).unwrap(), 0.2)).unwrap();
-        assert_eq!(service.is_sharded(pool), Ok(true), "crossing the threshold promotes");
-        // Promotion must not change results.
-        let direct = AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).unwrap();
-        assert_eq!(service.solve(&DecisionTask::altruism(pool)).unwrap(), direct);
-        // Shrinking below the threshold keeps the sharded layout.
-        service.remove_juror(pool, 0).unwrap();
-        service.remove_juror(pool, 0).unwrap();
-        assert_eq!(service.is_sharded(pool), Ok(true), "hysteresis: no demotion");
-    }
-
-    #[test]
-    fn jer_probe_matches_profile_on_both_layouts() {
+    fn jer_probe_matches_profile() {
         let rates: Vec<f64> = (0..33).map(|i| 0.04 + ((i * 17) % 80) as f64 / 100.0).collect();
         let jurors = pool_from_rates(&rates).unwrap();
         let mut flat = JuryService::new();
-        let fp = flat.create_pool(jurors.clone());
-        let mut sharded = JuryService::with_config(sharded_config(1, 7));
-        let sp = sharded.create_pool(jurors);
+        let fp = flat.create_pool(jurors);
         let profile = flat.jer_profile(fp).unwrap().to_vec();
         for (n, jer) in profile {
             let f = flat.jer_probe(fp, n).unwrap();
-            let s = sharded.jer_probe(sp, n).unwrap();
-            assert!((f - jer).abs() < 1e-9, "flat probe n={n}: {f} vs {jer}");
-            assert!((s - jer).abs() < 1e-9, "sharded probe n={n}: {s} vs {jer}");
+            assert!((f - jer).abs() < 1e-9, "probe n={n}: {f} vs {jer}");
         }
         // Oversized probes clamp; invalid sizes error like the solvers.
         assert_eq!(flat.jer_probe(fp, 999), flat.jer_probe(fp, 33));
         assert_eq!(flat.jer_probe(fp, 0), Err(ServiceError::Solver(JuryError::EmptyJury)));
-        assert_eq!(sharded.jer_probe(sp, 4), Err(ServiceError::Solver(JuryError::EvenJurySize(4))));
+        assert_eq!(flat.jer_probe(fp, 4), Err(ServiceError::Solver(JuryError::EvenJurySize(4))));
         let empty = flat.create_pool(vec![]);
         assert_eq!(flat.jer_probe(empty, 1), Err(ServiceError::Solver(JuryError::EmptyPool)));
     }
 
     #[test]
-    fn sharded_profile_and_order_match_flat() {
-        let rates: Vec<f64> = (0..25).map(|i| 0.9 - ((i * 31) % 83) as f64 / 100.0).collect();
+    fn jer_probe_falls_back_beyond_ladder_coverage() {
+        use crate::ladder::LADDER_MAX;
+        // Probes more than two checkpoint spacings past the ladder's end
+        // take the batch branch of `prefix_into` and must still agree
+        // with a direct evaluation.
+        let rates: Vec<f64> = (0..LADDER_MAX + 300)
+            .map(|i| 0.02 + 0.9 * ((i as f64 * 0.618_033_988_749_894_9) % 1.0))
+            .collect();
         let jurors = pool_from_rates(&rates).unwrap();
-        let mut flat = JuryService::new();
-        let fp = flat.create_pool(jurors.clone());
-        let mut sharded = JuryService::with_config(sharded_config(1, 16));
-        let sp = sharded.create_pool(jurors);
-        assert_eq!(flat.reliability_order(fp).unwrap(), sharded.reliability_order(sp).unwrap());
-        let f = flat.jer_profile(fp).unwrap().to_vec();
-        let s = sharded.jer_profile(sp).unwrap().to_vec();
-        assert_eq!(f.len(), s.len());
-        for ((fn_, fj), (sn, sj)) in f.iter().zip(&s) {
-            assert_eq!(fn_, sn);
-            assert_eq!(fj.to_bits(), sj.to_bits(), "profile must be bit-identical at n={fn_}");
-        }
+        let mut service = JuryService::new();
+        let pool = service.create_pool(jurors.clone());
+        let n = LADDER_MAX + 201;
+        let mut order = Vec::new();
+        jury_core::solver::sorted_order_into(&jurors, &mut order);
+        let eps: Vec<f64> = order.iter().map(|&i| jurors[i].epsilon()).collect();
+        let direct = PoiBin::from_error_rates(&eps[..n]).tail(JerEngine::majority_threshold(n));
+        let probed = service.jer_probe(pool, n).unwrap();
+        assert!((probed - direct).abs() < 1e-9, "n={n}: {probed} vs {direct}");
     }
 }

@@ -1,0 +1,247 @@
+//! Rescan-free repair of a privately-owned pool cache after one juror
+//! mutation.
+//!
+//! Both solver visit orders are *total* orders with the pool position as
+//! final tie-break ([`eps_cmp`], [`PayAlg::greedy_cmp`]), so a sorted
+//! permutation is unique: removing a mutated juror's stale entry and
+//! rank-inserting it under its new keys lands on exactly the permutation
+//! a full re-sort would produce, in `O(n)` memmoves. The pmf ladder is
+//! patched by factor division (updates, removals) or one push (inserts)
+//! per affected checkpoint, and a materialised JER profile resumes from
+//! the nearest repaired checkpoint. Only the AltrM answer and the budget
+//! staircase — whose selections may genuinely change — are dropped.
+
+use crate::PoolCache;
+use jury_core::juror::Juror;
+use jury_core::paym::PayAlg;
+use jury_core::solver::eps_cmp;
+use jury_numeric::poibin::PoiBin;
+use std::cmp::Ordering;
+
+/// What one mutation did to a pool's warm state — folded into the
+/// service's repair counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MutationEffect {
+    /// Warm cached state was dropped *or* repaired.
+    pub invalidated: bool,
+    /// The sorted orders were repaired in place instead of being
+    /// dropped for re-sorting.
+    pub orders_repaired: bool,
+    /// The pmf ladder was repaired by factor division.
+    pub pmf_repaired: bool,
+    /// The deconvolution guard declined and the ladder was rebuilt.
+    pub pmf_rebuilt: bool,
+    /// A materialised JER profile was repaired in place.
+    pub profile_repaired: bool,
+    /// A juror insert was absorbed by in-place repair (rank-inserts plus
+    /// ladder pushes) instead of dropping warm state.
+    pub insert_repaired: bool,
+}
+
+/// Repairs a flat cache after `jurors[idx]` was replaced (its old rate
+/// was `old_eps`): one remove + one insert per sorted order (`O(n)`
+/// memmoves, no re-sort), one factor division per affected pmf-ladder
+/// checkpoint, and an in-place profile repair (prefix entries reused
+/// verbatim). The orders are total with distinct keys, so remove +
+/// rank-insert lands on exactly the permutation a full re-sort would
+/// produce. Only the AltrM answer is dropped — the selection it holds
+/// may genuinely change — and the next AltrM task re-solves it
+/// rescan-free with the bound-pruned scan; the budget staircase is
+/// cleared likewise.
+pub(crate) fn repair_flat_update(
+    cache: &mut PoolCache,
+    jurors: &[Juror],
+    idx: usize,
+    old: &Juror,
+) -> MutationEffect {
+    let (r_old, r_new) =
+        reinsert_eps(&mut cache.eps_order, &mut cache.eps_sorted, jurors, idx, old);
+    reinsert_greedy(&mut cache.greedy_order, jurors, idx, old);
+
+    let mut effect =
+        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
+    if let Some(ladder) = cache.ladder.as_mut() {
+        if ladder.repair_update(&cache.eps_sorted, old.epsilon(), r_old, r_new) {
+            effect.pmf_repaired = true;
+        } else {
+            effect.pmf_rebuilt = true;
+        }
+    }
+    repair_profile(cache, r_old.min(r_new), &mut effect);
+    cache.altr = None;
+    cache.staircase.clear();
+    effect
+}
+
+/// Repairs a flat cache after `jurors[idx]` was removed: one remove per
+/// sorted order plus a renumbering pass (positions above `idx` shift
+/// down, preserving both total orders), one factor division per
+/// affected ladder checkpoint, and an in-place profile repair.
+pub(crate) fn repair_flat_remove(cache: &mut PoolCache, idx: usize) -> MutationEffect {
+    let pos = cache.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
+    let old_eps = cache.eps_sorted[pos];
+    cache.eps_sorted.remove(pos);
+    renumber_out(&mut cache.eps_order, idx);
+    renumber_out(&mut cache.greedy_order, idx);
+
+    let mut effect =
+        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
+    if let Some(ladder) = cache.ladder.as_mut() {
+        if ladder.repair_remove(&cache.eps_sorted, old_eps, pos) {
+            effect.pmf_repaired = true;
+        } else {
+            effect.pmf_rebuilt = true;
+        }
+    }
+    repair_profile(cache, pos, &mut effect);
+    cache.altr = None;
+    cache.staircase.clear();
+    effect
+}
+
+/// Repairs a flat cache after a juror was appended at pool position
+/// `idx`: one rank-insert per sorted order, one [`PoiBin::push`] per
+/// affected ladder checkpoint (inserts never need deconvolution), and
+/// an in-place profile repair. Like the other repairs, only the AltrM
+/// answer and the staircase drop.
+pub(crate) fn repair_flat_insert(
+    cache: &mut PoolCache,
+    jurors: &[Juror],
+    idx: usize,
+) -> MutationEffect {
+    let r_new = rank_insert_eps(&mut cache.eps_order, &mut cache.eps_sorted, jurors, idx);
+    rank_insert_greedy(&mut cache.greedy_order, jurors, idx);
+
+    let mut effect = MutationEffect {
+        invalidated: true,
+        orders_repaired: true,
+        insert_repaired: true,
+        ..Default::default()
+    };
+    if let Some(ladder) = cache.ladder.as_mut() {
+        ladder.repair_insert(&cache.eps_sorted, r_new);
+        effect.pmf_repaired = true;
+    }
+    repair_profile(cache, r_new, &mut effect);
+    cache.altr = None;
+    cache.staircase.clear();
+    effect
+}
+
+/// Repairs a materialised JER profile in place after the sorted run
+/// changed at `rank` (the lowest affected rank): entries for prefixes
+/// below the rank are reused verbatim, the suffix is re-derived by
+/// sequential pushes resumed from the deepest pmf-ladder checkpoint at
+/// or below the rank. The ladder must already be repaired for the
+/// post-mutation run. Resumed entries carry the checkpoint's lineage —
+/// numerically within [`PROBE_REPAIR_TOL`](crate::PROBE_REPAIR_TOL) of a
+/// rebuild, outside the bit-identity contract (nothing on a solver path
+/// reads a profile).
+fn repair_profile(cache: &mut PoolCache, rank: usize, effect: &mut MutationEffect) {
+    let Some(profile) = cache.profile.as_mut() else {
+        return;
+    };
+    let mut pmf = PoiBin::empty();
+    let resume = match cache.ladder.as_ref().and_then(|l| l.resume_for(rank)) {
+        Some((len, checkpoint)) => {
+            pmf.copy_from(checkpoint);
+            len
+        }
+        None => 0,
+    };
+    profile.repair_from(&cache.eps_sorted, rank, resume, &mut pmf);
+    effect.profile_repaired = true;
+}
+
+/// One remove + one rank-insert of `idx` in the ε-sorted run after its
+/// juror changed: the stale entry is binary-located with the
+/// pre-mutation rate, the fresh rank found under the post-mutation pool
+/// — the same permutation a full re-sort would produce, since
+/// [`eps_cmp`] is total. Keeps the aligned ε values in step; returns
+/// `(old_rank, new_rank)` for ladder repair.
+fn reinsert_eps(
+    order: &mut Vec<usize>,
+    eps: &mut Vec<f64>,
+    jurors: &[Juror],
+    idx: usize,
+    old: &Juror,
+) -> (usize, usize) {
+    let r_old = locate_eps(order, jurors, idx, old.epsilon());
+    order.remove(r_old);
+    eps.remove(r_old);
+    let r_new = rank_insert_eps(order, eps, jurors, idx);
+    (r_old, r_new)
+}
+
+/// The [`reinsert_eps`] of the greedy order: one remove + one
+/// rank-insert under [`PayAlg::greedy_cmp`].
+fn reinsert_greedy(order: &mut Vec<usize>, jurors: &[Juror], idx: usize, old: &Juror) {
+    let g_old = locate_greedy(order, jurors, idx, old);
+    order.remove(g_old);
+    rank_insert_greedy(order, jurors, idx);
+}
+
+/// Rank-inserts pool position `idx` into the ε-sorted run and its
+/// aligned ε values, returning the new rank for ladder repair.
+fn rank_insert_eps(
+    order: &mut Vec<usize>,
+    eps: &mut Vec<f64>,
+    jurors: &[Juror],
+    idx: usize,
+) -> usize {
+    let r = order.partition_point(|&j| eps_cmp(jurors, j, idx) == Ordering::Less);
+    order.insert(r, idx);
+    eps.insert(r, jurors[idx].epsilon());
+    r
+}
+
+/// Rank-inserts pool position `idx` into the greedy-sorted run.
+fn rank_insert_greedy(order: &mut Vec<usize>, jurors: &[Juror], idx: usize) {
+    let g = order.partition_point(|&j| PayAlg::greedy_cmp(jurors, j, idx) == Ordering::Less);
+    order.insert(g, idx);
+}
+
+/// Binary-locates position `idx` in an ε-sorted run using the juror's
+/// *pre-mutation* rate (the run is still sorted under it; probing any
+/// other entry reads the pool, where only `idx` changed).
+fn locate_eps(order: &[usize], jurors: &[Juror], idx: usize, old_eps: f64) -> usize {
+    let pos = order.partition_point(|&j| {
+        let (e, i) = if j == idx { (old_eps, idx) } else { (jurors[j].epsilon(), j) };
+        e.total_cmp(&old_eps).then(i.cmp(&idx)) == Ordering::Less
+    });
+    debug_assert_eq!(order.get(pos), Some(&idx), "stale entry must sit at its old rank");
+    pos
+}
+
+/// Binary-locates position `idx` in a greedy-sorted run using the
+/// juror's pre-mutation keys (same construction as [`locate_eps`], over
+/// [`PayAlg::greedy_cmp`]'s full tie-break chain).
+fn locate_greedy(order: &[usize], jurors: &[Juror], idx: usize, old: &Juror) -> usize {
+    let (ok, oc, oe) = (old.greedy_key(), old.cost, old.epsilon());
+    let pos = order.partition_point(|&j| {
+        let (k, c, e, i) = if j == idx {
+            (ok, oc, oe, idx)
+        } else {
+            (jurors[j].greedy_key(), jurors[j].cost, jurors[j].epsilon(), j)
+        };
+        k.total_cmp(&ok).then(c.total_cmp(&oc)).then(e.total_cmp(&oe)).then(i.cmp(&idx))
+            == Ordering::Less
+    });
+    debug_assert_eq!(order.get(pos), Some(&idx), "stale entry must sit at its old rank");
+    pos
+}
+
+/// Removes `idx` from a position list and renumbers the survivors
+/// (positions greater than `idx` shift down by one), preserving order,
+/// in one pass.
+fn renumber_out(order: &mut Vec<usize>, idx: usize) {
+    order.retain_mut(|v| {
+        if *v == idx {
+            return false;
+        }
+        if *v > idx {
+            *v -= 1;
+        }
+        true
+    });
+}

@@ -5,8 +5,8 @@
 //! ladders and bound-pruned AltrM solves — per distinct pool content.
 //! This module persists the content-addressed store itself: one binary
 //! file per interned [`ArtifactSet`], keyed exactly like the in-memory
-//! entry by `(fingerprint, layout, solver-config bits)`, plus a JSON
-//! manifest naming them. A restarted service pointed at the directory
+//! entry by `(fingerprint, solver-config bits)`, plus a JSON manifest
+//! naming them. A restarted service pointed at the directory
 //! re-attaches pools to snapshot entries **by content** at registration
 //! time and answers its first queries warm.
 //!
@@ -37,8 +37,7 @@
 //! * every pmf checkpoint must re-hash to its stored
 //!   [`PoiBin::content_hash`] and pass distribution validation;
 //! * selections (AltrM answer, staircase replays) must have strictly
-//!   ascending, in-range members; shard layers must be exact
-//!   partitions with per-shard runs bound to the sequence.
+//!   ascending, in-range members.
 //!
 //! Any failure rejects the *candidate* — counted in
 //! [`ServiceStats::snapshot_rejections`](crate::ServiceStats) — and the
@@ -65,10 +64,19 @@
 //! [`lease`] (see its docs for the acquire/break/fence protocol); the
 //! staleness policy for readers lives in
 //! [`ServiceConfig::max_snapshot_age`](crate::ServiceConfig).
+//!
+//! ## The layout field
+//!
+//! Every entry is a flat-layout entry. The format still carries a layout
+//! marker — byte 0 in the KEY section, layout word 0 in the file-name
+//! hash, `"layout": "flat"` in manifest records — so directories written
+//! by builds that also had a sharded layout stay byte-for-byte readable.
+//! An entry whose KEY section holds any other layout byte is a counted
+//! rejection; a manifest record with any other layout is skipped while
+//! its flat siblings still restore.
 
 use crate::ladder::{PmfLadder, LADDER_MAX};
-use crate::shard::{ShardCache, ShardLayer};
-use crate::store::{ArtifactSet, LayoutKey, StoreKey};
+use crate::store::{ArtifactSet, StoreKey};
 use crate::AltrAnswer;
 use jury_core::altr::JerProfile;
 use jury_core::error::JuryError;
@@ -118,7 +126,11 @@ const TAG_ALTR: u32 = 6;
 const TAG_PROFILE: u32 = 7;
 const TAG_LADDER: u32 = 8;
 const TAG_STAIRCASE: u32 = 9;
-const TAG_SHARDS: u32 = 10;
+
+/// The only layout byte / layout word / manifest layout name an entry
+/// carries (see the module docs' *layout field*).
+const LAYOUT_FLAT: u8 = 0;
+const LAYOUT_FLAT_NAME: &str = "flat";
 
 /// The integrity fold used by snapshot files: a splitmix64 chain over
 /// the bytes taken as little-endian 64-bit words (zero-padded tail),
@@ -344,7 +356,7 @@ fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
             r.done()?;
             return Some(sections);
         }
-        if tag <= TAG_SHARDS && sections.insert(tag, payload).is_some() {
+        if tag <= TAG_STAIRCASE && sections.insert(tag, payload).is_some() {
             return None;
         }
     }
@@ -368,13 +380,7 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
     put_u64(&mut p, key.fp.lanes[0]);
     put_u64(&mut p, key.fp.lanes[1]);
     put_u64(&mut p, key.fp.len);
-    match key.layout {
-        LayoutKey::Flat => p.push(0),
-        LayoutKey::Sharded { shards } => {
-            p.push(1);
-            put_u64(&mut p, shards as u64);
-        }
-    }
+    p.push(LAYOUT_FLAT);
     put_u64(&mut p, key.config);
     put_section(&mut out, TAG_KEY, &p);
 
@@ -385,7 +391,7 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
     }
     put_section(&mut out, TAG_SEQ, &p);
 
-    for (tag, order) in [(TAG_EPS_ORDER, &*set.eps_order), (TAG_GREEDY_ORDER, &*set.greedy_order)] {
+    for (tag, order) in [(TAG_EPS_ORDER, &set.eps_order), (TAG_GREEDY_ORDER, &set.greedy_order)] {
         let mut p = Vec::with_capacity(8 * n);
         for &i in order.iter() {
             put_u64(&mut p, i as u64);
@@ -419,12 +425,6 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
     }
 
     put_section(&mut out, TAG_STAIRCASE, json::to_string(&*set.staircase_read()).as_bytes());
-
-    if let Some(layer) = set.shard_layer.get() {
-        let mut p = Vec::new();
-        encode_shards(&mut p, layer);
-        put_section(&mut out, TAG_SHARDS, &p);
-    }
 
     put_section(&mut out, TAG_END, &[]);
     out
@@ -467,75 +467,6 @@ fn decode_ladder(r: &mut Reader<'_>, max_len: usize) -> Option<PmfLadder> {
         raw.push((len, pmf));
     }
     PmfLadder::from_checkpoints_raw(raw)
-}
-
-/// `owner_len, owner (u32s), cache_count; per cache: size, eps_order,
-/// eps bits, greedy_order, ladder`.
-fn encode_shards(p: &mut Vec<u8>, layer: &ShardLayer) {
-    let owner = layer.owner();
-    put_u64(p, owner.len() as u64);
-    for &o in owner {
-        put_u32(p, o);
-    }
-    let caches = layer.caches();
-    put_u64(p, caches.len() as u64);
-    for cache in caches {
-        let (eps_order, eps, greedy_order, ladder) = cache.raw_parts();
-        put_u64(p, eps_order.len() as u64);
-        for &i in eps_order {
-            put_u64(p, i as u64);
-        }
-        for &e in eps {
-            put_u64(p, e.to_bits());
-        }
-        for &i in greedy_order {
-            put_u64(p, i as u64);
-        }
-        encode_ladder(p, ladder);
-    }
-}
-
-/// Decodes and fully re-validates a shard layer: per-shard runs are
-/// bound to the founding sequence (ε bits through the positions),
-/// ladders re-hash per checkpoint, [`ShardCache::from_raw_parts`]
-/// re-checks run alignment/sortedness, and [`ShardLayer::from_raw`]
-/// re-checks the owner partition. The owner-vector comparison against
-/// the *registering* pool happens downstream at adoption.
-fn decode_shards(payload: &[u8], n: usize, seq: &[(u64, u64)]) -> Option<ShardLayer> {
-    let mut r = Reader::new(payload);
-    let owner_len = r.len_capped(n)?;
-    if owner_len != n {
-        return None;
-    }
-    let mut owner = Vec::with_capacity(owner_len);
-    for _ in 0..owner_len {
-        owner.push(r.u32()?);
-    }
-    let cache_count = r.len_capped(n.max(1))?;
-    let mut caches = Vec::with_capacity(cache_count);
-    for _ in 0..cache_count {
-        let size = r.len_capped(n)?;
-        let mut eps_order = Vec::with_capacity(size);
-        for _ in 0..size {
-            eps_order.push(r.index(n)?);
-        }
-        let mut eps = Vec::with_capacity(size);
-        for _ in 0..size {
-            eps.push(r.f64()?);
-        }
-        let mut greedy_order = Vec::with_capacity(size);
-        for _ in 0..size {
-            greedy_order.push(r.index(n)?);
-        }
-        if eps.iter().zip(&eps_order).any(|(&e, &p)| e.to_bits() != seq[p].0) {
-            return None;
-        }
-        let ladder = decode_ladder(&mut r, size)?;
-        let cache = ShardCache::from_raw_parts(eps_order, eps, greedy_order, ladder)?;
-        caches.push(Arc::new(cache));
-    }
-    r.done()?;
-    ShardLayer::from_raw(owner, caches)
 }
 
 /// The AltrM answer as wire-JSON: `{"ok": bool, "value": Selection |
@@ -600,14 +531,12 @@ fn load_entry(
     let mut kr = Reader::new(sections.get(&TAG_KEY)?);
     let lanes = [kr.u64()?, kr.u64()?];
     let len = kr.u64()?;
-    let layout = match kr.u8()? {
-        0 => LayoutKey::Flat,
-        1 => LayoutKey::Sharded { shards: kr.len_capped(usize::MAX)? },
-        _ => return None,
-    };
+    if kr.u8()? != LAYOUT_FLAT {
+        return None;
+    }
     let config = kr.u64()?;
     kr.done()?;
-    if (StoreKey { fp: FingerprintKey { lanes, len }, layout, config }) != *key {
+    if (StoreKey { fp: FingerprintKey { lanes, len }, config }) != *key {
         return None;
     }
     let n = usize::try_from(key.fp.len).ok()?;
@@ -671,7 +600,7 @@ fn load_entry(
                 entries.push((size, r.f64()?));
             }
             r.done()?;
-            Some(Arc::new(JerProfile::from_entries(entries)?))
+            Some(JerProfile::from_entries(entries)?)
         }
         None => None,
     };
@@ -698,18 +627,6 @@ fn load_entry(
         None => Staircase::new(),
     };
 
-    let shard_layer = match (key.layout, sections.get(&TAG_SHARDS)) {
-        (LayoutKey::Flat, Some(_)) => return None,
-        (LayoutKey::Flat, None) | (LayoutKey::Sharded { .. }, None) => None,
-        (LayoutKey::Sharded { shards }, Some(payload)) => {
-            let layer = decode_shards(payload, n, &seq)?;
-            if layer.caches().len() != shards {
-                return None;
-            }
-            Some(layer)
-        }
-    };
-
     let set = ArtifactSet::from_restored(
         seq,
         eps_order,
@@ -718,7 +635,6 @@ fn load_entry(
         altr,
         profile,
         ladder,
-        shard_layer,
         staircase,
     );
     // The decisive content gate: the decoded founding sequence must
@@ -737,7 +653,6 @@ fn load_entry(
 #[derive(Debug, Clone)]
 struct ManifestEntry {
     file: String,
-    layout: LayoutKey,
     config: u64,
     bytes: u64,
     checksum: u64,
@@ -793,7 +708,7 @@ fn scan_manifests(dir: &Path) -> Vec<(u64, String)> {
 
 /// The parsed manifest of a snapshot directory, indexed by content
 /// fingerprint alone — so a pool whose content *was* snapshotted but
-/// whose layout or config bits have since drifted still registers a
+/// whose config bits have since drifted still registers a
 /// counted rejection (the snapshot promised this content and cannot
 /// deliver it) rather than a silent miss.
 #[derive(Debug, Default)]
@@ -885,8 +800,8 @@ impl Catalog {
     /// Attempts to restore a verified entry for `key` on behalf of the
     /// registering `jurors`. Candidates are tried in manifest order;
     /// the first to pass every gate wins. Rejection accounting follows
-    /// the catalog contract: failed candidates, config/layout drift
-    /// over known content, and a poisoned manifest all count; content
+    /// the catalog contract: failed candidates, config drift over known
+    /// content, and a poisoned manifest all count; content
     /// the snapshot never knew is a plain miss.
     pub(crate) fn restore(&self, key: &StoreKey, jurors: &[Juror]) -> RestoreAttempt {
         if self.poisoned {
@@ -898,7 +813,7 @@ impl Catalog {
         let mut rejections = 0usize;
         let mut any_match = false;
         for record in candidates {
-            if record.layout != key.layout || record.config != key.config {
+            if record.config != key.config {
                 continue;
             }
             any_match = true;
@@ -942,13 +857,11 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
             lanes: [from_hex(Some(&lanes[0]))?, from_hex(Some(&lanes[1]))?],
             len: from_hex(entry.get("len"))?,
         };
-        let layout = match entry.get("layout")?.as_str()? {
-            "flat" => LayoutKey::Flat,
-            "sharded" => {
-                LayoutKey::Sharded { shards: usize::try_from(from_hex(entry.get("shards"))?).ok()? }
-            }
-            _ => return None,
-        };
+        // Records of any other layout (files a sharded writer left) are
+        // skipped; the flat records beside them still restore.
+        if entry.get("layout")?.as_str()? != LAYOUT_FLAT_NAME {
+            continue;
+        }
         let file = entry.get("file")?.as_str()?;
         // Entry files live flat in the snapshot directory; a manifest
         // naming anything else is malformed.
@@ -957,7 +870,6 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
         }
         let record = ManifestEntry {
             file: file.to_string(),
-            layout,
             config: from_hex(entry.get("config"))?,
             bytes: from_hex(entry.get("bytes"))?,
             checksum: from_hex(entry.get("checksum"))?,
@@ -983,11 +895,7 @@ fn entry_file_name(key: &StoreKey, gen: u64, epoch: u64) -> String {
     let mut h = splitmix64(key.fp.lanes[0]);
     h = splitmix64(h ^ key.fp.lanes[1]);
     h = splitmix64(h ^ key.fp.len);
-    let layout_word = match key.layout {
-        LayoutKey::Flat => 0u64,
-        LayoutKey::Sharded { shards } => 1 | (shards as u64) << 1,
-    };
-    h = splitmix64(h ^ layout_word);
+    h = splitmix64(h ^ u64::from(LAYOUT_FLAT));
     format!("art-{:016x}-g{gen}-e{epoch}.snap", splitmix64(h ^ key.config))
 }
 
@@ -1019,23 +927,15 @@ fn write_atomic(
 
 /// The manifest record for one persisted entry.
 fn manifest_record(key: &StoreKey, file: &str, bytes: u64, checksum: u64) -> Value {
-    let (layout, shards) = match key.layout {
-        LayoutKey::Flat => ("flat", None),
-        LayoutKey::Sharded { shards } => ("sharded", Some(shards)),
-    };
-    let mut fields = vec![
+    Value::object([
         ("file", Value::String(file.to_string())),
         ("lanes", Value::Array(vec![hex(key.fp.lanes[0]), hex(key.fp.lanes[1])])),
         ("len", hex(key.fp.len)),
-        ("layout", Value::String(layout.to_string())),
-    ];
-    if let Some(shards) = shards {
-        fields.push(("shards", hex(shards as u64)));
-    }
-    fields.push(("config", hex(key.config)));
-    fields.push(("bytes", hex(bytes)));
-    fields.push(("checksum", hex(checksum)));
-    Value::object(fields)
+        ("layout", Value::String(LAYOUT_FLAT_NAME.to_string())),
+        ("config", hex(key.config)),
+        ("bytes", hex(bytes)),
+        ("checksum", hex(checksum)),
+    ])
 }
 
 /// One entry as the writer last committed it — enough to decide
@@ -1201,7 +1101,7 @@ pub(crate) fn write_incremental<'a>(
             .records
             .into_iter()
             .map(|(fp, r)| {
-                let key = StoreKey { fp, layout: r.layout, config: r.config };
+                let key = StoreKey { fp, config: r.config };
                 (
                     key,
                     Persisted { file: r.file, bytes: r.bytes, checksum: r.checksum, version: None },

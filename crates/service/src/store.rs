@@ -9,7 +9,7 @@
 //! running [`PoolFingerprint`] (a commutative multiset hash of its
 //! jurors' solver-relevant content, updated in `O(1)` per mutation), and
 //! warm artifacts live in [`ArtifactSet`]s keyed by
-//! `(fingerprint, layout, solver config)` so N equal pools hold N `Arc`
+//! `(fingerprint, solver config)` so N equal pools hold N `Arc`
 //! clones of **one** artifact set, built once.
 //!
 //! ## Verification
@@ -50,30 +50,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Which serving layout an artifact set was built for. Keyed separately
-/// because flat and sharded pools derive (and repair) different artifact
-/// shapes even over identical content; only the solver-relevant shard
-/// count enters the key ([`ShardConfig::degenerate_percent`] and
-/// `threshold` never change an artifact's value).
-///
-/// [`ShardConfig::degenerate_percent`]: crate::ShardConfig::degenerate_percent
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum LayoutKey {
-    /// One cache over the whole pool.
-    Flat,
-    /// K shards merging into global orders.
-    Sharded {
-        /// Shard count K.
-        shards: usize,
-    },
-}
-
-/// The interning key of one artifact set: content fingerprint + layout +
+/// The interning key of one artifact set: content fingerprint +
 /// solver-relevant configuration bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct StoreKey {
     pub fp: FingerprintKey,
-    pub layout: LayoutKey,
     pub config: u64,
 }
 
@@ -89,25 +70,17 @@ pub(crate) struct ArtifactSet {
     /// identity candidates are verified against.
     seq: Vec<(u64, u64)>,
     /// Positions ascending by ε.
-    pub eps_order: Arc<Vec<usize>>,
+    pub eps_order: Vec<usize>,
     /// ε values aligned with `eps_order` — rank space, multiset-determined.
-    pub eps_sorted: Arc<Vec<f64>>,
+    pub eps_sorted: Vec<f64>,
     /// PayALG's greedy visit order.
-    pub greedy_order: Arc<Vec<usize>>,
+    pub greedy_order: Vec<usize>,
     /// The solved AltrM answer.
     pub altr: OnceLock<AltrAnswer>,
     /// The odd-size JER profile — rank space.
-    pub profile: OnceLock<Arc<JerProfile>>,
-    /// Prefix-pmf checkpoint ladder over `eps_sorted` — rank space
-    /// (flat layouts only; sharded layouts intern `shard_layer`).
+    pub profile: OnceLock<JerProfile>,
+    /// Prefix-pmf checkpoint ladder over `eps_sorted` — rank space.
     pub ladder: OnceLock<crate::ladder::PmfLadder>,
-    /// A sharded pool's per-shard warm layer (owner assignment plus
-    /// every shard's runs and ladder), filled by the first fully-warm
-    /// holder. Adoption is partition-verified: a pool whose owner
-    /// vector differs (equal content, different mutation history)
-    /// simply builds its shards privately. Flat layouts leave this
-    /// empty.
-    pub shard_layer: OnceLock<crate::shard::ShardLayer>,
     /// The PayM budget staircase over `greedy_order`, recorded lazily
     /// per budget.
     pub staircase: RwLock<Staircase>,
@@ -128,37 +101,13 @@ impl ArtifactSet {
     pub(crate) fn from_cache(cache: PoolCache, jurors: &[Juror]) -> Self {
         Self {
             seq: jurors.iter().map(juror_content).collect(),
-            eps_order: Arc::new(cache.eps_order),
-            eps_sorted: Arc::new(cache.eps_sorted),
-            greedy_order: Arc::new(cache.greedy_order),
+            eps_order: cache.eps_order,
+            eps_sorted: cache.eps_sorted,
+            greedy_order: cache.greedy_order,
             altr: once_from(cache.altr),
-            profile: once_from(cache.profile.map(Arc::new)),
+            profile: once_from(cache.profile),
             ladder: once_from(cache.ladder),
-            shard_layer: OnceLock::new(),
             staircase: RwLock::new(cache.staircase),
-            version: AtomicU64::new(0),
-        }
-    }
-
-    /// Interns a sharded pool's merged-layer artifacts. The per-shard
-    /// caches stay private (they repair in place per pool); the global
-    /// ladder slot stays empty — sharded probes merge per-shard pmfs.
-    pub(crate) fn from_merged(
-        eps_order: Arc<Vec<usize>>,
-        greedy_order: Arc<Vec<usize>>,
-        jurors: &[Juror],
-    ) -> Self {
-        let eps_sorted: Vec<f64> = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
-        Self {
-            seq: jurors.iter().map(juror_content).collect(),
-            eps_order,
-            eps_sorted: Arc::new(eps_sorted),
-            greedy_order,
-            altr: OnceLock::new(),
-            profile: OnceLock::new(),
-            ladder: OnceLock::new(),
-            shard_layer: OnceLock::new(),
-            staircase: RwLock::new(Staircase::new()),
             version: AtomicU64::new(0),
         }
     }
@@ -179,20 +128,18 @@ impl ArtifactSet {
         eps_sorted: Vec<f64>,
         greedy_order: Vec<usize>,
         altr: Option<AltrAnswer>,
-        profile: Option<Arc<JerProfile>>,
+        profile: Option<JerProfile>,
         ladder: Option<crate::ladder::PmfLadder>,
-        shard_layer: Option<crate::shard::ShardLayer>,
         staircase: Staircase,
     ) -> Self {
         Self {
             seq,
-            eps_order: Arc::new(eps_order),
-            eps_sorted: Arc::new(eps_sorted),
-            greedy_order: Arc::new(greedy_order),
+            eps_order,
+            eps_sorted,
+            greedy_order,
             altr: once_from(altr),
             profile: once_from(profile),
             ladder: once_from(ladder),
-            shard_layer: once_from(shard_layer),
             staircase: RwLock::new(staircase),
             version: AtomicU64::new(0),
         }
@@ -213,11 +160,11 @@ impl ArtifactSet {
     /// lose nothing).
     pub(crate) fn into_cache(self) -> PoolCache {
         PoolCache {
-            eps_order: Arc::unwrap_or_clone(self.eps_order),
-            eps_sorted: Arc::unwrap_or_clone(self.eps_sorted),
-            greedy_order: Arc::unwrap_or_clone(self.greedy_order),
+            eps_order: self.eps_order,
+            eps_sorted: self.eps_sorted,
+            greedy_order: self.greedy_order,
             altr: self.altr.into_inner(),
-            profile: self.profile.into_inner().map(Arc::unwrap_or_clone),
+            profile: self.profile.into_inner(),
             ladder: self.ladder.into_inner(),
             staircase: self
                 .staircase
@@ -230,11 +177,11 @@ impl ArtifactSet {
     /// with-siblings detach path. Only what repairs touch is copied.
     pub(crate) fn cache_clone(&self) -> PoolCache {
         PoolCache {
-            eps_order: (*self.eps_order).clone(),
-            eps_sorted: (*self.eps_sorted).clone(),
-            greedy_order: (*self.greedy_order).clone(),
+            eps_order: self.eps_order.clone(),
+            eps_sorted: self.eps_sorted.clone(),
+            greedy_order: self.greedy_order.clone(),
             altr: None,
-            profile: self.profile.get().map(|p| (**p).clone()),
+            profile: self.profile.get().cloned(),
             ladder: self.ladder.get().cloned(),
             staircase: Staircase::new(),
         }
@@ -291,17 +238,14 @@ impl ArtifactSet {
     }
 
     /// Fills the JER-profile slot, dirty-tracked.
-    pub(crate) fn set_profile(&self, profile: Arc<JerProfile>) {
+    pub(crate) fn set_profile(&self, profile: JerProfile) {
         if self.profile.set(profile).is_ok() {
             self.note_mutation();
         }
     }
 
     /// [`OnceLock::get_or_init`] over the profile slot, dirty-tracked.
-    pub(crate) fn profile_or_init(
-        &self,
-        init: impl FnOnce() -> Arc<JerProfile>,
-    ) -> &Arc<JerProfile> {
+    pub(crate) fn profile_or_init(&self, init: impl FnOnce() -> JerProfile) -> &JerProfile {
         if let Some(profile) = self.profile.get() {
             return profile;
         }
@@ -328,13 +272,6 @@ impl ArtifactSet {
         let ladder = self.ladder.get_or_init(init);
         self.note_mutation();
         ladder
-    }
-
-    /// Fills the shard-layer slot, dirty-tracked.
-    pub(crate) fn set_shard_layer(&self, layer: crate::shard::ShardLayer) {
-        if self.shard_layer.set(layer).is_ok() {
-            self.note_mutation();
-        }
     }
 }
 

@@ -9,7 +9,7 @@
 use jury_core::altr::{AltrAlg, AltrConfig};
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::paym::{PayAlg, PayConfig};
-use jury_service::{DecisionTask, JuryService, ServiceConfig, ShardConfig};
+use jury_service::{DecisionTask, JuryService, ServiceConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -313,71 +313,6 @@ fn removing_pools_evicts_orphaned_entries() {
     assert_eq!(service.artifact_entries(), 1, "the sibling keeps the entry alive");
     service.remove_pool(b).unwrap();
     assert_eq!(service.artifact_entries(), 0, "the last holder's removal evicts");
-}
-
-#[test]
-fn sharded_equal_pools_share_merged_artifacts() {
-    let rates: Vec<(f64, f64)> =
-        (0..40).map(|i| (0.05 + (i as f64) / 50.0, ((i * 13) % 7) as f64 / 7.0)).collect();
-    let jurors = build(&rates);
-    let config = ServiceConfig {
-        shard: ShardConfig { threshold: 1, shards: 4, ..Default::default() },
-        ..Default::default()
-    };
-    let mut service = JuryService::with_config(config);
-    let a = service.create_pool(jurors.clone());
-    let b = service.create_pool(jurors.clone());
-    assert_eq!(service.is_sharded(a), Ok(true));
-    assert_altr_matches_direct(&mut service, a, "founding sharded pool");
-    let builds_after_a = service.stats().cache_builds;
-    assert_altr_matches_direct(&mut service, b, "attached sharded pool");
-    let stats = service.stats();
-    assert_eq!(stats.cache_builds, builds_after_a, "no second K-way merge");
-    assert_eq!(stats.artifact_share_hits, 1);
-    assert!(service.shares_artifacts_with(a, b).unwrap());
-    // The profile is built once and seeded to the sibling, bit-identical.
-    let pa = service.jer_profile(a).unwrap().to_vec();
-    let pb = service.jer_profile(b).unwrap().to_vec();
-    for ((na, ja), (nb, jb)) in pa.iter().zip(&pb) {
-        assert_eq!(na, nb);
-        assert_eq!(ja.to_bits(), jb.to_bits());
-    }
-    // A mutation detaches only the mutated pool; both keep answering
-    // bit-identically.
-    service.update_juror(a, 3, Juror::new(90, ErrorRate::new(0.42).unwrap(), 0.3)).unwrap();
-    assert!(!service.shares_artifacts_with(a, b).unwrap());
-    assert_altr_matches_direct(&mut service, a, "detached sharded pool");
-    assert_altr_matches_direct(&mut service, b, "surviving sharded sibling");
-    assert_paym_matches_direct(&mut service, a, 1.3, "detached sharded pool");
-}
-
-#[test]
-fn promotion_of_a_shared_pool_discards_the_attachment_cleanly() {
-    // Crossing the shard threshold replaces the flat cache wholesale:
-    // the shared attachment is dropped (no private copy is ever
-    // materialised), the sibling keeps the entry, and both pools keep
-    // answering bit-identically.
-    let jurors = build(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4), (0.25, 0.3)]);
-    let config = ServiceConfig {
-        shard: ShardConfig { threshold: 6, shards: 3, ..Default::default() },
-        ..Default::default()
-    };
-    let mut service = JuryService::with_config(config);
-    let a = service.create_pool(jurors.clone());
-    let b = service.create_pool(jurors.clone());
-    service.warm_pool(a).unwrap();
-    service.warm_pool(b).unwrap();
-    assert!(service.shares_artifacts_with(a, b).unwrap());
-
-    service.insert_juror(a, Juror::new(10, ErrorRate::new(0.15).unwrap(), 0.2)).unwrap();
-    assert_eq!(service.is_sharded(a), Ok(false), "below threshold stays flat");
-    service.insert_juror(a, Juror::new(11, ErrorRate::new(0.18).unwrap(), 0.1)).unwrap();
-    assert_eq!(service.is_sharded(a), Ok(true), "crossing the threshold promotes");
-    assert!(!service.shares_artifacts_with(a, b).unwrap(), "layouts diverged");
-    assert!(service.artifact_entries() >= 1, "the sibling keeps its flat entry");
-    assert_altr_matches_direct(&mut service, a, "promoted pool");
-    assert_altr_matches_direct(&mut service, b, "flat sibling");
-    assert_paym_matches_direct(&mut service, b, 0.5, "flat sibling");
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Service error-path coverage: stale pool handles, out-of-range juror
-//! indices and batches mixing valid and invalid tasks — on flat *and*
-//! sharded pools. The happy paths live in `equivalence.rs` /
-//! `sharded_differential.rs`; these tests pin the failure contract.
+//! indices and batches mixing valid and invalid tasks — on pools served
+//! from the shared artifact store *and* from private caches. The happy
+//! paths live in `equivalence.rs` / `flat_differential.rs`; these tests
+//! pin the failure contract.
 
 use jury_core::altr::{AltrAlg, AltrConfig};
 use jury_core::error::JuryError;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::paym::{PayAlg, PayConfig};
-use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig, ServiceError, ShardConfig};
+use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig, ServiceError};
 
 fn jurors() -> Vec<Juror> {
     pool_from_rates_and_costs(&[
@@ -24,11 +25,11 @@ fn jurors() -> Vec<Juror> {
 
 fn services() -> Vec<(&'static str, JuryService)> {
     vec![
-        ("flat", JuryService::new()),
+        ("shared", JuryService::new()),
         (
-            "sharded",
+            "private",
             JuryService::with_config(ServiceConfig {
-                shard: ShardConfig { threshold: 1, shards: 3, ..Default::default() },
+                share_artifacts: false,
                 ..Default::default()
             }),
         ),
@@ -55,8 +56,6 @@ fn stale_pool_id_after_remove_pool_fails_everywhere() {
         );
         assert_eq!(service.warm_pool(stale), Err(expect_unknown.clone()));
         assert_eq!(service.pool(stale).unwrap_err(), expect_unknown);
-        assert_eq!(service.is_sharded(stale).unwrap_err(), expect_unknown);
-        assert_eq!(service.shard_count(stale).unwrap_err(), expect_unknown);
         assert_eq!(service.jer_profile(stale).unwrap_err(), expect_unknown);
         assert_eq!(service.jer_probe(stale, 3).unwrap_err(), expect_unknown);
         assert_eq!(service.reliability_order(stale).unwrap_err(), expect_unknown);

@@ -11,8 +11,8 @@
 //! The matrix drives the real write path, then mutates the on-disk
 //! bytes the way crashes and bit rot do: truncation at and inside every
 //! section boundary, a flipped bit in every field class (key, sequence,
-//! orders, sorted runs, cached answers, pmf ladders, staircase, shard
-//! layer, checksums, magic), manifests swapped between pools, a
+//! orders, sorted runs, cached answers, pmf ladders, staircase,
+//! checksums, magic), manifests swapped between pools, a
 //! manifest doctored to claim a mutated pool's fingerprint over stale
 //! bytes, and version skew in both the manifest and the entry magic.
 //! Where a gate would be masked by an outer checksum, the harness
@@ -21,11 +21,10 @@
 //! semantic gates are the ones that fire.
 
 use jury_core::juror::{pool_from_rates_and_costs, Juror};
+use jury_core::paym::PayConfig;
 use jury_core::problem::Selection;
 use jury_numeric::hash::splitmix64;
-use jury_service::{
-    snapshot_checksum, DecisionTask, JuryService, PoolId, ServiceConfig, ShardConfig,
-};
+use jury_service::{snapshot_checksum, DecisionTask, JuryService, PoolId, ServiceConfig};
 use serde::{json, Serialize, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -74,11 +73,10 @@ fn flat_config() -> ServiceConfig {
     ServiceConfig::default()
 }
 
-fn sharded_config() -> ServiceConfig {
-    ServiceConfig {
-        shard: ShardConfig { threshold: 0, shards: 4, ..Default::default() },
-        ..Default::default()
-    }
+/// A solver configuration whose output can differ from the default's,
+/// so its store keys (and snapshot entries) carry different config bits.
+fn strict_config() -> ServiceConfig {
+    ServiceConfig { pay: PayConfig { strict_improvement: true }, ..Default::default() }
 }
 
 fn with_snapshot(mut config: ServiceConfig, dir: &Path) -> ServiceConfig {
@@ -207,19 +205,15 @@ fn reforge_manifest(dir: &Path) {
 /// recomputed from the actual file contents; identity fields (lanes,
 /// len, layout, config) carried over from `from`.
 fn reforged_entry(from: &Value, file: String, bytes: &[u8]) -> Value {
-    let mut fields = vec![
+    Value::object([
         ("file", Value::String(file)),
         ("lanes", from.get("lanes").unwrap().clone()),
         ("len", from.get("len").unwrap().clone()),
         ("layout", from.get("layout").unwrap().clone()),
-    ];
-    if let Some(shards) = from.get("shards") {
-        fields.push(("shards", shards.clone()));
-    }
-    fields.push(("config", from.get("config").unwrap().clone()));
-    fields.push(("bytes", Value::String(format!("{:016x}", bytes.len()))));
-    fields.push(("checksum", Value::String(format!("{:016x}", snapshot_checksum(bytes)))));
-    Value::object(fields)
+        ("config", from.get("config").unwrap().clone()),
+        ("bytes", Value::String(format!("{:016x}", bytes.len()))),
+        ("checksum", Value::String(format!("{:016x}", snapshot_checksum(bytes)))),
+    ])
 }
 
 fn write_manifest(dir: &Path, entries: Vec<Value>) {
@@ -285,7 +279,6 @@ fn section_name(tag: u32) -> &'static str {
         7 => "PROFILE",
         8 => "LADDER",
         9 => "STAIRCASE",
-        10 => "SHARDS",
         _ => "UNKNOWN",
     }
 }
@@ -296,10 +289,10 @@ fn section_name(tag: u32) -> &'static str {
 
 /// Pristine snapshots restore: answers stay bit-identical to a cold
 /// service while `snapshot_restores` proves the warm path was taken —
-/// for both the flat and the sharded layout.
+/// under the default and a non-default solver configuration.
 #[test]
 fn pristine_snapshot_restores_bit_identically() {
-    for (name, config) in [("flat", flat_config()), ("sharded", sharded_config())] {
+    for (name, config) in [("default", flat_config()), ("strict", strict_config())] {
         let tmp = TempDir::new(&format!("happy-{name}"));
         let jurors = pool(24);
         let cold = control(&config, &jurors);
@@ -381,10 +374,10 @@ fn truncation_at_every_section_boundary_falls_back_cold() {
 /// with only the manifest re-forged (the section checksum must fire)
 /// and once with the section checksum also re-forged (the semantic
 /// gate behind it — key equality, permutation, ε binding, pmf re-hash,
-/// JSON validity, shard-owner binding — must fire).
+/// JSON validity — must fire).
 #[test]
 fn one_flipped_bit_per_field_class_falls_back_cold() {
-    for (name, config) in [("flat", flat_config()), ("sharded", sharded_config())] {
+    for (name, config) in [("default", flat_config()), ("strict", strict_config())] {
         let tmp = TempDir::new(&format!("bitflip-{name}"));
         let jurors = pool(24);
         let cold = control(&config, &jurors);
@@ -397,12 +390,10 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
             // Per-section flip target: an offset whose corruption a
             // semantic gate is *guaranteed* to catch once checksums are
             // re-forged (first key lane / first order index / first ε
-            // word / leading JSON byte / a ladder's stored pmf hash /
-            // the first shard-owner word).
+            // word / leading JSON byte / a ladder's stored pmf hash).
             let at = match sect {
                 "END" => continue, // zero-length payload; framing covered by truncation
                 "LADDER" => section.payload + 16,
-                "SHARDS" => section.payload + 8,
                 _ => section.payload,
             };
 
@@ -541,7 +532,7 @@ fn mutated_past_replay_falls_back_cold() {
 
 /// Manifest-level damage: version skew poisons the catalog (every
 /// attempt is a counted rejection), corrupt JSON likewise, and a
-/// manifest entry whose layout/config no longer matches the service's
+/// manifest entry whose config no longer matches the service's
 /// registration is config drift — also a counted rejection.
 #[test]
 fn manifest_skew_and_config_drift_fall_back_cold() {
@@ -567,15 +558,15 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
     fs::write(manifest_path(tmp.path()), b"{this is not a manifest").unwrap();
     assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "corrupt manifest JSON");
 
-    // Config drift: the snapshot promised this content under a flat
-    // layout; a service registering the same content sharded must get a
-    // counted rejection (promised content it cannot deliver), then
-    // build cold.
+    // Config drift: the snapshot promised this content under the
+    // default solver configuration; a service registering the same
+    // content under another must get a counted rejection (promised
+    // content it cannot deliver), then build cold.
     let tmp = TempDir::new("config-drift");
     seed_snapshot(tmp.path(), &config, &jurors);
-    let sharded = sharded_config();
-    let cold_sharded = control(&sharded, &jurors);
-    assert_cold_fallback(tmp.path(), &sharded, &jurors, &cold_sharded, "layout drift");
+    let strict = strict_config();
+    let cold_strict = control(&strict, &jurors);
+    assert_cold_fallback(tmp.path(), &strict, &jurors, &cold_strict, "config drift");
 
     // A missing manifest over intact entry files is an empty catalog:
     // no restore, no rejection — nothing was promised.
@@ -599,12 +590,120 @@ fn seeded_snapshots_cover_every_section_class() {
     let tags: Vec<u32> =
         sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
     for required in 1..=9u32 {
-        assert!(tags.contains(&required), "flat entry lacks {}", section_name(required));
+        assert!(tags.contains(&required), "entry lacks {}", section_name(required));
     }
+}
 
-    let tmp = TempDir::new("coverage-sharded");
-    seed_snapshot(tmp.path(), &sharded_config(), &pool(24));
-    let tags: Vec<u32> =
-        sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
-    assert!(tags.contains(&10), "sharded entry lacks SHARDS");
+// ---------------------------------------------------------------------
+// On-disk format compatibility
+// ---------------------------------------------------------------------
+
+/// The entry file name and the entry bytes of one deterministic pool are
+/// pinned to the values an earlier build of this format wrote: layout
+/// byte 0 in the KEY section, layout word 0 in the file-name hash and
+/// `"layout": "flat"` in the manifest record. A change here breaks
+/// restores from directories written before it.
+#[test]
+fn flat_entry_name_and_bytes_are_pinned() {
+    let tmp = TempDir::new("golden");
+    seed_snapshot(tmp.path(), &flat_config(), &pool(24));
+    let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
+    let entries = manifest.get("entries").unwrap().as_array().unwrap();
+    assert_eq!(entries.len(), 1);
+    assert_eq!(
+        json::to_string(&entries[0]),
+        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000886","checksum":"1853d3f3f75fe2f6"}"#
+    );
+    let file = entry_file(tmp.path());
+    assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
+    let bytes = fs::read(&file).unwrap();
+    assert_eq!(bytes.len(), 2182);
+    assert_eq!(snapshot_checksum(&bytes), 0x1853_d3f3_f75f_e2f6);
+}
+
+/// A manifest record of another layout — a sharded entry left behind by
+/// an older writer, or a layout no build knows — is skipped on its own:
+/// the flat records beside it
+/// (one of them over the very same content) still restore, and nothing
+/// is counted as a rejection.
+#[test]
+fn sharded_manifest_records_are_skipped_not_fatal() {
+    let tmp = TempDir::new("sharded-record");
+    let config = flat_config();
+    let jurors_a = pool(24);
+    let jurors_b = pool(25);
+    let cold_a = control(&config, &jurors_a);
+    let cold_b = control(&config, &jurors_b);
+    let mut seeder = JuryService::with_config(config.clone());
+    let pa = seeder.create_pool(jurors_a.clone());
+    let pb = seeder.create_pool(jurors_b.clone());
+    drive(&mut seeder, pa);
+    drive(&mut seeder, pb);
+    assert_eq!(seeder.snapshot(tmp.path()).unwrap().entries, 2);
+
+    let old = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
+    let mut entries = old.get("entries").unwrap().as_array().unwrap().to_vec();
+    let first = entries[0].clone();
+    let stray = "art-00000000000000ff-g1-e1.snap";
+    fs::write(tmp.path().join(stray), b"sharded bytes this build cannot read").unwrap();
+    entries.insert(
+        1,
+        Value::object([
+            ("file", Value::String(stray.to_string())),
+            ("lanes", first.get("lanes").unwrap().clone()),
+            ("len", first.get("len").unwrap().clone()),
+            ("layout", Value::String("sharded".to_string())),
+            ("shards", Value::String(format!("{:016x}", 4))),
+            ("config", first.get("config").unwrap().clone()),
+            ("bytes", Value::String(format!("{:016x}", 36))),
+            ("checksum", Value::String(format!("{:016x}", 0))),
+        ]),
+    );
+    // A layout no build ever wrote is skipped the same way.
+    let mut unknown = entries[1].clone();
+    if let Value::Object(fields) = &mut unknown {
+        fields.retain(|(k, _)| k != "shards");
+        for (k, v) in fields.iter_mut() {
+            if k == "layout" {
+                *v = Value::String("striped".to_string());
+            }
+        }
+    }
+    entries.push(unknown);
+    write_manifest(tmp.path(), entries);
+
+    let mut service = JuryService::with_config(with_snapshot(config, tmp.path()));
+    let a = service.create_pool(jurors_a);
+    let b = service.create_pool(jurors_b);
+    assert_eq!(drive(&mut service, a), cold_a);
+    assert_eq!(drive(&mut service, b), cold_b);
+    let stats = service.stats();
+    assert_eq!(stats.snapshot_restores, 2, "both flat records restore");
+    assert_eq!(stats.snapshot_rejections, 0, "the sharded record is skipped, not rejected");
+}
+
+/// An entry whose KEY section carries a layout byte other than 0 (the
+/// sharded layout, or garbage) is rejected even with every checksum
+/// re-forged, and the pool cold-builds.
+#[test]
+fn nonzero_layout_byte_is_rejected() {
+    let tmp = TempDir::new("layout-byte");
+    let config = flat_config();
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let file = entry_file(tmp.path());
+    let pristine = fs::read(&file).unwrap();
+    let key = sections_of(&pristine).into_iter().find(|s| s.tag == 1).expect("KEY section");
+    // KEY payload: two fingerprint lanes, the length, then the layout byte.
+    let layout_at = key.payload + 24;
+    assert_eq!(pristine[layout_at], 0, "flat entries carry layout byte 0");
+    for layout in [1u8, 0xff] {
+        let mut forged = pristine.clone();
+        forged[layout_at] = layout;
+        reseal_section(&mut forged, &key);
+        fs::write(&file, &forged).unwrap();
+        reforge_manifest(tmp.path());
+        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, &format!("layout byte {layout}"));
+    }
 }
