@@ -325,6 +325,31 @@ impl Shared {
             _ => Role::Writer,
         }
     }
+
+    /// Runs `f` under the service lock on behalf of any holder other
+    /// than the dispatcher, then wakes the dispatcher. While such a
+    /// holder runs, the dispatcher's greedy `try_lock` fails and it
+    /// sleeps toward the oldest window's `max_delay`; the wake lets the
+    /// windows queued behind the holder dispatch the moment the lock is
+    /// free instead.
+    fn with_service<R>(&self, f: impl FnOnce(&mut JuryService) -> R) -> R {
+        let out = f(&mut self.service.lock().expect("service poisoned"));
+        self.wake_dispatcher();
+        out
+    }
+
+    /// Wakes the dispatcher if anything is queued. The queue lock is
+    /// taken first so the wake cannot be lost: the dispatcher holds that
+    /// lock from its scan until it parks, so the notify lands either
+    /// after it parked or before a scan that will see the freed service
+    /// lock. With nothing queued there is nothing to dispatch, and the
+    /// next submission notifies on its own.
+    fn wake_dispatcher(&self) {
+        let queue = self.queue.lock().expect("queue poisoned");
+        if queue.total_pending > 0 {
+            self.work.notify_one();
+        }
+    }
 }
 
 /// The coalescing front-end around one [`JuryService`]. See the module
@@ -421,6 +446,8 @@ impl Frontend {
                     drop(queue);
                     shared.counters.inline_solves.fetch_add(1, Ordering::Relaxed);
                     let mut out = service.solve_batch_shared(std::slice::from_ref(&task));
+                    drop(service);
+                    shared.wake_dispatcher();
                     return out.pop().expect("one result per task").map_err(SubmitError::Service);
                 }
             }
@@ -452,10 +479,10 @@ impl Frontend {
     /// Runs `f` with exclusive access to the wrapped service — the
     /// mutation side-channel (juror churn, pool registration) and the
     /// test hook for holding the solver busy. Blocks dispatch while `f`
-    /// runs; queued windows simply accumulate occupancy.
+    /// runs; queued windows simply accumulate occupancy, and dispatch
+    /// resumes as soon as `f` returns.
     pub fn with_service<R>(&self, f: impl FnOnce(&mut JuryService) -> R) -> R {
-        let mut service = self.shared.service.lock().expect("service poisoned");
-        f(&mut service)
+        self.shared.with_service(f)
     }
 
     /// Snapshot of the front-end counters.
@@ -505,9 +532,20 @@ impl Frontend {
     /// returns the wrapped service. Idempotent across clones — only the
     /// first caller gets `Some(service)`.
     pub fn shutdown(&self) -> Option<JuryService> {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work.notify_all();
-        self.shared.checkpoint_wake.notify_all();
+        {
+            // Flag and wake under the queue lock: the dispatcher holds it
+            // from its drain check until it parks, so a shutdown cannot
+            // slip into that window unseen and leave it asleep for a
+            // whole `max_delay`. The timer threads check the flag under
+            // their gate the same way.
+            let _queue = self.shared.queue.lock().expect("queue poisoned");
+            self.shared.shutdown.store(true, Ordering::Release);
+            self.shared.work.notify_all();
+        }
+        {
+            let _gate = self.shared.checkpoint_gate.lock().expect("checkpoint gate poisoned");
+            self.shared.checkpoint_wake.notify_all();
+        }
         if let Some(ckpt) = self.checkpointer.lock().expect("checkpointer handle poisoned").take() {
             ckpt.join().expect("checkpointer panicked");
         }
@@ -648,12 +686,11 @@ fn checkpoint_loop(shared: &Shared, interval: Duration) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let outcome = {
-            let mut service = shared.service.lock().expect("service poisoned");
-            // No directory to checkpoint into means nothing this
-            // thread can ever do — it parks until shutdown below.
+        // No directory to checkpoint into means nothing this thread can
+        // ever do — it parks until shutdown below.
+        let outcome = shared.with_service(|service| {
             service.config().snapshot_dir.clone().map(|dir| service.snapshot(&dir))
-        };
+        });
         match outcome {
             None => wait = Duration::from_secs(3600),
             Some(Ok(_)) => {
@@ -686,10 +723,7 @@ fn checkpoint_loop(shared: &Shared, interval: Duration) {
 ///   another writer holds a higher epoch, and this one's next ticks
 ///   should adopt that writer's generations, not fight it.
 fn supervisor_loop(shared: &Shared, watch: Duration) {
-    let dir = {
-        let service = shared.service.lock().expect("service poisoned");
-        service.config().snapshot_dir.clone()
-    };
+    let dir = shared.with_service(|service| service.config().snapshot_dir.clone());
     let Some(dir) = dir else {
         // Nothing to watch or checkpoint — park until shutdown.
         let mut gate = shared.checkpoint_gate.lock().expect("checkpoint gate poisoned");
@@ -703,13 +737,10 @@ fn supervisor_loop(shared: &Shared, watch: Duration) {
         return;
     };
     let mut watcher = SnapshotWatcher::new(&dir, watch);
-    {
-        // Seed the watch with whatever generation the service restored
-        // at startup, so a quiet directory settles onto the stat-only
-        // fast path instead of rescanning an already-adopted commit.
-        let service = shared.service.lock().expect("service poisoned");
-        watcher.observe(service.stats().follower_generation as u64);
-    }
+    // Seed the watch with whatever generation the service restored at
+    // startup, so a quiet directory settles onto the stat-only fast path
+    // instead of rescanning an already-adopted commit.
+    watcher.observe(shared.with_service(|service| service.stats().follower_generation as u64));
     let checkpoint_every = shared.config.checkpoint_interval.unwrap_or(watch);
     let cap = checkpoint_every.saturating_mul(8);
     let mut wait = watcher.next_wait();
@@ -724,19 +755,11 @@ fn supervisor_loop(shared: &Shared, watch: Duration) {
         match shared.role() {
             Role::Follower => {
                 if watcher.poll().is_some() {
-                    let adopted = {
-                        let mut service = shared.service.lock().expect("service poisoned");
-                        service.adopt_snapshot()
-                    };
-                    if let Some(report) = adopted {
+                    if let Some(report) = shared.with_service(JuryService::adopt_snapshot) {
                         watcher.observe(report.generation);
                     }
                 }
-                let probe = {
-                    let mut service = shared.service.lock().expect("service poisoned");
-                    service.snapshot(&dir)
-                };
-                match probe {
+                match shared.with_service(|service| service.snapshot(&dir)) {
                     Ok(_) => {
                         shared.role.store(ROLE_WRITER, Ordering::Release);
                         *shared.leader_hint.lock().expect("leader hint poisoned") = None;
@@ -751,28 +774,22 @@ fn supervisor_loop(shared: &Shared, watch: Duration) {
                     Err(_) => wait = watcher.next_wait(),
                 }
             }
-            Role::Writer => {
-                let outcome = {
-                    let mut service = shared.service.lock().expect("service poisoned");
-                    service.snapshot(&dir)
-                };
-                match outcome {
-                    Ok(_) => {
-                        shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                        wait = checkpoint_every;
-                    }
-                    Err(SnapshotError::Fenced { .. }) => {
-                        shared.role.store(ROLE_FOLLOWER, Ordering::Release);
-                        shared.counters.demotions.fetch_add(1, Ordering::Relaxed);
-                        shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                        wait = watcher.next_wait();
-                    }
-                    Err(_) => {
-                        shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                        wait = wait.saturating_mul(2).min(cap);
-                    }
+            Role::Writer => match shared.with_service(|service| service.snapshot(&dir)) {
+                Ok(_) => {
+                    shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+                    wait = checkpoint_every;
                 }
-            }
+                Err(SnapshotError::Fenced { .. }) => {
+                    shared.role.store(ROLE_FOLLOWER, Ordering::Release);
+                    shared.counters.demotions.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                    wait = watcher.next_wait();
+                }
+                Err(_) => {
+                    shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                    wait = wait.saturating_mul(2).min(cap);
+                }
+            },
         }
     }
 }
@@ -986,6 +1003,98 @@ mod tests {
             frontend.shutdown();
         });
         assert_eq!(frontend.stats().queue_rejections, 2);
+    }
+
+    /// Submits `task` for tenant `t0` on a thread of its own.
+    fn submit_async(
+        frontend: &Arc<Frontend>,
+        task: DecisionTask,
+    ) -> std::thread::JoinHandle<Result<Arc<Selection>, SubmitError>> {
+        let frontend = Arc::clone(frontend);
+        std::thread::spawn(move || frontend.submit("t0", task))
+    }
+
+    /// Joins `handle` once it finishes, failing the test (instead of
+    /// hanging it) when that takes longer than `wait_for` allows.
+    fn join_within<T>(handle: std::thread::JoinHandle<T>, what: &str) -> T {
+        wait_for(|| handle.is_finished(), what);
+        handle.join().expect("joined thread panicked")
+    }
+
+    #[test]
+    fn queued_submission_dispatches_when_the_lock_is_released() {
+        // A submission queued behind a `with_service` hold must not wait
+        // out max_delay (an hour here): releasing the lock wakes the
+        // dispatcher, and the window ships at once.
+        let (service, pool) = service_with_pool();
+        let config = FrontendConfig { max_delay: Duration::from_secs(3600), ..Default::default() };
+        let frontend = Frontend::start(service, config);
+        let pending = frontend.with_service(|_| {
+            let pending = submit_async(&frontend, DecisionTask::altruism(pool));
+            wait_for(|| frontend.stats().requests == 1, "the submission to queue");
+            // Give the dispatcher time to scan the window and park behind
+            // the held lock; the assertions hold however it interleaves.
+            std::thread::sleep(Duration::from_millis(5));
+            pending
+        });
+        let released = Instant::now();
+        let result = join_within(pending, "the queued submission");
+        let waited = released.elapsed();
+        assert!(result.is_ok(), "{result:?}");
+        assert!(waited < Duration::from_secs(1), "dispatch waited {waited:?} after release");
+        assert_eq!(frontend.stats().coalesced_tasks, 1, "it went through the queue");
+    }
+
+    #[test]
+    fn shutdown_never_leaves_the_dispatcher_asleep() {
+        // Held lock → queued submission → shutdown and release at once,
+        // repeated: the drain must wake a dispatcher parked toward an
+        // hour-long max_delay however the shutdown interleaves with its
+        // scan.
+        let (service, pool) = service_with_pool();
+        let mut service = Some(service);
+        for round in 0..200 {
+            let config =
+                FrontendConfig { max_delay: Duration::from_secs(3600), ..Default::default() };
+            let frontend = Frontend::start(service.take().expect("returned last round"), config);
+            let held = Arc::new(std::sync::Barrier::new(2));
+            let release = Arc::new(AtomicBool::new(false));
+            let holder = {
+                let (frontend, held, release) =
+                    (Arc::clone(&frontend), Arc::clone(&held), Arc::clone(&release));
+                std::thread::spawn(move || {
+                    frontend.with_service(|_| {
+                        held.wait();
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+            };
+            // The shutdown thread waits at `go`, so it fires the moment
+            // the submission is counted — while the dispatcher is still
+            // waking up to scan the new window.
+            let go = Arc::new(std::sync::Barrier::new(2));
+            let shutdown = {
+                let (frontend, go) = (Arc::clone(&frontend), Arc::clone(&go));
+                std::thread::spawn(move || {
+                    go.wait();
+                    frontend.shutdown()
+                })
+            };
+            held.wait();
+            let pending = submit_async(&frontend, DecisionTask::altruism(pool));
+            while frontend.stats().requests < 1 {
+                std::hint::spin_loop();
+            }
+            go.wait();
+            release.store(true, Ordering::Release);
+            let drained = join_within(shutdown, &format!("round {round}: shutdown"));
+            service = Some(drained.expect("first shutdown returns the service"));
+            join_within(holder, "the holder");
+            let solved = join_within(pending, "the drained submission");
+            assert!(solved.is_ok(), "round {round}: {solved:?}");
+        }
     }
 
     #[test]

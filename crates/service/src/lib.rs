@@ -112,23 +112,30 @@
 //!   orders, sorted ε values, pmf ladder, JER profile, the Arc'd AltrM
 //!   answer and the (lazily growing, lock-guarded) PayM budget
 //!   staircase. Nothing else shares: a pool holding the same multiset
-//!   in a different arrangement has an equal fingerprint but builds
-//!   privately, and the entry already interned under that key keeps it.
-//! * **CoW detach and re-join.** Mutations never write through a shared
-//!   entry: the pool detaches first (sole holders reclaim the artifacts
-//!   zero-copy; pools with siblings clone exactly what the repair will
-//!   touch), the existing in-place repairs run on the private copy, the
-//!   fingerprint is updated incrementally, and the pool re-joins an
+//!   in a different arrangement has an equal fingerprint but builds a
+//!   set of its own, and the entry already interned under that key
+//!   keeps it.
+//! * **One home for warm state.** A warm pool holds exactly one
+//!   artifact set, *listed* in the store under its key or *unlisted*
+//!   (sharing off, or an arrangement an occupied key refused). Only
+//!   listed sets are snapshotted.
+//! * **CoW detach and re-join.** Mutations never write through a set
+//!   another pool holds: the pool takes its set back first (a sole
+//!   holder zero-copy; a pool with siblings clones exactly what the
+//!   repair will touch), the in-place repairs run on it, and the
+//!   fingerprint is updated incrementally. The pool then re-joins an
 //!   existing entry if one matches the post-mutation content (verified
-//!   by content comparison, never by hash alone). A pool that detached
-//!   from siblings publishes its repaired artifacts under the new key
-//!   for identically-mutated siblings to follow; entries no pool holds
-//!   are evicted. [`ServiceStats::artifact_share_hits`],
+//!   by content comparison, never by hash alone), or publishes its
+//!   repaired set under the new key whenever that key is vacant — so a
+//!   written pool stays a store entry, and in every later snapshot,
+//!   and identically-mutated siblings re-join it instead of repairing
+//!   alone. Entries no pool holds are evicted.
+//!   [`ServiceStats::artifact_share_hits`],
 //!   [`ServiceStats::artifact_detaches`] and
 //!   [`ServiceStats::artifact_rejoins`] make all of this observable.
 //! * **What stays outside the bit-identity guarantee.** Sharing never
 //!   changes any answer: shared-artifact AltrM/PayM selections are
-//!   bit-identical (members/JER/cost/stats) to privately-built ones —
+//!   bit-identical (members/JER/cost/stats) to unshared ones —
 //!   the differential harness proves it across interleaved
 //!   detach/re-join mutations. The pre-existing numerical carve-outs
 //!   are unchanged: [`JuryService::jer_probe`] and repaired
@@ -333,7 +340,7 @@ pub use snapshot::{
 
 use jury_core::altr::{AltrAlg, AltrConfig, AltrStrategy, JerProfile};
 use jury_core::error::JuryError;
-use jury_core::fingerprint::{FingerprintKey, PoolFingerprint};
+use jury_core::fingerprint::{juror_content, FingerprintKey, PoolFingerprint};
 use jury_core::jer::JerEngine;
 use jury_core::juror::Juror;
 use jury_core::model::CrowdModel;
@@ -512,21 +519,24 @@ pub struct ServiceConfig {
     pub pay: PayConfig,
     /// Whether equal-content pools share one warm artifact set through
     /// the content-addressed store (on by default; see the crate docs
-    /// for the fingerprint contract). Turning it off makes every pool
-    /// build privately — the `multi_tenant_throughput` bench's baseline.
+    /// for the fingerprint contract). Turning it off gives every pool an
+    /// unlisted set of its own, never shared or snapshotted — the
+    /// `multi_tenant_throughput` bench's baseline.
     pub share_artifacts: bool,
     /// TTL/idle eviction for **orphaned** warm-artifact entries. With the
     /// default `None`, an entry is evicted the instant its last holder
-    /// detaches (refcount eviction — today's behaviour, and the cheapest:
-    /// sole holders reclaim artifacts zero-copy). With `Some(ttl)`,
-    /// detaches leave the entry interned and *stamp* it orphaned instead;
-    /// a pool whose content returns within `ttl` re-joins the warm entry
-    /// (impossible under refcount eviction), and entries that stay
-    /// orphaned past `ttl` are reaped by the sweep that runs after every
-    /// mutation / pool removal (or explicitly via
+    /// leaves it (refcount eviction, and the cheapest: a written sole
+    /// holder takes its set back zero-copy, repairs it in place and
+    /// re-lists it under its new key). With `Some(ttl)`, a write leaves
+    /// the pre-mutation entry interned and *stamps* it orphaned instead,
+    /// while the pool's repaired copy is listed under the new key like
+    /// any written pool's; a pool whose content returns within `ttl`
+    /// re-joins the warm entry, and entries that stay orphaned past
+    /// `ttl` are reaped by the sweep that runs after every mutation /
+    /// pool removal (or explicitly via
     /// [`JuryService::sweep_artifact_ttl`]), counted by
-    /// [`ServiceStats::store_ttl_evictions`]. The trade: detaches lose
-    /// the sole-holder zero-copy reclaim (they clone what repairs touch),
+    /// [`ServiceStats::store_ttl_evictions`]. The trade: writes lose the
+    /// sole-holder zero-copy reclaim (they clone what repairs touch),
     /// and orphans hold memory for up to `ttl`.
     pub store_ttl: Option<Duration>,
     /// Directory of a warm-state snapshot to restore from (see the
@@ -644,13 +654,13 @@ pub struct ServiceStats {
     /// instead of building their own (registration-time and
     /// warm-time attaches; re-joins after mutations count separately).
     pub artifact_share_hits: usize,
-    /// Mutations that detached a pool from a shared artifact set onto a
-    /// privately-owned copy (copy-on-write; sole holders reclaim the
-    /// artifacts zero-copy).
+    /// Mutations that took a pool's set out of its store listing for
+    /// repair (copy-on-write when siblings hold it; a sole holder takes
+    /// it back zero-copy) before it settled under the post-mutation key.
     pub artifact_detaches: usize,
     /// Post-mutation re-attaches: the incrementally-updated fingerprint
     /// matched an existing entry (content-verified) and the pool dropped
-    /// its private copy for the shared one.
+    /// its repaired set for the shared one.
     pub artifact_rejoins: usize,
     /// Orphaned warm-artifact entries reaped by the TTL sweep — entries
     /// no pool held for longer than [`ServiceConfig::store_ttl`]. Stays
@@ -774,6 +784,18 @@ impl Deserialize for ServiceStats {
     }
 }
 
+impl ServiceStats {
+    /// Folds one mutation's repair outcome into the counters.
+    fn count_mutation(&mut self, effect: MutationEffect) {
+        self.cache_invalidations += usize::from(effect.invalidated);
+        self.order_repairs += usize::from(effect.orders_repaired);
+        self.pmf_repairs += usize::from(effect.pmf_repaired);
+        self.pmf_rebuilds += usize::from(effect.pmf_rebuilt);
+        self.profile_repairs += usize::from(effect.profile_repaired);
+        self.insert_repairs += usize::from(effect.insert_repaired);
+    }
+}
+
 /// Reads one counter field. Missing fields read as zero so stats
 /// payloads stay forward-compatible: an older client can parse a newer
 /// server's `/stats` (extra counters ignored by lookup) and vice versa.
@@ -790,109 +812,12 @@ fn stat_field(value: &Value, name: &str) -> Result<usize, SerdeError> {
 /// potentially huge member list per task.
 type AltrAnswer = Result<Arc<Selection>, JuryError>;
 
-/// Everything derived from one immutable snapshot of a flat pool.
-#[derive(Debug)]
-struct PoolCache {
-    /// Pool indices ascending by ε — AltrALG's visit order.
-    eps_order: Vec<usize>,
-    /// ε values aligned with `eps_order`.
-    eps_sorted: Vec<f64>,
-    /// PayALG's budget-independent greedy visit order.
-    greedy_order: Vec<usize>,
-    /// The solved AltrM answer, replayed verbatim on every AltrM task.
-    /// Dropped by mutations (the selection may genuinely change) and
-    /// re-solved rescan-free by the bound-pruned scan.
-    altr: Option<AltrAnswer>,
-    /// The odd-size JER profile (Figure 3(a)'s curve for this pool),
-    /// built lazily by [`JuryService::jer_profile`] and *repaired in
-    /// place* on juror mutations (prefix entries reused, suffix resumed
-    /// from the pmf ladder).
-    profile: Option<JerProfile>,
-    /// Prefix-pmf checkpoints over `eps_sorted`, built lazily by the
-    /// first [`JuryService::jer_probe`] or profile repair and repaired
-    /// in place on juror mutations (see [`ladder`]).
-    ladder: Option<PmfLadder>,
-    /// The PayM budget→selection staircase over `greedy_order`, recorded
-    /// lazily per budget and cleared by every mutation.
-    staircase: Staircase,
-}
-
-/// A pool's warm state: cold, privately owned (mutated in place by the
-/// repair paths), or attached to a shared warm-artifact set.
-#[derive(Debug)]
-enum FlatCache {
-    /// Nothing warm yet.
-    Cold,
-    /// Privately-owned artifacts — the only state repairs write to.
-    Private(PoolCache),
-    /// Attached to an interned [`ArtifactSet`]; mutations detach first.
-    Shared(StoreLink),
-}
-
-impl FlatCache {
-    /// The ε order, however the cache is held.
-    fn eps_order(&self) -> Option<&[usize]> {
-        match self {
-            Self::Cold => None,
-            Self::Private(c) => Some(&c.eps_order),
-            Self::Shared(link) => Some(&link.set.eps_order),
-        }
-    }
-
-    /// Whether any orders are present (the warmth level PayM needs).
-    fn has_orders(&self) -> bool {
-        !matches!(self, Self::Cold)
-    }
-
-    /// Whether the AltrM answer this pool would replay is present.
-    fn has_altr(&self) -> bool {
-        match self {
-            Self::Cold => false,
-            Self::Private(c) => c.altr.is_some(),
-            Self::Shared(link) => link.set.altr.get().is_some(),
-        }
-    }
-
-    /// The store entry this pool is attached to, if any.
-    fn link(&self) -> Option<&StoreLink> {
-        match self {
-            Self::Shared(link) => Some(link),
-            _ => None,
-        }
-    }
-
-    /// PayM read access: runs `read` on the warm greedy order and its
-    /// budget staircase (a shared entry's staircase under its read lock,
-    /// so batch workers replay concurrently). `None` while the orders
-    /// are cold.
-    fn paym_read<R>(&self, read: impl FnOnce(&[usize], &Staircase) -> R) -> Option<R> {
-        match self {
-            Self::Cold => None,
-            Self::Private(c) => Some(read(&c.greedy_order, &c.staircase)),
-            Self::Shared(link) => Some(read(&link.set.greedy_order, &link.set.staircase_read())),
-        }
-    }
-
-    /// PayM record access: like [`FlatCache::paym_read`], with the
-    /// staircase writable so a scan can record its step (a shared
-    /// entry's under its write lock — reachable only through the
-    /// registry's `&mut`).
-    fn paym_record<R>(&mut self, record: impl FnOnce(&[usize], &mut Staircase) -> R) -> Option<R> {
-        match self {
-            Self::Cold => None,
-            Self::Private(c) => Some(record(&c.greedy_order, &mut c.staircase)),
-            Self::Shared(link) => {
-                let set = &link.set;
-                Some(set.record_staircase(|staircase| record(&set.greedy_order, staircase)))
-            }
-        }
-    }
-}
-
 #[derive(Debug)]
 struct PoolEntry {
     jurors: Vec<Juror>,
-    cache: FlatCache,
+    /// The pool's warm state: `None` while cold, otherwise its artifact
+    /// set — listed in the store or unlisted (see [`StoreLink`]).
+    cache: Option<StoreLink>,
     /// Running multiset hash of the jurors' solver-relevant content —
     /// the store key, updated in `O(1)` per mutation.
     fp: PoolFingerprint,
@@ -1023,9 +948,10 @@ impl JuryService {
     /// fully readable; a checkpoint with nothing dirty touches no
     /// file. Read back by a service whose
     /// [`ServiceConfig::snapshot_dir`] points here. Only store entries
-    /// are persisted: private (unshared) pool caches and pool
-    /// registrations themselves are rebuilt by the restarted process's
-    /// own `create_pool` calls.
+    /// are persisted — every warm pool's set, written or not, except
+    /// unlisted ones (sharing off, or an arrangement an occupied key
+    /// refused). Pool registrations themselves are rebuilt by the
+    /// restarted process's own `create_pool` calls.
     ///
     /// Errors are never silent partial successes:
     /// [`SnapshotError::LeaseHeld`] (another live writer — restore
@@ -1084,7 +1010,7 @@ impl JuryService {
             let max_age = self.config.max_snapshot_age;
             let Self { pools, store, stats, snapshots, .. } = &mut *self;
             // Anything warm keeps serving what it has.
-            for entry in pools.values().filter(|entry| !entry.cache.has_orders()) {
+            for entry in pools.values().filter(|entry| entry.cache.is_none()) {
                 restore_into_store(
                     store,
                     snapshots.as_ref(),
@@ -1127,7 +1053,7 @@ impl JuryService {
         let id = self.next_pool;
         self.next_pool += 1;
         let fp = PoolFingerprint::from_jurors(&jurors);
-        self.pools.insert(id, PoolEntry { jurors, cache: FlatCache::Cold, fp });
+        self.pools.insert(id, PoolEntry { jurors, cache: None, fp });
         PoolId(id)
     }
 
@@ -1138,14 +1064,11 @@ impl JuryService {
     /// holds any more are evicted from the store).
     pub fn remove_pool(&mut self, pool: PoolId) -> Result<Vec<Juror>, ServiceError> {
         let entry = self.pools.remove(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let key = entry.cache.link().map(|link| link.key);
-        let jurors = entry.jurors;
-        drop(entry.cache);
-        if let Some(key) = key {
-            self.store.release(&key, self.config.store_ttl.is_some());
+        if let Some(link) = entry.cache {
+            self.store.release(link, self.config.store_ttl.is_some());
         }
         self.sweep_store_ttl();
-        Ok(jurors)
+        Ok(entry.jurors)
     }
 
     /// The pool's current content-fingerprint key — equal multisets of
@@ -1160,11 +1083,11 @@ impl JuryService {
     /// Whether two pools currently hold the *same* interned warm-artifact
     /// set (pointer equality of the shared `Arc`) — true for pools that
     /// attached, re-joined or published to one store entry; false when
-    /// either is cold, privately detached, or the pools' content
+    /// either is cold or holds an unlisted set, or the pools' content
     /// diverged.
     pub fn shares_artifacts_with(&self, a: PoolId, b: PoolId) -> Result<bool, ServiceError> {
         let link_of = |id: PoolId| -> Result<Option<&StoreLink>, ServiceError> {
-            Ok(self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?.cache.link())
+            Ok(self.pools.get(&id.0).ok_or(ServiceError::UnknownPool(id))?.cache.as_ref())
         };
         Ok(match (link_of(a)?, link_of(b)?) {
             (Some(la), Some(lb)) => Arc::ptr_eq(&la.set, &lb.set),
@@ -1174,7 +1097,7 @@ impl JuryService {
 
     /// Number of artifact sets currently interned in the warm-artifact
     /// store (observability; live pools keep their entries alive,
-    /// orphaned entries are evicted on detach).
+    /// orphaned entries are evicted once no pool holds them).
     pub fn artifact_entries(&self) -> usize {
         self.store.len()
     }
@@ -1194,19 +1117,11 @@ impl JuryService {
     /// only the AltrM answer (re-solved rescan-free by the bound-pruned
     /// scan) and the budget staircase drop.
     pub fn insert_juror(&mut self, pool: PoolId, juror: Juror) -> Result<usize, ServiceError> {
-        let ttl_enabled = self.config.store_ttl.is_some();
-        let Self { pools, store, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        let detached = detach_pool(store, &mut entry.cache, ttl_enabled);
+        let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         entry.fp.insert(&juror);
         entry.jurors.push(juror);
         let pos = entry.jurors.len() - 1;
-        let effect = match &mut entry.cache {
-            FlatCache::Private(c) => repair_flat_insert(c, &entry.jurors, pos),
-            _ => MutationEffect::default(),
-        };
-        self.count_mutation(effect);
-        self.settle_after_mutation(pool, detached);
+        self.repair_after_mutation(pool, |set, jurors| repair_flat_insert(set, jurors, pos));
         Ok(pos)
     }
 
@@ -1225,25 +1140,18 @@ impl JuryService {
         index: usize,
         juror: Juror,
     ) -> Result<(), ServiceError> {
-        let ttl_enabled = self.config.store_ttl.is_some();
-        let Self { pools, store, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         let len = entry.jurors.len();
         let slot = entry.jurors.get_mut(index).ok_or(ServiceError::JurorOutOfRange {
             pool,
             index,
             len,
         })?;
-        let old = *slot;
-        *slot = juror;
+        let old = std::mem::replace(slot, juror);
         entry.fp.replace(&old, &juror);
-        let detached = detach_pool(store, &mut entry.cache, ttl_enabled);
-        let effect = match &mut entry.cache {
-            FlatCache::Private(c) => repair_flat_update(c, &entry.jurors, index, &old),
-            _ => MutationEffect::default(),
-        };
-        self.count_mutation(effect);
-        self.settle_after_mutation(pool, detached);
+        self.repair_after_mutation(pool, |set, jurors| {
+            repair_flat_update(set, jurors, index, &old)
+        });
         Ok(())
     }
 
@@ -1253,82 +1161,62 @@ impl JuryService {
     /// [`JuryService::update_juror`], with an extra renumbering pass over
     /// the surviving positions.
     pub fn remove_juror(&mut self, pool: PoolId, index: usize) -> Result<Juror, ServiceError> {
-        let ttl_enabled = self.config.store_ttl.is_some();
-        let Self { pools, store, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         let len = entry.jurors.len();
         if index >= len {
             return Err(ServiceError::JurorOutOfRange { pool, index, len });
         }
-        let detached = detach_pool(store, &mut entry.cache, ttl_enabled);
-        let effect = match &mut entry.cache {
-            FlatCache::Private(c) => repair_flat_remove(c, index),
-            _ => MutationEffect::default(),
-        };
         let removed = entry.jurors.remove(index);
         entry.fp.remove(&removed);
-        self.count_mutation(effect);
-        self.settle_after_mutation(pool, detached);
+        self.repair_after_mutation(pool, |set, _| repair_flat_remove(set, index));
         Ok(removed)
     }
 
-    /// The closing half of every mutation: counts a detach, then tries
-    /// to settle the pool back into the store under its post-mutation
-    /// fingerprint — **re-joining** an existing entry when one matches
-    /// (content-verified, never by hash alone), or **publishing** the
-    /// repaired private artifacts under the new key when the pool
-    /// detached from an entry with surviving siblings (identically
-    /// mutated siblings then re-join it instead of re-repairing).
-    /// Mutated pools with no entry to join and no siblings to serve stay
-    /// private — repairs keep their in-place cost and the store stays
-    /// bounded by live content states.
-    fn settle_after_mutation(&mut self, pool: PoolId, detached: Option<bool>) {
-        self.settle_after_mutation_inner(pool, detached);
-        self.sweep_store_ttl();
-    }
-
-    fn settle_after_mutation_inner(&mut self, pool: PoolId, detached: Option<bool>) {
-        let had_siblings = match detached {
-            Some(siblings) => {
-                self.stats.artifact_detaches += 1;
-                siblings
-            }
-            None => false,
-        };
-        if !self.config.share_artifacts {
-            return;
-        }
+    /// The closing half of every mutation, run once the pool's jurors and
+    /// fingerprint have changed. A cold pool has nothing to repair. A
+    /// warm one takes its set back exclusively
+    /// ([`ArtifactStore::reclaim`]; leaving a store listing counts a
+    /// detach), `repair` patches it in place, and the set settles under
+    /// the post-mutation key: it **re-joins** an entry matching the new
+    /// content (content-verified, never by hash alone), or is
+    /// **published** when that key is vacant, so identically-mutated
+    /// siblings re-join it and the next snapshot persists it. It stays
+    /// unlisted only when sharing is off or an occupied key refuses it.
+    fn repair_after_mutation(
+        &mut self,
+        pool: PoolId,
+        repair: impl FnOnce(&mut ArtifactSet, &[Juror]) -> MutationEffect,
+    ) {
+        let ttl_enabled = self.config.store_ttl.is_some();
+        let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
         let Self { pools, store, stats, .. } = &mut *self;
-        let Some(entry) = pools.get_mut(&pool.0) else {
-            return;
-        };
-        let FlatCache::Private(c) = &mut entry.cache else {
-            return;
-        };
-        let key = StoreKey { fp: entry.fp.key(), config: config_bits };
-        if let Some(shared) = attach_flat(store, key, &entry.jurors) {
-            // Seed the entry's empty lazy slots with the just-repaired
-            // rank-space artifacts instead of dropping them — the whole
-            // cohort then skips the O(N²) rebuild (repair lineage is the
-            // documented numerical carve-out either way).
-            if let Some(ladder) = c.ladder.take() {
-                shared.set.set_ladder(ladder);
-            }
-            if let Some(profile) = c.profile.take() {
-                shared.set.set_profile(profile);
-            }
-            entry.cache = FlatCache::Shared(shared);
-            stats.artifact_rejoins += 1;
-        } else if had_siblings && !store.contains(&key) {
-            let FlatCache::Private(c) = std::mem::replace(&mut entry.cache, FlatCache::Cold) else {
-                unreachable!("matched above");
-            };
-            entry.cache = match store.publish(key, ArtifactSet::from_cache(c, &entry.jurors)) {
-                Ok(set) => FlatCache::Shared(StoreLink { key, set }),
-                Err(set) => FlatCache::Private(set.into_cache()),
-            };
+        let entry = pools.get_mut(&pool.0).expect("mutations resolve the pool first");
+        if let Some(link) = entry.cache.take() {
+            stats.artifact_detaches += usize::from(store.lists(&link));
+            let mut set = store.reclaim(link, ttl_enabled);
+            stats.count_mutation(repair(&mut set, &entry.jurors));
+            let key = StoreKey { fp: entry.fp.key(), config: config_bits };
+            entry.cache = Some(match attach_flat(store, key, &entry.jurors) {
+                Some(shared) => {
+                    // Seed the entry's empty lazy slots with the
+                    // just-repaired rank-space artifacts instead of
+                    // dropping them — the whole cohort then skips the
+                    // O(N²) rebuild (repair lineage is the documented
+                    // numerical carve-out either way).
+                    if let Some(ladder) = set.ladder.take() {
+                        shared.set.set_ladder(ladder);
+                    }
+                    if let Some(profile) = set.profile.take() {
+                        shared.set.set_profile(profile);
+                    }
+                    stats.artifact_rejoins += 1;
+                    shared
+                }
+                None => list(store, key, set, share),
+            });
         }
+        self.sweep_store_ttl();
     }
 
     /// Runs the idle-orphan sweep when [`ServiceConfig::store_ttl`] is
@@ -1356,28 +1244,6 @@ impl JuryService {
         self.stats.store_ttl_evictions - before
     }
 
-    /// Folds one mutation's repair outcome into the stats counters.
-    fn count_mutation(&mut self, effect: MutationEffect) {
-        if effect.invalidated {
-            self.stats.cache_invalidations += 1;
-        }
-        if effect.orders_repaired {
-            self.stats.order_repairs += 1;
-        }
-        if effect.pmf_repaired {
-            self.stats.pmf_repairs += 1;
-        }
-        if effect.pmf_rebuilt {
-            self.stats.pmf_rebuilds += 1;
-        }
-        if effect.profile_repaired {
-            self.stats.profile_repairs += 1;
-        }
-        if effect.insert_repaired {
-            self.stats.insert_repairs += 1;
-        }
-    }
-
     // ------------------------------------------------------------------
     // Cache
     // ------------------------------------------------------------------
@@ -1388,57 +1254,71 @@ impl JuryService {
     /// exposed so benches can separate cold from warm.
     pub fn warm_pool(&mut self, pool: PoolId) -> Result<(), ServiceError> {
         let altr_config = self.config.altr;
+        let mut scratch = self.scratches.pop().unwrap_or_default();
+        let warmed = self.acquire(pool, |jurors, stats| {
+            let built = build_full_cache(jurors, &altr_config, &mut scratch);
+            stats.bound_pruned += altr_pruned(built.altr.get());
+            stats.cache_builds += 1;
+            stats.full_repairs += 1;
+            built
+        });
+        if warmed.is_ok() {
+            // Ensure the AltrM answer (attached orders-only entries and
+            // repaired sets solve it here — rescan-free, bound-pruned).
+            let Self { pools, stats, .. } = &mut *self;
+            let PoolEntry { jurors, cache, .. } = &pools[&pool.0];
+            let set = &cache.as_ref().expect("acquired above").set;
+            if set.altr.get().is_none() {
+                let answer = solve_altr_cached(jurors, &set.eps_order, &altr_config, &mut scratch);
+                stats.bound_pruned += altr_pruned(Some(&answer));
+                stats.cache_builds += 1;
+                set.set_altr(answer);
+            }
+        }
+        self.scratches.push(scratch);
+        warmed
+    }
+
+    /// Warms only the sorted orders: an orders-only attach or build for
+    /// a cold pool, so order consumers like [`JuryService::jer_probe`]
+    /// and PayM tasks never pay for the pmf-derived artefacts they do
+    /// not read. An attach shares whatever the entry already holds; an
+    /// orders-only build is published with its lazy slots empty, filled
+    /// later by whichever attached pool first needs them.
+    fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
+        self.acquire(pool, |jurors, _| build_orders_only(jurors))
+    }
+
+    /// The one place a cold pool acquires warm state: a verified
+    /// snapshot entry is restored into the store, then the pool attaches
+    /// to the interned entry when the store admits it, and otherwise
+    /// runs `build` and lists the result (an occupied key that refused
+    /// the attach keeps its incumbent, and the built set stays
+    /// unlisted). A warm pool is left as it is.
+    fn acquire(
+        &mut self,
+        pool: PoolId,
+        build: impl FnOnce(&[Juror], &mut ServiceStats) -> ArtifactSet,
+    ) -> Result<(), ServiceError> {
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
         let max_age = self.config.max_snapshot_age;
-        // Borrow-split: the scratch is taken out while the entry is
-        // borrowed mutably.
-        let mut scratch = self.scratches.pop().unwrap_or_default();
-        let Self { pools, store, snapshots, stats, .. } = &mut *self;
-        let Some(PoolEntry { jurors, cache, fp }) = pools.get_mut(&pool.0) else {
-            self.scratches.push(scratch);
-            return Err(ServiceError::UnknownPool(pool));
-        };
-        // Phase 1: a cold pool attaches to an interned artifact set, or
-        // builds one and publishes it.
-        if matches!(cache, FlatCache::Cold) {
+        let Self { pools, store, stats, snapshots, .. } = &mut *self;
+        let PoolEntry { jurors, cache, fp } =
+            pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        if cache.is_none() {
             let key = StoreKey { fp: fp.key(), config: config_bits };
             if share {
                 restore_into_store(store, snapshots.as_ref(), &key, jurors, max_age, stats);
             }
-            let (acquired, attached) = acquire_flat(store, key, jurors, share, || {
-                let built = build_full_cache(jurors, &altr_config, &mut scratch);
-                stats.bound_pruned += altr_pruned(built.altr.as_ref());
-                stats.cache_builds += 1;
-                stats.full_repairs += 1;
-                built
+            *cache = Some(match attach_flat(store, key, jurors) {
+                Some(link) => {
+                    stats.artifact_share_hits += 1;
+                    link
+                }
+                None => list(store, key, build(jurors, stats), share),
             });
-            stats.artifact_share_hits += usize::from(attached);
-            *cache = acquired;
         }
-        // Phase 2: ensure the AltrM answer wherever the cache lives
-        // (attached orders-only entries and post-repair private caches
-        // solve it here — rescan-free, bound-pruned).
-        let mut solve = |order: &[usize]| {
-            let answer = solve_altr_cached(jurors, order, &altr_config, &mut scratch);
-            stats.bound_pruned += altr_pruned(Some(&answer));
-            stats.cache_builds += 1;
-            answer
-        };
-        match cache {
-            FlatCache::Cold => unreachable!("filled above"),
-            FlatCache::Private(c) => {
-                if c.altr.is_none() {
-                    c.altr = Some(solve(&c.eps_order));
-                }
-            }
-            FlatCache::Shared(link) => {
-                if link.set.altr.get().is_none() {
-                    link.set.set_altr(solve(&link.set.eps_order));
-                }
-            }
-        }
-        self.scratches.push(scratch);
         Ok(())
     }
 
@@ -1452,12 +1332,9 @@ impl JuryService {
     /// attachment is dropped, never materialised; entries the store
     /// holds for sibling pools survive.
     pub fn invalidate_warm(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        let ttl_enabled = self.config.store_ttl.is_some();
         let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        if let FlatCache::Shared(link) = std::mem::replace(&mut entry.cache, FlatCache::Cold) {
-            let key = link.key;
-            drop(link);
-            self.store.release(&key, ttl_enabled);
+        if let Some(link) = entry.cache.take() {
+            self.store.release(link, self.config.store_ttl.is_some());
         }
         Ok(())
     }
@@ -1465,12 +1342,15 @@ impl JuryService {
     /// Whether `pool`'s cache is currently warm: orders and the AltrM
     /// answer present (the profile and ladder stay lazy).
     pub fn is_warm(&self, pool: PoolId) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| entry.cache.has_altr())
+        self.pools
+            .get(&pool.0)
+            .and_then(|entry| entry.cache.as_ref())
+            .is_some_and(|link| link.set.altr.get().is_some())
     }
 
     /// Whether the sorted orders — all a PayM task needs — are present.
     fn has_orders(&self, pool: PoolId) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| entry.cache.has_orders())
+        self.pools.get(&pool.0).is_some_and(|entry| entry.cache.is_some())
     }
 
     /// Whether the state `task` actually consumes is warm: solved
@@ -1482,6 +1362,11 @@ impl JuryService {
         }
     }
 
+    /// The artifact set of a pool the caller has just warmed.
+    fn warm_set(&self, pool: PoolId) -> &ArtifactSet {
+        &self.pools[&pool.0].cache.as_ref().expect("warmed by the caller").set
+    }
+
     /// The cached odd-size JER profile of `pool` (computed on demand):
     /// `(n, JER of the n lowest-ε jurors)` for `n = 1, 3, 5, …`. After
     /// juror mutations a materialised profile is *repaired in place* —
@@ -1491,31 +1376,15 @@ impl JuryService {
     /// like [`jer_probe`](JuryService::jer_probe); see the crate docs).
     pub fn jer_profile(&mut self, pool: PoolId) -> Result<&[(usize, f64)], ServiceError> {
         self.warm_pool(pool)?;
-        match &mut self.pools.get_mut(&pool.0).expect("warmed above").cache {
-            FlatCache::Cold => unreachable!("warmed above"),
-            FlatCache::Private(c) => {
-                if c.profile.is_none() {
-                    // The ladder gives future profile repairs their
-                    // resume checkpoints; build it alongside.
-                    if c.ladder.is_none() {
-                        c.ladder = Some(PmfLadder::build(&c.eps_sorted));
-                    }
-                    c.profile = Some(JerProfile::build(&c.eps_sorted));
-                }
-                Ok(c.profile.as_ref().expect("built above").entries())
-            }
-            FlatCache::Shared(link) => {
-                // One shared build serves every attacher. The ladder is
-                // laid alongside like the private path, so a later detach
-                // repairs it instead of rebuilding.
-                let set = &link.set;
-                let profile = set.profile_or_init(|| {
-                    set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
-                    JerProfile::build(&set.eps_sorted)
-                });
-                Ok(profile.entries())
-            }
-        }
+        // One build serves every attacher. The ladder is laid alongside
+        // so a later mutation repairs it (and resumes the profile repair
+        // from it) instead of rebuilding.
+        let set = self.warm_set(pool);
+        let profile = set.profile_or_init(|| {
+            set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
+            JerProfile::build(&set.eps_sorted)
+        });
+        Ok(profile.entries())
     }
 
     /// The cached reliability order of `pool`: positions sorted ascending
@@ -1523,7 +1392,7 @@ impl JuryService {
     /// jury by Lemma 3.
     pub fn reliability_order(&mut self, pool: PoolId) -> Result<&[usize], ServiceError> {
         self.warm_pool(pool)?;
-        Ok(self.pools[&pool.0].cache.eps_order().expect("warmed above"))
+        Ok(&self.warm_set(pool).eps_order)
     }
 
     /// JER of the best `n`-juror jury of `pool` (odd `n`, clamped to the
@@ -1548,8 +1417,8 @@ impl JuryService {
     /// [`JuryError::EvenJurySize`]).
     pub fn jer_probe(&mut self, pool: PoolId, n: usize) -> Result<f64, ServiceError> {
         self.warm_orders(pool)?;
-        let PoolEntry { jurors, cache, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
-        if jurors.is_empty() {
+        let len = self.pools[&pool.0].jurors.len();
+        if len == 0 {
             return Err(ServiceError::Solver(JuryError::EmptyPool));
         }
         if n == 0 {
@@ -1558,46 +1427,12 @@ impl JuryService {
         if n.is_multiple_of(2) {
             return Err(ServiceError::Solver(JuryError::EvenJurySize(n)));
         }
-        let len = jurors.len();
         let n = n.min(if len % 2 == 1 { len } else { len - 1 });
-        let (ladder, eps_sorted): (&PmfLadder, &[f64]) = match cache {
-            FlatCache::Cold => unreachable!("warmed above"),
-            FlatCache::Private(c) => {
-                (c.ladder.get_or_insert_with(|| PmfLadder::build(&c.eps_sorted)), &c.eps_sorted)
-            }
-            FlatCache::Shared(link) => {
-                let set = &link.set;
-                (set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted)), &set.eps_sorted)
-            }
-        };
+        let set = self.warm_set(pool);
+        let ladder = set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
         let mut pmf = PoiBin::empty();
-        ladder.prefix_into(eps_sorted, n, &mut pmf);
+        ladder.prefix_into(&set.eps_sorted, n, &mut pmf);
         Ok(pmf.tail(JerEngine::majority_threshold(n)))
-    }
-
-    /// Warms only the sorted orders: an orders-only attach or build for
-    /// a cold pool, so order consumers like [`JuryService::jer_probe`]
-    /// and PayM tasks never pay for the pmf-derived artefacts they do
-    /// not read. An attach shares whatever the entry already holds; an
-    /// orders-only build is published with its lazy slots empty, filled
-    /// later by whichever attached pool first needs them.
-    fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        let share = self.config.share_artifacts;
-        let config_bits = config_key(&self.config);
-        let max_age = self.config.max_snapshot_age;
-        let Self { pools, store, stats, snapshots, .. } = &mut *self;
-        let entry = pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
-        if matches!(entry.cache, FlatCache::Cold) {
-            let key = StoreKey { fp: entry.fp.key(), config: config_bits };
-            if share {
-                restore_into_store(store, snapshots.as_ref(), &key, &entry.jurors, max_age, stats);
-            }
-            let (acquired, attached) =
-                acquire_flat(store, key, &entry.jurors, share, || build_orders_only(&entry.jurors));
-            stats.artifact_share_hits += usize::from(attached);
-            entry.cache = acquired;
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1688,14 +1523,13 @@ impl JuryService {
         }
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        let PoolEntry { jurors, cache, .. } = self.pools.get_mut(&pool.0).expect("warmed above");
+        let jurors = &self.pools[&pool.0].jurors;
+        let set = self.warm_set(pool);
         let mut hit = false;
-        let result = cache
-            .paym_record(|order, staircase| {
-                hit = staircase.covers(budget);
-                pay.solve_staircase(jurors, order, staircase, &mut scratch)
-            })
-            .unwrap_or_else(|| pay.solve_with(jurors, &mut scratch));
+        let result = set.record_staircase(|staircase| {
+            hit = staircase.covers(budget);
+            pay.solve_staircase(jurors, &set.greedy_order, staircase, &mut scratch)
+        });
         self.scratches.push(scratch);
         if hit {
             self.stats.staircase_hits += 1;
@@ -1937,9 +1771,10 @@ impl JuryService {
 
     /// Whether the pool's warm staircase already covers `budget`.
     fn staircase_covers(&self, pool: PoolId, budget: f64) -> bool {
-        self.pools.get(&pool.0).is_some_and(|entry| {
-            entry.cache.paym_read(|_, staircase| staircase.covers(budget)).unwrap_or(false)
-        })
+        self.pools
+            .get(&pool.0)
+            .and_then(|entry| entry.cache.as_ref())
+            .is_some_and(|link| link.set.staircase_read().covers(budget))
     }
 
     /// Runs one staircase-recording scan for `(pool, budget)` so batch
@@ -1948,9 +1783,10 @@ impl JuryService {
     fn record_staircase_step(&mut self, pool: PoolId, budget: f64) {
         let pay = PayAlg::new(budget, self.config.pay);
         let mut scratch = self.scratches.pop().unwrap_or_default();
-        if let Some(PoolEntry { jurors, cache, .. }) = self.pools.get_mut(&pool.0) {
-            cache.paym_record(|order, staircase| {
-                let _ = pay.solve_staircase(jurors, order, staircase, &mut scratch);
+        if let Some(PoolEntry { jurors, cache: Some(link), .. }) = self.pools.get(&pool.0) {
+            let set = &link.set;
+            set.record_staircase(|staircase| {
+                let _ = pay.solve_staircase(jurors, &set.greedy_order, staircase, &mut scratch);
             });
         }
         self.scratches.push(scratch);
@@ -2009,14 +1845,18 @@ fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
 /// Builds every eagerly-cached artefact for one flat-pool snapshot:
 /// the sorted orders plus the AltrM answer (profile and ladder stay
 /// lazy).
-fn build_full_cache(jurors: &[Juror], altr: &AltrConfig, scratch: &mut SolverScratch) -> PoolCache {
+fn build_full_cache(
+    jurors: &[Juror],
+    altr: &AltrConfig,
+    scratch: &mut SolverScratch,
+) -> ArtifactSet {
     build_cache(jurors, |eps_order| Some(solve_altr_cached(jurors, eps_order, altr, scratch)))
 }
 
 /// Builds just the sorted orders (no solve, no profile) — the cache
 /// state an `update_juror` repair also leaves behind; `warm_pool`
 /// completes it with a rescan-free bound-pruned solve on demand.
-fn build_orders_only(jurors: &[Juror]) -> PoolCache {
+fn build_orders_only(jurors: &[Juror]) -> ArtifactSet {
     build_cache(jurors, |_| None)
 }
 
@@ -2027,22 +1867,24 @@ fn build_orders_only(jurors: &[Juror]) -> PoolCache {
 fn build_cache(
     jurors: &[Juror],
     solve_altr: impl FnOnce(&[usize]) -> Option<AltrAnswer>,
-) -> PoolCache {
+) -> ArtifactSet {
     let mut eps_order = Vec::with_capacity(jurors.len());
     jury_core::solver::sorted_order_into(jurors, &mut eps_order);
     let eps_sorted = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
     let altr = solve_altr(&eps_order);
     let mut greedy_order = Vec::with_capacity(jurors.len());
     PayAlg::greedy_order_into(jurors, &mut greedy_order);
-    PoolCache {
+    let seq = jurors.iter().map(juror_content).collect();
+    ArtifactSet::from_parts(
+        seq,
         eps_order,
         eps_sorted,
         greedy_order,
         altr,
-        profile: None,
-        ladder: None,
-        staircase: Staircase::new(),
-    }
+        None,
+        None,
+        Staircase::new(),
+    )
 }
 
 /// Dispatches one task against a warm (or deliberately cold) entry.
@@ -2061,29 +1903,25 @@ fn solve_on_entry(
 ) -> Result<Arc<Selection>, ServiceError> {
     let jurors = &entry.jurors;
     let result = match (task.model, &entry.cache) {
-        (CrowdModel::PayAsYouGo { budget }, cache) => {
+        (CrowdModel::PayAsYouGo { budget }, Some(link)) => {
             let pay = PayAlg::new(budget, config.pay);
-            cache
-                .paym_read(|order, staircase| {
-                    staircase
-                        .lookup(budget)
-                        .unwrap_or_else(|| pay.solve_presorted(jurors, order, scratch))
-                })
-                .unwrap_or_else(|| pay.solve_with(jurors, scratch))
+            link.set
+                .staircase_read()
+                .lookup(budget)
+                .unwrap_or_else(|| pay.solve_presorted(jurors, &link.set.greedy_order, scratch))
                 .map(Arc::new)
         }
-        (CrowdModel::Altruism, FlatCache::Private(cache)) => match &cache.altr {
-            Some(answer) => answer.clone(),
-            None => solve_altr_cached(jurors, &cache.eps_order, &config.altr, scratch),
-        },
-        (CrowdModel::Altruism, FlatCache::Shared(link)) => {
+        (CrowdModel::Altruism, Some(link)) => {
             // `altr_or_init` is thread-safe: the first worker to need an
             // unfilled answer solves it once for every attached pool.
             let set = &link.set;
             set.altr_or_init(|| solve_altr_cached(jurors, &set.eps_order, &config.altr, scratch))
                 .clone()
         }
-        (CrowdModel::Altruism, FlatCache::Cold) => {
+        (CrowdModel::PayAsYouGo { budget }, None) => {
+            PayAlg::new(budget, config.pay).solve_with(jurors, scratch).map(Arc::new)
+        }
+        (CrowdModel::Altruism, None) => {
             AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new)
         }
     };
@@ -2120,40 +1958,22 @@ fn restore_into_store(
     let attempt = catalog.restore(key, jurors);
     stats.snapshot_rejections += attempt.rejections;
     if let Some(set) = attempt.set {
-        if store.publish(*key, set).is_ok() {
+        if store.publish(*key, &Arc::new(set)) {
             stats.snapshot_restores += 1;
         }
     }
 }
 
-/// The one place a cold flat pool acquires warm state: attach to an
-/// interned entry when the store admits the pool, otherwise run `build`
-/// and publish the result (an occupied key that refused the attach
-/// keeps its incumbent and the builder stays private, losslessly).
-/// Returns the new cache plus whether it *attached* (the caller's
-/// share-hit accounting). With sharing off this is exactly the old
-/// private build.
-fn acquire_flat(
-    store: &mut ArtifactStore,
-    key: StoreKey,
-    jurors: &[Juror],
-    share: bool,
-    build: impl FnOnce() -> PoolCache,
-) -> (FlatCache, bool) {
+/// Wraps a freshly built or repaired set as its pool's link, listing it
+/// under `key` when sharing is on and the key is vacant (an occupied key
+/// keeps its incumbent and the set stays unlisted — see
+/// [`ArtifactStore::publish`]).
+fn list(store: &mut ArtifactStore, key: StoreKey, set: ArtifactSet, share: bool) -> StoreLink {
+    let set = Arc::new(set);
     if share {
-        if let Some(link) = attach_flat(store, key, jurors) {
-            return (FlatCache::Shared(link), true);
-        }
+        store.publish(key, &set);
     }
-    let built = build();
-    if !share {
-        return (FlatCache::Private(built), false);
-    }
-    let cache = match store.publish(key, ArtifactSet::from_cache(built, jurors)) {
-        Ok(set) => FlatCache::Shared(StoreLink { key, set }),
-        Err(set) => FlatCache::Private(set.into_cache()),
-    };
-    (cache, false)
+    StoreLink { key, set }
 }
 
 /// Attaches a flat pool to the interned entry at `key` when the entry's
@@ -2162,50 +1982,12 @@ fn acquire_flat(
 /// collision, or the same multiset in another arrangement). The single
 /// place the attach rule lives — registration
 /// ([`JuryService::warm_pool`] / [`JuryService::warm_orders`]) and
-/// post-mutation re-join ([`JuryService::settle_after_mutation`]) all
-/// route through it.
+/// post-mutation re-join ([`JuryService::repair_after_mutation`]) both
+/// route through it. With sharing off the store is empty, so this never
+/// attaches.
 fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option<StoreLink> {
     let set = store.get(&key).filter(|set| set.match_pool(jurors))?;
     Some(StoreLink { key, set })
-}
-
-/// Converts a pool's shared warm state into privately-owned state ahead
-/// of a mutation's in-place repair — the copy-on-write boundary. A sole
-/// holder reclaims the interned artifacts zero-copy (the entry is
-/// removed and unwrapped); a pool with siblings clones exactly what the
-/// repair will touch and leaves the entry to them. Under the TTL
-/// eviction policy (`ttl_enabled`) the sole-holder fast path is
-/// deliberately skipped: the entry survives as a stamped orphan — the
-/// pre-mutation content stays warm for a re-join within the TTL — at the
-/// cost of cloning instead of reclaiming. Returns `Some(had_siblings)`
-/// when a detach happened, `None` for cold and already-private pools.
-fn detach_pool(
-    store: &mut ArtifactStore,
-    cache: &mut FlatCache,
-    ttl_enabled: bool,
-) -> Option<bool> {
-    if !matches!(cache, FlatCache::Shared(_)) {
-        return None;
-    }
-    let FlatCache::Shared(StoreLink { key, set }) = std::mem::replace(cache, FlatCache::Cold)
-    else {
-        unreachable!("checked above");
-    };
-    let had_siblings = Arc::strong_count(&set) > 2;
-    if !ttl_enabled {
-        store.take_if_sole(&key, &set);
-    }
-    let private = match Arc::try_unwrap(set) {
-        Ok(owned) => owned.into_cache(),
-        Err(set) => {
-            let cloned = set.cache_clone();
-            drop(set);
-            store.release(&key, ttl_enabled);
-            cloned
-        }
-    };
-    *cache = FlatCache::Private(private);
-    Some(had_siblings)
 }
 
 #[cfg(test)]
@@ -2517,9 +2299,7 @@ mod tests {
         let mut service = JuryService::new();
         let pool = service.create_pool(figure1());
         service.warm_pool(pool).unwrap();
-        let version = |service: &JuryService| {
-            service.pools[&pool.0].cache.link().expect("attached").set.mutation_version()
-        };
+        let version = |service: &JuryService| service.warm_set(pool).mutation_version();
         let before = version(&service);
         service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
         let recorded = version(&service);

@@ -1,5 +1,5 @@
-//! Rescan-free repair of a privately-owned pool cache after one juror
-//! mutation.
+//! Rescan-free repair of an exclusively-owned artifact set after one
+//! juror mutation.
 //!
 //! Both solver visit orders are *total* orders with the pool position as
 //! final tie-break ([`eps_cmp`], [`PayAlg::greedy_cmp`]), so a sorted
@@ -9,9 +9,12 @@
 //! patched by factor division (updates, removals) or one push (inserts)
 //! per affected checkpoint, and a materialised JER profile resumes from
 //! the nearest repaired checkpoint. Only the AltrM answer and the budget
-//! staircase — whose selections may genuinely change — are dropped.
+//! staircase — whose selections may genuinely change — are dropped. Every
+//! repair keeps the set's content sequence in step with the pool and
+//! marks the set dirty for the next snapshot.
 
-use crate::PoolCache;
+use crate::store::ArtifactSet;
+use jury_core::fingerprint::juror_content;
 use jury_core::juror::Juror;
 use jury_core::paym::PayAlg;
 use jury_core::solver::eps_cmp;
@@ -38,7 +41,7 @@ pub(crate) struct MutationEffect {
     pub insert_repaired: bool,
 }
 
-/// Repairs a flat cache after `jurors[idx]` was replaced (its old rate
+/// Repairs a set after `jurors[idx]` was replaced (its old rate
 /// was `old_eps`): one remove + one insert per sorted order (`O(n)`
 /// memmoves, no re-sort), one factor division per affected pmf-ladder
 /// checkpoint, and an in-place profile repair (prefix entries reused
@@ -49,68 +52,68 @@ pub(crate) struct MutationEffect {
 /// rescan-free with the bound-pruned scan; the budget staircase is
 /// cleared likewise.
 pub(crate) fn repair_flat_update(
-    cache: &mut PoolCache,
+    set: &mut ArtifactSet,
     jurors: &[Juror],
     idx: usize,
     old: &Juror,
 ) -> MutationEffect {
-    let (r_old, r_new) =
-        reinsert_eps(&mut cache.eps_order, &mut cache.eps_sorted, jurors, idx, old);
-    reinsert_greedy(&mut cache.greedy_order, jurors, idx, old);
+    let (r_old, r_new) = reinsert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx, old);
+    reinsert_greedy(&mut set.greedy_order, jurors, idx, old);
+    set.seq[idx] = juror_content(&jurors[idx]);
 
     let mut effect =
         MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        if ladder.repair_update(&cache.eps_sorted, old.epsilon(), r_old, r_new) {
+    if let Some(ladder) = set.ladder.get_mut() {
+        if ladder.repair_update(&set.eps_sorted, old.epsilon(), r_old, r_new) {
             effect.pmf_repaired = true;
         } else {
             effect.pmf_rebuilt = true;
         }
     }
-    repair_profile(cache, r_old.min(r_new), &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
+    repair_profile(set, r_old.min(r_new), &mut effect);
+    drop_answers(set);
     effect
 }
 
-/// Repairs a flat cache after `jurors[idx]` was removed: one remove per
+/// Repairs a set after `jurors[idx]` was removed: one remove per
 /// sorted order plus a renumbering pass (positions above `idx` shift
 /// down, preserving both total orders), one factor division per
 /// affected ladder checkpoint, and an in-place profile repair.
-pub(crate) fn repair_flat_remove(cache: &mut PoolCache, idx: usize) -> MutationEffect {
-    let pos = cache.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
-    let old_eps = cache.eps_sorted[pos];
-    cache.eps_sorted.remove(pos);
-    renumber_out(&mut cache.eps_order, idx);
-    renumber_out(&mut cache.greedy_order, idx);
+pub(crate) fn repair_flat_remove(set: &mut ArtifactSet, idx: usize) -> MutationEffect {
+    let pos = set.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
+    let old_eps = set.eps_sorted[pos];
+    set.eps_sorted.remove(pos);
+    renumber_out(&mut set.eps_order, idx);
+    renumber_out(&mut set.greedy_order, idx);
+    set.seq.remove(idx);
 
     let mut effect =
         MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        if ladder.repair_remove(&cache.eps_sorted, old_eps, pos) {
+    if let Some(ladder) = set.ladder.get_mut() {
+        if ladder.repair_remove(&set.eps_sorted, old_eps, pos) {
             effect.pmf_repaired = true;
         } else {
             effect.pmf_rebuilt = true;
         }
     }
-    repair_profile(cache, pos, &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
+    repair_profile(set, pos, &mut effect);
+    drop_answers(set);
     effect
 }
 
-/// Repairs a flat cache after a juror was appended at pool position
+/// Repairs a set after a juror was appended at pool position
 /// `idx`: one rank-insert per sorted order, one [`PoiBin::push`] per
 /// affected ladder checkpoint (inserts never need deconvolution), and
 /// an in-place profile repair. Like the other repairs, only the AltrM
 /// answer and the staircase drop.
 pub(crate) fn repair_flat_insert(
-    cache: &mut PoolCache,
+    set: &mut ArtifactSet,
     jurors: &[Juror],
     idx: usize,
 ) -> MutationEffect {
-    let r_new = rank_insert_eps(&mut cache.eps_order, &mut cache.eps_sorted, jurors, idx);
-    rank_insert_greedy(&mut cache.greedy_order, jurors, idx);
+    let r_new = rank_insert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx);
+    rank_insert_greedy(&mut set.greedy_order, jurors, idx);
+    set.seq.push(juror_content(&jurors[idx]));
 
     let mut effect = MutationEffect {
         invalidated: true,
@@ -118,14 +121,23 @@ pub(crate) fn repair_flat_insert(
         insert_repaired: true,
         ..Default::default()
     };
-    if let Some(ladder) = cache.ladder.as_mut() {
-        ladder.repair_insert(&cache.eps_sorted, r_new);
+    if let Some(ladder) = set.ladder.get_mut() {
+        ladder.repair_insert(&set.eps_sorted, r_new);
         effect.pmf_repaired = true;
     }
-    repair_profile(cache, r_new, &mut effect);
-    cache.altr = None;
-    cache.staircase.clear();
+    repair_profile(set, r_new, &mut effect);
+    drop_answers(set);
     effect
+}
+
+/// The common tail of every repair: drops the AltrM answer and the
+/// staircase, whose selections may genuinely change, and marks the set
+/// dirty — a repaired set must never match the version a snapshot
+/// persisted for its pre-mutation state.
+fn drop_answers(set: &mut ArtifactSet) {
+    set.altr.take();
+    set.staircase.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+    set.note_mutation();
 }
 
 /// Repairs a materialised JER profile in place after the sorted run
@@ -137,19 +149,19 @@ pub(crate) fn repair_flat_insert(
 /// numerically within [`PROBE_REPAIR_TOL`](crate::PROBE_REPAIR_TOL) of a
 /// rebuild, outside the bit-identity contract (nothing on a solver path
 /// reads a profile).
-fn repair_profile(cache: &mut PoolCache, rank: usize, effect: &mut MutationEffect) {
-    let Some(profile) = cache.profile.as_mut() else {
+fn repair_profile(set: &mut ArtifactSet, rank: usize, effect: &mut MutationEffect) {
+    let Some(profile) = set.profile.get_mut() else {
         return;
     };
     let mut pmf = PoiBin::empty();
-    let resume = match cache.ladder.as_ref().and_then(|l| l.resume_for(rank)) {
+    let resume = match set.ladder.get().and_then(|l| l.resume_for(rank)) {
         Some((len, checkpoint)) => {
             pmf.copy_from(checkpoint);
             len
         }
         None => 0,
     };
-    profile.repair_from(&cache.eps_sorted, rank, resume, &mut pmf);
+    profile.repair_from(&set.eps_sorted, rank, resume, &mut pmf);
     effect.profile_repaired = true;
 }
 

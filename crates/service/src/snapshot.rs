@@ -371,7 +371,7 @@ fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
 /// restart budget at 10⁶ jurors); only small structured values (the
 /// AltrM answer, the staircase) embed wire-JSON.
 pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
-    let seq = set.seq();
+    let seq = &set.seq;
     let n = seq.len();
     let mut out = Vec::with_capacity(64 + 40 * n);
     out.extend_from_slice(MAGIC);
@@ -627,7 +627,7 @@ fn load_entry(
         None => Staircase::new(),
     };
 
-    let set = ArtifactSet::from_restored(
+    let set = ArtifactSet::from_parts(
         seq,
         eps_order,
         eps_sorted,

@@ -22,25 +22,34 @@
 //! orders, ladder, profile, the Arc'd AltrM answer, and the
 //! (lock-guarded, lazily growing) budget staircase. A pool holding the
 //! same multiset in a different arrangement has the same fingerprint but
-//! is refused: it builds privately, and the incumbent entry keeps its key
-//! ([`ArtifactStore::publish`]).
+//! is refused: it keeps an unlisted set of its own, and the incumbent
+//! entry keeps its key ([`ArtifactStore::publish`]).
+//!
+//! ## One home: listed and unlisted sets
+//!
+//! An [`ArtifactSet`] is the only form a pool's warm state takes. A warm
+//! pool holds one `Arc` of it, and the set is either **listed** in the
+//! store under its [`StoreKey`] or **unlisted**: sharing is off, or an
+//! occupied key refused the pool's arrangement. Only listed sets are
+//! snapshotted.
 //!
 //! ## Copy-on-write detach, re-join, eviction
 //!
-//! Mutations never write through a shared entry: the owning pool
-//! *detaches* first — a sole holder takes the artifacts back zero-copy
-//! ([`ArtifactSet::into_cache`] via `Arc::try_unwrap`), a pool with
+//! Mutations never write through a set another pool holds: the owning
+//! pool takes its set back first ([`ArtifactStore::reclaim`]). A sole
+//! holder gets it back zero-copy (a listed set is delisted); a pool with
 //! siblings clones what the repair will touch
-//! ([`ArtifactSet::cache_clone`]) — and the existing in-place repairs
-//! then run on the privately-owned copy. The fingerprint is updated by
-//! one commutative-hash subtraction/addition (no rescan); if the
-//! post-mutation multiset already has an entry the pool **re-joins** it,
-//! otherwise (when it detached from an entry with surviving siblings)
-//! the repaired artifacts are published under the new key for the
-//! siblings to follow. Entries no pool holds any more are evicted
-//! ([`ArtifactStore::evict_if_orphaned`]).
+//! ([`ArtifactSet::cache_clone`]). The in-place repairs then run on the
+//! exclusively-owned set and mark it dirty
+//! ([`ArtifactSet::note_mutation`]). The fingerprint is updated by one
+//! commutative-hash subtraction/addition (no rescan). If the
+//! post-mutation content already has an entry the pool **re-joins** it;
+//! otherwise the repaired set is **published** under the new key
+//! whenever that key is vacant, so a written pool stays a store entry
+//! and stays in every later snapshot. Entries no pool holds any more are
+//! evicted ([`ArtifactStore::release`]).
 
-use crate::{AltrAnswer, PoolCache};
+use crate::AltrAnswer;
 use jury_core::altr::JerProfile;
 use jury_core::fingerprint::{juror_content, FingerprintKey};
 use jury_core::juror::Juror;
@@ -59,16 +68,18 @@ pub(crate) struct StoreKey {
 }
 
 /// One pool-content snapshot's warm artifacts, shared by every pool
-/// whose jurors match. Orders and sorted rates are immutable once
-/// published; the lazily-derived artifacts fill exactly once
-/// ([`OnceLock`]) and the budget staircase grows monotonically behind a
-/// read-mostly lock (batch workers replay steps read-only; recording
-/// happens under the service's `&mut self`).
+/// whose jurors match. Orders and sorted rates change only under a
+/// repair, which owns the set exclusively
+/// ([`ArtifactStore::reclaim`]); otherwise the lazily-derived artifacts
+/// fill exactly once ([`OnceLock`]) and the budget staircase grows
+/// monotonically behind a read-mostly lock (batch workers replay steps
+/// read-only; recording happens under the service's `&mut self`).
 #[derive(Debug)]
 pub(crate) struct ArtifactSet {
-    /// Founding `(ε bits, cost bits)` per pool position — the content
-    /// identity candidates are verified against.
-    seq: Vec<(u64, u64)>,
+    /// `(ε bits, cost bits)` per pool position — the content identity
+    /// candidates are verified against, and what the snapshot codec
+    /// persists. Repairs keep it in step with the owning pool.
+    pub seq: Vec<(u64, u64)>,
     /// Positions ascending by ε.
     pub eps_order: Vec<usize>,
     /// ε values aligned with `eps_order` — rank space, multiset-determined.
@@ -84,45 +95,31 @@ pub(crate) struct ArtifactSet {
     /// The PayM budget staircase over `greedy_order`, recorded lazily
     /// per budget.
     pub staircase: RwLock<Staircase>,
-    /// Monotone mutation counter: bumped whenever a lazy slot fills or
-    /// the staircase records a step. The incremental snapshot
-    /// writer compares it against the version it last persisted to
-    /// decide cleanness without re-encoding; over-counting (a bump
-    /// that changed nothing) is harmless — the writer's
-    /// encode-and-compare fallback still detects byte-identical
-    /// entries — but a *missed* bump would only cost warmth, never
-    /// correctness (persisted artifacts are deterministic functions of
-    /// pool content).
+    /// Mutation version: a fresh stamp from one process-wide counter
+    /// whenever a lazy slot fills, the staircase records a step or a
+    /// repair rewrites the set. The incremental snapshot writer compares
+    /// it against the version it last persisted under the set's key to
+    /// decide cleanness without re-encoding. Because stamps are unique
+    /// across sets, a set re-listed under a key the writer has a record
+    /// for never matches that record by accident. Over-counting (a bump
+    /// that changed nothing) is harmless: the writer's
+    /// encode-and-compare fallback still detects byte-identical entries.
     version: AtomicU64,
 }
 
+/// The next unused [`ArtifactSet`] version stamp.
+fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl ArtifactSet {
-    /// Interns a privately-built flat cache (zero-copy moves).
-    pub(crate) fn from_cache(cache: PoolCache, jurors: &[Juror]) -> Self {
-        Self {
-            seq: jurors.iter().map(juror_content).collect(),
-            eps_order: cache.eps_order,
-            eps_sorted: cache.eps_sorted,
-            greedy_order: cache.greedy_order,
-            altr: once_from(cache.altr),
-            profile: once_from(cache.profile),
-            ladder: once_from(cache.ladder),
-            staircase: RwLock::new(cache.staircase),
-            version: AtomicU64::new(0),
-        }
-    }
-
-    /// The founding `(ε bits, cost bits)` sequence — the content identity
-    /// the snapshot codec persists and restore re-verifies.
-    pub(crate) fn seq(&self) -> &[(u64, u64)] {
-        &self.seq
-    }
-
-    /// Reassembles an entry from verified snapshot parts.
-    /// Content/shape validation (the permutation and binding checks) is
-    /// the snapshot loader's job; this only rebuilds the struct.
+    /// Assembles a set from freshly built or verified snapshot parts.
+    /// Content/shape validation of restored parts (the permutation and
+    /// binding checks) is the snapshot loader's job; this only builds
+    /// the struct.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_restored(
+    pub(crate) fn from_parts(
         seq: Vec<(u64, u64)>,
         eps_order: Vec<usize>,
         eps_sorted: Vec<f64>,
@@ -141,11 +138,11 @@ impl ArtifactSet {
             profile: once_from(profile),
             ladder: once_from(ladder),
             staircase: RwLock::new(staircase),
-            version: AtomicU64::new(0),
+            version: AtomicU64::new(fresh_version()),
         }
     }
 
-    /// Whether `jurors` equals the founding sequence position for
+    /// Whether `jurors` equals the set's content sequence position for
     /// position — the only admission rule (a fingerprint collision or a
     /// permuted arrangement only costs the share).
     pub(crate) fn match_pool(&self, jurors: &[Juror]) -> bool {
@@ -153,38 +150,21 @@ impl ArtifactSet {
             && jurors.iter().zip(&self.seq).all(|(j, &fc)| juror_content(j) == fc)
     }
 
-    /// Takes the artifacts back as a private flat cache, zero-copy and
-    /// lossless — the sole-owner detach path (whose follow-up repair
-    /// clears the AltrM answer and staircase itself) and the
-    /// occupied-key fallback of [`ArtifactStore::publish`] (which must
-    /// lose nothing).
-    pub(crate) fn into_cache(self) -> PoolCache {
-        PoolCache {
-            eps_order: self.eps_order,
-            eps_sorted: self.eps_sorted,
-            greedy_order: self.greedy_order,
-            altr: self.altr.into_inner(),
-            profile: self.profile.into_inner(),
-            ladder: self.ladder.into_inner(),
-            staircase: self
-                .staircase
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Clones a private flat cache out of a still-shared entry — the
-    /// with-siblings detach path. Only what repairs touch is copied.
-    pub(crate) fn cache_clone(&self) -> PoolCache {
-        PoolCache {
-            eps_order: self.eps_order.clone(),
-            eps_sorted: self.eps_sorted.clone(),
-            greedy_order: self.greedy_order.clone(),
-            altr: None,
-            profile: self.profile.get().cloned(),
-            ladder: self.ladder.get().cloned(),
-            staircase: Staircase::new(),
-        }
+    /// Clones a set for a pool leaving siblings behind — the
+    /// copy-on-write half of [`ArtifactStore::reclaim`]. Only what
+    /// repairs touch is copied; the AltrM answer and the staircase,
+    /// which every repair drops, start empty.
+    pub(crate) fn cache_clone(&self) -> Self {
+        Self::from_parts(
+            self.seq.clone(),
+            self.eps_order.clone(),
+            self.eps_sorted.clone(),
+            self.greedy_order.clone(),
+            None,
+            self.profile.get().cloned(),
+            self.ladder.get().cloned(),
+            Staircase::new(),
+        )
     }
 
     /// Read access to the (possibly poisoned — recover, steps are
@@ -196,7 +176,7 @@ impl ArtifactSet {
     /// Runs `record` under the staircase write lock, marking the entry
     /// dirty (see [`ArtifactSet::note_mutation`]) only when it recorded
     /// a step — a covered-budget replay leaves the version alone. Steps
-    /// are append-only on a shared staircase (mutations detach first),
+    /// are append-only outside repairs (which own the set exclusively),
     /// so a grown step count is exactly "something was recorded".
     pub(crate) fn record_staircase<R>(&self, record: impl FnOnce(&mut Staircase) -> R) -> R {
         let mut staircase =
@@ -216,7 +196,7 @@ impl ArtifactSet {
 
     /// Marks this entry dirty for the next incremental snapshot.
     pub(crate) fn note_mutation(&self) {
-        self.version.fetch_add(1, Ordering::AcqRel);
+        self.version.store(fresh_version(), Ordering::Release);
     }
 
     /// Fills the AltrM answer slot (first writer wins) and marks the
@@ -284,7 +264,10 @@ fn once_from<T>(value: Option<T>) -> OnceLock<T> {
     lock
 }
 
-/// One pool's attachment to a store entry.
+/// A warm pool's hold on its artifact set: listed in the store under
+/// `key` when the store's entry there is this very set, unlisted
+/// otherwise (`key` is then the pool's content key when it last
+/// settled).
 #[derive(Debug)]
 pub(crate) struct StoreLink {
     pub key: StoreKey,
@@ -292,16 +275,17 @@ pub(crate) struct StoreLink {
 }
 
 /// The per-service interning map. Entries are kept alive by attached
-/// pools' `Arc`s; [`ArtifactStore::evict_if_orphaned`] reaps entries
-/// only the map still holds. Deliberately **not** `Clone`: a shared-map
-/// copy would break the exact strong-count accounting the eviction
-/// logic relies on.
+/// pools' `Arc`s; [`ArtifactStore::release`] reaps entries only the map
+/// still holds. Deliberately **not** `Clone`: a shared-map copy would
+/// break the exact strong-count accounting the eviction logic relies on
+/// (exact because the registry is `&mut` whenever it runs — no worker
+/// threads hold transient clones).
 #[derive(Debug, Default)]
 pub(crate) struct ArtifactStore {
     entries: HashMap<StoreKey, Arc<ArtifactSet>>,
     /// When each currently-orphaned entry lost its last holder — the TTL
-    /// eviction policy's stamps ([`ArtifactStore::stamp_if_orphaned`]).
-    /// Only populated when the policy is on; a stamp is invalidated (and
+    /// eviction policy's stamps ([`ArtifactStore::release`]). Only
+    /// populated when the policy is on; a stamp is invalidated (and
     /// removed by the next sweep) the moment a pool re-attaches.
     orphans: HashMap<StoreKey, Instant>,
 }
@@ -318,54 +302,70 @@ impl ArtifactStore {
         self.entries.contains_key(key)
     }
 
-    /// Interns `set` under `key` iff the key is vacant, returning the
-    /// shared handle. An occupied key (same fingerprint but an
-    /// arrangement the incumbent refused to admit, or colliding
-    /// content) keeps its incumbent — replacing it would strand the
-    /// incumbent's attached pools and let alternating arrangements
-    /// thrash the entry — and the set is handed back untouched so the
-    /// builder stays private without losing anything.
-    pub(crate) fn publish(
-        &mut self,
-        key: StoreKey,
-        set: ArtifactSet,
-    ) -> Result<Arc<ArtifactSet>, Box<ArtifactSet>> {
+    /// Whether `link`'s set is the entry listed under its key.
+    pub(crate) fn lists(&self, link: &StoreLink) -> bool {
+        self.entries.get(&link.key).is_some_and(|arc| Arc::ptr_eq(arc, &link.set))
+    }
+
+    /// Lists `set` under `key` iff the key is vacant, returning whether
+    /// it did. An occupied key (same fingerprint but an arrangement the
+    /// incumbent refused to admit, or colliding content) keeps its
+    /// incumbent — replacing it would strand the incumbent's attached
+    /// pools and let alternating arrangements thrash the entry — and
+    /// the set stays unlisted.
+    pub(crate) fn publish(&mut self, key: StoreKey, set: &Arc<ArtifactSet>) -> bool {
         match self.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => Err(Box::new(set)),
+            std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
-                Ok(slot.insert(Arc::new(set)).clone())
+                slot.insert(Arc::clone(set));
+                true
             }
         }
     }
 
-    /// Removes the entry at `key` when no pool holds it any more (the
-    /// map's own `Arc` is the only survivor). Called after detaches and
-    /// pool removals; `Arc::strong_count` is exact here because the
-    /// registry is `&mut` — no worker threads hold transient clones.
-    pub(crate) fn evict_if_orphaned(&mut self, key: &StoreKey) {
-        if self.entries.get(key).is_some_and(|arc| Arc::strong_count(arc) == 1) {
-            self.entries.remove(key);
-            self.orphans.remove(key);
+    /// Drops one pool's hold on its set (a pool removal, an
+    /// invalidation, or a detach that copied). When the set was listed
+    /// and no pool holds it any more, the entry is evicted — or, under
+    /// the TTL policy (`ttl_enabled`), stamped orphaned so returning
+    /// content can re-join it warm until [`ArtifactStore::sweep_ttl`]
+    /// reaps it. An unlisted set simply drops.
+    pub(crate) fn release(&mut self, link: StoreLink, ttl_enabled: bool) {
+        if !self.lists(&link) {
+            return;
         }
-    }
-
-    /// The TTL policy's replacement for [`ArtifactStore::evict_if_orphaned`]:
-    /// an entry no pool holds is *stamped* with the current time instead
-    /// of being removed, so returning content can re-join it warm until
-    /// [`ArtifactStore::sweep_ttl`] reaps it.
-    pub(crate) fn stamp_if_orphaned(&mut self, key: &StoreKey) {
-        if self.entries.get(key).is_some_and(|arc| Arc::strong_count(arc) == 1) {
-            self.orphans.entry(*key).or_insert_with(Instant::now);
+        let key = link.key;
+        drop(link);
+        if self.entries.get(&key).is_some_and(|arc| Arc::strong_count(arc) > 1) {
+            return;
         }
-    }
-
-    /// Routes to stamping (TTL policy) or immediate eviction (refcount
-    /// policy) — every detach/removal call site picks by configuration.
-    pub(crate) fn release(&mut self, key: &StoreKey, ttl_enabled: bool) {
         if ttl_enabled {
-            self.stamp_if_orphaned(key);
+            self.orphans.entry(key).or_insert_with(Instant::now);
         } else {
-            self.evict_if_orphaned(key);
+            self.entries.remove(&key);
+            self.orphans.remove(&key);
+        }
+    }
+
+    /// Takes a pool's set back, exclusively owned, for a mutation's
+    /// in-place repair — the copy-on-write boundary. A sole holder gets
+    /// its set back zero-copy: a listed one is delisted, an unlisted one
+    /// was never shared. A set with siblings is cloned
+    /// ([`ArtifactSet::cache_clone`]) and released to them. Under the
+    /// TTL policy a listed sole holder clones too, so the pre-mutation
+    /// content stays warm as a stamped orphan for a re-join within the
+    /// TTL.
+    pub(crate) fn reclaim(&mut self, link: StoreLink, ttl_enabled: bool) -> ArtifactSet {
+        if !ttl_enabled && self.lists(&link) && Arc::strong_count(&link.set) == 2 {
+            self.entries.remove(&link.key);
+        }
+        let StoreLink { key, set } = link;
+        match Arc::try_unwrap(set) {
+            Ok(owned) => owned,
+            Err(set) => {
+                let copy = set.cache_clone();
+                self.release(StoreLink { key, set }, ttl_enabled);
+                copy
+            }
         }
     }
 
@@ -390,20 +390,6 @@ impl ArtifactStore {
             true
         });
         evicted
-    }
-
-    /// Removes and returns the entry at `key` iff exactly one pool holds
-    /// it besides the map — the sole-owner detach fast path.
-    pub(crate) fn take_if_sole(&mut self, key: &StoreKey, holder: &Arc<ArtifactSet>) -> bool {
-        if self
-            .entries
-            .get(key)
-            .is_some_and(|arc| Arc::ptr_eq(arc, holder) && Arc::strong_count(arc) == 2)
-        {
-            self.entries.remove(key);
-            return true;
-        }
-        false
     }
 
     /// Number of interned entries (observability / tests).

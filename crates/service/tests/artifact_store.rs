@@ -340,7 +340,11 @@ fn ttl_policy_keeps_sole_holder_orphans_warm_for_rejoin() {
     let p = ttl.create_pool(jurors.clone());
     ttl.warm_pool(p).unwrap();
     ttl.update_juror(p, 2, perturbed).unwrap();
-    assert_eq!(ttl.artifact_entries(), 1, "the orphaned entry outlives the detach");
+    assert_eq!(
+        ttl.artifact_entries(),
+        2,
+        "the orphaned entry outlives the detach, and the written pool lists its new key"
+    );
     ttl.update_juror(p, 2, jurors[2]).unwrap();
     assert_eq!(ttl.stats().artifact_rejoins, 1, "restored content re-joins the kept orphan");
     assert_eq!(ttl.stats().store_ttl_evictions, 0, "nothing expired under a 1h TTL");
@@ -365,11 +369,14 @@ fn ttl_expiry_evicts_and_ticks_the_counter() {
     let perturbed = Juror::new(91, ErrorRate::new(0.17).unwrap(), 0.25);
     service.update_juror(p, 1, perturbed).unwrap();
     assert_eq!(service.stats().store_ttl_evictions, 1, "the orphan expires at the next sweep");
-    assert_eq!(service.artifact_entries(), 0);
+    assert_eq!(service.artifact_entries(), 1, "only the written pool's new key is left");
     service.update_juror(p, 1, jurors[1]).unwrap();
     assert_eq!(service.stats().artifact_rejoins, 0, "the expired entry cannot be re-joined");
 
-    // Pool removal stamps and sweeps the same way.
+    // Pool removal stamps and sweeps the same way. The restoring write
+    // listed p under the founding key, so p goes first: the pools below
+    // then hold that key alone.
+    service.remove_pool(p).unwrap();
     let a = service.create_pool(jurors.clone());
     let b = service.create_pool(jurors.clone());
     service.warm_pool(a).unwrap();

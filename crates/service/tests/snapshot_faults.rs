@@ -530,6 +530,89 @@ fn mutated_past_replay_falls_back_cold() {
     assert_cold_fallback(tmp.path(), &config, &mutated, &cold, "mutated-past replay");
 }
 
+/// Written pools stay in every checkpoint: each pool is warmed,
+/// checkpointed, then written once (an update on every pool, plus an
+/// insert and a removal on two of them), and checkpointed again. A
+/// restart restores every pool from that second generation and answers
+/// bit-identically to a never-snapshotted control over the written
+/// content — whether the pool was re-driven before the checkpoint (its
+/// repaired set carries fresh answers) or not (only the repaired orders,
+/// ladder and profile are persisted).
+#[test]
+fn written_pools_restore_from_the_next_checkpoint() {
+    let tmp = TempDir::new("written");
+    let config = flat_config();
+    let mut service = JuryService::with_config(config.clone());
+    let pools: Vec<PoolId> = (0..6).map(|i| service.create_pool(pool(20 + 3 * i))).collect();
+    for &id in &pools {
+        drive(&mut service, id);
+    }
+    service.snapshot(tmp.path()).unwrap();
+
+    let fresh = pool_from_rates_and_costs(&[(0.137, 0.42), (0.291, 0.18)]).unwrap();
+    for (i, &id) in pools.iter().enumerate() {
+        service.update_juror(id, i, fresh[0]).unwrap();
+        if i == 1 {
+            service.insert_juror(id, fresh[1]).unwrap();
+        }
+        if i == 2 {
+            service.remove_juror(id, 5).unwrap();
+        }
+        if i % 2 == 0 {
+            drive(&mut service, id);
+        }
+    }
+    assert_eq!(service.artifact_entries(), pools.len(), "every written pool is a store entry");
+    let report = service.snapshot(tmp.path()).unwrap();
+    assert_eq!(report.entries, pools.len(), "the checkpoint persists every written pool");
+
+    let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    for &id in &pools {
+        let written = service.pool(id).unwrap().to_vec();
+        let again = restored.create_pool(written.clone());
+        let out = drive(&mut restored, again);
+        assert_eq!(out, control(&config, &written), "{id}: restored answers must be bit-identical");
+    }
+    let stats = restored.stats();
+    assert_eq!(stats.snapshot_restores, pools.len(), "every written pool restores");
+    assert_eq!(stats.snapshot_rejections, 0);
+}
+
+/// A set that leaves its key and comes back is rewritten, never
+/// retained stale. The pool is checkpointed under K1, then two writes
+/// swap jurors 0 and 1 (K1 → K2 → K1): the multiset, and so the key,
+/// returns, but the arrangement does not. The repairs run on the same
+/// set in place with no solve between them, so only their own version
+/// bumps tell the writer that the file it holds for K1 is stale; a
+/// retained file would fail the restore's content check and cold-build.
+#[test]
+fn rewritten_key_round_trip_restores_bit_identically() {
+    let tmp = TempDir::new("round-trip");
+    let config = flat_config();
+    let jurors = pool(24);
+    let mut service = JuryService::with_config(config.clone());
+    let id = service.create_pool(jurors.clone());
+    drive(&mut service, id);
+    let k1 = service.fingerprint(id).unwrap();
+    service.snapshot(tmp.path()).unwrap();
+
+    service.update_juror(id, 0, jurors[1]).unwrap();
+    assert_ne!(service.fingerprint(id).unwrap(), k1, "K2 is new content");
+    service.update_juror(id, 1, jurors[0]).unwrap();
+    assert_eq!(service.fingerprint(id).unwrap(), k1, "the swap restores the multiset");
+    let report = service.snapshot(tmp.path()).unwrap();
+    assert_eq!(report.written, 1, "the re-listed set is rewritten");
+
+    let swapped = service.pool(id).unwrap().to_vec();
+    assert_ne!(swapped, jurors);
+    let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let again = restored.create_pool(swapped.clone());
+    assert_eq!(drive(&mut restored, again), control(&config, &swapped));
+    let stats = restored.stats();
+    assert_eq!(stats.snapshot_restores, 1, "the rewritten entry restores");
+    assert_eq!(stats.snapshot_rejections, 0);
+}
+
 /// Manifest-level damage: version skew poisons the catalog (every
 /// attempt is a counted rejection), corrupt JSON likewise, and a
 /// manifest entry whose config no longer matches the service's
