@@ -4,7 +4,7 @@
 //! A process restart loses the warm-artifact store. The cold path pays
 //! the full warm build on the first task — `O(N log N)` sorts plus the
 //! AltrM solve — per pool; the snapshot path re-attaches the pool to a
-//! persisted [`ArtifactSet`] by content, paying only the verified read
+//! persisted `ArtifactSet` by content, paying only the verified read
 //! (whole-file and per-section checksums, permutation and ε-binding
 //! checks, pmf re-hashes, and the `match_pool` content comparison).
 //! The first task is altruism because that is the expensive rebuild the

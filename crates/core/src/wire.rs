@@ -19,7 +19,10 @@
 //! * HTTP front-ends wrap every response in an [`Envelope`]:
 //!   `{"ok": true, "result": …}` on success,
 //!   `{"ok": false, "error": {"kind": …, "message": …}}` on failure
-//!   (plus `retry_after_ms` on backpressure rejections).
+//!   (plus `retry_after_ms` on backpressure rejections);
+//! * counter records (the service's and front-end's `/stats` payloads)
+//!   are declared once through [`stats_record!`](crate::stats_record),
+//!   which writes their struct and serde from a single field table.
 
 use crate::altr::{AltrConfig, AltrStrategy};
 use crate::error::JuryError;
@@ -424,6 +427,109 @@ impl Deserialize for Staircase {
 /// Reads a typed object field.
 fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
     T::from_value(value.get(name).ok_or_else(|| Error::missing_field(name))?)
+}
+
+/// Declares a counter record from one field table: the public struct
+/// (`Debug, Clone, Copy, Default, PartialEq, Eq`) and its serde. The wire
+/// form is an object keyed by field name in declaration order. Decoding
+/// is lax so `/stats` readers span versions: a missing key reads as the
+/// default, an unknown key is ignored, a non-object is refused. A
+/// trailing `atomic Name;` adds the crate-private `Name`, one `AtomicU64`
+/// per field (all fields `u64`), whose `snapshot()` loads them, relaxed,
+/// into the record.
+///
+/// ```
+/// jury_core::stats_record! {
+///     /// Work done so far.
+///     pub struct Tally {
+///         /// Tasks seen.
+///         pub seen: u64,
+///     }
+/// }
+///
+/// assert_eq!(serde::json::to_string(&Tally { seen: 3 }), r#"{"seen":3}"#);
+/// let lax: Tally = serde::json::from_str(r#"{"newer": 9}"#).unwrap();
+/// assert_eq!(lax, Tally { seen: 0 });
+/// ```
+#[macro_export]
+macro_rules! stats_record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$field_meta:meta])* pub $field:ident: $ty:ty, )*
+        }
+        atomic $mirror:ident;
+    ) => {
+        $crate::stats_record! {
+            $(#[$meta])*
+            pub struct $name {
+                $( $(#[$field_meta])* pub $field: $ty, )*
+            }
+        }
+
+        #[derive(Default)]
+        pub(crate) struct $mirror {
+            $( pub(crate) $field: ::std::sync::atomic::AtomicU64, )*
+        }
+
+        impl $mirror {
+            fn snapshot(&self) -> $name {
+                $name { $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )* }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$field_meta:meta])* pub $field:ident: $ty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$field_meta])* pub $field: $ty, )*
+        }
+
+        impl $crate::wire::__private::Serialize for $name {
+            fn to_value(&self) -> $crate::wire::__private::Value {
+                $crate::wire::__private::Value::object([$((
+                    stringify!($field),
+                    $crate::wire::__private::Serialize::to_value(&self.$field),
+                ),)*])
+            }
+        }
+
+        impl $crate::wire::__private::Deserialize for $name {
+            fn from_value(
+                value: &$crate::wire::__private::Value,
+            ) -> Result<Self, $crate::wire::__private::Error> {
+                $crate::wire::__private::expect_object(value, stringify!($name))?;
+                Ok(Self {$(
+                    $field: $crate::wire::__private::lax_field(value, stringify!($field))?,
+                )*})
+            }
+        }
+    };
+}
+
+/// Support for [`stats_record!`](crate::stats_record) expansions in other
+/// crates; not a public API.
+#[doc(hidden)]
+pub mod __private {
+    pub use serde::{Deserialize, Error, Serialize, Value};
+
+    /// Refuses anything but a JSON object.
+    pub fn expect_object(value: &Value, record: &str) -> Result<(), Error> {
+        match value {
+            Value::Object(_) => Ok(()),
+            _ => Err(Error::expected(&format!("a `{record}` object"), value)),
+        }
+    }
+
+    /// Reads one record field; a missing key reads as the default.
+    pub fn lax_field<T: Deserialize + Default>(value: &Value, name: &str) -> Result<T, Error> {
+        value.get(name).map_or(Ok(T::default()), T::from_value)
+    }
 }
 
 #[cfg(test)]

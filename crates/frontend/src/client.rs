@@ -24,15 +24,18 @@ pub struct Response {
     pub result: Result<Value, WireError>,
 }
 
-/// Combined `/stats` payload.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsSnapshot {
-    /// The wrapped service's counters.
-    pub service: ServiceStats,
-    /// The front-end's counters.
-    pub frontend: FrontendStats,
-    /// Interned warm-artifact entries.
-    pub artifact_entries: usize,
+jury_core::stats_record! {
+    /// The `GET /stats` result: the server encodes it, [`Client::stats`]
+    /// decodes it. The service counters and the entry count are read
+    /// under one hold of the service lock, so they describe one instant.
+    pub struct StatsSnapshot {
+        /// The wrapped service's counters.
+        pub service: ServiceStats,
+        /// The front-end's counters.
+        pub frontend: FrontendStats,
+        /// Interned warm-artifact entries.
+        pub artifact_entries: usize,
+    }
 }
 
 /// How [`Client::submit_with_retry`] spaces its attempts: capped
@@ -244,15 +247,8 @@ impl Client {
     pub fn stats(&mut self) -> io::Result<Result<StatsSnapshot, WireError>> {
         let response = self.request("GET", "/stats", None)?;
         Ok(response.result.and_then(|value| {
-            let field = |name: &str| {
-                value.get(name).ok_or_else(|| WireError::new("bad-response", "missing field"))
-            };
-            let bad = |e: serde::Error| WireError::new("bad-response", e.to_string());
-            Ok(StatsSnapshot {
-                service: ServiceStats::from_value(field("service")?).map_err(bad)?,
-                frontend: FrontendStats::from_value(field("frontend")?).map_err(bad)?,
-                artifact_entries: usize::from_value(field("artifact_entries")?).map_err(bad)?,
-            })
+            StatsSnapshot::from_value(&value)
+                .map_err(|e| WireError::new("bad-response", e.to_string()))
         }))
     }
 

@@ -75,7 +75,7 @@ pub struct FrontendConfig {
     /// layer — a handler that panics on purpose, for proving worker
     /// panic isolation. Off by default; never enable in production.
     pub debug_fault_routes: bool,
-    /// With `Some(interval)`, a checkpoint thread calls the service's
+    /// With `Some(interval)`, the supervisor thread calls the service's
     /// `snapshot()` every `interval` under live churn (incremental:
     /// only dirty entries are rewritten). A failed checkpoint is
     /// counted in [`FrontendStats::checkpoint_failures`] and backs off
@@ -85,8 +85,8 @@ pub struct FrontendConfig {
     pub checkpoint_interval: Option<Duration>,
     /// With `Some(interval)`, the front-end starts as a warm
     /// **follower** (see the `jury-service` crate docs' *failover
-    /// contract*) and the checkpoint thread becomes a role-aware
-    /// supervisor polling the service's `snapshot_dir` roughly every
+    /// contract*) and the supervisor thread becomes role-aware,
+    /// polling the service's `snapshot_dir` roughly every
     /// `interval` (±25% jitter). Follower ticks adopt newer committed
     /// generations without restart and probe for promotion — a stale
     /// or absent writer lease promotes this front-end to **writer**,
@@ -170,101 +170,63 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Monotone counters describing the front-end's traffic so far (the
-/// `/stats` payload next to [`ServiceStats`]). All counters are updated
-/// with relaxed atomics — they are observability, not synchronization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontendStats {
-    /// Submissions admitted (inline + queued), excluding rejections.
-    pub requests: u64,
-    /// Submissions solved inline on the caller thread (idle fast path).
-    pub inline_solves: u64,
-    /// Windows dispatched through the coalescing queue.
-    pub coalesced_windows: u64,
-    /// Tasks carried by those windows (mean occupancy =
-    /// `coalesced_tasks / coalesced_windows`).
-    pub coalesced_tasks: u64,
-    /// Largest single-window occupancy seen.
-    pub max_window_occupancy: u64,
-    /// Submissions refused by per-tenant admission control.
-    pub queue_rejections: u64,
-    /// High-water mark of tasks queued across all windows.
-    pub queue_depth_highwater: u64,
-    /// Requests the HTTP layer refused before reaching the queue
-    /// (malformed JSON, oversized bodies, unknown routes).
-    pub malformed_requests: u64,
-    /// Total queueing delay (enqueue → window dispatch) over all
-    /// coalesced tasks, in nanoseconds.
-    pub queue_wait_nanos: u64,
-    /// Total solver time attributed to coalesced tasks, in nanoseconds
-    /// (per-task durations from the service's timing hook, summed).
-    pub solve_nanos: u64,
-    /// Queued tasks refused at dispatch because their
-    /// [`FrontendConfig::deadline`] budget had already elapsed.
-    pub deadline_rejections: u64,
-    /// Request handlers that panicked. Each cost its connection only:
-    /// the worker caught the unwind, answered a best-effort 500 and
-    /// went back to the accept loop.
-    pub worker_panics: u64,
-    /// Periodic checkpoints that committed (timer thread; the final
-    /// drain snapshot is not counted here).
-    pub checkpoints: u64,
-    /// Periodic checkpoints that failed (lease contention, fencing,
-    /// I/O). Each failure doubles the timer's wait, capped at 8× the
-    /// configured interval.
-    pub checkpoint_failures: u64,
-    /// Follower → writer transitions: a supervisor tick found the
-    /// writer lease stale (or absent), broke it by epoch bump, and
-    /// committed — this front-end now checkpoints.
-    pub promotions: u64,
-    /// Writer → follower transitions: a checkpoint came back fenced
-    /// (another writer holds a higher epoch), so this front-end
-    /// stepped back to adopting generations.
-    pub demotions: u64,
-}
-
-#[derive(Default)]
-pub(crate) struct Counters {
-    requests: AtomicU64,
-    inline_solves: AtomicU64,
-    coalesced_windows: AtomicU64,
-    coalesced_tasks: AtomicU64,
-    max_window_occupancy: AtomicU64,
-    queue_rejections: AtomicU64,
-    queue_depth_highwater: AtomicU64,
-    pub(crate) malformed_requests: AtomicU64,
-    queue_wait_nanos: AtomicU64,
-    solve_nanos: AtomicU64,
-    deadline_rejections: AtomicU64,
-    pub(crate) worker_panics: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_failures: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
+jury_core::stats_record! {
+    /// Monotone counters describing the front-end's traffic so far (the
+    /// `/stats` payload next to [`ServiceStats`]). All counters are updated
+    /// with relaxed atomics — they are observability, not synchronization.
+    pub struct FrontendStats {
+        /// Submissions admitted (inline + queued), excluding rejections.
+        pub requests: u64,
+        /// Submissions solved inline on the caller thread (idle fast path).
+        pub inline_solves: u64,
+        /// Windows dispatched through the coalescing queue.
+        pub coalesced_windows: u64,
+        /// Tasks carried by those windows (mean occupancy =
+        /// `coalesced_tasks / coalesced_windows`).
+        pub coalesced_tasks: u64,
+        /// Largest single-window occupancy seen.
+        pub max_window_occupancy: u64,
+        /// Submissions refused by per-tenant admission control.
+        pub queue_rejections: u64,
+        /// High-water mark of tasks queued across all windows.
+        pub queue_depth_highwater: u64,
+        /// Requests the HTTP layer refused before reaching the queue
+        /// (malformed JSON, oversized bodies, unknown routes).
+        pub malformed_requests: u64,
+        /// Total queueing delay (enqueue → window dispatch) over all
+        /// coalesced tasks, in nanoseconds.
+        pub queue_wait_nanos: u64,
+        /// Total solver time attributed to coalesced tasks, in nanoseconds
+        /// (per-task durations from the service's timing hook, summed).
+        pub solve_nanos: u64,
+        /// Queued tasks refused at dispatch because their
+        /// [`FrontendConfig::deadline`] budget had already elapsed.
+        pub deadline_rejections: u64,
+        /// Request handlers that panicked. Each cost its connection only:
+        /// the worker caught the unwind, answered a best-effort 500 and
+        /// went back to the accept loop.
+        pub worker_panics: u64,
+        /// Periodic checkpoints that committed (supervisor thread; the final
+        /// drain snapshot is not counted here).
+        pub checkpoints: u64,
+        /// Periodic checkpoints that failed (lease contention, fencing,
+        /// I/O). Each failure doubles the supervisor's wait, capped at 8× the
+        /// configured interval; a fenced one on a follower-capable
+        /// front-end demotes it instead.
+        pub checkpoint_failures: u64,
+        /// Follower → writer transitions: a supervisor tick found the
+        /// writer lease stale (or absent), broke it by epoch bump, and
+        /// committed — this front-end now checkpoints.
+        pub promotions: u64,
+        /// Writer → follower transitions: a checkpoint came back fenced
+        /// (another writer holds a higher epoch), so this front-end
+        /// stepped back to adopting generations.
+        pub demotions: u64,
+    }
+    atomic Counters;
 }
 
 impl Counters {
-    fn snapshot(&self) -> FrontendStats {
-        FrontendStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            inline_solves: self.inline_solves.load(Ordering::Relaxed),
-            coalesced_windows: self.coalesced_windows.load(Ordering::Relaxed),
-            coalesced_tasks: self.coalesced_tasks.load(Ordering::Relaxed),
-            max_window_occupancy: self.max_window_occupancy.load(Ordering::Relaxed),
-            queue_rejections: self.queue_rejections.load(Ordering::Relaxed),
-            queue_depth_highwater: self.queue_depth_highwater.load(Ordering::Relaxed),
-            malformed_requests: self.malformed_requests.load(Ordering::Relaxed),
-            queue_wait_nanos: self.queue_wait_nanos.load(Ordering::Relaxed),
-            solve_nanos: self.solve_nanos.load(Ordering::Relaxed),
-            deadline_rejections: self.deadline_rejections.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-        }
-    }
-
     fn raise_max(cell: &AtomicU64, seen: u64) {
         let mut current = cell.load(Ordering::Relaxed);
         while seen > current {
@@ -305,7 +267,7 @@ struct Shared {
     config: FrontendConfig,
     counters: Counters,
     shutdown: AtomicBool,
-    /// Parking spot for the checkpoint timer thread; `checkpoint_wake`
+    /// Parking spot for the supervisor thread; `checkpoint_wake`
     /// is notified on shutdown so the thread exits promptly instead of
     /// sleeping out its interval.
     checkpoint_gate: Mutex<()>,
@@ -356,13 +318,13 @@ impl Shared {
 /// docs for window semantics and the backpressure contract.
 ///
 /// `Frontend` is the transport-free core: [`Frontend::submit`] is the
-/// whole request path, and the HTTP layer in [`crate::http`] is a thin
+/// whole request path, and the [`HttpServer`](crate::HttpServer) is a thin
 /// codec over it. Cloning the handle (`Arc` internally) shares the same
 /// queue, dispatcher and service.
 pub struct Frontend {
     shared: Arc<Shared>,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    checkpointer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    supervisor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Frontend {
@@ -390,27 +352,19 @@ impl Frontend {
                 .spawn(move || dispatcher_loop(&shared))
                 .expect("spawn dispatcher")
         };
-        let checkpointer = if let Some(watch) = shared.config.follower_watch {
+        let supervised =
+            shared.config.follower_watch.is_some() || shared.config.checkpoint_interval.is_some();
+        let supervisor = supervised.then(|| {
             let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("jury-supervisor".into())
-                    .spawn(move || supervisor_loop(&shared, watch))
-                    .expect("spawn supervisor"),
-            )
-        } else {
-            shared.config.checkpoint_interval.map(|interval| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("jury-checkpoint".into())
-                    .spawn(move || checkpoint_loop(&shared, interval))
-                    .expect("spawn checkpointer")
-            })
-        };
+            std::thread::Builder::new()
+                .name("jury-supervisor".into())
+                .spawn(move || supervisor_loop(&shared))
+                .expect("spawn supervisor")
+        });
         Arc::new(Self {
             shared,
             dispatcher: Mutex::new(Some(dispatcher)),
-            checkpointer: Mutex::new(checkpointer),
+            supervisor: Mutex::new(supervisor),
         })
     }
 
@@ -496,11 +450,6 @@ impl Frontend {
         self.with_service(|s| s.stats())
     }
 
-    /// Count of interned warm-artifact entries in the service's store.
-    pub fn artifact_entries(&self) -> usize {
-        self.with_service(|s| s.artifact_entries())
-    }
-
     pub(crate) fn counters(&self) -> &Counters {
         &self.shared.counters
     }
@@ -536,8 +485,8 @@ impl Frontend {
             // Flag and wake under the queue lock: the dispatcher holds it
             // from its drain check until it parks, so a shutdown cannot
             // slip into that window unseen and leave it asleep for a
-            // whole `max_delay`. The timer threads check the flag under
-            // their gate the same way.
+            // whole `max_delay`. The supervisor checks the flag under its
+            // gate the same way.
             let _queue = self.shared.queue.lock().expect("queue poisoned");
             self.shared.shutdown.store(true, Ordering::Release);
             self.shared.work.notify_all();
@@ -546,8 +495,9 @@ impl Frontend {
             let _gate = self.shared.checkpoint_gate.lock().expect("checkpoint gate poisoned");
             self.shared.checkpoint_wake.notify_all();
         }
-        if let Some(ckpt) = self.checkpointer.lock().expect("checkpointer handle poisoned").take() {
-            ckpt.join().expect("checkpointer panicked");
+        if let Some(supervisor) = self.supervisor.lock().expect("supervisor handle poisoned").take()
+        {
+            supervisor.join().expect("supervisor panicked");
         }
         let handle = self.dispatcher.lock().expect("dispatcher handle poisoned").take()?;
         handle.join().expect("dispatcher panicked");
@@ -669,46 +619,19 @@ fn scan<'a>(shared: &'a Shared, queue: &mut QueueState, now: Instant) -> Dispatc
     Dispatch::Batch { tasks, waiters, service: claimed }
 }
 
-/// The checkpoint timer: snapshots the service every `interval` so a
-/// crash loses at most one interval of warmth. Failures (lease held by
-/// another process, fenced, I/O) double the wait — capped at 8× the
-/// interval — so a contended directory is not hammered; the next
-/// success resets the cadence. Exits as soon as shutdown is flagged
-/// (the drain path takes its own final snapshot).
-fn checkpoint_loop(shared: &Shared, interval: Duration) {
-    let cap = interval.saturating_mul(8);
-    let mut wait = interval;
-    let mut gate = shared.checkpoint_gate.lock().expect("checkpoint gate poisoned");
-    loop {
-        let (g, _) =
-            shared.checkpoint_wake.wait_timeout(gate, wait).expect("checkpoint gate poisoned");
-        gate = g;
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // No directory to checkpoint into means nothing this thread can
-        // ever do — it parks until shutdown below.
-        let outcome = shared.with_service(|service| {
-            service.config().snapshot_dir.clone().map(|dir| service.snapshot(&dir))
-        });
-        match outcome {
-            None => wait = Duration::from_secs(3600),
-            Some(Ok(_)) => {
-                shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                wait = interval;
-            }
-            Some(Err(_)) => {
-                shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                wait = wait.saturating_mul(2).min(cap);
-            }
-        }
-    }
-}
-
-/// The role-aware supervisor (see [`FrontendConfig::follower_watch`]):
-/// one thread that is a generation watcher + promotion prober while
-/// the front-end follows, and the checkpoint timer while it writes.
+/// The supervisor thread, started when the front-end checkpoints
+/// ([`FrontendConfig::checkpoint_interval`]) or follows
+/// ([`FrontendConfig::follower_watch`]). A plain writer is a supervisor
+/// that never follows.
 ///
+/// * **Writer tick.** Checkpoint: snapshot the service so a crash loses
+///   at most one interval of warmth. Failures (lease held by another
+///   process, fenced, I/O) double the wait — capped at 8× the interval
+///   — so a contended directory is not hammered; the next success
+///   resets the cadence. With a watch, [`SnapshotError::Fenced`]
+///   demotes to follower instead: another writer holds a higher epoch,
+///   and this one's next ticks should adopt that writer's generations,
+///   not fight it. Without one the front-end stays a writer.
 /// * **Follower tick.** First adopt: a jittered [`SnapshotWatcher`]
 ///   poll (directory-mtime fast path) detects newer committed
 ///   generations and [`JuryService::adopt_snapshot`] hot-swaps them in
@@ -717,12 +640,14 @@ fn checkpoint_loop(shared: &Shared, interval: Duration) {
 ///   foreign lease refuses it (`LeaseHeld` — the holder id is recorded
 ///   as the leader hint); a stale or absent one is broken by epoch
 ///   bump and the commit *is* the promotion.
-/// * **Writer tick.** Checkpoint exactly like [`checkpoint_loop`]
-///   (failure backoff included), except [`SnapshotError::Fenced`]
-///   demotes back to follower instead of merely counting a failure:
-///   another writer holds a higher epoch, and this one's next ticks
-///   should adopt that writer's generations, not fight it.
-fn supervisor_loop(shared: &Shared, watch: Duration) {
+///
+/// A plain writer's first tick waits exactly one checkpoint interval; a
+/// watching one starts on the watcher's jittered poll. Exits as soon as
+/// shutdown is flagged (the drain path takes its own final snapshot).
+fn supervisor_loop(shared: &Shared) {
+    let config = &shared.config;
+    let checkpoint_every =
+        config.checkpoint_interval.or(config.follower_watch).expect("started with an interval");
     let dir = shared.with_service(|service| service.config().snapshot_dir.clone());
     let Some(dir) = dir else {
         // Nothing to watch or checkpoint — park until shutdown.
@@ -736,14 +661,16 @@ fn supervisor_loop(shared: &Shared, watch: Duration) {
         }
         return;
     };
-    let mut watcher = SnapshotWatcher::new(&dir, watch);
-    // Seed the watch with whatever generation the service restored at
-    // startup, so a quiet directory settles onto the stat-only fast path
-    // instead of rescanning an already-adopted commit.
-    watcher.observe(shared.with_service(|service| service.stats().follower_generation as u64));
-    let checkpoint_every = shared.config.checkpoint_interval.unwrap_or(watch);
+    let mut watcher = config.follower_watch.map(|watch| {
+        let mut watcher = SnapshotWatcher::new(&dir, watch);
+        // Seed the watch with whatever generation the service restored
+        // at startup, so a quiet directory settles onto the stat-only
+        // fast path instead of rescanning an already-adopted commit.
+        watcher.observe(shared.with_service(|service| service.stats().follower_generation as u64));
+        watcher
+    });
     let cap = checkpoint_every.saturating_mul(8);
-    let mut wait = watcher.next_wait();
+    let mut wait = watcher.as_mut().map_or(checkpoint_every, SnapshotWatcher::next_wait);
     let mut gate = shared.checkpoint_gate.lock().expect("checkpoint gate poisoned");
     loop {
         let (g, _) =
@@ -752,8 +679,8 @@ fn supervisor_loop(shared: &Shared, watch: Duration) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match shared.role() {
-            Role::Follower => {
+        wait = match (shared.role(), watcher.as_mut()) {
+            (Role::Follower, Some(watcher)) => {
                 if watcher.poll().is_some() {
                     if let Some(report) = shared.with_service(JuryService::adopt_snapshot) {
                         watcher.observe(report.generation);
@@ -765,32 +692,34 @@ fn supervisor_loop(shared: &Shared, watch: Duration) {
                         *shared.leader_hint.lock().expect("leader hint poisoned") = None;
                         shared.counters.promotions.fetch_add(1, Ordering::Relaxed);
                         shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                        wait = checkpoint_every;
+                        checkpoint_every
                     }
                     Err(SnapshotError::LeaseHeld { holder, .. }) => {
                         *shared.leader_hint.lock().expect("leader hint poisoned") = Some(holder);
-                        wait = watcher.next_wait();
+                        watcher.next_wait()
                     }
-                    Err(_) => wait = watcher.next_wait(),
+                    Err(_) => watcher.next_wait(),
                 }
             }
-            Role::Writer => match shared.with_service(|service| service.snapshot(&dir)) {
-                Ok(_) => {
-                    shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                    wait = checkpoint_every;
+            (_, watcher) => {
+                match (shared.with_service(|service| service.snapshot(&dir)), watcher) {
+                    (Ok(_), _) => {
+                        shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+                        checkpoint_every
+                    }
+                    (Err(SnapshotError::Fenced { .. }), Some(watcher)) => {
+                        shared.role.store(ROLE_FOLLOWER, Ordering::Release);
+                        shared.counters.demotions.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                        watcher.next_wait()
+                    }
+                    (Err(_), _) => {
+                        shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                        wait.saturating_mul(2).min(cap)
+                    }
                 }
-                Err(SnapshotError::Fenced { .. }) => {
-                    shared.role.store(ROLE_FOLLOWER, Ordering::Release);
-                    shared.counters.demotions.fetch_add(1, Ordering::Relaxed);
-                    shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                    wait = watcher.next_wait();
-                }
-                Err(_) => {
-                    shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                    wait = wait.saturating_mul(2).min(cap);
-                }
-            },
-        }
+            }
+        };
     }
 }
 
@@ -1233,6 +1162,56 @@ mod tests {
         assert_eq!(frontend.stats().checkpoints, 0, "nothing committed under a foreign lease");
         assert!(!tmp.0.join("manifest-1.json").exists(), "no manifest under a foreign lease");
         frontend.shutdown();
+    }
+
+    #[test]
+    fn fenced_plain_writer_counts_a_failure_and_never_demotes() {
+        // Only a front-end with `follower_watch` has generations to
+        // follow; a plain writer fenced by a usurper's higher epoch
+        // counts a failed checkpoint, backs off, and keeps writing.
+        let tmp = TempDir::new("fenced-writer");
+        let jurors = pool_from_rates_and_costs(&[(0.1, 0.2), (0.2, 0.1)]).unwrap();
+        let mut service = jury_service::JuryService::with_config(jury_service::ServiceConfig {
+            snapshot_dir: Some(tmp.0.clone()),
+            ..Default::default()
+        });
+        let pool = service.create_pool(jurors.clone());
+        let config = FrontendConfig {
+            checkpoint_interval: Some(Duration::from_millis(5)),
+            ..Default::default()
+        };
+        let frontend = Frontend::start(service, config);
+        frontend.submit("t0", DecisionTask::altruism(pool)).unwrap();
+        wait_for(|| frontend.stats().checkpoints >= 1, "a first checkpoint taking the lease");
+        // The usurper's heartbeat claims a minute in the future, so it
+        // reads live throughout. Forged under the service lock, so no
+        // checkpoint is mid-flight to rename its own lease over it; the
+        // next one therefore finds a foreign epoch above its own.
+        let now_ms =
+            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_millis()
+                as u64;
+        let failures_before = frontend.with_service(|_| {
+            std::fs::write(
+                tmp.0.join("writer.lease"),
+                format!(
+                    r#"{{"format":"jury-lease","holder":"usurper","epoch":"{:016x}","heartbeat_ms":"{:016x}"}}"#,
+                    99,
+                    now_ms + 60_000
+                ),
+            )
+            .unwrap();
+            frontend.stats().checkpoint_failures
+        });
+        assert_eq!(failures_before, 0);
+        wait_for(|| frontend.stats().checkpoint_failures >= 2, "counted checkpoint failures");
+        let stats = frontend.stats();
+        assert_eq!(frontend.role(), Role::Writer, "a plain writer never demotes");
+        assert_eq!(stats.demotions, 0);
+        assert_eq!(stats.promotions, 0);
+        // Mutations are still accepted and served.
+        let extra = frontend.with_service(|service| service.create_pool(jurors));
+        assert!(frontend.submit("t0", DecisionTask::altruism(extra)).is_ok());
+        frontend.shutdown().expect("first shutdown returns the service");
     }
 
     #[test]

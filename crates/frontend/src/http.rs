@@ -4,6 +4,7 @@
 //! structured wire error (best-effort) and close that connection only —
 //! the acceptor and the coalescing queue never see them.
 
+use crate::client::StatsSnapshot;
 use crate::coalesce::{Frontend, Role, SubmitError};
 use crate::proto::{self, Conn, ReadOutcome, Request};
 use jury_core::wire::{Envelope, WireError};
@@ -320,14 +321,11 @@ fn route(conn: &mut Conn, frontend: &Arc<Frontend>, request: Request) -> io::Res
             panic!("debug fault injection requested via /debug/panic")
         }
         ("GET", "/stats") => {
-            use serde::Serialize;
-            let service = frontend.service_stats();
-            let entries = frontend.artifact_entries();
-            let stats = serde::Value::object([
-                ("service", service.to_value()),
-                ("frontend", frontend.stats().to_value()),
-                ("artifact_entries", entries.to_value()),
-            ]);
+            let stats = frontend.with_service(|service| StatsSnapshot {
+                service: service.stats(),
+                frontend: frontend.stats(),
+                artifact_entries: service.artifact_entries(),
+            });
             respond_ok(conn, keep, &stats)
         }
         // Liveness: always 200 while the process serves HTTP at all —
@@ -374,13 +372,17 @@ fn refuse_follower_write(
 /// generation the service reads from, its lag, and the drain flag.
 fn health_payload(frontend: &Arc<Frontend>) -> serde::Value {
     use serde::Serialize as _;
+    // One role read names the generation pair and the role field alike:
+    // a promotion or demotion between two reads would report one role's
+    // generation under the other's name.
+    let role = frontend.role();
     let stats = frontend.service_stats();
-    let (generation, lag_ms) = match frontend.role() {
+    let (generation, lag_ms) = match role {
         Role::Writer => (stats.snapshot_generation, stats.snapshot_age_ms),
         Role::Follower => (stats.follower_generation, stats.follower_lag_ms),
     };
     serde::Value::object([
-        ("role", frontend.role().to_string().to_value()),
+        ("role", role.to_string().to_value()),
         ("generation", generation.to_value()),
         ("lag_ms", lag_ms.to_value()),
         ("draining", frontend.is_shutting_down().to_value()),

@@ -3,7 +3,7 @@
 //! The serving library ([`jury_service`]) solves decision tasks at
 //! millions per second *when handed batches*; real micro-blog traffic
 //! arrives as independent single-task requests. This crate closes that
-//! gap with an [adaptive coalescing queue](coalesce) that merges
+//! gap with an adaptive coalescing queue ([`Frontend`]) that merges
 //! concurrent arrivals into `solve_batch_shared` windows, plus a
 //! std-only HTTP layer (no async runtime — a dedicated acceptor thread
 //! and a small worker pool over [`std::net`], matching the workspace's
@@ -22,7 +22,7 @@
 //! |---|---|---|
 //! | `POST /v1/solve` | `{"tenant": "…", "task": {"pool": N, "task": {"model": "altruism"}}}` | the [`Selection`](jury_core::problem::Selection) |
 //! | `POST /v1/pools` | `{"jurors": [{"id": …, "error_rate": …, "cost": …}, …]}` | `{"pool": N}` |
-//! | `GET /stats` | — | `{"service": ServiceStats, "frontend": FrontendStats, "artifact_entries": N}` |
+//! | `GET /stats` | — | the [`StatsSnapshot`](client::StatsSnapshot): `{"service": ServiceStats, "frontend": FrontendStats, "artifact_entries": N}`, read under one service lock |
 //! | `GET /healthz` | — | `{"role": "writer"\|"follower", "generation": N, "lag_ms": N, "draining": bool}` — 200 while the process serves at all |
 //! | `GET /readyz` | — | same body; `503` while draining |
 //!
@@ -40,14 +40,14 @@
 //!
 //! # Coalescing window semantics & backpressure
 //!
-//! See the [`coalesce`] module docs: windows are keyed by
-//! `(tenant, pool)`, close on max-batch / max-delay / idle-service
-//! (whichever first), solo arrivals on an idle service solve inline on
-//! the handler thread, and per-tenant admission control refuses work
-//! beyond [`FrontendConfig::queue_capacity`] *before* it queues.
-//! Graceful [`shutdown`](Frontend::shutdown) stops admitting, drains
-//! every queued window (each waiter still gets its answer), then hands
-//! the wrapped [`JuryService`](jury_service::JuryService) back.
+//! Windows are keyed by `(tenant, pool)` and close on max-batch /
+//! max-delay / idle-service (whichever first), solo arrivals on an idle
+//! service solve inline on the handler thread, and per-tenant admission
+//! control refuses work beyond [`FrontendConfig::queue_capacity`]
+//! *before* it queues. Graceful [`shutdown`](Frontend::shutdown) stops
+//! admitting, drains every queued window (each waiter still gets its
+//! answer), then hands the wrapped
+//! [`JuryService`](jury_service::JuryService) back.
 
 pub mod client;
 mod coalesce;
@@ -56,62 +56,6 @@ mod proto;
 
 pub use coalesce::{Frontend, FrontendConfig, FrontendStats, Role, SubmitError};
 pub use http::HttpServer;
-
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-
-impl Serialize for FrontendStats {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("requests", self.requests.to_value()),
-            ("inline_solves", self.inline_solves.to_value()),
-            ("coalesced_windows", self.coalesced_windows.to_value()),
-            ("coalesced_tasks", self.coalesced_tasks.to_value()),
-            ("max_window_occupancy", self.max_window_occupancy.to_value()),
-            ("queue_rejections", self.queue_rejections.to_value()),
-            ("queue_depth_highwater", self.queue_depth_highwater.to_value()),
-            ("malformed_requests", self.malformed_requests.to_value()),
-            ("queue_wait_nanos", self.queue_wait_nanos.to_value()),
-            ("solve_nanos", self.solve_nanos.to_value()),
-            ("deadline_rejections", self.deadline_rejections.to_value()),
-            ("worker_panics", self.worker_panics.to_value()),
-            ("checkpoints", self.checkpoints.to_value()),
-            ("checkpoint_failures", self.checkpoint_failures.to_value()),
-            ("promotions", self.promotions.to_value()),
-            ("demotions", self.demotions.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FrontendStats {
-    /// Missing counters read as zero and unknown counters are ignored,
-    /// so `/stats` consumers keep working across front-end versions.
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if !matches!(value, Value::Object(_)) {
-            return Err(SerdeError::expected("a front-end stats object", value));
-        }
-        let counter = |name: &str| -> Result<u64, SerdeError> {
-            value.get(name).map_or(Ok(0), u64::from_value)
-        };
-        Ok(Self {
-            requests: counter("requests")?,
-            inline_solves: counter("inline_solves")?,
-            coalesced_windows: counter("coalesced_windows")?,
-            coalesced_tasks: counter("coalesced_tasks")?,
-            max_window_occupancy: counter("max_window_occupancy")?,
-            queue_rejections: counter("queue_rejections")?,
-            queue_depth_highwater: counter("queue_depth_highwater")?,
-            malformed_requests: counter("malformed_requests")?,
-            queue_wait_nanos: counter("queue_wait_nanos")?,
-            solve_nanos: counter("solve_nanos")?,
-            deadline_rejections: counter("deadline_rejections")?,
-            worker_panics: counter("worker_panics")?,
-            checkpoints: counter("checkpoints")?,
-            checkpoint_failures: counter("checkpoint_failures")?,
-            promotions: counter("promotions")?,
-            demotions: counter("demotions")?,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -145,5 +89,82 @@ mod tests {
         let lax: FrontendStats = json::from_str(r#"{"requests": 9, "new_counter": 1}"#).unwrap();
         assert_eq!(lax, FrontendStats { requests: 9, ..Default::default() });
         assert!(json::from_str::<FrontendStats>("[]").is_err());
+    }
+
+    // Golden wire text. Key names and key order are protocol, and the
+    // round trips above decode their own output, so they cannot see a
+    // renamed or reordered key; these strings pin both verbatim. Every
+    // field carries a distinct value so a swapped pair shows too.
+    const FRONTEND_GOLDEN: &str = r#"{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"deadline_rejections":111,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116}"#;
+    const STATS_GOLDEN: &str = r#"{"service":{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"store_ttl_evictions":17,"snapshot_restores":18,"snapshot_rejections":19,"stale_snapshot_skips":20,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26},"frontend":{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"deadline_rejections":111,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116},"artifact_entries":27}"#;
+
+    fn distinct_frontend_stats() -> FrontendStats {
+        FrontendStats {
+            requests: 101,
+            inline_solves: 102,
+            coalesced_windows: 103,
+            coalesced_tasks: 104,
+            max_window_occupancy: 105,
+            queue_rejections: 106,
+            queue_depth_highwater: 107,
+            malformed_requests: 108,
+            queue_wait_nanos: 109,
+            solve_nanos: 110,
+            deadline_rejections: 111,
+            worker_panics: 112,
+            checkpoints: 113,
+            checkpoint_failures: 114,
+            promotions: 115,
+            demotions: 116,
+        }
+    }
+
+    fn distinct_service_stats() -> jury_service::ServiceStats {
+        jury_service::ServiceStats {
+            tasks_solved: 1,
+            cache_hits: 2,
+            cache_builds: 3,
+            batches: 4,
+            cache_invalidations: 5,
+            order_repairs: 6,
+            insert_repairs: 7,
+            staircase_hits: 8,
+            pmf_repairs: 9,
+            pmf_rebuilds: 10,
+            full_repairs: 11,
+            profile_repairs: 12,
+            bound_pruned: 13,
+            artifact_share_hits: 14,
+            artifact_detaches: 15,
+            artifact_rejoins: 16,
+            store_ttl_evictions: 17,
+            snapshot_restores: 18,
+            snapshot_rejections: 19,
+            stale_snapshot_skips: 20,
+            snapshot_generation: 21,
+            snapshot_age_ms: 22,
+            follower_generation: 23,
+            follower_lag_ms: 24,
+            generations_adopted: 25,
+            adoptions_rejected: 26,
+        }
+    }
+
+    #[test]
+    fn frontend_stats_golden_wire() {
+        let stats = distinct_frontend_stats();
+        assert_eq!(json::to_string(&stats), FRONTEND_GOLDEN);
+        assert_eq!(json::from_str::<FrontendStats>(FRONTEND_GOLDEN).unwrap(), stats);
+    }
+
+    #[test]
+    fn stats_snapshot_golden_wire() {
+        let snapshot = client::StatsSnapshot {
+            service: distinct_service_stats(),
+            frontend: distinct_frontend_stats(),
+            artifact_entries: 27,
+        };
+        assert_eq!(json::to_string(&snapshot), STATS_GOLDEN);
+        assert_eq!(json::from_str::<client::StatsSnapshot>(STATS_GOLDEN).unwrap(), snapshot);
     }
 }

@@ -578,209 +578,141 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Monotone counters describing the service's work so far.
-///
-/// The repair counters make the cache's behaviour observable: a healthy
-/// warm PayM workload shows `staircase_hits` tracking `tasks_solved`,
-/// juror updates show `order_repairs`/`pmf_repairs` instead of
-/// `full_repairs`, and `pmf_rebuilds` stays near zero (it counts
-/// deconvolution-guard fallbacks).
-///
-/// ```
-/// use jury_core::juror::pool_from_rates_and_costs;
-/// use jury_service::{DecisionTask, JuryService};
-///
-/// let jurors = pool_from_rates_and_costs(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4)]).unwrap();
-/// let mut service = JuryService::new();
-/// let pool = service.create_pool(jurors);
-/// for _ in 0..3 {
-///     service.solve(&DecisionTask::pay_as_you_go(pool, 0.5)).unwrap();
-/// }
-/// let stats = service.stats();
-/// assert_eq!(stats.tasks_solved, 3);
-/// assert_eq!(stats.staircase_hits, 2, "only the first budget runs a greedy scan");
-/// assert_eq!(stats.full_repairs, 0, "budget changes never rebuild pmf artefacts");
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Tasks solved (single or batched).
-    pub tasks_solved: usize,
-    /// Tasks whose needed state was already warm when the request
-    /// arrived — the AltrM answer for AltrM tasks, the sorted orders for
-    /// PayM tasks (cold solves and unknown pools are not hits).
-    pub cache_hits: usize,
-    /// Cache (re)builds: a pool's from-scratch artefact build, or an
-    /// AltrM re-solve on repaired orders.
-    pub cache_builds: usize,
-    /// `solve_batch` invocations.
-    pub batches: usize,
-    /// Mutations that invalidated (dropped or repaired) warm cached
-    /// state. Mutations on cold pools count nothing.
-    pub cache_invalidations: usize,
-    /// Juror mutations whose sorted orders were repaired in place
-    /// (`O(n)` remove + insert, plus a renumbering pass for removals)
-    /// instead of being recomputed.
-    pub order_repairs: usize,
-    /// Juror inserts absorbed by in-place repair — one rank-insert per
-    /// sorted run plus a [`PoiBin::push`] per affected pmf-ladder
-    /// checkpoint — on a warm pool.
-    pub insert_repairs: usize,
-    /// Warm PayM tasks answered from the budget staircase — a binary
-    /// search plus a selection clone instead of a greedy rescan.
-    pub staircase_hits: usize,
-    /// Pmf checkpoint ladders repaired by factor deconvolution
-    /// ([`jury_numeric::poibin::PoiBin::remove_factor`]) after a juror
-    /// update/removal, instead of being re-convolved from scratch.
-    pub pmf_repairs: usize,
-    /// Ladder repairs that fell back to a full rebuild because the
-    /// deconvolution conditioning guard declined (old rate within
-    /// [`jury_numeric::poibin::DECONV_GUARD_BAND`] of ½, or error budget
-    /// exceeded).
-    pub pmf_rebuilds: usize,
-    /// Full repairs: cache builds that recomputed everything — a pool's
-    /// from-scratch build (including each pool's first build).
-    pub full_repairs: usize,
-    /// Materialised JER profiles repaired in place after a juror
-    /// mutation (prefix entries reused verbatim, suffix re-derived from
-    /// the nearest pmf-ladder checkpoint) instead of being dropped for
-    /// an `O(N²)` rebuild.
-    pub profile_repairs: usize,
-    /// Candidate jury sizes eliminated by the warm AltrM bound sweep
-    /// (`AltrAlg::solve_pruned`'s Paley–Zygmund vs Cantelli/Chernoff
-    /// comparison) across all AltrM (re)solves — exact JER was never
-    /// computed for these.
-    pub bound_pruned: usize,
-    /// Pools that attached to an already-interned warm-artifact set
-    /// instead of building their own (registration-time and
-    /// warm-time attaches; re-joins after mutations count separately).
-    pub artifact_share_hits: usize,
-    /// Mutations that took a pool's set out of its store listing for
-    /// repair (copy-on-write when siblings hold it; a sole holder takes
-    /// it back zero-copy) before it settled under the post-mutation key.
-    pub artifact_detaches: usize,
-    /// Post-mutation re-attaches: the incrementally-updated fingerprint
-    /// matched an existing entry (content-verified) and the pool dropped
-    /// its repaired set for the shared one.
-    pub artifact_rejoins: usize,
-    /// Orphaned warm-artifact entries reaped by the TTL sweep — entries
-    /// no pool held for longer than [`ServiceConfig::store_ttl`]. Stays
-    /// zero under the default refcount-eviction policy.
-    pub store_ttl_evictions: usize,
-    /// Warm-up attaches served from a verified snapshot entry
-    /// ([`ServiceConfig::snapshot_dir`]): the pool skipped its cold
-    /// build because restored artifacts passed every verification gate.
-    pub snapshot_restores: usize,
-    /// Snapshot candidates *refused* at restore time — truncated or
-    /// bit-flipped files, section/manifest checksum mismatches, version
-    /// skew, key or content mismatches against the registering pool,
-    /// and layout/config drift over known content. Each rejection falls
-    /// back to the ordinary cold build.
-    pub snapshot_rejections: usize,
-    /// Restores refused by the staleness policy
-    /// ([`ServiceConfig::max_snapshot_age`]): the snapshot generation
-    /// was verified-restorable but too old (or unstamped), so the pool
-    /// cold-built instead.
-    pub stale_snapshot_skips: usize,
-    /// Gauge (not a counter): the highest snapshot generation this
-    /// service has observed — committed by its own writer or read from
-    /// [`ServiceConfig::snapshot_dir`]. 0 until a generation exists
-    /// (legacy `manifest.json` snapshots also read as 0).
-    pub snapshot_generation: usize,
-    /// Gauge (not a counter): milliseconds since that generation's
-    /// commit stamp at the moment [`JuryService::stats`] was called; 0
-    /// when no stamped generation has been observed.
-    pub snapshot_age_ms: usize,
-    /// Gauge (not a counter): the generation of the snapshot catalog
-    /// this service currently *reads from* — loaded at construction
-    /// from [`ServiceConfig::snapshot_dir`] or hot-swapped in by
-    /// [`JuryService::adopt_snapshot`] since. 0 with no catalog
-    /// attached. Unlike [`ServiceStats::snapshot_generation`] this
-    /// never tracks the service's own writer — it is the follower's
-    /// view of the directory.
-    pub follower_generation: usize,
-    /// Gauge (not a counter): milliseconds since the adopted
-    /// generation's commit stamp — how stale the follower's view of
-    /// the directory is, and (together with the watch poll interval)
-    /// the bound on how far a follower trails its writer. 0 with no
-    /// stamped adopted generation.
-    pub follower_lag_ms: usize,
-    /// Newer committed generations hot-swapped into this live service
-    /// by [`JuryService::adopt_snapshot`] — each one re-verified
-    /// through the ordinary restore gates, no restart involved.
-    pub generations_adopted: usize,
-    /// Snapshot entries *refused* during adoption pre-warm — the
-    /// adoption-path slice of [`ServiceStats::snapshot_rejections`]
-    /// (every adoption rejection counts in both). The generation still
-    /// adopts; the refused pools cold-build as usual.
-    pub adoptions_rejected: usize,
-}
-
-impl Serialize for ServiceStats {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("tasks_solved", self.tasks_solved.to_value()),
-            ("cache_hits", self.cache_hits.to_value()),
-            ("cache_builds", self.cache_builds.to_value()),
-            ("batches", self.batches.to_value()),
-            ("cache_invalidations", self.cache_invalidations.to_value()),
-            ("order_repairs", self.order_repairs.to_value()),
-            ("insert_repairs", self.insert_repairs.to_value()),
-            ("staircase_hits", self.staircase_hits.to_value()),
-            ("pmf_repairs", self.pmf_repairs.to_value()),
-            ("pmf_rebuilds", self.pmf_rebuilds.to_value()),
-            ("full_repairs", self.full_repairs.to_value()),
-            ("profile_repairs", self.profile_repairs.to_value()),
-            ("bound_pruned", self.bound_pruned.to_value()),
-            ("artifact_share_hits", self.artifact_share_hits.to_value()),
-            ("artifact_detaches", self.artifact_detaches.to_value()),
-            ("artifact_rejoins", self.artifact_rejoins.to_value()),
-            ("store_ttl_evictions", self.store_ttl_evictions.to_value()),
-            ("snapshot_restores", self.snapshot_restores.to_value()),
-            ("snapshot_rejections", self.snapshot_rejections.to_value()),
-            ("stale_snapshot_skips", self.stale_snapshot_skips.to_value()),
-            ("snapshot_generation", self.snapshot_generation.to_value()),
-            ("snapshot_age_ms", self.snapshot_age_ms.to_value()),
-            ("follower_generation", self.follower_generation.to_value()),
-            ("follower_lag_ms", self.follower_lag_ms.to_value()),
-            ("generations_adopted", self.generations_adopted.to_value()),
-            ("adoptions_rejected", self.adoptions_rejected.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ServiceStats {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if !matches!(value, Value::Object(_)) {
-            return Err(SerdeError::expected("a stats object", value));
-        }
-        Ok(Self {
-            tasks_solved: stat_field(value, "tasks_solved")?,
-            cache_hits: stat_field(value, "cache_hits")?,
-            cache_builds: stat_field(value, "cache_builds")?,
-            batches: stat_field(value, "batches")?,
-            cache_invalidations: stat_field(value, "cache_invalidations")?,
-            order_repairs: stat_field(value, "order_repairs")?,
-            insert_repairs: stat_field(value, "insert_repairs")?,
-            staircase_hits: stat_field(value, "staircase_hits")?,
-            pmf_repairs: stat_field(value, "pmf_repairs")?,
-            pmf_rebuilds: stat_field(value, "pmf_rebuilds")?,
-            full_repairs: stat_field(value, "full_repairs")?,
-            profile_repairs: stat_field(value, "profile_repairs")?,
-            bound_pruned: stat_field(value, "bound_pruned")?,
-            artifact_share_hits: stat_field(value, "artifact_share_hits")?,
-            artifact_detaches: stat_field(value, "artifact_detaches")?,
-            artifact_rejoins: stat_field(value, "artifact_rejoins")?,
-            store_ttl_evictions: stat_field(value, "store_ttl_evictions")?,
-            snapshot_restores: stat_field(value, "snapshot_restores")?,
-            snapshot_rejections: stat_field(value, "snapshot_rejections")?,
-            stale_snapshot_skips: stat_field(value, "stale_snapshot_skips")?,
-            snapshot_generation: stat_field(value, "snapshot_generation")?,
-            snapshot_age_ms: stat_field(value, "snapshot_age_ms")?,
-            follower_generation: stat_field(value, "follower_generation")?,
-            follower_lag_ms: stat_field(value, "follower_lag_ms")?,
-            generations_adopted: stat_field(value, "generations_adopted")?,
-            adoptions_rejected: stat_field(value, "adoptions_rejected")?,
-        })
+jury_core::stats_record! {
+    /// Monotone counters describing the service's work so far.
+    ///
+    /// The repair counters make the cache's behaviour observable: a healthy
+    /// warm PayM workload shows `staircase_hits` tracking `tasks_solved`,
+    /// juror updates show `order_repairs`/`pmf_repairs` instead of
+    /// `full_repairs`, and `pmf_rebuilds` stays near zero (it counts
+    /// deconvolution-guard fallbacks).
+    ///
+    /// ```
+    /// use jury_core::juror::pool_from_rates_and_costs;
+    /// use jury_service::{DecisionTask, JuryService};
+    ///
+    /// let jurors = pool_from_rates_and_costs(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4)]).unwrap();
+    /// let mut service = JuryService::new();
+    /// let pool = service.create_pool(jurors);
+    /// for _ in 0..3 {
+    ///     service.solve(&DecisionTask::pay_as_you_go(pool, 0.5)).unwrap();
+    /// }
+    /// let stats = service.stats();
+    /// assert_eq!(stats.tasks_solved, 3);
+    /// assert_eq!(stats.staircase_hits, 2, "only the first budget runs a greedy scan");
+    /// assert_eq!(stats.full_repairs, 0, "budget changes never rebuild pmf artefacts");
+    /// ```
+    pub struct ServiceStats {
+        /// Tasks solved (single or batched).
+        pub tasks_solved: usize,
+        /// Tasks whose needed state was already warm when the request
+        /// arrived — the AltrM answer for AltrM tasks, the sorted orders for
+        /// PayM tasks (cold solves and unknown pools are not hits).
+        pub cache_hits: usize,
+        /// Cache (re)builds: a pool's from-scratch artefact build, or an
+        /// AltrM re-solve on repaired orders.
+        pub cache_builds: usize,
+        /// `solve_batch` invocations.
+        pub batches: usize,
+        /// Mutations that invalidated (dropped or repaired) warm cached
+        /// state. Mutations on cold pools count nothing.
+        pub cache_invalidations: usize,
+        /// Juror mutations whose sorted orders were repaired in place
+        /// (`O(n)` remove + insert, plus a renumbering pass for removals)
+        /// instead of being recomputed.
+        pub order_repairs: usize,
+        /// Juror inserts absorbed by in-place repair — one rank-insert per
+        /// sorted run plus a [`PoiBin::push`] per affected pmf-ladder
+        /// checkpoint — on a warm pool.
+        pub insert_repairs: usize,
+        /// Warm PayM tasks answered from the budget staircase — a binary
+        /// search plus a selection clone instead of a greedy rescan.
+        pub staircase_hits: usize,
+        /// Pmf checkpoint ladders repaired by factor deconvolution
+        /// ([`jury_numeric::poibin::PoiBin::remove_factor`]) after a juror
+        /// update/removal, instead of being re-convolved from scratch.
+        pub pmf_repairs: usize,
+        /// Ladder repairs that fell back to a full rebuild because the
+        /// deconvolution conditioning guard declined (old rate within
+        /// [`jury_numeric::poibin::DECONV_GUARD_BAND`] of ½, or error budget
+        /// exceeded).
+        pub pmf_rebuilds: usize,
+        /// Full repairs: cache builds that recomputed everything — a pool's
+        /// from-scratch build (including each pool's first build).
+        pub full_repairs: usize,
+        /// Materialised JER profiles repaired in place after a juror
+        /// mutation (prefix entries reused verbatim, suffix re-derived from
+        /// the nearest pmf-ladder checkpoint) instead of being dropped for
+        /// an `O(N²)` rebuild.
+        pub profile_repairs: usize,
+        /// Candidate jury sizes eliminated by the warm AltrM bound sweep
+        /// (`AltrAlg::solve_pruned`'s Paley–Zygmund vs Cantelli/Chernoff
+        /// comparison) across all AltrM (re)solves — exact JER was never
+        /// computed for these.
+        pub bound_pruned: usize,
+        /// Pools that attached to an already-interned warm-artifact set
+        /// instead of building their own (registration-time and
+        /// warm-time attaches; re-joins after mutations count separately).
+        pub artifact_share_hits: usize,
+        /// Mutations that took a pool's set out of its store listing for
+        /// repair (copy-on-write when siblings hold it; a sole holder takes
+        /// it back zero-copy) before it settled under the post-mutation key.
+        pub artifact_detaches: usize,
+        /// Post-mutation re-attaches: the incrementally-updated fingerprint
+        /// matched an existing entry (content-verified) and the pool dropped
+        /// its repaired set for the shared one.
+        pub artifact_rejoins: usize,
+        /// Orphaned warm-artifact entries reaped by the TTL sweep — entries
+        /// no pool held for longer than [`ServiceConfig::store_ttl`]. Stays
+        /// zero under the default refcount-eviction policy.
+        pub store_ttl_evictions: usize,
+        /// Warm-up attaches served from a verified snapshot entry
+        /// ([`ServiceConfig::snapshot_dir`]): the pool skipped its cold
+        /// build because restored artifacts passed every verification gate.
+        pub snapshot_restores: usize,
+        /// Snapshot candidates *refused* at restore time — truncated or
+        /// bit-flipped files, section/manifest checksum mismatches, version
+        /// skew, key or content mismatches against the registering pool,
+        /// and layout/config drift over known content. Each rejection falls
+        /// back to the ordinary cold build.
+        pub snapshot_rejections: usize,
+        /// Restores refused by the staleness policy
+        /// ([`ServiceConfig::max_snapshot_age`]): the snapshot generation
+        /// was verified-restorable but too old (or unstamped), so the pool
+        /// cold-built instead.
+        pub stale_snapshot_skips: usize,
+        /// Gauge (not a counter): the highest snapshot generation this
+        /// service has observed — committed by its own writer or read from
+        /// [`ServiceConfig::snapshot_dir`]. 0 until a generation exists
+        /// (legacy `manifest.json` snapshots also read as 0).
+        pub snapshot_generation: usize,
+        /// Gauge (not a counter): milliseconds since that generation's
+        /// commit stamp at the moment [`JuryService::stats`] was called; 0
+        /// when no stamped generation has been observed.
+        pub snapshot_age_ms: usize,
+        /// Gauge (not a counter): the generation of the snapshot catalog
+        /// this service currently *reads from* — loaded at construction
+        /// from [`ServiceConfig::snapshot_dir`] or hot-swapped in by
+        /// [`JuryService::adopt_snapshot`] since. 0 with no catalog
+        /// attached. Unlike [`ServiceStats::snapshot_generation`] this
+        /// never tracks the service's own writer — it is the follower's
+        /// view of the directory.
+        pub follower_generation: usize,
+        /// Gauge (not a counter): milliseconds since the adopted
+        /// generation's commit stamp — how stale the follower's view of
+        /// the directory is, and (together with the watch poll interval)
+        /// the bound on how far a follower trails its writer. 0 with no
+        /// stamped adopted generation.
+        pub follower_lag_ms: usize,
+        /// Newer committed generations hot-swapped into this live service
+        /// by [`JuryService::adopt_snapshot`] — each one re-verified
+        /// through the ordinary restore gates, no restart involved.
+        pub generations_adopted: usize,
+        /// Snapshot entries *refused* during adoption pre-warm — the
+        /// adoption-path slice of [`ServiceStats::snapshot_rejections`]
+        /// (every adoption rejection counts in both). The generation still
+        /// adopts; the refused pools cold-build as usual.
+        pub adoptions_rejected: usize,
     }
 }
 
@@ -793,16 +725,6 @@ impl ServiceStats {
         self.pmf_rebuilds += usize::from(effect.pmf_rebuilt);
         self.profile_repairs += usize::from(effect.profile_repaired);
         self.insert_repairs += usize::from(effect.insert_repaired);
-    }
-}
-
-/// Reads one counter field. Missing fields read as zero so stats
-/// payloads stay forward-compatible: an older client can parse a newer
-/// server's `/stats` (extra counters ignored by lookup) and vice versa.
-fn stat_field(value: &Value, name: &str) -> Result<usize, SerdeError> {
-    match value.get(name) {
-        None => Ok(0),
-        Some(v) => usize::from_value(v),
     }
 }
 
@@ -1543,8 +1465,8 @@ impl JuryService {
     /// mutates the registry; pools referenced by AltrM tasks get their
     /// AltrM answer solved once here rather than per worker), then the
     /// tasks fan out over `config.threads` scoped
-    /// workers (capped so each receives at least
-    /// [`MIN_TASKS_PER_WORKER`] tasks), each with a persistent
+    /// workers (capped so each receives at least 32 tasks, the private
+    /// `MIN_TASKS_PER_WORKER`), each with a persistent
     /// [`SolverScratch`]; on a warm cache a task's solver path performs
     /// no heap allocation beyond the returned [`Selection`].
     ///
