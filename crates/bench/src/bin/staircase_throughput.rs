@@ -10,6 +10,9 @@
 //!   followed by the next task: the update repairs every sorted order
 //!   and pmf ladder *in place* (no re-sort, no re-convolution), the
 //!   cleared staircase re-records its step with a single greedy scan.
+//!   Reported as the median of 21 rounds with its quartiles: the first
+//!   rounds after the cold build run slower, so a minimum over a few
+//!   rounds moved by up to 1.7× between runs of one build at 10⁶.
 //!
 //! The PayM lane never builds the `O(N²)` AltrM artefacts, so even a
 //! 10⁶-juror pool answers post-mutation PayM in milliseconds.
@@ -23,7 +26,7 @@
 //! ```
 
 use jury_bench::report::{fmt_secs, Report};
-use jury_bench::timing::time_best_of;
+use jury_bench::timing::{time_best_of, time_quartiles, Quartiles};
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_service::{DecisionTask, JuryService, PoolId};
 use serde::{json, Serialize, Value};
@@ -40,17 +43,18 @@ fn pool(n: usize) -> Vec<Juror> {
     pool_from_rates_and_costs(&quotes).expect("valid synthetic quotes")
 }
 
-/// One measurement pair: steady warm (staircase hit) vs one juror update
-/// plus the next solve. Priming goes through `solve` (orders-only
-/// warming), never `warm_pool`, so flat pools skip the `O(N²)` AltrM
-/// artefacts.
+/// One measurement pair: steady warm (staircase hit, best of `repeats`)
+/// vs one juror update plus the next solve (quartiles over `rounds`).
+/// Priming goes through `solve` (orders-only warming), never
+/// `warm_pool`, so flat pools skip the `O(N²)` AltrM artefacts.
 fn measure(
     service: &mut JuryService,
     id: PoolId,
     n: usize,
     budget: f64,
     repeats: usize,
-) -> (f64, f64) {
+    rounds: usize,
+) -> (f64, Quartiles) {
     let task = DecisionTask::pay_as_you_go(id, budget);
     assert!(service.solve(&task).is_ok(), "priming solve must succeed");
     let (_, warm_hit) = time_best_of(repeats, || {
@@ -61,7 +65,7 @@ fn measure(
     assert!(service.solve(&task).is_ok());
     assert!(service.stats().staircase_hits > hits_before, "steady path must hit the staircase");
     let mut round = 0usize;
-    let (_, post_mutation) = time_best_of(repeats, || {
+    let (_, post_mutation) = time_quartiles(rounds, || {
         round += 1;
         let idx = (round * 7919) % n;
         let e = 0.05 + ((round * 13) % 90) as f64 / 100.0;
@@ -76,25 +80,34 @@ fn measure(
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let budget = 3.0f64;
-    let (pool_sizes, repeats): (Vec<usize>, usize) =
-        if smoke { (vec![400], 1) } else { (vec![1_000, 10_000, 1_000_000], 5) };
+    let (pool_sizes, repeats, rounds): (Vec<usize>, usize, usize) =
+        if smoke { (vec![400], 1, 3) } else { (vec![1_000, 10_000, 1_000_000], 5, 21) };
 
     let mut report = Report::new(
         "staircase_throughput",
         "warm PayM via the budget staircase: steady hit vs one juror update + next solve",
-        &["pool", "steady warm (hit)", "post-mutation"],
+        &["pool", "steady warm (hit)", "post-mutation p50", "p25", "p75"],
     );
     let mut rows: Vec<Value> = Vec::new();
     for &n in &pool_sizes {
         let mut service = JuryService::new();
         let id = service.create_pool(pool(n));
-        let (warm_hit, post) = measure(&mut service, id, n, budget, repeats);
-        report.row(&[&n, &fmt_secs(warm_hit), &fmt_secs(post)]);
+        let (warm_hit, post) = measure(&mut service, id, n, budget, repeats, rounds);
+        report.row(&[
+            &n,
+            &fmt_secs(warm_hit),
+            &fmt_secs(post.p50),
+            &fmt_secs(post.p25),
+            &fmt_secs(post.p75),
+        ]);
         rows.push(Value::object([
             ("pool_size", n.to_value()),
             ("model", "paym".to_value()),
             ("steady_warm_hit_secs", warm_hit.to_value()),
-            ("post_mutation_secs", post.to_value()),
+            ("post_mutation_secs", post.p50.to_value()),
+            ("post_mutation_p25_secs", post.p25.to_value()),
+            ("post_mutation_p75_secs", post.p75.to_value()),
+            ("post_mutation_rounds", rounds.to_value()),
         ]));
     }
 
@@ -114,8 +127,9 @@ fn main() {
     let section = Value::object([
         (
             "workload",
-            "warm PayM: staircase hit (steady) and one juror update + next solve (post-mutation, \
-             in-place order/ladder repair + one staircase-recording scan)"
+            "warm PayM: staircase hit (steady, best of 5) and one juror update + next solve \
+             (post-mutation, in-place order/ladder repair + one staircase-recording scan; \
+             median and quartiles over 21 rounds)"
                 .to_value(),
         ),
         ("budget", budget.to_value()),

@@ -32,6 +32,46 @@ pub fn time_best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (last.expect("repeats > 0"), best)
 }
 
+/// The 25th, 50th and 75th percentiles of a set of timings, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    /// Lower quartile.
+    pub p25: f64,
+    /// Median.
+    pub p50: f64,
+    /// Upper quartile.
+    pub p75: f64,
+}
+
+/// Runs `f` `rounds` times and returns the last result together with
+/// the quartiles of the elapsed seconds. Where a minimum tracks the one
+/// luckiest round (and, right after a cold build, how warm the caches
+/// happened to be), the median with its interquartile spread shows
+/// whether a difference between two builds is larger than the noise.
+/// Each percentile is the nearest-rank sample, so 21 rounds give
+/// exact sample indices 5, 10 and 15.
+///
+/// # Panics
+/// Panics if `rounds` is zero.
+pub fn time_quartiles<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, Quartiles) {
+    assert!(rounds > 0, "need at least one repetition");
+    let mut samples = Vec::with_capacity(rounds);
+    let mut last = None;
+    for _ in 0..rounds {
+        let (out, secs) = time_it(&mut f);
+        samples.push(secs);
+        last = Some(out);
+    }
+    (last.expect("rounds > 0"), quartiles_of(&mut samples))
+}
+
+/// Nearest-rank quartiles of a non-empty sample.
+fn quartiles_of(samples: &mut [f64]) -> Quartiles {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+    Quartiles { p25: at(0.25), p50: at(0.5), p75: at(0.75) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,8 +100,31 @@ mod tests {
     }
 
     #[test]
+    fn quartiles_are_ordered_and_nearest_rank() {
+        let mut calls = 0;
+        let (value, q) = time_quartiles(21, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(value, 21, "the last round's result is returned");
+        assert!(0.0 <= q.p25 && q.p25 <= q.p50 && q.p50 <= q.p75);
+
+        let mut samples = [9.0, 1.0, 7.0, 3.0, 5.0];
+        let q = quartiles_of(&mut samples);
+        assert_eq!((q.p25, q.p50, q.p75), (3.0, 5.0, 7.0));
+        let q = quartiles_of(&mut [4.0]);
+        assert_eq!((q.p25, q.p50, q.p75), (4.0, 4.0, 4.0));
+    }
+
+    #[test]
     #[should_panic(expected = "at least one repetition")]
     fn zero_repeats_rejected() {
         let _ = time_best_of(0, || ());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one repetition")]
+    fn zero_rounds_rejected() {
+        let _ = time_quartiles(0, || ());
     }
 }

@@ -60,17 +60,8 @@ pub struct FrontendConfig {
     pub max_delay: Duration,
     /// Per-tenant cap on queued tasks; the submission that would exceed
     /// it is refused with a 429-style [`SubmitError::Overloaded`].
+    /// An admitted task is always solved, however long it queued.
     pub queue_capacity: usize,
-    /// End-to-end queueing budget per task. With `Some(budget)`, a task
-    /// still queued when its window dispatches *after* the budget has
-    /// elapsed is refused with [`SubmitError::DeadlineExceeded`]
-    /// (counted in [`FrontendStats::deadline_rejections`]) instead of
-    /// being solved — the client has already given up on it, and the
-    /// solver's time goes to tasks whose answers will still be read.
-    /// `None` (the default) never refuses on age. The check is at
-    /// dispatch time: admission stays cheap, and a task the solver can
-    /// reach in time is never refused pre-emptively.
-    pub deadline: Option<Duration>,
     /// Enables the `/debug/panic` fault-injection route on the HTTP
     /// layer — a handler that panics on purpose, for proving worker
     /// panic isolation. Off by default; never enable in production.
@@ -130,7 +121,6 @@ impl Default for FrontendConfig {
             max_batch: 64,
             max_delay: Duration::from_millis(25),
             queue_capacity: 1024,
-            deadline: None,
             debug_fault_routes: false,
             checkpoint_interval: None,
             follower_watch: None,
@@ -148,9 +138,6 @@ pub enum SubmitError {
     },
     /// The front-end is draining for shutdown; no new work is admitted.
     ShuttingDown,
-    /// The task's [`FrontendConfig::deadline`] budget was already blown
-    /// when its window dispatched; it was refused unsolved.
-    DeadlineExceeded,
     /// The service refused the task (unknown pool, solver error, …).
     Service(ServiceError),
 }
@@ -162,7 +149,6 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "tenant queue full, retry after {retry_after:?}")
             }
             Self::ShuttingDown => write!(f, "front-end is shutting down"),
-            Self::DeadlineExceeded => write!(f, "queueing deadline exceeded before dispatch"),
             Self::Service(e) => write!(f, "{e}"),
         }
     }
@@ -199,9 +185,6 @@ jury_core::stats_record! {
         /// Total solver time attributed to coalesced tasks, in nanoseconds
         /// (per-task durations from the service's timing hook, summed).
         pub solve_nanos: u64,
-        /// Queued tasks refused at dispatch because their
-        /// [`FrontendConfig::deadline`] budget had already elapsed.
-        pub deadline_rejections: u64,
         /// Request handlers that panicked. Each cost its connection only:
         /// the worker caught the unwind, answered a best-effort 500 and
         /// went back to the accept loop.
@@ -741,33 +724,6 @@ fn dispatcher_loop(shared: &Shared) {
             }
         };
         let dispatched = Instant::now();
-        let (tasks, waiters) = match shared.config.deadline {
-            None => (tasks, waiters),
-            Some(budget) => {
-                let mut live_tasks = Vec::with_capacity(tasks.len());
-                let mut live_waiters = Vec::with_capacity(waiters.len());
-                let mut refused = 0u64;
-                for (task, waiter) in tasks.into_iter().zip(waiters) {
-                    if dispatched.saturating_duration_since(waiter.enqueued) > budget {
-                        refused += 1;
-                        let mut slot = waiter.slot.lock().expect("waiter poisoned");
-                        *slot = Some(Err(SubmitError::DeadlineExceeded));
-                        drop(slot);
-                        waiter.ready.notify_one();
-                    } else {
-                        live_tasks.push(task);
-                        live_waiters.push(waiter);
-                    }
-                }
-                if refused > 0 {
-                    shared.counters.deadline_rejections.fetch_add(refused, Ordering::Relaxed);
-                }
-                (live_tasks, live_waiters)
-            }
-        };
-        if tasks.is_empty() {
-            continue;
-        }
         let mut service = match claimed {
             Some(guard) => guard,
             None => shared.service.lock().expect("service poisoned"),
@@ -1024,47 +980,6 @@ mod tests {
             let solved = join_within(pending, "the drained submission");
             assert!(solved.is_ok(), "round {round}: {solved:?}");
         }
-    }
-
-    #[test]
-    fn blown_deadline_is_refused_at_dispatch_not_solved() {
-        // A task whose queueing budget has elapsed by the time its
-        // window dispatches is refused — the solver never sees it, and
-        // the service stays healthy for the next submission.
-        let (service, pool) = service_with_pool();
-        let config =
-            FrontendConfig { deadline: Some(Duration::from_millis(1)), ..Default::default() };
-        let frontend = Frontend::start(service, config);
-        let hold = std::sync::Barrier::new(2);
-        let release = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let fe = &frontend;
-            let (hold, release) = (&hold, &release);
-            scope.spawn(move || {
-                fe.with_service(|_| {
-                    hold.wait();
-                    while !release.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                });
-            });
-            hold.wait();
-            let stale = scope.spawn(move || fe.submit("t0", DecisionTask::altruism(pool)));
-            while fe.stats().requests < 1 {
-                std::thread::yield_now();
-            }
-            // Let the queued task age well past its budget, then let
-            // the dispatcher at it.
-            std::thread::sleep(Duration::from_millis(30));
-            release.store(true, Ordering::Release);
-            let err = stale.join().expect("submitter panicked").unwrap_err();
-            assert!(matches!(err, SubmitError::DeadlineExceeded), "got {err:?}");
-        });
-        let stats = frontend.stats();
-        assert_eq!(stats.deadline_rejections, 1);
-        assert_eq!(stats.coalesced_tasks, 0, "a refused task is never solved");
-        let fresh = frontend.submit("t0", DecisionTask::altruism(pool));
-        assert!(fresh.is_ok(), "the front-end keeps serving after a refusal");
     }
 
     fn wait_for(mut probe: impl FnMut() -> bool, what: &str) {

@@ -226,14 +226,6 @@ fn route(conn: &mut Conn, frontend: &Arc<Frontend>, request: Request) -> io::Res
                 Err(SubmitError::ShuttingDown) => {
                     respond_error(conn, 503, None, keep, "shutting-down", "front-end is draining")
                 }
-                Err(SubmitError::DeadlineExceeded) => respond_error(
-                    conn,
-                    429,
-                    None,
-                    keep,
-                    "deadline-exceeded",
-                    "queueing deadline elapsed before the task was dispatched",
-                ),
                 Err(SubmitError::Service(err)) => {
                     let status = match err {
                         ServiceError::UnknownPool(_) => 404,

@@ -229,49 +229,6 @@ fn handler_panics_cost_their_connection_not_their_worker() {
 }
 
 #[test]
-fn blown_deadline_maps_to_429() {
-    use serde::Serialize;
-    let (server, pool) = start_server(FrontendConfig {
-        deadline: Some(Duration::from_millis(1)),
-        ..FrontendConfig::default()
-    });
-    let addr = server.local_addr();
-    let body = serde::json::to_string(&serde::Value::object([
-        ("tenant", "t0".to_string().to_value()),
-        ("task", DecisionTask::altruism(pool).to_value()),
-    ]));
-
-    let hold = std::sync::Barrier::new(2);
-    let release = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        use std::sync::atomic::Ordering;
-        let fe = server.frontend();
-        let (hold, release, body) = (&hold, &release, &body);
-        scope.spawn(move || {
-            fe.with_service(|_| {
-                hold.wait();
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            });
-        });
-        hold.wait();
-        let stale = scope.spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client.request("POST", "/v1/solve", Some(body)).unwrap()
-        });
-        wait_for(|| (fe.stats().requests >= 1).then_some(()), "the solve to queue");
-        std::thread::sleep(Duration::from_millis(30));
-        release.store(true, Ordering::Release);
-        let response = stale.join().expect("client panicked");
-        assert_eq!(response.status, 429);
-        assert_eq!(response.result.unwrap_err().kind, "deadline-exceeded");
-    });
-    assert_eq!(server.frontend().stats().deadline_rejections, 1);
-    server.shutdown();
-}
-
-#[test]
 fn pools_register_over_the_wire_and_solve() {
     let (server, _) = start_server(FrontendConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();

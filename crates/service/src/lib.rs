@@ -241,15 +241,13 @@
 //!   generation (broken leases bump above the manifest's epoch), and
 //!   entry file names embed generation and epoch so racing writers
 //!   cannot collide on a name.
-//! * **Readers pick the highest durable generation, bounded by age.**
-//!   Restores scan for the highest parseable manifest (corrupt
-//!   generations fall through to older ones), verify as above, and
-//!   surface `snapshot_generation`/`snapshot_age_ms` gauges in
-//!   [`ServiceStats`]. With [`ServiceConfig::max_snapshot_age`] set, a
-//!   generation older than the bound (or one with no commit stamp) is
-//!   refused — counted in [`ServiceStats::stale_snapshot_skips`] — and
-//!   the pool cold-builds instead; staleness can cost warmth, never
-//!   correctness.
+//! * **Readers pick the highest durable generation.** Restores scan
+//!   for the highest parseable manifest (corrupt generations fall
+//!   through to older ones), verify as above, and surface
+//!   `snapshot_generation`/`snapshot_age_ms` gauges in
+//!   [`ServiceStats`]. A generation of any age restores: every entry is
+//!   verified against the live pool's content, so an old generation can
+//!   cost warmth, never correctness.
 //!
 //! `tests/shared_snapshot_faults.rs` drives the multi-process matrix
 //! (crash at every commit-sequence boundary, lease-holder death and
@@ -522,23 +520,9 @@ pub struct ServiceConfig {
     /// for the fingerprint contract). Turning it off gives every pool an
     /// unlisted set of its own, never shared or snapshotted — the
     /// `multi_tenant_throughput` bench's baseline.
+    /// Store entries are evicted the instant their last pool leaves
+    /// them, and a written sole holder takes its set back zero-copy.
     pub share_artifacts: bool,
-    /// TTL/idle eviction for **orphaned** warm-artifact entries. With the
-    /// default `None`, an entry is evicted the instant its last holder
-    /// leaves it (refcount eviction, and the cheapest: a written sole
-    /// holder takes its set back zero-copy, repairs it in place and
-    /// re-lists it under its new key). With `Some(ttl)`, a write leaves
-    /// the pre-mutation entry interned and *stamps* it orphaned instead,
-    /// while the pool's repaired copy is listed under the new key like
-    /// any written pool's; a pool whose content returns within `ttl`
-    /// re-joins the warm entry, and entries that stay orphaned past
-    /// `ttl` are reaped by the sweep that runs after every mutation /
-    /// pool removal (or explicitly via
-    /// [`JuryService::sweep_artifact_ttl`]), counted by
-    /// [`ServiceStats::store_ttl_evictions`]. The trade: writes lose the
-    /// sole-holder zero-copy reclaim (they clone what repairs touch),
-    /// and orphans hold memory for up to `ttl`.
-    pub store_ttl: Option<Duration>,
     /// Directory of a warm-state snapshot to restore from (see the
     /// crate docs' *persistence contract*). With `Some(dir)`, a pool
     /// registering content the snapshot holds attaches to the verified
@@ -550,14 +534,8 @@ pub struct ServiceConfig {
     /// Restoring requires [`ServiceConfig::share_artifacts`] (restored
     /// entries are store entries). The directory is only *read*;
     /// writing snapshots is explicit via [`JuryService::snapshot`].
+    /// Any verified generation restores, whatever its age.
     pub snapshot_dir: Option<PathBuf>,
-    /// Reader staleness policy (see the crate docs' *multi-process
-    /// contract*). With `Some(age)`, restore refuses snapshot
-    /// generations whose commit stamp is older than `age` — or absent
-    /// (legacy manifests carry none) — counting each refusal in
-    /// [`ServiceStats::stale_snapshot_skips`] and cold-building
-    /// instead. `None` (the default) restores any verified generation.
-    pub max_snapshot_age: Option<Duration>,
     /// Writer-lease tuning for shared snapshot directories (see the
     /// crate docs' *multi-process contract*).
     pub lease: LeaseConfig,
@@ -570,9 +548,7 @@ impl Default for ServiceConfig {
             altr: AltrConfig::default(),
             pay: PayConfig::default(),
             share_artifacts: true,
-            store_ttl: None,
             snapshot_dir: None,
-            max_snapshot_age: None,
             lease: LeaseConfig::default(),
         }
     }
@@ -662,10 +638,6 @@ jury_core::stats_record! {
         /// matched an existing entry (content-verified) and the pool dropped
         /// its repaired set for the shared one.
         pub artifact_rejoins: usize,
-        /// Orphaned warm-artifact entries reaped by the TTL sweep — entries
-        /// no pool held for longer than [`ServiceConfig::store_ttl`]. Stays
-        /// zero under the default refcount-eviction policy.
-        pub store_ttl_evictions: usize,
         /// Warm-up attaches served from a verified snapshot entry
         /// ([`ServiceConfig::snapshot_dir`]): the pool skipped its cold
         /// build because restored artifacts passed every verification gate.
@@ -676,11 +648,6 @@ jury_core::stats_record! {
         /// and layout/config drift over known content. Each rejection falls
         /// back to the ordinary cold build.
         pub snapshot_rejections: usize,
-        /// Restores refused by the staleness policy
-        /// ([`ServiceConfig::max_snapshot_age`]): the snapshot generation
-        /// was verified-restorable but too old (or unstamped), so the pool
-        /// cold-built instead.
-        pub stale_snapshot_skips: usize,
         /// Gauge (not a counter): the highest snapshot generation this
         /// service has observed — committed by its own writer or read from
         /// [`ServiceConfig::snapshot_dir`]. 0 until a generation exists
@@ -929,7 +896,6 @@ impl JuryService {
         let rejections_before = self.stats.snapshot_rejections;
         if self.config.share_artifacts {
             let config_bits = config_key(&self.config);
-            let max_age = self.config.max_snapshot_age;
             let Self { pools, store, stats, snapshots, .. } = &mut *self;
             // Anything warm keeps serving what it has.
             for entry in pools.values().filter(|entry| entry.cache.is_none()) {
@@ -938,7 +904,6 @@ impl JuryService {
                     snapshots.as_ref(),
                     &StoreKey { fp: entry.fp.key(), config: config_bits },
                     &entry.jurors,
-                    max_age,
                     stats,
                 );
             }
@@ -987,9 +952,8 @@ impl JuryService {
     pub fn remove_pool(&mut self, pool: PoolId) -> Result<Vec<Juror>, ServiceError> {
         let entry = self.pools.remove(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         if let Some(link) = entry.cache {
-            self.store.release(link, self.config.store_ttl.is_some());
+            self.store.release(link);
         }
-        self.sweep_store_ttl();
         Ok(entry.jurors)
     }
 
@@ -1109,14 +1073,13 @@ impl JuryService {
         pool: PoolId,
         repair: impl FnOnce(&mut ArtifactSet, &[Juror]) -> MutationEffect,
     ) {
-        let ttl_enabled = self.config.store_ttl.is_some();
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
         let Self { pools, store, stats, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).expect("mutations resolve the pool first");
         if let Some(link) = entry.cache.take() {
             stats.artifact_detaches += usize::from(store.lists(&link));
-            let mut set = store.reclaim(link, ttl_enabled);
+            let mut set = store.reclaim(link);
             stats.count_mutation(repair(&mut set, &entry.jurors));
             let key = StoreKey { fp: entry.fp.key(), config: config_bits };
             entry.cache = Some(match attach_flat(store, key, &entry.jurors) {
@@ -1138,32 +1101,6 @@ impl JuryService {
                 None => list(store, key, set, share),
             });
         }
-        self.sweep_store_ttl();
-    }
-
-    /// Runs the idle-orphan sweep when [`ServiceConfig::store_ttl`] is
-    /// set: store entries no live pool holds (stamped at release time)
-    /// are evicted once they have sat unclaimed past the TTL. A no-op
-    /// under the default refcount policy, where orphans never outlive
-    /// the releasing mutation. Called after every mutation and pool
-    /// removal; also reachable directly via
-    /// [`JuryService::sweep_artifact_ttl`] for idle services.
-    fn sweep_store_ttl(&mut self) {
-        if let Some(ttl) = self.config.store_ttl {
-            self.stats.store_ttl_evictions += self.store.sweep_ttl(ttl);
-        }
-    }
-
-    /// Explicitly sweeps TTL-expired orphan entries from the artifact
-    /// store, returning how many were evicted this call. Mutations and
-    /// pool removals sweep automatically; this entry point exists for
-    /// services that go idle after a burst of churn and want the memory
-    /// back without waiting for the next mutation. No-op (returns 0)
-    /// when [`ServiceConfig::store_ttl`] is `None`.
-    pub fn sweep_artifact_ttl(&mut self) -> usize {
-        let before = self.stats.store_ttl_evictions;
-        self.sweep_store_ttl();
-        self.stats.store_ttl_evictions - before
     }
 
     // ------------------------------------------------------------------
@@ -1224,14 +1161,13 @@ impl JuryService {
     ) -> Result<(), ServiceError> {
         let share = self.config.share_artifacts;
         let config_bits = config_key(&self.config);
-        let max_age = self.config.max_snapshot_age;
         let Self { pools, store, stats, snapshots, .. } = &mut *self;
         let PoolEntry { jurors, cache, fp } =
             pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         if cache.is_none() {
             let key = StoreKey { fp: fp.key(), config: config_bits };
             if share {
-                restore_into_store(store, snapshots.as_ref(), &key, jurors, max_age, stats);
+                restore_into_store(store, snapshots.as_ref(), &key, jurors, stats);
             }
             *cache = Some(match attach_flat(store, key, jurors) {
                 Some(link) => {
@@ -1256,7 +1192,7 @@ impl JuryService {
     pub fn invalidate_warm(&mut self, pool: PoolId) -> Result<(), ServiceError> {
         let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         if let Some(link) = entry.cache.take() {
-            self.store.release(link, self.config.store_ttl.is_some());
+            self.store.release(link);
         }
         Ok(())
     }
@@ -1535,19 +1471,9 @@ impl JuryService {
             // when it fails (unknown pools included).
             self.stats.cache_hits += tasks.iter().filter(|t| self.is_warm_for(t)).count();
             let solved_before = self.stats.tasks_solved;
-            let out = match timings {
-                None => tasks.iter().map(|task| self.solve_one_arc(task, false)).collect(),
-                Some(buf) => tasks
-                    .iter()
-                    .zip(buf.iter_mut())
-                    .map(|(task, slot)| {
-                        let started = Instant::now();
-                        let result = self.solve_one_arc(task, false);
-                        *slot = started.elapsed();
-                        result
-                    })
-                    .collect(),
-            };
+            let out = solve_each(tasks, timings.map(Vec::as_mut_slice), |task| {
+                self.solve_one_arc(task, false)
+            });
             self.stats.tasks_solved = solved_before + tasks.len();
             return out;
         }
@@ -1616,19 +1542,9 @@ impl JuryService {
             self.effective_threads().min(tasks.len().div_ceil(MIN_TASKS_PER_WORKER)).max(1);
         if threads == 1 {
             let mut scratch = self.scratches.pop().unwrap_or_default();
-            let out: Vec<_> = match timings {
-                None => tasks.iter().map(|task| self.solve_prewarmed(task, &mut scratch)).collect(),
-                Some(buf) => tasks
-                    .iter()
-                    .zip(buf.iter_mut())
-                    .map(|(task, slot)| {
-                        let started = Instant::now();
-                        let result = self.solve_prewarmed(task, &mut scratch);
-                        *slot = started.elapsed();
-                        result
-                    })
-                    .collect(),
-            };
+            let out = solve_each(tasks, timings.map(Vec::as_mut_slice), |task| {
+                solve_prewarmed(&self.pools, &self.config, task, &mut scratch)
+            });
             self.scratches.push(scratch);
             return out;
         }
@@ -1658,25 +1574,9 @@ impl JuryService {
                 .zip(timing_chunks.drain(..))
             {
                 handles.push(scope.spawn(move || {
-                    let solve_one = |task: &DecisionTask, scratch: &mut SolverScratch| match pools
-                        .get(&task.pool.0)
-                    {
-                        None => Err(ServiceError::UnknownPool(task.pool)),
-                        Some(entry) => solve_on_entry(entry, task, config, scratch),
-                    };
-                    let results: Vec<_> = match timing {
-                        None => chunk.iter().map(|task| solve_one(task, &mut scratch)).collect(),
-                        Some(slots) => chunk
-                            .iter()
-                            .zip(slots.iter_mut())
-                            .map(|(task, slot)| {
-                                let started = Instant::now();
-                                let result = solve_one(task, &mut scratch);
-                                *slot = started.elapsed();
-                                result
-                            })
-                            .collect(),
-                    };
+                    let results = solve_each(chunk, timing, |task| {
+                        solve_prewarmed(pools, config, task, &mut scratch)
+                    });
                     (results, scratch)
                 }));
             }
@@ -1714,23 +1614,48 @@ impl JuryService {
         self.scratches.push(scratch);
     }
 
-    /// Single-task solve assuming `warm_pool` already ran for its pool.
-    fn solve_prewarmed(
-        &self,
-        task: &DecisionTask,
-        scratch: &mut SolverScratch,
-    ) -> Result<Arc<Selection>, ServiceError> {
-        match self.pools.get(&task.pool.0) {
-            None => Err(ServiceError::UnknownPool(task.pool)),
-            Some(entry) => solve_on_entry(entry, task, &self.config, scratch),
-        }
-    }
-
     fn effective_threads(&self) -> usize {
         if self.config.threads != 0 {
             return self.config.threads;
         }
         std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+    }
+}
+
+/// Single-task solve assuming `warm_pool` already ran for its pool —
+/// shared by the sequential batch path and the scoped workers.
+fn solve_prewarmed(
+    pools: &HashMap<u64, PoolEntry>,
+    config: &ServiceConfig,
+    task: &DecisionTask,
+    scratch: &mut SolverScratch,
+) -> Result<Arc<Selection>, ServiceError> {
+    match pools.get(&task.pool.0) {
+        None => Err(ServiceError::UnknownPool(task.pool)),
+        Some(entry) => solve_on_entry(entry, task, config, scratch),
+    }
+}
+
+/// Runs `solve` over `tasks` in order. With `timings`, each call's
+/// wall-clock duration lands in the slot at the task's position; the
+/// untimed form reads no clock.
+fn solve_each<T>(
+    tasks: &[DecisionTask],
+    timings: Option<&mut [Duration]>,
+    mut solve: impl FnMut(&DecisionTask) -> T,
+) -> Vec<T> {
+    match timings {
+        None => tasks.iter().map(solve).collect(),
+        Some(slots) => tasks
+            .iter()
+            .zip(slots)
+            .map(|(task, slot)| {
+                let started = Instant::now();
+                let result = solve(task);
+                *slot = started.elapsed();
+                result
+            })
+            .collect(),
     }
 }
 
@@ -1862,19 +1787,10 @@ fn restore_into_store(
     catalog: Option<&snapshot::Catalog>,
     key: &StoreKey,
     jurors: &[Juror],
-    max_age: Option<Duration>,
     stats: &mut ServiceStats,
 ) {
     let Some(catalog) = catalog else { return };
     if store.contains(key) {
-        return;
-    }
-    // The staleness gate runs before any file is opened: a too-old (or
-    // unstamped, under an explicit policy) generation is skipped —
-    // counted, never an error — and the pool cold-builds. Only pools
-    // the snapshot could actually have served count a skip.
-    if catalog.has_candidates(&key.fp) && catalog.is_stale(max_age) {
-        stats.stale_snapshot_skips += 1;
         return;
     }
     let attempt = catalog.restore(key, jurors);

@@ -61,9 +61,7 @@
 //! before.
 //!
 //! Writes are coordinated by the advisory single-writer lease in
-//! [`lease`] (see its docs for the acquire/break/fence protocol); the
-//! staleness policy for readers lives in
-//! [`ServiceConfig::max_snapshot_age`](crate::ServiceConfig).
+//! [`lease`] (see its docs for the acquire/break/fence protocol).
 //!
 //! ## The layout field
 //!
@@ -721,7 +719,8 @@ pub(crate) struct Catalog {
     /// nothing on disk).
     generation: u64,
     /// When that generation was committed (absent on legacy
-    /// manifests) — the basis of the staleness gate.
+    /// manifests) — the basis of the `snapshot_age_ms` and
+    /// `follower_lag_ms` gauges.
     written_at_ms: Option<u64>,
     entries: HashMap<FingerprintKey, Vec<ManifestEntry>>,
 }
@@ -775,26 +774,6 @@ impl Catalog {
     /// When this catalog's generation was committed, if recorded.
     pub(crate) fn written_at_ms(&self) -> Option<u64> {
         self.written_at_ms
-    }
-
-    /// Whether this catalog holds candidate entries for `fp` — i.e. a
-    /// restore attempt would actually open files (used to scope the
-    /// staleness gate to pools the snapshot could have served).
-    pub(crate) fn has_candidates(&self, fp: &FingerprintKey) -> bool {
-        !self.poisoned && self.entries.contains_key(fp)
-    }
-
-    /// The staleness gate: `true` when [`crate::ServiceConfig::
-    /// max_snapshot_age`] is set and this catalog's commit stamp is
-    /// older than allowed — or absent entirely (legacy manifests have
-    /// no stamp; under an explicit staleness policy an unstampable
-    /// snapshot is conservatively treated as stale).
-    pub(crate) fn is_stale(&self, max_age: Option<Duration>) -> bool {
-        let Some(max_age) = max_age else { return false };
-        match self.written_at_ms {
-            Some(written) => lease::now_ms().saturating_sub(written) > max_age.as_millis() as u64,
-            None => true,
-        }
     }
 
     /// Attempts to restore a verified entry for `key` on behalf of the

@@ -46,8 +46,16 @@
 //! post-mutation content already has an entry the pool **re-joins** it;
 //! otherwise the repaired set is **published** under the new key
 //! whenever that key is vacant, so a written pool stays a store entry
-//! and stays in every later snapshot. Entries no pool holds any more are
-//! evicted ([`ArtifactStore::release`]).
+//! and stays in every later snapshot.
+//!
+//! Eviction is refcount-only: the pool that drops the last hold on a
+//! listed set evicts its entry at once ([`ArtifactStore::release`]), so
+//! a listed entry is held by at least one pool. Restores are the
+//! exception: a snapshot restore lists its verified set just before the
+//! pool that asked for it attaches, and an adoption pre-warm lists sets
+//! for cold pools that attach only at their next warm-up. No pool ever
+//! releases a pre-warmed set whose pool is removed or written before
+//! that warm-up, so it stays listed.
 
 use crate::AltrAnswer;
 use jury_core::altr::JerProfile;
@@ -57,7 +65,6 @@ use jury_core::paym::Staircase;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::{Duration, Instant};
 
 /// The interning key of one artifact set: content fingerprint +
 /// solver-relevant configuration bits.
@@ -283,11 +290,6 @@ pub(crate) struct StoreLink {
 #[derive(Debug, Default)]
 pub(crate) struct ArtifactStore {
     entries: HashMap<StoreKey, Arc<ArtifactSet>>,
-    /// When each currently-orphaned entry lost its last holder — the TTL
-    /// eviction policy's stamps ([`ArtifactStore::release`]). Only
-    /// populated when the policy is on; a stamp is invalidated (and
-    /// removed by the next sweep) the moment a pool re-attaches.
-    orphans: HashMap<StoreKey, Instant>,
 }
 
 impl ArtifactStore {
@@ -325,24 +327,16 @@ impl ArtifactStore {
 
     /// Drops one pool's hold on its set (a pool removal, an
     /// invalidation, or a detach that copied). When the set was listed
-    /// and no pool holds it any more, the entry is evicted — or, under
-    /// the TTL policy (`ttl_enabled`), stamped orphaned so returning
-    /// content can re-join it warm until [`ArtifactStore::sweep_ttl`]
-    /// reaps it. An unlisted set simply drops.
-    pub(crate) fn release(&mut self, link: StoreLink, ttl_enabled: bool) {
+    /// and no pool holds it any more, the entry is evicted. An unlisted
+    /// set simply drops.
+    pub(crate) fn release(&mut self, link: StoreLink) {
         if !self.lists(&link) {
             return;
         }
         let key = link.key;
         drop(link);
-        if self.entries.get(&key).is_some_and(|arc| Arc::strong_count(arc) > 1) {
-            return;
-        }
-        if ttl_enabled {
-            self.orphans.entry(key).or_insert_with(Instant::now);
-        } else {
+        if self.entries.get(&key).is_some_and(|arc| Arc::strong_count(arc) == 1) {
             self.entries.remove(&key);
-            self.orphans.remove(&key);
         }
     }
 
@@ -350,12 +344,9 @@ impl ArtifactStore {
     /// in-place repair — the copy-on-write boundary. A sole holder gets
     /// its set back zero-copy: a listed one is delisted, an unlisted one
     /// was never shared. A set with siblings is cloned
-    /// ([`ArtifactSet::cache_clone`]) and released to them. Under the
-    /// TTL policy a listed sole holder clones too, so the pre-mutation
-    /// content stays warm as a stamped orphan for a re-join within the
-    /// TTL.
-    pub(crate) fn reclaim(&mut self, link: StoreLink, ttl_enabled: bool) -> ArtifactSet {
-        if !ttl_enabled && self.lists(&link) && Arc::strong_count(&link.set) == 2 {
+    /// ([`ArtifactSet::cache_clone`]) and released to them.
+    pub(crate) fn reclaim(&mut self, link: StoreLink) -> ArtifactSet {
+        if self.lists(&link) && Arc::strong_count(&link.set) == 2 {
             self.entries.remove(&link.key);
         }
         let StoreLink { key, set } = link;
@@ -363,33 +354,10 @@ impl ArtifactStore {
             Ok(owned) => owned,
             Err(set) => {
                 let copy = set.cache_clone();
-                self.release(StoreLink { key, set }, ttl_enabled);
+                self.release(StoreLink { key, set });
                 copy
             }
         }
-    }
-
-    /// Reaps entries that have been orphaned for at least `ttl`,
-    /// returning how many were evicted. Stamps whose entry regained a
-    /// holder since (a re-join or fresh attach) are dropped without
-    /// eviction — the strong count is re-checked here, never trusted
-    /// from stamp time.
-    pub(crate) fn sweep_ttl(&mut self, ttl: Duration) -> usize {
-        let mut evicted = 0usize;
-        let entries = &mut self.entries;
-        self.orphans.retain(|key, stamped| {
-            let still_orphaned = entries.get(key).is_some_and(|arc| Arc::strong_count(arc) == 1);
-            if !still_orphaned {
-                return false; // re-attached (or already gone): unstamp.
-            }
-            if stamped.elapsed() >= ttl {
-                entries.remove(key);
-                evicted += 1;
-                return false;
-            }
-            true
-        });
-        evicted
     }
 
     /// Number of interned entries (observability / tests).

@@ -13,7 +13,6 @@ use jury_service::{DecisionTask, JuryService, ServiceConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn build(pairs: &[(f64, f64)]) -> Vec<Juror> {
     pool_from_rates_and_costs(pairs).unwrap()
@@ -316,82 +315,22 @@ fn removing_pools_evicts_orphaned_entries() {
 }
 
 #[test]
-fn ttl_policy_keeps_sole_holder_orphans_warm_for_rejoin() {
-    // Under the default refcount policy a sole holder's detach reclaims
-    // the entry zero-copy, so perturb-and-restore on a *single* pool can
-    // never re-join — the entry is gone. With a TTL the entry survives
-    // the detach as a stamped orphan and the restoring mutation re-joins
-    // it, warm artifacts intact.
+fn sole_holder_perturb_and_restore_reclaims_without_rejoin() {
+    // A sole holder's write reclaims its set zero-copy and drops the
+    // old entry, so a later write that restores the founding content
+    // has nothing to re-join: the pool settles under the founding key
+    // with its own repaired set, and answers stay exact.
     let jurors = build(&[(0.12, 0.3), (0.2, 0.2), (0.31, 0.1), (0.44, 0.6), (0.08, 0.9)]);
-
-    let mut refcount = JuryService::new();
-    let p = refcount.create_pool(jurors.clone());
-    refcount.warm_pool(p).unwrap();
-    let perturbed = Juror::new(91, ErrorRate::new(0.45).unwrap(), 0.2);
-    refcount.update_juror(p, 2, perturbed).unwrap();
-    refcount.update_juror(p, 2, jurors[2]).unwrap();
-    assert_eq!(refcount.stats().artifact_rejoins, 0, "refcount policy reclaims on detach");
-    assert_eq!(refcount.stats().store_ttl_evictions, 0);
-
-    let mut ttl = JuryService::with_config(ServiceConfig {
-        store_ttl: Some(Duration::from_secs(3600)),
-        ..Default::default()
-    });
-    let p = ttl.create_pool(jurors.clone());
-    ttl.warm_pool(p).unwrap();
-    ttl.update_juror(p, 2, perturbed).unwrap();
-    assert_eq!(
-        ttl.artifact_entries(),
-        2,
-        "the orphaned entry outlives the detach, and the written pool lists its new key"
-    );
-    ttl.update_juror(p, 2, jurors[2]).unwrap();
-    assert_eq!(ttl.stats().artifact_rejoins, 1, "restored content re-joins the kept orphan");
-    assert_eq!(ttl.stats().store_ttl_evictions, 0, "nothing expired under a 1h TTL");
-    assert_altr_matches_direct(&mut ttl, p, "re-joined sole holder");
-    assert_paym_matches_direct(&mut ttl, p, 0.8, "re-joined sole holder");
-}
-
-#[test]
-fn ttl_expiry_evicts_and_ticks_the_counter() {
-    // A zero TTL expires orphans at the very next sweep: the counter
-    // gate for `store_ttl_evictions`, and proof the expired entry is
-    // really gone (the restoring mutation cannot re-join it).
-    let jurors = build(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4), (0.25, 0.3)]);
-    let mut service = JuryService::with_config(ServiceConfig {
-        store_ttl: Some(Duration::ZERO),
-        ..Default::default()
-    });
+    let mut service = JuryService::new();
     let p = service.create_pool(jurors.clone());
     service.warm_pool(p).unwrap();
-    assert_eq!(service.artifact_entries(), 1);
-
-    let perturbed = Juror::new(91, ErrorRate::new(0.17).unwrap(), 0.25);
-    service.update_juror(p, 1, perturbed).unwrap();
-    assert_eq!(service.stats().store_ttl_evictions, 1, "the orphan expires at the next sweep");
-    assert_eq!(service.artifact_entries(), 1, "only the written pool's new key is left");
-    service.update_juror(p, 1, jurors[1]).unwrap();
-    assert_eq!(service.stats().artifact_rejoins, 0, "the expired entry cannot be re-joined");
-
-    // Pool removal stamps and sweeps the same way. The restoring write
-    // listed p under the founding key, so p goes first: the pools below
-    // then hold that key alone.
-    service.remove_pool(p).unwrap();
-    let a = service.create_pool(jurors.clone());
-    let b = service.create_pool(jurors.clone());
-    service.warm_pool(a).unwrap();
-    service.warm_pool(b).unwrap();
-    let evictions = service.stats().store_ttl_evictions;
-    service.remove_pool(a).unwrap();
-    assert_eq!(service.stats().store_ttl_evictions, evictions, "the sibling still holds it");
-    service.remove_pool(b).unwrap();
-    assert_eq!(service.stats().store_ttl_evictions, evictions + 1, "the last removal expires it");
-    assert_eq!(service.artifact_entries(), 0);
-
-    // The explicit sweep entry point: a no-op with nothing pending, and
-    // always a no-op without a TTL configured.
-    assert_eq!(service.sweep_artifact_ttl(), 0);
-    assert_eq!(JuryService::new().sweep_artifact_ttl(), 0);
+    let perturbed = Juror::new(91, ErrorRate::new(0.45).unwrap(), 0.2);
+    service.update_juror(p, 2, perturbed).unwrap();
+    service.update_juror(p, 2, jurors[2]).unwrap();
+    assert_eq!(service.stats().artifact_rejoins, 0, "the reclaimed entry is gone");
+    assert_eq!(service.artifact_entries(), 1, "only the written pool's key is listed");
+    assert_altr_matches_direct(&mut service, p, "restored sole holder");
+    assert_paym_matches_direct(&mut service, p, 0.8, "restored sole holder");
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn service_stats_round_trip() {
 /// carries a distinct value so a swapped pair shows too.
 #[test]
 fn service_stats_golden_wire() {
-    const GOLDEN: &str = r#"{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"store_ttl_evictions":17,"snapshot_restores":18,"snapshot_rejections":19,"stale_snapshot_skips":20,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26}"#;
+    const GOLDEN: &str = r#"{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26}"#;
     let stats = ServiceStats {
         tasks_solved: 1,
         cache_hits: 2,
@@ -80,10 +80,8 @@ fn service_stats_golden_wire() {
         artifact_share_hits: 14,
         artifact_detaches: 15,
         artifact_rejoins: 16,
-        store_ttl_evictions: 17,
         snapshot_restores: 18,
         snapshot_rejections: 19,
-        stale_snapshot_skips: 20,
         snapshot_generation: 21,
         snapshot_age_ms: 22,
         follower_generation: 23,
