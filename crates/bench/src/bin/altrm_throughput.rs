@@ -16,20 +16,22 @@
 //!   beyond that one baseline rescan takes whole seconds, which is the
 //!   point.
 //!
-//! The pool models the regime the paper's Twitter measurements show and
-//! that makes jury selection interesting at all: a *fixed* cohort of
-//! reliable experts (ε ∈ [0.02, 0.30)) inside an ever-growing unreliable
-//! mob (ε ∈ [0.55, 0.95)). The optimal jury sits in the expert band, the
-//! prefix mean crosses ½ right above it, and the Paley–Zygmund bound
-//! erases the whole mob tail — the emitter records how many candidate
-//! sizes were pruned. (A pool whose prefix mean never reaches ½ — e.g. a
-//! uniform ε spread with mean < 0.5 — keeps every size a survivor and
-//! the pruned scan degrades gracefully to the full one plus an `O(N)`
-//! sweep.)
+//! Two pool shapes. The **expert-mob** pool models the regime the
+//! paper's Twitter measurements show and that makes jury selection
+//! interesting at all: a *fixed* cohort of reliable experts
+//! (ε ∈ [0.02, 0.30)) inside an ever-growing unreliable mob
+//! (ε ∈ [0.55, 0.95)). The optimal jury sits in the expert band; JER
+//! provably rises from the first mob rank on, and the Paley–Zygmund and
+//! Berry–Esseen bounds erase everything past the `μ ≈ t` crossover, so
+//! the scan stops just past the experts. The **uniform** pool spreads ε
+//! over [0.02, 0.98): by 10⁴ jurors its JER underflows to exactly
+//! `0.0`, and the scan stops at the first such prefix. The
+//! emitter records how many candidate sizes each re-solve skipped.
 //!
 //! Appends an `"altrm"` section to `BENCH_service.json`. `--smoke` runs a
-//! seconds-long version on a tiny pool and writes nothing — CI uses it to
-//! keep this binary from rotting.
+//! seconds-long version on 500- and 10⁴-juror pools and writes nothing —
+//! CI uses it to keep this binary from rotting and to cover both early
+//! exits of the pruned scan.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin altrm_throughput [-- --smoke]
@@ -49,32 +51,75 @@ const EXPERTS: usize = 100;
 /// Largest pool the `O(N²)` full-rescan baseline is measured on.
 const RESCAN_BASELINE_MAX: usize = 10_000;
 
-/// Deterministic expert-plus-mob pool: `EXPERTS` reliable jurors spread
-/// over [0.02, 0.30), the rest a mob spread over [0.55, 0.95); golden-
-/// ratio spacing, convex prices.
-fn pool(n: usize) -> Vec<Juror> {
-    let experts = EXPERTS.min(n / 2);
-    let quotes: Vec<(f64, f64)> = (0..n)
-        .map(|i| {
-            let u = (i as f64 * 0.6180339887498949) % 1.0;
-            let e = if i < experts { 0.02 + 0.28 * u } else { 0.55 + 0.40 * u };
-            (e, 0.05 + u * u)
-        })
-        .collect();
-    pool_from_rates_and_costs(&quotes).expect("valid synthetic quotes")
+/// The two pool shapes the emitter measures.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// `EXPERTS` reliable jurors inside a growing unreliable mob.
+    ExpertMob,
+    /// ε spread evenly over [0.02, 0.98).
+    Uniform,
 }
 
-/// One juror update per round: a mob member's rate is re-estimated
-/// within the mob band, so the pool regime is stable across rounds.
-fn mutated_juror(round: usize, n: usize) -> (usize, Juror) {
-    let idx = EXPERTS + (round * 7919) % (n - EXPERTS);
-    let e = 0.55 + ((round * 13) % 40) as f64 / 100.0;
-    (idx, Juror::new(idx as u32, ErrorRate::new(e).unwrap(), 0.1))
+impl Shape {
+    fn name(self) -> &'static str {
+        match self {
+            Shape::ExpertMob => "expert_mob",
+            Shape::Uniform => "uniform",
+        }
+    }
+
+    /// Deterministic pool: golden-ratio spacing, convex prices. The
+    /// expert-mob pool spreads `EXPERTS` jurors over [0.02, 0.30) and the
+    /// rest over [0.55, 0.95).
+    fn pool(self, n: usize) -> Vec<Juror> {
+        let experts = EXPERTS.min(n / 2);
+        let quotes: Vec<(f64, f64)> = (0..n)
+            .map(|i| {
+                let u = (i as f64 * 0.6180339887498949) % 1.0;
+                let e = match self {
+                    Shape::ExpertMob if i < experts => 0.02 + 0.28 * u,
+                    Shape::ExpertMob => 0.55 + 0.40 * u,
+                    Shape::Uniform => 0.02 + 0.96 * u,
+                };
+                (e, 0.05 + u * u)
+            })
+            .collect();
+        pool_from_rates_and_costs(&quotes).expect("valid synthetic quotes")
+    }
+
+    /// One juror update per round, re-estimated within its own band so
+    /// the pool regime is stable across rounds: a mob member of the
+    /// expert-mob pool, any member of the uniform one.
+    fn mutated_juror(self, round: usize, n: usize) -> (usize, Juror) {
+        let (idx, e) = match self {
+            Shape::ExpertMob => (
+                EXPERTS + (round * 7919) % (n - EXPERTS),
+                0.55 + ((round * 13) % 40) as f64 / 100.0,
+            ),
+            Shape::Uniform => ((round * 7919) % n, 0.02 + ((round * 13) % 96) as f64 / 100.0),
+        };
+        (idx, Juror::new(idx as u32, ErrorRate::new(e).unwrap(), 0.1))
+    }
+}
+
+/// What one pool's measurement found.
+struct Measured {
+    steady: f64,
+    post_mutation: f64,
+    pruned_per_solve: usize,
+    /// Size and JER of the last re-solved answer.
+    answer: (usize, f64),
 }
 
 /// Measures steady warm replay and post-mutation re-solve through the
-/// service; returns `(steady, post_mutation, pruned_per_solve)`.
-fn measure(service: &mut JuryService, id: PoolId, n: usize, repeats: usize) -> (f64, f64, usize) {
+/// service.
+fn measure(
+    service: &mut JuryService,
+    id: PoolId,
+    shape: Shape,
+    n: usize,
+    repeats: usize,
+) -> Measured {
     let task = DecisionTask::altruism(id);
     assert!(service.solve(&task).is_ok(), "priming solve must succeed");
     let (_, steady) = time_best_of(repeats, || {
@@ -86,7 +131,7 @@ fn measure(service: &mut JuryService, id: PoolId, n: usize, repeats: usize) -> (
     let mut round = 0usize;
     let (_, post_mutation) = time_best_of(repeats, || {
         round += 1;
-        let (idx, juror) = mutated_juror(round, n);
+        let (idx, juror) = shape.mutated_juror(round, n);
         service.update_juror(id, idx, juror).expect("index in range");
         let r = service.solve(&task);
         std::hint::black_box(r.is_ok())
@@ -95,7 +140,8 @@ fn measure(service: &mut JuryService, id: PoolId, n: usize, repeats: usize) -> (
     assert!(full_repairs <= 1, "post-mutation AltrM must never full-repair (saw {full_repairs})");
     let solves = service.stats().tasks_solved - solves_before;
     let pruned_per_solve = (service.stats().bound_pruned - pruned_before) / solves.max(1);
-    (steady, post_mutation, pruned_per_solve)
+    let answer = service.solve(&task).expect("non-empty pool");
+    Measured { steady, post_mutation, pruned_per_solve, answer: (answer.size(), answer.jer) }
 }
 
 /// The pre-pruning cost of the same re-solve: one full presorted scan
@@ -114,42 +160,64 @@ fn full_rescan_baseline(jurors: &[Juror], repeats: usize) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    // The smoke run's 10⁴ uniform pool answers JER 0.0, so it covers the
+    // scan's zero exit as well as its monotone-segment exit.
     let (pool_sizes, repeats): (Vec<usize>, usize) =
-        if smoke { (vec![500], 1) } else { (vec![1_000, 10_000, 100_000], 5) };
+        if smoke { (vec![500, 10_000], 1) } else { (vec![1_000, 10_000, 100_000], 5) };
 
     let mut report = Report::new(
         "altrm_throughput",
         "warm AltrM: cached replay (steady) vs one juror update + bound-pruned re-solve, \
          against the O(N^2) full-rescan baseline",
-        &["pool", "steady warm", "post-mutation", "full rescan", "speedup", "pruned"],
+        &[
+            "shape",
+            "pool",
+            "steady warm",
+            "post-mutation",
+            "full rescan",
+            "speedup",
+            "pruned",
+            "answer",
+        ],
     );
     let mut rows: Vec<Value> = Vec::new();
 
-    for &n in &pool_sizes {
-        let jurors = pool(n);
-        let rescan = (n <= RESCAN_BASELINE_MAX).then(|| full_rescan_baseline(&jurors, repeats));
-        let mut service = JuryService::new();
-        let id = service.create_pool(jurors);
-        let (steady, post, pruned) = measure(&mut service, id, n, repeats);
-        assert!(pruned > 0, "the mob tail must prune on this pool");
-        let speedup = rescan.map(|r| r / post);
-        report.row(&[
-            &n,
-            &fmt_secs(steady),
-            &fmt_secs(post),
-            &rescan.map_or("-".into(), fmt_secs),
-            &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
-            &pruned,
-        ]);
-        rows.push(Value::object([
-            ("pool_size", n.to_value()),
-            ("model", "altrm".to_value()),
-            ("steady_warm_hit_secs", steady.to_value()),
-            ("post_mutation_secs", post.to_value()),
-            ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
-            ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
-            ("sizes_pruned_per_solve", pruned.to_value()),
-        ]));
+    for shape in [Shape::ExpertMob, Shape::Uniform] {
+        for &n in &pool_sizes {
+            let jurors = shape.pool(n);
+            let rescan = (n <= RESCAN_BASELINE_MAX).then(|| full_rescan_baseline(&jurors, repeats));
+            let mut service = JuryService::new();
+            let id = service.create_pool(jurors);
+            let Measured { steady, post_mutation: post, pruned_per_solve: pruned, answer } =
+                measure(&mut service, id, shape, n, repeats);
+            assert!(pruned > 0, "the re-solve must skip sizes on the {} pool", shape.name());
+            if matches!(shape, Shape::Uniform) && n >= 10_000 {
+                assert_eq!(answer.1, 0.0, "a {n}-juror uniform pool's JER underflows");
+            }
+            let speedup = rescan.map(|r| r / post);
+            report.row(&[
+                &shape.name(),
+                &n,
+                &fmt_secs(steady),
+                &fmt_secs(post),
+                &rescan.map_or("-".into(), fmt_secs),
+                &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
+                &pruned,
+                &format!("{} @ {:.1e}", answer.0, answer.1),
+            ]);
+            rows.push(Value::object([
+                ("pool_shape", shape.name().to_value()),
+                ("pool_size", n.to_value()),
+                ("model", "altrm".to_value()),
+                ("steady_warm_hit_secs", steady.to_value()),
+                ("post_mutation_secs", post.to_value()),
+                ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
+                ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
+                ("sizes_pruned_per_solve", pruned.to_value()),
+                ("answer_size", answer.0.to_value()),
+                ("answer_jer", answer.1.to_value()),
+            ]));
+        }
     }
 
     report.emit();
@@ -169,12 +237,14 @@ fn main() {
         (
             "workload",
             "warm AltrM on an expert-plus-mob pool (100 experts eps in [0.02,0.30), mob in \
-             [0.55,0.95)): cached replay (steady) and one juror update + next solve \
-             (post-mutation: in-place order/ladder repair + bound-pruned rescan-free re-solve), \
-             vs the O(N^2) full presorted rescan the warm path previously paid"
+             [0.55,0.95)) and a uniform pool (eps in [0.02,0.98)): cached replay (steady) and \
+             one juror update + next solve (post-mutation: in-place order/ladder repair + \
+             bound-pruned rescan-free re-solve), vs the O(N^2) full presorted rescan the warm \
+             path previously paid"
                 .to_value(),
         ),
         ("experts", EXPERTS.to_value()),
+        ("pool_shapes", Value::Array(vec!["expert_mob".to_value(), "uniform".to_value()])),
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
         (
             "rescan_baseline_note",

@@ -39,11 +39,10 @@ use std::path::{Path, PathBuf};
 
 /// Deterministic expert-plus-mob pool (the `altrm_throughput` shape):
 /// 2% experts with ε in [0.02, 0.45), 98% mob in [0.55, 0.95). The
-/// optimal jury is roughly the expert block, so the cold AltrM scan is
-/// deep enough to be the realistic rebuild cost (seconds at 10⁶)
-/// without degenerating into the unprunable near-full `O(N²)` sweep a
-/// uniform ε spread causes (the sorted prefix mean must cross ½ for
-/// the bound sweep to prune — see `AltrAlg::solve_pruned`).
+/// optimal jury lies inside the expert block; at 10⁶ its JER underflows
+/// to `0.0` within the first thousand experts, so the cold AltrM scan
+/// stops there and the cold build is dominated by the two sorts (see
+/// `AltrAlg::solve_pruned`).
 fn pool(n: usize) -> Vec<Juror> {
     distinct_pool(n, 0)
 }

@@ -19,6 +19,17 @@
 //!   carelessness pmf and extend it by two jurors per step (`O(n)` each),
 //!   making the whole scan `O(N²)` with a much smaller constant. Produces
 //!   identical selections; the `altr_scaling` bench quantifies the gap.
+//!
+//! [`AltrAlg::solve_pruned`] is the serving layer's form of the
+//! incremental scan: moment bounds and a monotonicity proof skip the
+//! sizes that cannot win, with the same answer bit for bit.
+//!
+//! **A `0.0` answer.** JER is a tail sum clamped to `[0, 1]` in `f64`.
+//! Large reliable pools drive it below the smallest subnormal
+//! (`4.9e-324`), where it reads exactly `0.0`. Every scan keeps the
+//! first size that reaches the minimum, so a `0.0` answer is the
+//! smallest prefix whose JER underflows: the cheapest jury among those
+//! `f64` cannot tell apart.
 
 use crate::error::JuryError;
 use crate::jer::{jer_gamma, jer_lower_bound, JerEngine, JerScratch};
@@ -34,7 +45,16 @@ use jury_numeric::poibin::PoiBin;
 /// with [`PRUNE_MARGIN`] it dominates the `O(1)` moment kernels' worst
 /// relative rounding error (≲ 10⁻⁶ once the margin holds), so float
 /// rounding can never prune the true argmin —
-/// [`AltrAlg::solve_pruned`]'s bit-identity rests on it.
+/// [`AltrAlg::solve_pruned`]'s bit-identity rests on it. The same slack
+/// guards the monotone-segment exit, where an evaluated JER must clear
+/// the best by it before the larger sizes are skipped.
+///
+/// The Berry–Esseen lower bound needs no slack or margin of its own: it
+/// subtracts an absolute error budget instead —
+/// [`NORMAL_CDF_ERROR`](jury_numeric::bounds::NORMAL_CDF_ERROR) (`2e-7`,
+/// over three times the `erfc` approximation's worst error in `Φ`) and
+/// the prefix sums' rounding scaled by `1/σ`. So its value stays below
+/// the exact tail as computed.
 pub const PRUNE_SLACK: f64 = 1e-4;
 
 /// Applicability margin of the bound-pruned scan: a moment bound
@@ -165,13 +185,18 @@ impl AltrAlg {
     /// The bound-pruned form of [`AltrAlg::solve_presorted`]: a sweep of
     /// `O(1)`-per-prefix moment bounds
     /// ([`jury_numeric::bounds::PrefixMoments`]) first eliminates every
-    /// odd size whose Paley–Zygmund lower bound exceeds the best
-    /// Cantelli/Chernoff upper bound seen anywhere (plus the exact
-    /// size-1 JER); exact JER is then evaluated only at the survivors,
-    /// and the incremental pmf scan *stops at the largest survivor*
-    /// instead of walking the whole pool. When the high-ε tail of the
-    /// run prunes, the post-warm-up cost drops from `O(N²)` to
-    /// `O(N + M²)` where `M` is the largest surviving size.
+    /// odd size whose Paley–Zygmund or Berry–Esseen lower bound exceeds
+    /// the best Cantelli/Chernoff upper bound seen anywhere (plus the
+    /// exact size-1 JER); exact JER is then evaluated only at the
+    /// survivors, and the incremental pmf scan *stops at the largest
+    /// survivor* instead of walking the whole pool. It stops sooner on
+    /// two further certificates: the best JER is exactly `0.0` (nothing
+    /// can beat it under the strict comparison), or JER has started to
+    /// rise inside the segment where it provably cannot fall again
+    /// (every later rate ≥ ½ and the threshold ≥ 2 past the mean) and
+    /// the bounds pruned everything beyond that segment. The cost drops
+    /// from `O(N²)` to `O(N + M²)` where `M` is the last size pushed —
+    /// on a few-experts-large-mob pool, about the expert count.
     ///
     /// **Bit-identity contract.** The returned `members`, `jer` and
     /// `total_cost` are bit-identical to
@@ -183,9 +208,11 @@ impl AltrAlg {
     /// [`PRUNE_MARGIN`] absorbing kernel rounding), and survivors are
     /// scanned ascending with a strict comparison so the smallest-`n`
     /// tie-break is preserved. The [`SolverStats`] *differ by design*:
-    /// `jer_evaluations` counts only the survivors and
-    /// `pruned_by_bound` the eliminated sizes, while
-    /// `candidates_considered` still counts every odd size. The
+    /// `jer_evaluations` counts only the sizes whose JER was evaluated
+    /// before the scan stopped, and `pruned_by_bound` every other odd
+    /// size — eliminated by a bound, inside the monotone segment, or
+    /// past an early stop — so the two still sum to
+    /// `candidates_considered`, which counts every odd size. The
     /// configured strategy/engine are ignored — this scan *is* its own
     /// strategy.
     ///
@@ -337,22 +364,37 @@ fn scan_incremental(eps_sorted: &[f64], pmf: &mut PoiBin) -> (usize, f64, Solver
 
 /// The bound-pruned scan behind [`AltrAlg::solve_pruned`].
 ///
-/// Pass 1 streams [`PrefixMoments`] over the run: per odd size it
-/// collects the Paley–Zygmund lower bound (`-∞` when inapplicable or
-/// inside [`PRUNE_MARGIN`] of the `μ = t` crossover) into `lower`, and
-/// folds the applicable Cantelli/Chernoff upper bounds — seeded with the
-/// exact size-1 JER, which is the first rate itself — into one incumbent
-/// upper bound. Pass 2 runs the ordinary incremental pmf scan, but only
-/// up to the largest size whose lower bound fails to clear the incumbent
-/// by [`PRUNE_SLACK`], evaluating tails only at those survivors.
+/// Pass 1 streams [`PrefixMoments`] over the run. Per odd size it
+/// collects into `lower` the larger of two lower bounds: Paley–Zygmund
+/// (`-∞` when inapplicable or inside [`PRUNE_MARGIN`] of the `μ = t`
+/// crossover) and Berry–Esseen (which carries its own rounding budget,
+/// so it needs no margin; skipped where Paley–Zygmund already prunes). It folds the applicable Cantelli/Chernoff
+/// upper bounds — seeded with the exact size-1 JER, which is the first
+/// rate itself — into one incumbent upper bound. It also records the
+/// first run of sizes whose step provably cannot lower JER (see
+/// [`guarded_step`]), the monotone segment.
+///
+/// Pass 2 runs the ordinary incremental pmf scan up to the largest size
+/// whose lower bound fails to clear the incumbent by [`PRUNE_SLACK`],
+/// evaluating tails only at those survivors. It stops early on either
+/// of two certificates that no later size can win:
+///
+/// * the best JER is exactly `0.0` — tails clamp to `[0, 1]` and only a
+///   strict `<` replaces the best;
+/// * an evaluated size in the monotone segment reads above
+///   `best·(1 + PRUNE_SLACK)` (and above [`MONOTONE_FLOOR`]): every size
+///   up to the segment's end + 2 is no better, and the bounds already
+///   pruned everything past it. When survivors remain past the segment,
+///   the scan pushes on but evaluates nothing inside it.
 fn scan_pruned(
     eps_sorted: &[f64],
     pmf: &mut PoiBin,
     lower: &mut Vec<f64>,
 ) -> (usize, f64, SolverStats) {
-    let mut stats = SolverStats::default();
     let mut moments = PrefixMoments::new();
     let mut incumbent_ub = f64::INFINITY;
+    // The first run of consecutive guarded odd sizes, `(start, end)`.
+    let mut segment: Option<(usize, usize)> = None;
     lower.clear();
     for (i, &e) in eps_sorted.iter().enumerate() {
         moments.push(e);
@@ -362,12 +404,13 @@ fn scan_pruned(
         }
         let t = JerEngine::majority_threshold(n);
         let margin = PRUNE_MARGIN * t as f64;
+        let gap = t as f64 - moments.mu();
         if n == 1 {
             // JER of the single best juror is its rate, bit-exactly
             // (the tail of a one-trial pmf) — a free certified incumbent.
             incumbent_ub = incumbent_ub.min(e);
         }
-        if t as f64 - moments.mu() >= margin {
+        if gap >= margin {
             if let TailBound::Value(v) = moments.cantelli_upper(t) {
                 incumbent_ub = incumbent_ub.min(v);
             }
@@ -375,47 +418,95 @@ fn scan_pruned(
                 incumbent_ub = incumbent_ub.min(v);
             }
         }
-        let lb = if moments.mu() - t as f64 >= margin {
-            match moments.paley_zygmund_lower(t) {
-                TailBound::Value(v) => v,
-                TailBound::Inapplicable => f64::NEG_INFINITY,
-            }
+        let pz = match moments.paley_zygmund_lower(t) {
+            TailBound::Value(v) if -gap >= margin => v,
+            _ => f64::NEG_INFINITY,
+        };
+        // The incumbent only falls, so a size Paley–Zygmund prunes
+        // against it now stays pruned: Berry–Esseen (an `erfc`) is
+        // evaluated only where it could decide.
+        let lb = if pz > incumbent_ub * (1.0 + PRUNE_SLACK) {
+            pz
         } else {
-            f64::NEG_INFINITY
+            pz.max(moments.berry_esseen_lower(t).value().unwrap_or(f64::NEG_INFINITY))
         };
         lower.push(lb);
+        if guarded_step(eps_sorted, n, moments.mu()) {
+            match &mut segment {
+                None => segment = Some((n, n)),
+                Some((_, end)) if *end + 2 == n => *end = n,
+                Some(_) => {}
+            }
+        }
     }
 
     // Survivors: odd sizes whose lower bound cannot certify defeat.
     let cutoff = incumbent_ub * (1.0 + PRUNE_SLACK);
-    let mut max_survivor = 0usize;
-    for (k, &lb) in lower.iter().enumerate() {
-        let n = 2 * k + 1;
-        stats.candidates_considered += 1;
-        if lb > cutoff {
-            stats.pruned_by_bound += 1;
-        } else {
-            max_survivor = n;
-        }
-    }
+    let survives = |n: usize| lower[(n - 1) / 2] <= cutoff;
+    let max_survivor = lower.iter().rposition(|&lb| lb <= cutoff).map_or(0, |k| 2 * k + 1);
 
+    let mut stats = SolverStats { candidates_considered: lower.len(), ..SolverStats::default() };
     let mut best_n = 0usize;
     let mut best_jer = f64::INFINITY;
+    // Sizes up to here are certified no better than the best.
+    let mut settled = 0usize;
     pmf.reset();
     for (i, &e) in eps_sorted[..max_survivor].iter().enumerate() {
         pmf.push(e);
         let n = i + 1;
-        if n % 2 == 1 && lower[(n - 1) / 2] <= cutoff {
-            let jer = pmf.tail(JerEngine::majority_threshold(n));
-            stats.jer_evaluations += 1;
-            if jer < best_jer {
-                best_jer = jer;
-                best_n = n;
+        if n % 2 == 0 || n <= settled || !survives(n) {
+            continue;
+        }
+        let jer = pmf.tail(JerEngine::majority_threshold(n));
+        stats.jer_evaluations += 1;
+        if jer < best_jer {
+            best_jer = jer;
+            best_n = n;
+        }
+        if best_jer == 0.0 {
+            break;
+        }
+        let Some((start, end)) = segment else { continue };
+        if (start..=end).contains(&n)
+            && jer >= MONOTONE_FLOOR
+            && jer > best_jer * (1.0 + PRUNE_SLACK)
+        {
+            settled = end + 2;
+            if max_survivor <= settled {
+                break;
             }
         }
     }
+    stats.pruned_by_bound = stats.candidates_considered - stats.jer_evaluations;
     (best_n, best_jer, stats)
 }
+
+/// Whether the step from odd size `n` to `n + 2` over an ε-sorted run
+/// provably cannot lower the exact JER, given the prefix mean `mu`.
+/// With `k = (n+1)/2` and `a ≤ b` the next two rates,
+///
+/// ```text
+/// JER(n+2) − JER(n) = ab·p_n(k−1) − (1−a)(1−b)·p_n(k)
+/// ```
+///
+/// When `a ≥ ½` then `ab − (1−a)(1−b) = a + b − 1 ≥ 0`. The
+/// Poisson-binomial pmf is log-concave with its mode within 1 of `μ`
+/// (Darroch 1964), so `k − 1 ≥ μ + 1` gives `p_n(k−1) ≥ p_n(k)`; both
+/// terms favour the smaller jury. [`PRUNE_MARGIN`] absorbs the rounding
+/// of `μ`. Chained over a run of guarded sizes `[start, end]`, exact JER
+/// is non-decreasing from `start` through `end + 2`.
+fn guarded_step(eps_sorted: &[f64], n: usize, mu: f64) -> bool {
+    let t = JerEngine::majority_threshold(n) as f64;
+    n + 2 <= eps_sorted.len() && eps_sorted[n] >= 0.5 && t - mu >= 2.0 + PRUNE_MARGIN * t
+}
+
+/// Smallest JER the monotone-segment exit trusts. Pass 2's pmf is
+/// exact up to a relative error of a few ulps per push plus an absolute
+/// error of at most `2⁻¹⁰⁷⁵` per subnormal rounding — under `N²·2⁻¹⁰⁷⁵`
+/// in all, below `2.5e-308` for any `N ≤ 10⁸`. At or above this floor
+/// that absolute part stays under `10⁻⁷` of the JER, far inside
+/// [`PRUNE_SLACK`].
+const MONOTONE_FLOOR: f64 = 1e-300;
 
 /// The odd-size JER profile (the Figure 3(a) curve) as a *repairable*
 /// artefact. A fresh build performs exactly the sequential pushes of
@@ -815,6 +906,155 @@ mod tests {
             let pool = pool_from_rates(&rates).unwrap();
             assert_pruned_matches(&pool, &format!("trial {trial}"));
         }
+    }
+
+    /// Deterministic xorshift stream of uniforms in `[0, 1)`.
+    fn xorshift(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The benchmark shape: 2% experts with ε in [0.02, 0.45), the rest
+    /// a mob in [0.55, 0.95), golden-ratio spaced.
+    fn expert_mob(n: usize) -> Vec<f64> {
+        let experts = n.div_ceil(50);
+        (0..n)
+            .map(|i| {
+                let u = (i as f64 * 0.6180339887498949) % 1.0;
+                if i < experts {
+                    0.02 + 0.43 * u
+                } else {
+                    0.55 + 0.40 * u
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pruned_scan_matches_on_uniform_and_expert_mob_pools() {
+        let uniform: Vec<f64> =
+            (0..2_000).map(|i| 0.02 + 0.96 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
+        let (pruned, full) = assert_pruned_matches(&pool_from_rates(&uniform).unwrap(), "uniform");
+        // Half the rates are below ½; the scan stops where they end.
+        assert!(pruned.stats.jer_evaluations <= full.stats.jer_evaluations / 2 + 1);
+        let (pruned, full) =
+            assert_pruned_matches(&pool_from_rates(&expert_mob(3_000)).unwrap(), "expert-mob");
+        assert!(
+            pruned.stats.jer_evaluations * 10 < full.stats.jer_evaluations,
+            "{:?}",
+            pruned.stats
+        );
+    }
+
+    #[test]
+    fn zero_jer_pool_stops_at_its_first_zero() {
+        let rates: Vec<f64> =
+            (0..1_500).map(|i| 0.02 + 0.1 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
+        let pool = pool_from_rates(&rates).unwrap();
+        let first_zero = AltrAlg::jer_profile(&pool)
+            .into_iter()
+            .find(|&(_, jer)| jer == 0.0)
+            .map(|(n, _)| n)
+            .expect("this pool's JER underflows to 0.0");
+        let (pruned, _) = assert_pruned_matches(&pool, "zero-jer");
+        assert_eq!(pruned.size(), first_zero);
+        assert_eq!(pruned.jer.to_bits(), 0.0f64.to_bits());
+        assert_eq!(pruned.stats.jer_evaluations, first_zero.div_ceil(2), "stops at the first 0.0");
+    }
+
+    #[test]
+    fn guarded_steps_never_lower_exact_jer() {
+        // Random sorted runs of experts, a mob at or above ½ and exact
+        // ½ rates: across every step the segment rule guards, the exact
+        // JER (sequential pushes, the scan's own arithmetic) never falls.
+        // Every other run keeps everyone near ½, so the prefix mean
+        // nears the threshold inside the mob and the mode guard, not the
+        // run's end, closes the segment.
+        let mut next = xorshift(0x9e3779b97f4a7c15);
+        let mut guarded_steps = 0usize;
+        for trial in 0..150 {
+            let len = 3 + (trial * 37) % 400;
+            let expert_share = next() * 0.5;
+            let (expert_lo, mob_width) = if trial % 2 == 0 { (0.01, 0.49) } else { (0.42, 0.02) };
+            let mut eps: Vec<f64> = (0..len)
+                .map(|_| match next() {
+                    u if u < expert_share => expert_lo + (0.5 - expert_lo) * next(),
+                    u if u < expert_share + 0.1 => 0.5,
+                    _ => (0.5 + mob_width * next()).min(0.99),
+                })
+                .collect();
+            eps.sort_by(f64::total_cmp);
+            let profile = JerProfile::build(&eps);
+            let jer = profile.entries();
+            let mut moments = PrefixMoments::new();
+            for (i, &e) in eps.iter().enumerate() {
+                moments.push(e);
+                let n = i + 1;
+                if n % 2 == 0 {
+                    continue;
+                }
+                let before = jer[(n - 1) / 2].1;
+                if guarded_step(&eps, n, moments.mu()) && before >= MONOTONE_FLOOR {
+                    let after = jer[(n - 1) / 2 + 1].1;
+                    guarded_steps += 1;
+                    assert!(
+                        after >= before * (1.0 - 1e-9),
+                        "trial {trial}: JER({}) = {after:e} < JER({n}) = {before:e}",
+                        n + 2
+                    );
+                }
+            }
+        }
+        assert!(guarded_steps > 1_000, "only {guarded_steps} guarded steps exercised");
+    }
+
+    #[test]
+    fn pruned_scan_on_adversarial_random_pools() {
+        // Mixed experts, mobs, exact ½, near-0/near-1 and zero-JER
+        // regimes, sizes up to 400: bit-identical every time.
+        let mut next = xorshift(0xd1b54a32d192ed03);
+        for trial in 0..200 {
+            let len = 1 + (trial * 61) % 400;
+            let regime = trial % 5;
+            let rates: Vec<f64> = (0..len)
+                .map(|_| {
+                    let u = next();
+                    match regime {
+                        0 if u < 0.05 => 0.02 + 0.4 * next(),
+                        0 => 0.55 + 0.4 * next(),
+                        1 => 0.02 + 0.96 * next(),
+                        2 if u < 0.2 => 0.5,
+                        2 => 0.3 + 0.4 * next(),
+                        3 if u < 0.1 => 1e-9,
+                        3 => 1.0 - 1e-9 * next(),
+                        _ => 0.01 + 0.1 * next(),
+                    }
+                })
+                .collect();
+            let pool = pool_from_rates(&rates).unwrap();
+            assert_pruned_matches(&pool, &format!("trial {trial} regime {regime}"));
+        }
+    }
+
+    #[test]
+    fn pruned_scan_work_is_bounded_on_expert_mob_pools() {
+        // Experts are N/50 here; the scan must stop just past them
+        // rather than at the μ ≈ t crossover near N/10.
+        let n = 10_000;
+        let pool = pool_from_rates(&expert_mob(n)).unwrap();
+        let mut order = Vec::new();
+        crate::solver::sorted_order_into(&pool, &mut order);
+        let sel =
+            AltrAlg::default().solve_pruned(&pool, &order, &mut SolverScratch::new()).unwrap();
+        assert!(sel.stats.jer_evaluations <= n / 50 + 8, "{:?}", sel.stats);
+        assert_eq!(
+            sel.stats.jer_evaluations + sel.stats.pruned_by_bound,
+            sel.stats.candidates_considered
+        );
     }
 
     #[test]

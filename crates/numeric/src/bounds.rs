@@ -8,7 +8,16 @@
 //! which allow symmetric pruning ("this jury cannot be better than the
 //! incumbent" / "cannot be worse").
 //!
-//! All three bounds depend on the rates only through the first two
+//! A fourth bound, [`berry_esseen_lower_bound`], is a second *lower*
+//! bound: the normal tail minus the Berry–Esseen distance, with
+//! Shevtsova's (2010) constant [`BERRY_ESSEEN_C`] `= 0.5600` for sums of
+//! independent, non-identically distributed summands. Paley–Zygmund
+//! needs the mean strictly above the threshold and reads ≈ 0 right at
+//! the `μ = t` crossover; Berry–Esseen reads ≈ ½ there once `σ` is
+//! large, which is the band of prefix sizes AltrALG's pruned scan could
+//! not otherwise rule out.
+//!
+//! All four bounds depend on the rates only through the first two
 //! moments `μ = Σ ε_i` and `σ² = Σ ε_i(1-ε_i)` (plus the count `n`).
 //! Over an ε-sorted prefix scan those moments are *prefix sums*, so
 //! [`PrefixMoments`] maintains them incrementally: one
@@ -18,6 +27,8 @@
 //! points and the prefix form share the same moment→bound formulas, so
 //! the two evaluation styles agree bit-for-bit when fed the same
 //! accumulated moments.
+
+use crate::approx::standard_normal_cdf;
 
 /// Result of a bound evaluation: either a usable bound value or a marker
 /// that the inequality's precondition failed for these parameters.
@@ -110,6 +121,12 @@ impl PrefixMoments {
     #[inline]
     pub fn chernoff_upper(&self, threshold: usize) -> TailBound {
         chernoff_from_moments(self.n, self.mu, threshold)
+    }
+
+    /// [`berry_esseen_lower_bound`] over the pushed prefix, in `O(1)`.
+    #[inline]
+    pub fn berry_esseen_lower(&self, threshold: usize) -> TailBound {
+        berry_esseen_from_moments(self.n, self.mu, self.sigma2, threshold)
     }
 }
 
@@ -217,6 +234,64 @@ pub fn chernoff_from_moments(n: usize, mu: f64, threshold: usize) -> TailBound {
     }
     let kl = kl_bernoulli(q, p);
     TailBound::Value((-(n as f64) * kl).exp().min(1.0))
+}
+
+/// Shevtsova's (2010) Berry–Esseen constant for sums of independent,
+/// non-identically distributed summands: `sup_x |F(x) − Φ((x−μ)/σ)| ≤
+/// C·Σ E|X_i − p_i|³ / σ³`.
+pub const BERRY_ESSEEN_C: f64 = 0.5600;
+
+/// Budget for the absolute error of [`standard_normal_cdf`]. Its `erfc`
+/// has fractional error below 1.2e-7, so `Φ = ½·erfc` is off by at most
+/// 6e-8 (4.1e-8 measured over `|z| ≤ 5`); the budget is over three times
+/// that, with room for the evaluation's own rounding.
+pub const NORMAL_CDF_ERROR: f64 = 2e-7;
+
+/// Berry–Esseen lower bound on the upper tail:
+///
+/// ```text
+/// Pr(C ≥ t) = 1 − F(t−1) ≥ 1 − Φ((t−1−μ)/σ) − C/σ − err
+/// ```
+///
+/// For a Bernoulli summand `E|X − p|³ = p(1−p)(p² + (1−p)²) ≤ p(1−p)`,
+/// so the Lyapunov ratio `Σ E|X_i − p_i|³ / σ³` is at most `1/σ` and the
+/// bound needs only the first two moments. `err` is
+/// [`NORMAL_CDF_ERROR`] plus the rounding the moments picked up as
+/// left-to-right prefix sums of `n` terms, so the value stays a bound
+/// when fed those computed sums. Uninformative (negative or
+/// inapplicable) when `t − 1` sits well above `μ` or `σ` is small;
+/// informative near and above the `μ = t` crossover once `σ ≫ C`.
+pub fn berry_esseen_lower_bound(eps: &[f64], threshold: usize) -> TailBound {
+    let mu: f64 = eps.iter().sum();
+    let sigma2: f64 = eps.iter().map(|e| e * (1.0 - e)).sum();
+    berry_esseen_from_moments(eps.len(), mu, sigma2, threshold)
+}
+
+/// The moment form of [`berry_esseen_lower_bound`]. Inapplicable when
+/// `σ² = 0` (a point mass), `t = 0` (the tail is 1), or when the bound
+/// cannot be positive: for `z = (t−1−μ)/σ ≥ 0` Cantelli gives
+/// `1 − Φ(z) ≤ 1/(1+z²)`, so `σ ≤ C·(1+z²)` puts the normal tail below
+/// `C/σ`. That test needs no `erfc`, and it covers most sizes of a
+/// reliable prefix.
+#[inline]
+pub fn berry_esseen_from_moments(n: usize, mu: f64, sigma2: f64, threshold: usize) -> TailBound {
+    if threshold == 0 || sigma2 <= 0.0 {
+        return TailBound::Inapplicable;
+    }
+    let gap = (threshold - 1) as f64 - mu;
+    // σ ≤ C(1 + gap²/σ²), squared: σ⁶ ≤ C²(σ² + gap²)².
+    let reach = BERRY_ESSEEN_C * (sigma2 + gap * gap);
+    if gap >= 0.0 && sigma2 * sigma2 * sigma2 <= reach * reach {
+        return TailBound::Inapplicable;
+    }
+    let sigma = sigma2.sqrt();
+    // `μ` and `σ²` are sums of `n` terms, each off by at most `n` ulps
+    // of its size; Φ' ≤ 0.4 and z·φ(z) ≤ 0.25 turn that into this much
+    // absolute error in the normal tail (doubled for the subtractions).
+    let rounding = (n as f64 + 4.0) * f64::EPSILON * ((mu + gap.abs()) / sigma + 1.0);
+    TailBound::Value(
+        standard_normal_cdf(-gap / sigma) - BERRY_ESSEEN_C / sigma - NORMAL_CDF_ERROR - rounding,
+    )
 }
 
 /// KL divergence between Bernoulli(q) and Bernoulli(p), with the usual
@@ -371,6 +446,11 @@ mod tests {
                     chernoff_upper_bound(prefix, t),
                     "chernoff n={n} t={t}"
                 );
+                assert_eq!(
+                    pm.berry_esseen_lower(t),
+                    berry_esseen_lower_bound(prefix, t),
+                    "berry-esseen n={n} t={t}"
+                );
             }
         }
         // μ and σ² are the plain sequential sums.
@@ -380,11 +460,49 @@ mod tests {
         assert_eq!(pm.sigma2().to_bits(), sigma2.to_bits());
     }
 
+    /// `Φ` by its Maclaurin series, accurate to ~1e-11 for `|z| ≤ 5`.
+    fn reference_cdf(z: f64) -> f64 {
+        let x = z / std::f64::consts::SQRT_2;
+        let (mut term, mut sum) = (x, x);
+        for k in 1..200 {
+            term *= -x * x / k as f64;
+            sum += term / (2 * k + 1) as f64;
+        }
+        0.5 * (1.0 + 2.0 / std::f64::consts::PI.sqrt() * sum)
+    }
+
+    #[test]
+    fn normal_cdf_error_stays_inside_its_budget() {
+        let mut worst = 0.0f64;
+        for i in -500..=500 {
+            let z = i as f64 / 100.0;
+            worst = worst.max((crate::approx::standard_normal_cdf(z) - reference_cdf(z)).abs());
+        }
+        assert!(worst <= NORMAL_CDF_ERROR / 2.0, "worst Φ error {worst:e}");
+    }
+
+    #[test]
+    fn berry_esseen_is_informative_at_the_crossover() {
+        // 10⁴ coin-flip-like jurors (σ ≈ 45) with the threshold at the
+        // mean: the exact tail is ≈ ½, and so is the bound, where
+        // Paley–Zygmund is inapplicable.
+        let eps = vec![0.4; 10_001];
+        let t = 4_001;
+        let b = berry_esseen_lower_bound(&eps, t).value().unwrap();
+        assert!(b > 0.45, "bound {b}");
+        assert_eq!(paley_zygmund_lower_bound(&eps, t + 1), TailBound::Inapplicable);
+        assert!(b <= PoiBin::from_error_rates(&eps).tail(t));
+        // A point mass has no normal approximation; t = 0 is trivial.
+        assert_eq!(berry_esseen_lower_bound(&[0.0, 1.0], 1), TailBound::Inapplicable);
+        assert_eq!(berry_esseen_lower_bound(&eps, 0), TailBound::Inapplicable);
+    }
+
     #[test]
     fn prefix_moments_empty_prefix_is_inapplicable_or_trivial() {
         let pm = PrefixMoments::new();
         assert_eq!(pm.paley_zygmund_lower(1), TailBound::Inapplicable);
         assert_eq!(pm.cantelli_upper(1), TailBound::Value(0.0));
         assert_eq!(pm.chernoff_upper(1), TailBound::Value(0.0));
+        assert_eq!(pm.berry_esseen_lower(1), TailBound::Inapplicable);
     }
 }

@@ -12,7 +12,8 @@
 //!   count `C` (number of jurors voting incorrectly), with naive,
 //!   dynamic-programming and divide-&-conquer (CBA) constructors.
 //! * [`bounds`] — tail lower/upper bounds: the Paley–Zygmund bound of the
-//!   paper's Lemma 2 plus Cantelli and Chernoff bounds used for ablations.
+//!   paper's Lemma 2, a Berry–Esseen lower bound for the `μ ≈ t` band,
+//!   and Cantelli and Chernoff upper bounds.
 //! * [`approx`] — `O(n)` normal and refined-normal tail approximations
 //!   (screening estimates; an accuracy/speed ablation vs the exact
 //!   engines).

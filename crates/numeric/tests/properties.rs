@@ -6,7 +6,8 @@
 //! soundness of every tail bound.
 
 use jury_numeric::bounds::{
-    cantelli_upper_bound, chernoff_upper_bound, paley_zygmund_lower_bound, PrefixMoments, TailBound,
+    berry_esseen_lower_bound, cantelli_upper_bound, chernoff_upper_bound,
+    paley_zygmund_lower_bound, PrefixMoments, TailBound,
 };
 use jury_numeric::conv::{convolve_direct, convolve_fft};
 use jury_numeric::fft::Fft;
@@ -40,6 +41,18 @@ fn adversarial_rates(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
                 _ => r,
             })
             .collect()
+    })
+}
+
+/// Rate vectors whose `σ` spans tiny (near-certain jurors either way)
+/// to large (hundreds of mid-range rates), for the Berry–Esseen bound.
+fn sigma_spanning_rates(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+    (0usize..5, vec(0.001..0.999f64, 1..=max_len)).prop_map(|(regime, raw)| match regime {
+        0 => raw.iter().map(|r| r * 1e-3).collect(),
+        1 => raw.iter().map(|r| 1.0 - r * 1e-3).collect(),
+        2 => raw.iter().map(|r| 0.3 + 0.4 * r).collect(),
+        3 => raw.iter().map(|r| if *r < 0.1 { r * 0.2 } else { 0.55 + 0.4 * r }).collect(),
+        _ => raw,
     })
 }
 
@@ -152,6 +165,28 @@ proptest! {
     }
 
     #[test]
+    fn berry_esseen_never_exceeds_exact(eps in sigma_spanning_rates(1200)) {
+        // Every threshold, σ from ~0.03 (near-certain jurors) to ~17.
+        let d = PoiBin::from_error_rates_dp(&eps);
+        for t in 0..=eps.len() + 1 {
+            if let TailBound::Value(b) = berry_esseen_lower_bound(&eps, t) {
+                let exact = d.tail(t);
+                prop_assert!(b <= exact, "berry-esseen {} > exact {} (t={}, n={})", b, exact, t, eps.len());
+            }
+        }
+    }
+
+    #[test]
+    fn berry_esseen_never_exceeds_exact_on_adversarial_rates(eps in adversarial_rates(40)) {
+        let d = PoiBin::from_error_rates(&eps);
+        for t in 0..=eps.len() + 1 {
+            if let TailBound::Value(b) = berry_esseen_lower_bound(&eps, t) {
+                prop_assert!(b <= d.tail(t), "berry-esseen {} > exact {} (t={})", b, d.tail(t), t);
+            }
+        }
+    }
+
+    #[test]
     fn prefix_moment_sweep_matches_slices_on_adversarial_rates(eps in adversarial_rates(40)) {
         // The streaming kernel behind the bound-pruned AltrM sweep must
         // reproduce the slice entry points at every prefix, bits
@@ -165,6 +200,7 @@ proptest! {
                 prop_assert_eq!(moments.paley_zygmund_lower(t), paley_zygmund_lower_bound(prefix, t));
                 prop_assert_eq!(moments.cantelli_upper(t), cantelli_upper_bound(prefix, t));
                 prop_assert_eq!(moments.chernoff_upper(t), chernoff_upper_bound(prefix, t));
+                prop_assert_eq!(moments.berry_esseen_lower(t), berry_esseen_lower_bound(prefix, t));
             }
         }
     }

@@ -33,12 +33,15 @@
 //!   is the solved AltrM answer (the optimum may genuinely move). The
 //!   re-solve is **bound-pruned** ([`AltrAlg::solve_pruned`]): prefix
 //!   sums of ε and ε(1−ε) ([`jury_numeric::bounds::PrefixMoments`])
-//!   evaluate Paley–Zygmund lower and Cantelli/Chernoff upper JER
-//!   bounds in `O(1)` per odd size, every size whose lower bound clears
-//!   the best upper bound is eliminated, and exact JER runs only at the
-//!   survivors — `O(N + M²)` for largest survivor `M` instead of the
-//!   `O(N²)` full prefix rescan (the `altrm_throughput` bench records
-//!   ~10³× at 10⁴ jurors on an expert-plus-mob pool).
+//!   evaluate Paley–Zygmund and Berry–Esseen lower and Cantelli/Chernoff
+//!   upper JER bounds in `O(1)` per odd size, every size whose lower
+//!   bound clears the best upper bound is eliminated, and exact JER runs
+//!   only at the survivors. The pmf scan stops at the first exact `0.0`
+//!   JER, or once JER starts rising where every later rate is ≥ ½ (it
+//!   provably cannot fall again there). That is `O(N + M²)` for the
+//!   last pushed size `M` — about the expert count on an
+//!   expert-plus-mob pool — instead of the `O(N²)` full prefix rescan.
+//!   The same scan builds a cold pool's first AltrM answer.
 //! * **PayM budget staircase** — Algorithm 4's selection is piecewise
 //!   constant in the budget, so each pool's warm greedy order carries a
 //!   [`jury_core::paym::Staircase`]: recorded step intervals map any
@@ -73,10 +76,10 @@
 //!   [`AltrAlg::solve_pruned`]), so members/JER/cost match the full
 //!   scan bit for bit. The [`SolverStats`](jury_core::SolverStats)
 //!   *document the pruning instead of hiding it*: `jer_evaluations`
-//!   counts survivors only and `pruned_by_bound` the eliminated sizes
-//!   (their sum equals the full scan's evaluation count). This is the
-//!   one place service answers differ from the direct solver's, by
-//!   design. Crucially, the pruned scan builds its pmfs from scratch —
+//!   counts the sizes evaluated before the scan stopped and
+//!   `pruned_by_bound` every other odd size (their sum equals the full
+//!   scan's evaluation count). This is the one place service answers
+//!   differ from the direct solver's, by design. Crucially, the pruned scan builds its pmfs from scratch —
 //!   it never reads a repaired checkpoint — which is what keeps
 //!   post-mutation AltrM answers on the bit-identical side.
 //! * **Deconvolution repairs are numerical.** Dividing a factor out of a
@@ -621,10 +624,10 @@ jury_core::stats_record! {
         /// the nearest pmf-ladder checkpoint) instead of being dropped for
         /// an `O(N²)` rebuild.
         pub profile_repairs: usize,
-        /// Candidate jury sizes eliminated by the warm AltrM bound sweep
-        /// (`AltrAlg::solve_pruned`'s Paley–Zygmund vs Cantelli/Chernoff
-        /// comparison) across all AltrM (re)solves — exact JER was never
-        /// computed for these.
+        /// Candidate jury sizes the AltrM pruned scan skipped
+        /// (`AltrAlg::solve_pruned`: eliminated by its bound sweep, inside
+        /// its monotone segment, or past an early stop) across all AltrM
+        /// (re)solves — exact JER was never computed for these.
         pub bound_pruned: usize,
         /// Pools that attached to an already-interned warm-artifact set
         /// instead of building their own (registration-time and
@@ -873,12 +876,15 @@ impl JuryService {
     /// than the catalog this service reads from, the fresh catalog
     /// replaces it and every still-**cold** pool is pre-warmed through
     /// the ordinary verified-restore path (the same content gates a
-    /// cold start uses — adoption can never loosen verification).
-    /// Warm pools are deliberately untouched: their in-flight answers
-    /// stay bit-identical, and they pick the new generation up
-    /// whenever they next go cold. Returns `None` when there is
-    /// nothing newer (including an unreadable or empty directory —
-    /// adoption never moves backwards); otherwise one
+    /// cold start uses — adoption can never loosen verification) and
+    /// attached to the restored entry, exactly as a cold pool's first
+    /// warm-up would. Every entry adoption lists therefore has a pool
+    /// holding it, so removing or writing that pool releases it like
+    /// any other. Warm pools are deliberately untouched: their
+    /// in-flight answers stay bit-identical, and they pick the new
+    /// generation up whenever they next go cold. Returns `None` when
+    /// there is nothing newer (including an unreadable or empty
+    /// directory — adoption never moves backwards); otherwise one
     /// [`ServiceStats::generations_adopted`] is counted and pre-warm
     /// rejections feed both [`ServiceStats::snapshot_rejections`] and
     /// [`ServiceStats::adoptions_rejected`].
@@ -898,14 +904,10 @@ impl JuryService {
             let config_bits = config_key(&self.config);
             let Self { pools, store, stats, snapshots, .. } = &mut *self;
             // Anything warm keeps serving what it has.
-            for entry in pools.values().filter(|entry| entry.cache.is_none()) {
-                restore_into_store(
-                    store,
-                    snapshots.as_ref(),
-                    &StoreKey { fp: entry.fp.key(), config: config_bits },
-                    &entry.jurors,
-                    stats,
-                );
+            for entry in pools.values_mut().filter(|entry| entry.cache.is_none()) {
+                let key = StoreKey { fp: entry.fp.key(), config: config_bits };
+                entry.cache =
+                    restore_and_attach(store, snapshots.as_ref(), key, &entry.jurors, stats);
             }
         }
         let restored = self.stats.snapshot_restores - restores_before;
@@ -1166,14 +1168,10 @@ impl JuryService {
             pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         if cache.is_none() {
             let key = StoreKey { fp: fp.key(), config: config_bits };
-            if share {
-                restore_into_store(store, snapshots.as_ref(), &key, jurors, stats);
-            }
-            *cache = Some(match attach_flat(store, key, jurors) {
-                Some(link) => {
-                    stats.artifact_share_hits += 1;
-                    link
-                }
+            let attached =
+                share.then(|| restore_and_attach(store, snapshots.as_ref(), key, jurors, stats));
+            *cache = Some(match attached.flatten() {
+                Some(link) => link,
                 None => list(store, key, build(jurors, stats), share),
             });
         }
@@ -1775,31 +1773,36 @@ fn solve_on_entry(
     result.map_err(ServiceError::from)
 }
 
-/// Seeds the store from the snapshot catalog before an attach: when
-/// `key` is not interned and the catalog holds a candidate, the first
-/// fully-verified entry is published so the ordinary attach path that
-/// follows finds it warm. Counts into the two snapshot stats; a
-/// rejected or absent candidate simply leaves the store unchanged (the
-/// caller cold-builds). No-op without a catalog or when the key is
-/// already interned (live state always wins).
-fn restore_into_store(
+/// Attaches a cold pool to the interned entry at `key`, seeding the
+/// store from the snapshot catalog first: when `key` is not interned
+/// and the catalog holds a candidate, the first fully-verified entry is
+/// published and the pool attaches to it directly (the restore already
+/// compared its content with `jurors`). Counts into the two snapshot
+/// stats and, on an attach, [`ServiceStats::artifact_share_hits`]. A
+/// rejected or absent candidate leaves the store unchanged (the caller
+/// cold-builds). Without a catalog, or when the key is already interned
+/// (live state always wins), this is the ordinary [`attach_flat`].
+fn restore_and_attach(
     store: &mut ArtifactStore,
     catalog: Option<&snapshot::Catalog>,
-    key: &StoreKey,
+    key: StoreKey,
     jurors: &[Juror],
     stats: &mut ServiceStats,
-) {
-    let Some(catalog) = catalog else { return };
-    if store.contains(key) {
-        return;
-    }
-    let attempt = catalog.restore(key, jurors);
-    stats.snapshot_rejections += attempt.rejections;
-    if let Some(set) = attempt.set {
-        if store.publish(*key, &Arc::new(set)) {
-            stats.snapshot_restores += 1;
+) -> Option<StoreLink> {
+    if let Some(catalog) = catalog.filter(|_| !store.contains(&key)) {
+        let attempt = catalog.restore(&key, jurors);
+        stats.snapshot_rejections += attempt.rejections;
+        if let Some(set) = attempt.set.map(Arc::new) {
+            if store.publish(key, &set) {
+                stats.snapshot_restores += 1;
+                stats.artifact_share_hits += 1;
+                return Some(StoreLink { key, set });
+            }
         }
     }
+    let link = attach_flat(store, key, jurors);
+    stats.artifact_share_hits += usize::from(link.is_some());
+    link
 }
 
 /// Wraps a freshly built or repaired set as its pool's link, listing it
@@ -1820,7 +1823,9 @@ fn list(store: &mut ArtifactStore, key: StoreKey, set: ArtifactSet, share: bool)
 /// collision, or the same multiset in another arrangement). The single
 /// place the attach rule lives — registration
 /// ([`JuryService::warm_pool`] / [`JuryService::warm_orders`]) and
-/// post-mutation re-join ([`JuryService::repair_after_mutation`]) both
+/// adoption (both through [`restore_and_attach`], whose fresh restores
+/// the snapshot reader checks by the same `match_pool`) and
+/// post-mutation re-join ([`JuryService::repair_after_mutation`]) all
 /// route through it. With sharing off the store is empty, so this never
 /// attaches.
 fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option<StoreLink> {

@@ -1204,7 +1204,9 @@ pub(crate) fn write_incremental<'a>(
 
     // The new generation is durable: garbage-collect everything it
     // does not reference — older manifests, orphaned entry files, and
-    // stray temp files from crashed writers.
+    // stray temp files from crashed writers. Lease-protocol files are
+    // left to the lease code: a rival candidate's lease temp may sit
+    // between its write and its link right now.
     let keep: HashSet<&str> =
         retained.iter().chain(fresh.iter()).map(|(_, rec)| rec.file.as_str()).collect();
     if let Ok(read) = fs::read_dir(dir) {
@@ -1213,7 +1215,7 @@ pub(crate) fn write_incremental<'a>(
             let Some(name) = name.to_str() else { continue };
             let stale_manifest = manifest_generation(name).is_some_and(|g| g != next_gen);
             let stale_entry = name.ends_with(".snap") && !keep.contains(name);
-            let stray_tmp = name.ends_with(".tmp");
+            let stray_tmp = name.ends_with(".tmp") && !name.starts_with(lease::LEASE);
             if (stale_manifest || stale_entry || stray_tmp) && faults.before("gc.unlink").is_ok() {
                 let _ = fs::remove_file(entry.path());
             }

@@ -161,7 +161,9 @@ fn write_lease_tmp(
 
 /// Atomic create: `hard_link` the temp to the lease name — fails if the
 /// lease exists, so exactly one concurrent candidate wins. Returns
-/// `Ok(true)` on win, `Ok(false)` if the name was taken.
+/// `Ok(true)` on win, `Ok(false)` if the name was taken or the temp
+/// vanished before the link (only a rival clearing the directory
+/// removes it — the race is lost either way).
 fn create_lease(faults: &dyn FaultPlane, dir: &Path, holder: &str, epoch: u64) -> io::Result<bool> {
     let tmp = write_lease_tmp(faults, dir, holder, epoch)?;
     faults.before("lease.link").inspect_err(|_| {
@@ -169,7 +171,9 @@ fn create_lease(faults: &dyn FaultPlane, dir: &Path, holder: &str, epoch: u64) -
     })?;
     let won = match fs::hard_link(&tmp, dir.join(LEASE)) {
         Ok(()) => true,
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => false,
+        Err(e) if matches!(e.kind(), io::ErrorKind::AlreadyExists | io::ErrorKind::NotFound) => {
+            false
+        }
         Err(e) => {
             let _ = fs::remove_file(&tmp);
             return Err(e);

@@ -25,7 +25,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------
@@ -421,6 +421,69 @@ fn promotion_race_between_two_followers_elects_exactly_one_writer() {
     }
 }
 
+/// Runs a rival's whole checkpoint the first time this candidate is
+/// about to link its lease temp into place — the interleaving in which
+/// the rival wins the lease, commits, and garbage-collects while the
+/// candidate sits between its temp write and its link.
+#[derive(Debug)]
+struct RivalCommitsAtLink {
+    rival: Mutex<Option<JuryService>>,
+    dir: PathBuf,
+    outcome: Mutex<Option<Result<u64, SnapshotError>>>,
+}
+
+impl FaultPlane for RivalCommitsAtLink {
+    fn before(&self, op: &str) -> io::Result<()> {
+        if op == "lease.link" {
+            if let Some(mut rival) = self.rival.lock().unwrap().take() {
+                let outcome = rival.snapshot(&self.dir).map(|r| r.generation);
+                *self.outcome.lock().unwrap() = Some(outcome);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The deterministic form of the promotion race's rare loss: the
+/// winner's GC must not delete the loser's lease temp, and a loser
+/// whose temp is gone anyway backs off with `LeaseHeld` instead of an
+/// I/O error.
+#[test]
+fn winners_gc_leaves_a_rivals_lease_temp_alone() {
+    let tmp = TempDir::new("gc-lease-tmp");
+    let jurors = pool(16);
+    let candidate = || {
+        let mut s = JuryService::new();
+        let p = s.create_pool(jurors.clone());
+        drive(&mut s, p);
+        s
+    };
+    let rival = candidate();
+    let rival_holder = rival.snapshot_holder().to_string();
+    let plane = Arc::new(RivalCommitsAtLink {
+        rival: Mutex::new(Some(rival)),
+        dir: tmp.path().to_path_buf(),
+        outcome: Mutex::new(None),
+    });
+    let mut loser = candidate();
+    loser.set_snapshot_fault_plane(Arc::clone(&plane) as Arc<dyn FaultPlane>);
+
+    let lost = loser.snapshot(tmp.path());
+    let won = plane.outcome.lock().unwrap().take().expect("the rival ran at the link");
+    assert_eq!(won.expect("the rival wins the lease and commits"), 1);
+    match lost {
+        Err(SnapshotError::LeaseHeld { holder, .. }) => assert_eq!(holder, rival_holder),
+        other => panic!("the loser must back off with LeaseHeld, got {other:?}"),
+    }
+    assert_eq!(lease_fields(tmp.path()).0, rival_holder, "the lease names the rival");
+    let temps: Vec<_> = fs::read_dir(tmp.path())
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(temps.is_empty(), "no lease temp is left behind: {temps:?}");
+}
+
 // ---------------------------------------------------------------------
 // Adoption during an interrupted GC
 // ---------------------------------------------------------------------
@@ -567,6 +630,41 @@ fn follower_adopts_each_generation_without_restart() {
     assert_eq!(watcher.poll(), None);
     assert!(follower.adopt_snapshot().is_none());
     assert_eq!(follower.stats().generations_adopted, 1, "no double-count on a quiet directory");
+}
+
+/// Adoption attaches each pre-warmed cold pool to the entry it
+/// restored, so every listed entry has a holder: removing one adopted
+/// pool and writing the other releases their entries like any warm
+/// pool's, and the store ends with one entry per live pool.
+#[test]
+fn adopted_entries_are_released_by_their_pools() {
+    let tmp = TempDir::new("adopt-attach");
+    let jurors_a = pool(16);
+    let jurors_b = pool(17);
+    let mut follower = JuryService::with_config(following(tmp.path(), Duration::from_secs(30)));
+    let fa = follower.create_pool(jurors_a.clone());
+    let fb = follower.create_pool(jurors_b.clone());
+
+    let mut writer = JuryService::new();
+    for jurors in [&jurors_a, &jurors_b] {
+        let p = writer.create_pool(jurors.clone());
+        drive(&mut writer, p);
+    }
+    assert_eq!(writer.snapshot(tmp.path()).unwrap().entries, 2);
+
+    let adopted = follower.adopt_snapshot().expect("generation 1 adopts");
+    assert_eq!((adopted.restored, adopted.rejected), (2, 0));
+    assert_eq!(follower.artifact_entries(), 2);
+
+    follower.remove_pool(fa).unwrap();
+    assert_eq!(follower.artifact_entries(), 1, "the removed pool's entry goes with it");
+    follower.insert_juror(fb, extra_juror(0)).unwrap();
+    assert_eq!(follower.artifact_entries(), 1, "the written pool's entry moves, not doubles");
+    follower.warm_pool(fb).unwrap();
+    assert_eq!(follower.artifact_entries(), 1, "one entry per live pool");
+
+    let written = follower.pool(fb).unwrap().to_vec();
+    assert_eq!(drive(&mut follower, fb), control(&written));
 }
 
 // ---------------------------------------------------------------------

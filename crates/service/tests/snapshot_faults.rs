@@ -682,10 +682,13 @@ fn seeded_snapshots_cover_every_section_class() {
 // ---------------------------------------------------------------------
 
 /// The entry file name and the entry bytes of one deterministic pool are
-/// pinned to the values an earlier build of this format wrote: layout
-/// byte 0 in the KEY section, layout word 0 in the file-name hash and
-/// `"layout": "flat"` in the manifest record. A change here breaks
-/// restores from directories written before it.
+/// pinned to the values this build writes: layout byte 0 in the KEY
+/// section, layout word 0 in the file-name hash and `"layout": "flat"`
+/// in the manifest record. The ALTR section records the answer's
+/// [`SolverStats`](jury_core::SolverStats), so a scan that evaluates
+/// fewer sizes changes the bytes without changing the answer; the
+/// bytes pinned before such a change stay readable
+/// ([`older_pinned_entry_bytes_still_restore`]).
 #[test]
 fn flat_entry_name_and_bytes_are_pinned() {
     let tmp = TempDir::new("golden");
@@ -695,13 +698,46 @@ fn flat_entry_name_and_bytes_are_pinned() {
     assert_eq!(entries.len(), 1);
     assert_eq!(
         json::to_string(&entries[0]),
-        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000886","checksum":"1853d3f3f75fe2f6"}"#
+        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000885","checksum":"4109554851f36ae6"}"#
     );
     let file = entry_file(tmp.path());
     assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
     let bytes = fs::read(&file).unwrap();
-    assert_eq!(bytes.len(), 2182);
-    assert_eq!(snapshot_checksum(&bytes), 0x1853_d3f3_f75f_e2f6);
+    assert_eq!(bytes.len(), 2181);
+    assert_eq!(snapshot_checksum(&bytes), 0x4109_5548_51f3_6ae6);
+}
+
+/// The entry bytes an earlier build wrote for the pool of
+/// [`flat_entry_name_and_bytes_are_pinned`], whose pruned scan reported
+/// evaluating every odd size (`jer_evaluations` 12 of 12).
+const FULL_SCAN_STATS_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_full_scan_stats.snap");
+
+/// Those older bytes, under the manifest record they were pinned with,
+/// still restore: members, JER and cost bits equal a fresh solve's, and
+/// the answer served is the restored one (it still carries its stats).
+#[test]
+fn older_pinned_entry_bytes_still_restore() {
+    let tmp = TempDir::new("golden-older");
+    let config = flat_config();
+    let jurors = pool(24);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let file = entry_file(tmp.path());
+    assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
+    fs::write(&file, FULL_SCAN_STATS_ENTRY).unwrap();
+    reforge_manifest(tmp.path());
+    let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
+    assert_eq!(
+        json::to_string(&manifest.get("entries").unwrap().as_array().unwrap()[0]),
+        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000886","checksum":"1853d3f3f75fe2f6"}"#
+    );
+
+    let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let p = service.create_pool(jurors.clone());
+    assert_eq!(drive(&mut service, p), control(&config, &jurors));
+    let stats = service.stats();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
+    let served = service.solve(&DecisionTask::altruism(p)).unwrap();
+    assert_eq!(served.stats.jer_evaluations, 12, "the restored answer is the one served");
 }
 
 /// A manifest record of another layout — a sharded entry left behind by
