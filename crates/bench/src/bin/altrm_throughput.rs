@@ -5,8 +5,8 @@
 //! * **steady warm** — the same AltrM task again: a cached-answer
 //!   replay (one selection clone, no scan at all);
 //! * **post-mutation** — one juror update (a re-estimated error rate)
-//!   followed by the next AltrM task: the update repairs every sorted
-//!   order and pmf ladder *in place*, and the dropped answer is
+//!   followed by the next AltrM task: the update repairs both sorted
+//!   orders *in place*, and the dropped answer is
 //!   re-solved by `AltrAlg::solve_pruned` — an `O(N)` bound sweep plus
 //!   exact JER only at the surviving sizes, instead of the `O(N²)`
 //!   full prefix scan;
@@ -238,7 +238,7 @@ fn main() {
             "workload",
             "warm AltrM on an expert-plus-mob pool (100 experts eps in [0.02,0.30), mob in \
              [0.55,0.95)) and a uniform pool (eps in [0.02,0.98)): cached replay (steady) and \
-             one juror update + next solve (post-mutation: in-place order/ladder repair + \
+             one juror update + next solve (post-mutation: in-place order repair + \
              bound-pruned rescan-free re-solve), vs the O(N^2) full presorted rescan the warm \
              path previously paid"
                 .to_value(),

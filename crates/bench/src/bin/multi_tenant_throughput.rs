@@ -3,15 +3,16 @@
 //! The multi-tenant workload: M logical pools (per-tenant, per-topic,
 //! per-region registries) over **one** juror population. For each pool
 //! size the emitter measures the aggregate *register + first-solve*
-//! cost — `create_pool` + one AltrM solve + one PayM solve + one
-//! `jer_profile` materialisation per pool — for M replicated pools:
+//! cost — `create_pool` + one AltrM solve + one PayM solve per pool —
+//! for M replicated pools:
 //!
 //! * **sharing on** (default config): the first pool builds the warm
 //!   artifact set, every further pool attaches to the interned entry
 //!   (`O(N)` content verification + `Arc` clones);
 //! * **sharing off** (`share_artifacts: false`): every pool pays the
-//!   full `O(N log N + N²)`-flavoured warm-up privately — what every
-//!   pool paid before the store existed.
+//!   full warm-up privately (two `O(N log N)` sorts, the bound-pruned
+//!   AltrM scan and one greedy scan) — what every pool paid before the
+//!   store existed.
 //!
 //! A second measurement drives the **mutation churn** loop: two
 //! replicated pools, one of which is repeatedly perturbed away
@@ -46,7 +47,7 @@ fn pool(n: usize) -> Vec<Juror> {
 }
 
 /// Registers `tenants` replicated pools and runs each one's first
-/// solves (AltrM + PayM + profile), returning total seconds.
+/// solves (AltrM + PayM), returning total seconds.
 fn register_and_first_solve(service: &mut JuryService, jurors: &[Juror], tenants: usize) -> f64 {
     let (_, secs) = time_it(|| {
         for t in 0..tenants {
@@ -55,7 +56,6 @@ fn register_and_first_solve(service: &mut JuryService, jurors: &[Juror], tenants
             assert!(altr.is_ok(), "tenant {t}: altr must solve");
             let paym = service.solve(&DecisionTask::pay_as_you_go(id, 2.5));
             assert!(paym.is_ok(), "tenant {t}: paym must solve");
-            assert!(!service.jer_profile(id).unwrap().is_empty());
         }
     });
     secs
@@ -183,7 +183,7 @@ fn main() {
         (
             "workload",
             "M replicated pools over one juror population: aggregate register + first-solve \
-             (create_pool + AltrM + PayM + jer_profile per pool) with the warm-artifact store on \
+             (create_pool + AltrM + PayM per pool) with the warm-artifact store on \
              vs off, plus per-mutation detach/re-join churn on two replicas"
                 .to_value(),
         ),

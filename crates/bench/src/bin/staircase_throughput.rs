@@ -7,9 +7,9 @@
 //! * **steady warm** — the same budget again: a staircase binary-search
 //!   hit (one selection clone, no greedy rescan);
 //! * **post-mutation** — one juror update (a re-estimated error rate)
-//!   followed by the next task: the update repairs every sorted order
-//!   and pmf ladder *in place* (no re-sort, no re-convolution), the
-//!   cleared staircase re-records its step with a single greedy scan.
+//!   followed by the next task: the update repairs both sorted orders
+//!   *in place* (no re-sort), and the cleared staircase re-records its
+//!   step with a single greedy scan.
 //!   Reported as the median of 21 rounds with its quartiles: the first
 //!   rounds after the cold build run slower, so a minimum over a few
 //!   rounds moved by up to 1.7× between runs of one build at 10⁶.
@@ -128,7 +128,7 @@ fn main() {
         (
             "workload",
             "warm PayM: staircase hit (steady, best of 5) and one juror update + next solve \
-             (post-mutation, in-place order/ladder repair + one staircase-recording scan; \
+             (post-mutation, in-place order repair + one staircase-recording scan; \
              median and quartiles over 21 rounds)"
                 .to_value(),
         ),

@@ -275,9 +275,8 @@ impl AltrAlg {
         profile(&eps_sorted)
     }
 
-    /// [`AltrAlg::jer_profile`] over rates that are already ε-sorted —
-    /// the serving layer's cache build reuses the solve's sorted order
-    /// rather than sorting the pool again.
+    /// [`AltrAlg::jer_profile`] over rates that are already ε-sorted, for
+    /// callers that hold a sorted run and need not sort the pool again.
     pub fn jer_profile_sorted(eps_sorted: &[f64]) -> Vec<(usize, f64)> {
         profile(eps_sorted)
     }
@@ -507,80 +506,6 @@ fn guarded_step(eps_sorted: &[f64], n: usize, mu: f64) -> bool {
 /// that absolute part stays under `10⁻⁷` of the JER, far inside
 /// [`PRUNE_SLACK`].
 const MONOTONE_FLOOR: f64 = 1e-300;
-
-/// The odd-size JER profile (the Figure 3(a) curve) as a *repairable*
-/// artefact. A fresh build performs exactly the sequential pushes of
-/// [`AltrAlg::jer_profile_sorted`]; after the underlying ε-sorted run
-/// mutates, [`JerProfile::repair_from`] reuses every entry whose prefix
-/// multiset is untouched **verbatim** (bit-preserved) and re-derives
-/// only the suffix, resuming from a caller-supplied prefix distribution
-/// (a serving layer's pmf-ladder checkpoint) instead of pushing from
-/// zero.
-///
-/// Repaired suffix entries inherit the resume pmf's lineage: resumed
-/// from a push-built checkpoint they are bit-identical to a fresh
-/// build; resumed from a deconvolution-repaired checkpoint they are
-/// only *numerically* equal (the serving layer documents the tolerance).
-/// Nothing on a solver's bit-identical path reads a profile.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JerProfile {
-    /// `(n, JER of the n lowest-ε jurors)` for `n = 1, 3, 5, …`.
-    entries: Vec<(usize, f64)>,
-}
-
-impl JerProfile {
-    /// Builds the full profile over an ε-ascending run (`O(len²)`
-    /// sequential pushes — identical float operations to
-    /// [`AltrAlg::jer_profile_sorted`]).
-    pub fn build(eps_sorted: &[f64]) -> Self {
-        Self { entries: profile(eps_sorted) }
-    }
-
-    /// The profile entries, ascending in `n`.
-    pub fn entries(&self) -> &[(usize, f64)] {
-        &self.entries
-    }
-
-    /// Rebuilds a profile from decoded entries (snapshot restore),
-    /// re-validating the shape [`JerProfile::build`] guarantees: entry
-    /// `i` covers exactly `n = 2i + 1`. Returns `None` for any other
-    /// shape — the repair machinery indexes by that contract.
-    pub fn from_entries(entries: Vec<(usize, f64)>) -> Option<Self> {
-        entries.iter().enumerate().all(|(i, &(n, _))| n == 2 * i + 1).then_some(Self { entries })
-    }
-
-    /// Repairs the profile after the run changed at (0-based) rank
-    /// `rank` — the lowest rank whose value differs from the pre-mutation
-    /// run (for an update that moved a value between ranks `a` and `b`,
-    /// `min(a, b)`). `eps_sorted` is the **post-mutation** run; `pmf`
-    /// must hold the distribution of `eps_sorted[..resume]` for some
-    /// `resume ≤ rank` (it is consumed — on return it holds the full-run
-    /// distribution). Entries for odd `n ≤ rank` are reused verbatim;
-    /// the rest are re-derived by sequential pushes from `resume`,
-    /// handling runs that grew (insert) or shrank (removal) by one.
-    pub fn repair_from(
-        &mut self,
-        eps_sorted: &[f64],
-        rank: usize,
-        resume: usize,
-        pmf: &mut PoiBin,
-    ) {
-        debug_assert!(resume <= rank && resume <= eps_sorted.len(), "resume must precede the edit");
-        debug_assert_eq!(pmf.n(), resume, "pmf must cover eps[..resume]");
-        debug_assert!(
-            self.entries.len() + 1 >= eps_sorted.len().div_ceil(2),
-            "profile must cover the pre-mutation run"
-        );
-        self.entries.truncate(rank.div_ceil(2));
-        for (i, &e) in eps_sorted.iter().enumerate().skip(resume) {
-            pmf.push(e);
-            let n = i + 1;
-            if n % 2 == 1 && n > rank {
-                self.entries.push((n, pmf.tail(JerEngine::majority_threshold(n))));
-            }
-        }
-    }
-}
 
 fn scan_recompute(
     eps_sorted: &[f64],
@@ -988,8 +913,7 @@ mod tests {
                 })
                 .collect();
             eps.sort_by(f64::total_cmp);
-            let profile = JerProfile::build(&eps);
-            let jer = profile.entries();
+            let jer = AltrAlg::jer_profile_sorted(&eps);
             let mut moments = PrefixMoments::new();
             for (i, &e) in eps.iter().enumerate() {
                 moments.push(e);
@@ -1063,82 +987,6 @@ mod tests {
             AltrAlg::default().solve_pruned(&[], &[], &mut SolverScratch::new()),
             Err(JuryError::EmptyPool)
         );
-    }
-
-    #[test]
-    fn jer_profile_type_matches_free_function() {
-        let rates = [0.31, 0.18, 0.44, 0.27, 0.09, 0.36, 0.22, 0.5];
-        let pool = pool_from_rates(&rates).unwrap();
-        let mut eps: Vec<f64> = rates.to_vec();
-        eps.sort_by(f64::total_cmp);
-        let profile = JerProfile::build(&eps);
-        assert_eq!(profile.entries(), AltrAlg::jer_profile(&pool).as_slice());
-    }
-
-    #[test]
-    fn jer_profile_repairs_update_insert_and_remove() {
-        let base: Vec<f64> = {
-            let mut eps: Vec<f64> =
-                (0..90).map(|i| 0.02 + 0.9 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
-            eps.sort_by(f64::total_cmp);
-            eps
-        };
-
-        // Update: move the value at rank 20 to a high rank.
-        let mut eps = base.clone();
-        let mut profile = JerProfile::build(&eps);
-        eps.remove(20);
-        let r_new = eps.partition_point(|&e| e < 0.88);
-        eps.insert(r_new, 0.88);
-        let rank = 20usize.min(r_new);
-        // Resume from a mid-run prefix pmf, as a ladder checkpoint would.
-        let resume = rank.min(16);
-        let mut pmf = PoiBin::from_error_rates_dp(&eps[..resume]);
-        profile.repair_from(&eps, rank, resume, &mut pmf);
-        assert_eq!(profile, JerProfile::build(&eps), "update repair");
-
-        // Insert: the run grows by one and gains an entry.
-        let mut eps = base.clone();
-        let mut profile = JerProfile::build(&eps);
-        let r = eps.partition_point(|&e| e < 0.5);
-        eps.insert(r, 0.5);
-        let mut pmf = PoiBin::empty();
-        profile.repair_from(&eps, r, 0, &mut pmf);
-        assert_eq!(profile, JerProfile::build(&eps), "insert repair");
-        assert_eq!(profile.entries().len(), eps.len().div_ceil(2));
-
-        // Remove: the run shrinks; the stale top entry must vanish.
-        let mut eps = base.clone();
-        let mut profile = JerProfile::build(&eps);
-        eps.remove(70);
-        let resume = 64usize;
-        let mut pmf = PoiBin::from_error_rates_dp(&eps[..resume]);
-        profile.repair_from(&eps, 70, resume, &mut pmf);
-        assert_eq!(profile, JerProfile::build(&eps), "remove repair");
-
-        // Removing the last element of an odd-length run drops an entry.
-        let mut eps = base[..7].to_vec();
-        let mut profile = JerProfile::build(&eps);
-        eps.pop();
-        let mut pmf = PoiBin::empty();
-        profile.repair_from(&eps, 6, 0, &mut pmf);
-        assert_eq!(profile, JerProfile::build(&eps), "tail remove repair");
-    }
-
-    #[test]
-    fn jer_profile_repair_preserves_prefix_entries_verbatim() {
-        let mut eps: Vec<f64> = (0..40).map(|i| 0.05 + 0.02 * i as f64).collect();
-        let mut profile = JerProfile::build(&eps);
-        let before: Vec<(usize, f64)> = profile.entries().to_vec();
-        // Mutate rank 25: entries for n ≤ 25 must be the same bits even
-        // though the resume pushes pass through them.
-        eps[25] = 0.9;
-        let mut pmf = PoiBin::from_error_rates_dp(&eps[..10]);
-        profile.repair_from(&eps, 25, 10, &mut pmf);
-        for (old, new) in before.iter().zip(profile.entries()).take(13) {
-            assert_eq!(old.0, new.0);
-            assert_eq!(old.1.to_bits(), new.1.to_bits(), "n={}", old.0);
-        }
     }
 
     #[test]

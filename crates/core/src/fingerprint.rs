@@ -5,10 +5,10 @@
 //! (per-tenant, per-topic, per-region registries over one juror
 //! population), so a serving layer wants to recognise that two pools
 //! have the *same solver-relevant content* and build their warm
-//! artifacts — sorted orders, pmf ladders, JER profiles, solved
-//! selections — once. [`PoolFingerprint`] is the recogniser: a
-//! **commutative multiset hash** over each juror's solver-relevant
-//! content, updateable in `O(1)` per mutation.
+//! artifacts — sorted orders, solved selections, budget staircases —
+//! once. [`PoolFingerprint`] is the recogniser: a **commutative
+//! multiset hash** over each juror's solver-relevant content,
+//! updateable in `O(1)` per mutation.
 //!
 //! # Canonicalisation
 //!

@@ -96,9 +96,12 @@ mod tests {
     // renamed or reordered key; these strings pin both verbatim. Every
     // field carries a distinct value so a swapped pair shows too.
     const FRONTEND_GOLDEN: &str = r#"{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116}"#;
-    const STATS_GOLDEN: &str = r#"{"service":{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26},"frontend":{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116},"artifact_entries":27}"#;
-    // A `/stats` body as written by servers that still reported three
-    // counters since dropped (one front-end, two service). Clients must
+    const STATS_GOLDEN: &str = r#"{"service":{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26},"frontend":{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116},"artifact_entries":27}"#;
+    // The `/stats` body written by servers that still reported the
+    // service's `profile_repairs` counter, since dropped.
+    const PROFILE_REPAIRS_STATS_GOLDEN: &str = r#"{"service":{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26},"frontend":{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116},"artifact_entries":27}"#;
+    // A `/stats` body as written by servers that still reported four
+    // counters since dropped (one front-end, three service). Clients must
     // keep reading it: the unknown keys are skipped and every remaining
     // field decodes to the value it carries.
     const OLDER_STATS_GOLDEN: &str = r#"{"service":{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"store_ttl_evictions":17,"snapshot_restores":18,"snapshot_rejections":19,"stale_snapshot_skips":20,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26},"frontend":{"requests":101,"inline_solves":102,"coalesced_windows":103,"coalesced_tasks":104,"max_window_occupancy":105,"queue_rejections":106,"queue_depth_highwater":107,"malformed_requests":108,"queue_wait_nanos":109,"solve_nanos":110,"deadline_rejections":111,"worker_panics":112,"checkpoints":113,"checkpoint_failures":114,"promotions":115,"demotions":116},"artifact_entries":27}"#;
@@ -136,7 +139,6 @@ mod tests {
             pmf_repairs: 9,
             pmf_rebuilds: 10,
             full_repairs: 11,
-            profile_repairs: 12,
             bound_pruned: 13,
             artifact_share_hits: 14,
             artifact_detaches: 15,
@@ -172,13 +174,15 @@ mod tests {
 
     #[test]
     fn older_stats_body_still_decodes() {
-        let value = json::from_str::<serde::Value>(OLDER_STATS_GOLDEN).unwrap();
-        let decoded = client::StatsSnapshot::from_value(&value).unwrap();
         let expected = client::StatsSnapshot {
             service: distinct_service_stats(),
             frontend: distinct_frontend_stats(),
             artifact_entries: 27,
         };
-        assert_eq!(decoded, expected);
+        for body in [OLDER_STATS_GOLDEN, PROFILE_REPAIRS_STATS_GOLDEN] {
+            let value = json::from_str::<serde::Value>(body).unwrap();
+            let decoded = client::StatsSnapshot::from_value(&value).unwrap();
+            assert_eq!(decoded, expected);
+        }
     }
 }

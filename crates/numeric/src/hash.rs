@@ -1,11 +1,11 @@
 //! Shared non-cryptographic mixing primitives.
 //!
 //! Content-addressed machinery across the workspace — the pool
-//! fingerprints in `jury-core` and pmf summaries like
-//! [`PoiBin::content_hash`](crate::poibin::PoiBin::content_hash) —
-//! hashes structured 64-bit inputs (IEEE-754 bits, lengths) into
-//! uniform accumulator-friendly words. They all share one finaliser so
-//! the primitive can never silently diverge between consumers.
+//! fingerprints in `jury-core` and the snapshot checksums in
+//! `jury-service` — hashes structured 64-bit inputs (IEEE-754 bits,
+//! lengths) into uniform accumulator-friendly words. They all share one
+//! finaliser so the primitive can never silently diverge between
+//! consumers.
 
 /// The SplitMix64 finaliser: a strong, stable (no `RandomState`,
 /// identical across runs and platforms) 64-bit mix — the standard

@@ -26,9 +26,10 @@
 //! polynomial `∏_i ((1-ε_i) + ε_i·x)`. [`PoiBin::remove_factor`] divides
 //! one linear factor `(q + p·x)` back *out* of that product by synthetic
 //! (long) division, and [`PoiBin::replace_factor`] chains a removal with a
-//! [`PoiBin::push`] — the `O(n)` repair primitive that lets a serving
-//! layer patch cached prefix distributions after a juror update instead of
-//! re-convolving from scratch.
+//! [`PoiBin::push`] — an `O(n)` primitive for patching a cached
+//! distribution after one rate changes instead of re-convolving it from
+//! scratch. No solver or serving path calls it: they build every pmf
+//! they read from its rates.
 //!
 //! Division runs in whichever direction is contracting:
 //!
@@ -261,18 +262,6 @@ impl PoiBin {
         Self { pmf }
     }
 
-    /// Non-panicking [`PoiBin::from_pmf`] for untrusted inputs (wire
-    /// decodes, snapshot restores): `None` whenever `from_pmf` would
-    /// panic — empty pmf, non-probability entries, or a total off 1 by
-    /// more than `1e-6`.
-    pub fn try_from_pmf(pmf: Vec<f64>) -> Option<Self> {
-        if pmf.is_empty() || !pmf.iter().all(|&p| is_probability(p)) {
-            return None;
-        }
-        let total: f64 = pmf.iter().copied().collect::<KahanSum>().value();
-        ((total - 1.0).abs() < 1e-6).then_some(Self { pmf })
-    }
-
     /// Number of underlying Bernoulli trials (jury size).
     #[inline]
     pub fn n(&self) -> usize {
@@ -283,24 +272,6 @@ impl PoiBin {
     #[inline]
     pub fn pmf(&self) -> &[f64] {
         &self.pmf
-    }
-
-    /// A stable 64-bit summary of this distribution's exact bit content:
-    /// a SplitMix64-style fold over the trial count and every pmf entry's
-    /// IEEE-754 bits. Two distributions hash equal iff their pmf vectors
-    /// are bit-identical, so warm-artifact stores and differential tests
-    /// can compare cached prefix-pmf checkpoints (a ladder rung) without
-    /// materialising both sides — e.g.
-    /// asserting that a shared checkpoint is the same evaluation lineage
-    /// as a privately built one, or that a deconvolution repair changed
-    /// it. Purely content-addressed: no RandomState, stable across runs
-    /// and platforms.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = 0x243f_6a88_85a3_08d3u64 ^ (self.pmf.len() as u64);
-        for &p in &self.pmf {
-            h = crate::hash::splitmix64(h ^ p.to_bits());
-        }
-        h
     }
 
     /// `Pr(C = k)`, zero outside the support.
@@ -553,21 +524,6 @@ mod tests {
 
     fn majority_threshold(n: usize) -> usize {
         n / 2 + 1 // == (n+1)/2 for odd n
-    }
-
-    #[test]
-    fn content_hash_tracks_bit_content() {
-        let a = PoiBin::from_error_rates(&TABLE2_EPS);
-        let b = PoiBin::from_error_rates(&TABLE2_EPS);
-        assert_eq!(a.content_hash(), b.content_hash(), "same pushes, same bits, same hash");
-        // The DP batch path performs the identical sequential pushes.
-        assert_eq!(a.content_hash(), PoiBin::from_error_rates_dp(&TABLE2_EPS).content_hash());
-        // An ulp-level perturbation of one factor is different content.
-        let mut eps = TABLE2_EPS;
-        eps[3] = f64::from_bits(eps[3].to_bits() + 1);
-        assert_ne!(a.content_hash(), PoiBin::from_error_rates(&eps).content_hash());
-        // Length alone distinguishes prefixes even when masses match.
-        assert_ne!(PoiBin::empty().content_hash(), PoiBin::from_error_rates(&[0.0]).content_hash());
     }
 
     #[test]

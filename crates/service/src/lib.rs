@@ -11,24 +11,16 @@
 //!   [`PoolId`]; jurors can be inserted, updated and removed in place.
 //! * **per-pool cache** — the ε-sorted order, PayALG's greedy visit
 //!   order and the solved AltrM selection are computed once per pool
-//!   *generation* (the prefix-pmf JER profile and checkpoint ladder
-//!   stay lazy until queried). A warm AltrM task is a cache lookup —
-//!   shared, not copied, under [`JuryService::solve_batch_shared`]; a
-//!   warm PayM task is a **budget-staircase** lookup (below), falling
-//!   back to one greedy scan on the cached order.
+//!   *generation*. A warm AltrM task is a cache lookup — shared, not
+//!   copied, under [`JuryService::solve_batch_shared`]; a warm PayM task
+//!   is a **budget-staircase** lookup (below), falling back to one greedy
+//!   scan on the cached order.
 //! * **rescan-free mutation repair** — every juror mutation — *update*,
-//!   *removal* and *insert* — repairs warm state in place instead of
-//!   invalidating it: both sorted orders get one rank-insert (plus one
-//!   remove for updates/removals; `O(n)` memmoves, provably the same
-//!   permutation a re-sort would produce, because both visit orders are
-//!   total with the pool position as final tie-break), every affected
-//!   prefix-pmf checkpoint is patched by dividing the juror's
-//!   `(1−ε, ε)` factor out of the Poisson binomial
-//!   ([`jury_numeric::poibin::PoiBin::remove_factor`]; inserts need
-//!   only a push) — `O(n)` per checkpoint instead of
-//!   `O(n·spacing + n log n)` re-convolution — and a materialised JER
-//!   profile reuses every untouched prefix entry verbatim, re-deriving
-//!   only the suffix from the nearest checkpoint.
+//!   *removal* and *insert* — repairs the sorted orders in place instead
+//!   of invalidating them: both get one rank-insert (plus one remove for
+//!   updates/removals; `O(n)` memmoves, provably the same permutation a
+//!   re-sort would produce, because both visit orders are total with the
+//!   pool position as final tie-break).
 //! * **rescan-free warm AltrM** — the one artefact a mutation must drop
 //!   is the solved AltrM answer (the optimum may genuinely move). The
 //!   re-solve is **bound-pruned** ([`AltrAlg::solve_pruned`]): prefix
@@ -52,14 +44,16 @@
 //!   its own persistent [`SolverScratch`], so a warm task performs no
 //!   solver-path heap allocation beyond its returned [`Selection`].
 //!
-//! # Bit-identity vs numerical contracts
+//! # Bit-identity contract
 //!
-//! Selections — members, JER bits, cost bits — are **bit-identical** to
-//! calling [`AltrAlg::solve`] / [`PayAlg::solve`] directly: cold cache,
-//! warm cache, batched, staircase-replayed, bound-pruned and repaired
-//! paths all reduce to the same scratch-threaded solver internals
-//! (`tests/equivalence.rs` and `tests/flat_differential.rs` assert
-//! this). The caching layers sit on either side of that line:
+//! Every answer the service returns is **bit-identical** to a direct
+//! solve: selections — members, JER bits, cost bits — equal
+//! [`AltrAlg::solve`] / [`PayAlg::solve`] on the pool's current jurors
+//! on cold-cache, warm-cache, batched, staircase-replayed, bound-pruned
+//! and repaired paths alike, because all of them reduce to the same
+//! scratch-threaded solver internals (`tests/equivalence.rs` and
+//! `tests/flat_differential.rs` assert this). Two caching layers sit
+//! next to the solvers, and neither changes an answer:
 //!
 //! * **Staircase replays are bit-identical.** A staircase step is
 //!   recorded by the ordinary greedy scan, instrumented only to remember
@@ -70,27 +64,16 @@
 //!   [`Selection`] *is* replaying [`PayAlg::solve_presorted`].
 //! * **Bound-pruned AltrM selections are bit-identical; the stats are
 //!   not.** The pruned scan evaluates survivors with the identical
-//!   sequential pushes the full scan performs and pruning is sound
-//!   (an eliminated size's exact JER strictly exceeds the incumbent's,
-//!   smallest-`n` tie-break preserved — see
-//!   [`AltrAlg::solve_pruned`]), so members/JER/cost match the full
-//!   scan bit for bit. The [`SolverStats`](jury_core::SolverStats)
+//!   sequential pushes the full scan performs, building every pmf from
+//!   scratch, and pruning is sound (an eliminated size's exact JER
+//!   strictly exceeds the incumbent's, smallest-`n` tie-break preserved
+//!   — see [`AltrAlg::solve_pruned`]), so members/JER/cost match the
+//!   full scan bit for bit. The [`SolverStats`](jury_core::SolverStats)
 //!   *document the pruning instead of hiding it*: `jer_evaluations`
 //!   counts the sizes evaluated before the scan stopped and
 //!   `pruned_by_bound` every other odd size (their sum equals the full
 //!   scan's evaluation count). This is the one place service answers
-//!   differ from the direct solver's, by design. Crucially, the pruned scan builds its pmfs from scratch —
-//!   it never reads a repaired checkpoint — which is what keeps
-//!   post-mutation AltrM answers on the bit-identical side.
-//! * **Deconvolution repairs are numerical.** Dividing a factor out of a
-//!   Poisson binomial re-derives the cached prefix pmfs in a different
-//!   float order than building them fresh, so ladder-backed answers —
-//!   [`JuryService::jer_probe`], and [`JuryService::jer_profile`]
-//!   entries re-derived by an in-place profile repair — are only
-//!   *numerically* equal: within [`PROBE_REPAIR_TOL`] of a from-scratch
-//!   evaluation, with an a-priori conditioning guard plus validation
-//!   fallback ([`ServiceStats::pmf_rebuilds`]) bounding the drift.
-//!   Nothing on the bit-identical side ever reads a repaired pmf.
+//!   differ from the direct solver's, by design.
 //!
 //! # The warm-artifact store and its fingerprint contract
 //!
@@ -112,12 +95,11 @@
 //!   constant-time hash update per mutation, never a rescan.
 //! * **What is shared.** A pool whose juror sequence equals an entry's
 //!   founding sequence position-for-position shares *everything*: both
-//!   orders, sorted ε values, pmf ladder, JER profile, the Arc'd AltrM
-//!   answer and the (lazily growing, lock-guarded) PayM budget
-//!   staircase. Nothing else shares: a pool holding the same multiset
-//!   in a different arrangement has an equal fingerprint but builds a
-//!   set of its own, and the entry already interned under that key
-//!   keeps it.
+//!   orders, sorted ε values, the Arc'd AltrM answer and the (lazily
+//!   growing, lock-guarded) PayM budget staircase. Nothing else shares:
+//!   a pool holding the same multiset in a different arrangement has an
+//!   equal fingerprint but builds a set of its own, and the entry
+//!   already interned under that key keeps it.
 //! * **One home for warm state.** A warm pool holds exactly one
 //!   artifact set, *listed* in the store under its key or *unlisted*
 //!   (sharing off, or an arrangement an occupied key refused). Only
@@ -136,33 +118,25 @@
 //!   [`ServiceStats::artifact_share_hits`],
 //!   [`ServiceStats::artifact_detaches`] and
 //!   [`ServiceStats::artifact_rejoins`] make all of this observable.
-//! * **What stays outside the bit-identity guarantee.** Sharing never
-//!   changes any answer: shared-artifact AltrM/PayM selections are
-//!   bit-identical (members/JER/cost/stats) to unshared ones —
-//!   the differential harness proves it across interleaved
-//!   detach/re-join mutations. The pre-existing numerical carve-outs
-//!   are unchanged: [`JuryService::jer_probe`] and repaired
-//!   [`JuryService::jer_profile`] entries remain numerical-contract
-//!   ([`PROBE_REPAIR_TOL`]), and a re-joining pool adopts the entry's
-//!   pmf-lineage artifacts (fresh-built or repaired), which is
-//!   indistinguishable within that same tolerance.
+//! * **Sharing never changes an answer.** Shared-artifact AltrM/PayM
+//!   selections are bit-identical (members/JER/cost/stats) to unshared
+//!   ones — the differential harness proves it across interleaved
+//!   detach/re-join mutations.
 //!
 //! Sharing is on by default; [`ServiceConfig::share_artifacts`] turns it
 //! off (the `multi_tenant_throughput` bench measures the difference).
 //!
 //! Mutation cost is where the repair paths pay: a juror update, removal
-//! or insert costs a few `O(n)` memmoves plus `O(ladder)` factor
-//! divisions (pushes for inserts), the next PayM task re-records its
-//! staircase step with a single greedy scan, and the next AltrM task
+//! or insert costs a few `O(n)` memmoves, the next PayM task re-records
+//! its staircase step with a single greedy scan, and the next AltrM task
 //! re-solves with the bound-pruned sweep — no re-sort and no `O(N²)`
 //! rescan on either lane (on pools whose sorted prefix mean crosses ½;
 //! below that the pruned scan degrades gracefully to the full one plus
 //! an `O(N)` sweep). The [`ServiceStats`] counters
 //! (`cache_invalidations`, `order_repairs`, `insert_repairs`,
-//! `staircase_hits`, `pmf_repairs`, `pmf_rebuilds`, `profile_repairs`,
-//! `bound_pruned`, `full_repairs`) make that behaviour observable; the
-//! `staircase_throughput`, `altrm_throughput` and `insert_throughput`
-//! benches record it at pool sizes up to 10⁶.
+//! `staircase_hits`, `bound_pruned`, `full_repairs`) make that
+//! behaviour observable; the `staircase_throughput`, `altrm_throughput`
+//! and `insert_throughput` benches record it at pool sizes up to 10⁶.
 //!
 //! Every pool is served by one flat cache: a single ε-sorted order and
 //! greedy order over the whole pool, which is exactly what AltrALG and
@@ -191,9 +165,8 @@
 //!   not state: before anything is attached the whole file is
 //!   re-checksummed, every section is re-checksummed and decoded, the
 //!   orders are checked to be permutations, sorted ε values re-bound
-//!   bit-for-bit against the registering pool's jurors, the pmf
-//!   ladder's content hash re-derived, and the decoded juror content
-//!   compared against the pool's actual content — the
+//!   bit-for-bit against the registering pool's jurors, and the decoded
+//!   juror content compared against the pool's actual content — the
 //!   same `match_pool` comparison the in-memory attach path uses. A
 //!   restored artifact set is therefore indistinguishable from one the
 //!   store built itself, and restored answers are bit-identical to
@@ -328,18 +301,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod ladder;
 mod repair;
 mod snapshot;
 mod store;
 
-pub use ladder::PROBE_REPAIR_TOL;
 pub use snapshot::{
     snapshot_checksum, FaultAction, FaultPlane, FaultScheduler, LeaseConfig, NoFaults,
     SnapshotError, SnapshotReport, SnapshotWatcher,
 };
 
-use jury_core::altr::{AltrAlg, AltrConfig, AltrStrategy, JerProfile};
+use jury_core::altr::{AltrAlg, AltrConfig, AltrStrategy};
 use jury_core::error::JuryError;
 use jury_core::fingerprint::{juror_content, FingerprintKey, PoolFingerprint};
 use jury_core::jer::JerEngine;
@@ -348,8 +319,6 @@ use jury_core::model::CrowdModel;
 use jury_core::paym::{PayAlg, PayConfig, Staircase};
 use jury_core::problem::Selection;
 use jury_core::solver::SolverScratch;
-use jury_numeric::poibin::PoiBin;
-use ladder::PmfLadder;
 use repair::{repair_flat_insert, repair_flat_remove, repair_flat_update, MutationEffect};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::HashMap;
@@ -562,9 +531,7 @@ jury_core::stats_record! {
     ///
     /// The repair counters make the cache's behaviour observable: a healthy
     /// warm PayM workload shows `staircase_hits` tracking `tasks_solved`,
-    /// juror updates show `order_repairs`/`pmf_repairs` instead of
-    /// `full_repairs`, and `pmf_rebuilds` stays near zero (it counts
-    /// deconvolution-guard fallbacks).
+    /// juror updates show `order_repairs` instead of `full_repairs`.
     ///
     /// ```
     /// use jury_core::juror::pool_from_rates_and_costs;
@@ -601,29 +568,20 @@ jury_core::stats_record! {
         /// instead of being recomputed.
         pub order_repairs: usize,
         /// Juror inserts absorbed by in-place repair — one rank-insert per
-        /// sorted run plus a [`PoiBin::push`] per affected pmf-ladder
-        /// checkpoint — on a warm pool.
+        /// sorted run — on a warm pool.
         pub insert_repairs: usize,
         /// Warm PayM tasks answered from the budget staircase — a binary
         /// search plus a selection clone instead of a greedy rescan.
         pub staircase_hits: usize,
-        /// Pmf checkpoint ladders repaired by factor deconvolution
-        /// ([`jury_numeric::poibin::PoiBin::remove_factor`]) after a juror
-        /// update/removal, instead of being re-convolved from scratch.
+        /// Retired, always 0: the service keeps no pmf ladder to repair.
+        /// The field stays on the wire until the repository benchmark
+        /// stops reading it.
         pub pmf_repairs: usize,
-        /// Ladder repairs that fell back to a full rebuild because the
-        /// deconvolution conditioning guard declined (old rate within
-        /// [`jury_numeric::poibin::DECONV_GUARD_BAND`] of ½, or error budget
-        /// exceeded).
+        /// Retired, always 0, like [`ServiceStats::pmf_repairs`].
         pub pmf_rebuilds: usize,
         /// Full repairs: cache builds that recomputed everything — a pool's
         /// from-scratch build (including each pool's first build).
         pub full_repairs: usize,
-        /// Materialised JER profiles repaired in place after a juror
-        /// mutation (prefix entries reused verbatim, suffix re-derived from
-        /// the nearest pmf-ladder checkpoint) instead of being dropped for
-        /// an `O(N²)` rebuild.
-        pub profile_repairs: usize,
         /// Candidate jury sizes the AltrM pruned scan skipped
         /// (`AltrAlg::solve_pruned`: eliminated by its bound sweep, inside
         /// its monotone segment, or past an early stop) across all AltrM
@@ -691,9 +649,6 @@ impl ServiceStats {
     fn count_mutation(&mut self, effect: MutationEffect) {
         self.cache_invalidations += usize::from(effect.invalidated);
         self.order_repairs += usize::from(effect.orders_repaired);
-        self.pmf_repairs += usize::from(effect.pmf_repaired);
-        self.pmf_rebuilds += usize::from(effect.pmf_rebuilt);
-        self.profile_repairs += usize::from(effect.profile_repaired);
         self.insert_repairs += usize::from(effect.insert_repaired);
     }
 }
@@ -1000,10 +955,9 @@ impl JuryService {
     }
 
     /// Appends a juror; returns its position. A warm pool is repaired in
-    /// place: one rank-insert per sorted order, one [`PoiBin::push`] per
-    /// affected pmf-ladder checkpoint and an in-place profile repair;
-    /// only the AltrM answer (re-solved rescan-free by the bound-pruned
-    /// scan) and the budget staircase drop.
+    /// place: one rank-insert per sorted order; only the AltrM answer
+    /// (re-solved rescan-free by the bound-pruned scan) and the budget
+    /// staircase drop.
     pub fn insert_juror(&mut self, pool: PoolId, juror: Juror) -> Result<usize, ServiceError> {
         let entry = self.pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         entry.fp.insert(&juror);
@@ -1015,13 +969,9 @@ impl JuryService {
 
     /// Replaces the juror at `index` (e.g. a re-estimated error rate).
     /// Warm state is *repaired in place*: both sorted orders get one
-    /// remove + one rank-insert (`O(n)`, bit-identical to a re-sort),
-    /// the pmf checkpoint ladder gets one factor division per affected
-    /// checkpoint (numerically equal to a re-convolution; the
-    /// deconvolution guard falls back to a rebuild, observable as
-    /// [`ServiceStats::pmf_rebuilds`]). Only the lazily-derived artefacts
-    /// whose answers may genuinely change (AltrM selection, budget
-    /// staircase) are dropped; a materialised profile is repaired.
+    /// remove + one rank-insert (`O(n)`, bit-identical to a re-sort).
+    /// Only the lazily-derived artefacts whose answers may genuinely
+    /// change (AltrM selection, budget staircase) are dropped.
     pub fn update_juror(
         &mut self,
         pool: PoolId,
@@ -1086,17 +1036,6 @@ impl JuryService {
             let key = StoreKey { fp: entry.fp.key(), config: config_bits };
             entry.cache = Some(match attach_flat(store, key, &entry.jurors) {
                 Some(shared) => {
-                    // Seed the entry's empty lazy slots with the
-                    // just-repaired rank-space artifacts instead of
-                    // dropping them — the whole cohort then skips the
-                    // O(N²) rebuild (repair lineage is the documented
-                    // numerical carve-out either way).
-                    if let Some(ladder) = set.ladder.take() {
-                        shared.set.set_ladder(ladder);
-                    }
-                    if let Some(profile) = set.profile.take() {
-                        shared.set.set_profile(profile);
-                    }
                     stats.artifact_rejoins += 1;
                     shared
                 }
@@ -1141,11 +1080,10 @@ impl JuryService {
     }
 
     /// Warms only the sorted orders: an orders-only attach or build for
-    /// a cold pool, so order consumers like [`JuryService::jer_probe`]
-    /// and PayM tasks never pay for the pmf-derived artefacts they do
+    /// a cold pool, so PayM tasks never pay for the AltrM solve they do
     /// not read. An attach shares whatever the entry already holds; an
-    /// orders-only build is published with its lazy slots empty, filled
-    /// later by whichever attached pool first needs them.
+    /// orders-only build is published with its AltrM slot empty, filled
+    /// later by whichever attached pool first needs it.
     fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
         self.acquire(pool, |jurors, _| build_orders_only(jurors))
     }
@@ -1178,8 +1116,8 @@ impl JuryService {
         Ok(())
     }
 
-    /// Drops every piece of `pool`'s warm state — orders, ladder,
-    /// profile, staircase and any store attachment — so the next
+    /// Drops every piece of `pool`'s warm state — orders, AltrM answer,
+    /// staircase and any store attachment — so the next
     /// [`JuryService::warm_pool`] pays the full cold build. An
     /// operational hook (reclaim the memory of a pool gone quiet, force
     /// a from-scratch rebuild) and the referee for the repair paths: the
@@ -1196,7 +1134,7 @@ impl JuryService {
     }
 
     /// Whether `pool`'s cache is currently warm: orders and the AltrM
-    /// answer present (the profile and ladder stay lazy).
+    /// answer present.
     pub fn is_warm(&self, pool: PoolId) -> bool {
         self.pools
             .get(&pool.0)
@@ -1223,72 +1161,14 @@ impl JuryService {
         &self.pools[&pool.0].cache.as_ref().expect("warmed by the caller").set
     }
 
-    /// The cached odd-size JER profile of `pool` (computed on demand):
-    /// `(n, JER of the n lowest-ε jurors)` for `n = 1, 3, 5, …`. After
-    /// juror mutations a materialised profile is *repaired in place* —
-    /// entries whose prefix is untouched are reused verbatim, the suffix
-    /// resumes from the pmf ladder — so repaired entries are only
-    /// *numerically* equal to a rebuild (within [`PROBE_REPAIR_TOL`],
-    /// like [`jer_probe`](JuryService::jer_probe); see the crate docs).
-    pub fn jer_profile(&mut self, pool: PoolId) -> Result<&[(usize, f64)], ServiceError> {
-        self.warm_pool(pool)?;
-        // One build serves every attacher. The ladder is laid alongside
-        // so a later mutation repairs it (and resumes the profile repair
-        // from it) instead of rebuilding.
-        let set = self.warm_set(pool);
-        let profile = set.profile_or_init(|| {
-            set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
-            JerProfile::build(&set.eps_sorted)
-        });
-        Ok(profile.entries())
-    }
-
     /// The cached reliability order of `pool`: positions sorted ascending
     /// by ε (ties by position). `order[..k]` is the best fixed-size-`k`
-    /// jury by Lemma 3.
+    /// jury by Lemma 3. The JER of every odd prefix (the Figure 3(a)
+    /// curve) is not cached; compute it from the current jurors with
+    /// `AltrAlg::jer_profile(service.pool(id)?)`.
     pub fn reliability_order(&mut self, pool: PoolId) -> Result<&[usize], ServiceError> {
         self.warm_pool(pool)?;
         Ok(&self.warm_set(pool).eps_order)
-    }
-
-    /// JER of the best `n`-juror jury of `pool` (odd `n`, clamped to the
-    /// largest feasible odd size like
-    /// [`AltrAlg::solve_fixed_size`]) — a point query on the Figure 3(a)
-    /// curve without materialising the whole profile.
-    ///
-    /// The prefix distribution resumes from the pool's checkpoint ladder
-    /// (built on the first probe). After deconvolution-repaired
-    /// mutations the answer is within [`PROBE_REPAIR_TOL`] of a
-    /// from-scratch evaluation, so this query is *numerically* stable
-    /// but deliberately outside the bit-identity contract (see the crate
-    /// docs).
-    ///
-    /// Probing warms only what it reads: on a cold pool the sorted
-    /// orders are built (`O(N log N)`) *without* the `O(N²)` profile and
-    /// AltrM solve; a later [`JuryService::warm_pool`] reuses them.
-    ///
-    /// # Errors
-    /// [`ServiceError::UnknownPool`], or the solver errors an invalid
-    /// size produces ([`JuryError::EmptyPool`], [`JuryError::EmptyJury`],
-    /// [`JuryError::EvenJurySize`]).
-    pub fn jer_probe(&mut self, pool: PoolId, n: usize) -> Result<f64, ServiceError> {
-        self.warm_orders(pool)?;
-        let len = self.pools[&pool.0].jurors.len();
-        if len == 0 {
-            return Err(ServiceError::Solver(JuryError::EmptyPool));
-        }
-        if n == 0 {
-            return Err(ServiceError::Solver(JuryError::EmptyJury));
-        }
-        if n.is_multiple_of(2) {
-            return Err(ServiceError::Solver(JuryError::EvenJurySize(n)));
-        }
-        let n = n.min(if len % 2 == 1 { len } else { len - 1 });
-        let set = self.warm_set(pool);
-        let ladder = set.ladder_or_init(|| PmfLadder::build(&set.eps_sorted));
-        let mut pmf = PoiBin::empty();
-        ladder.prefix_into(&set.eps_sorted, n, &mut pmf);
-        Ok(pmf.tail(JerEngine::majority_threshold(n)))
     }
 
     // ------------------------------------------------------------------
@@ -1688,8 +1568,7 @@ fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
 }
 
 /// Builds every eagerly-cached artefact for one flat-pool snapshot:
-/// the sorted orders plus the AltrM answer (profile and ladder stay
-/// lazy).
+/// the sorted orders plus the AltrM answer.
 fn build_full_cache(
     jurors: &[Juror],
     altr: &AltrConfig,
@@ -1698,7 +1577,7 @@ fn build_full_cache(
     build_cache(jurors, |eps_order| Some(solve_altr_cached(jurors, eps_order, altr, scratch)))
 }
 
-/// Builds just the sorted orders (no solve, no profile) — the cache
+/// Builds just the sorted orders (no solve) — the cache
 /// state an `update_juror` repair also leaves behind; `warm_pool`
 /// completes it with a rescan-free bound-pruned solve on demand.
 fn build_orders_only(jurors: &[Juror]) -> ArtifactSet {
@@ -1720,16 +1599,7 @@ fn build_cache(
     let mut greedy_order = Vec::with_capacity(jurors.len());
     PayAlg::greedy_order_into(jurors, &mut greedy_order);
     let seq = jurors.iter().map(juror_content).collect();
-    ArtifactSet::from_parts(
-        seq,
-        eps_order,
-        eps_sorted,
-        greedy_order,
-        altr,
-        None,
-        None,
-        Staircase::new(),
-    )
+    ArtifactSet::from_parts(seq, eps_order, eps_sorted, greedy_order, altr, Staircase::new())
 }
 
 /// Dispatches one task against a warm (or deliberately cold) entry.
@@ -1989,16 +1859,6 @@ mod tests {
     }
 
     #[test]
-    fn jer_profile_is_cached_and_correct() {
-        let mut service = JuryService::new();
-        let jurors = pool_from_rates(&[0.1, 0.2, 0.2, 0.3, 0.3, 0.4, 0.4]).unwrap();
-        let pool = service.create_pool(jurors.clone());
-        let profile = service.jer_profile(pool).unwrap().to_vec();
-        assert_eq!(profile, AltrAlg::jer_profile(&jurors));
-        assert_eq!(profile.iter().map(|&(n, _)| n).collect::<Vec<_>>(), vec![1, 3, 5, 7]);
-    }
-
-    #[test]
     fn reliability_order_sorts_by_epsilon() {
         let mut service = JuryService::new();
         let jurors = pool_from_rates(&[0.4, 0.1, 0.3, 0.1, 0.2]).unwrap();
@@ -2211,37 +2071,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_repairs_in_place_within_tolerance() {
-        let rates: Vec<f64> = (0..180).map(|i| 0.03 + ((i * 29) % 90) as f64 / 100.0).collect();
-        let mut service = JuryService::new();
-        let pool = service.create_pool(pool_from_rates(&rates).unwrap());
-        // Materialise the profile (and its resume ladder).
-        let cold = service.jer_profile(pool).unwrap().to_vec();
-        assert_eq!(cold.len(), rates.len().div_ceil(2));
-
-        // Update, insert and remove must repair — not drop — it.
-        service.update_juror(pool, 40, Juror::new(40, ErrorRate::new(0.07).unwrap(), 0.1)).unwrap();
-        assert_eq!(service.stats().profile_repairs, 1);
-        service.insert_juror(pool, Juror::new(500, ErrorRate::new(0.42).unwrap(), 0.2)).unwrap();
-        assert_eq!(service.stats().profile_repairs, 2);
-        service.remove_juror(pool, 11).unwrap();
-        assert_eq!(service.stats().profile_repairs, 3);
-
-        let repaired = service.jer_profile(pool).unwrap().to_vec();
-        assert_eq!(service.stats().profile_repairs, 3, "reads must not rebuild");
-        let fresh = {
-            let mut other = JuryService::new();
-            let p = other.create_pool(service.pool(pool).unwrap().to_vec());
-            other.jer_profile(p).unwrap().to_vec()
-        };
-        assert_eq!(repaired.len(), fresh.len());
-        for ((rn, rj), (fn_, fj)) in repaired.iter().zip(&fresh) {
-            assert_eq!(rn, fn_);
-            assert!((rj - fj).abs() < PROBE_REPAIR_TOL, "n={rn}: repaired {rj} vs fresh {fj}");
-        }
-    }
-
-    #[test]
     fn shared_batches_share_replayed_answers() {
         let mut service = JuryService::new();
         let pool = service.create_pool(figure1());
@@ -2268,82 +2097,5 @@ mod tests {
         // Replayed AltrM answers are literally the same allocation.
         let (a, b) = (shared[0].as_ref().unwrap(), shared[1].as_ref().unwrap());
         assert!(Arc::ptr_eq(a, b), "replays must share the cached answer");
-    }
-
-    #[test]
-    fn jer_probe_survives_mutation_repairs_within_tolerance() {
-        let rates: Vec<f64> = (0..200).map(|i| 0.03 + ((i * 29) % 90) as f64 / 100.0).collect();
-        let direct_probe = |jurors: &[Juror], n: usize| {
-            let mut order = Vec::new();
-            jury_core::solver::sorted_order_into(jurors, &mut order);
-            let eps: Vec<f64> = order.iter().map(|&i| jurors[i].epsilon()).collect();
-            PoiBin::from_error_rates(&eps[..n]).tail(JerEngine::majority_threshold(n))
-        };
-        let mut service = JuryService::new();
-        let pool = service.create_pool(pool_from_rates(&rates).unwrap());
-        // First probe lays the ladder.
-        service.jer_probe(pool, 65).unwrap();
-
-        // A well-conditioned update is repaired by deconvolution.
-        service.update_juror(pool, 10, Juror::new(10, ErrorRate::new(0.07).unwrap(), 0.0)).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (1, 0));
-
-        // Park a ½-mass-degenerate rate, then move it away: removing the
-        // 0.5 factor trips the guard and exercises the rebuild fallback.
-        service.update_juror(pool, 20, Juror::new(20, ErrorRate::new(0.5).unwrap(), 0.0)).unwrap();
-        service.update_juror(pool, 20, Juror::new(20, ErrorRate::new(0.9).unwrap(), 0.0)).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.pmf_repairs, stats.pmf_rebuilds), (2, 1));
-
-        // A removal repairs too, and every probe stays within the
-        // documented bound of a from-scratch evaluation.
-        service.remove_juror(pool, 100).unwrap();
-        let jurors = service.pool(pool).unwrap().to_vec();
-        for n in [1usize, 63, 65, 129, 199] {
-            let probed = service.jer_probe(pool, n).unwrap();
-            let direct = direct_probe(&jurors, n);
-            assert!((probed - direct).abs() < PROBE_REPAIR_TOL, "n={n}: {probed} vs {direct}");
-        }
-    }
-
-    #[test]
-    fn jer_probe_matches_profile() {
-        let rates: Vec<f64> = (0..33).map(|i| 0.04 + ((i * 17) % 80) as f64 / 100.0).collect();
-        let jurors = pool_from_rates(&rates).unwrap();
-        let mut flat = JuryService::new();
-        let fp = flat.create_pool(jurors);
-        let profile = flat.jer_profile(fp).unwrap().to_vec();
-        for (n, jer) in profile {
-            let f = flat.jer_probe(fp, n).unwrap();
-            assert!((f - jer).abs() < 1e-9, "probe n={n}: {f} vs {jer}");
-        }
-        // Oversized probes clamp; invalid sizes error like the solvers.
-        assert_eq!(flat.jer_probe(fp, 999), flat.jer_probe(fp, 33));
-        assert_eq!(flat.jer_probe(fp, 0), Err(ServiceError::Solver(JuryError::EmptyJury)));
-        assert_eq!(flat.jer_probe(fp, 4), Err(ServiceError::Solver(JuryError::EvenJurySize(4))));
-        let empty = flat.create_pool(vec![]);
-        assert_eq!(flat.jer_probe(empty, 1), Err(ServiceError::Solver(JuryError::EmptyPool)));
-    }
-
-    #[test]
-    fn jer_probe_falls_back_beyond_ladder_coverage() {
-        use crate::ladder::LADDER_MAX;
-        // Probes more than two checkpoint spacings past the ladder's end
-        // take the batch branch of `prefix_into` and must still agree
-        // with a direct evaluation.
-        let rates: Vec<f64> = (0..LADDER_MAX + 300)
-            .map(|i| 0.02 + 0.9 * ((i as f64 * 0.618_033_988_749_894_9) % 1.0))
-            .collect();
-        let jurors = pool_from_rates(&rates).unwrap();
-        let mut service = JuryService::new();
-        let pool = service.create_pool(jurors.clone());
-        let n = LADDER_MAX + 201;
-        let mut order = Vec::new();
-        jury_core::solver::sorted_order_into(&jurors, &mut order);
-        let eps: Vec<f64> = order.iter().map(|&i| jurors[i].epsilon()).collect();
-        let direct = PoiBin::from_error_rates(&eps[..n]).tail(JerEngine::majority_threshold(n));
-        let probed = service.jer_probe(pool, n).unwrap();
-        assert!((probed - direct).abs() < 1e-9, "n={n}: {probed} vs {direct}");
     }
 }

@@ -5,20 +5,18 @@
 //! final tie-break ([`eps_cmp`], [`PayAlg::greedy_cmp`]), so a sorted
 //! permutation is unique: removing a mutated juror's stale entry and
 //! rank-inserting it under its new keys lands on exactly the permutation
-//! a full re-sort would produce, in `O(n)` memmoves. The pmf ladder is
-//! patched by factor division (updates, removals) or one push (inserts)
-//! per affected checkpoint, and a materialised JER profile resumes from
-//! the nearest repaired checkpoint. Only the AltrM answer and the budget
-//! staircase — whose selections may genuinely change — are dropped. Every
-//! repair keeps the set's content sequence in step with the pool and
-//! marks the set dirty for the next snapshot.
+//! a full re-sort would produce, in `O(n)` memmoves. Nothing else in a
+//! set is derived from the orders except the AltrM answer and the budget
+//! staircase, whose selections may genuinely change, so those two are
+//! dropped and re-solved on demand. Every repair keeps the set's content
+//! sequence in step with the pool and marks the set dirty for the next
+//! snapshot.
 
 use crate::store::ArtifactSet;
 use jury_core::fingerprint::juror_content;
 use jury_core::juror::Juror;
 use jury_core::paym::PayAlg;
 use jury_core::solver::eps_cmp;
-use jury_numeric::poibin::PoiBin;
 use std::cmp::Ordering;
 
 /// What one mutation did to a pool's warm state — folded into the
@@ -30,24 +28,16 @@ pub(crate) struct MutationEffect {
     /// The sorted orders were repaired in place instead of being
     /// dropped for re-sorting.
     pub orders_repaired: bool,
-    /// The pmf ladder was repaired by factor division.
-    pub pmf_repaired: bool,
-    /// The deconvolution guard declined and the ladder was rebuilt.
-    pub pmf_rebuilt: bool,
-    /// A materialised JER profile was repaired in place.
-    pub profile_repaired: bool,
-    /// A juror insert was absorbed by in-place repair (rank-inserts plus
-    /// ladder pushes) instead of dropping warm state.
+    /// A juror insert was absorbed by in-place repair (rank-inserts)
+    /// instead of dropping warm state.
     pub insert_repaired: bool,
 }
 
-/// Repairs a set after `jurors[idx]` was replaced (its old rate
-/// was `old_eps`): one remove + one insert per sorted order (`O(n)`
-/// memmoves, no re-sort), one factor division per affected pmf-ladder
-/// checkpoint, and an in-place profile repair (prefix entries reused
-/// verbatim). The orders are total with distinct keys, so remove +
-/// rank-insert lands on exactly the permutation a full re-sort would
-/// produce. Only the AltrM answer is dropped — the selection it holds
+/// Repairs a set after `jurors[idx]` was replaced by a juror whose old
+/// keys were `old`: one remove + one insert per sorted order (`O(n)`
+/// memmoves, no re-sort). The orders are total with distinct keys, so
+/// remove + rank-insert lands on exactly the permutation a full re-sort
+/// would produce. Only the AltrM answer is dropped — the selection it holds
 /// may genuinely change — and the next AltrM task re-solves it
 /// rescan-free with the bound-pruned scan; the budget staircase is
 /// cleared likewise.
@@ -57,77 +47,39 @@ pub(crate) fn repair_flat_update(
     idx: usize,
     old: &Juror,
 ) -> MutationEffect {
-    let (r_old, r_new) = reinsert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx, old);
+    reinsert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx, old);
     reinsert_greedy(&mut set.greedy_order, jurors, idx, old);
     set.seq[idx] = juror_content(&jurors[idx]);
-
-    let mut effect =
-        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = set.ladder.get_mut() {
-        if ladder.repair_update(&set.eps_sorted, old.epsilon(), r_old, r_new) {
-            effect.pmf_repaired = true;
-        } else {
-            effect.pmf_rebuilt = true;
-        }
-    }
-    repair_profile(set, r_old.min(r_new), &mut effect);
     drop_answers(set);
-    effect
+    MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() }
 }
 
 /// Repairs a set after `jurors[idx]` was removed: one remove per
 /// sorted order plus a renumbering pass (positions above `idx` shift
-/// down, preserving both total orders), one factor division per
-/// affected ladder checkpoint, and an in-place profile repair.
+/// down, preserving both total orders).
 pub(crate) fn repair_flat_remove(set: &mut ArtifactSet, idx: usize) -> MutationEffect {
     let pos = set.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
-    let old_eps = set.eps_sorted[pos];
     set.eps_sorted.remove(pos);
     renumber_out(&mut set.eps_order, idx);
     renumber_out(&mut set.greedy_order, idx);
     set.seq.remove(idx);
-
-    let mut effect =
-        MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() };
-    if let Some(ladder) = set.ladder.get_mut() {
-        if ladder.repair_remove(&set.eps_sorted, old_eps, pos) {
-            effect.pmf_repaired = true;
-        } else {
-            effect.pmf_rebuilt = true;
-        }
-    }
-    repair_profile(set, pos, &mut effect);
     drop_answers(set);
-    effect
+    MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() }
 }
 
 /// Repairs a set after a juror was appended at pool position
-/// `idx`: one rank-insert per sorted order, one [`PoiBin::push`] per
-/// affected ladder checkpoint (inserts never need deconvolution), and
-/// an in-place profile repair. Like the other repairs, only the AltrM
-/// answer and the staircase drop.
+/// `idx`: one rank-insert per sorted order. Like the other repairs, only
+/// the AltrM answer and the staircase drop.
 pub(crate) fn repair_flat_insert(
     set: &mut ArtifactSet,
     jurors: &[Juror],
     idx: usize,
 ) -> MutationEffect {
-    let r_new = rank_insert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx);
+    rank_insert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx);
     rank_insert_greedy(&mut set.greedy_order, jurors, idx);
     set.seq.push(juror_content(&jurors[idx]));
-
-    let mut effect = MutationEffect {
-        invalidated: true,
-        orders_repaired: true,
-        insert_repaired: true,
-        ..Default::default()
-    };
-    if let Some(ladder) = set.ladder.get_mut() {
-        ladder.repair_insert(&set.eps_sorted, r_new);
-        effect.pmf_repaired = true;
-    }
-    repair_profile(set, r_new, &mut effect);
     drop_answers(set);
-    effect
+    MutationEffect { invalidated: true, orders_repaired: true, insert_repaired: true }
 }
 
 /// The common tail of every repair: drops the AltrM answer and the
@@ -140,49 +92,22 @@ fn drop_answers(set: &mut ArtifactSet) {
     set.note_mutation();
 }
 
-/// Repairs a materialised JER profile in place after the sorted run
-/// changed at `rank` (the lowest affected rank): entries for prefixes
-/// below the rank are reused verbatim, the suffix is re-derived by
-/// sequential pushes resumed from the deepest pmf-ladder checkpoint at
-/// or below the rank. The ladder must already be repaired for the
-/// post-mutation run. Resumed entries carry the checkpoint's lineage —
-/// numerically within [`PROBE_REPAIR_TOL`](crate::PROBE_REPAIR_TOL) of a
-/// rebuild, outside the bit-identity contract (nothing on a solver path
-/// reads a profile).
-fn repair_profile(set: &mut ArtifactSet, rank: usize, effect: &mut MutationEffect) {
-    let Some(profile) = set.profile.get_mut() else {
-        return;
-    };
-    let mut pmf = PoiBin::empty();
-    let resume = match set.ladder.get().and_then(|l| l.resume_for(rank)) {
-        Some((len, checkpoint)) => {
-            pmf.copy_from(checkpoint);
-            len
-        }
-        None => 0,
-    };
-    profile.repair_from(&set.eps_sorted, rank, resume, &mut pmf);
-    effect.profile_repaired = true;
-}
-
 /// One remove + one rank-insert of `idx` in the ε-sorted run after its
 /// juror changed: the stale entry is binary-located with the
 /// pre-mutation rate, the fresh rank found under the post-mutation pool
 /// — the same permutation a full re-sort would produce, since
-/// [`eps_cmp`] is total. Keeps the aligned ε values in step; returns
-/// `(old_rank, new_rank)` for ladder repair.
+/// [`eps_cmp`] is total. Keeps the aligned ε values in step.
 fn reinsert_eps(
     order: &mut Vec<usize>,
     eps: &mut Vec<f64>,
     jurors: &[Juror],
     idx: usize,
     old: &Juror,
-) -> (usize, usize) {
+) {
     let r_old = locate_eps(order, jurors, idx, old.epsilon());
     order.remove(r_old);
     eps.remove(r_old);
-    let r_new = rank_insert_eps(order, eps, jurors, idx);
-    (r_old, r_new)
+    rank_insert_eps(order, eps, jurors, idx);
 }
 
 /// The [`reinsert_eps`] of the greedy order: one remove + one
@@ -194,17 +119,11 @@ fn reinsert_greedy(order: &mut Vec<usize>, jurors: &[Juror], idx: usize, old: &J
 }
 
 /// Rank-inserts pool position `idx` into the ε-sorted run and its
-/// aligned ε values, returning the new rank for ladder repair.
-fn rank_insert_eps(
-    order: &mut Vec<usize>,
-    eps: &mut Vec<f64>,
-    jurors: &[Juror],
-    idx: usize,
-) -> usize {
+/// aligned ε values.
+fn rank_insert_eps(order: &mut Vec<usize>, eps: &mut Vec<f64>, jurors: &[Juror], idx: usize) {
     let r = order.partition_point(|&j| eps_cmp(jurors, j, idx) == Ordering::Less);
     order.insert(r, idx);
     eps.insert(r, jurors[idx].epsilon());
-    r
 }
 
 /// Rank-inserts pool position `idx` into the greedy-sorted run.

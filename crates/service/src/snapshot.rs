@@ -1,8 +1,8 @@
 //! Crash-safe snapshot / verified-restore of the warm-artifact store.
 //!
 //! A [`JuryService`](crate::JuryService) rebuilt from a process restart
-//! pays the full cold-build cost — `O(N log N)` sorts, `O(N·L)` pmf
-//! ladders and bound-pruned AltrM solves — per distinct pool content.
+//! pays the full cold-build cost — `O(N log N)` sorts and bound-pruned
+//! AltrM solves — per distinct pool content.
 //! This module persists the content-addressed store itself: one binary
 //! file per interned [`ArtifactSet`], keyed exactly like the in-memory
 //! entry by `(fingerprint, solver-config bits)`, plus a JSON manifest
@@ -34,8 +34,6 @@
 //!   [`ArtifactSet::match_pool`] (content comparison, never hash trust);
 //! * orders must be permutations; sorted ε values must be
 //!   non-decreasing and bit-equal to the sequence through the ε order;
-//! * every pmf checkpoint must re-hash to its stored
-//!   [`PoiBin::content_hash`] and pass distribution validation;
 //! * selections (AltrM answer, staircase replays) must have strictly
 //!   ascending, in-range members.
 //!
@@ -73,17 +71,14 @@
 //! rejection; a manifest record with any other layout is skipped while
 //! its flat siblings still restore.
 
-use crate::ladder::{PmfLadder, LADDER_MAX};
 use crate::store::{ArtifactSet, StoreKey};
 use crate::AltrAnswer;
-use jury_core::altr::JerProfile;
 use jury_core::error::JuryError;
 use jury_core::fingerprint::FingerprintKey;
 use jury_core::juror::Juror;
 use jury_core::paym::Staircase;
 use jury_core::problem::Selection;
 use jury_numeric::hash::splitmix64;
-use jury_numeric::poibin::PoiBin;
 use serde::{json, Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
@@ -112,8 +107,8 @@ pub(crate) const MANIFEST: &str = "manifest.json";
 const MANIFEST_VERSION: u64 = 1;
 
 // Section tags. Unknown tags are skipped on read (forward
-// compatibility); duplicates and a missing END terminator are
-// rejections.
+// compatibility) once their checksum verifies; duplicates and a missing
+// END terminator are rejections.
 const TAG_END: u32 = 0;
 const TAG_KEY: u32 = 1;
 const TAG_SEQ: u32 = 2;
@@ -121,8 +116,9 @@ const TAG_EPS_ORDER: u32 = 3;
 const TAG_GREEDY_ORDER: u32 = 4;
 const TAG_EPS_SORTED: u32 = 5;
 const TAG_ALTR: u32 = 6;
-const TAG_PROFILE: u32 = 7;
-const TAG_LADDER: u32 = 8;
+// Tags 7 and 8 are reserved: older builds wrote a JER profile (7) and a
+// prefix-pmf ladder (8) there. Readers skip both like any unknown tag,
+// and no new section may reuse them, or it would misread older files.
 const TAG_STAIRCASE: u32 = 9;
 
 /// The only layout byte / layout word / manifest layout name an entry
@@ -317,15 +313,6 @@ impl<'a> Reader<'a> {
         (v < n).then_some(v)
     }
 
-    /// A length field, sanity-capped so corrupt lengths cannot drive
-    /// huge allocations before the (already length-checked) payload
-    /// runs out.
-    fn len_capped(&mut self, cap: usize) -> Option<usize> {
-        let v = self.u64()?;
-        let v = usize::try_from(v).ok()?;
-        (v <= cap).then_some(v)
-    }
-
     fn done(&self) -> Option<()> {
         (self.pos == self.bytes.len()).then_some(())
     }
@@ -334,7 +321,8 @@ impl<'a> Reader<'a> {
 /// Walks the section stream after the magic, verifying each section's
 /// checksum, skipping unknown tags, and requiring the END marker to
 /// land exactly at end-of-file (truncation and trailing garbage both
-/// reject). Duplicate tags reject.
+/// reject). Duplicate tags up to `TAG_STAIRCASE` reject, the reserved
+/// tags 7 and 8 included.
 fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
     let mut r = Reader::new(bytes);
     let mut sections = HashMap::new();
@@ -407,64 +395,10 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
         put_section(&mut out, TAG_ALTR, altr_to_json(answer).as_bytes());
     }
 
-    if let Some(profile) = set.profile.get() {
-        let mut p = Vec::new();
-        for &(size, jer) in profile.entries() {
-            put_u64(&mut p, size as u64);
-            put_u64(&mut p, jer.to_bits());
-        }
-        put_section(&mut out, TAG_PROFILE, &p);
-    }
-
-    if let Some(ladder) = set.ladder.get() {
-        let mut p = Vec::new();
-        encode_ladder(&mut p, ladder);
-        put_section(&mut out, TAG_LADDER, &p);
-    }
-
     put_section(&mut out, TAG_STAIRCASE, json::to_string(&*set.staircase_read()).as_bytes());
 
     put_section(&mut out, TAG_END, &[]);
     out
-}
-
-/// `count (u64); per checkpoint: len, content_hash, pmf_len, pmf bits`.
-fn encode_ladder(p: &mut Vec<u8>, ladder: &PmfLadder) {
-    let checkpoints: Vec<(usize, &PoiBin)> = ladder.checkpoints_raw().collect();
-    put_u64(p, checkpoints.len() as u64);
-    for (len, pmf) in checkpoints {
-        put_u64(p, len as u64);
-        put_u64(p, pmf.content_hash());
-        let values = pmf.pmf();
-        put_u64(p, values.len() as u64);
-        for &x in values {
-            put_u64(p, x.to_bits());
-        }
-    }
-}
-
-/// Decodes a ladder, re-hashing every checkpoint pmf against its stored
-/// [`PoiBin::content_hash`] and re-validating the distribution and the
-/// ascending-length invariant. `max_len` bounds checkpoint lengths by
-/// the run the ladder covers.
-fn decode_ladder(r: &mut Reader<'_>, max_len: usize) -> Option<PmfLadder> {
-    let count = r.len_capped(LADDER_MAX)?;
-    let mut raw = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = r.len_capped(max_len.min(LADDER_MAX))?;
-        let hash = r.u64()?;
-        let pmf_len = r.len_capped(LADDER_MAX + 1)?;
-        let mut pmf = Vec::with_capacity(pmf_len);
-        for _ in 0..pmf_len {
-            pmf.push(r.f64()?);
-        }
-        let pmf = PoiBin::try_from_pmf(pmf)?;
-        if pmf.content_hash() != hash {
-            return None;
-        }
-        raw.push((len, pmf));
-    }
-    PmfLadder::from_checkpoints_raw(raw)
 }
 
 /// The AltrM answer as wire-JSON: `{"ok": bool, "value": Selection |
@@ -585,34 +519,6 @@ fn load_entry(
         None => None,
     };
 
-    let profile = match sections.get(&TAG_PROFILE) {
-        Some(payload) => {
-            let mut r = Reader::new(payload);
-            let count = payload.len() / 16;
-            if count * 16 != payload.len() || 2 * count > n + 1 {
-                return None;
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let size = r.len_capped(n)?;
-                entries.push((size, r.f64()?));
-            }
-            r.done()?;
-            Some(JerProfile::from_entries(entries)?)
-        }
-        None => None,
-    };
-
-    let ladder = match sections.get(&TAG_LADDER) {
-        Some(payload) => {
-            let mut r = Reader::new(payload);
-            let ladder = decode_ladder(&mut r, n)?;
-            r.done()?;
-            Some(ladder)
-        }
-        None => None,
-    };
-
     let staircase = match sections.get(&TAG_STAIRCASE) {
         Some(payload) => {
             let text = std::str::from_utf8(payload).ok()?;
@@ -625,16 +531,7 @@ fn load_entry(
         None => Staircase::new(),
     };
 
-    let set = ArtifactSet::from_parts(
-        seq,
-        eps_order,
-        eps_sorted,
-        greedy_order,
-        altr,
-        profile,
-        ladder,
-        staircase,
-    );
+    let set = ArtifactSet::from_parts(seq, eps_order, eps_sorted, greedy_order, altr, staircase);
     // The decisive content gate: the decoded founding sequence must
     // admit the live registering pool — the same comparison a warm
     // in-memory entry would run. A doctored manifest that borrows

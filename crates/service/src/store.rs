@@ -3,8 +3,8 @@
 //! At micro-blog scale the same crowd backs many logical pools —
 //! per-tenant, per-topic and per-region registries over one juror
 //! population — so a [`JuryService`](crate::JuryService) would otherwise
-//! re-derive an identical ε-sorted order, greedy order, pmf ladder,
-//! budget staircase and AltrM answer once *per pool*. [`ArtifactStore`]
+//! re-derive an identical ε-sorted order, greedy order, budget
+//! staircase and AltrM answer once *per pool*. [`ArtifactStore`]
 //! interns those artifacts by **content**: every registered pool keeps a
 //! running [`PoolFingerprint`] (a commutative multiset hash of its
 //! jurors' solver-relevant content, updated in `O(1)` per mutation), and
@@ -19,8 +19,8 @@
 //! share, never a wrong answer). A pool attaches only when its juror
 //! content equals the entry's founding sequence position for position
 //! ([`ArtifactSet::match_pool`]); everything is then shared outright:
-//! orders, ladder, profile, the Arc'd AltrM answer, and the
-//! (lock-guarded, lazily growing) budget staircase. A pool holding the
+//! orders, the Arc'd AltrM answer, and the (lock-guarded, lazily
+//! growing) budget staircase. A pool holding the
 //! same multiset in a different arrangement has the same fingerprint but
 //! is refused: it keeps an unlisted set of its own, and the incumbent
 //! entry keeps its key ([`ArtifactStore::publish`]).
@@ -58,7 +58,6 @@
 //! that warm-up, so it stays listed.
 
 use crate::AltrAnswer;
-use jury_core::altr::JerProfile;
 use jury_core::fingerprint::{juror_content, FingerprintKey};
 use jury_core::juror::Juror;
 use jury_core::paym::Staircase;
@@ -77,9 +76,9 @@ pub(crate) struct StoreKey {
 /// One pool-content snapshot's warm artifacts, shared by every pool
 /// whose jurors match. Orders and sorted rates change only under a
 /// repair, which owns the set exclusively
-/// ([`ArtifactStore::reclaim`]); otherwise the lazily-derived artifacts
-/// fill exactly once ([`OnceLock`]) and the budget staircase grows
-/// monotonically behind a read-mostly lock (batch workers replay steps
+/// ([`ArtifactStore::reclaim`]); otherwise the lazily solved AltrM
+/// answer fills exactly once ([`OnceLock`]) and the budget staircase
+/// grows monotonically behind a read-mostly lock (batch workers replay steps
 /// read-only; recording happens under the service's `&mut self`).
 #[derive(Debug)]
 pub(crate) struct ArtifactSet {
@@ -95,15 +94,11 @@ pub(crate) struct ArtifactSet {
     pub greedy_order: Vec<usize>,
     /// The solved AltrM answer.
     pub altr: OnceLock<AltrAnswer>,
-    /// The odd-size JER profile — rank space.
-    pub profile: OnceLock<JerProfile>,
-    /// Prefix-pmf checkpoint ladder over `eps_sorted` — rank space.
-    pub ladder: OnceLock<crate::ladder::PmfLadder>,
     /// The PayM budget staircase over `greedy_order`, recorded lazily
     /// per budget.
     pub staircase: RwLock<Staircase>,
     /// Mutation version: a fresh stamp from one process-wide counter
-    /// whenever a lazy slot fills, the staircase records a step or a
+    /// whenever the AltrM slot fills, the staircase records a step or a
     /// repair rewrites the set. The incremental snapshot writer compares
     /// it against the version it last persisted under the set's key to
     /// decide cleanness without re-encoding. Because stamps are unique
@@ -125,15 +120,12 @@ impl ArtifactSet {
     /// Content/shape validation of restored parts (the permutation and
     /// binding checks) is the snapshot loader's job; this only builds
     /// the struct.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         seq: Vec<(u64, u64)>,
         eps_order: Vec<usize>,
         eps_sorted: Vec<f64>,
         greedy_order: Vec<usize>,
         altr: Option<AltrAnswer>,
-        profile: Option<JerProfile>,
-        ladder: Option<crate::ladder::PmfLadder>,
         staircase: Staircase,
     ) -> Self {
         Self {
@@ -141,9 +133,7 @@ impl ArtifactSet {
             eps_order,
             eps_sorted,
             greedy_order,
-            altr: once_from(altr),
-            profile: once_from(profile),
-            ladder: once_from(ladder),
+            altr: altr.map_or_else(OnceLock::new, OnceLock::from),
             staircase: RwLock::new(staircase),
             version: AtomicU64::new(fresh_version()),
         }
@@ -159,8 +149,9 @@ impl ArtifactSet {
 
     /// Clones a set for a pool leaving siblings behind — the
     /// copy-on-write half of [`ArtifactStore::reclaim`]. Only what
-    /// repairs touch is copied; the AltrM answer and the staircase,
-    /// which every repair drops, start empty.
+    /// repairs touch is copied: the content sequence and the orders. The
+    /// AltrM answer and the staircase, which every repair drops, start
+    /// empty.
     pub(crate) fn cache_clone(&self) -> Self {
         Self::from_parts(
             self.seq.clone(),
@@ -168,8 +159,6 @@ impl ArtifactSet {
             self.eps_sorted.clone(),
             self.greedy_order.clone(),
             None,
-            self.profile.get().cloned(),
-            self.ladder.get().cloned(),
             Staircase::new(),
         )
     }
@@ -223,52 +212,6 @@ impl ArtifactSet {
         self.note_mutation();
         answer
     }
-
-    /// Fills the JER-profile slot, dirty-tracked.
-    pub(crate) fn set_profile(&self, profile: JerProfile) {
-        if self.profile.set(profile).is_ok() {
-            self.note_mutation();
-        }
-    }
-
-    /// [`OnceLock::get_or_init`] over the profile slot, dirty-tracked.
-    pub(crate) fn profile_or_init(&self, init: impl FnOnce() -> JerProfile) -> &JerProfile {
-        if let Some(profile) = self.profile.get() {
-            return profile;
-        }
-        let profile = self.profile.get_or_init(init);
-        self.note_mutation();
-        profile
-    }
-
-    /// Fills the pmf-ladder slot, dirty-tracked.
-    pub(crate) fn set_ladder(&self, ladder: crate::ladder::PmfLadder) {
-        if self.ladder.set(ladder).is_ok() {
-            self.note_mutation();
-        }
-    }
-
-    /// [`OnceLock::get_or_init`] over the ladder slot, dirty-tracked.
-    pub(crate) fn ladder_or_init(
-        &self,
-        init: impl FnOnce() -> crate::ladder::PmfLadder,
-    ) -> &crate::ladder::PmfLadder {
-        if let Some(ladder) = self.ladder.get() {
-            return ladder;
-        }
-        let ladder = self.ladder.get_or_init(init);
-        self.note_mutation();
-        ladder
-    }
-}
-
-/// A `OnceLock` pre-filled from an optional value.
-fn once_from<T>(value: Option<T>) -> OnceLock<T> {
-    let lock = OnceLock::new();
-    if let Some(v) = value {
-        let _ = lock.set(v);
-    }
-    lock
 }
 
 /// A warm pool's hold on its artifact set: listed in the store under

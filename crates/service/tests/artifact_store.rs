@@ -112,8 +112,8 @@ fn assert_paym_matches_direct(
 #[test]
 fn second_equal_pool_registers_with_zero_builds() {
     // The counter gate: registering and first-solving a second pool with
-    // equal content must attach — no order build, no ladder build, no
-    // AltrM solve, no full repair.
+    // equal content must attach — no order build, no AltrM solve, no
+    // full repair.
     let jurors = build(&[(0.1, 0.2), (0.2, 0.1), (0.2, 0.3), (0.35, 0.4), (0.4, 0.05)]);
     let mut service = JuryService::new();
     let a = service.create_pool(jurors.clone());
@@ -142,11 +142,6 @@ fn second_equal_pool_registers_with_zero_builds() {
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
     assert!(Arc::ptr_eq(&shared[0], &shared[1]), "cross-pool replays share the cached Arc");
-
-    // The shared ladder answers probes for both pools identically.
-    let pa = service.jer_probe(a, 3).unwrap();
-    let pb = service.jer_probe(b, 3).unwrap();
-    assert_eq!(pa.to_bits(), pb.to_bits());
 
     // PayM rides one shared staircase: a's recording scan is b's hit.
     let hits_before = service.stats().staircase_hits;
@@ -384,14 +379,6 @@ proptest! {
         assert_paym_matches_direct(&mut service, a, budget, "founding pool");
         assert_paym_matches_direct(&mut service, b, budget, "permuted pool");
         prop_assert_eq!(service.artifact_entries(), 1);
-        // Independently built profiles agree bit-for-bit across the
-        // permutation (they depend on the sorted ε values alone).
-        let profile_a = service.jer_profile(a).unwrap().to_vec();
-        let profile_b = service.jer_profile(b).unwrap().to_vec();
-        for ((na, ja), (nb, jb)) in profile_a.iter().zip(&profile_b) {
-            prop_assert_eq!(na, nb);
-            prop_assert_eq!(ja.to_bits(), jb.to_bits());
-        }
     }
 
     // Any single-juror ε perturbation changes the fingerprint and

@@ -56,8 +56,6 @@ fn stale_pool_id_after_remove_pool_fails_everywhere() {
         );
         assert_eq!(service.warm_pool(stale), Err(expect_unknown.clone()));
         assert_eq!(service.pool(stale).unwrap_err(), expect_unknown);
-        assert_eq!(service.jer_profile(stale).unwrap_err(), expect_unknown);
-        assert_eq!(service.jer_probe(stale, 3).unwrap_err(), expect_unknown);
         assert_eq!(service.reliability_order(stale).unwrap_err(), expect_unknown);
         assert_eq!(
             service.insert_juror(stale, Juror::new(1, ErrorRate::new(0.2).unwrap(), 0.0)),

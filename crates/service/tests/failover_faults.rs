@@ -89,7 +89,6 @@ fn drive(service: &mut JuryService, pool: PoolId) -> Vec<Outcome> {
             out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
         }
     }
-    service.jer_profile(pool).unwrap();
     out
 }
 

@@ -5,7 +5,7 @@
 //! **bit-identical** [`Selection`]s — members, JER bits, cost bits and
 //! solver stats — including solver errors, budgets sitting on the greedy
 //! order's affordability cliffs, and interleaved insert/update/remove
-//! sequences whose in-place order and ladder repairs must leave every
+//! sequences whose in-place order repairs must leave every
 //! answer exactly where a fresh solve puts it.
 //!
 //! Every PayM assertion also exercises the **budget staircase**: each
@@ -189,9 +189,8 @@ proptest! {
     ) {
         let mut service = JuryService::new();
         let pool = service.create_pool(build(&pairs));
-        // Warm everything a mutation can repair: orders, AltrM answer,
-        // profile and ladder.
-        service.jer_profile(pool).unwrap();
+        // Warm everything a mutation can repair: orders and AltrM answer.
+        service.warm_pool(pool).unwrap();
 
         for (step, (kind, (e, c), idx)) in ops.iter().enumerate() {
             let len = service.pool(pool).unwrap().len();

@@ -56,14 +56,10 @@ fn service_stats_round_trip() {
     assert!(json::from_str::<ServiceStats>("17").is_err(), "non-objects are refused");
 }
 
-/// Golden wire text. Key names and key order are protocol, and
-/// `service_stats_round_trip` decodes its own output, so it cannot see a
-/// renamed or reordered key; this string pins both verbatim. Every field
-/// carries a distinct value so a swapped pair shows too.
-#[test]
-fn service_stats_golden_wire() {
-    const GOLDEN: &str = r#"{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26}"#;
-    let stats = ServiceStats {
+/// Every field of a [`ServiceStats`] holding a distinct value, so a
+/// swapped pair of keys shows in the golden text.
+fn distinct_stats() -> ServiceStats {
+    ServiceStats {
         tasks_solved: 1,
         cache_hits: 2,
         cache_builds: 3,
@@ -75,7 +71,6 @@ fn service_stats_golden_wire() {
         pmf_repairs: 9,
         pmf_rebuilds: 10,
         full_repairs: 11,
-        profile_repairs: 12,
         bound_pruned: 13,
         artifact_share_hits: 14,
         artifact_detaches: 15,
@@ -88,9 +83,27 @@ fn service_stats_golden_wire() {
         follower_lag_ms: 24,
         generations_adopted: 25,
         adoptions_rejected: 26,
-    };
+    }
+}
+
+/// Golden wire text. Key names and key order are protocol, and
+/// `service_stats_round_trip` decodes its own output, so it cannot see a
+/// renamed or reordered key; this string pins both verbatim.
+#[test]
+fn service_stats_golden_wire() {
+    const GOLDEN: &str = r#"{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26}"#;
+    let stats = distinct_stats();
     assert_eq!(json::to_string(&stats), GOLDEN);
     assert_eq!(json::from_str::<ServiceStats>(GOLDEN).unwrap(), stats);
+}
+
+/// A body written by servers that still reported `profile_repairs`:
+/// the dropped key is skipped and every remaining field decodes to the
+/// value it carries.
+#[test]
+fn older_service_stats_body_still_decodes() {
+    const OLDER_GOLDEN: &str = r#"{"tasks_solved":1,"cache_hits":2,"cache_builds":3,"batches":4,"cache_invalidations":5,"order_repairs":6,"insert_repairs":7,"staircase_hits":8,"pmf_repairs":9,"pmf_rebuilds":10,"full_repairs":11,"profile_repairs":12,"bound_pruned":13,"artifact_share_hits":14,"artifact_detaches":15,"artifact_rejoins":16,"snapshot_restores":18,"snapshot_rejections":19,"snapshot_generation":21,"snapshot_age_ms":22,"follower_generation":23,"follower_lag_ms":24,"generations_adopted":25,"adoptions_rejected":26}"#;
+    assert_eq!(json::from_str::<ServiceStats>(OLDER_GOLDEN).unwrap(), distinct_stats());
 }
 
 #[test]

@@ -79,7 +79,6 @@ fn drive(service: &mut JuryService, pool: PoolId, extra_budgets: &[f64]) -> Vec<
             out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
         }
     }
-    service.jer_profile(pool).unwrap();
     for &budget in extra_budgets {
         out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
     }

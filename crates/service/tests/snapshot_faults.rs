@@ -11,7 +11,7 @@
 //! The matrix drives the real write path, then mutates the on-disk
 //! bytes the way crashes and bit rot do: truncation at and inside every
 //! section boundary, a flipped bit in every field class (key, sequence,
-//! orders, sorted runs, cached answers, pmf ladders, staircase,
+//! orders, sorted runs, cached answers, staircase,
 //! checksums, magic), manifests swapped between pools, a
 //! manifest doctored to claim a mutated pool's fingerprint over stale
 //! bytes, and version skew in both the manifest and the entry magic.
@@ -94,8 +94,8 @@ fn footprint(result: Result<Selection, impl std::fmt::Display>) -> Outcome {
 }
 
 /// Drives a fixed task stream that populates every snapshot section:
-/// the AltrM answer, the JER profile, the pmf ladder, and a staircase
-/// with recorded replays (each budget solved twice). Registration goes
+/// the AltrM answer and a staircase with recorded replays (each budget
+/// solved twice). Registration goes
 /// through `warm_pool` — the restore-on-register attach point.
 fn drive(service: &mut JuryService, pool: PoolId) -> Vec<Outcome> {
     service.warm_pool(pool).unwrap();
@@ -106,7 +106,6 @@ fn drive(service: &mut JuryService, pool: PoolId) -> Vec<Outcome> {
             out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
         }
     }
-    service.jer_profile(pool).unwrap();
     out.push(footprint(service.solve(&DecisionTask::altruism(pool))));
     out
 }
@@ -536,8 +535,8 @@ fn mutated_past_replay_falls_back_cold() {
 /// restart restores every pool from that second generation and answers
 /// bit-identically to a never-snapshotted control over the written
 /// content — whether the pool was re-driven before the checkpoint (its
-/// repaired set carries fresh answers) or not (only the repaired orders,
-/// ladder and profile are persisted).
+/// repaired set carries fresh answers) or not (only the repaired orders
+/// are persisted).
 #[test]
 fn written_pools_restore_from_the_next_checkpoint() {
     let tmp = TempDir::new("written");
@@ -666,13 +665,15 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
 
 /// The seeded fixtures must actually contain every section class the
 /// bit-flip matrix claims to cover — otherwise the matrix is vacuous.
+/// Tags 7 and 8 (PROFILE, LADDER) are reserved and no longer written;
+/// [`older_pinned_entry_bytes_still_restore`] covers reading them.
 #[test]
 fn seeded_snapshots_cover_every_section_class() {
     let tmp = TempDir::new("coverage-flat");
     seed_snapshot(tmp.path(), &flat_config(), &pool(24));
     let tags: Vec<u32> =
         sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
-    for required in 1..=9u32 {
+    for required in (1..=6u32).chain([9]) {
         assert!(tags.contains(&required), "entry lacks {}", section_name(required));
     }
 }
@@ -686,8 +687,9 @@ fn seeded_snapshots_cover_every_section_class() {
 /// section, layout word 0 in the file-name hash and `"layout": "flat"`
 /// in the manifest record. The ALTR section records the answer's
 /// [`SolverStats`](jury_core::SolverStats), so a scan that evaluates
-/// fewer sizes changes the bytes without changing the answer; the
-/// bytes pinned before such a change stay readable
+/// fewer sizes changes the bytes without changing the answer, and so
+/// does a retired section the writer no longer emits (PROFILE, LADDER);
+/// the bytes pinned before such changes stay readable
 /// ([`older_pinned_entry_bytes_still_restore`]).
 #[test]
 fn flat_entry_name_and_bytes_are_pinned() {
@@ -698,25 +700,31 @@ fn flat_entry_name_and_bytes_are_pinned() {
     assert_eq!(entries.len(), 1);
     assert_eq!(
         json::to_string(&entries[0]),
-        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000885","checksum":"4109554851f36ae6"}"#
+        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000795","checksum":"9cdddd3b0684f7a1"}"#
     );
     let file = entry_file(tmp.path());
     assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
     let bytes = fs::read(&file).unwrap();
-    assert_eq!(bytes.len(), 2181);
-    assert_eq!(snapshot_checksum(&bytes), 0x4109_5548_51f3_6ae6);
+    assert_eq!(bytes.len(), 1941);
+    assert_eq!(snapshot_checksum(&bytes), 0x9cdd_dd3b_0684_f7a1);
 }
 
 /// The entry bytes an earlier build wrote for the pool of
 /// [`flat_entry_name_and_bytes_are_pinned`], whose pruned scan reported
-/// evaluating every odd size (`jer_evaluations` 12 of 12).
+/// evaluating every odd size (`jer_evaluations` 12 of 12). The same
+/// build also wrote a JER profile (tag 7) and a pmf ladder (tag 8),
+/// which current readers verify and skip.
 const FULL_SCAN_STATS_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_full_scan_stats.snap");
 
 /// Those older bytes, under the manifest record they were pinned with,
 /// still restore: members, JER and cost bits equal a fresh solve's, and
 /// the answer served is the restored one (it still carries its stats).
+/// The bytes carry the retired PROFILE and LADDER sections, so this is
+/// also the witness that readers skip tags 7 and 8.
 #[test]
 fn older_pinned_entry_bytes_still_restore() {
+    let tags: Vec<u32> = sections_of(FULL_SCAN_STATS_ENTRY).iter().map(|s| s.tag).collect();
+    assert!(tags.contains(&7) && tags.contains(&8), "fixture lacks PROFILE/LADDER: {tags:?}");
     let tmp = TempDir::new("golden-older");
     let config = flat_config();
     let jurors = pool(24);
@@ -738,6 +746,34 @@ fn older_pinned_entry_bytes_still_restore() {
     assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
     let served = service.solve(&DecisionTask::altruism(p)).unwrap();
     assert_eq!(served.stats.jer_evaluations, 12, "the restored answer is the one served");
+}
+
+/// A retired section is skipped, never trusted: one flipped byte inside
+/// the older fixture's PROFILE payload, with the section checksum left
+/// stale, rejects the whole entry and the pool answers like a cold
+/// control.
+#[test]
+fn older_entry_with_a_corrupt_profile_section_is_rejected() {
+    let tmp = TempDir::new("golden-older-profile");
+    let config = flat_config();
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let profile = sections_of(FULL_SCAN_STATS_ENTRY)
+        .into_iter()
+        .find(|s| s.tag == 7)
+        .expect("the fixture carries a PROFILE section");
+    assert!(profile.len > 0, "PROFILE payload is empty");
+    let mut flipped = FULL_SCAN_STATS_ENTRY.to_vec();
+    flipped[profile.payload] ^= 0x01;
+    fs::write(entry_file(tmp.path()), &flipped).unwrap();
+    reforge_manifest(tmp.path());
+
+    let mut service = JuryService::with_config(with_snapshot(config, tmp.path()));
+    let p = service.create_pool(jurors);
+    assert_eq!(drive(&mut service, p), cold);
+    let stats = service.stats();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (0, 1));
 }
 
 /// A manifest record of another layout — a sharded entry left behind by
