@@ -9,7 +9,7 @@
 //!   orders *in place*, and the dropped answer is
 //!   re-solved by `AltrAlg::solve_pruned` — an `O(N)` bound sweep plus
 //!   exact JER only at the surviving sizes, instead of the `O(N²)`
-//!   full prefix scan;
+//!   full prefix scan (median and quartiles over 21 rounds);
 //! * **full-rescan baseline** — what the same re-solve cost before this
 //!   path existed: `AltrAlg::solve_presorted` over the identical
 //!   (already repaired) sorted order. Measured only up to 10⁴ jurors;
@@ -38,7 +38,7 @@
 //! ```
 
 use jury_bench::report::{fmt_secs, Report};
-use jury_bench::timing::time_best_of;
+use jury_bench::timing::{time_best_of, time_quartiles, Quartiles};
 use jury_core::altr::AltrAlg;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::solver::{sorted_order_into, SolverScratch};
@@ -105,20 +105,23 @@ impl Shape {
 /// What one pool's measurement found.
 struct Measured {
     steady: f64,
-    post_mutation: f64,
+    post_mutation: Quartiles,
     pruned_per_solve: usize,
     /// Size and JER of the last re-solved answer.
     answer: (usize, f64),
 }
 
-/// Measures steady warm replay and post-mutation re-solve through the
-/// service.
+/// Measures steady warm replay (best of `repeats`) and post-mutation
+/// re-solve (quartiles over `rounds`) through the service. The median
+/// of many rounds shows whether two builds differ by more than the
+/// noise; a best of a few rounds right after the cold build does not.
 fn measure(
     service: &mut JuryService,
     id: PoolId,
     shape: Shape,
     n: usize,
     repeats: usize,
+    rounds: usize,
 ) -> Measured {
     let task = DecisionTask::altruism(id);
     assert!(service.solve(&task).is_ok(), "priming solve must succeed");
@@ -129,7 +132,7 @@ fn measure(
     let pruned_before = service.stats().bound_pruned;
     let solves_before = service.stats().tasks_solved;
     let mut round = 0usize;
-    let (_, post_mutation) = time_best_of(repeats, || {
+    let (_, post_mutation) = time_quartiles(rounds, || {
         round += 1;
         let (idx, juror) = shape.mutated_juror(round, n);
         service.update_juror(id, idx, juror).expect("index in range");
@@ -162,8 +165,8 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // The smoke run's 10⁴ uniform pool answers JER 0.0, so it covers the
     // scan's zero exit as well as its monotone-segment exit.
-    let (pool_sizes, repeats): (Vec<usize>, usize) =
-        if smoke { (vec![500, 10_000], 1) } else { (vec![1_000, 10_000, 100_000], 5) };
+    let (pool_sizes, repeats, rounds): (Vec<usize>, usize, usize) =
+        if smoke { (vec![500, 10_000], 1, 3) } else { (vec![1_000, 10_000, 100_000], 5, 21) };
 
     let mut report = Report::new(
         "altrm_throughput",
@@ -173,7 +176,9 @@ fn main() {
             "shape",
             "pool",
             "steady warm",
-            "post-mutation",
+            "post-mutation p50",
+            "p25",
+            "p75",
             "full rescan",
             "speedup",
             "pruned",
@@ -189,17 +194,19 @@ fn main() {
             let mut service = JuryService::new();
             let id = service.create_pool(jurors);
             let Measured { steady, post_mutation: post, pruned_per_solve: pruned, answer } =
-                measure(&mut service, id, shape, n, repeats);
+                measure(&mut service, id, shape, n, repeats, rounds);
             assert!(pruned > 0, "the re-solve must skip sizes on the {} pool", shape.name());
             if matches!(shape, Shape::Uniform) && n >= 10_000 {
                 assert_eq!(answer.1, 0.0, "a {n}-juror uniform pool's JER underflows");
             }
-            let speedup = rescan.map(|r| r / post);
+            let speedup = rescan.map(|r| r / post.p50);
             report.row(&[
                 &shape.name(),
                 &n,
                 &fmt_secs(steady),
-                &fmt_secs(post),
+                &fmt_secs(post.p50),
+                &fmt_secs(post.p25),
+                &fmt_secs(post.p75),
                 &rescan.map_or("-".into(), fmt_secs),
                 &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
                 &pruned,
@@ -210,7 +217,10 @@ fn main() {
                 ("pool_size", n.to_value()),
                 ("model", "altrm".to_value()),
                 ("steady_warm_hit_secs", steady.to_value()),
-                ("post_mutation_secs", post.to_value()),
+                ("post_mutation_secs", post.p50.to_value()),
+                ("post_mutation_p25_secs", post.p25.to_value()),
+                ("post_mutation_p75_secs", post.p75.to_value()),
+                ("post_mutation_rounds", rounds.to_value()),
                 ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
                 ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
                 ("sizes_pruned_per_solve", pruned.to_value()),
@@ -239,8 +249,8 @@ fn main() {
             "warm AltrM on an expert-plus-mob pool (100 experts eps in [0.02,0.30), mob in \
              [0.55,0.95)) and a uniform pool (eps in [0.02,0.98)): cached replay (steady) and \
              one juror update + next solve (post-mutation: in-place order repair + \
-             bound-pruned rescan-free re-solve), vs the O(N^2) full presorted rescan the warm \
-             path previously paid"
+             bound-pruned rescan-free re-solve; median and quartiles over 21 rounds), vs the \
+             O(N^2) full presorted rescan the warm path previously paid"
                 .to_value(),
         ),
         ("experts", EXPERTS.to_value()),

@@ -6,6 +6,15 @@
 //! per task (fresh sort + fresh buffers every time — what the examples
 //! did before the service existed).
 //!
+//! Each service figure is the median of 21 rounds with its quartiles; a
+//! round solves the stream `ROUND_TASKS / batch` times (at least once),
+//! so a batch-1 round is long enough for the clock to resolve. The
+//! default configuration answers batches of up to 32 tasks on the
+//! caller thread and splits larger ones across the available cores, so
+//! these rows are the referee for the threaded path. The naive baseline
+//! stays a best of 2: one standalone AltrM solve at 10⁴ jurors takes
+//! tens of milliseconds.
+//!
 //! Prints the table and merges its top-level fields (`bench`,
 //! `workload`, `pool_sizes`, `batch_sizes`, `results`) into
 //! `BENCH_service.json` in the current directory, keeping every other
@@ -19,7 +28,7 @@
 //! ```
 
 use jury_bench::report::{fmt_f, Report};
-use jury_bench::timing::time_best_of;
+use jury_bench::timing::{time_best_of, time_quartiles, Quartiles};
 use jury_core::altr::{AltrAlg, AltrConfig};
 use jury_core::juror::{pool_from_rates_and_costs, Juror};
 use jury_core::model::CrowdModel;
@@ -29,6 +38,9 @@ use serde::{json, Serialize, Value};
 
 const POOL_SIZES: [usize; 3] = [100, 1_000, 10_000];
 const BATCH_SIZES: [usize; 3] = [1, 32, 1_024];
+
+/// Tasks one timed round solves (in `ROUND_TASKS / batch` batches).
+const ROUND_TASKS: usize = 1_024;
 
 /// Deterministic pool: rates spread over (0.02, 0.95), convex prices.
 fn pool(n: usize) -> Vec<Juror> {
@@ -55,13 +67,28 @@ fn models(batch: usize) -> Vec<CrowdModel> {
         .collect()
 }
 
+/// Tasks/sec quartiles: `p25` is the slower quarter's throughput.
+struct Throughput {
+    p25: f64,
+    p50: f64,
+    p75: f64,
+}
+
+impl Throughput {
+    fn of(tasks: usize, secs: Quartiles) -> Self {
+        let rate = |s: f64| tasks as f64 / s;
+        Self { p25: rate(secs.p75), p50: rate(secs.p50), p75: rate(secs.p25) }
+    }
+}
+
 /// Tasks/sec solving the stream through warm `solve_batch` (owned
 /// results — one member-list copy per replayed task) and through
-/// `solve_batch_shared` (replays hand out one `Arc` per task). The gap
-/// between the two is pure result-copy traffic: at pool 10⁴ the cached
-/// AltrM answer holds ~10³ members, and cloning it per task is what
-/// collapsed large-batch throughput before the shared path existed.
-fn service_throughput(jurors: &[Juror], batch: usize) -> (f64, f64) {
+/// `solve_batch_shared` (replays hand out one `Arc` per task), each over
+/// `rounds` rounds. The gap between the two is pure result-copy
+/// traffic: at pool 10⁴ the cached AltrM answer holds ~10³ members, and
+/// cloning it per task is what collapsed large-batch throughput before
+/// the shared path existed.
+fn service_throughput(jurors: &[Juror], batch: usize, rounds: usize) -> (Throughput, Throughput) {
     let mut service = JuryService::new();
     let id = service.create_pool(jurors.to_vec());
     service.warm_pool(id).expect("pool registered");
@@ -69,16 +96,18 @@ fn service_throughput(jurors: &[Juror], batch: usize) -> (f64, f64) {
         models(batch).into_iter().map(|model| DecisionTask { pool: id, model }).collect();
     // One warm-up batch grows the worker scratches, then measure.
     assert!(service.solve_batch(&stream).iter().all(Result::is_ok));
-    let repeats = if jurors.len() >= 10_000 { 2 } else { 5 };
-    let (_, secs) = time_best_of(repeats, || {
-        let results = service.solve_batch(&stream);
-        std::hint::black_box(results.len())
+    let calls = (ROUND_TASKS / batch).max(1);
+    let (_, secs) = time_quartiles(rounds, || {
+        for _ in 0..calls {
+            std::hint::black_box(service.solve_batch(&stream));
+        }
     });
-    let (_, shared_secs) = time_best_of(repeats, || {
-        let results = service.solve_batch_shared(&stream);
-        std::hint::black_box(results.len())
+    let (_, shared_secs) = time_quartiles(rounds, || {
+        for _ in 0..calls {
+            std::hint::black_box(service.solve_batch_shared(&stream));
+        }
     });
-    (batch as f64 / secs, batch as f64 / shared_secs)
+    (Throughput::of(calls * batch, secs), Throughput::of(calls * batch, shared_secs))
 }
 
 /// Tasks/sec solving the same stream with one standalone solver call per
@@ -105,33 +134,42 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let pool_sizes: Vec<usize> = if smoke { vec![64, 256] } else { POOL_SIZES.to_vec() };
     let batch_sizes: Vec<usize> = if smoke { vec![1, 16] } else { BATCH_SIZES.to_vec() };
+    let rounds = if smoke { 3 } else { 21 };
 
     let mut report = Report::new(
         "service_throughput",
-        "JuryService warm-batch throughput (owned and shared results) vs naive per-task solve",
+        "JuryService warm-batch throughput (owned and shared results; median [p25, p75] \
+         tasks/s) vs naive per-task solve",
         &["pool", "batch", "service tasks/s", "shared tasks/s", "naive tasks/s", "speedup"],
     );
+    let spread =
+        |t: &Throughput| format!("{} [{}, {}]", fmt_f(t.p50, 1), fmt_f(t.p25, 1), fmt_f(t.p75, 1));
     let mut rows: Vec<Value> = Vec::new();
 
     for &n in &pool_sizes {
         let jurors = pool(n);
         for &batch in &batch_sizes {
-            let (service, shared) = service_throughput(&jurors, batch);
+            let (service, shared) = service_throughput(&jurors, batch, rounds);
             let naive = naive_throughput(&jurors, batch);
-            let speedup = service / naive;
+            let speedup = service.p50 / naive;
             report.row(&[
                 &n,
                 &batch,
-                &fmt_f(service, 1),
-                &fmt_f(shared, 1),
+                &spread(&service),
+                &spread(&shared),
                 &fmt_f(naive, 1),
                 &format!("{speedup:.1}x"),
             ]);
             rows.push(Value::object([
                 ("pool_size", n.to_value()),
                 ("batch_size", batch.to_value()),
-                ("service_tasks_per_sec", service.to_value()),
-                ("service_shared_tasks_per_sec", shared.to_value()),
+                ("service_tasks_per_sec", service.p50.to_value()),
+                ("service_tasks_per_sec_p25", service.p25.to_value()),
+                ("service_tasks_per_sec_p75", service.p75.to_value()),
+                ("service_shared_tasks_per_sec", shared.p50.to_value()),
+                ("service_shared_tasks_per_sec_p25", shared.p25.to_value()),
+                ("service_shared_tasks_per_sec_p75", shared.p75.to_value()),
+                ("rounds", rounds.to_value()),
                 ("naive_tasks_per_sec", naive.to_value()),
                 ("speedup", speedup.to_value()),
             ]));
@@ -154,7 +192,13 @@ fn main() {
         .unwrap_or_else(|| Value::Object(Vec::new()));
     let ours = [
         ("bench", "service_throughput".to_value()),
-        ("workload", "2/3 AltrM + 1/3 PayM (cycling budgets), warm cache".to_value()),
+        (
+            "workload",
+            "2/3 AltrM + 1/3 PayM (cycling budgets), warm cache, default threads; service \
+             figures are the median and quartiles of tasks/s over 21 rounds of 1024 tasks \
+             (or one batch, if larger); naive is a best of 2"
+                .to_value(),
+        ),
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
         ("batch_sizes", Value::Array(batch_sizes.iter().map(|n| n.to_value()).collect())),
         ("results", Value::Array(rows)),

@@ -20,8 +20,9 @@
 //!
 //! An idle front-end skips the machinery entirely: a submission that
 //! finds zero queued tasks and an uncontended solver solves inline on
-//! the caller thread ([`JuryService`]'s own small-batch fast path), so
-//! batch-1 latency matches the bare library call.
+//! the caller thread as a one-task batch (which [`JuryService`] answers
+//! on that same thread), so batch-1 latency matches the bare library
+//! call.
 //!
 //! # Backpressure contract
 //!
@@ -51,9 +52,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the coalescing front-end.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
-    /// Tasks per window before it closes regardless of age. Values at or
-    /// above the service's internal small-batch threshold (32) let a
-    /// full window take the multi-task solver path.
+    /// Tasks per window before it closes regardless of age. The service
+    /// answers a window of up to 32 tasks on the dispatching thread and
+    /// splits a larger one across its worker threads.
     pub max_batch: usize,
     /// Oldest-task age at which a window closes regardless of occupancy
     /// — the latency bound traded against batching opportunity.
@@ -376,9 +377,9 @@ impl Frontend {
             shared.counters.requests.fetch_add(1, Ordering::Relaxed);
             if queue.total_pending == 0 {
                 // Idle fast path: nothing queued and the solver free —
-                // solve on this thread through the service's own
-                // small-batch path. The dispatcher cannot be starved:
-                // with zero pending tasks it has nothing to dispatch.
+                // solve on this thread as a one-task batch. The
+                // dispatcher cannot be starved: with zero pending tasks
+                // it has nothing to dispatch.
                 if let Ok(mut service) = shared.service.try_lock() {
                     drop(queue);
                     shared.counters.inline_solves.fetch_add(1, Ordering::Relaxed);

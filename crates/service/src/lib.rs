@@ -39,10 +39,15 @@
 //!   [`jury_core::paym::Staircase`]: recorded step intervals map any
 //!   covered budget to its selection by binary search, and a miss costs
 //!   exactly one instrumented greedy scan that records a new step.
-//! * **batched parallel solving** — [`JuryService::solve_batch`] fans a
-//!   slice of [`DecisionTask`]s across scoped worker threads, each with
-//!   its own persistent [`SolverScratch`], so a warm task performs no
-//!   solver-path heap allocation beyond its returned [`Selection`].
+//! * **one solve path** — [`JuryService::solve`] and the `solve_batch*`
+//!   calls all run the same three steps: count the attempts and the
+//!   tasks already warm, warm each referenced pool that is cold for its
+//!   task, then answer every task through one function — on the caller
+//!   thread, or for larger batches across scoped worker threads, each
+//!   with its own persistent [`SolverScratch`], so a warm task performs
+//!   no solver-path heap allocation beyond its returned [`Selection`].
+//!   A staircase miss records its step wherever it runs, workers
+//!   included.
 //!
 //! # Bit-identity contract
 //!
@@ -95,7 +100,7 @@
 //!   constant-time hash update per mutation, never a rescan.
 //! * **What is shared.** A pool whose juror sequence equals an entry's
 //!   founding sequence position-for-position shares *everything*: both
-//!   orders, sorted ε values, the Arc'd AltrM answer and the (lazily
+//!   orders, the Arc'd AltrM answer and the (lazily
 //!   growing, lock-guarded) PayM budget staircase. Nothing else shares:
 //!   a pool holding the same multiset in a different arrangement has an
 //!   equal fingerprint but builds a set of its own, and the entry
@@ -164,10 +169,11 @@
 //! * **Restores are verified, never trusted.** A snapshot is input,
 //!   not state: before anything is attached the whole file is
 //!   re-checksummed, every section is re-checksummed and decoded, the
-//!   orders are checked to be permutations, sorted ε values re-bound
-//!   bit-for-bit against the registering pool's jurors, and the decoded
-//!   juror content compared against the pool's actual content — the
-//!   same `match_pool` comparison the in-memory attach path uses. A
+//!   decoded juror content is compared against the pool's actual
+//!   content — the same `match_pool` comparison the in-memory attach
+//!   path uses — and both orders must be strictly ascending under their
+//!   solvers' total orders over those jurors, which admits only the
+//!   permutations a fresh sort produces. A
 //!   restored artifact set is therefore indistinguishable from one the
 //!   store built itself, and restored answers are bit-identical to
 //!   cold-built ones.
@@ -328,21 +334,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::{ArtifactSet, ArtifactStore, StoreKey, StoreLink};
 
-/// Upper bound on sequential staircase-recording scans per batch. Only
-/// `(pool, budget)` pairs that repeat within the batch are recorded up
-/// front (a singleton is scanned exactly once by a worker anyway, in
-/// parallel, and records its step on a later single-solve miss); a batch
-/// with more distinct repeated pairs than this leaves the excess to the
-/// workers' presorted scans (correct either way — the staircase is a
-/// cache, not a requirement).
-const MAX_BATCH_STAIRCASE_SCANS: usize = 32;
-
 /// Minimum tasks a batch assigns per worker thread before it spawns
 /// another one. Fanning a large batch over every available core makes
 /// each chunk so small that thread spawn/join overhead and allocator
 /// contention outweigh the parallelism — the `service_throughput`
 /// pool-10⁴/batch-1024 regression. Capping workers at
-/// `tasks / MIN_TASKS_PER_WORKER` keeps per-worker chunks coarse.
+/// `tasks / MIN_TASKS_PER_WORKER` keeps per-worker chunks coarse, and a
+/// batch of at most this many tasks is answered on the caller thread.
 const MIN_TASKS_PER_WORKER: usize = 32;
 
 /// Opaque handle to a registered juror pool.
@@ -1175,7 +1173,8 @@ impl JuryService {
     // Solving
     // ------------------------------------------------------------------
 
-    /// Solves one task, warming the pool cache if needed.
+    /// Solves one task, warming the pool cache if needed — a one-task
+    /// batch that counts no [`ServiceStats::batches`].
     ///
     /// Members, JER and cost are bit-identical to [`AltrAlg::solve`] /
     /// [`PayAlg::solve`] on the pool's current jurors (AltrM solver
@@ -1183,115 +1182,36 @@ impl JuryService {
     /// see the crate docs). A warm PayM task whose budget falls inside a
     /// recorded staircase step is answered without a greedy rescan
     /// ([`ServiceStats::staircase_hits`]); a PayM task never builds the
-    /// pmf artefacts AltrM needs. A warm AltrM task whose pool was
-    /// mutated re-solves rescan-free: a bound sweep plus exact JER at
-    /// the surviving sizes only — never a full `O(N²)` rescan, and never
-    /// a full cache rebuild ([`ServiceStats::full_repairs`] stays put).
+    /// AltrM answer. A warm AltrM task whose pool was mutated re-solves
+    /// rescan-free: a bound sweep plus exact JER at the surviving sizes
+    /// only — never a full `O(N²)` rescan, and never a full cache
+    /// rebuild ([`ServiceStats::full_repairs`] stays put). Every call
+    /// counts one [`ServiceStats::tasks_solved`] attempt, failures and
+    /// unknown pools included.
     pub fn solve(&mut self, task: &DecisionTask) -> Result<Selection, ServiceError> {
-        if let CrowdModel::PayAsYouGo { budget } = task.model {
-            return self.solve_paym(task.pool, budget, true);
-        }
-        self.solve_altr_arc(task, true).map(Arc::unwrap_or_clone)
-    }
-
-    /// One task through the single-solve machinery, returning the shared
-    /// answer — the per-task body of [`JuryService::solve`] and of the
-    /// small-batch inline path (`count_hit` lets the batch path keep its
-    /// "warm before the batch" cache-hit semantics).
-    fn solve_one_arc(
-        &mut self,
-        task: &DecisionTask,
-        count_hit: bool,
-    ) -> Result<Arc<Selection>, ServiceError> {
-        match task.model {
-            CrowdModel::PayAsYouGo { budget } => {
-                self.solve_paym(task.pool, budget, count_hit).map(Arc::new)
-            }
-            CrowdModel::Altruism => self.solve_altr_arc(task, count_hit),
-        }
-    }
-
-    /// The AltrM single-solve path (shared answer out).
-    fn solve_altr_arc(
-        &mut self,
-        task: &DecisionTask,
-        count_hit: bool,
-    ) -> Result<Arc<Selection>, ServiceError> {
-        let was_warm = self.is_warm(task.pool);
-        let had_orders = self.has_orders(task.pool);
-        let full_repairs_before = self.stats.full_repairs;
-        self.warm_pool(task.pool)?;
-        if had_orders {
-            debug_assert_eq!(
-                self.stats.full_repairs, full_repairs_before,
-                "an AltrM re-solve on warm orders must never trigger a full repair"
-            );
-        }
-        let mut scratch = self.scratches.pop().unwrap_or_default();
-        let result = solve_on_entry(&self.pools[&task.pool.0], task, &self.config, &mut scratch);
-        self.scratches.push(scratch);
-        self.stats.tasks_solved += 1;
-        if count_hit && was_warm {
-            self.stats.cache_hits += 1;
-        }
-        result
-    }
-
-    /// The PayM solve path: orders-only warming, then the staircase.
-    fn solve_paym(
-        &mut self,
-        pool: PoolId,
-        budget: f64,
-        count_hit: bool,
-    ) -> Result<Selection, ServiceError> {
-        let was_warm = self.has_orders(pool);
-        let full_repairs_before = self.stats.full_repairs;
-        self.warm_orders(pool)?;
-        if was_warm {
-            debug_assert_eq!(
-                self.stats.full_repairs, full_repairs_before,
-                "a pure-budget-change PayM task must never trigger a full repair"
-            );
-        }
-        self.stats.tasks_solved += 1;
-        if count_hit && was_warm {
-            self.stats.cache_hits += 1;
-        }
-        let pay = PayAlg::new(budget, self.config.pay);
-        let mut scratch = self.scratches.pop().unwrap_or_default();
-        let jurors = &self.pools[&pool.0].jurors;
-        let set = self.warm_set(pool);
-        let mut hit = false;
-        let result = set.record_staircase(|staircase| {
-            hit = staircase.covers(budget);
-            pay.solve_staircase(jurors, &set.greedy_order, staircase, &mut scratch)
-        });
-        self.scratches.push(scratch);
-        if hit {
-            self.stats.staircase_hits += 1;
-        }
-        result.map_err(ServiceError::from)
+        let mut out = self.solve_tasks(std::slice::from_ref(task), None);
+        out.pop().expect("one result per task").map(Arc::unwrap_or_clone)
     }
 
     /// Solves a batch of tasks, preserving order.
     ///
-    /// All referenced pools are warmed first (sequentially — warming
-    /// mutates the registry; pools referenced by AltrM tasks get their
-    /// AltrM answer solved once here rather than per worker), then the
-    /// tasks fan out over `config.threads` scoped
-    /// workers (capped so each receives at least 32 tasks, the private
-    /// `MIN_TASKS_PER_WORKER`), each with a persistent
-    /// [`SolverScratch`]; on a warm cache a task's solver path performs
-    /// no heap allocation beyond the returned [`Selection`].
+    /// Every referenced pool is warmed first, sequentially (warming
+    /// mutates the registry): AltrM tasks get their pool's AltrM answer
+    /// solved once, PayM tasks only the sorted orders. The tasks are
+    /// then answered on the caller thread, or — for batches larger than
+    /// one worker's share (the private `MIN_TASKS_PER_WORKER`, 32
+    /// tasks) — over up to `config.threads` scoped workers, each with a
+    /// persistent [`SolverScratch`]. A PayM budget no recorded step
+    /// covers is scanned once, by whichever task meets it first, and
+    /// recorded as a new staircase step for every later task; on a warm
+    /// cache a task's solver path performs no heap allocation beyond the
+    /// returned [`Selection`].
     ///
     /// Every result is an owned [`Selection`] — on replay-heavy AltrM
     /// traffic that is one member-list copy per task;
     /// [`JuryService::solve_batch_shared`] skips those copies.
     pub fn solve_batch(&mut self, tasks: &[DecisionTask]) -> Vec<Result<Selection, ServiceError>> {
-        self.solve_batch_arcs(tasks, None)
-            .into_iter()
-            .map(|r| r.map(Arc::unwrap_or_clone))
-            .collect()
+        self.solve_batch_shared(tasks).into_iter().map(|r| r.map(Arc::unwrap_or_clone)).collect()
     }
 
     /// [`JuryService::solve_batch`] with *shared* results: tasks that
@@ -1299,24 +1219,25 @@ impl JuryService {
     /// [`Arc`], so a batch of a thousand identical decision tasks costs
     /// a thousand reference bumps instead of a thousand member-list
     /// copies — the allocation traffic behind the `service_throughput`
-    /// large-batch collapse. Fresh solves (cold pools, staircase misses)
-    /// are wrapped in a new [`Arc`]; the [`Selection`] values are
-    /// bit-identical to [`JuryService::solve_batch`]'s either way.
+    /// large-batch collapse. Fresh solves (staircase misses and
+    /// replays) are wrapped in a new [`Arc`]; the [`Selection`] values
+    /// are bit-identical to [`JuryService::solve_batch`]'s either way.
     pub fn solve_batch_shared(
         &mut self,
         tasks: &[DecisionTask],
     ) -> Vec<Result<Arc<Selection>, ServiceError>> {
-        self.solve_batch_arcs(tasks, None)
+        self.stats.batches += 1;
+        self.solve_tasks(tasks, None)
     }
 
     /// [`JuryService::solve_batch_shared`] with a per-task timing hook:
     /// `per_task_solve` is cleared and refilled with one wall-clock
-    /// duration per task, measuring only that task's *solver* time —
+    /// duration per task, measuring only that task's *answer* —
     /// front-ends subtract it from end-to-end latency to separate
-    /// queueing delay from solve time. The shared warm phase (pool
-    /// warming, staircase recording) is deliberately excluded: it is
-    /// batch-level work no single task owns, so each task's duration is
-    /// its marginal cost on an already-warm service. The untimed entry
+    /// queueing delay from solve time. Pool warming is deliberately
+    /// excluded: it is batch-level work no single task owns, so each
+    /// task's duration is its marginal cost on an already-warm pool (a
+    /// staircase miss includes its recording scan). The untimed entry
     /// points compile out the clock reads entirely — replay-heavy hot
     /// paths pay nothing for this hook existing.
     pub fn solve_batch_shared_timed(
@@ -1326,104 +1247,48 @@ impl JuryService {
     ) -> Vec<Result<Arc<Selection>, ServiceError>> {
         per_task_solve.clear();
         per_task_solve.resize(tasks.len(), Duration::ZERO);
-        self.solve_batch_arcs(tasks, Some(per_task_solve))
+        self.stats.batches += 1;
+        self.solve_tasks(tasks, Some(per_task_solve))
     }
 
-    fn solve_batch_arcs(
+    /// The one solve path: counts every task as an attempt and every
+    /// task whose state was warm before the call as a hit, warms each
+    /// referenced pool that is cold for its task (unknown pools fail
+    /// positionally in [`answer`]), then answers the tasks in order on
+    /// the caller thread or over scoped workers.
+    fn solve_tasks(
         &mut self,
         tasks: &[DecisionTask],
-        timings: Option<&mut Vec<Duration>>,
+        timings: Option<&mut [Duration]>,
     ) -> Vec<Result<Arc<Selection>, ServiceError>> {
-        // Small batches (notably batch = 1, the interactive case) skip
-        // the batch machinery entirely — no repeated-budget scan, no
-        // dedup vectors, no worker spawn/chunking — and solve inline on
-        // the caller thread with the per-service scratch, exactly like
-        // [`JuryService::solve`]. This removes the small-pool batch-1
-        // regression where the warm-phase bookkeeping cost more than the
-        // solve itself.
-        if tasks.len() < MIN_TASKS_PER_WORKER {
-            self.stats.batches += 1;
-            // Keep the batch semantics for hits and attempts: a hit is a
-            // task whose needed state was warm before this batch did any
-            // warming, and every task counts as a solved attempt even
-            // when it fails (unknown pools included).
-            self.stats.cache_hits += tasks.iter().filter(|t| self.is_warm_for(t)).count();
-            let solved_before = self.stats.tasks_solved;
-            let out = solve_each(tasks, timings.map(Vec::as_mut_slice), |task| {
-                self.solve_one_arc(task, false)
-            });
-            self.stats.tasks_solved = solved_before + tasks.len();
-            return out;
-        }
-
-        self.stats.batches += 1;
+        let warm = tasks.iter().filter(|t| self.is_warm_for(t)).count();
         self.stats.tasks_solved += tasks.len();
-        // A hit is a task whose needed state was warm before this batch
-        // did any warming of its own.
-        self.stats.cache_hits += tasks.iter().filter(|t| self.is_warm_for(t)).count();
-
-        // Distinct PayM `(pool, budget)` pairs and their multiplicity:
-        // only pairs that *repeat* in this batch are worth a sequential
-        // staircase-recording scan in the warm phase — a singleton is
-        // scanned exactly once by a worker anyway (in parallel), and can
-        // record its step on a later single-solve miss instead.
-        let mut paym_pairs: Vec<((u64, u64), usize)> = Vec::new();
-        for task in tasks {
-            if let CrowdModel::PayAsYouGo { budget } = task.model {
-                let key = (task.pool.0, budget.to_bits());
-                match paym_pairs.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, count)) => *count += 1,
-                    None => paym_pairs.push((key, 1)),
+        self.stats.cache_hits += warm;
+        // An all-warm batch, the serving steady state, skips the second
+        // pass: one registry lookup per task is measurable at pool 10²,
+        // batch 1024.
+        if warm < tasks.len() {
+            for task in tasks {
+                if self.is_warm_for(task) {
+                    continue;
                 }
+                let _ = match task.model {
+                    CrowdModel::Altruism => self.warm_pool(task.pool),
+                    CrowdModel::PayAsYouGo { .. } => self.warm_orders(task.pool),
+                };
             }
         }
 
-        // Warm every referenced pool once — AltrM tasks fully (solved
-        // artefacts included), PayM tasks orders-only plus the repeated
-        // budgets' staircase steps, recorded here sequentially so the
-        // workers replay them read-only. Unknown pools fail per-task
-        // below so the batch result stays positional.
-        let mut warmed: Vec<u64> = Vec::with_capacity(tasks.len().min(self.pools.len()));
-        let mut orders_warmed: Vec<u64> = Vec::new();
-        let mut budgets_recorded: Vec<(u64, u64)> = Vec::new();
-        for task in tasks {
-            match task.model {
-                CrowdModel::Altruism => {
-                    if !warmed.contains(&task.pool.0) {
-                        warmed.push(task.pool.0);
-                        let _ = self.warm_pool(task.pool);
-                    }
-                }
-                CrowdModel::PayAsYouGo { budget } => {
-                    if !warmed.contains(&task.pool.0) && !orders_warmed.contains(&task.pool.0) {
-                        orders_warmed.push(task.pool.0);
-                        let _ = self.warm_orders(task.pool);
-                    }
-                    let key = (task.pool.0, budget.to_bits());
-                    let repeats = paym_pairs.iter().find(|(k, _)| *k == key).map_or(0, |&(_, c)| c);
-                    if self.staircase_covers(task.pool, budget) {
-                        self.stats.staircase_hits += 1;
-                    } else if repeats > 1
-                        && budgets_recorded.len() < MAX_BATCH_STAIRCASE_SCANS
-                        && !budgets_recorded.contains(&key)
-                    {
-                        budgets_recorded.push(key);
-                        self.record_staircase_step(task.pool, budget);
-                    }
-                }
-            }
-        }
-
-        // Coarse partitioning: never spawn a worker for fewer than
-        // MIN_TASKS_PER_WORKER tasks — see the constant's docs.
-        let threads =
-            self.effective_threads().min(tasks.len().div_ceil(MIN_TASKS_PER_WORKER)).max(1);
+        // A batch that fits one worker never asks the OS for the core
+        // count (`available_parallelism` reads cgroup files per call).
+        let wanted = tasks.len().div_ceil(MIN_TASKS_PER_WORKER);
+        let threads = if wanted > 1 { self.effective_threads().min(wanted) } else { 1 };
+        let (pools, config) = (&self.pools, &self.config);
         if threads == 1 {
             let mut scratch = self.scratches.pop().unwrap_or_default();
-            let out = solve_each(tasks, timings.map(Vec::as_mut_slice), |task| {
-                solve_prewarmed(&self.pools, &self.config, task, &mut scratch)
-            });
+            let (out, hits) = answer_each(pools, config, tasks, timings, &mut scratch);
             self.scratches.push(scratch);
+            self.stats.staircase_hits += hits;
             return out;
         }
 
@@ -1434,9 +1299,6 @@ impl JuryService {
         scratches.resize_with(threads, SolverScratch::default);
         let chunk_len = tasks.len().div_ceil(threads);
         let n_chunks = tasks.len().div_ceil(chunk_len);
-        let pools = &self.pools;
-        let config = &self.config;
-
         let mut timing_chunks: Vec<Option<&mut [Duration]>> = match timings {
             Some(buf) => buf.chunks_mut(chunk_len).map(Some).collect(),
             None => (0..n_chunks).map(|_| None).collect(),
@@ -1444,52 +1306,31 @@ impl JuryService {
 
         let mut out = Vec::with_capacity(tasks.len());
         let mut returned = Vec::with_capacity(threads);
+        let mut hits = 0;
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for ((chunk, mut scratch), timing) in tasks
+            let handles: Vec<_> = tasks
                 .chunks(chunk_len)
                 .zip(scratches.drain(..n_chunks))
                 .zip(timing_chunks.drain(..))
-            {
-                handles.push(scope.spawn(move || {
-                    let results = solve_each(chunk, timing, |task| {
-                        solve_prewarmed(pools, config, task, &mut scratch)
-                    });
-                    (results, scratch)
-                }));
-            }
+                .map(|((chunk, mut scratch), timing)| {
+                    scope.spawn(move || {
+                        let answered = answer_each(pools, config, chunk, timing, &mut scratch);
+                        (answered, scratch)
+                    })
+                })
+                .collect();
             for handle in handles {
-                let (results, scratch) = handle.join().expect("service worker panicked");
+                let ((results, chunk_hits), scratch) =
+                    handle.join().expect("service worker panicked");
                 out.extend(results);
+                hits += chunk_hits;
                 returned.push(scratch);
             }
         });
         returned.append(&mut scratches);
         self.scratches = returned;
+        self.stats.staircase_hits += hits;
         out
-    }
-
-    /// Whether the pool's warm staircase already covers `budget`.
-    fn staircase_covers(&self, pool: PoolId, budget: f64) -> bool {
-        self.pools
-            .get(&pool.0)
-            .and_then(|entry| entry.cache.as_ref())
-            .is_some_and(|link| link.set.staircase_read().covers(budget))
-    }
-
-    /// Runs one staircase-recording scan for `(pool, budget)` so batch
-    /// workers can replay the step read-only. Solver errors are ignored
-    /// here — the per-task solve reports them positionally.
-    fn record_staircase_step(&mut self, pool: PoolId, budget: f64) {
-        let pay = PayAlg::new(budget, self.config.pay);
-        let mut scratch = self.scratches.pop().unwrap_or_default();
-        if let Some(PoolEntry { jurors, cache: Some(link), .. }) = self.pools.get(&pool.0) {
-            let set = &link.set;
-            set.record_staircase(|staircase| {
-                let _ = pay.solve_staircase(jurors, &set.greedy_order, staircase, &mut scratch);
-            });
-        }
-        self.scratches.push(scratch);
     }
 
     fn effective_threads(&self) -> usize {
@@ -1500,41 +1341,73 @@ impl JuryService {
     }
 }
 
-/// Single-task solve assuming `warm_pool` already ran for its pool —
-/// shared by the sequential batch path and the scoped workers.
-fn solve_prewarmed(
-    pools: &HashMap<u64, PoolEntry>,
-    config: &ServiceConfig,
-    task: &DecisionTask,
-    scratch: &mut SolverScratch,
-) -> Result<Arc<Selection>, ServiceError> {
-    match pools.get(&task.pool.0) {
-        None => Err(ServiceError::UnknownPool(task.pool)),
-        Some(entry) => solve_on_entry(entry, task, config, scratch),
-    }
-}
-
-/// Runs `solve` over `tasks` in order. With `timings`, each call's
+/// Answers `tasks` in order through [`answer`], returning the results
+/// and how many were staircase hits. With `timings`, each answer's
 /// wall-clock duration lands in the slot at the task's position; the
 /// untimed form reads no clock.
-fn solve_each<T>(
+fn answer_each(
+    pools: &HashMap<u64, PoolEntry>,
+    config: &ServiceConfig,
     tasks: &[DecisionTask],
     timings: Option<&mut [Duration]>,
-    mut solve: impl FnMut(&DecisionTask) -> T,
-) -> Vec<T> {
-    match timings {
-        None => tasks.iter().map(solve).collect(),
+    scratch: &mut SolverScratch,
+) -> (Vec<Result<Arc<Selection>, ServiceError>>, usize) {
+    let mut hits = 0;
+    let mut one = |task: &DecisionTask| {
+        let (result, hit) = answer(pools, config, task, scratch);
+        hits += usize::from(hit);
+        result
+    };
+    let out = match timings {
+        None => tasks.iter().map(&mut one).collect(),
         Some(slots) => tasks
             .iter()
             .zip(slots)
             .map(|(task, slot)| {
                 let started = Instant::now();
-                let result = solve(task);
+                let result = one(task);
                 *slot = started.elapsed();
                 result
             })
             .collect(),
-    }
+    };
+    (out, hits)
+}
+
+/// Answers one task from its pool's warm set — the only function that
+/// does. AltrM bumps the [`Arc`] of the answer [`JuryService::warm_pool`]
+/// filled. PayM looks the budget up under the staircase's read lock
+/// (the second value reports that hit); a miss runs one
+/// staircase-recording greedy scan under the write lock, which replays
+/// instead when another worker recorded the step meanwhile. Every known
+/// pool is warm for its task here: the caller warmed it.
+fn answer(
+    pools: &HashMap<u64, PoolEntry>,
+    config: &ServiceConfig,
+    task: &DecisionTask,
+    scratch: &mut SolverScratch,
+) -> (Result<Arc<Selection>, ServiceError>, bool) {
+    let Some(PoolEntry { jurors, cache, .. }) = pools.get(&task.pool.0) else {
+        return (Err(ServiceError::UnknownPool(task.pool)), false);
+    };
+    let set = &cache.as_ref().expect("the caller warmed every known pool").set;
+    let (result, hit) = match task.model {
+        CrowdModel::Altruism => {
+            (set.altr.get().expect("warm_pool solved the AltrM answer").clone(), false)
+        }
+        CrowdModel::PayAsYouGo { budget } => {
+            let replay = set.staircase_read().lookup(budget);
+            let hit = replay.is_some();
+            let result = replay.unwrap_or_else(|| {
+                let pay = PayAlg::new(budget, config.pay);
+                set.record_staircase(|staircase| {
+                    pay.solve_staircase(jurors, &set.greedy_order, staircase, scratch)
+                })
+            });
+            (result.map(Arc::new), hit)
+        }
+    };
+    (result.map_err(ServiceError::from), hit)
 }
 
 /// Solves AltrM over a cached ε-sorted order, with the
@@ -1594,53 +1467,11 @@ fn build_cache(
 ) -> ArtifactSet {
     let mut eps_order = Vec::with_capacity(jurors.len());
     jury_core::solver::sorted_order_into(jurors, &mut eps_order);
-    let eps_sorted = eps_order.iter().map(|&i| jurors[i].epsilon()).collect();
     let altr = solve_altr(&eps_order);
     let mut greedy_order = Vec::with_capacity(jurors.len());
     PayAlg::greedy_order_into(jurors, &mut greedy_order);
     let seq = jurors.iter().map(juror_content).collect();
-    ArtifactSet::from_parts(seq, eps_order, eps_sorted, greedy_order, altr, Staircase::new())
-}
-
-/// Dispatches one task against a warm (or deliberately cold) entry.
-///
-/// AltrM replays the cached selection by bumping its [`Arc`] (the
-/// owned-result APIs copy it out afterwards); PayM replays the cached
-/// greedy order through the scratch-threaded scan. A cold cache
-/// (possible when `warm_pool` was skipped for an unknown pool that has
-/// since appeared) falls back to the direct solver — same selections
-/// either way.
-fn solve_on_entry(
-    entry: &PoolEntry,
-    task: &DecisionTask,
-    config: &ServiceConfig,
-    scratch: &mut SolverScratch,
-) -> Result<Arc<Selection>, ServiceError> {
-    let jurors = &entry.jurors;
-    let result = match (task.model, &entry.cache) {
-        (CrowdModel::PayAsYouGo { budget }, Some(link)) => {
-            let pay = PayAlg::new(budget, config.pay);
-            link.set
-                .staircase_read()
-                .lookup(budget)
-                .unwrap_or_else(|| pay.solve_presorted(jurors, &link.set.greedy_order, scratch))
-                .map(Arc::new)
-        }
-        (CrowdModel::Altruism, Some(link)) => {
-            // `altr_or_init` is thread-safe: the first worker to need an
-            // unfilled answer solves it once for every attached pool.
-            let set = &link.set;
-            set.altr_or_init(|| solve_altr_cached(jurors, &set.eps_order, &config.altr, scratch))
-                .clone()
-        }
-        (CrowdModel::PayAsYouGo { budget }, None) => {
-            PayAlg::new(budget, config.pay).solve_with(jurors, scratch).map(Arc::new)
-        }
-        (CrowdModel::Altruism, None) => {
-            AltrAlg::new(config.altr).solve_with(jurors, scratch).map(Arc::new)
-        }
-    };
-    result.map_err(ServiceError::from)
+    ArtifactSet::from_parts(seq, eps_order, greedy_order, altr, Staircase::new())
 }
 
 /// Attaches a cold pool to the interned entry at `key`, seeding the
@@ -1837,6 +1668,7 @@ mod tests {
             service.solve(&DecisionTask::altruism(ghost)),
             Err(ServiceError::UnknownPool(ghost))
         );
+        assert_eq!(service.stats().tasks_solved, 1, "an unknown pool still counts an attempt");
         assert!(service.pool(ghost).is_err());
         assert!(service.remove_pool(ghost).is_err());
         let pool = service.create_pool(figure1());
@@ -1856,6 +1688,8 @@ mod tests {
         );
         let batch = service.solve_batch(&[DecisionTask::altruism(ghost)]);
         assert_eq!(batch, vec![Err(ServiceError::UnknownPool(ghost))]);
+        let stats = service.stats();
+        assert_eq!((stats.tasks_solved, stats.cache_hits, stats.batches), (3, 0, 1));
     }
 
     #[test]
@@ -1944,8 +1778,7 @@ mod tests {
     #[test]
     fn budget_changes_never_invalidate_pmf_artefacts() {
         // The satellite regression this pins: a stream of PayM tasks that
-        // differ only in budget must never trigger a full repair (the
-        // debug_assert in solve_paym enforces it in debug builds) and,
+        // differ only in budget must never trigger a full repair and,
         // past the first scan per budget, must ride the staircase.
         let mut service = JuryService::new();
         let pool = service.create_pool(figure1());
@@ -1982,8 +1815,8 @@ mod tests {
         let first = service.solve_batch(&tasks);
         assert!(first.iter().all(Result::is_ok));
         let stats = service.stats();
-        // Three distinct budgets scanned once each in the warm phase; the
-        // other 27 tasks replayed their steps.
+        // Each of the three distinct budgets was scanned and recorded by
+        // the first task that met it; the other 27 tasks replayed its step.
         assert_eq!(stats.staircase_hits, 27);
         assert_eq!(stats.full_repairs, 0);
         // A second identical batch is all hits, and counts order-level
@@ -2008,10 +1841,11 @@ mod tests {
         let recorded = version(&service);
         assert!(recorded > before, "an uncovered budget records a step");
         service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
-        service.record_staircase_step(pool, 1.0);
-        assert_eq!(service.stats().staircase_hits, 1);
+        let covered = [DecisionTask::pay_as_you_go(pool, 1.0); 2];
+        assert!(service.solve_batch(&covered).iter().all(Result::is_ok));
+        assert_eq!(service.stats().staircase_hits, 3);
         assert_eq!(version(&service), recorded, "covered budgets leave the entry clean");
-        service.record_staircase_step(pool, 0.3);
+        service.solve(&DecisionTask::pay_as_you_go(pool, 0.3)).unwrap();
         assert!(version(&service) > recorded, "a new step marks it dirty again");
     }
 
@@ -2019,8 +1853,7 @@ mod tests {
     fn altr_resolve_after_update_never_full_repairs() {
         // The counter gate: a pure AltrM re-solve after one juror update
         // must ride the repaired orders and the bound-pruned scan — no
-        // full rebuild, ever (the debug_assert in `solve` enforces it in
-        // debug builds; this pins the counters in any build).
+        // full rebuild, ever.
         let rates: Vec<f64> =
             (0..60).map(|i| 0.02 + 0.9 * ((i as f64 * 0.6180339887498949) % 1.0)).collect();
         let mut service = JuryService::new();
@@ -2097,5 +1930,43 @@ mod tests {
         // Replayed AltrM answers are literally the same allocation.
         let (a, b) = (shared[0].as_ref().unwrap(), shared[1].as_ref().unwrap());
         assert!(Arc::ptr_eq(a, b), "replays must share the cached answer");
+    }
+
+    #[test]
+    fn threaded_paym_batches_record_steps_in_workers() {
+        // 96 distinct budgets over three workers: every miss records its
+        // step inside a worker, so the same batch again is all hits.
+        let rates: Vec<(f64, f64)> = (0..40)
+            .map(|i| {
+                let u = (i as f64 * 0.6180339887498949) % 1.0;
+                (0.05 + 0.85 * u, 0.05 + u * u)
+            })
+            .collect();
+        let jurors = pool_from_rates_and_costs(&rates).unwrap();
+        let mut service =
+            JuryService::with_config(ServiceConfig { threads: 3, ..Default::default() });
+        let pool = service.create_pool(jurors.clone());
+        let tasks: Vec<DecisionTask> =
+            (0..96).map(|i| DecisionTask::pay_as_you_go(pool, 0.02 + i as f64 * 0.11)).collect();
+        let first = service.solve_batch_shared(&tasks);
+        for (task, got) in tasks.iter().zip(&first) {
+            let CrowdModel::PayAsYouGo { budget } = task.model else { unreachable!() };
+            let direct = PayAlg::solve(&jurors, budget, &PayConfig::default());
+            match (got, &direct) {
+                (Ok(got), Ok(direct)) => {
+                    assert_eq!(got.as_ref(), direct, "budget {budget}");
+                    assert_eq!(got.jer.to_bits(), direct.jer.to_bits(), "budget {budget}");
+                    assert_eq!(got.total_cost.to_bits(), direct.total_cost.to_bits());
+                }
+                (got, direct) => assert_eq!(got, &direct.clone().map(Arc::new).map_err(Into::into)),
+            }
+        }
+        assert!(first.iter().filter(|r| r.is_ok()).count() > 90, "most budgets are feasible");
+        let hits = service.stats().staircase_hits;
+        let second = service.solve_batch_shared(&tasks);
+        assert_eq!(first, second);
+        let stats = service.stats();
+        assert_eq!(stats.staircase_hits - hits, tasks.len(), "every step was recorded");
+        assert_eq!((stats.batches, stats.tasks_solved, stats.full_repairs), (2, 192, 0));
     }
 }

@@ -47,7 +47,7 @@ pub(crate) fn repair_flat_update(
     idx: usize,
     old: &Juror,
 ) -> MutationEffect {
-    reinsert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx, old);
+    reinsert_eps(&mut set.eps_order, jurors, idx, old);
     reinsert_greedy(&mut set.greedy_order, jurors, idx, old);
     set.seq[idx] = juror_content(&jurors[idx]);
     drop_answers(set);
@@ -58,8 +58,6 @@ pub(crate) fn repair_flat_update(
 /// sorted order plus a renumbering pass (positions above `idx` shift
 /// down, preserving both total orders).
 pub(crate) fn repair_flat_remove(set: &mut ArtifactSet, idx: usize) -> MutationEffect {
-    let pos = set.eps_order.iter().position(|&i| i == idx).expect("cached order covers pool");
-    set.eps_sorted.remove(pos);
     renumber_out(&mut set.eps_order, idx);
     renumber_out(&mut set.greedy_order, idx);
     set.seq.remove(idx);
@@ -75,7 +73,7 @@ pub(crate) fn repair_flat_insert(
     jurors: &[Juror],
     idx: usize,
 ) -> MutationEffect {
-    rank_insert_eps(&mut set.eps_order, &mut set.eps_sorted, jurors, idx);
+    rank_insert_eps(&mut set.eps_order, jurors, idx);
     rank_insert_greedy(&mut set.greedy_order, jurors, idx);
     set.seq.push(juror_content(&jurors[idx]));
     drop_answers(set);
@@ -96,18 +94,11 @@ fn drop_answers(set: &mut ArtifactSet) {
 /// juror changed: the stale entry is binary-located with the
 /// pre-mutation rate, the fresh rank found under the post-mutation pool
 /// — the same permutation a full re-sort would produce, since
-/// [`eps_cmp`] is total. Keeps the aligned ε values in step.
-fn reinsert_eps(
-    order: &mut Vec<usize>,
-    eps: &mut Vec<f64>,
-    jurors: &[Juror],
-    idx: usize,
-    old: &Juror,
-) {
+/// [`eps_cmp`] is total.
+fn reinsert_eps(order: &mut Vec<usize>, jurors: &[Juror], idx: usize, old: &Juror) {
     let r_old = locate_eps(order, jurors, idx, old.epsilon());
     order.remove(r_old);
-    eps.remove(r_old);
-    rank_insert_eps(order, eps, jurors, idx);
+    rank_insert_eps(order, jurors, idx);
 }
 
 /// The [`reinsert_eps`] of the greedy order: one remove + one
@@ -118,12 +109,10 @@ fn reinsert_greedy(order: &mut Vec<usize>, jurors: &[Juror], idx: usize, old: &J
     rank_insert_greedy(order, jurors, idx);
 }
 
-/// Rank-inserts pool position `idx` into the ε-sorted run and its
-/// aligned ε values.
-fn rank_insert_eps(order: &mut Vec<usize>, eps: &mut Vec<f64>, jurors: &[Juror], idx: usize) {
+/// Rank-inserts pool position `idx` into the ε-sorted run.
+fn rank_insert_eps(order: &mut Vec<usize>, jurors: &[Juror], idx: usize) {
     let r = order.partition_point(|&j| eps_cmp(jurors, j, idx) == Ordering::Less);
     order.insert(r, idx);
-    eps.insert(r, jurors[idx].epsilon());
 }
 
 /// Rank-inserts pool position `idx` into the greedy-sorted run.

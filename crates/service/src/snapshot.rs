@@ -32,8 +32,11 @@
 //! * the embedded key must equal the requested key, and the decoded
 //!   founding sequence must admit the registering pool via
 //!   [`ArtifactSet::match_pool`] (content comparison, never hash trust);
-//! * orders must be permutations; sorted ε values must be
-//!   non-decreasing and bit-equal to the sequence through the ε order;
+//! * each order must be strictly ascending under its solver's total
+//!   order over the matched jurors ([`eps_cmp`],
+//!   [`PayAlg::greedy_cmp`]) — both are total with the position as
+//!   final tie-break, so this admits exactly the permutation a fresh
+//!   sort of the pool produces;
 //! * selections (AltrM answer, staircase replays) must have strictly
 //!   ascending, in-range members.
 //!
@@ -76,10 +79,12 @@ use crate::AltrAnswer;
 use jury_core::error::JuryError;
 use jury_core::fingerprint::FingerprintKey;
 use jury_core::juror::Juror;
-use jury_core::paym::Staircase;
+use jury_core::paym::{PayAlg, Staircase};
 use jury_core::problem::Selection;
+use jury_core::solver::eps_cmp;
 use jury_numeric::hash::splitmix64;
 use serde::{json, Deserialize, Serialize, Value};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -114,11 +119,11 @@ const TAG_KEY: u32 = 1;
 const TAG_SEQ: u32 = 2;
 const TAG_EPS_ORDER: u32 = 3;
 const TAG_GREEDY_ORDER: u32 = 4;
-const TAG_EPS_SORTED: u32 = 5;
 const TAG_ALTR: u32 = 6;
-// Tags 7 and 8 are reserved: older builds wrote a JER profile (7) and a
-// prefix-pmf ladder (8) there. Readers skip both like any unknown tag,
-// and no new section may reuse them, or it would misread older files.
+// Tags 5, 7 and 8 are reserved: older builds wrote the ε values in ε
+// order (5), a JER profile (7) and a prefix-pmf ladder (8) there.
+// Readers skip all three like any unknown tag, and no new section may
+// reuse them, or it would misread older files.
 const TAG_STAIRCASE: u32 = 9;
 
 /// The only layout byte / layout word / manifest layout name an entry
@@ -302,10 +307,6 @@ impl<'a> Reader<'a> {
         self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
     /// An index bounded by the pool size `n`.
     fn index(&mut self, n: usize) -> Option<usize> {
         let v = self.u64()?;
@@ -322,7 +323,7 @@ impl<'a> Reader<'a> {
 /// checksum, skipping unknown tags, and requiring the END marker to
 /// land exactly at end-of-file (truncation and trailing garbage both
 /// reject). Duplicate tags up to `TAG_STAIRCASE` reject, the reserved
-/// tags 7 and 8 included.
+/// tags 5, 7 and 8 included.
 fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
     let mut r = Reader::new(bytes);
     let mut sections = HashMap::new();
@@ -385,12 +386,6 @@ pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
         put_section(&mut out, tag, &p);
     }
 
-    let mut p = Vec::with_capacity(8 * n);
-    for &e in set.eps_sorted.iter() {
-        put_u64(&mut p, e.to_bits());
-    }
-    put_section(&mut out, TAG_EPS_SORTED, &p);
-
     if let Some(answer) = set.altr.get() {
         put_section(&mut out, TAG_ALTR, altr_to_json(answer).as_bytes());
     }
@@ -428,14 +423,6 @@ fn altr_from_json(payload: &[u8], n: usize) -> Option<AltrAnswer> {
 /// every solver output holds and downstream translation relies on.
 fn valid_members(selection: &Selection, n: usize) -> bool {
     selection.members.iter().all(|&m| m < n) && selection.members.windows(2).all(|w| w[0] < w[1])
-}
-
-fn is_permutation(order: &[usize], n: usize) -> bool {
-    if order.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    order.iter().all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
 }
 
 // ---------------------------------------------------------------------
@@ -491,28 +478,9 @@ fn load_entry(
             order.push(r.index(n)?);
         }
         r.done()?;
-        if !is_permutation(&order, n) {
-            return None;
-        }
         *slot = order;
     }
     let [eps_order, greedy_order] = orders;
-
-    let mut er = Reader::new(sections.get(&TAG_EPS_SORTED)?);
-    let mut eps_sorted = Vec::with_capacity(n);
-    for _ in 0..n {
-        eps_sorted.push(er.f64()?);
-    }
-    er.done()?;
-    // Rank/position binding: the sorted run must be exactly the ε bits
-    // of the sequence read through the ε order, and non-decreasing
-    // (incomparable NaN pairs rejected too).
-    if eps_sorted.iter().zip(&eps_order).any(|(&e, &p)| e.to_bits() != seq[p].0) {
-        return None;
-    }
-    if eps_sorted.windows(2).any(|w| w[0].partial_cmp(&w[1]).is_none_or(|o| o.is_gt())) {
-        return None;
-    }
 
     let altr = match sections.get(&TAG_ALTR) {
         Some(payload) => Some(altr_from_json(payload, n)?),
@@ -531,13 +499,25 @@ fn load_entry(
         None => Staircase::new(),
     };
 
-    let set = ArtifactSet::from_parts(seq, eps_order, eps_sorted, greedy_order, altr, staircase);
+    let set = ArtifactSet::from_parts(seq, eps_order, greedy_order, altr, staircase);
     // The decisive content gate: the decoded founding sequence must
     // admit the live registering pool — the same comparison a warm
     // in-memory entry would run. A doctored manifest that borrows
     // another pool's fingerprint dies on the KEY cross-check above; a
     // colliding fingerprint dies here.
-    set.match_pool(jurors).then_some(set)
+    if !set.match_pool(jurors) {
+        return None;
+    }
+    // Order binding: over the matched jurors, each order must be
+    // strictly ascending under its solver's total order. Both orders
+    // are total with the position as final tie-break, so n in-range
+    // indices pass only as the one permutation a fresh sort produces —
+    // any duplicate or swapped pair fails.
+    let ascending = |order: &[usize], cmp: fn(&[Juror], usize, usize) -> Ordering| {
+        order.windows(2).all(|w| cmp(jurors, w[0], w[1]) == Ordering::Less)
+    };
+    (ascending(&set.eps_order, eps_cmp) && ascending(&set.greedy_order, PayAlg::greedy_cmp))
+        .then_some(set)
 }
 
 // ---------------------------------------------------------------------

@@ -74,12 +74,13 @@ pub(crate) struct StoreKey {
 }
 
 /// One pool-content snapshot's warm artifacts, shared by every pool
-/// whose jurors match. Orders and sorted rates change only under a
-/// repair, which owns the set exclusively
-/// ([`ArtifactStore::reclaim`]); otherwise the lazily solved AltrM
-/// answer fills exactly once ([`OnceLock`]) and the budget staircase
-/// grows monotonically behind a read-mostly lock (batch workers replay steps
-/// read-only; recording happens under the service's `&mut self`).
+/// whose jurors match. The orders change only under a repair, which
+/// owns the set exclusively ([`ArtifactStore::reclaim`]); otherwise the
+/// AltrM answer fills exactly once ([`OnceLock`], under the service's
+/// `&mut self` before any task reads it) and the budget staircase grows
+/// monotonically behind a read-mostly lock (a covered budget replays
+/// under the read lock; a miss records its step under the write lock,
+/// from batch workers too).
 #[derive(Debug)]
 pub(crate) struct ArtifactSet {
     /// `(ε bits, cost bits)` per pool position — the content identity
@@ -88,8 +89,6 @@ pub(crate) struct ArtifactSet {
     pub seq: Vec<(u64, u64)>,
     /// Positions ascending by ε.
     pub eps_order: Vec<usize>,
-    /// ε values aligned with `eps_order` — rank space, multiset-determined.
-    pub eps_sorted: Vec<f64>,
     /// PayALG's greedy visit order.
     pub greedy_order: Vec<usize>,
     /// The solved AltrM answer.
@@ -123,7 +122,6 @@ impl ArtifactSet {
     pub(crate) fn from_parts(
         seq: Vec<(u64, u64)>,
         eps_order: Vec<usize>,
-        eps_sorted: Vec<f64>,
         greedy_order: Vec<usize>,
         altr: Option<AltrAnswer>,
         staircase: Staircase,
@@ -131,7 +129,6 @@ impl ArtifactSet {
         Self {
             seq,
             eps_order,
-            eps_sorted,
             greedy_order,
             altr: altr.map_or_else(OnceLock::new, OnceLock::from),
             staircase: RwLock::new(staircase),
@@ -156,7 +153,6 @@ impl ArtifactSet {
         Self::from_parts(
             self.seq.clone(),
             self.eps_order.clone(),
-            self.eps_sorted.clone(),
             self.greedy_order.clone(),
             None,
             Staircase::new(),
@@ -201,16 +197,6 @@ impl ArtifactSet {
         if self.altr.set(answer).is_ok() {
             self.note_mutation();
         }
-    }
-
-    /// [`OnceLock::get_or_init`] over the AltrM slot, dirty-tracked.
-    pub(crate) fn altr_or_init(&self, init: impl FnOnce() -> AltrAnswer) -> &AltrAnswer {
-        if let Some(answer) = self.altr.get() {
-            return answer;
-        }
-        let answer = self.altr.get_or_init(init);
-        self.note_mutation();
-        answer
     }
 }
 

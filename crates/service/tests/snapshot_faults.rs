@@ -11,8 +11,8 @@
 //! The matrix drives the real write path, then mutates the on-disk
 //! bytes the way crashes and bit rot do: truncation at and inside every
 //! section boundary, a flipped bit in every field class (key, sequence,
-//! orders, sorted runs, cached answers, staircase,
-//! checksums, magic), manifests swapped between pools, a
+//! orders, cached answers, staircase, checksums, magic), adjacent
+//! entries swapped in either order, manifests swapped between pools, a
 //! manifest doctored to claim a mutated pool's fingerprint over stale
 //! bytes, and version skew in both the manifest and the entry magic.
 //! Where a gate would be masked by an outer checksum, the harness
@@ -372,8 +372,8 @@ fn truncation_at_every_section_boundary_falls_back_cold() {
 /// One flipped bit per field class. Each section is hit twice: once
 /// with only the manifest re-forged (the section checksum must fire)
 /// and once with the section checksum also re-forged (the semantic
-/// gate behind it — key equality, permutation, ε binding, pmf re-hash,
-/// JSON validity — must fire).
+/// gate behind it — key equality, order binding, JSON validity — must
+/// fire).
 #[test]
 fn one_flipped_bit_per_field_class_falls_back_cold() {
     for (name, config) in [("default", flat_config()), ("strict", strict_config())] {
@@ -434,6 +434,35 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
         fs::write(&file, &flipped).unwrap();
         reforge_manifest(tmp.path());
         assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "entry-file version skew");
+    }
+}
+
+/// Each order must be the one permutation a fresh sort of the pool
+/// produces. Swapping any two adjacent indices in either order keeps it a
+/// permutation; with the section checksum resealed and the manifest
+/// re-forged, the order gate is what must refuse every such entry.
+#[test]
+fn adjacent_swaps_in_either_order_fall_back_cold() {
+    let tmp = TempDir::new("order-swap");
+    let config = flat_config();
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let file = entry_file(tmp.path());
+    let pristine = fs::read(&file).unwrap();
+    for section in sections_of(&pristine).into_iter().filter(|s| matches!(s.tag, 3 | 4)) {
+        let sect = section_name(section.tag);
+        assert_eq!(section.len, 8 * jurors.len(), "{sect} holds one word per juror");
+        for i in 0..jurors.len() - 1 {
+            let mut swapped = pristine.clone();
+            let at = section.payload + 8 * i;
+            swapped[at..at + 16].rotate_left(8);
+            reseal_section(&mut swapped, &section);
+            fs::write(&file, &swapped).unwrap();
+            reforge_manifest(tmp.path());
+            let what = format!("{sect}: entries {i} and {} swapped", i + 1);
+            assert_cold_fallback(tmp.path(), &config, &jurors, &cold, &what);
+        }
     }
 }
 
@@ -665,15 +694,16 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
 
 /// The seeded fixtures must actually contain every section class the
 /// bit-flip matrix claims to cover — otherwise the matrix is vacuous.
-/// Tags 7 and 8 (PROFILE, LADDER) are reserved and no longer written;
-/// [`older_pinned_entry_bytes_still_restore`] covers reading them.
+/// Tags 5, 7 and 8 (EPS_SORTED, PROFILE, LADDER) are reserved and no
+/// longer written; [`eps_sorted_entry_bytes_still_restore`] and
+/// [`older_pinned_entry_bytes_still_restore`] cover reading them.
 #[test]
 fn seeded_snapshots_cover_every_section_class() {
     let tmp = TempDir::new("coverage-flat");
     seed_snapshot(tmp.path(), &flat_config(), &pool(24));
     let tags: Vec<u32> =
         sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
-    for required in (1..=6u32).chain([9]) {
+    for required in [1u32, 2, 3, 4, 6, 9] {
         assert!(tags.contains(&required), "entry lacks {}", section_name(required));
     }
 }
@@ -688,9 +718,10 @@ fn seeded_snapshots_cover_every_section_class() {
 /// in the manifest record. The ALTR section records the answer's
 /// [`SolverStats`](jury_core::SolverStats), so a scan that evaluates
 /// fewer sizes changes the bytes without changing the answer, and so
-/// does a retired section the writer no longer emits (PROFILE, LADDER);
-/// the bytes pinned before such changes stay readable
-/// ([`older_pinned_entry_bytes_still_restore`]).
+/// does a retired section the writer no longer emits (EPS_SORTED,
+/// PROFILE, LADDER); the bytes pinned before such changes stay readable
+/// ([`eps_sorted_entry_bytes_still_restore`],
+/// [`older_pinned_entry_bytes_still_restore`]).
 #[test]
 fn flat_entry_name_and_bytes_are_pinned() {
     let tmp = TempDir::new("golden");
@@ -700,13 +731,13 @@ fn flat_entry_name_and_bytes_are_pinned() {
     assert_eq!(entries.len(), 1);
     assert_eq!(
         json::to_string(&entries[0]),
-        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000795","checksum":"9cdddd3b0684f7a1"}"#
+        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"00000000000006c1","checksum":"153eb0e95d9a7ace"}"#
     );
     let file = entry_file(tmp.path());
     assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
     let bytes = fs::read(&file).unwrap();
-    assert_eq!(bytes.len(), 1941);
-    assert_eq!(snapshot_checksum(&bytes), 0x9cdd_dd3b_0684_f7a1);
+    assert_eq!(bytes.len(), 1729);
+    assert_eq!(snapshot_checksum(&bytes), 0x153e_b0e9_5d9a_7ace);
 }
 
 /// The entry bytes an earlier build wrote for the pool of
@@ -746,6 +777,35 @@ fn older_pinned_entry_bytes_still_restore() {
     assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
     let served = service.solve(&DecisionTask::altruism(p)).unwrap();
     assert_eq!(served.stats.jer_evaluations, 12, "the restored answer is the one served");
+}
+
+/// The entry bytes the build before the EPS_SORTED section (tag 5) was
+/// retired wrote for the pool of [`flat_entry_name_and_bytes_are_pinned`]:
+/// 1941 bytes, 212 of them the ε values in ε order.
+const EPS_SORTED_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_eps_sorted.snap");
+
+/// Those bytes still restore, with tag 5 verified and skipped, and the
+/// restored pool answers like a cold control.
+#[test]
+fn eps_sorted_entry_bytes_still_restore() {
+    assert_eq!(
+        (EPS_SORTED_ENTRY.len(), snapshot_checksum(EPS_SORTED_ENTRY)),
+        (1941, 0x9cdd_dd3b_0684_f7a1)
+    );
+    let tags: Vec<u32> = sections_of(EPS_SORTED_ENTRY).iter().map(|s| s.tag).collect();
+    assert!(tags.contains(&5), "fixture lacks EPS_SORTED: {tags:?}");
+    let tmp = TempDir::new("golden-eps-sorted");
+    let config = flat_config();
+    let jurors = pool(24);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    fs::write(entry_file(tmp.path()), EPS_SORTED_ENTRY).unwrap();
+    reforge_manifest(tmp.path());
+
+    let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let p = service.create_pool(jurors.clone());
+    assert_eq!(drive(&mut service, p), control(&config, &jurors));
+    let stats = service.stats();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
 }
 
 /// A retired section is skipped, never trusted: one flipped byte inside

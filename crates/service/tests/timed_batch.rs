@@ -1,7 +1,8 @@
 //! The per-task timing hook: `solve_batch_shared_timed` must fill one
-//! solver duration per task on every internal path (inline small-batch,
-//! single-thread prewarmed, and the scoped worker fan-out) while
-//! returning answers bit-identical to the untimed entry point.
+//! solver duration per task however the batch is answered (on the caller
+//! thread — a batch within one worker's share, or one configured thread —
+//! or over the scoped worker fan-out) while returning answers
+//! bit-identical to the untimed entry point.
 
 use jury_core::juror::pool_from_rates_and_costs;
 use jury_core::problem::Selection;
@@ -67,8 +68,8 @@ fn exercise(threads: usize, batch: usize) {
 
 #[test]
 fn timed_batches_cover_every_dispatch_path() {
-    exercise(1, 4); // inline small-batch path
-    exercise(1, 64); // prewarmed single-thread path
+    exercise(1, 4); // caller thread: within one worker's share
+    exercise(1, 64); // caller thread: one configured thread
     exercise(2, 64); // scoped worker fan-out (two chunks of 32)
 }
 
