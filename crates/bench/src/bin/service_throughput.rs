@@ -15,6 +15,13 @@
 //! stays a best of 2: one standalone AltrM solve at 10⁴ jurors takes
 //! tens of milliseconds.
 //!
+//! The main stream cycles seven budgets, so after the first batch every
+//! PayM task replays a recorded staircase step. The fresh-budget rows
+//! measure the other end: one PayM batch of distinct budgets per round,
+//! on a warm pool whose staircase is empty when the round starts, so
+//! every task is a greedy scan or replays a step an earlier task of the
+//! same batch recorded.
+//!
 //! Prints the table and merges its top-level fields (`bench`,
 //! `workload`, `pool_sizes`, `batch_sizes`, `results`) into
 //! `BENCH_service.json` in the current directory, keeping every other
@@ -38,6 +45,8 @@ use serde::{json, Serialize, Value};
 
 const POOL_SIZES: [usize; 3] = [100, 1_000, 10_000];
 const BATCH_SIZES: [usize; 3] = [1, 32, 1_024];
+/// Batch sizes of the fresh-budget rows: one worker, and the fan-out.
+const FRESH_BATCH_SIZES: [usize; 2] = [32, 1_024];
 
 /// Tasks one timed round solves (in `ROUND_TASKS / batch` batches).
 const ROUND_TASKS: usize = 1_024;
@@ -63,6 +72,16 @@ fn models(batch: usize) -> Vec<CrowdModel> {
             } else {
                 CrowdModel::Altruism
             }
+        })
+        .collect()
+}
+
+/// PayM-only stream of distinct budgets spread over `[0.5, 6.5)` by
+/// the golden ratio.
+fn fresh_models(batch: usize) -> Vec<CrowdModel> {
+    (0..batch)
+        .map(|i| CrowdModel::PayAsYouGo {
+            budget: 0.5 + 6.0 * ((i as f64 + 1.0) * 0.6180339887498949 % 1.0),
         })
         .collect()
 }
@@ -110,6 +129,34 @@ fn service_throughput(jurors: &[Juror], batch: usize, rounds: usize) -> (Through
     (Throughput::of(calls * batch, secs), Throughput::of(calls * batch, shared_secs))
 }
 
+/// Tasks/sec of one `solve_batch_shared` call on the fresh-budget stream
+/// per round, and the share of its tasks that replayed a step an earlier
+/// task of the same batch recorded. Each round gets its own service,
+/// warmed before the clock starts, so no step covers any budget when the
+/// round begins; the services and their answers are dropped outside the
+/// clock.
+fn fresh_budget_throughput(jurors: &[Juror], batch: usize, rounds: usize) -> (Throughput, f64) {
+    let mut services: Vec<(JuryService, Vec<DecisionTask>)> = (0..rounds)
+        .map(|_| {
+            let mut service = JuryService::new();
+            let id = service.create_pool(jurors.to_vec());
+            service.warm_pool(id).expect("pool registered");
+            let stream = fresh_models(batch)
+                .into_iter()
+                .map(|model| DecisionTask { pool: id, model })
+                .collect();
+            (service, stream)
+        })
+        .collect();
+    let ((service, _), secs) = time_quartiles(rounds, || {
+        let (mut service, stream) = services.pop().expect("one service per round");
+        let answers = service.solve_batch_shared(&stream);
+        assert!(answers.iter().all(Result::is_ok));
+        (service, answers)
+    });
+    (Throughput::of(batch, secs), service.stats().staircase_hits as f64 / batch as f64)
+}
+
 /// Tasks/sec solving the same stream with one standalone solver call per
 /// task (the pre-service architecture). Large pools are timed over a
 /// truncated stream and scaled — the per-task cost is constant.
@@ -134,6 +181,8 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let pool_sizes: Vec<usize> = if smoke { vec![64, 256] } else { POOL_SIZES.to_vec() };
     let batch_sizes: Vec<usize> = if smoke { vec![1, 16] } else { BATCH_SIZES.to_vec() };
+    let fresh_batch_sizes: Vec<usize> =
+        if smoke { vec![16, 64] } else { FRESH_BATCH_SIZES.to_vec() };
     let rounds = if smoke { 3 } else { 21 };
 
     let mut report = Report::new(
@@ -178,8 +227,33 @@ fn main() {
 
     report.emit();
 
+    let mut fresh_report = Report::new(
+        "service_throughput_fresh",
+        "JuryService PayM batches of distinct budgets on an empty staircase (shared results; \
+         median [p25, p75] tasks/s)",
+        &["pool", "batch", "fresh tasks/s", "step replays"],
+    );
+    let mut fresh_rows: Vec<Value> = Vec::new();
+    for &n in &pool_sizes {
+        let jurors = pool(n);
+        for &batch in &fresh_batch_sizes {
+            let (fresh, replayed) = fresh_budget_throughput(&jurors, batch, rounds);
+            fresh_report.row(&[&n, &batch, &spread(&fresh), &format!("{:.0}%", replayed * 100.0)]);
+            fresh_rows.push(Value::object([
+                ("pool_size", n.to_value()),
+                ("batch_size", batch.to_value()),
+                ("fresh_tasks_per_sec", fresh.p50.to_value()),
+                ("fresh_tasks_per_sec_p25", fresh.p25.to_value()),
+                ("fresh_tasks_per_sec_p75", fresh.p75.to_value()),
+                ("staircase_replay_share", replayed.to_value()),
+                ("rounds", rounds.to_value()),
+            ]));
+        }
+    }
+    fresh_report.emit();
+
     if smoke {
-        println!("[smoke] service_throughput ok ({} measurements)", rows.len());
+        println!("[smoke] service_throughput ok ({} measurements)", rows.len() + fresh_rows.len());
         return;
     }
 
@@ -202,6 +276,15 @@ fn main() {
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
         ("batch_sizes", Value::Array(batch_sizes.iter().map(|n| n.to_value()).collect())),
         ("results", Value::Array(rows)),
+        (
+            "fresh_budget_workload",
+            "PayM only, 1 batch of distinct budgets in [0.5, 6.5) per round on a warm pool \
+             whose staircase starts empty, default threads, solve_batch_shared; median and \
+             quartiles of tasks/s over 21 rounds; staircase_replay_share is the share of one \
+             batch's tasks answered from a step an earlier task of that batch recorded"
+                .to_value(),
+        ),
+        ("fresh_budget_results", Value::Array(fresh_rows)),
     ];
     if let Value::Object(fields) = &mut doc {
         fields.retain(|(key, _)| ours.iter().all(|(k, _)| key != k));

@@ -46,8 +46,8 @@
 //!   thread, or for larger batches across scoped worker threads, each
 //!   with its own persistent [`SolverScratch`], so a warm task performs
 //!   no solver-path heap allocation beyond its returned [`Selection`].
-//!   A staircase miss records its step wherever it runs, workers
-//!   included.
+//!   A staircase miss scans with no lock held and records its step
+//!   wherever it runs, workers included.
 //!
 //! # Bit-identity contract
 //!
@@ -1202,10 +1202,11 @@ impl JuryService {
     /// one worker's share (the private `MIN_TASKS_PER_WORKER`, 32
     /// tasks) — over up to `config.threads` scoped workers, each with a
     /// persistent [`SolverScratch`]. A PayM budget no recorded step
-    /// covers is scanned once, by whichever task meets it first, and
-    /// recorded as a new staircase step for every later task; on a warm
-    /// cache a task's solver path performs no heap allocation beyond the
-    /// returned [`Selection`].
+    /// covers is scanned by the task that meets it, with no lock held,
+    /// and recorded as a new staircase step for every later task (two
+    /// workers that meet it at once both scan; the second step merges
+    /// away). A task that replays a warm answer performs no solver-path
+    /// heap allocation beyond the returned [`Selection`].
     ///
     /// Every result is an owned [`Selection`] — on replay-heavy AltrM
     /// traffic that is one member-list copy per task;
@@ -1232,14 +1233,15 @@ impl JuryService {
 
     /// [`JuryService::solve_batch_shared`] with a per-task timing hook:
     /// `per_task_solve` is cleared and refilled with one wall-clock
-    /// duration per task, measuring only that task's *answer* —
+    /// duration per task, the service time that task caused —
     /// front-ends subtract it from end-to-end latency to separate
-    /// queueing delay from solve time. Pool warming is deliberately
-    /// excluded: it is batch-level work no single task owns, so each
-    /// task's duration is its marginal cost on an already-warm pool (a
-    /// staircase miss includes its recording scan). The untimed entry
-    /// points compile out the clock reads entirely — replay-heavy hot
-    /// paths pay nothing for this hook existing.
+    /// queueing delay from solve time, and sum it to estimate the cost
+    /// of a window. A task's duration is its answer (a staircase miss
+    /// includes its recording scan) plus, for the first task that found
+    /// its pool cold, the warm it triggered: a cold build, or the AltrM
+    /// re-solve after a write. The untimed entry points compile out the
+    /// clock reads entirely — replay-heavy hot paths pay nothing for
+    /// this hook existing.
     pub fn solve_batch_shared_timed(
         &mut self,
         tasks: &[DecisionTask],
@@ -1259,23 +1261,28 @@ impl JuryService {
     fn solve_tasks(
         &mut self,
         tasks: &[DecisionTask],
-        timings: Option<&mut [Duration]>,
+        mut timings: Option<&mut [Duration]>,
     ) -> Vec<Result<Arc<Selection>, ServiceError>> {
         let warm = tasks.iter().filter(|t| self.is_warm_for(t)).count();
         self.stats.tasks_solved += tasks.len();
         self.stats.cache_hits += warm;
         // An all-warm batch, the serving steady state, skips the second
         // pass: one registry lookup per task is measurable at pool 10²,
-        // batch 1024.
+        // batch 1024. A timed warm lands in the slot of the task that
+        // needed it.
         if warm < tasks.len() {
-            for task in tasks {
+            for (i, task) in tasks.iter().enumerate() {
                 if self.is_warm_for(task) {
                     continue;
                 }
+                let started = timings.is_some().then(Instant::now);
                 let _ = match task.model {
                     CrowdModel::Altruism => self.warm_pool(task.pool),
                     CrowdModel::PayAsYouGo { .. } => self.warm_orders(task.pool),
                 };
+                if let (Some(slots), Some(started)) = (timings.as_deref_mut(), started) {
+                    slots[i] = started.elapsed();
+                }
             }
         }
 
@@ -1343,7 +1350,7 @@ impl JuryService {
 
 /// Answers `tasks` in order through [`answer`], returning the results
 /// and how many were staircase hits. With `timings`, each answer's
-/// wall-clock duration lands in the slot at the task's position; the
+/// wall-clock duration is added to the slot at the task's position; the
 /// untimed form reads no clock.
 fn answer_each(
     pools: &HashMap<u64, PoolEntry>,
@@ -1366,7 +1373,7 @@ fn answer_each(
             .map(|(task, slot)| {
                 let started = Instant::now();
                 let result = one(task);
-                *slot = started.elapsed();
+                *slot += started.elapsed();
                 result
             })
             .collect(),
@@ -1378,9 +1385,10 @@ fn answer_each(
 /// does. AltrM bumps the [`Arc`] of the answer [`JuryService::warm_pool`]
 /// filled. PayM looks the budget up under the staircase's read lock
 /// (the second value reports that hit); a miss runs one
-/// staircase-recording greedy scan under the write lock, which replays
-/// instead when another worker recorded the step meanwhile. Every known
-/// pool is warm for its task here: the caller warmed it.
+/// staircase-recording greedy scan with no lock held and merges its step
+/// under the write lock ([`Staircase::merge`] drops it when another
+/// worker recorded the same step meanwhile). Every known pool is warm
+/// for its task here: the caller warmed it.
 fn answer(
     pools: &HashMap<u64, PoolEntry>,
     config: &ServiceConfig,
@@ -1399,10 +1407,14 @@ fn answer(
             let replay = set.staircase_read().lookup(budget);
             let hit = replay.is_some();
             let result = replay.unwrap_or_else(|| {
+                // Scan into a private step outside the lock, so misses on
+                // other workers run in parallel and hits never wait on a
+                // scan; only the insert takes the write lock.
+                let mut step = Staircase::new();
                 let pay = PayAlg::new(budget, config.pay);
-                set.record_staircase(|staircase| {
-                    pay.solve_staircase(jurors, &set.greedy_order, staircase, scratch)
-                })
+                let result = pay.solve_staircase(jurors, &set.greedy_order, &mut step, scratch);
+                set.record_staircase(step);
+                result
             });
             (result.map(Arc::new), hit)
         }

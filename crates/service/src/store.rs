@@ -79,8 +79,8 @@ pub(crate) struct StoreKey {
 /// AltrM answer fills exactly once ([`OnceLock`], under the service's
 /// `&mut self` before any task reads it) and the budget staircase grows
 /// monotonically behind a read-mostly lock (a covered budget replays
-/// under the read lock; a miss records its step under the write lock,
-/// from batch workers too).
+/// under the read lock; a miss scans with no lock held and records its
+/// step under the write lock, from batch workers too).
 #[derive(Debug)]
 pub(crate) struct ArtifactSet {
     /// `(ε bits, cost bits)` per pool position — the content identity
@@ -165,20 +165,21 @@ impl ArtifactSet {
         self.staircase.read().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Runs `record` under the staircase write lock, marking the entry
-    /// dirty (see [`ArtifactSet::note_mutation`]) only when it recorded
-    /// a step — a covered-budget replay leaves the version alone. Steps
-    /// are append-only outside repairs (which own the set exclusively),
-    /// so a grown step count is exactly "something was recorded".
-    pub(crate) fn record_staircase<R>(&self, record: impl FnOnce(&mut Staircase) -> R) -> R {
+    /// Merges a step scanned outside the lock into the staircase under
+    /// the write lock, marking the entry dirty (see
+    /// [`ArtifactSet::note_mutation`]) only when it recorded something —
+    /// a step another task recorded meanwhile leaves the version alone.
+    /// Steps are append-only outside repairs (which own the set
+    /// exclusively), so a grown step count is exactly "something was
+    /// recorded".
+    pub(crate) fn record_staircase(&self, step: Staircase) {
         let mut staircase =
             self.staircase.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         let steps = staircase.len();
-        let out = record(&mut staircase);
+        staircase.merge(step);
         if staircase.len() != steps {
             self.note_mutation();
         }
-        out
     }
 
     /// The current mutation version (see the `version` field).

@@ -695,8 +695,8 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
 /// The seeded fixtures must actually contain every section class the
 /// bit-flip matrix claims to cover — otherwise the matrix is vacuous.
 /// Tags 5, 7 and 8 (EPS_SORTED, PROFILE, LADDER) are reserved and no
-/// longer written; [`eps_sorted_entry_bytes_still_restore`] and
-/// [`older_pinned_entry_bytes_still_restore`] cover reading them.
+/// longer written; [`older_pinned_entry_bytes_still_restore`] covers
+/// reading them.
 #[test]
 fn seeded_snapshots_cover_every_section_class() {
     let tmp = TempDir::new("coverage-flat");
@@ -720,8 +720,7 @@ fn seeded_snapshots_cover_every_section_class() {
 /// fewer sizes changes the bytes without changing the answer, and so
 /// does a retired section the writer no longer emits (EPS_SORTED,
 /// PROFILE, LADDER); the bytes pinned before such changes stay readable
-/// ([`eps_sorted_entry_bytes_still_restore`],
-/// [`older_pinned_entry_bytes_still_restore`]).
+/// ([`older_pinned_entry_bytes_still_restore`]).
 #[test]
 fn flat_entry_name_and_bytes_are_pinned() {
     let tmp = TempDir::new("golden");
@@ -743,19 +742,22 @@ fn flat_entry_name_and_bytes_are_pinned() {
 /// The entry bytes an earlier build wrote for the pool of
 /// [`flat_entry_name_and_bytes_are_pinned`], whose pruned scan reported
 /// evaluating every odd size (`jer_evaluations` 12 of 12). The same
-/// build also wrote a JER profile (tag 7) and a pmf ladder (tag 8),
-/// which current readers verify and skip.
+/// build also wrote the sorted ε values (tag 5), a JER profile (tag 7)
+/// and a pmf ladder (tag 8), which current readers verify and skip.
 const FULL_SCAN_STATS_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_full_scan_stats.snap");
 
 /// Those older bytes, under the manifest record they were pinned with,
 /// still restore: members, JER and cost bits equal a fresh solve's, and
 /// the answer served is the restored one (it still carries its stats).
-/// The bytes carry the retired PROFILE and LADDER sections, so this is
-/// also the witness that readers skip tags 7 and 8.
+/// The bytes carry the retired EPS_SORTED, PROFILE and LADDER sections,
+/// so this is also the witness that readers skip tags 5, 7 and 8.
 #[test]
 fn older_pinned_entry_bytes_still_restore() {
     let tags: Vec<u32> = sections_of(FULL_SCAN_STATS_ENTRY).iter().map(|s| s.tag).collect();
-    assert!(tags.contains(&7) && tags.contains(&8), "fixture lacks PROFILE/LADDER: {tags:?}");
+    assert!(
+        [5, 7, 8].iter().all(|tag| tags.contains(tag)),
+        "fixture lacks EPS_SORTED/PROFILE/LADDER: {tags:?}"
+    );
     let tmp = TempDir::new("golden-older");
     let config = flat_config();
     let jurors = pool(24);
@@ -777,35 +779,6 @@ fn older_pinned_entry_bytes_still_restore() {
     assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
     let served = service.solve(&DecisionTask::altruism(p)).unwrap();
     assert_eq!(served.stats.jer_evaluations, 12, "the restored answer is the one served");
-}
-
-/// The entry bytes the build before the EPS_SORTED section (tag 5) was
-/// retired wrote for the pool of [`flat_entry_name_and_bytes_are_pinned`]:
-/// 1941 bytes, 212 of them the ε values in ε order.
-const EPS_SORTED_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_eps_sorted.snap");
-
-/// Those bytes still restore, with tag 5 verified and skipped, and the
-/// restored pool answers like a cold control.
-#[test]
-fn eps_sorted_entry_bytes_still_restore() {
-    assert_eq!(
-        (EPS_SORTED_ENTRY.len(), snapshot_checksum(EPS_SORTED_ENTRY)),
-        (1941, 0x9cdd_dd3b_0684_f7a1)
-    );
-    let tags: Vec<u32> = sections_of(EPS_SORTED_ENTRY).iter().map(|s| s.tag).collect();
-    assert!(tags.contains(&5), "fixture lacks EPS_SORTED: {tags:?}");
-    let tmp = TempDir::new("golden-eps-sorted");
-    let config = flat_config();
-    let jurors = pool(24);
-    seed_snapshot(tmp.path(), &config, &jurors);
-    fs::write(entry_file(tmp.path()), EPS_SORTED_ENTRY).unwrap();
-    reforge_manifest(tmp.path());
-
-    let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
-    let p = service.create_pool(jurors.clone());
-    assert_eq!(drive(&mut service, p), control(&config, &jurors));
-    let stats = service.stats();
-    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
 }
 
 /// A retired section is skipped, never trusted: one flipped byte inside

@@ -85,3 +85,21 @@ fn timed_batches_report_failures_positionally() {
     assert_eq!(timings.len(), tasks.len());
     assert!(out.iter().enumerate().all(|(i, r)| i == 5 || r.is_ok()));
 }
+
+#[test]
+fn a_cold_warm_is_timed_on_the_task_that_needed_it() {
+    let (mut service, _) = build_service(1);
+    let pool = service.create_pool(
+        pool_from_rates_and_costs(
+            &(0..400).map(|i| (0.02 + (i as f64) / 420.0, 0.1)).collect::<Vec<_>>(),
+        )
+        .unwrap(),
+    );
+    let tasks = [DecisionTask::altruism(pool); 2];
+    let mut timings = Vec::new();
+    let out = service.solve_batch_shared_timed(&tasks, &mut timings);
+    assert!(Arc::ptr_eq(out[0].as_ref().unwrap(), out[1].as_ref().unwrap()));
+    // The first task carries the cold build and the AltrM solve; the
+    // second only replays the answer they left behind.
+    assert!(timings[0] > timings[1], "warm not timed: {timings:?}");
+}
