@@ -6,13 +6,13 @@
 //! cost — `create_pool` + one AltrM solve + one PayM solve per pool —
 //! for M replicated pools:
 //!
-//! * **sharing on** (default config): the first pool builds the warm
-//!   artifact set, every further pool attaches to the interned entry
-//!   (`O(N)` content verification + `Arc` clones);
-//! * **sharing off** (`share_artifacts: false`): every pool pays the
-//!   full warm-up privately (two `O(N log N)` sorts, the bound-pruned
-//!   AltrM scan and one greedy scan) — what every pool paid before the
-//!   store existed.
+//! * **shared**: all M pools on one service. The first pool builds the
+//!   warm artifact set, every further pool attaches to the interned
+//!   entry (`O(N)` content verification + `Arc` clones);
+//! * **private**: each pool on a service of its own, built before the
+//!   clock starts. Every pool pays the full warm-up (two `O(N log N)`
+//!   sorts, the bound-pruned AltrM scan and one greedy scan) — what
+//!   every pool paid before the store existed.
 //!
 //! A second measurement drives the **mutation churn** loop: two
 //! replicated pools, one of which is repeatedly perturbed away
@@ -31,7 +31,7 @@
 use jury_bench::report::{fmt_secs, Report};
 use jury_bench::timing::time_it;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
-use jury_service::{DecisionTask, JuryService, ServiceConfig};
+use jury_service::{DecisionTask, JuryService};
 use serde::{json, Serialize, Value};
 
 /// Deterministic pool: rates spread over (0.02, 0.95), convex prices —
@@ -47,10 +47,14 @@ fn pool(n: usize) -> Vec<Juror> {
 }
 
 /// Registers `tenants` replicated pools and runs each one's first
-/// solves (AltrM + PayM), returning total seconds.
-fn register_and_first_solve(service: &mut JuryService, jurors: &[Juror], tenants: usize) -> f64 {
+/// solves (AltrM + PayM), returning total seconds. Tenant `t` registers
+/// on `services[t % services.len()]`: one service shares, one service
+/// per tenant keeps every pool private.
+fn register_and_first_solve(services: &mut [JuryService], jurors: &[Juror], tenants: usize) -> f64 {
+    let count = services.len();
     let (_, secs) = time_it(|| {
         for t in 0..tenants {
+            let service = &mut services[t % count];
             let id = service.create_pool(jurors.to_vec());
             let altr = service.solve(&DecisionTask::altruism(id));
             assert!(altr.is_ok(), "tenant {t}: altr must solve");
@@ -101,8 +105,8 @@ fn main() {
 
     let mut report = Report::new(
         "multi_tenant_throughput",
-        "M replicated pools: aggregate register+first-solve, sharing on vs off, plus \
-         detach/re-join churn",
+        "M replicated pools: aggregate register+first-solve, one shared service vs one \
+         service per pool, plus detach/re-join churn",
         &["pool", "tenants", "shared", "private", "speedup", "churn detach", "churn rejoin"],
     );
     let mut rows: Vec<Value> = Vec::new();
@@ -111,7 +115,8 @@ fn main() {
         let jurors = pool(n);
 
         let mut with_store = JuryService::new();
-        let shared_secs = register_and_first_solve(&mut with_store, &jurors, tenants);
+        let shared_secs =
+            register_and_first_solve(std::slice::from_mut(&mut with_store), &jurors, tenants);
         let stats = with_store.stats();
         assert_eq!(
             stats.artifact_share_hits,
@@ -120,11 +125,9 @@ fn main() {
         );
         assert_eq!(with_store.artifact_entries(), 1, "one interned artifact set");
 
-        let mut without_store = JuryService::with_config(ServiceConfig {
-            share_artifacts: false,
-            ..Default::default()
-        });
-        let private_secs = register_and_first_solve(&mut without_store, &jurors, tenants);
+        let mut private: Vec<JuryService> = (0..tenants).map(|_| JuryService::new()).collect();
+        let private_secs = register_and_first_solve(&mut private, &jurors, tenants);
+        drop(private);
         let speedup = private_secs / shared_secs;
 
         // Churn on the shared service: pool 0 is perturbed and restored
@@ -183,8 +186,8 @@ fn main() {
         (
             "workload",
             "M replicated pools over one juror population: aggregate register + first-solve \
-             (create_pool + AltrM + PayM per pool) with the warm-artifact store on \
-             vs off, plus per-mutation detach/re-join churn on two replicas"
+             (create_pool + AltrM + PayM per pool) on one shared service vs one service \
+             per pool, plus per-mutation detach/re-join churn on two replicas"
                 .to_value(),
         ),
         ("tenants", tenants.to_value()),

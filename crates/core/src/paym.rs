@@ -387,16 +387,6 @@ impl Staircase {
         self.steps.is_empty()
     }
 
-    /// Whether some recorded step covers `budget` — a containment probe
-    /// that, unlike [`Staircase::lookup`], clones nothing.
-    pub fn covers(&self, budget: f64) -> bool {
-        if !(budget.is_finite() && budget >= 0.0) {
-            return false;
-        }
-        let idx = self.steps.partition_point(|s| s.lo <= budget);
-        self.steps[..idx].last().is_some_and(|s| budget < s.hi)
-    }
-
     /// Replays the recorded outcome for `budget`, if some step covers it:
     /// a clone of the stored selection, or the
     /// [`JuryError::NoFeasibleJury`] the scan would report. Returns

@@ -69,20 +69,6 @@ impl SolverScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The candidate visit order left by the most recent solve
-    /// (ε-ascending after an `AltrAlg` solve, greedy order after a
-    /// `PayAlg` solve). Serving layers snapshot this into their caches
-    /// instead of re-sorting the pool.
-    pub fn last_order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// The ε values aligned with [`SolverScratch::last_order`] after an
-    /// `AltrAlg` solve.
-    pub fn last_sorted_eps(&self) -> &[f64] {
-        &self.eps
-    }
 }
 
 /// A configured jury-selection algorithm.

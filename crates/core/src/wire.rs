@@ -1,16 +1,17 @@
 //! `serde` implementations for the core types crossing the service/API
 //! boundary.
 //!
-//! The service layer accepts tasks and returns selections over the wire;
-//! bench tooling persists solver reports. Both need
-//! [`Selection`], [`SolverStats`], the solver configurations and
-//! [`CrowdModel`] to round-trip through JSON. The implementations are
-//! hand-written against the vendored `serde` (see `crates/shims/serde`);
-//! moving to crates.io serde later replaces them with derives.
+//! The service layer accepts tasks and jurors and returns selections
+//! over the wire; its snapshot codec persists AltrM answers and PayM
+//! budget staircases. Both need [`Juror`], [`CrowdModel`],
+//! [`Selection`], [`SolverStats`], [`JuryError`] and [`Staircase`] to
+//! round-trip through JSON. Solver configurations have no wire form:
+//! the service runs one. The implementations are hand-written against
+//! the vendored `serde` (see `crates/shims/serde`); moving to crates.io
+//! serde later replaces them with derives.
 //!
 //! Encoding choices:
 //! * structs become objects with snake_case field names (derive-compatible);
-//! * fieldless enums become lowercase kebab-case strings;
 //! * [`CrowdModel`] uses an adjacently-tagged object
 //!   (`{"model": "altruism"}` / `{"model": "pay-as-you-go", "budget": b}`);
 //! * [`JuryError`] uses a kind-tagged object
@@ -24,12 +25,10 @@
 //!   are declared once through [`stats_record!`](crate::stats_record),
 //!   which writes their struct and serde from a single field table.
 
-use crate::altr::{AltrConfig, AltrStrategy};
 use crate::error::JuryError;
-use crate::jer::JerEngine;
 use crate::juror::{ErrorRate, Juror};
 use crate::model::CrowdModel;
-use crate::paym::{PayConfig, Staircase};
+use crate::paym::Staircase;
 use crate::problem::{Selection, SolverStats};
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -272,84 +271,6 @@ impl Deserialize for Selection {
     }
 }
 
-impl Serialize for JerEngine {
-    fn to_value(&self) -> Value {
-        let name = match self {
-            JerEngine::Naive => "naive",
-            JerEngine::DynamicProgramming => "dynamic-programming",
-            JerEngine::TailDp => "tail-dp",
-            JerEngine::Convolution => "convolution",
-            JerEngine::Auto => "auto",
-        };
-        name.to_value()
-    }
-}
-
-impl Deserialize for JerEngine {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value.as_str() {
-            Some("naive") => Ok(JerEngine::Naive),
-            Some("dynamic-programming") => Ok(JerEngine::DynamicProgramming),
-            Some("tail-dp") => Ok(JerEngine::TailDp),
-            Some("convolution") => Ok(JerEngine::Convolution),
-            Some("auto") => Ok(JerEngine::Auto),
-            _ => Err(Error::expected("a JER engine name", value)),
-        }
-    }
-}
-
-impl Serialize for AltrStrategy {
-    fn to_value(&self) -> Value {
-        match self {
-            AltrStrategy::PaperRecompute => "paper-recompute",
-            AltrStrategy::Incremental => "incremental",
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for AltrStrategy {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value.as_str() {
-            Some("paper-recompute") => Ok(AltrStrategy::PaperRecompute),
-            Some("incremental") => Ok(AltrStrategy::Incremental),
-            _ => Err(Error::expected("an AltrALG strategy name", value)),
-        }
-    }
-}
-
-impl Serialize for AltrConfig {
-    fn to_value(&self) -> Value {
-        Value::object([
-            ("strategy", self.strategy.to_value()),
-            ("use_lower_bound", self.use_lower_bound.to_value()),
-            ("engine", self.engine.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for AltrConfig {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(Self {
-            strategy: field(value, "strategy")?,
-            use_lower_bound: field(value, "use_lower_bound")?,
-            engine: field(value, "engine")?,
-        })
-    }
-}
-
-impl Serialize for PayConfig {
-    fn to_value(&self) -> Value {
-        Value::object([("strict_improvement", self.strict_improvement.to_value())])
-    }
-}
-
-impl Deserialize for PayConfig {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(Self { strict_improvement: field(value, "strict_improvement")? })
-    }
-}
-
 impl Serialize for CrowdModel {
     fn to_value(&self) -> Value {
         match *self {
@@ -535,7 +456,7 @@ pub mod __private {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::altr::AltrAlg;
+    use crate::altr::{AltrAlg, AltrConfig};
     use crate::juror::pool_from_rates;
     use serde::json;
 
@@ -555,27 +476,12 @@ mod tests {
         let text = json::to_string(&sel);
         let back: Selection = json::from_str(&text).unwrap();
         assert_eq!(back.jer.to_bits(), sel.jer.to_bits());
-    }
-
-    #[test]
-    fn stats_and_configs_round_trip() {
         round_trip(&SolverStats {
             jer_evaluations: 12,
             pruned_by_bound: 3,
             candidates_considered: 20,
         });
-        round_trip(&AltrConfig::default());
-        round_trip(&AltrConfig::paper_with_bound());
-        round_trip(&PayConfig { strict_improvement: true });
-        for engine in [
-            JerEngine::Naive,
-            JerEngine::DynamicProgramming,
-            JerEngine::TailDp,
-            JerEngine::Convolution,
-            JerEngine::Auto,
-        ] {
-            round_trip(&engine);
-        }
+        assert!(json::from_str::<Selection>("{}").is_err());
     }
 
     #[test]
@@ -586,12 +492,6 @@ mod tests {
             json::from_str::<CrowdModel>(r#"{"model": "pay-as-you-go", "budget": -1}"#).is_err()
         );
         assert!(json::from_str::<CrowdModel>(r#"{"model": "unknown"}"#).is_err());
-    }
-
-    #[test]
-    fn unknown_engine_is_rejected() {
-        assert!(json::from_str::<JerEngine>("\"quantum\"").is_err());
-        assert!(json::from_str::<Selection>("{}").is_err());
     }
 
     #[test]

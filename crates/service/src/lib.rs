@@ -87,13 +87,11 @@
 //! warm artifacts **once** and hands every further pool `Arc` clones of
 //! one interned set. The contract:
 //!
-//! * **What is keyed.** Every artifact set is interned under
-//!   `(fingerprint, solver config)`. The fingerprint is a commutative
-//!   multiset hash ([`jury_core::fingerprint::PoolFingerprint`]) over
-//!   each juror's solver-relevant content — the pair
-//!   `(ε.to_bits(), cost.to_bits())`; juror *ids* are payload and never
-//!   enter the key. The config covers the [`AltrConfig`]/[`PayConfig`]
-//!   knobs that change solver output.
+//! * **What is keyed.** Every artifact set is interned under its
+//!   content fingerprint: a commutative multiset hash
+//!   ([`jury_core::fingerprint::PoolFingerprint`]) over each juror's
+//!   solver-relevant content — the pair `(ε.to_bits(), cost.to_bits())`;
+//!   juror *ids* are payload and never enter the key.
 //!   Because raw IEEE-754 bits are hashed, the fingerprint is exactly as
 //!   strict as the solvers' `total_cmp` orders (`0.5` vs `0.5 + 1e-12`
 //!   is different content). Maintained incrementally: one
@@ -107,8 +105,8 @@
 //!   already interned under that key keeps it.
 //! * **One home for warm state.** A warm pool holds exactly one
 //!   artifact set, *listed* in the store under its key or *unlisted*
-//!   (sharing off, or an arrangement an occupied key refused). Only
-//!   listed sets are snapshotted.
+//!   (an arrangement an occupied key refused). Only listed sets are
+//!   snapshotted.
 //! * **CoW detach and re-join.** Mutations never write through a set
 //!   another pool holds: the pool takes its set back first (a sole
 //!   holder zero-copy; a pool with siblings clones exactly what the
@@ -124,12 +122,16 @@
 //!   [`ServiceStats::artifact_detaches`] and
 //!   [`ServiceStats::artifact_rejoins`] make all of this observable.
 //! * **Sharing never changes an answer.** Shared-artifact AltrM/PayM
-//!   selections are bit-identical (members/JER/cost/stats) to unshared
-//!   ones — the differential harness proves it across interleaved
-//!   detach/re-join mutations.
+//!   selections are bit-identical (members/JER/cost/stats) to those of
+//!   a service holding one pool, which never shares — the differential
+//!   harness proves it across interleaved detach/re-join mutations.
 //!
-//! Sharing is on by default; [`ServiceConfig::share_artifacts`] turns it
-//! off (the `multi_tenant_throughput` bench measures the difference).
+//! Every service runs one solver configuration: AltrM answers come from
+//! [`AltrAlg::solve_pruned`] and PayM answers from [`PayAlg`] under
+//! [`PayConfig::default`]. The paper's other variants (Algorithm 3's
+//! per-size recompute, the Lemma-2 bound) are experiments that run
+//! through [`AltrAlg`] directly. The `multi_tenant_throughput` bench
+//! measures what sharing saves against one service per pool.
 //!
 //! Mutation cost is where the repair paths pay: a juror update, removal
 //! or insert costs a few `O(n)` memmoves, the next PayM task re-records
@@ -178,10 +180,11 @@
 //!   store built itself, and restored answers are bit-identical to
 //!   cold-built ones.
 //! * **Failure is always a cold build.** Any mismatch — truncation, a
-//!   flipped bit anywhere, a stale manifest, config drift, a
-//!   snapshot of different juror content — rejects that entry and
-//!   falls back to the ordinary cold build. Restore failures are never
-//!   an error and can never change an answer; they cost exactly one
+//!   flipped bit anywhere, a stale manifest, an entry written under
+//!   another solver configuration, a snapshot of different juror
+//!   content — rejects that entry and falls back to the ordinary cold
+//!   build. Restore failures are never an error and can never change
+//!   an answer; they cost exactly one
 //!   [`ServiceStats::snapshot_rejections`] increment. Successful
 //!   attaches count [`ServiceStats::snapshot_restores`].
 //!
@@ -316,10 +319,9 @@ pub use snapshot::{
     SnapshotError, SnapshotReport, SnapshotWatcher,
 };
 
-use jury_core::altr::{AltrAlg, AltrConfig, AltrStrategy};
+use jury_core::altr::AltrAlg;
 use jury_core::error::JuryError;
 use jury_core::fingerprint::{juror_content, FingerprintKey, PoolFingerprint};
-use jury_core::jer::JerEngine;
 use jury_core::juror::Juror;
 use jury_core::model::CrowdModel;
 use jury_core::paym::{PayAlg, PayConfig, Staircase};
@@ -332,7 +334,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use store::{ArtifactSet, ArtifactStore, StoreKey, StoreLink};
+use store::{ArtifactSet, ArtifactStore, StoreLink};
 
 /// Minimum tasks a batch assigns per worker thread before it spawns
 /// another one. Fanning a large batch over every available core makes
@@ -476,23 +478,13 @@ impl Deserialize for ServiceError {
 }
 
 /// Tuning knobs for a [`JuryService`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceConfig {
-    /// Worker threads for [`JuryService::solve_batch`]
-    /// (0 = one per available core).
+    /// Worker threads for [`JuryService::solve_batch`]. 0 (the default)
+    /// means one per available core, resolved once when the service is
+    /// built ([`JuryService::config`] then reports the resolved count):
+    /// a CPU-quota change at run time is not seen.
     pub threads: usize,
-    /// AltrALG configuration used for AltrM tasks.
-    pub altr: AltrConfig,
-    /// PayALG configuration used for PayM tasks.
-    pub pay: PayConfig,
-    /// Whether equal-content pools share one warm artifact set through
-    /// the content-addressed store (on by default; see the crate docs
-    /// for the fingerprint contract). Turning it off gives every pool an
-    /// unlisted set of its own, never shared or snapshotted — the
-    /// `multi_tenant_throughput` bench's baseline.
-    /// Store entries are evicted the instant their last pool leaves
-    /// them, and a written sole holder takes its set back zero-copy.
-    pub share_artifacts: bool,
     /// Directory of a warm-state snapshot to restore from (see the
     /// crate docs' *persistence contract*). With `Some(dir)`, a pool
     /// registering content the snapshot holds attaches to the verified
@@ -500,28 +492,14 @@ pub struct ServiceConfig {
     /// loaded artifact is re-verified against the live pool first, and
     /// any mismatch falls back to the cold build (counted by
     /// [`ServiceStats::snapshot_rejections`]) — never an error, never
-    /// a wrong answer. `None` (the default) restores nothing.
-    /// Restoring requires [`ServiceConfig::share_artifacts`] (restored
-    /// entries are store entries). The directory is only *read*;
-    /// writing snapshots is explicit via [`JuryService::snapshot`].
-    /// Any verified generation restores, whatever its age.
+    /// a wrong answer. `None` (the default) restores nothing. The
+    /// directory is only *read*; writing snapshots is explicit via
+    /// [`JuryService::snapshot`]. Any verified generation restores,
+    /// whatever its age.
     pub snapshot_dir: Option<PathBuf>,
     /// Writer-lease tuning for shared snapshot directories (see the
     /// crate docs' *multi-process contract*).
     pub lease: LeaseConfig,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            altr: AltrConfig::default(),
-            pay: PayConfig::default(),
-            share_artifacts: true,
-            snapshot_dir: None,
-            lease: LeaseConfig::default(),
-        }
-    }
 }
 
 jury_core::stats_record! {
@@ -686,7 +664,7 @@ pub struct AdoptReport {
 
 /// The serving layer: pool registry + per-pool caches + batched parallel
 /// solving. See the crate docs for the architecture.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct JuryService {
     config: ServiceConfig,
     pools: HashMap<u64, PoolEntry>,
@@ -705,44 +683,42 @@ pub struct JuryService {
     snap: snapshot::WriterState,
 }
 
-/// The solver-relevant configuration bits entering every store key: the
-/// knobs that change what a solver *outputs* (threads only change how
-/// fast).
-fn config_key(config: &ServiceConfig) -> u64 {
-    let strategy = match config.altr.strategy {
-        AltrStrategy::PaperRecompute => 0u64,
-        AltrStrategy::Incremental => 1,
-    };
-    let engine = match config.altr.engine {
-        JerEngine::Naive => 0u64,
-        JerEngine::DynamicProgramming => 1,
-        JerEngine::TailDp => 2,
-        JerEngine::Convolution => 3,
-        JerEngine::Auto => 4,
-    };
-    strategy
-        | (u64::from(config.altr.use_lower_bound) << 1)
-        | (engine << 2)
-        | (u64::from(config.pay.strict_improvement) << 5)
+impl Default for JuryService {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl JuryService {
     /// A service with default configuration.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_config(ServiceConfig::default())
     }
 
-    /// A service with explicit configuration. When
+    /// A service with explicit configuration. `threads: 0` resolves to
+    /// the available core count here, once. When
     /// [`ServiceConfig::snapshot_dir`] is set, the directory's manifest
     /// is read (once, here); entry files are opened lazily as matching
     /// content registers. A missing manifest is simply an empty catalog
     /// — a fresh directory restores nothing and rejects nothing.
-    pub fn with_config(config: ServiceConfig) -> Self {
+    pub fn with_config(mut config: ServiceConfig) -> Self {
+        if config.threads == 0 {
+            config.threads = std::thread::available_parallelism().map_or(1, usize::from);
+        }
         let snapshots = config.snapshot_dir.as_deref().map(snapshot::Catalog::load);
-        Self { config, snapshots, ..Self::default() }
+        Self {
+            config,
+            pools: HashMap::new(),
+            next_pool: 0,
+            stats: ServiceStats::default(),
+            scratches: Vec::new(),
+            store: ArtifactStore::default(),
+            snapshots,
+            snap: snapshot::WriterState::default(),
+        }
     }
 
-    /// The active configuration.
+    /// The active configuration, with `threads` resolved.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
     }
@@ -794,9 +770,9 @@ impl JuryService {
     /// file. Read back by a service whose
     /// [`ServiceConfig::snapshot_dir`] points here. Only store entries
     /// are persisted — every warm pool's set, written or not, except
-    /// unlisted ones (sharing off, or an arrangement an occupied key
-    /// refused). Pool registrations themselves are rebuilt by the
-    /// restarted process's own `create_pool` calls.
+    /// unlisted ones (an arrangement an occupied key refused). Pool
+    /// registrations themselves are rebuilt by the restarted process's
+    /// own `create_pool` calls.
     ///
     /// Errors are never silent partial successes:
     /// [`SnapshotError::LeaseHeld`] (another live writer — restore
@@ -853,15 +829,11 @@ impl JuryService {
         self.stats.generations_adopted += 1;
         let restores_before = self.stats.snapshot_restores;
         let rejections_before = self.stats.snapshot_rejections;
-        if self.config.share_artifacts {
-            let config_bits = config_key(&self.config);
-            let Self { pools, store, stats, snapshots, .. } = &mut *self;
-            // Anything warm keeps serving what it has.
-            for entry in pools.values_mut().filter(|entry| entry.cache.is_none()) {
-                let key = StoreKey { fp: entry.fp.key(), config: config_bits };
-                entry.cache =
-                    restore_and_attach(store, snapshots.as_ref(), key, &entry.jurors, stats);
-            }
+        let Self { pools, store, stats, snapshots, .. } = &mut *self;
+        // Anything warm keeps serving what it has.
+        for entry in pools.values_mut().filter(|entry| entry.cache.is_none()) {
+            entry.cache =
+                restore_and_attach(store, snapshots.as_ref(), entry.fp.key(), &entry.jurors, stats);
         }
         let restored = self.stats.snapshot_restores - restores_before;
         let rejected = self.stats.snapshot_rejections - rejections_before;
@@ -943,6 +915,39 @@ impl JuryService {
         self.store.len()
     }
 
+    /// Checks the warm-artifact store's invariants and names the first
+    /// one broken: every store entry is held by at least one pool, and
+    /// every warm pool's set matches the pool's content
+    /// ([`ArtifactSet::match_pool`]), has both orders of the pool's
+    /// length and, when listed, is listed under the pool's current
+    /// fingerprint key. A referee for tests, not part of the API.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (key, set) in self.store.iter_entries() {
+            let held = self
+                .pools
+                .values()
+                .any(|entry| entry.cache.as_ref().is_some_and(|link| Arc::ptr_eq(&link.set, set)));
+            if !held {
+                return Err(format!("store entry {key:?} is held by no pool"));
+            }
+        }
+        for (&id, entry) in &self.pools {
+            let Some(link) = &entry.cache else { continue };
+            let (pool, n) = (PoolId(id), entry.jurors.len());
+            if self.store.lists(link) && link.key != entry.fp.key() {
+                return Err(format!("{pool} is listed under a key other than its content's"));
+            }
+            if !link.set.match_pool(&entry.jurors) {
+                return Err(format!("{pool}'s artifact set does not match its jurors"));
+            }
+            if link.set.eps_order.len() != n || link.set.greedy_order.len() != n {
+                return Err(format!("{pool}'s orders do not have its length {n}"));
+            }
+        }
+        Ok(())
+    }
+
     /// The current jurors of `pool` (selection member indices refer to
     /// positions in this slice).
     pub fn pool(&self, pool: PoolId) -> Result<&[Juror], ServiceError> {
@@ -1017,27 +1022,25 @@ impl JuryService {
     /// content (content-verified, never by hash alone), or is
     /// **published** when that key is vacant, so identically-mutated
     /// siblings re-join it and the next snapshot persists it. It stays
-    /// unlisted only when sharing is off or an occupied key refuses it.
+    /// unlisted only when an occupied key refuses it.
     fn repair_after_mutation(
         &mut self,
         pool: PoolId,
         repair: impl FnOnce(&mut ArtifactSet, &[Juror]) -> MutationEffect,
     ) {
-        let share = self.config.share_artifacts;
-        let config_bits = config_key(&self.config);
         let Self { pools, store, stats, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).expect("mutations resolve the pool first");
         if let Some(link) = entry.cache.take() {
             stats.artifact_detaches += usize::from(store.lists(&link));
             let mut set = store.reclaim(link);
             stats.count_mutation(repair(&mut set, &entry.jurors));
-            let key = StoreKey { fp: entry.fp.key(), config: config_bits };
+            let key = entry.fp.key();
             entry.cache = Some(match attach_flat(store, key, &entry.jurors) {
                 Some(shared) => {
                     stats.artifact_rejoins += 1;
                     shared
                 }
-                None => list(store, key, set, share),
+                None => list(store, key, set),
             });
         }
     }
@@ -1051,10 +1054,9 @@ impl JuryService {
     /// rescan-free solve). Called automatically by the solve paths;
     /// exposed so benches can separate cold from warm.
     pub fn warm_pool(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        let altr_config = self.config.altr;
         let mut scratch = self.scratches.pop().unwrap_or_default();
         let warmed = self.acquire(pool, |jurors, stats| {
-            let built = build_full_cache(jurors, &altr_config, &mut scratch);
+            let built = build_full_cache(jurors, &mut scratch);
             stats.bound_pruned += altr_pruned(built.altr.get());
             stats.cache_builds += 1;
             stats.full_repairs += 1;
@@ -1067,7 +1069,7 @@ impl JuryService {
             let PoolEntry { jurors, cache, .. } = &pools[&pool.0];
             let set = &cache.as_ref().expect("acquired above").set;
             if set.altr.get().is_none() {
-                let answer = solve_altr_cached(jurors, &set.eps_order, &altr_config, &mut scratch);
+                let answer = solve_altr_cached(jurors, &set.eps_order, &mut scratch);
                 stats.bound_pruned += altr_pruned(Some(&answer));
                 stats.cache_builds += 1;
                 set.set_altr(answer);
@@ -1097,19 +1099,13 @@ impl JuryService {
         pool: PoolId,
         build: impl FnOnce(&[Juror], &mut ServiceStats) -> ArtifactSet,
     ) -> Result<(), ServiceError> {
-        let share = self.config.share_artifacts;
-        let config_bits = config_key(&self.config);
         let Self { pools, store, stats, snapshots, .. } = &mut *self;
         let PoolEntry { jurors, cache, fp } =
             pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
         if cache.is_none() {
-            let key = StoreKey { fp: fp.key(), config: config_bits };
-            let attached =
-                share.then(|| restore_and_attach(store, snapshots.as_ref(), key, jurors, stats));
-            *cache = Some(match attached.flatten() {
-                Some(link) => link,
-                None => list(store, key, build(jurors, stats), share),
-            });
+            let key = fp.key();
+            let attached = restore_and_attach(store, snapshots.as_ref(), key, jurors, stats);
+            *cache = Some(attached.unwrap_or_else(|| list(store, key, build(jurors, stats))));
         }
         Ok(())
     }
@@ -1286,14 +1282,11 @@ impl JuryService {
             }
         }
 
-        // A batch that fits one worker never asks the OS for the core
-        // count (`available_parallelism` reads cgroup files per call).
-        let wanted = tasks.len().div_ceil(MIN_TASKS_PER_WORKER);
-        let threads = if wanted > 1 { self.effective_threads().min(wanted) } else { 1 };
-        let (pools, config) = (&self.pools, &self.config);
-        if threads == 1 {
+        let threads = self.config.threads.min(tasks.len().div_ceil(MIN_TASKS_PER_WORKER));
+        let pools = &self.pools;
+        if threads <= 1 {
             let mut scratch = self.scratches.pop().unwrap_or_default();
-            let (out, hits) = answer_each(pools, config, tasks, timings, &mut scratch);
+            let (out, hits) = answer_each(pools, tasks, timings, &mut scratch);
             self.scratches.push(scratch);
             self.stats.staircase_hits += hits;
             return out;
@@ -1321,7 +1314,7 @@ impl JuryService {
                 .zip(timing_chunks.drain(..))
                 .map(|((chunk, mut scratch), timing)| {
                     scope.spawn(move || {
-                        let answered = answer_each(pools, config, chunk, timing, &mut scratch);
+                        let answered = answer_each(pools, chunk, timing, &mut scratch);
                         (answered, scratch)
                     })
                 })
@@ -1339,13 +1332,6 @@ impl JuryService {
         self.stats.staircase_hits += hits;
         out
     }
-
-    fn effective_threads(&self) -> usize {
-        if self.config.threads != 0 {
-            return self.config.threads;
-        }
-        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-    }
 }
 
 /// Answers `tasks` in order through [`answer`], returning the results
@@ -1354,14 +1340,13 @@ impl JuryService {
 /// untimed form reads no clock.
 fn answer_each(
     pools: &HashMap<u64, PoolEntry>,
-    config: &ServiceConfig,
     tasks: &[DecisionTask],
     timings: Option<&mut [Duration]>,
     scratch: &mut SolverScratch,
 ) -> (Vec<Result<Arc<Selection>, ServiceError>>, usize) {
     let mut hits = 0;
     let mut one = |task: &DecisionTask| {
-        let (result, hit) = answer(pools, config, task, scratch);
+        let (result, hit) = answer(pools, task, scratch);
         hits += usize::from(hit);
         result
     };
@@ -1391,7 +1376,6 @@ fn answer_each(
 /// for its task here: the caller warmed it.
 fn answer(
     pools: &HashMap<u64, PoolEntry>,
-    config: &ServiceConfig,
     task: &DecisionTask,
     scratch: &mut SolverScratch,
 ) -> (Result<Arc<Selection>, ServiceError>, bool) {
@@ -1411,7 +1395,7 @@ fn answer(
                 // other workers run in parallel and hits never wait on a
                 // scan; only the insert takes the write lock.
                 let mut step = Staircase::new();
-                let pay = PayAlg::new(budget, config.pay);
+                let pay = PayAlg::new(budget, PayConfig::default());
                 let result = pay.solve_staircase(jurors, &set.greedy_order, &mut step, scratch);
                 set.record_staircase(step);
                 result
@@ -1422,26 +1406,13 @@ fn answer(
     (result.map_err(ServiceError::from), hit)
 }
 
-/// Solves AltrM over a cached ε-sorted order, with the
-/// bound-pruned rescan-free scan whenever the configured strategy is the
-/// default [`AltrStrategy::Incremental`] — members, JER and cost are
-/// bit-identical either way (`AltrAlg::solve_pruned`'s contract), only
-/// the [`jury_core::SolverStats`] reflect which scan ran. Other
-/// strategies run the configured presorted scan verbatim. The answer is
-/// wrapped for shared replay.
-fn solve_altr_cached(
-    jurors: &[Juror],
-    order: &[usize],
-    config: &AltrConfig,
-    scratch: &mut SolverScratch,
-) -> AltrAnswer {
-    let alg = AltrAlg::new(*config);
-    let result = if config.strategy == AltrStrategy::Incremental {
-        alg.solve_pruned(jurors, order, scratch)
-    } else {
-        alg.solve_presorted(jurors, order, scratch)
-    };
-    result.map(Arc::new)
+/// Solves AltrM over a cached ε-sorted order with the bound-pruned
+/// rescan-free scan ([`AltrAlg::solve_pruned`]: members, JER and cost
+/// bit-identical to [`AltrAlg::solve`], only the
+/// [`jury_core::SolverStats`] reflect the pruning), wrapped for shared
+/// replay.
+fn solve_altr_cached(jurors: &[Juror], order: &[usize], scratch: &mut SolverScratch) -> AltrAnswer {
+    AltrAlg::default().solve_pruned(jurors, order, scratch).map(Arc::new)
 }
 
 /// How many candidate sizes an AltrM answer's scan pruned by bounds.
@@ -1454,12 +1425,8 @@ fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
 
 /// Builds every eagerly-cached artefact for one flat-pool snapshot:
 /// the sorted orders plus the AltrM answer.
-fn build_full_cache(
-    jurors: &[Juror],
-    altr: &AltrConfig,
-    scratch: &mut SolverScratch,
-) -> ArtifactSet {
-    build_cache(jurors, |eps_order| Some(solve_altr_cached(jurors, eps_order, altr, scratch)))
+fn build_full_cache(jurors: &[Juror], scratch: &mut SolverScratch) -> ArtifactSet {
+    build_cache(jurors, |eps_order| Some(solve_altr_cached(jurors, eps_order, scratch)))
 }
 
 /// Builds just the sorted orders (no solve) — the cache
@@ -1498,7 +1465,7 @@ fn build_cache(
 fn restore_and_attach(
     store: &mut ArtifactStore,
     catalog: Option<&snapshot::Catalog>,
-    key: StoreKey,
+    key: FingerprintKey,
     jurors: &[Juror],
     stats: &mut ServiceStats,
 ) -> Option<StoreLink> {
@@ -1519,14 +1486,12 @@ fn restore_and_attach(
 }
 
 /// Wraps a freshly built or repaired set as its pool's link, listing it
-/// under `key` when sharing is on and the key is vacant (an occupied key
-/// keeps its incumbent and the set stays unlisted — see
+/// under `key` when the key is vacant (an occupied key keeps its
+/// incumbent and the set stays unlisted — see
 /// [`ArtifactStore::publish`]).
-fn list(store: &mut ArtifactStore, key: StoreKey, set: ArtifactSet, share: bool) -> StoreLink {
+fn list(store: &mut ArtifactStore, key: FingerprintKey, set: ArtifactSet) -> StoreLink {
     let set = Arc::new(set);
-    if share {
-        store.publish(key, &set);
-    }
+    store.publish(key, &set);
     StoreLink { key, set }
 }
 
@@ -1539,9 +1504,8 @@ fn list(store: &mut ArtifactStore, key: StoreKey, set: ArtifactSet, share: bool)
 /// adoption (both through [`restore_and_attach`], whose fresh restores
 /// the snapshot reader checks by the same `match_pool`) and
 /// post-mutation re-join ([`JuryService::repair_after_mutation`]) all
-/// route through it. With sharing off the store is empty, so this never
-/// attaches.
-fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option<StoreLink> {
+/// route through it.
+fn attach_flat(store: &ArtifactStore, key: FingerprintKey, jurors: &[Juror]) -> Option<StoreLink> {
     let set = store.get(&key).filter(|set| set.match_pool(jurors))?;
     Some(StoreLink { key, set })
 }
@@ -1549,6 +1513,7 @@ fn attach_flat(store: &ArtifactStore, key: StoreKey, jurors: &[Juror]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jury_core::altr::AltrConfig;
     use jury_core::juror::{pool_from_rates, pool_from_rates_and_costs, ErrorRate};
 
     fn figure1() -> Vec<Juror> {

@@ -5,10 +5,10 @@
 //! AltrM solves — per distinct pool content.
 //! This module persists the content-addressed store itself: one binary
 //! file per interned [`ArtifactSet`], keyed exactly like the in-memory
-//! entry by `(fingerprint, solver-config bits)`, plus a JSON manifest
-//! naming them. A restarted service pointed at the directory
-//! re-attaches pools to snapshot entries **by content** at registration
-//! time and answers its first queries warm.
+//! entry by its content fingerprint, plus a JSON manifest naming them.
+//! A restarted service pointed at the directory re-attaches pools to
+//! snapshot entries **by content** at registration time and answers its
+//! first queries warm.
 //!
 //! ## Crash safety
 //!
@@ -73,8 +73,16 @@
 //! An entry whose KEY section holds any other layout byte is a counted
 //! rejection; a manifest record with any other layout is skipped while
 //! its flat siblings still restore.
+//!
+//! ## The solver-config word
+//!
+//! Each entry's KEY section, manifest record and file-name hash also
+//! carry a solver-config word: [`SOLVER_CONFIG`], the one configuration
+//! the service runs. Any other word is a counted rejection, and the
+//! writer drops manifest records carrying one, so its next commit omits
+//! them.
 
-use crate::store::{ArtifactSet, StoreKey};
+use crate::store::ArtifactSet;
 use crate::AltrAnswer;
 use jury_core::error::JuryError;
 use jury_core::fingerprint::FingerprintKey;
@@ -130,6 +138,11 @@ const TAG_STAIRCASE: u32 = 9;
 /// carries (see the module docs' *layout field*).
 const LAYOUT_FLAT: u8 = 0;
 const LAYOUT_FLAT_NAME: &str = "flat";
+
+/// The solver-config word every entry carries: the default AltrM
+/// strategy and JER engine with PayM's default admission rule, as
+/// builds with configurable solvers encoded them.
+const SOLVER_CONFIG: u64 = 0x11;
 
 /// The integrity fold used by snapshot files: a splitmix64 chain over
 /// the bytes taken as little-endian 64-bit words (zero-padded tail),
@@ -357,18 +370,18 @@ fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
 /// arrays are raw little-endian words (JSON digits would dominate the
 /// restart budget at 10⁶ jurors); only small structured values (the
 /// AltrM answer, the staircase) embed wire-JSON.
-pub(crate) fn encode_entry(key: &StoreKey, set: &ArtifactSet) -> Vec<u8> {
+pub(crate) fn encode_entry(key: &FingerprintKey, set: &ArtifactSet) -> Vec<u8> {
     let seq = &set.seq;
     let n = seq.len();
     let mut out = Vec::with_capacity(64 + 40 * n);
     out.extend_from_slice(MAGIC);
 
     let mut p = Vec::with_capacity(41);
-    put_u64(&mut p, key.fp.lanes[0]);
-    put_u64(&mut p, key.fp.lanes[1]);
-    put_u64(&mut p, key.fp.len);
+    put_u64(&mut p, key.lanes[0]);
+    put_u64(&mut p, key.lanes[1]);
+    put_u64(&mut p, key.len);
     p.push(LAYOUT_FLAT);
-    put_u64(&mut p, key.config);
+    put_u64(&mut p, SOLVER_CONFIG);
     put_section(&mut out, TAG_KEY, &p);
 
     let mut p = Vec::with_capacity(16 * n);
@@ -435,7 +448,7 @@ fn valid_members(selection: &Selection, n: usize) -> bool {
 fn load_entry(
     dir: &Path,
     record: &ManifestEntry,
-    key: &StoreKey,
+    key: &FingerprintKey,
     jurors: &[Juror],
 ) -> Option<ArtifactSet> {
     let bytes = fs::read(dir.join(&record.file)).ok()?;
@@ -455,10 +468,10 @@ fn load_entry(
     }
     let config = kr.u64()?;
     kr.done()?;
-    if (StoreKey { fp: FingerprintKey { lanes, len }, config }) != *key {
+    if (FingerprintKey { lanes, len }) != *key || config != SOLVER_CONFIG {
         return None;
     }
-    let n = usize::try_from(key.fp.len).ok()?;
+    let n = usize::try_from(key.len).ok()?;
     if jurors.len() != n {
         return None;
     }
@@ -582,8 +595,8 @@ fn scan_manifests(dir: &Path) -> Vec<(u64, String)> {
 }
 
 /// The parsed manifest of a snapshot directory, indexed by content
-/// fingerprint alone — so a pool whose content *was* snapshotted but
-/// whose config bits have since drifted still registers a
+/// fingerprint, records of every solver-config word included — so a
+/// pool whose content was snapshotted under another word registers a
 /// counted rejection (the snapshot promised this content and cannot
 /// deliver it) rather than a silent miss.
 #[derive(Debug, Default)]
@@ -656,20 +669,20 @@ impl Catalog {
     /// Attempts to restore a verified entry for `key` on behalf of the
     /// registering `jurors`. Candidates are tried in manifest order;
     /// the first to pass every gate wins. Rejection accounting follows
-    /// the catalog contract: failed candidates, config drift over known
-    /// content, and a poisoned manifest all count; content
-    /// the snapshot never knew is a plain miss.
-    pub(crate) fn restore(&self, key: &StoreKey, jurors: &[Juror]) -> RestoreAttempt {
+    /// the catalog contract: failed candidates, known content with only
+    /// foreign solver-config words, and a poisoned manifest all count;
+    /// content the snapshot never knew is a plain miss.
+    pub(crate) fn restore(&self, key: &FingerprintKey, jurors: &[Juror]) -> RestoreAttempt {
         if self.poisoned {
             return RestoreAttempt { set: None, rejections: 1 };
         }
-        let Some(candidates) = self.entries.get(&key.fp) else {
+        let Some(candidates) = self.entries.get(key) else {
             return RestoreAttempt { set: None, rejections: 0 };
         };
         let mut rejections = 0usize;
         let mut any_match = false;
         for record in candidates {
-            if record.config != key.config {
+            if record.config != SOLVER_CONFIG {
                 continue;
             }
             any_match = true;
@@ -747,12 +760,12 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
 /// lease epoch that first wrote it: retained files from earlier
 /// generations coexist with fresh ones, and two writers racing across
 /// an epoch bump can never collide on a name.
-fn entry_file_name(key: &StoreKey, gen: u64, epoch: u64) -> String {
-    let mut h = splitmix64(key.fp.lanes[0]);
-    h = splitmix64(h ^ key.fp.lanes[1]);
-    h = splitmix64(h ^ key.fp.len);
+fn entry_file_name(key: &FingerprintKey, gen: u64, epoch: u64) -> String {
+    let mut h = splitmix64(key.lanes[0]);
+    h = splitmix64(h ^ key.lanes[1]);
+    h = splitmix64(h ^ key.len);
     h = splitmix64(h ^ u64::from(LAYOUT_FLAT));
-    format!("art-{:016x}-g{gen}-e{epoch}.snap", splitmix64(h ^ key.config))
+    format!("art-{:016x}-g{gen}-e{epoch}.snap", splitmix64(h ^ SOLVER_CONFIG))
 }
 
 /// Temp-write + fsync + atomic rename + (best-effort) directory fsync.
@@ -782,13 +795,13 @@ fn write_atomic(
 }
 
 /// The manifest record for one persisted entry.
-fn manifest_record(key: &StoreKey, file: &str, bytes: u64, checksum: u64) -> Value {
+fn manifest_record(key: &FingerprintKey, file: &str, bytes: u64, checksum: u64) -> Value {
     Value::object([
         ("file", Value::String(file.to_string())),
-        ("lanes", Value::Array(vec![hex(key.fp.lanes[0]), hex(key.fp.lanes[1])])),
-        ("len", hex(key.fp.len)),
+        ("lanes", Value::Array(vec![hex(key.lanes[0]), hex(key.lanes[1])])),
+        ("len", hex(key.len)),
         ("layout", Value::String(LAYOUT_FLAT_NAME.to_string())),
-        ("config", hex(key.config)),
+        ("config", hex(SOLVER_CONFIG)),
         ("bytes", hex(bytes)),
         ("checksum", hex(checksum)),
     ])
@@ -821,7 +834,7 @@ struct DirState {
     epoch: Option<u64>,
     /// Commit stamp of `gen`, for the stats gauges.
     written_at_ms: Option<u64>,
-    persisted: HashMap<StoreKey, Persisted>,
+    persisted: HashMap<FingerprintKey, Persisted>,
 }
 
 /// Per-service writer state: a stable holder id plus one [`DirState`]
@@ -915,7 +928,7 @@ pub(crate) fn write_incremental<'a>(
     state: &mut WriterState,
     dir: &Path,
     ttl: Duration,
-    entries: impl Iterator<Item = (&'a StoreKey, &'a Arc<ArtifactSet>)>,
+    entries: impl Iterator<Item = (&'a FingerprintKey, &'a Arc<ArtifactSet>)>,
 ) -> Result<SnapshotReport, SnapshotError> {
     fs::create_dir_all(dir)?;
     let key = dir_key(dir);
@@ -943,8 +956,10 @@ pub(crate) fn write_incremental<'a>(
     let st = state.dirs.entry(key.clone()).or_default();
     if !st.loaded || st.gen != disk_gen {
         // Someone else committed (or this is our first look): adopt
-        // the disk view. Versions are unknown, so cleanness degrades
-        // to encode-and-compare until our next commit re-stamps.
+        // the disk view, minus records of a foreign solver-config word,
+        // which the next commit drops. Versions are unknown, so
+        // cleanness degrades to encode-and-compare until our next
+        // commit re-stamps.
         st.loaded = true;
         st.gen = disk_gen;
         let parsed = disk_manifest.unwrap_or(ParsedManifest {
@@ -956,12 +971,9 @@ pub(crate) fn write_incremental<'a>(
         st.persisted = parsed
             .records
             .into_iter()
-            .map(|(fp, r)| {
-                let key = StoreKey { fp, config: r.config };
-                (
-                    key,
-                    Persisted { file: r.file, bytes: r.bytes, checksum: r.checksum, version: None },
-                )
+            .filter(|(_, r)| r.config == SOLVER_CONFIG)
+            .map(|(fp, ManifestEntry { file, bytes, checksum, .. })| {
+                (fp, Persisted { file, bytes, checksum, version: None })
             })
             .collect();
     }
@@ -981,9 +993,9 @@ pub(crate) fn write_incremental<'a>(
 
     // Diff the live store against the persisted view.
     let next_gen = st.gen + 1;
-    let mut live: HashSet<StoreKey> = HashSet::new();
-    let mut retained: Vec<(StoreKey, Persisted)> = Vec::new();
-    let mut fresh: Vec<(StoreKey, Persisted)> = Vec::new();
+    let mut live: HashSet<FingerprintKey> = HashSet::new();
+    let mut retained: Vec<(FingerprintKey, Persisted)> = Vec::new();
+    let mut fresh: Vec<(FingerprintKey, Persisted)> = Vec::new();
     let mut written = 0usize;
     let mut failed = 0usize;
     let mut bytes_written = 0u64;

@@ -8,9 +8,9 @@
 //! interns those artifacts by **content**: every registered pool keeps a
 //! running [`PoolFingerprint`] (a commutative multiset hash of its
 //! jurors' solver-relevant content, updated in `O(1)` per mutation), and
-//! warm artifacts live in [`ArtifactSet`]s keyed by
-//! `(fingerprint, solver config)` so N equal pools hold N `Arc`
-//! clones of **one** artifact set, built once.
+//! warm artifacts live in [`ArtifactSet`]s keyed by that fingerprint's
+//! [`FingerprintKey`], so N equal pools hold N `Arc` clones of **one**
+//! artifact set, built once.
 //!
 //! ## Verification
 //!
@@ -29,7 +29,7 @@
 //!
 //! An [`ArtifactSet`] is the only form a pool's warm state takes. A warm
 //! pool holds one `Arc` of it, and the set is either **listed** in the
-//! store under its [`StoreKey`] or **unlisted**: sharing is off, or an
+//! store under its pool's [`FingerprintKey`] or **unlisted**: an
 //! occupied key refused the pool's arrangement. Only listed sets are
 //! snapshotted.
 //!
@@ -50,12 +50,10 @@
 //!
 //! Eviction is refcount-only: the pool that drops the last hold on a
 //! listed set evicts its entry at once ([`ArtifactStore::release`]), so
-//! a listed entry is held by at least one pool. Restores are the
-//! exception: a snapshot restore lists its verified set just before the
-//! pool that asked for it attaches, and an adoption pre-warm lists sets
-//! for cold pools that attach only at their next warm-up. No pool ever
-//! releases a pre-warmed set whose pool is removed or written before
-//! that warm-up, so it stays listed.
+//! a listed entry is held by at least one pool. Restores keep that
+//! true: a snapshot restore, at warm-up or in an adoption pre-warm,
+//! lists its verified set and attaches the pool that asked for it in
+//! the same step.
 
 use crate::AltrAnswer;
 use jury_core::fingerprint::{juror_content, FingerprintKey};
@@ -64,14 +62,6 @@ use jury_core::paym::Staircase;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// The interning key of one artifact set: content fingerprint +
-/// solver-relevant configuration bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct StoreKey {
-    pub fp: FingerprintKey,
-    pub config: u64,
-}
 
 /// One pool-content snapshot's warm artifacts, shared by every pool
 /// whose jurors match. The orders change only under a repair, which
@@ -207,7 +197,7 @@ impl ArtifactSet {
 /// settled).
 #[derive(Debug)]
 pub(crate) struct StoreLink {
-    pub key: StoreKey,
+    pub key: FingerprintKey,
     pub set: Arc<ArtifactSet>,
 }
 
@@ -219,18 +209,18 @@ pub(crate) struct StoreLink {
 /// threads hold transient clones).
 #[derive(Debug, Default)]
 pub(crate) struct ArtifactStore {
-    entries: HashMap<StoreKey, Arc<ArtifactSet>>,
+    entries: HashMap<FingerprintKey, Arc<ArtifactSet>>,
 }
 
 impl ArtifactStore {
     /// The entry at `key`, if interned.
-    pub(crate) fn get(&self, key: &StoreKey) -> Option<Arc<ArtifactSet>> {
+    pub(crate) fn get(&self, key: &FingerprintKey) -> Option<Arc<ArtifactSet>> {
         self.entries.get(key).cloned()
     }
 
     /// Whether an entry lives at `key` (an occupied key that refused an
     /// attach keeps its incumbent — see [`ArtifactStore::publish`]).
-    pub(crate) fn contains(&self, key: &StoreKey) -> bool {
+    pub(crate) fn contains(&self, key: &FingerprintKey) -> bool {
         self.entries.contains_key(key)
     }
 
@@ -245,7 +235,7 @@ impl ArtifactStore {
     /// incumbent — replacing it would strand the incumbent's attached
     /// pools and let alternating arrangements thrash the entry — and
     /// the set stays unlisted.
-    pub(crate) fn publish(&mut self, key: StoreKey, set: &Arc<ArtifactSet>) -> bool {
+    pub(crate) fn publish(&mut self, key: FingerprintKey, set: &Arc<ArtifactSet>) -> bool {
         match self.entries.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -296,7 +286,9 @@ impl ArtifactStore {
     }
 
     /// Every interned entry, for the snapshot writer.
-    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (&StoreKey, &Arc<ArtifactSet>)> {
+    pub(crate) fn iter_entries(
+        &self,
+    ) -> impl Iterator<Item = (&FingerprintKey, &Arc<ArtifactSet>)> {
         self.entries.iter()
     }
 }

@@ -4,12 +4,14 @@
 //! share a fingerprint but never an artifact set, mutations detach
 //! copy-on-write and re-join when content converges again — and none of
 //! it ever changes an answer (every shared-artifact reply is pinned
-//! bit-identical against the direct solvers).
+//! bit-identical against the direct solvers). The service's store
+//! invariants ([`JuryService::check_invariants`]) are checked after
+//! every step.
 
 use jury_core::altr::{AltrAlg, AltrConfig};
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_core::paym::{PayAlg, PayConfig};
-use jury_service::{DecisionTask, JuryService, ServiceConfig};
+use jury_service::{DecisionTask, JuryService};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -18,8 +20,11 @@ fn build(pairs: &[(f64, f64)]) -> Vec<Juror> {
     pool_from_rates_and_costs(pairs).unwrap()
 }
 
-fn private_service() -> JuryService {
-    JuryService::with_config(ServiceConfig { share_artifacts: false, ..Default::default() })
+/// Fails the test when the service's store invariants do not hold.
+fn check(service: &JuryService) {
+    if let Err(broken) = service.check_invariants() {
+        panic!("store invariant broken: {broken}");
+    }
 }
 
 /// Random `(ε, cost)` pools with quantised rates (so equal-ε ties occur
@@ -67,6 +72,7 @@ fn assert_altr_matches_direct(service: &mut JuryService, pool: jury_service::Poo
     let got = service.solve(&DecisionTask::altruism(pool)).unwrap_or_else(|e| {
         panic!("{ctx}: altr solve failed: {e}");
     });
+    check(service);
     let direct =
         AltrAlg::solve(service.pool(pool).unwrap(), &AltrConfig::default()).expect("direct altr");
     assert_eq!(got.members, direct.members, "{ctx}: members");
@@ -90,6 +96,7 @@ fn assert_paym_matches_direct(
     let direct = PayAlg::solve(service.pool(pool).unwrap(), budget, &PayConfig::default());
     for round in ["miss", "replay"] {
         let got = service.solve(&DecisionTask::pay_as_you_go(pool, budget));
+        check(service);
         match (&got, &direct) {
             (Ok(g), Ok(w)) => {
                 assert_eq!(g.members, w.members, "{ctx} {round}: members");
@@ -118,6 +125,7 @@ fn second_equal_pool_registers_with_zero_builds() {
     let mut service = JuryService::new();
     let a = service.create_pool(jurors.clone());
     let first = service.solve(&DecisionTask::altruism(a)).unwrap();
+    check(&service);
     let after_first = service.stats();
     assert_eq!(after_first.cache_builds, 1);
     assert_eq!(after_first.full_repairs, 1);
@@ -126,6 +134,7 @@ fn second_equal_pool_registers_with_zero_builds() {
     let b = service.create_pool(jurors.clone());
     assert_eq!(service.fingerprint(a).unwrap(), service.fingerprint(b).unwrap());
     let second = service.solve(&DecisionTask::altruism(b)).unwrap();
+    check(&service);
     let stats = service.stats();
     assert_eq!(stats.cache_builds, after_first.cache_builds, "second pool must not build");
     assert_eq!(stats.full_repairs, after_first.full_repairs, "second pool must not full-repair");
@@ -141,12 +150,15 @@ fn second_equal_pool_registers_with_zero_builds() {
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
+    check(&service);
     assert!(Arc::ptr_eq(&shared[0], &shared[1]), "cross-pool replays share the cached Arc");
 
     // PayM rides one shared staircase: a's recording scan is b's hit.
     let hits_before = service.stats().staircase_hits;
     service.solve(&DecisionTask::pay_as_you_go(a, 0.6)).unwrap();
+    check(&service);
     service.solve(&DecisionTask::pay_as_you_go(b, 0.6)).unwrap();
+    check(&service);
     assert_eq!(
         service.stats().staircase_hits,
         hits_before + 1,
@@ -168,13 +180,16 @@ fn perturbation_detaches_and_mutating_back_rejoins() {
     let a = service.create_pool(jurors.clone());
     let b = service.create_pool(jurors.clone());
     service.warm_pool(a).unwrap();
+    check(&service);
     service.warm_pool(b).unwrap();
+    check(&service);
     assert!(service.shares_artifacts_with(a, b).unwrap());
     let fp_before = service.fingerprint(a).unwrap();
 
     // An ulp-level ε perturbation is new content: the pool detaches.
     let perturbed = Juror::new(77, ErrorRate::new(0.5 - 1e-12).unwrap(), jurors[0].cost);
     service.update_juror(a, 0, perturbed).unwrap();
+    check(&service);
     assert_ne!(service.fingerprint(a).unwrap(), fp_before, "content changed");
     assert_eq!(service.fingerprint(b).unwrap(), fp_before, "sibling untouched");
     assert!(!service.shares_artifacts_with(a, b).unwrap(), "mutation must detach");
@@ -186,6 +201,7 @@ fn perturbation_detaches_and_mutating_back_rejoins() {
     // Mutating back restores the fingerprint exactly and re-joins the
     // sibling's entry (content-verified, not hash-trusted).
     service.update_juror(a, 0, jurors[0]).unwrap();
+    check(&service);
     assert_eq!(service.fingerprint(a).unwrap(), fp_before);
     assert!(service.shares_artifacts_with(a, b).unwrap(), "equal content re-joins");
     assert_eq!(service.stats().artifact_detaches, 2, "the re-join began as a detach");
@@ -204,14 +220,18 @@ fn identically_mutated_siblings_follow_published_entries() {
     let a = service.create_pool(jurors.clone());
     let b = service.create_pool(jurors.clone());
     service.warm_pool(a).unwrap();
+    check(&service);
     service.warm_pool(b).unwrap();
+    check(&service);
     assert_eq!(service.artifact_entries(), 1);
 
     let edit = Juror::new(50, ErrorRate::new(0.27).unwrap(), 0.15);
     service.update_juror(a, 2, edit).unwrap();
+    check(&service);
     assert!(!service.shares_artifacts_with(a, b).unwrap());
     assert_eq!(service.artifact_entries(), 2, "repaired artifacts published under the new key");
     service.update_juror(b, 2, edit).unwrap();
+    check(&service);
     assert!(service.shares_artifacts_with(a, b).unwrap(), "identical mutation re-joins");
     assert_eq!(service.stats().artifact_rejoins, 1);
     assert_eq!(service.artifact_entries(), 1, "the abandoned entry is evicted");
@@ -241,10 +261,13 @@ fn reversed_pools_build_privately() {
         let c = service.create_pool(jurors.clone());
         assert_eq!(service.fingerprint(a).unwrap(), service.fingerprint(b).unwrap(), "{ctx}");
         service.warm_pool(a).unwrap();
+        check(&service);
         service.warm_pool(b).unwrap();
+        check(&service);
         assert!(!service.shares_artifacts_with(a, b).unwrap(), "{ctx}: permuted pools never share");
         assert_eq!(service.artifact_entries(), 1, "{ctx}: the permuted pool must not clobber");
         service.warm_pool(c).unwrap();
+        check(&service);
         assert!(service.shares_artifacts_with(a, c).unwrap(), "{ctx}: the incumbent survives");
         assert!(!service.shares_artifacts_with(b, c).unwrap(), "{ctx}");
         assert_eq!(
@@ -263,6 +286,7 @@ fn reversed_pools_build_privately() {
         let mut own_order = Vec::new();
         jury_core::solver::sorted_order_into(&permuted, &mut own_order);
         assert_eq!(service.reliability_order(b).unwrap(), own_order.as_slice(), "{ctx}");
+        check(&service);
     }
 }
 
@@ -278,13 +302,18 @@ fn mutated_back_permuted_pool_never_rejoins() {
     let b = service.create_pool(jurors.clone());
     let p = service.create_pool(swapped.clone());
     service.warm_pool(a).unwrap();
+    check(&service);
     service.warm_pool(b).unwrap();
+    check(&service);
     service.warm_pool(p).unwrap();
+    check(&service);
     // Move p away from the shared multiset and back: same fingerprint as
     // the entry, different arrangement.
     let away = Juror::new(60, ErrorRate::new(0.27).unwrap(), 0.15);
     service.update_juror(p, 1, away).unwrap();
+    check(&service);
     service.update_juror(p, 1, swapped[1]).unwrap();
+    check(&service);
     assert_eq!(service.fingerprint(p).unwrap(), service.fingerprint(a).unwrap());
     assert!(!service.shares_artifacts_with(a, p).unwrap());
     assert_eq!(service.stats().artifact_rejoins, 0);
@@ -301,11 +330,15 @@ fn removing_pools_evicts_orphaned_entries() {
     let a = service.create_pool(jurors.clone());
     let b = service.create_pool(jurors.clone());
     service.warm_pool(a).unwrap();
+    check(&service);
     service.warm_pool(b).unwrap();
+    check(&service);
     assert_eq!(service.artifact_entries(), 1);
     service.remove_pool(a).unwrap();
+    check(&service);
     assert_eq!(service.artifact_entries(), 1, "the sibling keeps the entry alive");
     service.remove_pool(b).unwrap();
+    check(&service);
     assert_eq!(service.artifact_entries(), 0, "the last holder's removal evicts");
 }
 
@@ -319,29 +352,16 @@ fn sole_holder_perturb_and_restore_reclaims_without_rejoin() {
     let mut service = JuryService::new();
     let p = service.create_pool(jurors.clone());
     service.warm_pool(p).unwrap();
+    check(&service);
     let perturbed = Juror::new(91, ErrorRate::new(0.45).unwrap(), 0.2);
     service.update_juror(p, 2, perturbed).unwrap();
+    check(&service);
     service.update_juror(p, 2, jurors[2]).unwrap();
+    check(&service);
     assert_eq!(service.stats().artifact_rejoins, 0, "the reclaimed entry is gone");
     assert_eq!(service.artifact_entries(), 1, "only the written pool's key is listed");
     assert_altr_matches_direct(&mut service, p, "restored sole holder");
     assert_paym_matches_direct(&mut service, p, 0.8, "restored sole holder");
-}
-
-#[test]
-fn sharing_disabled_stays_private() {
-    let jurors = build(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4)]);
-    let mut service = private_service();
-    let a = service.create_pool(jurors.clone());
-    let b = service.create_pool(jurors);
-    service.warm_pool(a).unwrap();
-    service.warm_pool(b).unwrap();
-    let stats = service.stats();
-    assert_eq!(stats.cache_builds, 2, "each pool builds privately");
-    assert_eq!(stats.artifact_share_hits, 0);
-    assert_eq!(service.artifact_entries(), 0);
-    assert!(!service.shares_artifacts_with(a, b).unwrap());
-    assert_eq!(service.fingerprint(a).unwrap(), service.fingerprint(b).unwrap());
 }
 
 proptest! {
@@ -369,7 +389,9 @@ proptest! {
             "equal multisets must produce equal fingerprints"
         );
         service.warm_pool(a).unwrap();
+        check(&service);
         service.warm_pool(b).unwrap();
+        check(&service);
         let identical = content(&jurors) == content(&permuted);
         prop_assert_eq!(service.shares_artifacts_with(a, b).unwrap(), identical);
         prop_assert_eq!(service.stats().artifact_share_hits, usize::from(identical));
@@ -395,7 +417,9 @@ proptest! {
         let a = service.create_pool(jurors.clone());
         let b = service.create_pool(jurors.clone());
         service.warm_pool(a).unwrap();
+        check(&service);
         service.warm_pool(b).unwrap();
+        check(&service);
         prop_assert!(service.shares_artifacts_with(a, b).unwrap());
         let fp = service.fingerprint(a).unwrap();
 
@@ -407,11 +431,13 @@ proptest! {
         prop_assume!(new_eps > 0.0 && new_eps < 1.0);
         service.update_juror(a, idx, Juror::new(999, ErrorRate::new(new_eps).unwrap(), old.cost))
             .unwrap();
+        check(&service);
         prop_assert_ne!(service.fingerprint(a).unwrap(), fp, "perturbed content, new key");
         prop_assert!(!service.shares_artifacts_with(a, b).unwrap(), "perturbation must detach");
         assert_altr_matches_direct(&mut service, a, "perturbed pool");
 
         service.update_juror(a, idx, old).unwrap();
+        check(&service);
         prop_assert_eq!(service.fingerprint(a).unwrap(), fp, "restored content, restored key");
         prop_assert!(service.shares_artifacts_with(a, b).unwrap(), "restoration re-joins");
         prop_assert!(service.stats().artifact_rejoins >= 1);

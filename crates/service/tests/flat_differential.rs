@@ -13,6 +13,9 @@
 //! binary-search replay hit), and [`check_staircase`] drives a standalone
 //! [`Staircase`] against `PayAlg::solve_presorted` on budgets sitting
 //! exactly on, just under and between the affordability cliffs.
+//!
+//! The service's store invariants ([`JuryService::check_invariants`])
+//! are checked after every service call.
 
 use jury_core::altr::{AltrAlg, AltrConfig};
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
@@ -20,7 +23,7 @@ use jury_core::model::CrowdModel;
 use jury_core::paym::{PayAlg, PayConfig, Staircase};
 use jury_core::problem::Selection;
 use jury_core::solver::SolverScratch;
-use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig, ServiceError};
+use jury_service::{DecisionTask, JuryService, PoolId, ServiceError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -40,6 +43,13 @@ fn pools(max_len: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
 
 fn build(pairs: &[(f64, f64)]) -> Vec<Juror> {
     pool_from_rates_and_costs(pairs).unwrap()
+}
+
+/// Fails the test when the service's store invariants do not hold.
+fn check(service: &JuryService) {
+    if let Err(broken) = service.check_invariants() {
+        panic!("store invariant broken: {broken}");
+    }
 }
 
 /// Bit-level equality including solver stats (`PartialEq` on `Selection`
@@ -136,6 +146,7 @@ fn boundary_budgets(jurors: &[Juror]) -> Vec<f64> {
 fn check_task(service: &mut JuryService, pool: PoolId, model: CrowdModel, ctx: &str) {
     let task = DecisionTask { pool, model };
     let got = service.solve(&task);
+    check(service);
     let jurors = service.pool(pool).unwrap().to_vec();
     match model {
         CrowdModel::Altruism => {
@@ -150,6 +161,7 @@ fn check_task(service: &mut JuryService, pool: PoolId, model: CrowdModel, ctx: &
                 PayAlg::solve(&jurors, budget, &PayConfig::default()).map_err(ServiceError::from);
             assert_identical(&got, &direct, &format!("{ctx}: service vs direct"));
             let hit = service.solve(&task);
+            check(service);
             assert_identical(&hit, &direct, &format!("{ctx}: staircase hit vs direct"));
         }
     }
@@ -191,6 +203,7 @@ proptest! {
         let pool = service.create_pool(build(&pairs));
         // Warm everything a mutation can repair: orders and AltrM answer.
         service.warm_pool(pool).unwrap();
+        check(&service);
 
         for (step, (kind, (e, c), idx)) in ops.iter().enumerate() {
             let len = service.pool(pool).unwrap().len();
@@ -208,6 +221,7 @@ proptest! {
                     prop_assert_eq!(service.remove_juror(pool, i).unwrap(), expected);
                 }
             }
+            check(&service);
             let current = service.pool(pool).unwrap().to_vec();
             let mut budgets = vec![budget, f64::MAX];
             if !current.is_empty() {
@@ -221,11 +235,9 @@ proptest! {
             // mutated pool, and the repaired warm path must reproduce it
             // exactly (stats included).
             let altr_ref = check_altr_pruned(&current, &format!("step={step}"));
-            assert_identical(
-                &service.solve(&DecisionTask::altruism(pool)),
-                &altr_ref,
-                &format!("step={step} repaired altr"),
-            );
+            let altr = service.solve(&DecisionTask::altruism(pool));
+            check(&service);
+            assert_identical(&altr, &altr_ref, &format!("step={step} repaired altr"));
             for &b in &budgets {
                 check_task(
                     &mut service,
@@ -239,8 +251,8 @@ proptest! {
 
     // The warm-artifact store must be invisible: replicated pools served
     // from one interned artifact set answer bit-identically — members,
-    // JER bits, cost bits *and* stats — to a sharing-disabled service,
-    // across interleaved mutations that detach pools copy-on-write,
+    // JER bits, cost bits *and* stats — to a one-pool service, which
+    // never shares, across interleaved mutations that detach pools copy-on-write,
     // publish repaired artifacts and re-join converged siblings. Every
     // PayM task is solved twice so the shared staircase's replay hit is
     // pinned too.
@@ -250,29 +262,35 @@ proptest! {
         edits in vec(((0.001..0.999f64, 0.0..1.0f64), any::<prop::sample::Index>()), 1..5),
         budget in 0.0..2.0f64,
     ) {
-        let config = |share: bool| ServiceConfig { share_artifacts: share, ..Default::default() };
         let jurors = build(&pairs);
-        let mut shared = JuryService::with_config(config(true));
-        let mut private = JuryService::with_config(config(false));
+        let mut shared = JuryService::new();
+        let mut private = JuryService::new();
         let replicas: Vec<PoolId> = (0..3).map(|_| shared.create_pool(jurors.clone())).collect();
         let p = private.create_pool(jurors.clone());
 
-        let check = |shared: &mut JuryService, private: &mut JuryService, pool: PoolId, ctx: &str| {
+        let agree = |shared: &mut JuryService, private: &mut JuryService, pool: PoolId, ctx: &str| {
             let altr = DecisionTask::altruism(pool);
             let altr_p = DecisionTask::altruism(p);
-            assert_identical(&shared.solve(&altr), &private.solve(&altr_p), &format!("{ctx}: altr"));
+            let (got, want) = (shared.solve(&altr), private.solve(&altr_p));
+            check(shared);
+            check(private);
+            assert_identical(&got, &want, &format!("{ctx}: altr"));
             let len = private.pool(p).unwrap().len() as f64;
             for b in [budget, budget * len, f64::MAX] {
                 let task = DecisionTask::pay_as_you_go(pool, b);
                 let task_p = DecisionTask::pay_as_you_go(p, b);
                 let want = private.solve(&task_p);
-                assert_identical(&shared.solve(&task), &want, &format!("{ctx}: paym {b}"));
-                assert_identical(&shared.solve(&task), &want, &format!("{ctx}: paym replay {b}"));
+                check(private);
+                for round in ["paym", "paym replay"] {
+                    let got = shared.solve(&task);
+                    check(shared);
+                    assert_identical(&got, &want, &format!("{ctx}: {round} {b}"));
+                }
             }
         };
 
         for (i, &pool) in replicas.iter().enumerate() {
-            check(&mut shared, &mut private, pool, &format!("cold replica {i}"));
+            agree(&mut shared, &mut private, pool, &format!("cold replica {i}"));
         }
         prop_assert!(
             shared.shares_artifacts_with(replicas[0], replicas[2]).unwrap(),
@@ -283,12 +301,14 @@ proptest! {
             let i = idx.index(jurors.len());
             let edit = Juror::new(2000 + step as u32, ErrorRate::new(*e).unwrap(), *c);
             private.update_juror(p, i, edit).unwrap();
+            check(&private);
             // Staggered application: the first replica detaches (and
             // publishes — it had siblings), the rest re-join the
             // published entry one by one.
             for (r, &pool) in replicas.iter().enumerate() {
                 shared.update_juror(pool, i, edit).unwrap();
-                check(&mut shared, &mut private, pool, &format!("step={step} replica {r}"));
+                check(&shared);
+                agree(&mut shared, &mut private, pool, &format!("step={step} replica {r}"));
             }
             prop_assert!(
                 shared.shares_artifacts_with(replicas[0], replicas[2]).unwrap(),

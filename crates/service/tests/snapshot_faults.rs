@@ -21,7 +21,6 @@
 //! semantic gates are the ones that fire.
 
 use jury_core::juror::{pool_from_rates_and_costs, Juror};
-use jury_core::paym::PayConfig;
 use jury_core::problem::Selection;
 use jury_numeric::hash::splitmix64;
 use jury_service::{snapshot_checksum, DecisionTask, JuryService, PoolId, ServiceConfig};
@@ -71,12 +70,6 @@ fn pool(n: usize) -> Vec<Juror> {
 
 fn flat_config() -> ServiceConfig {
     ServiceConfig::default()
-}
-
-/// A solver configuration whose output can differ from the default's,
-/// so its store keys (and snapshot entries) carry different config bits.
-fn strict_config() -> ServiceConfig {
-    ServiceConfig { pay: PayConfig { strict_improvement: true }, ..Default::default() }
 }
 
 fn with_snapshot(mut config: ServiceConfig, dir: &Path) -> ServiceConfig {
@@ -224,6 +217,39 @@ fn write_manifest(dir: &Path, entries: Vec<Value>) {
     fs::write(manifest_path(dir), json::to_string(&manifest)).unwrap();
 }
 
+/// Replaces the solver-config word of a one-pool snapshot with `word`:
+/// in the entry's KEY section (section checksum resealed) when
+/// `in_key`, in its manifest record when `in_record`. The manifest's
+/// `bytes`/`checksum` are re-forged either way.
+fn forge_config_word(dir: &Path, word: u64, in_key: bool, in_record: bool) {
+    let file = entry_file(dir);
+    let mut bytes = fs::read(&file).unwrap();
+    if in_key {
+        let key = sections_of(&bytes).into_iter().find(|s| s.tag == 1).expect("KEY section");
+        // KEY payload: two fingerprint lanes, the length, the layout
+        // byte, then the config word.
+        let at = key.payload + 25;
+        assert_eq!(bytes[at..at + 8], 0x11u64.to_le_bytes(), "this build writes word 0x11");
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        reseal_section(&mut bytes, &key);
+        fs::write(&file, &bytes).unwrap();
+    }
+    let old = json::parse(&fs::read_to_string(manifest_path(dir)).unwrap()).unwrap();
+    let record = &old.get("entries").unwrap().as_array().unwrap()[0];
+    let name = record.get("file").unwrap().as_str().unwrap().to_string();
+    let Value::Object(mut fields) = reforged_entry(record, name, &bytes) else {
+        unreachable!("a record is an object")
+    };
+    if in_record {
+        for (field, value) in &mut fields {
+            if field == "config" {
+                *value = Value::String(format!("{word:016x}"));
+            }
+        }
+    }
+    write_manifest(dir, vec![Value::Object(fields)]);
+}
+
 /// One section of an entry file, by byte offsets into the file.
 struct Section {
     tag: u32,
@@ -287,25 +313,23 @@ fn section_name(tag: u32) -> &'static str {
 // ---------------------------------------------------------------------
 
 /// Pristine snapshots restore: answers stay bit-identical to a cold
-/// service while `snapshot_restores` proves the warm path was taken —
-/// under the default and a non-default solver configuration.
+/// service while `snapshot_restores` proves the warm path was taken.
 #[test]
 fn pristine_snapshot_restores_bit_identically() {
-    for (name, config) in [("default", flat_config()), ("strict", strict_config())] {
-        let tmp = TempDir::new(&format!("happy-{name}"));
-        let jurors = pool(24);
-        let cold = control(&config, &jurors);
-        let seeded = seed_snapshot(tmp.path(), &config, &jurors);
-        assert_eq!(seeded, cold, "{name}: the seeding run itself must match the control");
+    let config = flat_config();
+    let tmp = TempDir::new("happy");
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    let seeded = seed_snapshot(tmp.path(), &config, &jurors);
+    assert_eq!(seeded, cold, "the seeding run itself must match the control");
 
-        let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
-        let pool_id = restored.create_pool(jurors.clone());
-        let out = drive(&mut restored, pool_id);
-        assert_eq!(out, cold, "{name}: restored answers must be bit-identical");
-        let stats = restored.stats();
-        assert!(stats.snapshot_restores >= 1, "{name}: restore must actually happen");
-        assert_eq!(stats.snapshot_rejections, 0, "{name}: a pristine snapshot rejects nothing");
-    }
+    let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let pool_id = restored.create_pool(jurors.clone());
+    let out = drive(&mut restored, pool_id);
+    assert_eq!(out, cold, "restored answers must be bit-identical");
+    let stats = restored.stats();
+    assert!(stats.snapshot_restores >= 1, "restore must actually happen");
+    assert_eq!(stats.snapshot_rejections, 0, "a pristine snapshot rejects nothing");
 }
 
 /// Content the snapshot never saw is a plain miss: no restore, but also
@@ -376,65 +400,64 @@ fn truncation_at_every_section_boundary_falls_back_cold() {
 /// fire).
 #[test]
 fn one_flipped_bit_per_field_class_falls_back_cold() {
-    for (name, config) in [("default", flat_config()), ("strict", strict_config())] {
-        let tmp = TempDir::new(&format!("bitflip-{name}"));
-        let jurors = pool(24);
-        let cold = control(&config, &jurors);
-        seed_snapshot(tmp.path(), &config, &jurors);
-        let file = entry_file(tmp.path());
-        let pristine = fs::read(&file).unwrap();
+    let config = flat_config();
+    let tmp = TempDir::new("bitflip");
+    let jurors = pool(24);
+    let cold = control(&config, &jurors);
+    seed_snapshot(tmp.path(), &config, &jurors);
+    let file = entry_file(tmp.path());
+    let pristine = fs::read(&file).unwrap();
 
-        for section in sections_of(&pristine) {
-            let sect = section_name(section.tag);
-            // Per-section flip target: an offset whose corruption a
-            // semantic gate is *guaranteed* to catch once checksums are
-            // re-forged (first key lane / first order index / first ε
-            // word / leading JSON byte / a ladder's stored pmf hash).
-            let at = match sect {
-                "END" => continue, // zero-length payload; framing covered by truncation
-                "LADDER" => section.payload + 16,
-                _ => section.payload,
-            };
+    for section in sections_of(&pristine) {
+        let sect = section_name(section.tag);
+        // Per-section flip target: an offset whose corruption a
+        // semantic gate is *guaranteed* to catch once checksums are
+        // re-forged (first key lane / first order index / first ε
+        // word / leading JSON byte / a ladder's stored pmf hash).
+        let at = match sect {
+            "END" => continue, // zero-length payload; framing covered by truncation
+            "LADDER" => section.payload + 16,
+            _ => section.payload,
+        };
 
-            let mut flipped = pristine.clone();
-            flipped[at] ^= 0x01;
-            fs::write(&file, &flipped).unwrap();
-            reforge_manifest(tmp.path());
-            assert_cold_fallback(
-                tmp.path(),
-                &config,
-                &jurors,
-                &cold,
-                &format!("{name}: bit flip in {sect}, section checksum stale"),
-            );
-
-            reseal_section(&mut flipped, &section);
-            fs::write(&file, &flipped).unwrap();
-            reforge_manifest(tmp.path());
-            assert_cold_fallback(
-                tmp.path(),
-                &config,
-                &jurors,
-                &cold,
-                &format!("{name}: bit flip in {sect}, semantic gate"),
-            );
-        }
-
-        // A flipped bit in a section *checksum* itself.
-        let some = &sections_of(&pristine)[1];
         let mut flipped = pristine.clone();
-        flipped[some.checksum] ^= 0x01;
+        flipped[at] ^= 0x01;
         fs::write(&file, &flipped).unwrap();
         reforge_manifest(tmp.path());
-        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "flipped section checksum");
+        assert_cold_fallback(
+            tmp.path(),
+            &config,
+            &jurors,
+            &cold,
+            &format!("bit flip in {sect}, section checksum stale"),
+        );
 
-        // A flipped bit in the magic / format version.
-        let mut flipped = pristine.clone();
-        flipped[7] ^= 0x01; // b"JRYSNP01" -> b"JRYSNP00": version skew
+        reseal_section(&mut flipped, &section);
         fs::write(&file, &flipped).unwrap();
         reforge_manifest(tmp.path());
-        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "entry-file version skew");
+        assert_cold_fallback(
+            tmp.path(),
+            &config,
+            &jurors,
+            &cold,
+            &format!("bit flip in {sect}, semantic gate"),
+        );
     }
+
+    // A flipped bit in a section *checksum* itself.
+    let some = &sections_of(&pristine)[1];
+    let mut flipped = pristine.clone();
+    flipped[some.checksum] ^= 0x01;
+    fs::write(&file, &flipped).unwrap();
+    reforge_manifest(tmp.path());
+    assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "flipped section checksum");
+
+    // A flipped bit in the magic / format version.
+    let mut flipped = pristine.clone();
+    flipped[7] ^= 0x01; // b"JRYSNP01" -> b"JRYSNP00": version skew
+    fs::write(&file, &flipped).unwrap();
+    reforge_manifest(tmp.path());
+    assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "entry-file version skew");
 }
 
 /// Each order must be the one permutation a fresh sort of the pool
@@ -642,9 +665,9 @@ fn rewritten_key_round_trip_restores_bit_identically() {
 }
 
 /// Manifest-level damage: version skew poisons the catalog (every
-/// attempt is a counted rejection), corrupt JSON likewise, and a
-/// manifest entry whose config no longer matches the service's
-/// registration is config drift — also a counted rejection.
+/// attempt is a counted rejection), corrupt JSON likewise, and an entry
+/// whose solver-config word is not the one this build writes is config
+/// drift — also a counted rejection, which the next checkpoint drops.
 #[test]
 fn manifest_skew_and_config_drift_fall_back_cold() {
     let config = flat_config();
@@ -669,15 +692,38 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
     fs::write(manifest_path(tmp.path()), b"{this is not a manifest").unwrap();
     assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "corrupt manifest JSON");
 
-    // Config drift: the snapshot promised this content under the
-    // default solver configuration; a service registering the same
-    // content under another must get a counted rejection (promised
-    // content it cannot deliver), then build cold.
-    let tmp = TempDir::new("config-drift");
-    seed_snapshot(tmp.path(), &config, &jurors);
-    let strict = strict_config();
-    let cold_strict = control(&strict, &jurors);
-    assert_cold_fallback(tmp.path(), &strict, &jurors, &cold_strict, "config drift");
+    // Config drift: the snapshot promises this content under another
+    // solver-config word (0x31 is what a strict-improvement PayM once
+    // wrote) in the KEY section, the manifest record or both, with
+    // every checksum resealed. Each is exactly one counted rejection
+    // (promised content the service cannot deliver), then a cold build.
+    for (forge_key, forge_record) in [(true, true), (true, false), (false, true)] {
+        let what = format!("config drift (KEY {forge_key}, record {forge_record})");
+        let tmp = TempDir::new("config-drift");
+        seed_snapshot(tmp.path(), &config, &jurors);
+        forge_config_word(tmp.path(), 0x31, forge_key, forge_record);
+        let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+        let pool_id = service.create_pool(jurors.clone());
+        assert_eq!(drive(&mut service, pool_id), cold, "{what}: answers must be cold-built");
+        let stats = service.stats();
+        assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (0, 1), "{what}");
+
+        // The next checkpoint drops the foreign record and lists the
+        // rebuilt entry under this build's word, which restores. (The
+        // seeding service never released its writer lease.)
+        fs::remove_file(tmp.path().join("writer.lease")).unwrap();
+        service.snapshot(tmp.path()).unwrap();
+        let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap());
+        let records = manifest.unwrap().get("entries").unwrap().as_array().unwrap().to_vec();
+        assert_eq!(records.len(), 1, "{what}: one record after the checkpoint");
+        let word = records[0].get("config").unwrap().as_str().unwrap().to_string();
+        assert_eq!(word, "0000000000000011", "{what}");
+        let mut healed = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+        let pool_id = healed.create_pool(jurors.clone());
+        assert_eq!(drive(&mut healed, pool_id), cold, "{what}: healed answers");
+        let stats = healed.stats();
+        assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0), "{what}");
+    }
 
     // A missing manifest over intact entry files is an empty catalog:
     // no restore, no rejection — nothing was promised.
