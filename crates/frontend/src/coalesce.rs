@@ -183,8 +183,11 @@ jury_core::stats_record! {
         /// Total queueing delay (enqueue → window dispatch) over all
         /// coalesced tasks, in nanoseconds.
         pub queue_wait_nanos: u64,
-        /// Total solver time attributed to coalesced tasks, in nanoseconds
-        /// (per-task durations from the service's timing hook, summed).
+        /// Total wall time of the dispatched windows' solves, in
+        /// nanoseconds: each window's `solve_batch_shared` call, timed
+        /// once the service lock is held (queue and lock waits excluded;
+        /// cold builds and AltrM re-solves included). Inline solves are
+        /// not counted.
         pub solve_nanos: u64,
         /// Request handlers that panicked. Each cost its connection only:
         /// the worker caught the unwind, answered a best-effort 500 and
@@ -708,7 +711,6 @@ fn supervisor_loop(shared: &Shared) {
 }
 
 fn dispatcher_loop(shared: &Shared) {
-    let mut solve_times: Vec<Duration> = Vec::new();
     loop {
         let (tasks, waiters, claimed) = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -729,15 +731,17 @@ fn dispatcher_loop(shared: &Shared) {
             Some(guard) => guard,
             None => shared.service.lock().expect("service poisoned"),
         };
-        let results = service.solve_batch_shared_timed(&tasks, &mut solve_times);
+        // Timed from here, so neither queue nor lock waits count.
+        let started = Instant::now();
+        let results = service.solve_batch_shared(&tasks);
+        let solved = started.elapsed();
         drop(service);
 
         let counters = &shared.counters;
         counters.coalesced_windows.fetch_add(1, Ordering::Relaxed);
         counters.coalesced_tasks.fetch_add(tasks.len() as u64, Ordering::Relaxed);
         Counters::raise_max(&counters.max_window_occupancy, tasks.len() as u64);
-        let solved: u64 = solve_times.iter().map(|d| d.as_nanos() as u64).sum();
-        counters.solve_nanos.fetch_add(solved, Ordering::Relaxed);
+        counters.solve_nanos.fetch_add(solved.as_nanos() as u64, Ordering::Relaxed);
         let waited: u64 = waiters
             .iter()
             .map(|w| dispatched.saturating_duration_since(w.enqueued).as_nanos() as u64)

@@ -381,24 +381,20 @@ fn health_payload(frontend: &Arc<Frontend>) -> serde::Value {
     ])
 }
 
-/// The snapshot target for `POST /v1/snapshot`: an explicit `{"dir"}`
-/// in the body wins, else the service's configured `snapshot_dir`, else
-/// the request is unprocessable.
+/// The snapshot target for `POST /v1/snapshot`: the service's
+/// configured `snapshot_dir`, and nothing else. The route takes no
+/// body, so a request can never point the writer (its lease, entry
+/// writes and garbage collection) at a directory of its choosing; a
+/// body, or a service with no directory configured, is unprocessable.
 fn snapshot_dir(body: &[u8], frontend: &Frontend) -> Result<std::path::PathBuf, String> {
-    use serde::Deserialize as _;
     if !body.is_empty() {
-        let value: serde::Value = {
-            let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-            serde::json::parse(text).map_err(|e| e.to_string())?
-        };
-        if let Some(dir) = value.get("dir") {
-            let dir = String::from_value(dir).map_err(|e| e.to_string())?;
-            return Ok(std::path::PathBuf::from(dir));
-        }
+        return Err("POST /v1/snapshot takes no body: it writes only into the configured \
+                    snapshot_dir"
+            .to_string());
     }
     frontend
         .with_service(|s| s.config().snapshot_dir.clone())
-        .ok_or_else(|| "no \"dir\" in body and no snapshot_dir configured".to_string())
+        .ok_or_else(|| "no snapshot_dir configured".to_string())
 }
 
 fn error_kind(err: &ServiceError) -> &'static str {

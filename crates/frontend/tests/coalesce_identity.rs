@@ -90,7 +90,7 @@ fn coalesced_answers_are_bit_identical_to_direct_batches() {
     assert!(stats.coalesced_windows >= 1, "the held lock forced real windows: {stats:?}");
     assert!(stats.max_window_occupancy >= 2);
     assert_eq!(stats.coalesced_tasks + stats.inline_solves, tasks.len() as u64);
-    assert!(stats.solve_nanos > 0, "the timing hook attributed solver time");
+    assert!(stats.solve_nanos > 0, "the dispatcher timed its windows' solves");
 }
 
 #[test]

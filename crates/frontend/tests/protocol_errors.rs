@@ -5,15 +5,26 @@
 use jury_core::juror::pool_from_rates_and_costs;
 use jury_frontend::client::Client;
 use jury_frontend::{Frontend, FrontendConfig, HttpServer};
-use jury_service::{DecisionTask, JuryService, PoolId};
+use jury_service::{DecisionTask, JuryService, PoolId, ServiceConfig};
 use std::io::Write;
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 fn start_server(config: FrontendConfig) -> (HttpServer, PoolId) {
+    start_service_server(ServiceConfig::default(), config)
+}
+
+/// A server whose service checkpoints into (and restores from) `dir`.
+fn start_snapshot_server(dir: &Path) -> (HttpServer, PoolId) {
+    let service = ServiceConfig { snapshot_dir: Some(dir.to_path_buf()), ..Default::default() };
+    start_service_server(service, FrontendConfig::default())
+}
+
+fn start_service_server(service: ServiceConfig, config: FrontendConfig) -> (HttpServer, PoolId) {
     let jurors =
         pool_from_rates_and_costs(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4), (0.25, 0.3)]).unwrap();
-    let mut service = JuryService::new();
+    let mut service = JuryService::with_config(service);
     let pool = service.create_pool(jurors);
     let frontend = Frontend::start(service, config);
     let server = HttpServer::start(frontend, "127.0.0.1:0", 2).unwrap();
@@ -245,27 +256,22 @@ fn pools_register_over_the_wire_and_solve() {
 
 #[test]
 fn snapshot_route_persists_and_a_restarted_server_restores() {
-    use jury_service::ServiceConfig;
-    use serde::Serialize as _;
-
     let dir = std::env::temp_dir().join(format!("jury-frontend-snapshot-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (server, pool) = start_server(FrontendConfig::default());
+    // No configured snapshot_dir: unprocessable, structured.
+    let (server, _) = start_server(FrontendConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();
-
-    // No body and no configured snapshot_dir: unprocessable, structured.
     let response = client.request("POST", "/v1/snapshot", None).unwrap();
     assert_eq!(response.status, 422);
     assert_eq!(response.result.unwrap_err().kind, "bad-request");
+    server.shutdown();
 
-    // Warm the pool, then snapshot to an explicit directory from the body.
+    // Warm the pool, then snapshot into the configured directory.
+    let (server, pool) = start_snapshot_server(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
     let first = client.solve("t0", &DecisionTask::altruism(pool)).unwrap().unwrap();
-    let body = serde::json::to_string(&serde::Value::object([(
-        "dir",
-        dir.display().to_string().to_value(),
-    )]));
-    let response = client.request("POST", "/v1/snapshot", Some(&body)).unwrap();
+    let response = client.request("POST", "/v1/snapshot", None).unwrap();
     assert_eq!(response.status, 200);
     let report = response.result.unwrap();
     let entries = report.get("entries").and_then(serde::Value::as_f64).unwrap();
@@ -273,18 +279,10 @@ fn snapshot_route_persists_and_a_restarted_server_restores() {
     assert!(dir.join("manifest-1.json").is_file(), "the generation manifest is the commit point");
     server.shutdown();
 
-    // A restarted server over the same juror content and the directory
-    // configured answers its first task from the verified snapshot,
+    // A restarted server over the same juror content and directory
+    // answers its first task from the verified snapshot,
     // bit-identically.
-    let jurors =
-        pool_from_rates_and_costs(&[(0.1, 0.2), (0.2, 0.1), (0.3, 0.4), (0.25, 0.3)]).unwrap();
-    let mut service = JuryService::with_config(ServiceConfig {
-        snapshot_dir: Some(dir.clone()),
-        ..Default::default()
-    });
-    let restarted = service.create_pool(jurors);
-    let frontend = Frontend::start(service, FrontendConfig::default());
-    let server = HttpServer::start(frontend, "127.0.0.1:0", 2).unwrap();
+    let (server, restarted) = start_snapshot_server(&dir);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let restored = client.solve("t0", &DecisionTask::altruism(restarted)).unwrap().unwrap();
     assert_eq!(restored.members, first.members);
@@ -294,6 +292,56 @@ fn snapshot_route_persists_and_a_restarted_server_restores() {
     assert_eq!(stats.service.snapshot_rejections, 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_body_naming_a_directory_is_refused_and_touches_no_file() {
+    use serde::Serialize as _;
+
+    let base = std::env::temp_dir().join(format!("jury-frontend-foreign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (configured, foreign) = (base.join("configured"), base.join("foreign"));
+    std::fs::create_dir_all(&foreign).unwrap();
+    // Names the snapshot writer would lease, garbage-collect or
+    // overwrite if it ever ran in this directory.
+    let files = ["notes.tmp", "photo.snap", "manifest.json", "keep.txt"];
+    for name in files {
+        std::fs::write(foreign.join(name), name).unwrap();
+    }
+    let listing = |dir: &Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing(&foreign);
+
+    let (server, pool) = start_snapshot_server(&configured);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.solve("t0", &DecisionTask::altruism(pool)).unwrap().unwrap();
+    let body = serde::json::to_string(&serde::Value::object([(
+        "dir",
+        foreign.display().to_string().to_value(),
+    )]));
+    let response = client.request("POST", "/v1/snapshot", Some(&body)).unwrap();
+    assert_eq!(response.status, 422);
+    assert_eq!(response.result.unwrap_err().kind, "bad-request");
+    assert!(!configured.exists(), "a refused request writes nowhere");
+
+    // The configured directory still checkpoints; the foreign one is
+    // never touched, not even by the drain snapshot at shutdown.
+    let response = client.request("POST", "/v1/snapshot", None).unwrap();
+    assert_eq!(response.status, 200);
+    assert!(configured.join("manifest-1.json").is_file());
+    drop(client);
+    server.shutdown();
+    assert_eq!(listing(&foreign), before);
+    for name in files {
+        assert_eq!(std::fs::read_to_string(foreign.join(name)).unwrap(), name);
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// One raw HTTP exchange, bypassing [`Client`]'s typed wire error so
@@ -325,20 +373,14 @@ fn raw_request(
 
 #[test]
 fn partially_failed_snapshot_answers_a_structured_500_with_counts() {
-    use serde::Serialize as _;
-
     let dir = std::env::temp_dir().join(format!("jury-frontend-partial-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (server, pool) = start_server(FrontendConfig::default());
+    let (server, pool) = start_snapshot_server(&dir);
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap();
     client.solve("t0", &DecisionTask::altruism(pool)).unwrap().unwrap();
-    let body = serde::json::to_string(&serde::Value::object([(
-        "dir",
-        dir.display().to_string().to_value(),
-    )]));
-    let response = client.request("POST", "/v1/snapshot", Some(&body)).unwrap();
+    let response = client.request("POST", "/v1/snapshot", None).unwrap();
     assert_eq!(response.status, 200);
 
     // Sabotage the next write: delete the generation-1 entry file (so
@@ -354,7 +396,7 @@ fn partially_failed_snapshot_answers_a_structured_500_with_counts() {
     std::fs::remove_file(&entry).unwrap();
     std::fs::create_dir(dir.join(&healed_name)).unwrap();
 
-    let (status, envelope) = raw_request(addr, "POST", "/v1/snapshot", &body);
+    let (status, envelope) = raw_request(addr, "POST", "/v1/snapshot", "");
     assert_eq!(status, 500, "partial failure must not masquerade as success: {envelope:?}");
     let error = envelope.get("error").expect("structured error body");
     assert_eq!(error.get("kind").and_then(serde::Value::as_str), Some("snapshot-partial"));
@@ -369,7 +411,7 @@ fn partially_failed_snapshot_answers_a_structured_500_with_counts() {
     // is rewritten and a new generation commits.
     std::fs::remove_dir(dir.join(&healed_name)).unwrap();
     let mut client = Client::connect(addr).unwrap();
-    let response = client.request("POST", "/v1/snapshot", Some(&body)).unwrap();
+    let response = client.request("POST", "/v1/snapshot", None).unwrap();
     assert_eq!(response.status, 200);
     let report = response.result.unwrap();
     assert!(report.get("written").and_then(serde::Value::as_f64).unwrap() >= 1.0);

@@ -39,15 +39,18 @@
 //!   [`jury_core::paym::Staircase`]: recorded step intervals map any
 //!   covered budget to its selection by binary search, and a miss costs
 //!   exactly one instrumented greedy scan that records a new step.
-//! * **one solve path** — [`JuryService::solve`] and the `solve_batch*`
-//!   calls all run the same three steps: count the attempts and the
-//!   tasks already warm, warm each referenced pool that is cold for its
-//!   task, then answer every task through one function — on the caller
-//!   thread, or for larger batches across scoped worker threads, each
-//!   with its own persistent [`SolverScratch`], so a warm task performs
-//!   no solver-path heap allocation beyond its returned [`Selection`].
-//!   A staircase miss scans with no lock held and records its step
-//!   wherever it runs, workers included.
+//! * **one solve path** — [`JuryService::solve`] and the two
+//!   `solve_batch*` calls all run the same two phases. First, each task
+//!   whose pool is cold for it runs the one warm step: restore, attach
+//!   or build the pool's orders, plus the AltrM answer for an AltrM
+//!   task. Then one untimed loop answers every task through one
+//!   function — on the caller thread, or for larger batches across
+//!   scoped worker threads, each with its own persistent
+//!   [`SolverScratch`], so a warm task performs no solver-path heap
+//!   allocation beyond its returned [`Selection`]. A staircase miss
+//!   scans with no lock held and records its step wherever it runs,
+//!   workers included. Callers that want a window's cost time the call
+//!   themselves.
 //!
 //! # Bit-identity contract
 //!
@@ -327,13 +330,12 @@ use jury_core::model::CrowdModel;
 use jury_core::paym::{PayAlg, PayConfig, Staircase};
 use jury_core::problem::Selection;
 use jury_core::solver::SolverScratch;
-use repair::{repair_flat_insert, repair_flat_remove, repair_flat_update, MutationEffect};
+use repair::{repair_flat_insert, repair_flat_remove, repair_flat_update};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use store::{ArtifactSet, ArtifactStore, StoreLink};
 
 /// Minimum tasks a batch assigns per worker thread before it spawns
@@ -522,7 +524,7 @@ jury_core::stats_record! {
     /// let stats = service.stats();
     /// assert_eq!(stats.tasks_solved, 3);
     /// assert_eq!(stats.staircase_hits, 2, "only the first budget runs a greedy scan");
-    /// assert_eq!(stats.full_repairs, 0, "budget changes never rebuild pmf artefacts");
+    /// assert_eq!(stats.full_repairs, 0, "a PayM warm builds only the orders");
     /// ```
     pub struct ServiceStats {
         /// Tasks solved (single or batched).
@@ -617,15 +619,6 @@ jury_core::stats_record! {
         /// (every adoption rejection counts in both). The generation still
         /// adopts; the refused pools cold-build as usual.
         pub adoptions_rejected: usize,
-    }
-}
-
-impl ServiceStats {
-    /// Folds one mutation's repair outcome into the counters.
-    fn count_mutation(&mut self, effect: MutationEffect) {
-        self.cache_invalidations += usize::from(effect.invalidated);
-        self.order_repairs += usize::from(effect.orders_repaired);
-        self.insert_repairs += usize::from(effect.insert_repaired);
     }
 }
 
@@ -966,7 +959,9 @@ impl JuryService {
         entry.fp.insert(&juror);
         entry.jurors.push(juror);
         let pos = entry.jurors.len() - 1;
-        self.repair_after_mutation(pool, |set, jurors| repair_flat_insert(set, jurors, pos));
+        if self.repair_after_mutation(pool, |set, jurors| repair_flat_insert(set, jurors, pos)) {
+            self.stats.insert_repairs += 1;
+        }
         Ok(pos)
     }
 
@@ -1022,27 +1017,31 @@ impl JuryService {
     /// content (content-verified, never by hash alone), or is
     /// **published** when that key is vacant, so identically-mutated
     /// siblings re-join it and the next snapshot persists it. It stays
-    /// unlisted only when an occupied key refuses it.
+    /// unlisted only when an occupied key refuses it. Returns whether
+    /// warm state was repaired (counted as one cache invalidation and
+    /// one order repair).
     fn repair_after_mutation(
         &mut self,
         pool: PoolId,
-        repair: impl FnOnce(&mut ArtifactSet, &[Juror]) -> MutationEffect,
-    ) {
+        repair: impl FnOnce(&mut ArtifactSet, &[Juror]),
+    ) -> bool {
         let Self { pools, store, stats, .. } = &mut *self;
         let entry = pools.get_mut(&pool.0).expect("mutations resolve the pool first");
-        if let Some(link) = entry.cache.take() {
-            stats.artifact_detaches += usize::from(store.lists(&link));
-            let mut set = store.reclaim(link);
-            stats.count_mutation(repair(&mut set, &entry.jurors));
-            let key = entry.fp.key();
-            entry.cache = Some(match attach_flat(store, key, &entry.jurors) {
-                Some(shared) => {
-                    stats.artifact_rejoins += 1;
-                    shared
-                }
-                None => list(store, key, set),
-            });
-        }
+        let Some(link) = entry.cache.take() else { return false };
+        stats.artifact_detaches += usize::from(store.lists(&link));
+        let mut set = store.reclaim(link);
+        repair(&mut set, &entry.jurors);
+        stats.cache_invalidations += 1;
+        stats.order_repairs += 1;
+        let key = entry.fp.key();
+        entry.cache = Some(match attach_flat(store, key, &entry.jurors) {
+            Some(shared) => {
+                stats.artifact_rejoins += 1;
+                shared
+            }
+            None => list(store, key, set),
+        });
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1054,59 +1053,42 @@ impl JuryService {
     /// rescan-free solve). Called automatically by the solve paths;
     /// exposed so benches can separate cold from warm.
     pub fn warm_pool(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        let mut scratch = self.scratches.pop().unwrap_or_default();
-        let warmed = self.acquire(pool, |jurors, stats| {
-            let built = build_full_cache(jurors, &mut scratch);
-            stats.bound_pruned += altr_pruned(built.altr.get());
-            stats.cache_builds += 1;
-            stats.full_repairs += 1;
-            built
-        });
-        if warmed.is_ok() {
-            // Ensure the AltrM answer (attached orders-only entries and
-            // repaired sets solve it here — rescan-free, bound-pruned).
-            let Self { pools, stats, .. } = &mut *self;
-            let PoolEntry { jurors, cache, .. } = &pools[&pool.0];
-            let set = &cache.as_ref().expect("acquired above").set;
-            if set.altr.get().is_none() {
-                let answer = solve_altr_cached(jurors, &set.eps_order, &mut scratch);
-                stats.bound_pruned += altr_pruned(Some(&answer));
-                stats.cache_builds += 1;
-                set.set_altr(answer);
-            }
-        }
-        self.scratches.push(scratch);
-        warmed
+        self.warm(pool, true)
     }
 
-    /// Warms only the sorted orders: an orders-only attach or build for
-    /// a cold pool, so PayM tasks never pay for the AltrM solve they do
-    /// not read. An attach shares whatever the entry already holds; an
-    /// orders-only build is published with its AltrM slot empty, filled
-    /// later by whichever attached pool first needs it.
-    fn warm_orders(&mut self, pool: PoolId) -> Result<(), ServiceError> {
-        self.acquire(pool, |jurors, _| build_orders_only(jurors))
-    }
-
-    /// The one place a cold pool acquires warm state: a verified
-    /// snapshot entry is restored into the store, then the pool attaches
-    /// to the interned entry when the store admits it, and otherwise
-    /// runs `build` and lists the result (an occupied key that refused
-    /// the attach keeps its incumbent, and the built set stays
-    /// unlisted). A warm pool is left as it is.
-    fn acquire(
-        &mut self,
-        pool: PoolId,
-        build: impl FnOnce(&[Juror], &mut ServiceStats) -> ArtifactSet,
-    ) -> Result<(), ServiceError> {
-        let Self { pools, store, stats, snapshots, .. } = &mut *self;
+    /// The one place a pool acquires warm state. A cold pool restores a
+    /// verified snapshot entry into the store, attaches to the interned
+    /// entry when the store admits it, or otherwise builds its set and
+    /// lists it (an occupied key that refused the attach keeps its
+    /// incumbent, and the built set stays unlisted). With `altr` — an
+    /// AltrM task — the build solves the AltrM answer, and an empty
+    /// AltrM slot (an orders-only set or a repaired one) is then filled
+    /// by the rescan-free bound-pruned scan; without it a PayM task
+    /// builds only the orders and never pays for a solve it does not
+    /// read. A cold AltrM build counts a full repair; every AltrM solve
+    /// counts a cache build and its pruned sizes.
+    fn warm(&mut self, pool: PoolId, altr: bool) -> Result<(), ServiceError> {
+        let Self { pools, store, stats, snapshots, scratches, .. } = &mut *self;
         let PoolEntry { jurors, cache, fp } =
             pools.get_mut(&pool.0).ok_or(ServiceError::UnknownPool(pool))?;
+        let mut scratch = scratches.pop().unwrap_or_default();
         if cache.is_none() {
             let key = fp.key();
             let attached = restore_and_attach(store, snapshots.as_ref(), key, jurors, stats);
-            *cache = Some(attached.unwrap_or_else(|| list(store, key, build(jurors, stats))));
+            *cache = Some(attached.unwrap_or_else(|| {
+                let set = build_cache(jurors, altr.then_some(&mut scratch));
+                stats.full_repairs += usize::from(altr);
+                count_altr_solve(stats, set.altr.get());
+                list(store, key, set)
+            }));
         }
+        let set = &cache.as_ref().expect("warmed above").set;
+        if altr && set.altr.get().is_none() {
+            let answer = AltrAlg::default().solve_pruned(jurors, &set.eps_order, &mut scratch);
+            set.set_altr(answer.map(Arc::new));
+            count_altr_solve(stats, set.altr.get());
+        }
+        scratches.push(scratch);
         Ok(())
     }
 
@@ -1185,19 +1167,21 @@ impl JuryService {
     /// counts one [`ServiceStats::tasks_solved`] attempt, failures and
     /// unknown pools included.
     pub fn solve(&mut self, task: &DecisionTask) -> Result<Selection, ServiceError> {
-        let mut out = self.solve_tasks(std::slice::from_ref(task), None);
+        let mut out = self.solve_tasks(std::slice::from_ref(task));
         out.pop().expect("one result per task").map(Arc::unwrap_or_clone)
     }
 
-    /// Solves a batch of tasks, preserving order.
+    /// Solves a batch of tasks, preserving order; a task on an unknown
+    /// pool fails in its own slot.
     ///
-    /// Every referenced pool is warmed first, sequentially (warming
-    /// mutates the registry): AltrM tasks get their pool's AltrM answer
-    /// solved once, PayM tasks only the sorted orders. The tasks are
-    /// then answered on the caller thread, or — for batches larger than
-    /// one worker's share (the private `MIN_TASKS_PER_WORKER`, 32
-    /// tasks) — over up to `config.threads` scoped workers, each with a
-    /// persistent [`SolverScratch`]. A PayM budget no recorded step
+    /// Every pool a task finds cold is warmed first, sequentially
+    /// (warming mutates the registry): AltrM tasks get their pool's
+    /// AltrM answer solved once, PayM tasks only the sorted orders. The
+    /// tasks are then answered on the caller thread, or — for batches
+    /// larger than one worker's share (the private
+    /// `MIN_TASKS_PER_WORKER`, 32 tasks) — over up to `config.threads`
+    /// scoped workers, each with a persistent [`SolverScratch`]. No
+    /// clock is read on this path. A PayM budget no recorded step
     /// covers is scanned by the task that meets it, with no lock held,
     /// and recorded as a new staircase step for every later task (two
     /// workers that meet it at once both scan; the second step merges
@@ -1219,34 +1203,15 @@ impl JuryService {
     /// large-batch collapse. Fresh solves (staircase misses and
     /// replays) are wrapped in a new [`Arc`]; the [`Selection`] values
     /// are bit-identical to [`JuryService::solve_batch`]'s either way.
+    /// A front-end that needs a window's cost times this call: its wall
+    /// time covers the warms the window triggered (cold builds, AltrM
+    /// re-solves after a write) as well as the answers.
     pub fn solve_batch_shared(
         &mut self,
         tasks: &[DecisionTask],
     ) -> Vec<Result<Arc<Selection>, ServiceError>> {
         self.stats.batches += 1;
-        self.solve_tasks(tasks, None)
-    }
-
-    /// [`JuryService::solve_batch_shared`] with a per-task timing hook:
-    /// `per_task_solve` is cleared and refilled with one wall-clock
-    /// duration per task, the service time that task caused —
-    /// front-ends subtract it from end-to-end latency to separate
-    /// queueing delay from solve time, and sum it to estimate the cost
-    /// of a window. A task's duration is its answer (a staircase miss
-    /// includes its recording scan) plus, for the first task that found
-    /// its pool cold, the warm it triggered: a cold build, or the AltrM
-    /// re-solve after a write. The untimed entry points compile out the
-    /// clock reads entirely — replay-heavy hot paths pay nothing for
-    /// this hook existing.
-    pub fn solve_batch_shared_timed(
-        &mut self,
-        tasks: &[DecisionTask],
-        per_task_solve: &mut Vec<Duration>,
-    ) -> Vec<Result<Arc<Selection>, ServiceError>> {
-        per_task_solve.clear();
-        per_task_solve.resize(tasks.len(), Duration::ZERO);
-        self.stats.batches += 1;
-        self.solve_tasks(tasks, Some(per_task_solve))
+        self.solve_tasks(tasks)
     }
 
     /// The one solve path: counts every task as an attempt and every
@@ -1254,31 +1219,16 @@ impl JuryService {
     /// referenced pool that is cold for its task (unknown pools fail
     /// positionally in [`answer`]), then answers the tasks in order on
     /// the caller thread or over scoped workers.
-    fn solve_tasks(
-        &mut self,
-        tasks: &[DecisionTask],
-        mut timings: Option<&mut [Duration]>,
-    ) -> Vec<Result<Arc<Selection>, ServiceError>> {
+    fn solve_tasks(&mut self, tasks: &[DecisionTask]) -> Vec<Result<Arc<Selection>, ServiceError>> {
         let warm = tasks.iter().filter(|t| self.is_warm_for(t)).count();
         self.stats.tasks_solved += tasks.len();
         self.stats.cache_hits += warm;
         // An all-warm batch, the serving steady state, skips the second
         // pass: one registry lookup per task is measurable at pool 10²,
-        // batch 1024. A timed warm lands in the slot of the task that
-        // needed it.
+        // batch 1024.
         if warm < tasks.len() {
-            for (i, task) in tasks.iter().enumerate() {
-                if self.is_warm_for(task) {
-                    continue;
-                }
-                let started = timings.is_some().then(Instant::now);
-                let _ = match task.model {
-                    CrowdModel::Altruism => self.warm_pool(task.pool),
-                    CrowdModel::PayAsYouGo { .. } => self.warm_orders(task.pool),
-                };
-                if let (Some(slots), Some(started)) = (timings.as_deref_mut(), started) {
-                    slots[i] = started.elapsed();
-                }
+            for task in tasks {
+                let _ = self.warm(task.pool, matches!(task.model, CrowdModel::Altruism));
             }
         }
 
@@ -1286,7 +1236,7 @@ impl JuryService {
         let pools = &self.pools;
         if threads <= 1 {
             let mut scratch = self.scratches.pop().unwrap_or_default();
-            let (out, hits) = answer_each(pools, tasks, timings, &mut scratch);
+            let (out, hits) = answer_each(pools, tasks, &mut scratch);
             self.scratches.push(scratch);
             self.stats.staircase_hits += hits;
             return out;
@@ -1299,10 +1249,6 @@ impl JuryService {
         scratches.resize_with(threads, SolverScratch::default);
         let chunk_len = tasks.len().div_ceil(threads);
         let n_chunks = tasks.len().div_ceil(chunk_len);
-        let mut timing_chunks: Vec<Option<&mut [Duration]>> = match timings {
-            Some(buf) => buf.chunks_mut(chunk_len).map(Some).collect(),
-            None => (0..n_chunks).map(|_| None).collect(),
-        };
 
         let mut out = Vec::with_capacity(tasks.len());
         let mut returned = Vec::with_capacity(threads);
@@ -1311,12 +1257,8 @@ impl JuryService {
             let handles: Vec<_> = tasks
                 .chunks(chunk_len)
                 .zip(scratches.drain(..n_chunks))
-                .zip(timing_chunks.drain(..))
-                .map(|((chunk, mut scratch), timing)| {
-                    scope.spawn(move || {
-                        let answered = answer_each(pools, chunk, timing, &mut scratch);
-                        (answered, scratch)
-                    })
+                .map(|(chunk, mut scratch)| {
+                    scope.spawn(move || (answer_each(pools, chunk, &mut scratch), scratch))
                 })
                 .collect();
             for handle in handles {
@@ -1335,34 +1277,21 @@ impl JuryService {
 }
 
 /// Answers `tasks` in order through [`answer`], returning the results
-/// and how many were staircase hits. With `timings`, each answer's
-/// wall-clock duration is added to the slot at the task's position; the
-/// untimed form reads no clock.
+/// and how many were staircase hits.
 fn answer_each(
     pools: &HashMap<u64, PoolEntry>,
     tasks: &[DecisionTask],
-    timings: Option<&mut [Duration]>,
     scratch: &mut SolverScratch,
 ) -> (Vec<Result<Arc<Selection>, ServiceError>>, usize) {
     let mut hits = 0;
-    let mut one = |task: &DecisionTask| {
-        let (result, hit) = answer(pools, task, scratch);
-        hits += usize::from(hit);
-        result
-    };
-    let out = match timings {
-        None => tasks.iter().map(&mut one).collect(),
-        Some(slots) => tasks
-            .iter()
-            .zip(slots)
-            .map(|(task, slot)| {
-                let started = Instant::now();
-                let result = one(task);
-                *slot += started.elapsed();
-                result
-            })
-            .collect(),
-    };
+    let out = tasks
+        .iter()
+        .map(|task| {
+            let (result, hit) = answer(pools, task, scratch);
+            hits += usize::from(hit);
+            result
+        })
+        .collect();
     (out, hits)
 }
 
@@ -1406,47 +1335,25 @@ fn answer(
     (result.map_err(ServiceError::from), hit)
 }
 
-/// Solves AltrM over a cached ε-sorted order with the bound-pruned
-/// rescan-free scan ([`AltrAlg::solve_pruned`]: members, JER and cost
-/// bit-identical to [`AltrAlg::solve`], only the
-/// [`jury_core::SolverStats`] reflect the pruning), wrapped for shared
-/// replay.
-fn solve_altr_cached(jurors: &[Juror], order: &[usize], scratch: &mut SolverScratch) -> AltrAnswer {
-    AltrAlg::default().solve_pruned(jurors, order, scratch).map(Arc::new)
-}
-
-/// How many candidate sizes an AltrM answer's scan pruned by bounds.
-fn altr_pruned(answer: Option<&AltrAnswer>) -> usize {
-    match answer {
-        Some(Ok(sel)) => sel.stats.pruned_by_bound,
-        _ => 0,
+/// Counts one AltrM solve into [`ServiceStats::cache_builds`] and
+/// [`ServiceStats::bound_pruned`]; `None` (no solve ran) counts nothing.
+fn count_altr_solve(stats: &mut ServiceStats, answer: Option<&AltrAnswer>) {
+    if let Some(answer) = answer {
+        stats.cache_builds += 1;
+        stats.bound_pruned += answer.as_ref().map_or(0, |sel| sel.stats.pruned_by_bound);
     }
 }
 
-/// Builds every eagerly-cached artefact for one flat-pool snapshot:
-/// the sorted orders plus the AltrM answer.
-fn build_full_cache(jurors: &[Juror], scratch: &mut SolverScratch) -> ArtifactSet {
-    build_cache(jurors, |eps_order| Some(solve_altr_cached(jurors, eps_order, scratch)))
-}
-
-/// Builds just the sorted orders (no solve) — the cache
-/// state an `update_juror` repair also leaves behind; `warm_pool`
-/// completes it with a rescan-free bound-pruned solve on demand.
-fn build_orders_only(jurors: &[Juror]) -> ArtifactSet {
-    build_cache(jurors, |_| None)
-}
-
-/// Sorts both orders, running `solve_altr` on the ε order before the
+/// Sorts both orders of a fresh set. With a scratch it also solves the
+/// AltrM answer ([`AltrAlg::solve_pruned`]) on the ε order, *before* the
 /// greedy sort. The order matters at scale: the AltrM scan evicts the
 /// jurors from cache, and the greedy sort's reads bring them back for
 /// the PayM scan that usually follows a cold build.
-fn build_cache(
-    jurors: &[Juror],
-    solve_altr: impl FnOnce(&[usize]) -> Option<AltrAnswer>,
-) -> ArtifactSet {
+fn build_cache(jurors: &[Juror], altr: Option<&mut SolverScratch>) -> ArtifactSet {
     let mut eps_order = Vec::with_capacity(jurors.len());
     jury_core::solver::sorted_order_into(jurors, &mut eps_order);
-    let altr = solve_altr(&eps_order);
+    let altr = altr
+        .map(|scratch| AltrAlg::default().solve_pruned(jurors, &eps_order, scratch).map(Arc::new));
     let mut greedy_order = Vec::with_capacity(jurors.len());
     PayAlg::greedy_order_into(jurors, &mut greedy_order);
     let seq = jurors.iter().map(juror_content).collect();
@@ -1499,8 +1406,8 @@ fn list(store: &mut ArtifactStore, key: FingerprintKey, set: ArtifactSet) -> Sto
 /// founding sequence equals the pool's ([`ArtifactSet::match_pool`]).
 /// Returns `None` when there is no entry or the content differs (a
 /// collision, or the same multiset in another arrangement). The single
-/// place the attach rule lives — registration
-/// ([`JuryService::warm_pool`] / [`JuryService::warm_orders`]) and
+/// place the attach rule lives — warm-up ([`JuryService::warm_pool`]
+/// and the PayM orders-only warm) and
 /// adoption (both through [`restore_and_attach`], whose fresh restores
 /// the snapshot reader checks by the same `match_pool`) and
 /// post-mutation re-join ([`JuryService::repair_after_mutation`]) all
@@ -1575,6 +1482,7 @@ mod tests {
             JuryService::with_config(ServiceConfig { threads: 3, ..Default::default() });
         let a = service.create_pool(jurors_a.clone());
         let b = service.create_pool(jurors_b.clone());
+        let ghost = PoolId(404);
         let mut tasks = Vec::new();
         for i in 0..40 {
             tasks.push(match i % 4 {
@@ -1584,9 +1492,16 @@ mod tests {
                 _ => DecisionTask::pay_as_you_go(b, f64::MAX),
             });
         }
+        // Unknown pools fail in place, in both worker chunks.
+        tasks[5] = DecisionTask::altruism(ghost);
+        tasks[26] = DecisionTask::pay_as_you_go(ghost, 1.0);
         let results = service.solve_batch(&tasks);
         assert_eq!(results.len(), tasks.len());
         for (task, result) in tasks.iter().zip(&results) {
+            if task.pool == ghost {
+                assert_eq!(result, &Err(ServiceError::UnknownPool(ghost)));
+                continue;
+            }
             let jurors = if task.pool == a { &jurors_a } else { &jurors_b };
             let direct = match task.model {
                 CrowdModel::Altruism => AltrAlg::solve(jurors, &AltrConfig::default()),

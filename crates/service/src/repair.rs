@@ -19,20 +19,6 @@ use jury_core::paym::PayAlg;
 use jury_core::solver::eps_cmp;
 use std::cmp::Ordering;
 
-/// What one mutation did to a pool's warm state — folded into the
-/// service's repair counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MutationEffect {
-    /// Warm cached state was dropped *or* repaired.
-    pub invalidated: bool,
-    /// The sorted orders were repaired in place instead of being
-    /// dropped for re-sorting.
-    pub orders_repaired: bool,
-    /// A juror insert was absorbed by in-place repair (rank-inserts)
-    /// instead of dropping warm state.
-    pub insert_repaired: bool,
-}
-
 /// Repairs a set after `jurors[idx]` was replaced by a juror whose old
 /// keys were `old`: one remove + one insert per sorted order (`O(n)`
 /// memmoves, no re-sort). The orders are total with distinct keys, so
@@ -41,43 +27,31 @@ pub(crate) struct MutationEffect {
 /// may genuinely change — and the next AltrM task re-solves it
 /// rescan-free with the bound-pruned scan; the budget staircase is
 /// cleared likewise.
-pub(crate) fn repair_flat_update(
-    set: &mut ArtifactSet,
-    jurors: &[Juror],
-    idx: usize,
-    old: &Juror,
-) -> MutationEffect {
+pub(crate) fn repair_flat_update(set: &mut ArtifactSet, jurors: &[Juror], idx: usize, old: &Juror) {
     reinsert_eps(&mut set.eps_order, jurors, idx, old);
     reinsert_greedy(&mut set.greedy_order, jurors, idx, old);
     set.seq[idx] = juror_content(&jurors[idx]);
     drop_answers(set);
-    MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() }
 }
 
 /// Repairs a set after `jurors[idx]` was removed: one remove per
 /// sorted order plus a renumbering pass (positions above `idx` shift
 /// down, preserving both total orders).
-pub(crate) fn repair_flat_remove(set: &mut ArtifactSet, idx: usize) -> MutationEffect {
+pub(crate) fn repair_flat_remove(set: &mut ArtifactSet, idx: usize) {
     renumber_out(&mut set.eps_order, idx);
     renumber_out(&mut set.greedy_order, idx);
     set.seq.remove(idx);
     drop_answers(set);
-    MutationEffect { invalidated: true, orders_repaired: true, ..Default::default() }
 }
 
 /// Repairs a set after a juror was appended at pool position
 /// `idx`: one rank-insert per sorted order. Like the other repairs, only
 /// the AltrM answer and the staircase drop.
-pub(crate) fn repair_flat_insert(
-    set: &mut ArtifactSet,
-    jurors: &[Juror],
-    idx: usize,
-) -> MutationEffect {
+pub(crate) fn repair_flat_insert(set: &mut ArtifactSet, jurors: &[Juror], idx: usize) {
     rank_insert_eps(&mut set.eps_order, jurors, idx);
     rank_insert_greedy(&mut set.greedy_order, jurors, idx);
     set.seq.push(juror_content(&jurors[idx]));
     drop_answers(set);
-    MutationEffect { invalidated: true, orders_repaired: true, insert_repaired: true }
 }
 
 /// The common tail of every repair: drops the AltrM answer and the

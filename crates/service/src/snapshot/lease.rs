@@ -33,9 +33,9 @@
 //! age 0 ([`heartbeat_age_ms`]), so a lease is broken only on positive
 //! evidence of staleness, never because a clock ran backwards.
 //!
-//! Every filesystem operation consults the caller's
-//! [`FaultPlane`](super::fault::FaultPlane) first, so the chaos
-//! harness can kill or stall a writer at any protocol boundary.
+//! Every filesystem operation consults the caller's [`FaultPlane`]
+//! first, so the chaos harness can kill or stall a writer at any
+//! protocol boundary.
 
 use super::fault::FaultPlane;
 use super::SnapshotError;

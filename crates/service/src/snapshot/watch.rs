@@ -120,12 +120,10 @@ impl SnapshotWatcher {
     /// The jittered wait before the next poll: the configured interval
     /// ±25%, from a deterministic per-watcher sequence.
     pub fn next_wait(&mut self) -> Duration {
-        // splitmix64: well-distributed, no external dependency.
+        // A splitmix64 stream: mix the state, then advance it by the
+        // generator's own increment.
+        let z = jury_numeric::hash::splitmix64(self.jitter_state);
         self.jitter_state = self.jitter_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
         let base = self.interval.as_nanos() as u64;
         if base == 0 {
             return Duration::ZERO;

@@ -6,9 +6,10 @@
 //! re-derive an identical ε-sorted order, greedy order, budget
 //! staircase and AltrM answer once *per pool*. [`ArtifactStore`]
 //! interns those artifacts by **content**: every registered pool keeps a
-//! running [`PoolFingerprint`] (a commutative multiset hash of its
-//! jurors' solver-relevant content, updated in `O(1)` per mutation), and
-//! warm artifacts live in [`ArtifactSet`]s keyed by that fingerprint's
+//! running [`PoolFingerprint`](jury_core::fingerprint::PoolFingerprint)
+//! (a commutative multiset hash of its jurors' solver-relevant content,
+//! updated in `O(1)` per mutation), and warm artifacts live in
+//! [`ArtifactSet`]s keyed by that fingerprint's
 //! [`FingerprintKey`], so N equal pools hold N `Arc` clones of **one**
 //! artifact set, built once.
 //!

@@ -79,14 +79,25 @@ fn footprint(result: Result<Selection, impl std::fmt::Display>) -> Outcome {
     result.map(|s| (s.members, s.jer.to_bits(), s.total_cost.to_bits())).map_err(|e| e.to_string())
 }
 
+/// Panics with the first broken store invariant
+/// ([`JuryService::check_invariants`]); run after every service step.
+fn check(service: &JuryService) {
+    if let Err(broken) = service.check_invariants() {
+        panic!("store invariant broken: {broken}");
+    }
+}
+
 /// Drives a task stream that populates every snapshot section.
 fn drive(service: &mut JuryService, pool: PoolId) -> Vec<Outcome> {
     service.warm_pool(pool).unwrap();
+    check(service);
     let mut out = Vec::new();
     out.push(footprint(service.solve(&DecisionTask::altruism(pool))));
+    check(service);
     for budget in [0.4, 1.1, 2.7, 5.0] {
         for _ in 0..2 {
             out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
+            check(service);
         }
     }
     out
@@ -107,10 +118,13 @@ fn extra_juror(salt: usize) -> Juror {
 /// shared store — the entry the next commit persists).
 fn dirty(service: &mut JuryService, pool: PoolId, salt: usize) -> Vec<Juror> {
     service.insert_juror(pool, extra_juror(salt)).unwrap();
+    check(service);
     service.warm_pool(pool).unwrap();
+    check(service);
     let mutated = service.pool(pool).unwrap().to_vec();
     let twin = service.create_pool(mutated.clone());
     service.warm_pool(twin).unwrap();
+    check(service);
     mutated
 }
 
@@ -180,8 +194,10 @@ fn two_commit_writer(
     drive(&mut writer, pa);
     writer.set_snapshot_fault_plane(Arc::clone(sched) as Arc<dyn FaultPlane>);
     assert_eq!(writer.snapshot(dir).expect("generation 1 commits cleanly").generation, 1);
+    check(&writer);
     let mutated = dirty(&mut writer, pa, 0);
     let second = writer.snapshot(dir).map(|r| r.generation);
+    check(&writer);
     (writer, mutated, second)
 }
 
@@ -205,6 +221,7 @@ fn writer_killed_at_every_commit_op_leaves_a_promotable_directory() {
         drive(&mut writer, pa);
         writer.set_snapshot_fault_plane(Arc::clone(&sched) as Arc<dyn FaultPlane>);
         writer.snapshot(learn.path()).unwrap();
+        check(&writer);
     }
     let first_commit_ops = sched.ops_seen();
     let (_, expected_mutated, second) = {
@@ -267,12 +284,14 @@ fn writer_killed_at_every_commit_op_leaves_a_promotable_directory() {
         follower
             .snapshot(tmp.path())
             .unwrap_or_else(|e| panic!("kill at op {k}: first post-ttl probe refused: {e}"));
+        check(&follower);
         let (holder, _, _) = lease_fields(tmp.path());
         assert_eq!(holder, follower.snapshot_holder(), "kill at op {k}: lease names the follower");
 
         // Exactly one writer survives: the victim's plane is poisoned
         // (a dead process never returns), so it can never commit.
         assert!(victim.snapshot(tmp.path()).is_err(), "kill at op {k}: the victim stays dead");
+        check(&victim);
     }
 }
 
@@ -298,6 +317,7 @@ fn stalled_writer_is_superseded_within_one_ttl_and_fenced_on_wakeup() {
     drive(&mut writer, wp);
     let committed = Instant::now();
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
 
     let mut follower = JuryService::with_config(following(tmp.path(), ttl));
     let fp = follower.create_pool(jurors.clone());
@@ -315,10 +335,12 @@ fn stalled_writer_is_superseded_within_one_ttl_and_fenced_on_wakeup() {
         ),
         other => panic!("expected LeaseHeld, got {other:?}"),
     }
+    check(&follower);
 
     // One TTL after the last heartbeat the very next probe promotes.
     wait_past_ttl(tmp.path(), ttl);
     follower.snapshot(tmp.path()).expect("first post-ttl probe must promote");
+    check(&follower);
     let (holder, epoch, _) = lease_fields(tmp.path());
     assert_eq!(holder, follower.snapshot_holder());
     assert_eq!(epoch, 2, "promotion bumps the epoch past the stalled writer's");
@@ -334,6 +356,7 @@ fn stalled_writer_is_superseded_within_one_ttl_and_fenced_on_wakeup() {
         }
         other => panic!("expected Fenced, got {other:?}"),
     }
+    check(&writer);
     assert_eq!(manifests(tmp.path()), before, "a fenced zombie publishes nothing");
     assert_eq!(lease_fields(tmp.path()).0, follower.snapshot_holder(), "the lease is untouched");
 }
@@ -355,6 +378,7 @@ fn promotion_race_between_two_followers_elects_exactly_one_writer() {
         let sp = seeder.create_pool(jurors.clone());
         drive(&mut seeder, sp);
         seeder.snapshot(tmp.path()).unwrap();
+        check(&seeder);
         forge_lease(tmp.path(), "dead-writer", 3, now_ms().saturating_sub(120_000));
 
         let candidate = |salt: usize| {
@@ -375,11 +399,15 @@ fn promotion_race_between_two_followers_elects_exactly_one_writer() {
             let b = &mut b;
             let ha = scope.spawn(move || {
                 gate.wait();
-                a.snapshot(dir).map(|r| r.generation)
+                let won = a.snapshot(dir).map(|r| r.generation);
+                check(a);
+                won
             });
             let hb = scope.spawn(move || {
                 gate.wait();
-                b.snapshot(dir).map(|r| r.generation)
+                let won = b.snapshot(dir).map(|r| r.generation);
+                check(b);
+                won
             });
             (ha.join().expect("candidate A panicked"), hb.join().expect("candidate B panicked"))
         });
@@ -436,6 +464,7 @@ impl FaultPlane for RivalCommitsAtLink {
         if op == "lease.link" {
             if let Some(mut rival) = self.rival.lock().unwrap().take() {
                 let outcome = rival.snapshot(&self.dir).map(|r| r.generation);
+                check(&rival);
                 *self.outcome.lock().unwrap() = Some(outcome);
             }
         }
@@ -468,6 +497,7 @@ fn winners_gc_leaves_a_rivals_lease_temp_alone() {
     loser.set_snapshot_fault_plane(Arc::clone(&plane) as Arc<dyn FaultPlane>);
 
     let lost = loser.snapshot(tmp.path());
+    check(&loser);
     let won = plane.outcome.lock().unwrap().take().expect("the rival ran at the link");
     assert_eq!(won.expect("the rival wins the lease and commits"), 1);
     match lost {
@@ -527,6 +557,7 @@ fn follower_adopts_through_an_interrupted_gc() {
     let plane = Arc::new(KillOnOp::new("gc.unlink"));
     writer.set_snapshot_fault_plane(Arc::clone(&plane) as Arc<dyn FaultPlane>);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     assert!(!plane.killed.load(Ordering::SeqCst), "a fresh directory has nothing to collect");
 
     // A live follower on generation 1, watch seeded like the
@@ -541,6 +572,7 @@ fn follower_adopts_through_an_interrupted_gc() {
     // unlink: the commit stands, the old generation lingers.
     let mutated = dirty(&mut writer, wp, 0);
     let report = writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     assert_eq!(report.generation, 2, "the commit precedes (and survives) the GC kill");
     assert!(plane.killed.load(Ordering::SeqCst), "the GC pass was interrupted");
     assert_eq!(manifests(tmp.path()).len(), 2, "both generations linger mid-GC");
@@ -548,6 +580,7 @@ fn follower_adopts_through_an_interrupted_gc() {
     // The watch announces the commit; adoption swaps it in live.
     assert_eq!(watcher.poll(), Some(2), "the interrupted GC must not hide the commit");
     let adopted = follower.adopt_snapshot().expect("adoption through GC debris must succeed");
+    check(&follower);
     assert_eq!(adopted.generation, 2);
     assert_eq!(adopted.rejected, 0);
     watcher.observe(adopted.generation);
@@ -588,6 +621,7 @@ fn follower_adopts_each_generation_without_restart() {
     let wa = writer.create_pool(jurors_a.clone());
     drive(&mut writer, wa);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
 
     let mut follower = JuryService::with_config(following(tmp.path(), Duration::from_millis(60)));
     let fa = follower.create_pool(jurors_a.clone());
@@ -597,6 +631,7 @@ fn follower_adopts_each_generation_without_restart() {
     watcher.observe(follower.stats().follower_generation as u64);
     assert_eq!(watcher.poll(), None, "nothing newer than the restored generation");
     assert!(follower.adopt_snapshot().is_none(), "adoption is generation-gated");
+    check(&follower);
 
     // The follower registers the second pool *before* any commit
     // carries it: a cold pool waiting for bytes.
@@ -606,10 +641,12 @@ fn follower_adopts_each_generation_without_restart() {
     let wb = writer.create_pool(jurors_b.clone());
     drive(&mut writer, wb);
     assert_eq!(writer.snapshot(tmp.path()).unwrap().generation, 2);
+    check(&writer);
 
     // Watch → adopt: the cold pool pre-warms from the adopted bytes.
     assert_eq!(watcher.poll(), Some(2));
     let adopted = follower.adopt_snapshot().expect("a newer generation must adopt");
+    check(&follower);
     assert_eq!(adopted.generation, 2);
     assert_eq!(adopted.restored, 1, "the cold pool pre-warms during adoption");
     assert_eq!(adopted.rejected, 0);
@@ -628,6 +665,7 @@ fn follower_adopts_each_generation_without_restart() {
     // Quiet directory: the watch settles, adoption stays refused.
     assert_eq!(watcher.poll(), None);
     assert!(follower.adopt_snapshot().is_none());
+    check(&follower);
     assert_eq!(follower.stats().generations_adopted, 1, "no double-count on a quiet directory");
 }
 
@@ -650,16 +688,21 @@ fn adopted_entries_are_released_by_their_pools() {
         drive(&mut writer, p);
     }
     assert_eq!(writer.snapshot(tmp.path()).unwrap().entries, 2);
+    check(&writer);
 
     let adopted = follower.adopt_snapshot().expect("generation 1 adopts");
+    check(&follower);
     assert_eq!((adopted.restored, adopted.rejected), (2, 0));
     assert_eq!(follower.artifact_entries(), 2);
 
     follower.remove_pool(fa).unwrap();
+    check(&follower);
     assert_eq!(follower.artifact_entries(), 1, "the removed pool's entry goes with it");
     follower.insert_juror(fb, extra_juror(0)).unwrap();
+    check(&follower);
     assert_eq!(follower.artifact_entries(), 1, "the written pool's entry moves, not doubles");
     follower.warm_pool(fb).unwrap();
+    check(&follower);
     assert_eq!(follower.artifact_entries(), 1, "one entry per live pool");
 
     let written = follower.pool(fb).unwrap().to_vec();
@@ -683,6 +726,7 @@ fn future_dated_heartbeat_reads_live_and_is_never_broken() {
     let sp = seeder.create_pool(jurors.clone());
     drive(&mut seeder, sp);
     seeder.snapshot(tmp.path()).unwrap();
+    check(&seeder);
 
     // A holder whose heartbeat claims to be a minute in the future.
     forge_lease(tmp.path(), "time-traveler", 5, now_ms() + 60_000);
@@ -703,6 +747,7 @@ fn future_dated_heartbeat_reads_live_and_is_never_broken() {
         }
         other => panic!("a future-dated lease must refuse the candidate, got {other:?}"),
     }
+    check(&candidate);
     assert_eq!(
         fs::read(tmp.path().join("writer.lease")).unwrap(),
         lease_before,
@@ -728,6 +773,7 @@ fn adversarial_manifest_names_are_skipped_without_panicking() {
     let wp = writer.create_pool(jurors.clone());
     drive(&mut writer, wp);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
 
     let mut follower = JuryService::with_config(following(tmp.path(), Duration::from_millis(60)));
     let fp = follower.create_pool(jurors.clone());
@@ -757,6 +803,7 @@ fn adversarial_manifest_names_are_skipped_without_panicking() {
     // and the announcement repeats instead of half-adopting.
     assert_eq!(watcher.poll(), Some(7), "name-only scan sees the fake");
     assert!(follower.adopt_snapshot().is_none(), "nothing real is newer: adoption refused");
+    check(&follower);
     assert_eq!(follower.stats().generations_adopted, 0);
     assert_eq!(watcher.poll(), Some(7), "an unadoptable announcement is repeated, not dropped");
 
@@ -764,8 +811,10 @@ fn adversarial_manifest_names_are_skipped_without_panicking() {
     // 2 — which the follower then adopts through the same debris.
     let mutated = dirty(&mut writer, wp, 0);
     assert_eq!(writer.snapshot(tmp.path()).unwrap().generation, 2, "the writer skips the zoo");
+    check(&writer);
     assert!(watcher.poll().is_some());
     let adopted = follower.adopt_snapshot().expect("the real commit adopts through the zoo");
+    check(&follower);
     assert_eq!(adopted.generation, 2);
     let ft = follower.create_pool(mutated.clone());
     assert_eq!(drive(&mut follower, ft), control(&mutated));

@@ -68,19 +68,31 @@ fn footprint(result: Result<Selection, impl std::fmt::Display>) -> Outcome {
     result.map(|s| (s.members, s.jer.to_bits(), s.total_cost.to_bits())).map_err(|e| e.to_string())
 }
 
+/// Panics with the first broken store invariant
+/// ([`JuryService::check_invariants`]); run after every service step.
+fn check(service: &JuryService) {
+    if let Err(broken) = service.check_invariants() {
+        panic!("store invariant broken: {broken}");
+    }
+}
+
 /// Drives a task stream that populates every snapshot section, plus
 /// `extra_budgets` PayM solves (the knob the dirty-tracking tests turn).
 fn drive(service: &mut JuryService, pool: PoolId, extra_budgets: &[f64]) -> Vec<Outcome> {
     service.warm_pool(pool).unwrap();
+    check(service);
     let mut out = Vec::new();
     out.push(footprint(service.solve(&DecisionTask::altruism(pool))));
+    check(service);
     for budget in [0.4, 1.1, 2.7, 5.0] {
         for _ in 0..2 {
             out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
+            check(service);
         }
     }
     for &budget in extra_budgets {
         out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
+        check(service);
     }
     out
 }
@@ -103,10 +115,13 @@ fn extra_juror(salt: usize) -> Juror {
 /// intern it — the same path a second tenant of the new content takes.
 fn dirty(service: &mut JuryService, pool: PoolId, salt: usize) -> Vec<Juror> {
     service.insert_juror(pool, extra_juror(salt)).unwrap();
+    check(service);
     service.warm_pool(pool).unwrap();
+    check(service);
     let mutated = service.pool(pool).unwrap().to_vec();
     let twin = service.create_pool(mutated.clone());
     service.warm_pool(twin).unwrap();
+    check(service);
     mutated
 }
 
@@ -194,6 +209,7 @@ fn incremental_checkpoints_write_only_dirty_entries() {
     drive(&mut writer, pb, &[]);
 
     let report = writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     assert_eq!(report.entries, 2);
     assert_eq!(report.written, 2, "first snapshot writes everything");
     assert_eq!(report.retained, 0);
@@ -209,6 +225,7 @@ fn incremental_checkpoints_write_only_dirty_entries() {
         .map(|p| (p.clone(), mtime(&p)))
         .collect();
     let report = writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     assert_eq!(report.written, 0, "a clean store re-snapshots nothing");
     assert_eq!(report.retained, 2);
     assert_eq!(report.generation, 1, "no commit without changes");
@@ -222,6 +239,7 @@ fn incremental_checkpoints_write_only_dirty_entries() {
     let a_files = entry_files(tmp.path());
     let mutated_b = dirty(&mut writer, pb, 0);
     let report = writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     assert_eq!(report.written, 1, "only the dirty pool is rewritten");
     assert_eq!(report.retained, 1);
     assert_eq!(report.entries, 2);
@@ -268,6 +286,7 @@ fn crash_at_every_commit_boundary_leaves_prior_generation_readable() {
     let pool_id = writer.create_pool(jurors.clone());
     drive(&mut writer, pool_id, &[]);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     let manifest_1 = fs::read_to_string(&manifests(tmp.path())[0]).unwrap();
 
     // Boundary 1: died after writing entry temp files.
@@ -301,6 +320,7 @@ fn crash_at_every_commit_boundary_leaves_prior_generation_readable() {
     // directory: the commit's GC pass sweeps the debris.
     dirty(&mut writer, pool_id, 0);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     assert!(!tmp.path().join("art-00000000deadbeef-g2-e1.snap").exists(), "orphan GC'd");
     assert!(!tmp.path().join("art-00000000deadbeef-g2-e1.snap.tmp").exists(), "stray tmp GC'd");
     assert!(!tmp.path().join("manifest-2.json.tmp").exists(), "manifest tmp GC'd");
@@ -319,10 +339,12 @@ fn reader_mid_gc_restores_the_newest_generation() {
     let pool_id = writer.create_pool(jurors.clone());
     drive(&mut writer, pool_id, &[]);
     writer.snapshot(live.path()).unwrap();
+    check(&writer);
     overlay(live.path(), union.path());
 
     let mutated = dirty(&mut writer, pool_id, 0);
     let report = writer.snapshot(live.path()).unwrap();
+    check(&writer);
     assert_eq!(report.generation, 2);
     // Union = generation 2 files *plus* everything generation 1 had:
     // exactly what a reader racing the GC unlink pass can observe.
@@ -359,6 +381,7 @@ fn live_lease_refuses_a_second_writer_but_readonly_restore_works() {
     let wp = writer.create_pool(jurors.clone());
     drive(&mut writer, wp, &[]);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
     let (holder, epoch) = lease_fields(tmp.path());
     assert_eq!(epoch, 1, "a fresh directory starts at epoch 1");
 
@@ -376,6 +399,7 @@ fn live_lease_refuses_a_second_writer_but_readonly_restore_works() {
         }
         other => panic!("expected LeaseHeld, got {other:?}"),
     }
+    check(&second);
     assert_eq!(manifests(tmp.path()).len(), 1, "a refused writer commits nothing");
     assert_eq!(lease_fields(tmp.path()), (holder, epoch), "the lease is untouched");
 }
@@ -393,6 +417,7 @@ fn stale_lease_is_broken_by_epoch_bump_and_serving_continues() {
     let sp = seeder.create_pool(jurors.clone());
     drive(&mut seeder, sp, &[]);
     seeder.snapshot(tmp.path()).unwrap();
+    check(&seeder);
 
     // The holder "died" two minutes ago with an inflated epoch 5.
     forge_lease(tmp.path(), "dead-writer", 5, Duration::from_secs(120));
@@ -402,6 +427,7 @@ fn stale_lease_is_broken_by_epoch_bump_and_serving_continues() {
     drive(&mut breaker, bp, &[]);
     dirty(&mut breaker, bp, 1);
     let report = breaker.snapshot(tmp.path()).unwrap();
+    check(&breaker);
     assert_eq!(report.generation, 2, "the breaker commits over the stale lease");
 
     let (holder, epoch) = lease_fields(tmp.path());
@@ -412,6 +438,7 @@ fn stale_lease_is_broken_by_epoch_bump_and_serving_continues() {
     // and a reader restores its newest generation bit-identically.
     let mutated = dirty(&mut breaker, bp, 2);
     assert_eq!(breaker.snapshot(tmp.path()).unwrap().generation, 3);
+    check(&breaker);
     let mut reader = JuryService::with_config(reading(tmp.path()));
     let rp = reader.create_pool(mutated.clone());
     assert_eq!(drive(&mut reader, rp, &[]), control(&mutated, &[]));
@@ -431,6 +458,7 @@ fn fenced_zombie_writer_can_never_commit() {
     let zp = zombie.create_pool(jurors.clone());
     drive(&mut zombie, zp, &[]);
     zombie.snapshot(tmp.path()).unwrap();
+    check(&zombie);
 
     // A rival broke the lease (live heartbeat, higher epoch) while the
     // zombie still believes epoch 1.
@@ -443,12 +471,14 @@ fn fenced_zombie_writer_can_never_commit() {
         }
         other => panic!("expected Fenced, got {other:?}"),
     }
+    check(&zombie);
     assert_eq!(manifests(tmp.path()).len(), 1, "a fenced writer commits nothing");
     assert_eq!(lease_fields(tmp.path()).0, "rival-writer", "the rival's lease is untouched");
 
     // Retrying while the rival is live stays refused (now as a plain
     // lease conflict — the zombie no longer believes any epoch).
     assert!(matches!(zombie.snapshot(tmp.path()), Err(SnapshotError::LeaseHeld { .. })));
+    check(&zombie);
 
     // The rival releases; the zombie re-acquires *above* every epoch
     // ever committed and its (dirtied) warm state lands in a fresh
@@ -456,6 +486,7 @@ fn fenced_zombie_writer_can_never_commit() {
     fs::remove_file(tmp.path().join("writer.lease")).unwrap();
     let mutated = dirty(&mut zombie, zp, 3);
     let report = zombie.snapshot(tmp.path()).unwrap();
+    check(&zombie);
     assert_eq!(report.generation, 2, "recovery commits a fresh generation");
     let (_, epoch) = lease_fields(tmp.path());
     assert_eq!(epoch, 2, "fresh acquire clears the committed floor");
@@ -482,6 +513,7 @@ fn aged_snapshot_restores_and_reports_its_age() {
     let sp = seeder.create_pool(jurors.clone());
     drive(&mut seeder, sp, &[]);
     seeder.snapshot(tmp.path()).unwrap();
+    check(&seeder);
     std::thread::sleep(Duration::from_millis(50));
 
     let mut reader = JuryService::with_config(reading(tmp.path()));
@@ -519,6 +551,7 @@ fn concurrent_restore_races_a_snapshot_writer_without_torn_reads() {
     let mp = writer.create_pool(pool(18));
     drive(&mut writer, mp, &[]);
     writer.snapshot(tmp.path()).unwrap();
+    check(&writer);
 
     std::thread::scope(|scope| {
         let dir = tmp.path();
@@ -527,6 +560,7 @@ fn concurrent_restore_races_a_snapshot_writer_without_torn_reads() {
             for salt in 0..30 {
                 dirty(&mut writer, mp, salt);
                 writer.snapshot(dir).unwrap();
+                check(&writer);
             }
             writer
         });
@@ -549,5 +583,6 @@ fn concurrent_restore_races_a_snapshot_writer_without_torn_reads() {
 
         let mut writer = handle.join().expect("writer thread panicked");
         assert_eq!(writer.snapshot(tmp.path()).unwrap().written, 0, "writer ends clean");
+        check(&writer);
     });
 }

@@ -86,20 +86,32 @@ fn footprint(result: Result<Selection, impl std::fmt::Display>) -> Outcome {
     result.map(|s| (s.members, s.jer.to_bits(), s.total_cost.to_bits())).map_err(|e| e.to_string())
 }
 
+/// Panics with the first broken store invariant
+/// ([`JuryService::check_invariants`]); run after every service step.
+fn check(service: &JuryService) {
+    if let Err(broken) = service.check_invariants() {
+        panic!("store invariant broken: {broken}");
+    }
+}
+
 /// Drives a fixed task stream that populates every snapshot section:
 /// the AltrM answer and a staircase with recorded replays (each budget
 /// solved twice). Registration goes
 /// through `warm_pool` — the restore-on-register attach point.
 fn drive(service: &mut JuryService, pool: PoolId) -> Vec<Outcome> {
     service.warm_pool(pool).unwrap();
+    check(service);
     let mut out = Vec::new();
     out.push(footprint(service.solve(&DecisionTask::altruism(pool))));
+    check(service);
     for budget in [0.4, 1.1, 2.7, 5.0] {
         for _ in 0..2 {
             out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(pool, budget))));
+            check(service);
         }
     }
     out.push(footprint(service.solve(&DecisionTask::altruism(pool))));
+    check(service);
     out
 }
 
@@ -118,6 +130,7 @@ fn seed_snapshot(dir: &Path, config: &ServiceConfig, jurors: &[Juror]) -> Vec<Ou
     let pool = service.create_pool(jurors.to_vec());
     let out = drive(&mut service, pool);
     let report = service.snapshot(dir).unwrap();
+    check(&service);
     assert!(report.entries >= 1, "seed snapshot persisted nothing");
     out
 }
@@ -509,6 +522,7 @@ fn swapped_manifest_entries_fall_back_cold() {
     drive(&mut seeder, pa);
     drive(&mut seeder, pb);
     let report = seeder.snapshot(tmp.path()).unwrap();
+    check(&seeder);
     assert_eq!(report.entries, 2, "two distinct pools, two entries");
 
     let old = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
@@ -545,11 +559,13 @@ fn mutated_past_replay_falls_back_cold() {
     let pool_id = service.create_pool(jurors.clone());
     drive(&mut service, pool_id);
     service.snapshot(tmp.path()).unwrap();
+    check(&service);
 
     // Mutate the pool past the snapshot, then capture its new content
     // and fingerprint — the "present" the stale bytes will impersonate.
     let extra = pool_from_rates_and_costs(&[(0.345, 0.21)]).unwrap().pop().unwrap();
     service.insert_juror(pool_id, extra).unwrap();
+    check(&service);
     let mutated: Vec<Juror> = service.pool(pool_id).unwrap().to_vec();
     let fp = service.fingerprint(pool_id).unwrap();
     let cold = control(&config, &mutated);
@@ -599,15 +615,19 @@ fn written_pools_restore_from_the_next_checkpoint() {
         drive(&mut service, id);
     }
     service.snapshot(tmp.path()).unwrap();
+    check(&service);
 
     let fresh = pool_from_rates_and_costs(&[(0.137, 0.42), (0.291, 0.18)]).unwrap();
     for (i, &id) in pools.iter().enumerate() {
         service.update_juror(id, i, fresh[0]).unwrap();
+        check(&service);
         if i == 1 {
             service.insert_juror(id, fresh[1]).unwrap();
+            check(&service);
         }
         if i == 2 {
             service.remove_juror(id, 5).unwrap();
+            check(&service);
         }
         if i % 2 == 0 {
             drive(&mut service, id);
@@ -615,6 +635,7 @@ fn written_pools_restore_from_the_next_checkpoint() {
     }
     assert_eq!(service.artifact_entries(), pools.len(), "every written pool is a store entry");
     let report = service.snapshot(tmp.path()).unwrap();
+    check(&service);
     assert_eq!(report.entries, pools.len(), "the checkpoint persists every written pool");
 
     let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
@@ -646,12 +667,16 @@ fn rewritten_key_round_trip_restores_bit_identically() {
     drive(&mut service, id);
     let k1 = service.fingerprint(id).unwrap();
     service.snapshot(tmp.path()).unwrap();
+    check(&service);
 
     service.update_juror(id, 0, jurors[1]).unwrap();
+    check(&service);
     assert_ne!(service.fingerprint(id).unwrap(), k1, "K2 is new content");
     service.update_juror(id, 1, jurors[0]).unwrap();
+    check(&service);
     assert_eq!(service.fingerprint(id).unwrap(), k1, "the swap restores the multiset");
     let report = service.snapshot(tmp.path()).unwrap();
+    check(&service);
     assert_eq!(report.written, 1, "the re-listed set is rewritten");
 
     let swapped = service.pool(id).unwrap().to_vec();
@@ -713,6 +738,7 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
         // seeding service never released its writer lease.)
         fs::remove_file(tmp.path().join("writer.lease")).unwrap();
         service.snapshot(tmp.path()).unwrap();
+        check(&service);
         let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap());
         let records = manifest.unwrap().get("entries").unwrap().as_array().unwrap().to_vec();
         assert_eq!(records.len(), 1, "{what}: one record after the checkpoint");
@@ -824,6 +850,7 @@ fn older_pinned_entry_bytes_still_restore() {
     let stats = service.stats();
     assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
     let served = service.solve(&DecisionTask::altruism(p)).unwrap();
+    check(&service);
     assert_eq!(served.stats.jer_evaluations, 12, "the restored answer is the one served");
 }
 
@@ -874,6 +901,7 @@ fn sharded_manifest_records_are_skipped_not_fatal() {
     drive(&mut seeder, pa);
     drive(&mut seeder, pb);
     assert_eq!(seeder.snapshot(tmp.path()).unwrap().entries, 2);
+    check(&seeder);
 
     let old = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
     let mut entries = old.get("entries").unwrap().as_array().unwrap().to_vec();
