@@ -21,6 +21,13 @@
 //!   pays the full post-churn re-solve — the per-request cost the
 //!   front-end amortises away.
 //!
+//! The pool has 10⁵ jurors, so a post-churn AltrM re-solve (milliseconds)
+//! outlasts the churn interval and dominates a naive request's cost. The
+//! top offered load is not fixed: a probe first measures the naive
+//! front-end's capacity under the same churn, and the top load is
+//! [`SATURATION`] times that, so it saturates naive mode however fast the
+//! solver gets.
+//!
 //! Two side measurements close the loop on the latency contract: the
 //! idle **batch-1** path (sequential `submit` on an idle front-end vs
 //! the bare `solve_batch_shared` library call — the inline fast path
@@ -54,6 +61,13 @@ const MAX_DELAY: Duration = Duration::from_millis(25);
 const TENANTS: usize = 4;
 /// PayM budgets cycled through the 1-in-4 pay-as-you-go tasks.
 const BUDGETS: [f64; 3] = [1.5, 2.5, 4.0];
+/// The top offered load as a multiple of the measured naive capacity:
+/// above the 5x goodput gap the full run asserts, so coalescing can show
+/// it only if it keeps up where naive mode cannot.
+const SATURATION: f64 = 8.0;
+/// The capacity probe's offered load: far above either mode's capacity,
+/// so the probe measures service rate, not arrival rate.
+const PROBE_OFFERED: f64 = 200_000.0;
 
 /// Deterministic pool: rates spread over (0.02, 0.95), convex prices —
 /// the same synthetic workload as the other service emitters.
@@ -96,6 +110,46 @@ fn start_churn(
         }
         flips
     })
+}
+
+/// A front-end in one mode over a fresh churned pool.
+struct Harness {
+    frontend: Arc<Frontend>,
+    pool: PoolId,
+    stop: Arc<AtomicBool>,
+    churn: std::thread::JoinHandle<u64>,
+}
+
+impl Harness {
+    /// Warms a `pool_size` pool, starts the front-end with `max_batch`
+    /// and the churn thread flipping juror 0 every `churn_every`.
+    fn start(pool_size: usize, max_batch: usize, churn_every: Duration) -> Self {
+        let jurors = pool(pool_size);
+        let mut service = JuryService::new();
+        let pool = service.create_pool(jurors.clone());
+        service.solve(&DecisionTask::altruism(pool)).expect("warm-up solve");
+        let frontend = Frontend::start(
+            service,
+            FrontendConfig {
+                max_batch,
+                max_delay: MAX_DELAY,
+                queue_capacity: 4096,
+                ..FrontendConfig::default()
+            },
+        );
+        let stop = Arc::new(AtomicBool::new(false));
+        let churn =
+            start_churn(Arc::clone(&frontend), pool, jurors[0], churn_every, Arc::clone(&stop));
+        Self { frontend, pool, stop, churn }
+    }
+
+    /// Stops the churn (which must have run) and the front-end.
+    fn finish(self) {
+        self.stop.store(true, Ordering::Relaxed);
+        let flips = self.churn.join().expect("churn thread");
+        assert!(flips > 0, "churn must actually run");
+        self.frontend.shutdown().expect("front-end returns the service");
+    }
 }
 
 struct LoadPoint {
@@ -271,7 +325,7 @@ fn http_spot_check(pool_size: usize, iters: usize) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (pool_size, loads, workers, churn_every, request_cap, side_iters): (
+    let (pool_size, mut loads, workers, churn_every, request_cap, side_iters): (
         usize,
         Vec<f64>,
         usize,
@@ -281,8 +335,17 @@ fn main() {
     ) = if smoke {
         (300, vec![2_000.0], 16, Duration::from_micros(500), 300, 200)
     } else {
-        (1_000, vec![400.0, 2_000.0, 16_000.0], 64, Duration::from_micros(100), 4_000, 5_000)
+        (100_000, vec![400.0, 2_000.0], 64, Duration::from_micros(100), 4_000, 5_000)
     };
+    let probe = Harness::start(pool_size, 1, churn_every);
+    let naive_capacity =
+        run_load(&probe.frontend, probe.pool, PROBE_OFFERED, request_cap, workers, 3).goodput;
+    probe.finish();
+    loads.push((SATURATION * naive_capacity).round());
+    println!(
+        "[probe] naive capacity {naive_capacity:.0}/s -> top offered load {:.0}/s",
+        loads.last().unwrap()
+    );
 
     let mut report = Report::new(
         "frontend_throughput",
@@ -294,27 +357,18 @@ fn main() {
     let mut by_mode: Vec<(&str, Vec<LoadPoint>)> = Vec::new();
 
     for (mode, max_batch) in [("coalesced", 64usize), ("naive", 1)] {
-        let jurors = pool(pool_size);
-        let mut service = JuryService::new();
-        let p = service.create_pool(jurors.clone());
-        service.solve(&DecisionTask::altruism(p)).expect("warm-up solve");
-        let frontend = Frontend::start(
-            service,
-            FrontendConfig {
-                max_batch,
-                max_delay: MAX_DELAY,
-                queue_capacity: 4096,
-                ..FrontendConfig::default()
-            },
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let churn =
-            start_churn(Arc::clone(&frontend), p, jurors[0], churn_every, Arc::clone(&stop));
-
+        let harness = Harness::start(pool_size, max_batch, churn_every);
         let mut points = Vec::new();
         for (li, &offered) in loads.iter().enumerate() {
             let requests = ((offered / 2.0) as usize).clamp(200, request_cap);
-            let point = run_load(&frontend, p, offered, requests, workers, 7 + li as u64);
+            let point = run_load(
+                &harness.frontend,
+                harness.pool,
+                offered,
+                requests,
+                workers,
+                7 + li as u64,
+            );
             report.row(&[
                 &mode,
                 &format!("{offered:.0}"),
@@ -342,10 +396,7 @@ fn main() {
             ]));
             points.push(point);
         }
-        stop.store(true, Ordering::Relaxed);
-        let flips = churn.join().expect("churn thread");
-        assert!(flips > 0, "churn must actually run");
-        frontend.shutdown().expect("front-end returns the service");
+        harness.finish();
         by_mode.push((mode, points));
     }
     report.emit();
@@ -421,6 +472,7 @@ fn main() {
         ("max_batch", 64usize.to_value()),
         ("max_delay_ms", (MAX_DELAY.as_millis() as u64).to_value()),
         ("churn_interval_us", (churn_every.as_micros() as u64).to_value()),
+        ("naive_capacity_per_sec", naive_capacity.to_value()),
         ("offered_loads_per_sec", Value::Array(loads.iter().map(|l| l.to_value()).collect())),
         ("results", Value::Array(rows)),
         (

@@ -37,7 +37,7 @@ use crate::error::JuryError;
 use crate::jer::JerEngine;
 use crate::juror::Juror;
 use crate::problem::{Selection, SolverStats};
-use crate::solver::{Solver, SolverScratch};
+use crate::solver::{flip, keyed_order_into, Solver, SolverScratch};
 use jury_numeric::poibin::PoiBin;
 
 /// Configuration for [`PayAlg::solve`].
@@ -92,7 +92,8 @@ impl PayAlg {
     /// pool positions: ascending `ε_i·r_i`, ties broken by cost, then ε,
     /// then position. Strict for distinct positions, so the sorted
     /// permutation is unique: a cached order repaired by remove +
-    /// rank-insert equals a fresh sort.
+    /// rank-insert equals a fresh sort. [`PayAlg::greedy_order_into`]
+    /// sorts by packed keys that encode exactly this order.
     #[inline]
     pub fn greedy_cmp(pool: &[Juror], a: usize, b: usize) -> std::cmp::Ordering {
         pool[a]
@@ -108,10 +109,19 @@ impl PayAlg {
     /// index — deterministic). The order depends only on the pool, not
     /// the budget, so a serving layer caches it per pool and replays it
     /// across tasks via [`PayAlg::solve_presorted`].
+    ///
+    /// Sorts one packed key `flip(ε·r) << 64 | index` per juror, where
+    /// `flip` maps a float to bits that order like `total_cmp` (so a cost
+    /// of `−0.0` sorts before `+0.0`); each run of equal `ε·r` is re-keyed
+    /// by cost, and each run of equal cost by ε. The permutation is
+    /// exactly [`PayAlg::greedy_cmp`]'s.
     pub fn greedy_order_into(pool: &[Juror], order: &mut Vec<usize>) {
-        order.clear();
-        order.extend(0..pool.len());
-        order.sort_by(|&a, &b| Self::greedy_cmp(pool, a, b));
+        keyed_order_into(
+            pool,
+            order,
+            |j| flip(j.greedy_key()),
+            &[|j| flip(j.cost), |j| j.epsilon().to_bits()],
+        );
     }
 
     /// The scratch-threaded form of [`PayAlg::solve`]: bit-identical
@@ -582,14 +592,7 @@ mod tests {
         for budget in [0.2, 0.4, 0.6, 0.8, 1.0, 1.5] {
             let sel = PayAlg::solve(&pool, budget, &PayConfig::default()).unwrap();
             let mut order: Vec<usize> = (0..pool.len()).collect();
-            order.sort_by(|&a, &b| {
-                pool[a]
-                    .greedy_key()
-                    .total_cmp(&pool[b].greedy_key())
-                    .then(pool[a].cost.total_cmp(&pool[b].cost))
-                    .then(pool[a].epsilon().total_cmp(&pool[b].epsilon()))
-                    .then(a.cmp(&b))
-            });
+            order.sort_by(|&a, &b| PayAlg::greedy_cmp(&pool, a, b));
             let seed_eps = order
                 .iter()
                 .map(|&i| &pool[i])

@@ -96,7 +96,8 @@ pub trait Solver {
 /// The ε-ascending total order over pool positions: `ε` by `total_cmp`,
 /// ties by position. Strict for distinct positions, which is what makes a
 /// cached order repaired by remove + rank-insert reproduce a fresh sort
-/// permutation-for-permutation.
+/// permutation-for-permutation. [`sorted_order_into`] sorts by a packed
+/// key that encodes exactly this order.
 #[inline]
 pub fn eps_cmp(pool: &[Juror], a: usize, b: usize) -> std::cmp::Ordering {
     pool[a].epsilon().total_cmp(&pool[b].epsilon()).then(a.cmp(&b))
@@ -106,10 +107,72 @@ pub fn eps_cmp(pool: &[Juror], a: usize, b: usize) -> std::cmp::Ordering {
 /// written into `order` — the shared first step of AltrALG and the
 /// fixed-size selector; public so serving layers can cache the order per
 /// pool.
+///
+/// Sorts one packed key `ε bits << 64 | index` per juror instead of
+/// calling [`eps_cmp`] on pool entries: [`ErrorRate`](crate::juror::ErrorRate)
+/// keeps ε in (0, 1), where the raw bits order like `total_cmp`, so the
+/// permutation is exactly [`eps_cmp`]'s.
 pub fn sorted_order_into(pool: &[Juror], order: &mut Vec<usize>) {
+    keyed_order_into(pool, order, |j| j.epsilon().to_bits(), &[]);
+}
+
+/// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp`'s: a
+/// negative value has every bit flipped, a non-negative one only its sign
+/// bit. So `−0.0` sorts before `+0.0`, and equal keys mean equal bits.
+#[inline]
+pub(crate) fn flip(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Writes the pool positions into `order`, sorted by `key`, then by each
+/// of `ties` in turn, then by position — the order of a comparator that
+/// chains those fields with `then` and ends in `a.cmp(&b)`.
+///
+/// Each juror gets one 16-byte key `field << 64 | position`, sorted with
+/// `sort_unstable`: positions are distinct, so the sort is total and no
+/// comparison loads a juror. A run of equal `field` is re-keyed in place
+/// with the next tie field and sorted again, so a pool-sized tie run
+/// (an all-free pool under the greedy order) stays a packed-key sort. The
+/// key buffer is the only transient allocation and is dropped on return.
+pub(crate) fn keyed_order_into(
+    pool: &[Juror],
+    order: &mut Vec<usize>,
+    key: impl Fn(&Juror) -> u64,
+    ties: &[fn(&Juror) -> u64],
+) {
+    let mut keys: Vec<u128> = pool.iter().enumerate().map(|(i, j)| pack(key(j), i)).collect();
+    sort_runs(pool, &mut keys, ties);
     order.clear();
-    order.extend(0..pool.len());
-    order.sort_by(|&a, &b| eps_cmp(pool, a, b));
+    order.extend(keys.iter().map(|&k| position(k)));
+}
+
+/// Sorts `keys`, then re-keys every run of equal field by `ties[0]` and
+/// sorts it by the rest, recursively.
+fn sort_runs(pool: &[Juror], keys: &mut [u128], ties: &[fn(&Juror) -> u64]) {
+    keys.sort_unstable();
+    let Some((&next, rest)) = ties.split_first() else { return };
+    for run in keys.chunk_by_mut(|a, b| a >> 64 == b >> 64).filter(|run| run.len() > 1) {
+        for k in run.iter_mut() {
+            let i = position(*k);
+            *k = pack(next(&pool[i]), i);
+        }
+        sort_runs(pool, run, rest);
+    }
+}
+
+#[inline]
+fn pack(field: u64, position: usize) -> u128 {
+    u128::from(field) << 64 | position as u128
+}
+
+#[inline]
+fn position(key: u128) -> usize {
+    key as u64 as usize
 }
 
 #[cfg(test)]
@@ -178,5 +241,35 @@ mod tests {
         let mut order = vec![99; 32];
         sorted_order_into(&pool, &mut order);
         assert_eq!(order, vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn flip_orders_like_total_cmp() {
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        assert!(subnormal.is_subnormal());
+        let ascending =
+            [-f64::MAX, -1.0, -subnormal, -0.0, 0.0, subnormal, f64::MIN_POSITIVE, 1.0, f64::MAX];
+        for (i, a) in ascending.iter().enumerate() {
+            for (j, b) in ascending.iter().enumerate() {
+                assert_eq!(flip(*a).cmp(&flip(*b)), a.total_cmp(b), "{a:e} vs {b:e}");
+                assert_eq!(flip(*a).cmp(&flip(*b)), i.cmp(&j), "{a:e} vs {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_order_of_an_all_free_pool_is_the_eps_order() {
+        // Every ε·r is +0.0 and every cost +0.0, so the whole pool is one
+        // tie run that the ε tier alone decides; repeated rates make the
+        // position decide within it.
+        let rates: Vec<f64> = (0..10_000).map(|i| 0.01 + (i * 7919 % 97) as f64 / 100.0).collect();
+        let pool = pool_from_rates(&rates).unwrap();
+        let (mut eps, mut greedy) = (Vec::new(), Vec::new());
+        sorted_order_into(&pool, &mut eps);
+        PayAlg::greedy_order_into(&pool, &mut greedy);
+        assert_eq!(greedy, eps);
+        let mut reference: Vec<usize> = (0..pool.len()).collect();
+        reference.sort_by(|&a, &b| eps_cmp(&pool, a, b));
+        assert_eq!(eps, reference);
     }
 }

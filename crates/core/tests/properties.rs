@@ -28,6 +28,39 @@ fn paid_pool(pairs: &[(f64, f64)]) -> Vec<Juror> {
         .collect()
 }
 
+/// Error rates and costs whose products collide: `0.1·1.0`, `0.2·0.5`,
+/// `0.25·0.4` and `0.5·0.2` are all the double `0.1`, so equal `ε·r`
+/// comes with different costs. The costs add both zeros, a subnormal
+/// that `ε·r` rounds to `+0.0`, a larger subnormal and the smallest
+/// normal.
+const TIE_RATES: [f64; 5] = [0.1, 0.2, 0.25, 0.5, 0.9];
+const TIE_COSTS: [f64; 9] = [-0.0, 0.0, 5e-324, 1e-310, f64::MIN_POSITIVE, 0.2, 0.4, 0.5, 1.0];
+
+/// Pools drawn mostly from the tie palettes, so repeated ε, equal `ε·r`,
+/// signed-zero and subnormal costs and full `(ε·r, cost, ε)` ties that
+/// only the position decides are common; one juror in four has a free ε.
+fn tie_heavy_pool(max_len: usize) -> impl Strategy<Value = Vec<Juror>> {
+    let spec = (0..TIE_RATES.len(), 0..TIE_COSTS.len(), 0.02..0.98f64, 0..4usize);
+    vec(spec, 1..=max_len).prop_map(|specs| {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(e, c, free, mode))| {
+                let eps = if mode == 0 { free } else { TIE_RATES[e] };
+                Juror::new(i as u32, ErrorRate::new(eps).unwrap(), TIE_COSTS[c])
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn tie_palettes_collide() {
+    assert!([0.1 * 1.0, 0.2 * 0.5, 0.25 * 0.4, 0.5 * 0.2].iter().all(|&k| k == 0.1));
+    assert!(TIE_COSTS[2].is_subnormal() && TIE_COSTS[3].is_subnormal());
+    assert_eq!((0.5 * TIE_COSTS[2]).to_bits(), 0.0f64.to_bits());
+    assert!(TIE_COSTS[0].is_sign_negative() && TIE_COSTS[0] == 0.0);
+}
+
 /// Reference JER by brute-force subset enumeration over all odd subsets.
 fn brute_best_jer(rates: &[f64]) -> f64 {
     let n = rates.len();
@@ -180,6 +213,21 @@ proptest! {
         let yes = bits.iter().filter(|&&b| b).count();
         let expected = if yes * 2 > bits.len() { Decision::Yes } else { Decision::No };
         prop_assert_eq!(majority_vote(&v), expected);
+    }
+
+    // The keyed sorts must give exactly the comparator permutations,
+    // which the repair path and the snapshot reader still rely on.
+    #[test]
+    fn keyed_orders_equal_the_comparator_orders(pool in tie_heavy_pool(80)) {
+        use jury_core::solver::{eps_cmp, sorted_order_into};
+        let mut reference: Vec<usize> = (0..pool.len()).collect();
+        let mut order = Vec::new();
+        reference.sort_by(|&a, &b| eps_cmp(&pool, a, b));
+        sorted_order_into(&pool, &mut order);
+        prop_assert_eq!(&order, &reference);
+        reference.sort_by(|&a, &b| PayAlg::greedy_cmp(&pool, a, b));
+        PayAlg::greedy_order_into(&pool, &mut order);
+        prop_assert_eq!(&order, &reference);
     }
 
     // A recorded staircase — including the +∞ top window and refusal

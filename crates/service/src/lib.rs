@@ -1347,8 +1347,10 @@ fn count_altr_solve(stats: &mut ServiceStats, answer: Option<&AltrAnswer>) {
 /// Sorts both orders of a fresh set. With a scratch it also solves the
 /// AltrM answer ([`AltrAlg::solve_pruned`]) on the ε order, *before* the
 /// greedy sort. The order matters at scale: the AltrM scan evicts the
-/// jurors from cache, and the greedy sort's reads bring them back for
-/// the PayM scan that usually follows a cold build.
+/// jurors from cache, and the greedy sort's one sequential key pass
+/// brings them back for the PayM scan that usually follows a cold build.
+/// Each sort allocates a 16-byte packed key per juror and frees it
+/// before returning, so at most one key buffer is live at a time.
 fn build_cache(jurors: &[Juror], altr: Option<&mut SolverScratch>) -> ArtifactSet {
     let mut eps_order = Vec::with_capacity(jurors.len());
     jury_core::solver::sorted_order_into(jurors, &mut eps_order);
