@@ -30,9 +30,10 @@
 //!
 //! Two side measurements close the loop on the latency contract: the
 //! idle **batch-1** path (sequential `submit` on an idle front-end vs
-//! the bare `solve_batch_shared` library call — the inline fast path
-//! must keep them within 2x) and an over-the-wire **HTTP spot check**
-//! (one keep-alive connection round-tripping real requests).
+//! the bare `solve_batch_shared` library call, timed in interleaved
+//! rounds and compared by median — the inline fast path must keep them
+//! within 2x) and an over-the-wire **HTTP spot check** (one keep-alive
+//! connection round-tripping real requests).
 //!
 //! Appends a `"frontend"` section to `BENCH_service.json`. `--smoke` runs a
 //! seconds-long version and writes nothing — CI uses it to keep this binary
@@ -43,7 +44,7 @@
 //! ```
 
 use jury_bench::report::Report;
-use jury_bench::timing::time_it;
+use jury_bench::timing::{quartiles, time_it, Quartiles};
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
 use jury_frontend::client::Client;
 use jury_frontend::{Frontend, FrontendConfig, HttpServer, SubmitError};
@@ -68,6 +69,9 @@ const SATURATION: f64 = 8.0;
 /// The capacity probe's offered load: far above either mode's capacity,
 /// so the probe measures service rate, not arrival rate.
 const PROBE_OFFERED: f64 = 200_000.0;
+/// Interleaved rounds of the batch-1 comparison (nearest-rank quartiles
+/// at exact sample indices 5, 10 and 15).
+const BATCH1_ROUNDS: usize = 21;
 
 /// Deterministic pool: rates spread over (0.02, 0.95), convex prices —
 /// the same synthetic workload as the other service emitters.
@@ -265,39 +269,48 @@ fn run_load(
     }
 }
 
-/// Idle batch-1 contract: mean sequential `submit` latency on an idle
-/// front-end vs the bare `solve_batch_shared(&[task])` library call,
-/// both warm. Returns `(submit_secs, direct_secs)` per call.
-fn batch1_comparison(pool_size: usize, iters: usize) -> (f64, f64) {
+/// Idle batch-1 contract: sequential `submit` on an idle front-end vs
+/// the bare `solve_batch_shared(&[task])` library call, both warm. Each
+/// of [`BATCH1_ROUNDS`] rounds times `calls` calls of one side, then of
+/// the other, so drift in the host's speed hits both alike. Returns the
+/// per-call quartiles `(submit, direct)` in seconds.
+fn batch1_comparison(pool_size: usize, calls: usize) -> (Quartiles, Quartiles) {
     let jurors = pool(pool_size);
 
     let mut direct = JuryService::new();
     let dp = direct.create_pool(jurors.clone());
     let dtask = DecisionTask::altruism(dp);
     direct.solve(&dtask).expect("warm solve");
-    let (_, direct_secs) = time_it(|| {
-        for _ in 0..iters {
-            assert!(direct.solve_batch_shared(std::slice::from_ref(&dtask))[0].is_ok());
-        }
-    });
 
     let mut service = JuryService::new();
     let fp = service.create_pool(jurors);
     let ftask = DecisionTask::altruism(fp);
     let frontend = Frontend::start(service, FrontendConfig::default());
     frontend.submit("solo", ftask).expect("warm submit");
-    let (_, submit_secs) = time_it(|| {
-        for _ in 0..iters {
-            assert!(frontend.submit("solo", ftask).is_ok());
-        }
-    });
+
+    let mut submit_secs = Vec::with_capacity(BATCH1_ROUNDS);
+    let mut direct_secs = Vec::with_capacity(BATCH1_ROUNDS);
+    for _ in 0..BATCH1_ROUNDS {
+        let (_, secs) = time_it(|| {
+            for _ in 0..calls {
+                assert!(direct.solve_batch_shared(std::slice::from_ref(&dtask))[0].is_ok());
+            }
+        });
+        direct_secs.push(secs / calls as f64);
+        let (_, secs) = time_it(|| {
+            for _ in 0..calls {
+                assert!(frontend.submit("solo", ftask).is_ok());
+            }
+        });
+        submit_secs.push(secs / calls as f64);
+    }
     let stats = frontend.stats();
     assert_eq!(
         stats.inline_solves, stats.requests,
         "every idle batch-1 submit must take the inline fast path"
     );
     frontend.shutdown();
-    (submit_secs / iters as f64, direct_secs / iters as f64)
+    (quartiles(&mut submit_secs), quartiles(&mut direct_secs))
 }
 
 /// Over-the-wire spot check: one keep-alive connection round-tripping
@@ -401,12 +414,15 @@ fn main() {
     }
     report.emit();
 
-    let (submit_secs, direct_secs) = batch1_comparison(pool_size, side_iters);
-    let batch1_ratio = submit_secs / direct_secs;
+    let (submit, direct) = batch1_comparison(pool_size, side_iters);
+    let batch1_ratio = submit.p50 / direct.p50;
+    let us =
+        |q: Quartiles| format!("{:.3} [{:.3}, {:.3}]us", q.p50 * 1e6, q.p25 * 1e6, q.p75 * 1e6);
     println!(
-        "[batch-1] idle submit {:.2}us vs direct solve_batch_shared {:.2}us ({batch1_ratio:.2}x)",
-        submit_secs * 1e6,
-        direct_secs * 1e6,
+        "[batch-1] idle submit {} vs direct solve_batch_shared {} per call, median [p25, p75] \
+         of {BATCH1_ROUNDS} interleaved rounds of {side_iters} calls ({batch1_ratio:.2}x)",
+        us(submit),
+        us(direct),
     );
     let http_secs = http_spot_check(pool_size, side_iters.min(500));
     println!("[http] keep-alive round-trip {:.1}us/request", http_secs * 1e6);
@@ -478,8 +494,14 @@ fn main() {
         (
             "batch1",
             Value::object([
-                ("idle_submit_us", (submit_secs * 1e6).to_value()),
-                ("direct_solve_us", (direct_secs * 1e6).to_value()),
+                ("rounds", BATCH1_ROUNDS.to_value()),
+                ("calls_per_round", side_iters.to_value()),
+                ("idle_submit_us", (submit.p50 * 1e6).to_value()),
+                ("idle_submit_p25_us", (submit.p25 * 1e6).to_value()),
+                ("idle_submit_p75_us", (submit.p75 * 1e6).to_value()),
+                ("direct_solve_us", (direct.p50 * 1e6).to_value()),
+                ("direct_solve_p25_us", (direct.p25 * 1e6).to_value()),
+                ("direct_solve_p75_us", (direct.p75 * 1e6).to_value()),
                 ("ratio", batch1_ratio.to_value()),
             ]),
         ),

@@ -62,11 +62,15 @@ pub fn time_quartiles<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, Quartil
         samples.push(secs);
         last = Some(out);
     }
-    (last.expect("rounds > 0"), quartiles_of(&mut samples))
+    (last.expect("rounds > 0"), quartiles(&mut samples))
 }
 
-/// Nearest-rank quartiles of a non-empty sample.
-fn quartiles_of(samples: &mut [f64]) -> Quartiles {
+/// Nearest-rank quartiles of a non-empty sample (sorted in place) — for
+/// callers that interleave the rounds of two measurements themselves.
+///
+/// # Panics
+/// Panics if `samples` is empty.
+pub fn quartiles(samples: &mut [f64]) -> Quartiles {
     samples.sort_by(f64::total_cmp);
     let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
     Quartiles { p25: at(0.25), p50: at(0.5), p75: at(0.75) }
@@ -110,9 +114,9 @@ mod tests {
         assert!(0.0 <= q.p25 && q.p25 <= q.p50 && q.p50 <= q.p75);
 
         let mut samples = [9.0, 1.0, 7.0, 3.0, 5.0];
-        let q = quartiles_of(&mut samples);
+        let q = quartiles(&mut samples);
         assert_eq!((q.p25, q.p50, q.p75), (3.0, 5.0, 7.0));
-        let q = quartiles_of(&mut [4.0]);
+        let q = quartiles(&mut [4.0]);
         assert_eq!((q.p25, q.p50, q.p75), (4.0, 4.0, 4.0));
     }
 

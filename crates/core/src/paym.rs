@@ -447,42 +447,6 @@ impl Staircase {
             self.steps.insert(idx, Step { lo, hi, selection });
         }
     }
-
-    /// Every recorded replay selection, in ascending budget order —
-    /// lets a consumer that persists staircases (the service's snapshot
-    /// restore) bounds-check member indices against its own pool size
-    /// without reaching into the step representation.
-    pub fn selections(&self) -> impl Iterator<Item = &Selection> {
-        self.steps.iter().filter_map(|s| s.selection.as_ref())
-    }
-
-    /// Raw step windows for the wire codec: `(lo, hi, selection)` in
-    /// ascending budget order. `hi` may be `+∞` (the topmost window).
-    pub(crate) fn steps_raw(&self) -> impl Iterator<Item = (f64, f64, Option<&Selection>)> {
-        self.steps.iter().map(|s| (s.lo, s.hi, s.selection.as_ref()))
-    }
-
-    /// Rebuilds a staircase from decoded steps, re-validating every
-    /// invariant [`Staircase::record`] maintains — wire steps are
-    /// untrusted. Rejects (with `None`) any step list that is over the
-    /// [`MAX_STAIRCASE_STEPS`] cap, has a non-finite or negative `lo`, a
-    /// NaN or non-increasing `hi`, or overlapping / out-of-order windows.
-    pub(crate) fn from_steps_raw(raw: Vec<(f64, f64, Option<Selection>)>) -> Option<Self> {
-        if raw.len() > MAX_STAIRCASE_STEPS {
-            return None;
-        }
-        let mut prev_hi = 0.0f64;
-        for &(lo, hi, _) in &raw {
-            // `lo < hi` is false for NaN on either side; `hi` may be +∞.
-            if !(lo.is_finite() && lo >= 0.0 && lo < hi && lo >= prev_hi) {
-                return None;
-            }
-            prev_hi = hi;
-        }
-        Some(Self {
-            steps: raw.into_iter().map(|(lo, hi, selection)| Step { lo, hi, selection }).collect(),
-        })
-    }
 }
 
 impl Solver for PayAlg {

@@ -2,10 +2,9 @@
 //! boundary.
 //!
 //! The service layer accepts tasks and jurors and returns selections
-//! over the wire; its snapshot codec persists AltrM answers and PayM
-//! budget staircases. Both need [`Juror`], [`CrowdModel`],
-//! [`Selection`], [`SolverStats`], [`JuryError`] and [`Staircase`] to
-//! round-trip through JSON. Solver configurations have no wire form:
+//! over the wire; its snapshot codec persists AltrM answers. Both need
+//! [`Juror`], [`CrowdModel`], [`Selection`], [`SolverStats`] and
+//! [`JuryError`] to round-trip through JSON. Solver configurations have no wire form:
 //! the service runs one. The implementations are hand-written against
 //! the vendored `serde` (see `crates/shims/serde`); moving to crates.io
 //! serde later replaces them with derives.
@@ -28,7 +27,6 @@
 use crate::error::JuryError;
 use crate::juror::{ErrorRate, Juror};
 use crate::model::CrowdModel;
-use crate::paym::Staircase;
 use crate::problem::{Selection, SolverStats};
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -294,54 +292,6 @@ impl Deserialize for CrowdModel {
             }
             _ => Err(Error::expected("a crowd model object", value)),
         }
-    }
-}
-
-impl Serialize for Staircase {
-    /// Steps as `{"lo", "hi", "selection"}` objects ascending in budget.
-    /// The topmost window's `hi` is `+∞`, which JSON numbers cannot carry
-    /// ([the writer emits `null` for non-finite floats]), so infinite
-    /// bounds are tagged as the string `"inf"` instead.
-    fn to_value(&self) -> Value {
-        let steps: Vec<Value> = self
-            .steps_raw()
-            .map(|(lo, hi, selection)| {
-                Value::object([
-                    ("lo", lo.to_value()),
-                    ("hi", if hi.is_finite() { hi.to_value() } else { "inf".to_value() }),
-                    ("selection", selection.map_or(Value::Null, Serialize::to_value)),
-                ])
-            })
-            .collect();
-        Value::object([("steps", Value::Array(steps))])
-    }
-}
-
-impl Deserialize for Staircase {
-    /// Re-validates the staircase invariants on the way in (sorted,
-    /// disjoint, non-negative finite `lo`, `lo < hi`): wire steps are
-    /// untrusted and a malformed staircase would silently replay wrong
-    /// selections.
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let Some(Value::Array(steps)) = value.get("steps") else {
-            return Err(Error::expected("a staircase with a `steps` array", value));
-        };
-        let mut raw = Vec::with_capacity(steps.len());
-        for step in steps {
-            let lo: f64 = field(step, "lo")?;
-            let hi = match step.get("hi") {
-                Some(Value::String(s)) if s == "inf" => f64::INFINITY,
-                Some(v) => f64::from_value(v)?,
-                None => return Err(Error::missing_field("hi")),
-            };
-            let selection = match step.get("selection") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(Selection::from_value(v)?),
-            };
-            raw.push((lo, hi, selection));
-        }
-        Staircase::from_steps_raw(raw)
-            .ok_or_else(|| Error::custom("staircase steps violate the sorted-disjoint invariant"))
     }
 }
 

@@ -183,13 +183,19 @@
 //!   store built itself, and restored answers are bit-identical to
 //!   cold-built ones.
 //! * **Failure is always a cold build.** Any mismatch — truncation, a
-//!   flipped bit anywhere, a stale manifest, an entry written under
-//!   another solver configuration, a snapshot of different juror
-//!   content — rejects that entry and falls back to the ordinary cold
-//!   build. Restore failures are never an error and can never change
-//!   an answer; they cost exactly one
-//!   [`ServiceStats::snapshot_rejections`] increment. Successful
-//!   attaches count [`ServiceStats::snapshot_restores`].
+//!   flipped bit anywhere, a stale manifest, a file of another format
+//!   version, a snapshot of different juror content — rejects that
+//!   entry and falls back to the ordinary cold build. Restore failures
+//!   are never an error and can never change an answer; they cost
+//!   exactly one [`ServiceStats::snapshot_rejections`] increment.
+//!   Successful attaches count [`ServiceStats::snapshot_restores`].
+//!
+//! An entry persists what a cold build sorts and scans: the content
+//! sequence, both orders and the AltrM answer. The PayM budget
+//! staircase stays in memory. A restored pool starts with an empty
+//! staircase, like a freshly built one, and recording a step never
+//! marks an entry dirty, so PayM traffic alone never makes a checkpoint
+//! rewrite anything.
 //!
 //! `tests/snapshot_faults.rs` drives the full fault matrix (truncation
 //! at every section boundary, one flipped bit per field class, swapped
@@ -206,9 +212,8 @@
 //! * **Checkpoints are incremental generations.** Each successful
 //!   [`JuryService::snapshot`] writes only the entries that changed
 //!   since the directory's last committed generation, then publishes
-//!   `manifest-<gen>.json` (monotonically numbered; the pre-generation
-//!   `manifest.json` reads as generation 0) referencing fresh files
-//!   and files retained from earlier generations alike. Old
+//!   `manifest-<gen>.json` (monotonically numbered) referencing fresh
+//!   files and files retained from earlier generations alike. Old
 //!   generations are garbage-collected only after the new manifest is
 //!   durable, so a crash at any byte boundary — including between an
 //!   entry write and the manifest commit, or mid-GC — leaves the
@@ -582,15 +587,16 @@ jury_core::stats_record! {
         /// build because restored artifacts passed every verification gate.
         pub snapshot_restores: usize,
         /// Snapshot candidates *refused* at restore time — truncated or
-        /// bit-flipped files, section/manifest checksum mismatches, version
-        /// skew, key or content mismatches against the registering pool,
-        /// and layout/config drift over known content. Each rejection falls
-        /// back to the ordinary cold build.
+        /// bit-flipped files, section/manifest checksum mismatches, files
+        /// of another format version, and key or content mismatches
+        /// against the registering pool. A directory whose every manifest
+        /// is unreadable counts one per restore attempt. Each rejection
+        /// falls back to the ordinary cold build.
         pub snapshot_rejections: usize,
         /// Gauge (not a counter): the highest snapshot generation this
         /// service has observed — committed by its own writer or read from
-        /// [`ServiceConfig::snapshot_dir`]. 0 until a generation exists
-        /// (legacy `manifest.json` snapshots also read as 0).
+        /// [`ServiceConfig::snapshot_dir`]. 0 until a readable generation
+        /// exists.
         pub snapshot_generation: usize,
         /// Gauge (not a counter): milliseconds since that generation's
         /// commit stamp at the moment [`JuryService::stats`] was called; 0
@@ -1359,7 +1365,7 @@ fn build_cache(jurors: &[Juror], altr: Option<&mut SolverScratch>) -> ArtifactSe
     let mut greedy_order = Vec::with_capacity(jurors.len());
     PayAlg::greedy_order_into(jurors, &mut greedy_order);
     let seq = jurors.iter().map(juror_content).collect();
-    ArtifactSet::from_parts(seq, eps_order, greedy_order, altr, Staircase::new())
+    ArtifactSet::from_parts(seq, eps_order, greedy_order, altr)
 }
 
 /// Attaches a cold pool to the interned entry at `key`, seeding the
@@ -1723,24 +1729,24 @@ mod tests {
     }
 
     #[test]
-    fn only_recorded_staircase_steps_mark_a_shared_entry_dirty() {
-        // The snapshot writer re-encodes an entry whose mutation version
-        // moved, so a covered-budget replay must leave it alone.
+    fn staircase_steps_leave_the_entry_clean() {
+        // Snapshots do not persist the staircase, so neither a recorded
+        // step nor a replay may move the version the writer compares;
+        // a juror write still does.
         let mut service = JuryService::new();
         let pool = service.create_pool(figure1());
         service.warm_pool(pool).unwrap();
         let version = |service: &JuryService| service.warm_set(pool).mutation_version();
-        let before = version(&service);
-        service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
-        let recorded = version(&service);
-        assert!(recorded > before, "an uncovered budget records a step");
-        service.solve(&DecisionTask::pay_as_you_go(pool, 1.0)).unwrap();
+        let warm = version(&service);
+        for budget in [1.0, 1.0, 0.3] {
+            service.solve(&DecisionTask::pay_as_you_go(pool, budget)).unwrap();
+        }
         let covered = [DecisionTask::pay_as_you_go(pool, 1.0); 2];
         assert!(service.solve_batch(&covered).iter().all(Result::is_ok));
         assert_eq!(service.stats().staircase_hits, 3);
-        assert_eq!(version(&service), recorded, "covered budgets leave the entry clean");
-        service.solve(&DecisionTask::pay_as_you_go(pool, 0.3)).unwrap();
-        assert!(version(&service) > recorded, "a new step marks it dirty again");
+        assert_eq!(version(&service), warm, "steps and replays leave the entry clean");
+        service.update_juror(pool, 0, figure1()[1]).unwrap();
+        assert_ne!(version(&service), warm, "a juror write marks it dirty");
     }
 
     #[test]

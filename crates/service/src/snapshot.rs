@@ -37,8 +37,8 @@
 //!   [`PayAlg::greedy_cmp`]) — both are total with the position as
 //!   final tie-break, so this admits exactly the permutation a fresh
 //!   sort of the pool produces;
-//! * selections (AltrM answer, staircase replays) must have strictly
-//!   ascending, in-range members.
+//! * the AltrM answer's members must be strictly ascending and in
+//!   range.
 //!
 //! Any failure rejects the *candidate* — counted in
 //! [`ServiceStats::snapshot_rejections`](crate::ServiceStats) — and the
@@ -57,37 +57,32 @@
 //! is the commit point; files orphaned by the new generation are
 //! garbage-collected only *after* it is durable, so a crash at any
 //! byte boundary leaves the previous generation fully readable.
-//! Readers scan for the highest parseable generation (legacy
-//! `manifest.json` reads as generation 0) and verify everything as
-//! before.
+//! Readers scan for the highest parseable generation and verify
+//! everything as before.
 //!
 //! Writes are coordinated by the advisory single-writer lease in
 //! [`lease`] (see its docs for the acquire/break/fence protocol).
 //!
-//! ## The layout field
+//! ## One format
 //!
-//! Every entry is a flat-layout entry. The format still carries a layout
-//! marker — byte 0 in the KEY section, layout word 0 in the file-name
-//! hash, `"layout": "flat"` in manifest records — so directories written
-//! by builds that also had a sharded layout stay byte-for-byte readable.
-//! An entry whose KEY section holds any other layout byte is a counted
-//! rejection; a manifest record with any other layout is skipped while
-//! its flat siblings still restore.
+//! Readers accept exactly what the writer writes: entry files headed
+//! [`MAGIC`] and holding the sections below, under manifests of
+//! [`MANIFEST_VERSION`]. Anything else — files of an older format
+//! included — is version skew: a counted rejection, then the ordinary
+//! cold build, whose next checkpoint rewrites the directory in this
+//! format.
 //!
-//! ## The solver-config word
-//!
-//! Each entry's KEY section, manifest record and file-name hash also
-//! carry a solver-config word: [`SOLVER_CONFIG`], the one configuration
-//! the service runs. Any other word is a counted rejection, and the
-//! writer drops manifest records carrying one, so its next commit omits
-//! them.
+//! An entry persists what a cold build sorts and scans: the content
+//! sequence, both orders and the AltrM answer. The PayM budget staircase
+//! is not persisted; a restored set starts with an empty one, like a
+//! freshly built set, and records its steps as budgets arrive.
 
 use crate::store::ArtifactSet;
 use crate::AltrAnswer;
 use jury_core::error::JuryError;
 use jury_core::fingerprint::FingerprintKey;
 use jury_core::juror::Juror;
-use jury_core::paym::{PayAlg, Staircase};
+use jury_core::paym::PayAlg;
 use jury_core::problem::Selection;
 use jury_core::solver::eps_cmp;
 use jury_numeric::hash::splitmix64;
@@ -111,38 +106,19 @@ pub use watch::SnapshotWatcher;
 /// First bytes of every entry file. The trailing digit is the format
 /// version: decoders refuse other versions (version skew is a counted
 /// rejection, not an error).
-const MAGIC: &[u8; 8] = b"JRYSNP01";
-
-/// Manifest file name within a snapshot directory.
-pub(crate) const MANIFEST: &str = "manifest.json";
+const MAGIC: &[u8; 8] = b"JRYSNP02";
 
 /// Manifest schema version (see [`MAGIC`] for the entry-file version).
-const MANIFEST_VERSION: u64 = 1;
+const MANIFEST_VERSION: u64 = 2;
 
-// Section tags. Unknown tags are skipped on read (forward
-// compatibility) once their checksum verifies; duplicates and a missing
-// END terminator are rejections.
+// Section tags. An unknown tag, a duplicate and a missing END
+// terminator are rejections.
 const TAG_END: u32 = 0;
 const TAG_KEY: u32 = 1;
 const TAG_SEQ: u32 = 2;
 const TAG_EPS_ORDER: u32 = 3;
 const TAG_GREEDY_ORDER: u32 = 4;
 const TAG_ALTR: u32 = 6;
-// Tags 5, 7 and 8 are reserved: older builds wrote the ε values in ε
-// order (5), a JER profile (7) and a prefix-pmf ladder (8) there.
-// Readers skip all three like any unknown tag, and no new section may
-// reuse them, or it would misread older files.
-const TAG_STAIRCASE: u32 = 9;
-
-/// The only layout byte / layout word / manifest layout name an entry
-/// carries (see the module docs' *layout field*).
-const LAYOUT_FLAT: u8 = 0;
-const LAYOUT_FLAT_NAME: &str = "flat";
-
-/// The solver-config word every entry carries: the default AltrM
-/// strategy and JER engine with PayM's default admission rule, as
-/// builds with configurable solvers encoded them.
-const SOLVER_CONFIG: u64 = 0x11;
 
 /// The integrity fold used by snapshot files: a splitmix64 chain over
 /// the bytes taken as little-endian 64-bit words (zero-padded tail),
@@ -308,10 +284,6 @@ impl<'a> Reader<'a> {
         Some(slice)
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
     fn u32(&mut self) -> Option<u32> {
         self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
@@ -333,10 +305,9 @@ impl<'a> Reader<'a> {
 }
 
 /// Walks the section stream after the magic, verifying each section's
-/// checksum, skipping unknown tags, and requiring the END marker to
-/// land exactly at end-of-file (truncation and trailing garbage both
-/// reject). Duplicate tags up to `TAG_STAIRCASE` reject, the reserved
-/// tags 5, 7 and 8 included.
+/// checksum and requiring the END marker to land exactly at end-of-file
+/// (truncation and trailing garbage both reject). Unknown and duplicate
+/// tags reject.
 fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
     let mut r = Reader::new(bytes);
     let mut sections = HashMap::new();
@@ -356,7 +327,8 @@ fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
             r.done()?;
             return Some(sections);
         }
-        if tag <= TAG_STAIRCASE && sections.insert(tag, payload).is_some() {
+        let known = matches!(tag, TAG_KEY | TAG_SEQ | TAG_EPS_ORDER | TAG_GREEDY_ORDER | TAG_ALTR);
+        if !known || sections.insert(tag, payload).is_some() {
             return None;
         }
     }
@@ -368,20 +340,18 @@ fn split_sections(bytes: &[u8]) -> Option<HashMap<u32, &[u8]>> {
 
 /// Serializes one interned entry to its snapshot file bytes. Bulk
 /// arrays are raw little-endian words (JSON digits would dominate the
-/// restart budget at 10⁶ jurors); only small structured values (the
-/// AltrM answer, the staircase) embed wire-JSON.
+/// restart budget at 10⁶ jurors); only the AltrM answer embeds
+/// wire-JSON.
 pub(crate) fn encode_entry(key: &FingerprintKey, set: &ArtifactSet) -> Vec<u8> {
     let seq = &set.seq;
     let n = seq.len();
     let mut out = Vec::with_capacity(64 + 40 * n);
     out.extend_from_slice(MAGIC);
 
-    let mut p = Vec::with_capacity(41);
+    let mut p = Vec::with_capacity(24);
     put_u64(&mut p, key.lanes[0]);
     put_u64(&mut p, key.lanes[1]);
     put_u64(&mut p, key.len);
-    p.push(LAYOUT_FLAT);
-    put_u64(&mut p, SOLVER_CONFIG);
     put_section(&mut out, TAG_KEY, &p);
 
     let mut p = Vec::with_capacity(16 * n);
@@ -402,8 +372,6 @@ pub(crate) fn encode_entry(key: &FingerprintKey, set: &ArtifactSet) -> Vec<u8> {
     if let Some(answer) = set.altr.get() {
         put_section(&mut out, TAG_ALTR, altr_to_json(answer).as_bytes());
     }
-
-    put_section(&mut out, TAG_STAIRCASE, json::to_string(&*set.staircase_read()).as_bytes());
 
     put_section(&mut out, TAG_END, &[]);
     out
@@ -463,12 +431,8 @@ fn load_entry(
     let mut kr = Reader::new(sections.get(&TAG_KEY)?);
     let lanes = [kr.u64()?, kr.u64()?];
     let len = kr.u64()?;
-    if kr.u8()? != LAYOUT_FLAT {
-        return None;
-    }
-    let config = kr.u64()?;
     kr.done()?;
-    if (FingerprintKey { lanes, len }) != *key || config != SOLVER_CONFIG {
+    if (FingerprintKey { lanes, len }) != *key {
         return None;
     }
     let n = usize::try_from(key.len).ok()?;
@@ -500,19 +464,7 @@ fn load_entry(
         None => None,
     };
 
-    let staircase = match sections.get(&TAG_STAIRCASE) {
-        Some(payload) => {
-            let text = std::str::from_utf8(payload).ok()?;
-            let staircase: Staircase = json::from_str(text).ok()?;
-            if staircase.selections().any(|s| !valid_members(s, n)) {
-                return None;
-            }
-            staircase
-        }
-        None => Staircase::new(),
-    };
-
-    let set = ArtifactSet::from_parts(seq, eps_order, greedy_order, altr, staircase);
+    let set = ArtifactSet::from_parts(seq, eps_order, greedy_order, altr);
     // The decisive content gate: the decoded founding sequence must
     // admit the live registering pool — the same comparison a warm
     // in-memory entry would run. A doctored manifest that borrows
@@ -541,7 +493,6 @@ fn load_entry(
 #[derive(Debug, Clone)]
 struct ManifestEntry {
     file: String,
-    config: u64,
     bytes: u64,
     checksum: u64,
 }
@@ -554,23 +505,14 @@ fn from_hex(value: Option<&Value>) -> Option<u64> {
     u64::from_str_radix(value?.as_str()?, 16).ok()
 }
 
-/// The name of generation `gen`'s manifest. Generation 0 is the
-/// legacy single-manifest name so pre-generation snapshots stay
-/// readable.
+/// The name of generation `gen`'s manifest.
 fn manifest_name(gen: u64) -> String {
-    if gen == 0 {
-        MANIFEST.to_string()
-    } else {
-        format!("manifest-{gen}.json")
-    }
+    format!("manifest-{gen}.json")
 }
 
 /// Inverse of [`manifest_name`]: `Some(gen)` iff `name` is a manifest
 /// file name.
 fn manifest_generation(name: &str) -> Option<u64> {
-    if name == MANIFEST {
-        return Some(0);
-    }
     let digits = name.strip_prefix("manifest-")?.strip_suffix(".json")?;
     if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -595,22 +537,19 @@ fn scan_manifests(dir: &Path) -> Vec<(u64, String)> {
 }
 
 /// The parsed manifest of a snapshot directory, indexed by content
-/// fingerprint, records of every solver-config word included — so a
-/// pool whose content was snapshotted under another word registers a
-/// counted rejection (the snapshot promised this content and cannot
-/// deliver it) rather than a silent miss.
+/// fingerprint.
 #[derive(Debug, Default)]
 pub(crate) struct Catalog {
     dir: PathBuf,
     /// Manifests present but none readable (corrupt JSON, version
     /// skew): every restore attempt is a counted rejection.
     poisoned: bool,
-    /// The generation this catalog reflects (0 = legacy manifest or
-    /// nothing on disk).
+    /// The generation this catalog reflects (0 = nothing readable on
+    /// disk).
     generation: u64,
-    /// When that generation was committed (absent on legacy
-    /// manifests) — the basis of the `snapshot_age_ms` and
-    /// `follower_lag_ms` gauges.
+    /// When that generation was committed (`None` with no generation)
+    /// — the basis of the `snapshot_age_ms` and `follower_lag_ms`
+    /// gauges.
     written_at_ms: Option<u64>,
     entries: HashMap<FingerprintKey, Vec<ManifestEntry>>,
 }
@@ -648,7 +587,7 @@ impl Catalog {
                     dir: dir.to_path_buf(),
                     poisoned: false,
                     generation: *gen,
-                    written_at_ms: parsed.written_at_ms,
+                    written_at_ms: Some(parsed.written_at_ms),
                     entries,
                 };
             }
@@ -656,7 +595,7 @@ impl Catalog {
         Self { dir: dir.to_path_buf(), poisoned: true, ..Self::default() }
     }
 
-    /// The generation this catalog reflects (0 = legacy or none).
+    /// The generation this catalog reflects (0 = none).
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
@@ -669,9 +608,8 @@ impl Catalog {
     /// Attempts to restore a verified entry for `key` on behalf of the
     /// registering `jurors`. Candidates are tried in manifest order;
     /// the first to pass every gate wins. Rejection accounting follows
-    /// the catalog contract: failed candidates, known content with only
-    /// foreign solver-config words, and a poisoned manifest all count;
-    /// content the snapshot never knew is a plain miss.
+    /// the catalog contract: failed candidates and a poisoned manifest
+    /// count; content the snapshot never knew is a plain miss.
     pub(crate) fn restore(&self, key: &FingerprintKey, jurors: &[Juror]) -> RestoreAttempt {
         if self.poisoned {
             return RestoreAttempt { set: None, rejections: 1 };
@@ -680,33 +618,24 @@ impl Catalog {
             return RestoreAttempt { set: None, rejections: 0 };
         };
         let mut rejections = 0usize;
-        let mut any_match = false;
         for record in candidates {
-            if record.config != SOLVER_CONFIG {
-                continue;
-            }
-            any_match = true;
             match load_entry(&self.dir, record, key, jurors) {
                 Some(set) => return RestoreAttempt { set: Some(set), rejections },
                 None => rejections += 1,
             }
-        }
-        if !any_match {
-            rejections += 1;
         }
         RestoreAttempt { set: None, rejections }
     }
 }
 
 /// A successfully parsed manifest: the entry records plus the
-/// generation metadata (absent on legacy manifests — the fields are
-/// additive, so pre-generation manifests still parse).
+/// generation metadata.
 struct ParsedManifest {
     records: Vec<(FingerprintKey, ManifestEntry)>,
-    /// Lease epoch the manifest was committed under (0 = legacy).
+    /// Lease epoch the manifest was committed under.
     epoch: u64,
     /// Wall-clock commit stamp, milliseconds since the Unix epoch.
-    written_at_ms: Option<u64>,
+    written_at_ms: u64,
 }
 
 fn parse_manifest(text: &str) -> Option<ParsedManifest> {
@@ -726,11 +655,6 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
             lanes: [from_hex(Some(&lanes[0]))?, from_hex(Some(&lanes[1]))?],
             len: from_hex(entry.get("len"))?,
         };
-        // Records of any other layout (files a sharded writer left) are
-        // skipped; the flat records beside them still restore.
-        if entry.get("layout")?.as_str()? != LAYOUT_FLAT_NAME {
-            continue;
-        }
         let file = entry.get("file")?.as_str()?;
         // Entry files live flat in the snapshot directory; a manifest
         // naming anything else is malformed.
@@ -739,7 +663,6 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
         }
         let record = ManifestEntry {
             file: file.to_string(),
-            config: from_hex(entry.get("config"))?,
             bytes: from_hex(entry.get("bytes"))?,
             checksum: from_hex(entry.get("checksum"))?,
         };
@@ -747,8 +670,8 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
     }
     Some(ParsedManifest {
         records,
-        epoch: from_hex(value.get("epoch")).unwrap_or(0),
-        written_at_ms: from_hex(value.get("written_at_ms")),
+        epoch: from_hex(value.get("epoch"))?,
+        written_at_ms: from_hex(value.get("written_at_ms"))?,
     })
 }
 
@@ -763,9 +686,7 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
 fn entry_file_name(key: &FingerprintKey, gen: u64, epoch: u64) -> String {
     let mut h = splitmix64(key.lanes[0]);
     h = splitmix64(h ^ key.lanes[1]);
-    h = splitmix64(h ^ key.len);
-    h = splitmix64(h ^ u64::from(LAYOUT_FLAT));
-    format!("art-{:016x}-g{gen}-e{epoch}.snap", splitmix64(h ^ SOLVER_CONFIG))
+    format!("art-{:016x}-g{gen}-e{epoch}.snap", splitmix64(h ^ key.len))
 }
 
 /// Temp-write + fsync + atomic rename + (best-effort) directory fsync.
@@ -800,8 +721,6 @@ fn manifest_record(key: &FingerprintKey, file: &str, bytes: u64, checksum: u64) 
         ("file", Value::String(file.to_string())),
         ("lanes", Value::Array(vec![hex(key.lanes[0]), hex(key.lanes[1])])),
         ("len", hex(key.len)),
-        ("layout", Value::String(LAYOUT_FLAT_NAME.to_string())),
-        ("config", hex(SOLVER_CONFIG)),
         ("bytes", hex(bytes)),
         ("checksum", hex(checksum)),
     ])
@@ -825,8 +744,8 @@ struct Persisted {
 #[derive(Debug, Default)]
 struct DirState {
     /// Whether `gen`/`persisted` reflect an actual disk read (a fresh
-    /// state over an untouched legacy directory has `gen == 0` both
-    /// ways, but nothing loaded).
+    /// state and a read of a directory with no readable manifest both
+    /// have `gen == 0`, but only the second loaded anything).
     loaded: bool,
     /// The last generation this writer observed committed.
     gen: u64,
@@ -956,23 +875,15 @@ pub(crate) fn write_incremental<'a>(
     let st = state.dirs.entry(key.clone()).or_default();
     if !st.loaded || st.gen != disk_gen {
         // Someone else committed (or this is our first look): adopt
-        // the disk view, minus records of a foreign solver-config word,
-        // which the next commit drops. Versions are unknown, so
-        // cleanness degrades to encode-and-compare until our next
-        // commit re-stamps.
+        // the disk view. Versions are unknown, so cleanness degrades to
+        // encode-and-compare until our next commit re-stamps.
         st.loaded = true;
         st.gen = disk_gen;
-        let parsed = disk_manifest.unwrap_or(ParsedManifest {
-            records: Vec::new(),
-            epoch: 0,
-            written_at_ms: None,
-        });
-        st.written_at_ms = parsed.written_at_ms;
-        st.persisted = parsed
-            .records
+        st.written_at_ms = disk_manifest.as_ref().map(|parsed| parsed.written_at_ms);
+        st.persisted = disk_manifest
             .into_iter()
-            .filter(|(_, r)| r.config == SOLVER_CONFIG)
-            .map(|(fp, ManifestEntry { file, bytes, checksum, .. })| {
+            .flat_map(|parsed| parsed.records)
+            .map(|(fp, ManifestEntry { file, bytes, checksum })| {
                 (fp, Persisted { file, bytes, checksum, version: None })
             })
             .collect();

@@ -85,17 +85,18 @@ pub(crate) struct ArtifactSet {
     /// The solved AltrM answer.
     pub altr: OnceLock<AltrAnswer>,
     /// The PayM budget staircase over `greedy_order`, recorded lazily
-    /// per budget.
+    /// per budget. It lives only in memory: snapshots do not persist it.
     pub staircase: RwLock<Staircase>,
     /// Mutation version: a fresh stamp from one process-wide counter
-    /// whenever the AltrM slot fills, the staircase records a step or a
-    /// repair rewrites the set. The incremental snapshot writer compares
-    /// it against the version it last persisted under the set's key to
-    /// decide cleanness without re-encoding. Because stamps are unique
-    /// across sets, a set re-listed under a key the writer has a record
-    /// for never matches that record by accident. Over-counting (a bump
-    /// that changed nothing) is harmless: the writer's
-    /// encode-and-compare fallback still detects byte-identical entries.
+    /// whenever the AltrM slot fills or a repair rewrites the set — the
+    /// two changes to what a snapshot persists. The incremental snapshot
+    /// writer compares it against the version it last persisted under
+    /// the set's key to decide cleanness without re-encoding. Because
+    /// stamps are unique across sets, a set re-listed under a key the
+    /// writer has a record for never matches that record by accident.
+    /// Over-counting (a bump that changed nothing) is harmless: the
+    /// writer's encode-and-compare fallback still detects byte-identical
+    /// entries.
     version: AtomicU64,
 }
 
@@ -106,23 +107,22 @@ fn fresh_version() -> u64 {
 }
 
 impl ArtifactSet {
-    /// Assembles a set from freshly built or verified snapshot parts.
-    /// Content/shape validation of restored parts (the permutation and
-    /// binding checks) is the snapshot loader's job; this only builds
-    /// the struct.
+    /// Assembles a set, with an empty staircase, from freshly built or
+    /// verified snapshot parts. Content/shape validation of restored
+    /// parts (the permutation and binding checks) is the snapshot
+    /// loader's job; this only builds the struct.
     pub(crate) fn from_parts(
         seq: Vec<(u64, u64)>,
         eps_order: Vec<usize>,
         greedy_order: Vec<usize>,
         altr: Option<AltrAnswer>,
-        staircase: Staircase,
     ) -> Self {
         Self {
             seq,
             eps_order,
             greedy_order,
             altr: altr.map_or_else(OnceLock::new, OnceLock::from),
-            staircase: RwLock::new(staircase),
+            staircase: RwLock::new(Staircase::new()),
             version: AtomicU64::new(fresh_version()),
         }
     }
@@ -141,13 +141,7 @@ impl ArtifactSet {
     /// AltrM answer and the staircase, which every repair drops, start
     /// empty.
     pub(crate) fn cache_clone(&self) -> Self {
-        Self::from_parts(
-            self.seq.clone(),
-            self.eps_order.clone(),
-            self.greedy_order.clone(),
-            None,
-            Staircase::new(),
-        )
+        Self::from_parts(self.seq.clone(), self.eps_order.clone(), self.greedy_order.clone(), None)
     }
 
     /// Read access to the (possibly poisoned — recover, steps are
@@ -157,20 +151,10 @@ impl ArtifactSet {
     }
 
     /// Merges a step scanned outside the lock into the staircase under
-    /// the write lock, marking the entry dirty (see
-    /// [`ArtifactSet::note_mutation`]) only when it recorded something —
-    /// a step another task recorded meanwhile leaves the version alone.
-    /// Steps are append-only outside repairs (which own the set
-    /// exclusively), so a grown step count is exactly "something was
-    /// recorded".
+    /// the write lock. The entry stays clean: snapshots do not persist
+    /// the staircase.
     pub(crate) fn record_staircase(&self, step: Staircase) {
-        let mut staircase =
-            self.staircase.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let steps = staircase.len();
-        staircase.merge(step);
-        if staircase.len() != steps {
-            self.note_mutation();
-        }
+        self.staircase.write().unwrap_or_else(std::sync::PoisonError::into_inner).merge(step);
     }
 
     /// The current mutation version (see the `version` field).

@@ -11,10 +11,13 @@
 //! The matrix drives the real write path, then mutates the on-disk
 //! bytes the way crashes and bit rot do: truncation at and inside every
 //! section boundary, a flipped bit in every field class (key, sequence,
-//! orders, cached answers, staircase, checksums, magic), adjacent
-//! entries swapped in either order, manifests swapped between pools, a
-//! manifest doctored to claim a mutated pool's fingerprint over stale
-//! bytes, and version skew in both the manifest and the entry magic.
+//! orders, cached answer, checksums, magic), a sealed section of an
+//! unknown tag, adjacent entries swapped in either order, manifests
+//! swapped between pools, a manifest doctored to claim a mutated pool's
+//! fingerprint over stale bytes, and version skew in both the manifest
+//! and the entry magic. Random truncations, byte flips and appended
+//! garbage in entry files, and random or mutated manifest text, are
+//! driven through the same restore path by property tests.
 //! Where a gate would be masked by an outer checksum, the harness
 //! re-forges the outer layers (manifest whole-file checksum, section
 //! checksum) with the exported [`snapshot_checksum`] so the inner
@@ -24,9 +27,13 @@ use jury_core::juror::{pool_from_rates_and_costs, Juror};
 use jury_core::problem::Selection;
 use jury_numeric::hash::splitmix64;
 use jury_service::{snapshot_checksum, DecisionTask, JuryService, PoolId, ServiceConfig};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use proptest::sample::Index;
 use serde::{json, Serialize, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
 // Fixture plumbing
@@ -94,10 +101,10 @@ fn check(service: &JuryService) {
     }
 }
 
-/// Drives a fixed task stream that populates every snapshot section:
-/// the AltrM answer and a staircase with recorded replays (each budget
-/// solved twice). Registration goes
-/// through `warm_pool` — the restore-on-register attach point.
+/// Drives a fixed task stream that populates every snapshot section
+/// (the AltrM answer) and exercises the in-memory staircase (each
+/// budget solved twice: a recorded step, then its replay). Registration
+/// goes through `warm_pool` — the restore-on-register attach point.
 fn drive(service: &mut JuryService, pool: PoolId) -> Vec<Outcome> {
     service.warm_pool(pool).unwrap();
     check(service);
@@ -165,13 +172,10 @@ fn manifest_path(dir: &Path) -> PathBuf {
     for entry in fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
-        let generation = if name == "manifest.json" {
-            Some(0)
-        } else {
-            name.strip_prefix("manifest-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|g| g.parse::<u64>().ok())
-        };
+        let generation = name
+            .strip_prefix("manifest-")
+            .and_then(|rest| rest.strip_suffix(".json"))
+            .and_then(|g| g.parse::<u64>().ok());
         if let Some(generation) = generation {
             if best.as_ref().is_none_or(|(b, _)| generation > *b) {
                 best = Some((generation, path));
@@ -208,59 +212,28 @@ fn reforge_manifest(dir: &Path) {
 
 /// One manifest entry with `file` (re)assigned and `bytes`/`checksum`
 /// recomputed from the actual file contents; identity fields (lanes,
-/// len, layout, config) carried over from `from`.
+/// len) carried over from `from`.
 fn reforged_entry(from: &Value, file: String, bytes: &[u8]) -> Value {
     Value::object([
         ("file", Value::String(file)),
         ("lanes", from.get("lanes").unwrap().clone()),
         ("len", from.get("len").unwrap().clone()),
-        ("layout", from.get("layout").unwrap().clone()),
-        ("config", from.get("config").unwrap().clone()),
         ("bytes", Value::String(format!("{:016x}", bytes.len()))),
         ("checksum", Value::String(format!("{:016x}", snapshot_checksum(bytes)))),
     ])
 }
 
+/// Replaces the `entries` of the highest-generation manifest, keeping
+/// every other field the writer committed.
 fn write_manifest(dir: &Path, entries: Vec<Value>) {
-    let manifest = Value::object([
-        ("format", Value::String("jury-snapshot".to_string())),
-        ("version", 1u64.to_value()),
-        ("entries", Value::Array(entries)),
-    ]);
-    fs::write(manifest_path(dir), json::to_string(&manifest)).unwrap();
-}
-
-/// Replaces the solver-config word of a one-pool snapshot with `word`:
-/// in the entry's KEY section (section checksum resealed) when
-/// `in_key`, in its manifest record when `in_record`. The manifest's
-/// `bytes`/`checksum` are re-forged either way.
-fn forge_config_word(dir: &Path, word: u64, in_key: bool, in_record: bool) {
-    let file = entry_file(dir);
-    let mut bytes = fs::read(&file).unwrap();
-    if in_key {
-        let key = sections_of(&bytes).into_iter().find(|s| s.tag == 1).expect("KEY section");
-        // KEY payload: two fingerprint lanes, the length, the layout
-        // byte, then the config word.
-        let at = key.payload + 25;
-        assert_eq!(bytes[at..at + 8], 0x11u64.to_le_bytes(), "this build writes word 0x11");
-        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
-        reseal_section(&mut bytes, &key);
-        fs::write(&file, &bytes).unwrap();
-    }
-    let old = json::parse(&fs::read_to_string(manifest_path(dir)).unwrap()).unwrap();
-    let record = &old.get("entries").unwrap().as_array().unwrap()[0];
-    let name = record.get("file").unwrap().as_str().unwrap().to_string();
-    let Value::Object(mut fields) = reforged_entry(record, name, &bytes) else {
-        unreachable!("a record is an object")
+    let path = manifest_path(dir);
+    let Value::Object(mut fields) = json::parse(&fs::read_to_string(&path).unwrap()).unwrap()
+    else {
+        panic!("a manifest is an object")
     };
-    if in_record {
-        for (field, value) in &mut fields {
-            if field == "config" {
-                *value = Value::String(format!("{word:016x}"));
-            }
-        }
-    }
-    write_manifest(dir, vec![Value::Object(fields)]);
+    fields.retain(|(key, _)| key != "entries");
+    fields.push(("entries".to_string(), Value::Array(entries)));
+    fs::write(path, json::to_string(&Value::Object(fields))).unwrap();
 }
 
 /// One section of an entry file, by byte offsets into the file.
@@ -312,11 +285,7 @@ fn section_name(tag: u32) -> &'static str {
         2 => "SEQ",
         3 => "EPS_ORDER",
         4 => "GREEDY_ORDER",
-        5 => "EPS_SORTED",
         6 => "ALTR",
-        7 => "PROFILE",
-        8 => "LADDER",
-        9 => "STAIRCASE",
         _ => "UNKNOWN",
     }
 }
@@ -423,15 +392,15 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
 
     for section in sections_of(&pristine) {
         let sect = section_name(section.tag);
-        // Per-section flip target: an offset whose corruption a
+        // Flip target: the first payload byte, whose corruption a
         // semantic gate is *guaranteed* to catch once checksums are
-        // re-forged (first key lane / first order index / first ε
-        // word / leading JSON byte / a ladder's stored pmf hash).
-        let at = match sect {
-            "END" => continue, // zero-length payload; framing covered by truncation
-            "LADDER" => section.payload + 16,
-            _ => section.payload,
-        };
+        // re-forged (first key lane / first ε word / first order index
+        // / leading JSON byte). END has a zero-length payload; its
+        // framing is covered by truncation.
+        if section.tag == 0 {
+            continue;
+        }
+        let at = section.payload;
 
         let mut flipped = pristine.clone();
         flipped[at] ^= 0x01;
@@ -467,10 +436,25 @@ fn one_flipped_bit_per_field_class_falls_back_cold() {
 
     // A flipped bit in the magic / format version.
     let mut flipped = pristine.clone();
-    flipped[7] ^= 0x01; // b"JRYSNP01" -> b"JRYSNP00": version skew
+    flipped[7] ^= 0x01; // b"JRYSNP02" -> b"JRYSNP03": version skew
     fs::write(&file, &flipped).unwrap();
     reforge_manifest(tmp.path());
     assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "entry-file version skew");
+
+    // A correctly sealed section of a tag this format does not define
+    // (9 held the PayM staircase in the previous format), spliced in
+    // before END.
+    let end = sections_of(&pristine).pop().unwrap();
+    let payload = b"{\"steps\":[]}";
+    let mut spliced = pristine[..end.header].to_vec();
+    spliced.extend_from_slice(&9u32.to_le_bytes());
+    spliced.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    spliced.extend_from_slice(payload);
+    spliced.extend_from_slice(&splitmix64(snapshot_checksum(payload) ^ 9).to_le_bytes());
+    spliced.extend_from_slice(&pristine[end.header..]);
+    fs::write(&file, &spliced).unwrap();
+    reforge_manifest(tmp.path());
+    assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "sealed section of an unknown tag");
 }
 
 /// Each order must be the one permutation a fresh sort of the pool
@@ -586,8 +570,6 @@ fn mutated_past_replay_falls_back_cold() {
             ]),
         ),
         ("len", Value::String(format!("{:016x}", fp.len))),
-        ("layout", forged.get("layout").unwrap().clone()),
-        ("config", forged.get("config").unwrap().clone()),
         ("bytes", forged.get("bytes").unwrap().clone()),
         ("checksum", forged.get("checksum").unwrap().clone()),
     ];
@@ -689,67 +671,39 @@ fn rewritten_key_round_trip_restores_bit_identically() {
     assert_eq!(stats.snapshot_rejections, 0);
 }
 
-/// Manifest-level damage: version skew poisons the catalog (every
-/// attempt is a counted rejection), corrupt JSON likewise, and an entry
-/// whose solver-config word is not the one this build writes is config
-/// drift — also a counted rejection, which the next checkpoint drops.
+/// Manifest-level damage: version skew (the previous format's version
+/// and a future one) and corrupt JSON each poison the catalog, so every
+/// attempt is a counted rejection; a missing manifest promises nothing.
 #[test]
-fn manifest_skew_and_config_drift_fall_back_cold() {
+fn manifest_skew_falls_back_cold() {
     let config = flat_config();
     let jurors = pool(24);
     let cold = control(&config, &jurors);
 
-    // Version skew.
-    let tmp = TempDir::new("manifest-version");
-    seed_snapshot(tmp.path(), &config, &jurors);
-    let old = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
-    let manifest = Value::object([
-        ("format", Value::String("jury-snapshot".to_string())),
-        ("version", 2u64.to_value()),
-        ("entries", old.get("entries").unwrap().clone()),
-    ]);
-    fs::write(manifest_path(tmp.path()), json::to_string(&manifest)).unwrap();
-    assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "manifest version skew");
+    for version in [1u64, 3] {
+        let tmp = TempDir::new("manifest-version");
+        seed_snapshot(tmp.path(), &config, &jurors);
+        let path = manifest_path(tmp.path());
+        let Value::Object(mut fields) = json::parse(&fs::read_to_string(&path).unwrap()).unwrap()
+        else {
+            panic!("a manifest is an object")
+        };
+        for (key, value) in &mut fields {
+            if key == "version" {
+                assert_eq!(value.as_u64(), Some(2), "this build writes version 2");
+                *value = version.to_value();
+            }
+        }
+        fs::write(&path, json::to_string(&Value::Object(fields))).unwrap();
+        let what = format!("manifest version {version}");
+        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, &what);
+    }
 
     // Corrupt JSON.
     let tmp = TempDir::new("manifest-garbage");
     seed_snapshot(tmp.path(), &config, &jurors);
     fs::write(manifest_path(tmp.path()), b"{this is not a manifest").unwrap();
     assert_cold_fallback(tmp.path(), &config, &jurors, &cold, "corrupt manifest JSON");
-
-    // Config drift: the snapshot promises this content under another
-    // solver-config word (0x31 is what a strict-improvement PayM once
-    // wrote) in the KEY section, the manifest record or both, with
-    // every checksum resealed. Each is exactly one counted rejection
-    // (promised content the service cannot deliver), then a cold build.
-    for (forge_key, forge_record) in [(true, true), (true, false), (false, true)] {
-        let what = format!("config drift (KEY {forge_key}, record {forge_record})");
-        let tmp = TempDir::new("config-drift");
-        seed_snapshot(tmp.path(), &config, &jurors);
-        forge_config_word(tmp.path(), 0x31, forge_key, forge_record);
-        let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
-        let pool_id = service.create_pool(jurors.clone());
-        assert_eq!(drive(&mut service, pool_id), cold, "{what}: answers must be cold-built");
-        let stats = service.stats();
-        assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (0, 1), "{what}");
-
-        // The next checkpoint drops the foreign record and lists the
-        // rebuilt entry under this build's word, which restores. (The
-        // seeding service never released its writer lease.)
-        fs::remove_file(tmp.path().join("writer.lease")).unwrap();
-        service.snapshot(tmp.path()).unwrap();
-        check(&service);
-        let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap());
-        let records = manifest.unwrap().get("entries").unwrap().as_array().unwrap().to_vec();
-        assert_eq!(records.len(), 1, "{what}: one record after the checkpoint");
-        let word = records[0].get("config").unwrap().as_str().unwrap().to_string();
-        assert_eq!(word, "0000000000000011", "{what}");
-        let mut healed = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
-        let pool_id = healed.create_pool(jurors.clone());
-        assert_eq!(drive(&mut healed, pool_id), cold, "{what}: healed answers");
-        let stats = healed.stats();
-        assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0), "{what}");
-    }
 
     // A missing manifest over intact entry files is an empty catalog:
     // no restore, no rejection — nothing was promised.
@@ -765,19 +719,15 @@ fn manifest_skew_and_config_drift_fall_back_cold() {
 }
 
 /// The seeded fixtures must actually contain every section class the
-/// bit-flip matrix claims to cover — otherwise the matrix is vacuous.
-/// Tags 5, 7 and 8 (EPS_SORTED, PROFILE, LADDER) are reserved and no
-/// longer written; [`older_pinned_entry_bytes_still_restore`] covers
-/// reading them.
+/// bit-flip matrix claims to cover — otherwise the matrix is vacuous —
+/// and nothing else.
 #[test]
 fn seeded_snapshots_cover_every_section_class() {
     let tmp = TempDir::new("coverage-flat");
     seed_snapshot(tmp.path(), &flat_config(), &pool(24));
     let tags: Vec<u32> =
         sections_of(&fs::read(entry_file(tmp.path())).unwrap()).iter().map(|s| s.tag).collect();
-    for required in [1u32, 2, 3, 4, 6, 9] {
-        assert!(tags.contains(&required), "entry lacks {}", section_name(required));
-    }
+    assert_eq!(tags, [1, 2, 3, 4, 6, 0], "KEY, SEQ, both orders, ALTR, END");
 }
 
 // ---------------------------------------------------------------------
@@ -785,14 +735,12 @@ fn seeded_snapshots_cover_every_section_class() {
 // ---------------------------------------------------------------------
 
 /// The entry file name and the entry bytes of one deterministic pool are
-/// pinned to the values this build writes: layout byte 0 in the KEY
-/// section, layout word 0 in the file-name hash and `"layout": "flat"`
-/// in the manifest record. The ALTR section records the answer's
+/// pinned to the values this build writes: the KEY section holds the two
+/// fingerprint lanes and the length, the file-name hash covers the same
+/// three words, and the manifest record carries the file, the key, the
+/// byte count and the checksum. The ALTR section records the answer's
 /// [`SolverStats`](jury_core::SolverStats), so a scan that evaluates
-/// fewer sizes changes the bytes without changing the answer, and so
-/// does a retired section the writer no longer emits (EPS_SORTED,
-/// PROFILE, LADDER); the bytes pinned before such changes stay readable
-/// ([`older_pinned_entry_bytes_still_restore`]).
+/// fewer sizes changes the bytes without changing the answer.
 #[test]
 fn flat_entry_name_and_bytes_are_pinned() {
     let tmp = TempDir::new("golden");
@@ -802,170 +750,281 @@ fn flat_entry_name_and_bytes_are_pinned() {
     assert_eq!(entries.len(), 1);
     assert_eq!(
         json::to_string(&entries[0]),
-        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"00000000000006c1","checksum":"153eb0e95d9a7ace"}"#
+        r#"{"file":"art-ac3c684daa8cad8c-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","bytes":"0000000000000452","checksum":"190822a403789e15"}"#
     );
     let file = entry_file(tmp.path());
-    assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
+    assert_eq!(file.file_name().unwrap(), "art-ac3c684daa8cad8c-g1-e1.snap");
     let bytes = fs::read(&file).unwrap();
-    assert_eq!(bytes.len(), 1729);
-    assert_eq!(snapshot_checksum(&bytes), 0x153e_b0e9_5d9a_7ace);
+    assert_eq!(&bytes[..8], b"JRYSNP02");
+    assert_eq!(bytes.len(), 1106);
+    assert_eq!(snapshot_checksum(&bytes), 0x1908_22a4_0378_9e15);
 }
 
-/// The entry bytes an earlier build wrote for the pool of
-/// [`flat_entry_name_and_bytes_are_pinned`], whose pruned scan reported
-/// evaluating every odd size (`jer_evaluations` 12 of 12). The same
-/// build also wrote the sorted ε values (tag 5), a JER profile (tag 7)
-/// and a pmf ladder (tag 8), which current readers verify and skip.
-const FULL_SCAN_STATS_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_full_scan_stats.snap");
+// ---------------------------------------------------------------------
+// Upgrade from the previous format
+// ---------------------------------------------------------------------
 
-/// Those older bytes, under the manifest record they were pinned with,
-/// still restore: members, JER and cost bits equal a fresh solve's, and
-/// the answer served is the restored one (it still carries its stats).
-/// The bytes carry the retired EPS_SORTED, PROFILE and LADDER sections,
-/// so this is also the witness that readers skip tags 5, 7 and 8.
+/// The entry bytes a build of the previous format (`JRYSNP01`) wrote for
+/// the pool of [`flat_entry_name_and_bytes_are_pinned`]. Besides the
+/// sections this format writes, they carry a layout byte and a
+/// solver-config word in KEY, the sorted ε values (tag 5), a JER
+/// profile (tag 7), a pmf ladder (tag 8) and the PayM staircase (tag 9).
+const V1_ENTRY: &[u8] = include_bytes!("fixtures/flat_entry_full_scan_stats.snap");
+
+/// A version-1 manifest naming [`V1_ENTRY`] by the record that build
+/// committed for it.
+const V1_MANIFEST: &str = r#"{"format":"jury-snapshot","version":1,"generation":"0000000000000001","epoch":"0000000000000001","written_at_ms":"0000019000000000","entries":[{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000886","checksum":"1853d3f3f75fe2f6"}]}"#;
+
+/// A directory of the previous format is version skew: registering its
+/// pool counts exactly one rejection and answers like the cold control.
+/// The next checkpoint commits a generation of this format over it (and
+/// collects the old files), which a fresh service restores.
 #[test]
-fn older_pinned_entry_bytes_still_restore() {
-    let tags: Vec<u32> = sections_of(FULL_SCAN_STATS_ENTRY).iter().map(|s| s.tag).collect();
-    assert!(
-        [5, 7, 8].iter().all(|tag| tags.contains(tag)),
-        "fixture lacks EPS_SORTED/PROFILE/LADDER: {tags:?}"
-    );
-    let tmp = TempDir::new("golden-older");
+fn previous_format_is_skew_and_the_next_checkpoint_upgrades_it() {
+    let tmp = TempDir::new("upgrade");
     let config = flat_config();
     let jurors = pool(24);
-    seed_snapshot(tmp.path(), &config, &jurors);
-    let file = entry_file(tmp.path());
-    assert_eq!(file.file_name().unwrap(), "art-f41f3ff492080d1a-g1-e1.snap");
-    fs::write(&file, FULL_SCAN_STATS_ENTRY).unwrap();
-    reforge_manifest(tmp.path());
-    let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
-    assert_eq!(
-        json::to_string(&manifest.get("entries").unwrap().as_array().unwrap()[0]),
-        r#"{"file":"art-f41f3ff492080d1a-g1-e1.snap","lanes":["d9159475411cf995","459ec2387af2026e"],"len":"0000000000000018","layout":"flat","config":"0000000000000011","bytes":"0000000000000886","checksum":"1853d3f3f75fe2f6"}"#
-    );
+    let cold = control(&config, &jurors);
+    assert_eq!(&V1_ENTRY[..8], b"JRYSNP01");
+    let tags: Vec<u32> = sections_of(V1_ENTRY).iter().map(|s| s.tag).collect();
+    assert_eq!(tags, [1, 2, 3, 4, 5, 6, 7, 8, 9, 0], "the witness carries every retired section");
+    assert_eq!((V1_ENTRY.len(), snapshot_checksum(V1_ENTRY)), (0x886, 0x1853_d3f3_f75f_e2f6));
+    let v1_name = "art-f41f3ff492080d1a-g1-e1.snap";
+    fs::write(tmp.path().join(v1_name), V1_ENTRY).unwrap();
+    fs::write(tmp.path().join("manifest-1.json"), V1_MANIFEST).unwrap();
 
     let mut service = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
     let p = service.create_pool(jurors.clone());
-    assert_eq!(drive(&mut service, p), control(&config, &jurors));
+    assert_eq!(drive(&mut service, p), cold, "answers under a version-1 directory");
     let stats = service.stats();
-    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
-    let served = service.solve(&DecisionTask::altruism(p)).unwrap();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (0, 1));
+
+    let report = service.snapshot(tmp.path()).unwrap();
     check(&service);
-    assert_eq!(served.stats.jer_evaluations, 12, "the restored answer is the one served");
-}
+    assert_eq!((report.entries, report.written, report.generation), (1, 1, 1));
+    assert!(!tmp.path().join(v1_name).exists(), "the version-1 entry is collected");
+    let manifest = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
+    assert_eq!(manifest.get("version").and_then(Value::as_u64), Some(2));
+    assert_eq!(&fs::read(entry_file(tmp.path())).unwrap()[..8], b"JRYSNP02");
 
-/// A retired section is skipped, never trusted: one flipped byte inside
-/// the older fixture's PROFILE payload, with the section checksum left
-/// stale, rejects the whole entry and the pool answers like a cold
-/// control.
-#[test]
-fn older_entry_with_a_corrupt_profile_section_is_rejected() {
-    let tmp = TempDir::new("golden-older-profile");
-    let config = flat_config();
-    let jurors = pool(24);
-    let cold = control(&config, &jurors);
-    seed_snapshot(tmp.path(), &config, &jurors);
-    let profile = sections_of(FULL_SCAN_STATS_ENTRY)
-        .into_iter()
-        .find(|s| s.tag == 7)
-        .expect("the fixture carries a PROFILE section");
-    assert!(profile.len > 0, "PROFILE payload is empty");
-    let mut flipped = FULL_SCAN_STATS_ENTRY.to_vec();
-    flipped[profile.payload] ^= 0x01;
-    fs::write(entry_file(tmp.path()), &flipped).unwrap();
+    let mut fresh = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let p = fresh.create_pool(jurors.clone());
+    assert_eq!(drive(&mut fresh, p), cold, "answers restored from the upgraded directory");
+    let stats = fresh.stats();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
+
+    // The version-1 entry bytes under a record of this format are skew
+    // too: the entry magic refuses them.
+    fs::write(entry_file(tmp.path()), V1_ENTRY).unwrap();
     reforge_manifest(tmp.path());
-
-    let mut service = JuryService::with_config(with_snapshot(config, tmp.path()));
-    let p = service.create_pool(jurors);
-    assert_eq!(drive(&mut service, p), cold);
-    let stats = service.stats();
+    let mut skewed = JuryService::with_config(with_snapshot(config, tmp.path()));
+    let p = skewed.create_pool(jurors);
+    assert_eq!(drive(&mut skewed, p), cold, "answers over a version-1 entry");
+    let stats = skewed.stats();
     assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (0, 1));
 }
 
-/// A manifest record of another layout — a sharded entry left behind by
-/// an older writer, or a layout no build knows — is skipped on its own:
-/// the flat records beside it
-/// (one of them over the very same content) still restore, and nothing
-/// is counted as a rejection.
+// ---------------------------------------------------------------------
+// The staircase is not persisted
+// ---------------------------------------------------------------------
+
+/// Recording new PayM staircase steps leaves every entry clean: after a
+/// checkpoint, budgets the drive never asked for are solved (recording
+/// new steps), and the next checkpoint writes nothing at the same
+/// generation. A restored pool, whose staircase starts empty, answers
+/// those budgets bit-identically to a never-snapshotted control. A
+/// juror write still rewrites the entry.
 #[test]
-fn sharded_manifest_records_are_skipped_not_fatal() {
-    let tmp = TempDir::new("sharded-record");
-    let config = flat_config();
-    let jurors_a = pool(24);
-    let jurors_b = pool(25);
-    let cold_a = control(&config, &jurors_a);
-    let cold_b = control(&config, &jurors_b);
-    let mut seeder = JuryService::with_config(config.clone());
-    let pa = seeder.create_pool(jurors_a.clone());
-    let pb = seeder.create_pool(jurors_b.clone());
-    drive(&mut seeder, pa);
-    drive(&mut seeder, pb);
-    assert_eq!(seeder.snapshot(tmp.path()).unwrap().entries, 2);
-    check(&seeder);
-
-    let old = json::parse(&fs::read_to_string(manifest_path(tmp.path())).unwrap()).unwrap();
-    let mut entries = old.get("entries").unwrap().as_array().unwrap().to_vec();
-    let first = entries[0].clone();
-    let stray = "art-00000000000000ff-g1-e1.snap";
-    fs::write(tmp.path().join(stray), b"sharded bytes this build cannot read").unwrap();
-    entries.insert(
-        1,
-        Value::object([
-            ("file", Value::String(stray.to_string())),
-            ("lanes", first.get("lanes").unwrap().clone()),
-            ("len", first.get("len").unwrap().clone()),
-            ("layout", Value::String("sharded".to_string())),
-            ("shards", Value::String(format!("{:016x}", 4))),
-            ("config", first.get("config").unwrap().clone()),
-            ("bytes", Value::String(format!("{:016x}", 36))),
-            ("checksum", Value::String(format!("{:016x}", 0))),
-        ]),
-    );
-    // A layout no build ever wrote is skipped the same way.
-    let mut unknown = entries[1].clone();
-    if let Value::Object(fields) = &mut unknown {
-        fields.retain(|(k, _)| k != "shards");
-        for (k, v) in fields.iter_mut() {
-            if k == "layout" {
-                *v = Value::String("striped".to_string());
-            }
-        }
-    }
-    entries.push(unknown);
-    write_manifest(tmp.path(), entries);
-
-    let mut service = JuryService::with_config(with_snapshot(config, tmp.path()));
-    let a = service.create_pool(jurors_a);
-    let b = service.create_pool(jurors_b);
-    assert_eq!(drive(&mut service, a), cold_a);
-    assert_eq!(drive(&mut service, b), cold_b);
-    let stats = service.stats();
-    assert_eq!(stats.snapshot_restores, 2, "both flat records restore");
-    assert_eq!(stats.snapshot_rejections, 0, "the sharded record is skipped, not rejected");
-}
-
-/// An entry whose KEY section carries a layout byte other than 0 (the
-/// sharded layout, or garbage) is rejected even with every checksum
-/// re-forged, and the pool cold-builds.
-#[test]
-fn nonzero_layout_byte_is_rejected() {
-    let tmp = TempDir::new("layout-byte");
+fn staircase_steps_do_not_dirty_a_checkpoint() {
+    let tmp = TempDir::new("staircase-clean");
     let config = flat_config();
     let jurors = pool(24);
-    let cold = control(&config, &jurors);
-    seed_snapshot(tmp.path(), &config, &jurors);
-    let file = entry_file(tmp.path());
-    let pristine = fs::read(&file).unwrap();
-    let key = sections_of(&pristine).into_iter().find(|s| s.tag == 1).expect("KEY section");
-    // KEY payload: two fingerprint lanes, the length, then the layout byte.
-    let layout_at = key.payload + 24;
-    assert_eq!(pristine[layout_at], 0, "flat entries carry layout byte 0");
-    for layout in [1u8, 0xff] {
-        let mut forged = pristine.clone();
-        forged[layout_at] = layout;
-        reseal_section(&mut forged, &key);
-        fs::write(&file, &forged).unwrap();
-        reforge_manifest(tmp.path());
-        assert_cold_fallback(tmp.path(), &config, &jurors, &cold, &format!("layout byte {layout}"));
+    let budgets = [0.15, 0.25, 0.55, 0.7, 0.85, 1.3, 1.6, 2.0, 3.3, 4.2, 8.0];
+    let solve_budgets = |service: &mut JuryService, id: PoolId| -> Vec<Outcome> {
+        let mut out = Vec::new();
+        for &budget in &budgets {
+            for _ in 0..2 {
+                out.push(footprint(service.solve(&DecisionTask::pay_as_you_go(id, budget))));
+                check(service);
+            }
+        }
+        out
+    };
+    let control_budgets = |jurors: &[Juror]| {
+        let mut service = JuryService::with_config(config.clone());
+        let id = service.create_pool(jurors.to_vec());
+        solve_budgets(&mut service, id)
+    };
+
+    let mut service = JuryService::with_config(config.clone());
+    let id = service.create_pool(jurors.clone());
+    drive(&mut service, id);
+    let first = service.snapshot(tmp.path()).unwrap();
+    check(&service);
+    assert_eq!(first.written, 1);
+
+    let hits = service.stats().staircase_hits;
+    let answers = solve_budgets(&mut service, id);
+    let recorded = 2 * budgets.len() - (service.stats().staircase_hits - hits);
+    assert!(recorded >= 3, "the budgets must record new steps, recorded {recorded}");
+    assert_eq!(answers, control_budgets(&jurors));
+    let report = service.snapshot(tmp.path()).unwrap();
+    check(&service);
+    assert_eq!((report.written, report.generation), (0, first.generation), "steps stay clean");
+
+    let mut restored = JuryService::with_config(with_snapshot(config.clone(), tmp.path()));
+    let again = restored.create_pool(jurors.clone());
+    restored.warm_pool(again).unwrap();
+    assert_eq!(solve_budgets(&mut restored, again), answers, "restored budget answers");
+    let stats = restored.stats();
+    assert_eq!((stats.snapshot_restores, stats.snapshot_rejections), (1, 0));
+
+    service.update_juror(id, 3, jurors[7]).unwrap();
+    check(&service);
+    let report = service.snapshot(tmp.path()).unwrap();
+    check(&service);
+    assert_eq!((report.written, report.generation), (1, first.generation + 1), "a write dirties");
+}
+
+// ---------------------------------------------------------------------
+// Adversarial reader input
+// ---------------------------------------------------------------------
+
+/// One pristine one-pool snapshot — entry and manifest names and bytes —
+/// plus the control stream, seeded once per test binary.
+struct Pristine {
+    entry_name: String,
+    entry: Vec<u8>,
+    manifest_name: String,
+    manifest: String,
+    cold: Vec<Outcome>,
+}
+
+fn pristine() -> &'static Pristine {
+    static PRISTINE: OnceLock<Pristine> = OnceLock::new();
+    PRISTINE.get_or_init(|| {
+        let tmp = TempDir::new("adversarial-seed");
+        let config = flat_config();
+        let jurors = pool(24);
+        let cold = control(&config, &jurors);
+        seed_snapshot(tmp.path(), &config, &jurors);
+        let entry = entry_file(tmp.path());
+        let manifest = manifest_path(tmp.path());
+        let name = |path: &Path| path.file_name().unwrap().to_str().unwrap().to_string();
+        Pristine {
+            entry_name: name(&entry),
+            entry: fs::read(&entry).unwrap(),
+            manifest_name: name(&manifest),
+            manifest: fs::read_to_string(&manifest).unwrap(),
+            cold,
+        }
+    })
+}
+
+/// The pristine manifest with its record's `bytes`/`checksum` re-forged
+/// for `entry`, so the entry's own gates are the ones that fire.
+fn manifest_for(entry: &[u8]) -> String {
+    let p = pristine();
+    let old = json::parse(&p.manifest).unwrap();
+    let record = reforged_entry(
+        &old.get("entries").unwrap().as_array().unwrap()[0],
+        p.entry_name.clone(),
+        entry,
+    );
+    let Value::Object(mut fields) = old else { panic!("a manifest is an object") };
+    fields.retain(|(key, _)| key != "entries");
+    fields.push(("entries".to_string(), Value::Array(vec![record])));
+    json::to_string(&Value::Object(fields))
+}
+
+/// Registers the pristine pool over a directory holding `entry` and
+/// `manifest` under the pristine names, asserts its answers equal the
+/// control, and returns `(snapshot_restores, snapshot_rejections)`.
+fn restore_case(tag: &str, entry: &[u8], manifest: &[u8]) -> (usize, usize) {
+    let p = pristine();
+    let tmp = TempDir::new(tag);
+    fs::write(tmp.path().join(&p.entry_name), entry).unwrap();
+    fs::write(tmp.path().join(&p.manifest_name), manifest).unwrap();
+    let mut service = JuryService::with_config(with_snapshot(flat_config(), tmp.path()));
+    let id = service.create_pool(pool(24));
+    assert_eq!(drive(&mut service, id), p.cold, "{tag}: answers drifted from the control");
+    let stats = service.stats();
+    (stats.snapshot_restores, stats.snapshot_rejections)
+}
+
+/// Applies one of three damages to `bytes`: truncation at `at`, XOR of
+/// each `(position, mask)` flip (no checksum is resealed), or `garbage`
+/// appended. Every damage changes the bytes.
+fn damage(bytes: &[u8], kind: usize, at: Index, flips: &[(Index, u8)], garbage: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    match kind {
+        0 => out.truncate(at.index(bytes.len())),
+        1 => {
+            for &(pos, mask) in flips {
+                out[pos.index(bytes.len())] ^= mask;
+            }
+            if out == bytes {
+                out[0] ^= 0x80; // two flips cancelled out
+            }
+        }
+        _ => out.extend_from_slice(garbage),
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // A damaged entry file is exactly one counted rejection, under a
+    // manifest re-forged for the damaged bytes or the stale pristine
+    // one, and never a panic.
+    #[test]
+    fn damaged_entry_files_are_one_rejection(
+        kind in 0..3usize,
+        at in any::<Index>(),
+        flips in vec((any::<Index>(), 1..=255u8), 1..=4),
+        garbage in vec(0..=255u8, 1..=64),
+        reforge in any::<bool>(),
+    ) {
+        let p = pristine();
+        let entry = damage(&p.entry, kind, at, &flips, &garbage);
+        let manifest = if reforge { manifest_for(&entry) } else { p.manifest.clone() };
+        let outcome = restore_case("adversarial-entry", &entry, manifest.as_bytes());
+        prop_assert_eq!(outcome, (0, 1));
+    }
+
+    // Random manifest text poisons the catalog: one counted rejection.
+    // A damaged valid manifest either restores, counts one rejection,
+    // or — when the damage hit the pool's key, so the manifest no
+    // longer names this content — is a plain miss.
+    #[test]
+    fn random_and_damaged_manifests_restore_or_reject(
+        random in vec(0..=255u8, 0..=256),
+        kind in 0..3usize,
+        at in any::<Index>(),
+        flips in vec((any::<Index>(), 1..=255u8), 1..=4),
+        garbage in vec(0..=255u8, 1..=64),
+    ) {
+        let p = pristine();
+        let outcome = restore_case("adversarial-random-manifest", &p.entry, &random);
+        prop_assert_eq!(outcome, (0, 1));
+
+        let text = damage(p.manifest.as_bytes(), kind, at, &flips, &garbage);
+        let outcome = restore_case("adversarial-manifest", &p.entry, &text);
+        let record = json::parse(&p.manifest).unwrap();
+        let record = &record.get("entries").unwrap().as_array().unwrap()[0];
+        let lanes = record.get("lanes").unwrap().as_array().unwrap();
+        let names_key = [&lanes[0], &lanes[1], record.get("len").unwrap()]
+            .iter()
+            .all(|field| {
+                let hex = format!("\"{}\"", field.as_str().unwrap());
+                text.windows(hex.len()).any(|w| w == hex.as_bytes())
+            });
+        prop_assert!(
+            matches!(outcome, (1, 0) | (0, 1)) || (outcome == (0, 0) && !names_key),
+            "outcome {:?} (names the key: {})",
+            outcome,
+            names_key
+        );
     }
 }
