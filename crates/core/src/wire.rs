@@ -183,6 +183,31 @@ impl Envelope {
         Self::Err(error)
     }
 
+    /// The wire form, moving the result in rather than copying it.
+    pub fn into_value(self) -> Value {
+        match self {
+            Self::Ok(result) => Value::object([("ok", true.to_value()), ("result", result)]),
+            Self::Err(error) => {
+                Value::object([("ok", false.to_value()), ("error", error.to_value())])
+            }
+        }
+    }
+
+    /// Decodes the wire form, moving the result out rather than copying
+    /// it. A repeated key reads as its first occurrence, like
+    /// [`Value::get`].
+    pub fn from_owned(value: Value) -> Result<Self, Error> {
+        match (value.get("ok").and_then(Value::as_bool), value) {
+            (Some(true), Value::Object(fields)) => fields
+                .into_iter()
+                .find(|(key, _)| key == "result")
+                .map(|(_, result)| Self::Ok(result))
+                .ok_or_else(|| Error::missing_field("result")),
+            (Some(false), value) => Ok(Self::Err(field(&value, "error")?)),
+            (_, value) => Err(Error::expected("an envelope with a boolean `ok`", &value)),
+        }
+    }
+
     /// Unwraps into a `Result` for client-side consumption.
     pub fn into_result(self) -> Result<Value, WireError> {
         match self {
@@ -194,26 +219,13 @@ impl Envelope {
 
 impl Serialize for Envelope {
     fn to_value(&self) -> Value {
-        match self {
-            Self::Ok(result) => {
-                Value::object([("ok", true.to_value()), ("result", result.clone())])
-            }
-            Self::Err(error) => {
-                Value::object([("ok", false.to_value()), ("error", error.to_value())])
-            }
-        }
+        self.clone().into_value()
     }
 }
 
 impl Deserialize for Envelope {
     fn from_value(value: &Value) -> Result<Self, Error> {
-        match value.get("ok").and_then(Value::as_bool) {
-            Some(true) => Ok(Self::Ok(
-                value.get("result").ok_or_else(|| Error::missing_field("result"))?.clone(),
-            )),
-            Some(false) => Ok(Self::Err(field(value, "error")?)),
-            None => Err(Error::expected("an envelope with a boolean `ok`", value)),
-        }
+        Self::from_owned(value.clone())
     }
 }
 
@@ -426,6 +438,18 @@ mod tests {
         let text = json::to_string(&sel);
         let back: Selection = json::from_str(&text).unwrap();
         assert_eq!(back.jer.to_bits(), sel.jer.to_bits());
+        // Integral floats take the writer's integer branch, the others
+        // its float branch; both must come back bit for bit.
+        let exact = 9_007_199_254_740_992.0; // 2⁵³
+        for (jer, total_cost) in
+            [(0.0, 2.0), (1.0, exact), (0.0, exact + 2.0), (1.0, 0.1 + 0.2), (sel.jer, -0.0)]
+        {
+            let sel = Selection { jer, total_cost, ..sel.clone() };
+            let back: Selection = json::from_str(&json::to_string(&sel)).unwrap();
+            assert_eq!(back.jer.to_bits(), jer.to_bits());
+            assert_eq!(back.total_cost.to_bits(), total_cost.to_bits());
+            assert_eq!(back.members, sel.members);
+        }
         round_trip(&SolverStats {
             jer_evaluations: 12,
             pruned_by_bound: 3,
@@ -492,5 +516,27 @@ mod tests {
             Envelope::err(WireError::new("bad-request", "no body")).into_result().unwrap_err();
         assert_eq!(err.kind, "bad-request");
         assert!(json::from_str::<Envelope>(r#"{"result": 3}"#).is_err());
+        assert!(json::from_str::<Envelope>(r#"{"ok": true}"#).is_err());
+        assert!(json::from_str::<Envelope>(r#"{"ok": 1, "result": 3}"#).is_err());
+    }
+
+    /// The owned conversions are the envelope codec the borrowing
+    /// `Serialize`/`Deserialize` impls delegate to: same values both ways.
+    #[test]
+    fn owned_envelope_conversions_match_the_borrowing_ones() {
+        let pool = pool_from_rates(&[0.1, 0.2, 0.2, 0.3, 0.3]).unwrap();
+        let sel = AltrAlg::solve(&pool, &AltrConfig::default()).unwrap();
+        for envelope in [
+            Envelope::ok(&sel),
+            Envelope::err(WireError::new("overloaded", "tenant queue full").with_retry_after(5)),
+        ] {
+            let value = envelope.to_value();
+            assert_eq!(envelope.clone().into_value(), value);
+            assert_eq!(Envelope::from_owned(value.clone()).unwrap(), envelope);
+            assert_eq!(Envelope::from_value(&value).unwrap(), envelope);
+        }
+        // A repeated key reads as its first occurrence, as `Value::get` does.
+        let twice = json::parse(r#"{"ok": true, "result": 1, "result": 2}"#).unwrap();
+        assert_eq!(Envelope::from_owned(twice).unwrap(), Envelope::Ok(Value::Number(1.0)));
     }
 }

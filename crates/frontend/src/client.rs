@@ -92,8 +92,9 @@ impl Client {
         Ok(())
     }
 
-    /// Sends one request and decodes the envelope. `body = None` sends
-    /// no `Content-Length` payload (GET).
+    /// Sends one request, head and body in a single write, and decodes
+    /// the envelope. `body = None` sends no `Content-Length` payload
+    /// (GET).
     pub fn request(
         &mut self,
         method: &str,
@@ -101,12 +102,12 @@ impl Client {
         body: Option<&str>,
     ) -> io::Result<Response> {
         let body = body.unwrap_or("");
-        let head = format!(
+        let mut message = format!(
             "{method} {path} HTTP/1.1\r\nhost: jury\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
             body.len(),
         );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
+        message.push_str(body);
+        self.stream.write_all(message.as_bytes())?;
         self.stream.flush()?;
         self.read_response()
     }
@@ -127,7 +128,7 @@ impl Client {
         tenant: &str,
         task: &DecisionTask,
     ) -> io::Result<(u16, Result<Selection, WireError>)> {
-        let body = json::to_string(&Value::object([
+        let body = json::value_to_string(&Value::object([
             ("tenant", tenant.to_value()),
             ("task", task.to_value()),
         ]));
@@ -231,7 +232,7 @@ impl Client {
         &mut self,
         jurors: &[jury_core::juror::Juror],
     ) -> io::Result<Result<PoolId, WireError>> {
-        let body = json::to_string(&Value::object([("jurors", jurors.to_vec().to_value())]));
+        let body = json::value_to_string(&Value::object([("jurors", jurors.to_vec().to_value())]));
         let response = self.request("POST", "/v1/pools", Some(&body))?;
         Ok(response.result.and_then(|value| {
             value
@@ -268,7 +269,7 @@ impl Client {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }
         };
-        let head = String::from_utf8_lossy(&self.pending[..head_end]).into_owned();
+        let head = String::from_utf8_lossy(&self.pending[..head_end]);
         let mut lines = head.split("\r\n");
         let status_line = lines.next().unwrap_or("");
         let status: u16 = status_line
@@ -293,11 +294,15 @@ impl Client {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }
         }
-        let mut consumed: Vec<u8> = self.pending.drain(..body_end).collect();
-        let body = consumed.split_off(head_end + 4);
-        let text = String::from_utf8(body)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-        let envelope: Envelope = json::from_str(&text)
+        // Parse the body in place, then drop the message from the buffer.
+        let value = std::str::from_utf8(&self.pending[head_end + 4..body_end])
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))
+            .and_then(|text| {
+                json::parse(text)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+            });
+        self.pending.drain(..body_end);
+        let envelope = Envelope::from_owned(value?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         Ok(Response { status, result: envelope.into_result() })
     }

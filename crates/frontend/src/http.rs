@@ -188,7 +188,7 @@ fn respond_error(
     if let Some(delay) = retry_after {
         error = error.with_retry_after(delay.as_millis() as u64);
     }
-    let body = serde::json::to_string(&Envelope::err(error));
+    let body = serde::json::value_to_string(&Envelope::err(error).into_value());
     proto::write_response(&mut conn.stream, status, retry_after, keep_alive, &body)
 }
 
@@ -197,7 +197,7 @@ fn respond_ok<T: serde::Serialize>(
     keep_alive: bool,
     result: &T,
 ) -> io::Result<()> {
-    let body = serde::json::to_string(&Envelope::ok(result));
+    let body = serde::json::value_to_string(&Envelope::ok(result).into_value());
     proto::write_response(&mut conn.stream, 200, None, keep_alive, &body)
 }
 
@@ -286,7 +286,7 @@ fn route(conn: &mut Conn, frontend: &Arc<Frontend>, request: Request) -> io::Res
                 // as success: a structured 500 carrying the counts.
                 Err(SnapshotError::Partial { written, failed, error }) => {
                     use serde::Serialize as _;
-                    let body = serde::json::to_string(&serde::Value::object([
+                    let body = serde::json::value_to_string(&serde::Value::object([
                         ("ok", false.to_value()),
                         (
                             "error",

@@ -132,8 +132,8 @@ impl Conn {
                 Ok(Fill::Bytes) => {}
             }
         }
-        let mut consumed: Vec<u8> = self.pending.drain(..body_end).collect();
-        let body = consumed.split_off(head_end + 4);
+        let body = self.pending[head_end + 4..body_end].to_vec();
+        self.pending.drain(..body_end);
         ReadOutcome::Request(Request { method, path, body, keep_alive })
     }
 }
@@ -205,9 +205,11 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Writes one framed JSON response. `retry_after` becomes a
-/// whole-seconds `Retry-After` header (rounded up — the wire error body
-/// carries the precise `retry_after_ms`).
+/// Writes one framed JSON response in a single write, so head and body
+/// leave together rather than as two segments on the `TCP_NODELAY`
+/// socket. `retry_after` becomes a whole-seconds `Retry-After` header
+/// (rounded up — the wire error body carries the precise
+/// `retry_after_ms`).
 pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -215,20 +217,20 @@ pub(crate) fn write_response(
     keep_alive: bool,
     body: &str,
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
         status_text(status),
         body.len(),
     );
     if let Some(delay) = retry_after {
-        head.push_str(&format!("retry-after: {}\r\n", delay.as_secs_f64().ceil() as u64));
+        message.push_str(&format!("retry-after: {}\r\n", delay.as_secs_f64().ceil() as u64));
     }
     if !keep_alive {
-        head.push_str("connection: close\r\n");
+        message.push_str("connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str("\r\n");
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 

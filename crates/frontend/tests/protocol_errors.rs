@@ -188,6 +188,55 @@ fn ambiguous_content_length_answers_400_and_spares_the_server() {
     server.shutdown();
 }
 
+/// A request whose head and body arrive in separate segments, with the
+/// body itself split across reads, is answered exactly like the same
+/// request sent in one write. [`Client`] always sends one write, so this
+/// drives the server's partial-read path by hand; each pause outlasts
+/// the server's read timeout, so it also waits across timed-out reads.
+#[test]
+fn a_request_split_across_segments_answers_like_one_write() {
+    use serde::Serialize as _;
+    use std::io::Read as _;
+    let (server, pool) = start_server(FrontendConfig::default());
+    let addr = server.local_addr();
+    let task = DecisionTask::altruism(pool);
+    // Warm the pool, so both raw exchanges below are hits.
+    Client::connect(addr).unwrap().solve("t0", &task).unwrap().unwrap();
+
+    let body = serde::json::to_string(&serde::Value::object([
+        ("tenant", "t0".to_value()),
+        ("task", task.to_value()),
+    ]));
+    let head = format!(
+        "POST /v1/solve HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    let exchange = |pieces: &[&str]| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for (i, piece) in pieces.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(120));
+            }
+            stream.write_all(piece.as_bytes()).unwrap();
+        }
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        let body_at = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("a head") + 4;
+        (String::from_utf8_lossy(&raw[..body_at]).into_owned(), raw[body_at..].to_vec())
+    };
+
+    let (one_head, one_body) = exchange(&[&format!("{head}{body}")]);
+    let mid = body.len() / 2;
+    let (split_head, split_body) = exchange(&[&head, &body[..mid], &body[mid..]]);
+    assert!(one_head.starts_with("HTTP/1.1 200"), "got: {one_head}");
+    assert!(split_head.starts_with("HTTP/1.1 200"), "got: {split_head}");
+    assert_eq!(split_body, one_body, "split and one-write requests answer the same bytes");
+    let envelope = serde::json::parse(std::str::from_utf8(&one_body).unwrap()).unwrap();
+    assert_eq!(envelope.get("ok").and_then(serde::Value::as_bool), Some(true));
+    server.shutdown();
+}
+
 #[test]
 fn overflow_returns_429_with_retry_hint() {
     let (server, pool) = start_server(FrontendConfig {

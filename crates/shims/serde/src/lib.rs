@@ -10,6 +10,13 @@
 //! `impl serde::Serialize for …` / `serde::json::to_string(&x)`; swapping
 //! to crates.io serde+serde_json later is a manifest change plus
 //! replacing the hand impls with `#[derive(...)]`.
+//!
+//! Numbers are `f64`. Integers below 2⁵³ in magnitude are written and
+//! read exactly without the float formatter: the writer prints them
+//! through a small integer formatter, and the parser reads a plain digit
+//! run of at most 15 bytes as a `u64`. Both produce the same bytes and
+//! bits as `f64` `Display` and `str::parse::<f64>`, which every other
+//! number still goes through.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,7 +30,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`; integers up to 2^53 round-trip).
+    /// Any JSON number, stored as `f64`. Integers below 2⁵³ in magnitude
+    /// round-trip, and are written and read exactly without the float
+    /// formatter.
     Number(f64),
     /// A string.
     String(String),
@@ -160,7 +169,12 @@ macro_rules! serialize_int {
             /// instead of truncating/saturating — wire data is untrusted.
             fn from_value(value: &Value) -> Result<Self, Error> {
                 let n = value.as_f64().ok_or_else(|| Error::expected(stringify!($t), value))?;
-                if n.fract() != 0.0 || n < <$t>::MIN as f64 || n > <$t>::MAX as f64 {
+                // `MAX as f64` rounds up to 2^BITS for 64-bit types, so the
+                // upper bound is the exact exclusive power of two instead:
+                // 2^BITS unsigned, 2^(BITS-1) signed. `MIN as f64` is exact.
+                let signed = u32::from(<$t>::MIN != 0);
+                let end = (1u128 << (<$t>::BITS - signed)) as f64;
+                if n.fract() != 0.0 || n < <$t>::MIN as f64 || n >= end {
                     return Err(Error::expected(
                         concat!("an in-range integer for ", stringify!($t)),
                         value,
@@ -258,8 +272,14 @@ pub mod json {
 
     /// Serializes to compact JSON.
     pub fn to_string<T: Serialize>(value: &T) -> String {
+        value_to_string(&value.to_value())
+    }
+
+    /// Writes a [`Value`] as compact JSON. Unlike [`to_string`], which
+    /// goes through [`Serialize::to_value`], this does not copy the tree.
+    pub fn value_to_string(value: &Value) -> String {
         let mut out = String::new();
-        write_value(&mut out, &value.to_value(), None, 0);
+        write_value(&mut out, value, None, 0);
         out
     }
 
@@ -301,7 +321,9 @@ pub mod json {
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
             Value::Number(n) => {
-                if n.is_finite() {
+                if let Some(int) = small_int(*n) {
+                    write_int(out, int);
+                } else if n.is_finite() {
                     let _ = write!(out, "{n}");
                 } else {
                     // JSON has no Inf/NaN; mirror serde_json's lossy `null`.
@@ -325,6 +347,38 @@ pub mod json {
                 });
             }
         }
+    }
+
+    /// 2⁵³: every integer below it in magnitude is an exact `f64`.
+    const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+    /// `n` as an `i64` when it is integral, below 2⁵³ in magnitude and not
+    /// `-0.0`; `Display` prints such a number as the integer's digits.
+    /// Larger integers can display rounded (2⁶⁰ as `1152921504606847000`)
+    /// and `-0.0` displays as `-0`, so both keep the float formatter.
+    fn small_int(n: f64) -> Option<i64> {
+        let int = n as i64;
+        (int as f64 == n && n.abs() < EXACT_INT && (int != 0 || n.is_sign_positive()))
+            .then_some(int)
+    }
+
+    fn write_int(out: &mut String, int: i64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = int.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if int < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
     fn write_seq<I: ExactSizeIterator>(
@@ -553,14 +607,28 @@ pub mod json {
             }
         }
 
+        /// The longest plain digit run read as a `u64`: every such run is
+        /// below 10¹⁵ < 2⁵³, so it converts to `f64` exactly, to the bits
+        /// `str::parse::<f64>` gives.
+        const MAX_INT_DIGITS: usize = 15;
+
         fn number(&mut self) -> Result<Value, Error> {
             let start = self.pos;
+            let mut int = 0u64;
+            while let Some(b @ b'0'..=b'9') = self.peek() {
+                int = int.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                self.pos += 1;
+            }
+            let digits = self.pos - start;
             while let Some(b) = self.peek() {
                 if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
                     self.pos += 1;
                 } else {
                     break;
                 }
+            }
+            if self.pos - start == digits && digits <= Self::MAX_INT_DIGITS {
+                return Ok(Value::Number(int as f64));
             }
             let text = &self.text[start..self.pos];
             text.parse::<f64>()
@@ -637,6 +705,16 @@ mod tests {
         assert!(json::from_str::<i32>("2147483648").is_err());
         assert_eq!(json::from_str::<usize>("42").unwrap(), 42);
         assert_eq!(json::from_str::<i32>("-7").unwrap(), -7);
+        // The top of the 64-bit ranges is exclusive, not saturating:
+        // 2^64 and 2^63 are refused, -2^63 is i64::MIN.
+        assert!(json::from_str::<u64>("18446744073709551616").is_err());
+        assert!(json::from_str::<usize>("18446744073709551616").is_err());
+        assert!(json::from_str::<i64>("9223372036854775808").is_err());
+        assert_eq!(json::from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert!(json::from_str::<i64>("-9223372036854777856").is_err());
+        assert_eq!(json::from_str::<u64>("18446744073709549568").unwrap(), u64::MAX - 2047);
+        assert_eq!(json::from_str::<u32>("4294967295").unwrap(), u32::MAX);
+        assert!(json::from_str::<u32>("4294967296").is_err());
         // Floats stay lossless/lossy as floats.
         assert_eq!(json::from_str::<f64>("1.7").unwrap(), 1.7);
     }
@@ -671,6 +749,113 @@ mod tests {
                 assert_eq!(back, s);
             }
             assert_eq!(json::from_str::<String>(r#""é\u0041日""#).unwrap(), "éA日");
+        }
+    }
+
+    /// The integer writer and the digit-run parser are shortcuts, not new
+    /// formats: they pin to `f64` `Display` bytes and `str::parse::<f64>`
+    /// bits on and around their boundaries.
+    mod number_fast_paths {
+        use super::*;
+        use proptest::prelude::*;
+
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2⁵³
+
+        fn written(n: f64) -> String {
+            json::value_to_string(&Value::Number(n))
+        }
+
+        fn assert_written_as_display(n: f64) {
+            let expected = if n.is_finite() { format!("{n}") } else { "null".to_string() };
+            assert_eq!(written(n), expected, "bits {:#x}", n.to_bits());
+        }
+
+        fn assert_parsed_as_str_parse(text: &str) {
+            let parsed = json::parse(text).unwrap().as_f64().unwrap();
+            let expected = text.parse::<f64>().unwrap();
+            assert_eq!(parsed.to_bits(), expected.to_bits(), "{text}");
+        }
+
+        proptest! {
+            #[test]
+            fn integral_floats_write_as_display(
+                int in -9_007_199_254_740_991i64..=9_007_199_254_740_991,
+                shift in 0u32..=53,
+            ) {
+                // The shift spreads draws over every magnitude.
+                let n = (int >> shift) as f64;
+                prop_assert_eq!(written(n), format!("{n}"));
+            }
+
+            #[test]
+            fn other_floats_write_as_display(n in -1e6f64..1e6, scale in 0i32..=40) {
+                let n = n * 10f64.powi(scale - 20);
+                prop_assert_eq!(written(n), format!("{n}"));
+            }
+
+            #[test]
+            fn digit_runs_parse_as_str_parse(text in "[0-9]{1,20}") {
+                let parsed = json::parse(&text).unwrap().as_f64().unwrap();
+                prop_assert_eq!(parsed.to_bits(), text.parse::<f64>().unwrap().to_bits());
+            }
+        }
+
+        #[test]
+        fn writer_boundaries_match_display() {
+            for n in [
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                EXACT - 1.0,
+                -(EXACT - 1.0),
+                EXACT,
+                -EXACT,
+                EXACT - 2.0,
+                EXACT + 2.0,
+                -(EXACT + 2.0),
+                // Integral and inside i64, but `Display` pads the shortest
+                // round-trip digits with zeros: 1152921504606847000.
+                2f64.powi(60),
+                -(2f64.powi(62)),
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::MIN_POSITIVE / 2.0,
+                0.5,
+                -1.5,
+                0.1 + 0.2,
+                1e300,
+                f64::MAX,
+                f64::MIN,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
+                assert_written_as_display(n);
+            }
+            assert_eq!(written(-0.0), "-0");
+            assert_eq!(written(f64::NAN), "null");
+        }
+
+        #[test]
+        fn parser_boundaries_match_str_parse() {
+            for text in [
+                "0",
+                "-0",
+                "000",
+                "007",
+                "1e5",
+                "0.5",
+                "-12",
+                "999999999999999",
+                "9999999999999999",
+                "9007199254740993",
+                "18446744073709551615",
+                "18446744073709551616",
+                "99999999999999999999",
+            ] {
+                assert_parsed_as_str_parse(text);
+            }
         }
     }
 
