@@ -7,31 +7,40 @@
 //! * **post-mutation** — one juror update (a re-estimated error rate)
 //!   followed by the next AltrM task: the update repairs both sorted
 //!   orders *in place*, and the dropped answer is
-//!   re-solved by `AltrAlg::solve_pruned` — an `O(N)` bound sweep plus
-//!   exact JER only at the surviving sizes, instead of the `O(N²)`
-//!   full prefix scan (median and quartiles over 21 rounds);
+//!   re-solved by `AltrAlg::solve_pruned` — a bound sweep that stops
+//!   once a certificate rules out every larger size, plus exact JER only
+//!   at the surviving sizes, instead of the `O(N²)` full prefix scan
+//!   (median and quartiles over 21 rounds);
 //! * **full-rescan baseline** — what the same re-solve cost before this
 //!   path existed: `AltrAlg::solve_presorted` over the identical
 //!   (already repaired) sorted order. Measured only up to 10⁴ jurors;
 //!   beyond that one baseline rescan takes whole seconds, which is the
 //!   point.
 //!
-//! Two pool shapes. The **expert-mob** pool models the regime the
+//! Three pool shapes. The **expert-mob** pool models the regime the
 //! paper's Twitter measurements show and that makes jury selection
 //! interesting at all: a *fixed* cohort of reliable experts
 //! (ε ∈ [0.02, 0.30)) inside an ever-growing unreliable mob
 //! (ε ∈ [0.55, 0.95)). The optimal jury sits in the expert band; JER
 //! provably rises from the first mob rank on, and the Paley–Zygmund and
 //! Berry–Esseen bounds erase everything past the `μ ≈ t` crossover, so
-//! the scan stops just past the experts. The **uniform** pool spreads ε
-//! over [0.02, 0.98): by 10⁴ jurors its JER underflows to exactly
-//! `0.0`, and the scan stops at the first such prefix. The
-//! emitter records how many candidate sizes each re-solve skipped.
+//! both the bound sweep and the pmf scan stop just past the experts. The
+//! **expert-mob 2%** pool is the shape of the repository benchmark
+//! (`jurybench`): experts are 2% of the pool with ε ∈ [0.02, 0.45), the
+//! mob ε ∈ [0.55, 0.95), and each update redraws a juror within its own
+//! band, experts included. The **uniform** pool spreads ε over
+//! [0.02, 0.98): by 10⁴ jurors its JER underflows to exactly `0.0`, and
+//! the scan stops at the first such prefix. The emitter records how many
+//! candidate sizes each re-solve skipped.
+//!
+//! On pools of up to 10⁴ jurors the last re-solved answer is checked
+//! against `AltrAlg::solve_presorted` on the mutated pool: members, JER
+//! bits and cost bits must match, or the run panics.
 //!
 //! Appends an `"altrm"` section to `BENCH_service.json`. `--smoke` runs a
 //! seconds-long version on 500- and 10⁴-juror pools and writes nothing —
-//! CI uses it to keep this binary from rotting and to cover both early
-//! exits of the pruned scan.
+//! CI uses it to keep this binary from rotting, to cover both early
+//! exits of the pruned scan, and to check its answers.
 //!
 //! ```console
 //! $ cargo run --release -p jury-bench --bin altrm_throughput [-- --smoke]
@@ -41,6 +50,7 @@ use jury_bench::report::{fmt_secs, Report};
 use jury_bench::timing::{time_best_of, time_quartiles, Quartiles};
 use jury_core::altr::AltrAlg;
 use jury_core::juror::{pool_from_rates_and_costs, ErrorRate, Juror};
+use jury_core::problem::Selection;
 use jury_core::solver::{sorted_order_into, SolverScratch};
 use jury_service::{DecisionTask, JuryService, PoolId};
 use serde::{json, Serialize, Value};
@@ -48,37 +58,55 @@ use serde::{json, Serialize, Value};
 /// Number of reliable experts, independent of pool size.
 const EXPERTS: usize = 100;
 
-/// Largest pool the `O(N²)` full-rescan baseline is measured on.
+/// Largest pool the `O(N²)` full-rescan baseline is measured on, and
+/// whose last re-solved answer is checked against it.
 const RESCAN_BASELINE_MAX: usize = 10_000;
 
-/// The two pool shapes the emitter measures.
+/// The three pool shapes the emitter measures.
 #[derive(Clone, Copy)]
 enum Shape {
     /// `EXPERTS` reliable jurors inside a growing unreliable mob.
     ExpertMob,
+    /// The repository benchmark's shape: 2% experts, the rest a mob.
+    TwoPercent,
     /// ε spread evenly over [0.02, 0.98).
     Uniform,
 }
+
+/// Every shape, in the order the emitter measures them.
+const SHAPES: [Shape; 3] = [Shape::ExpertMob, Shape::TwoPercent, Shape::Uniform];
 
 impl Shape {
     fn name(self) -> &'static str {
         match self {
             Shape::ExpertMob => "expert_mob",
+            Shape::TwoPercent => "expert_mob_2pct",
             Shape::Uniform => "uniform",
         }
     }
 
+    /// The number of experts in an `n`-juror pool.
+    fn experts(self, n: usize) -> usize {
+        match self {
+            Shape::ExpertMob => EXPERTS.min(n / 2),
+            Shape::TwoPercent => n.div_ceil(50),
+            Shape::Uniform => 0,
+        }
+    }
+
     /// Deterministic pool: golden-ratio spacing, convex prices. The
-    /// expert-mob pool spreads `EXPERTS` jurors over [0.02, 0.30) and the
-    /// rest over [0.55, 0.95).
+    /// expert-mob pool spreads `EXPERTS` jurors over [0.02, 0.30), the
+    /// 2% pool its experts over [0.02, 0.45); both spread the rest over
+    /// [0.55, 0.95).
     fn pool(self, n: usize) -> Vec<Juror> {
-        let experts = EXPERTS.min(n / 2);
+        let experts = self.experts(n);
         let quotes: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 let u = (i as f64 * 0.6180339887498949) % 1.0;
                 let e = match self {
                     Shape::ExpertMob if i < experts => 0.02 + 0.28 * u,
-                    Shape::ExpertMob => 0.55 + 0.40 * u,
+                    Shape::TwoPercent if i < experts => 0.02 + 0.43 * u,
+                    Shape::ExpertMob | Shape::TwoPercent => 0.55 + 0.40 * u,
                     Shape::Uniform => 0.02 + 0.96 * u,
                 };
                 (e, 0.05 + u * u)
@@ -89,13 +117,15 @@ impl Shape {
 
     /// One juror update per round, re-estimated within its own band so
     /// the pool regime is stable across rounds: a mob member of the
-    /// expert-mob pool, any member of the uniform one.
+    /// expert-mob pool, any member of the other two.
     fn mutated_juror(self, round: usize, n: usize) -> (usize, Juror) {
+        let spread = ((round * 13) % 40) as f64 / 100.0;
         let (idx, e) = match self {
-            Shape::ExpertMob => (
-                EXPERTS + (round * 7919) % (n - EXPERTS),
-                0.55 + ((round * 13) % 40) as f64 / 100.0,
-            ),
+            Shape::ExpertMob => (EXPERTS + (round * 7919) % (n - EXPERTS), 0.55 + spread),
+            Shape::TwoPercent => {
+                let idx = (round * 7919) % n;
+                (idx, if idx < self.experts(n) { 0.02 + spread } else { 0.55 + spread })
+            }
             Shape::Uniform => ((round * 7919) % n, 0.02 + ((round * 13) % 96) as f64 / 100.0),
         };
         (idx, Juror::new(idx as u32, ErrorRate::new(e).unwrap(), 0.1))
@@ -107,8 +137,8 @@ struct Measured {
     steady: f64,
     post_mutation: Quartiles,
     pruned_per_solve: usize,
-    /// Size and JER of the last re-solved answer.
-    answer: (usize, f64),
+    /// The last re-solved answer.
+    answer: Selection,
 }
 
 /// Measures steady warm replay (best of `repeats`) and post-mutation
@@ -144,7 +174,28 @@ fn measure(
     let solves = service.stats().tasks_solved - solves_before;
     let pruned_per_solve = (service.stats().bound_pruned - pruned_before) / solves.max(1);
     let answer = service.solve(&task).expect("non-empty pool");
-    Measured { steady, post_mutation, pruned_per_solve, answer: (answer.size(), answer.jer) }
+    if n <= RESCAN_BASELINE_MAX {
+        assert_full_rescan_answer(service.pool(id).expect("pool exists"), &answer, shape, n);
+    }
+    Measured { steady, post_mutation, pruned_per_solve, answer }
+}
+
+/// Panics unless `answer` has the members, JER bits and cost bits of a
+/// full presorted rescan of `jurors`.
+fn assert_full_rescan_answer(jurors: &[Juror], answer: &Selection, shape: Shape, n: usize) {
+    let mut order = Vec::new();
+    sorted_order_into(jurors, &mut order);
+    let full = AltrAlg::default()
+        .solve_presorted(jurors, &order, &mut SolverScratch::new())
+        .expect("non-empty pool");
+    let pool = format!("{} pool of {n}", shape.name());
+    assert_eq!(answer.members, full.members, "{pool}: members differ from a full rescan");
+    assert_eq!(answer.jer.to_bits(), full.jer.to_bits(), "{pool}: JER differs from a full rescan");
+    assert_eq!(
+        answer.total_cost.to_bits(),
+        full.total_cost.to_bits(),
+        "{pool}: cost differs from a full rescan"
+    );
 }
 
 /// The pre-pruning cost of the same re-solve: one full presorted scan
@@ -187,7 +238,7 @@ fn main() {
     );
     let mut rows: Vec<Value> = Vec::new();
 
-    for shape in [Shape::ExpertMob, Shape::Uniform] {
+    for shape in SHAPES {
         for &n in &pool_sizes {
             let jurors = shape.pool(n);
             let rescan = (n <= RESCAN_BASELINE_MAX).then(|| full_rescan_baseline(&jurors, repeats));
@@ -197,7 +248,7 @@ fn main() {
                 measure(&mut service, id, shape, n, repeats, rounds);
             assert!(pruned > 0, "the re-solve must skip sizes on the {} pool", shape.name());
             if matches!(shape, Shape::Uniform) && n >= 10_000 {
-                assert_eq!(answer.1, 0.0, "a {n}-juror uniform pool's JER underflows");
+                assert_eq!(answer.jer, 0.0, "a {n}-juror uniform pool's JER underflows");
             }
             let speedup = rescan.map(|r| r / post.p50);
             report.row(&[
@@ -210,7 +261,7 @@ fn main() {
                 &rescan.map_or("-".into(), fmt_secs),
                 &speedup.map_or("-".into(), |s| format!("{s:.0}x")),
                 &pruned,
-                &format!("{} @ {:.1e}", answer.0, answer.1),
+                &format!("{} @ {:.1e}", answer.size(), answer.jer),
             ]);
             rows.push(Value::object([
                 ("pool_shape", shape.name().to_value()),
@@ -224,8 +275,8 @@ fn main() {
                 ("full_rescan_secs", rescan.map_or(Value::Null, |r| r.to_value())),
                 ("speedup_vs_full_rescan", speedup.map_or(Value::Null, |s| s.to_value())),
                 ("sizes_pruned_per_solve", pruned.to_value()),
-                ("answer_size", answer.0.to_value()),
-                ("answer_jer", answer.1.to_value()),
+                ("answer_size", answer.size().to_value()),
+                ("answer_jer", answer.jer.to_value()),
             ]));
         }
     }
@@ -247,14 +298,15 @@ fn main() {
         (
             "workload",
             "warm AltrM on an expert-plus-mob pool (100 experts eps in [0.02,0.30), mob in \
-             [0.55,0.95)) and a uniform pool (eps in [0.02,0.98)): cached replay (steady) and \
+             [0.55,0.95)), the repository benchmark's 2% shape (2% experts eps in [0.02,0.45), \
+             mob in [0.55,0.95)) and a uniform pool (eps in [0.02,0.98)): cached replay (steady) and \
              one juror update + next solve (post-mutation: in-place order repair + \
              bound-pruned rescan-free re-solve; median and quartiles over 21 rounds), vs the \
              O(N^2) full presorted rescan the warm path previously paid"
                 .to_value(),
         ),
         ("experts", EXPERTS.to_value()),
-        ("pool_shapes", Value::Array(vec!["expert_mob".to_value(), "uniform".to_value()])),
+        ("pool_shapes", Value::Array(SHAPES.map(|shape| shape.name().to_value()).to_vec())),
         ("pool_sizes", Value::Array(pool_sizes.iter().map(|n| n.to_value()).collect())),
         (
             "rescan_baseline_note",

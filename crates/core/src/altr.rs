@@ -22,7 +22,8 @@
 //!
 //! [`AltrAlg::solve_pruned`] is the serving layer's form of the
 //! incremental scan: moment bounds and a monotonicity proof skip the
-//! sizes that cannot win, with the same answer bit for bit.
+//! sizes that cannot win, and a certificate ends the bound sweep once
+//! no larger size can survive, with the same answer bit for bit.
 //!
 //! **A `0.0` answer.** JER is a tail sum clamped to `[0, 1]` in `f64`.
 //! Large reliable pools drive it below the smallest subnormal
@@ -194,9 +195,19 @@ impl AltrAlg {
     /// can beat it under the strict comparison), or JER has started to
     /// rise inside the segment where it provably cannot fall again
     /// (every later rate ≥ ½ and the threshold ≥ 2 past the mean) and
-    /// the bounds pruned everything beyond that segment. The cost drops
-    /// from `O(N²)` to `O(N + M²)` where `M` is the last size pushed —
-    /// on a few-experts-large-mob pool, about the expert count.
+    /// the bounds pruned everything beyond that segment.
+    ///
+    /// The sweep gathers ε through `order` a block at a time, only about
+    /// as far as it goes, and it stops at the first size `S` past which a
+    /// Berry–Esseen certificate rules out every larger size: every later
+    /// rate is ≥ ½, the mean sits at or below the threshold, and the
+    /// bound, budgeted for the whole run, still exceeds the incumbent.
+    /// The cost drops from
+    /// `O(N²)` to `O(S + M²)`, where `M` is the last size pushed. On
+    /// jurybench's 2% expert-mob shape `S` is 715 of 10⁴ (shortly before
+    /// the `μ ≈ t` crossover) and `M` about the expert count. A pool with
+    /// no certified tail, such as one whose every rate is ≥ ½, sweeps all
+    /// `N` sizes.
     ///
     /// **Bit-identity contract.** The returned `members`, `jer` and
     /// `total_cost` are bit-identical to
@@ -212,9 +223,10 @@ impl AltrAlg {
     /// before the scan stopped, and `pruned_by_bound` every other odd
     /// size — eliminated by a bound, inside the monotone segment, or
     /// past an early stop — so the two still sum to
-    /// `candidates_considered`, which counts every odd size. The
-    /// configured strategy/engine are ignored — this scan *is* its own
-    /// strategy.
+    /// `candidates_considered`, which counts every odd size. The stop
+    /// of the sweep changes none of these: answer and stats equal those
+    /// of a sweep over every size. The configured strategy/engine are
+    /// ignored — this scan *is* its own strategy.
     ///
     /// # Errors
     /// [`JuryError::EmptyPool`] when `pool` is empty.
@@ -229,13 +241,8 @@ impl AltrAlg {
         }
         debug_assert_eq!(order.len(), pool.len(), "order must cover the pool");
         let SolverScratch { eps, pmf, bounds, .. } = scratch;
-        eps.clear();
-        eps.extend(order.iter().map(|&i| pool[i].epsilon()));
-        let (best_n, best_jer, stats) = scan_pruned(eps, pmf, bounds);
-        let mut members: Vec<usize> = order[..best_n].to_vec();
-        members.sort_unstable();
-        let total_cost = members.iter().map(|&i| pool[i].cost).sum();
-        Ok(Selection { members, jer: best_jer, total_cost, stats })
+        let scan = scan_pruned(order.len(), |i| pool[order[i]].epsilon(), eps, pmf, bounds);
+        Ok(prefix_selection(pool, order, scan))
     }
 
     /// Algorithm 3 over an ε-sorted visit order: fills `eps` from the
@@ -253,15 +260,11 @@ impl AltrAlg {
         eps.clear();
         eps.extend(order.iter().map(|&i| pool[i].epsilon()));
 
-        let (best_n, best_jer, stats) = match self.config.strategy {
+        let scan = match self.config.strategy {
             AltrStrategy::PaperRecompute => scan_recompute(eps, &self.config, jer_scratch),
             AltrStrategy::Incremental => scan_incremental(eps, pmf),
         };
-
-        let mut members: Vec<usize> = order[..best_n].to_vec();
-        members.sort_unstable();
-        let total_cost = members.iter().map(|&i| pool[i].cost).sum();
-        Ok(Selection { members, jer: best_jer, total_cost, stats })
+        Ok(prefix_selection(pool, order, scan))
     }
 
     /// JER of the best `n`-juror jury for every odd `n` — the full
@@ -305,16 +308,23 @@ impl AltrAlg {
         let n = n.min(if order.len() % 2 == 1 { order.len() } else { order.len() - 1 });
         let eps: Vec<f64> = order[..n].iter().map(|&i| pool[i].epsilon()).collect();
         let jer = JerEngine::Auto.jer(&eps);
-        let mut members: Vec<usize> = order[..n].to_vec();
-        members.sort_unstable();
-        let total_cost = members.iter().map(|&i| pool[i].cost).sum();
-        Ok(Selection {
-            members,
-            jer,
-            total_cost,
-            stats: SolverStats { jer_evaluations: 1, pruned_by_bound: 0, candidates_considered: 1 },
-        })
+        let stats =
+            SolverStats { jer_evaluations: 1, pruned_by_bound: 0, candidates_considered: 1 };
+        Ok(prefix_selection(pool, &order, (n, jer, stats)))
     }
+}
+
+/// The [`Selection`] of the first `size` jurors of the ε order `order`,
+/// from a scan's `(size, jer, stats)`.
+fn prefix_selection(
+    pool: &[Juror],
+    order: &[usize],
+    (size, jer, stats): (usize, f64, SolverStats),
+) -> Selection {
+    let mut members: Vec<usize> = order[..size].to_vec();
+    members.sort_unstable();
+    let total_cost = members.iter().map(|&i| pool[i].cost).sum();
+    Selection { members, jer, total_cost, stats }
 }
 
 /// Pool indices sorted ascending by ε (ties by index for determinism).
@@ -361,96 +371,154 @@ fn scan_incremental(eps_sorted: &[f64], pmf: &mut PoiBin) -> (usize, f64, Solver
     (best_n, best_jer, stats)
 }
 
-/// The bound-pruned scan behind [`AltrAlg::solve_pruned`].
+/// The bound-pruned scan behind [`AltrAlg::solve_pruned`], over an
+/// ascending run of `len` rates that `rate(i)` returns by rank.
 ///
-/// Pass 1 streams [`PrefixMoments`] over the run. Per odd size it
-/// collects into `lower` the larger of two lower bounds: Paley–Zygmund
-/// (`-∞` when inapplicable or inside [`PRUNE_MARGIN`] of the `μ = t`
-/// crossover) and Berry–Esseen (which carries its own rounding budget,
-/// so it needs no margin; skipped where Paley–Zygmund already prunes). It folds the applicable Cantelli/Chernoff
-/// upper bounds — seeded with the exact size-1 JER, which is the first
-/// rate itself — into one incumbent upper bound. It also records the
-/// first run of sizes whose step provably cannot lower JER (see
-/// [`guarded_step`]), the monotone segment.
+/// Pass 1 streams [`PrefixMoments`] over the run and gathers the rates
+/// into `eps` [`GATHER_BLOCK`] at a time, as it reaches them. Per odd
+/// size, [`size_bounds`] records in `lower` the size's best lower bound
+/// and folds its upper bounds into one incumbent. The sweep also records
+/// the first run of sizes whose step provably cannot lower JER (see
+/// [`guarded_step`]), the monotone segment. It stops at the first size
+/// where [`tail_certified`] shows that no larger size can survive, so
+/// `eps` ends less than a block past the last size visited. On a
+/// few-experts-large-mob pool that is shortly before the `μ ≈ t`
+/// crossover: at size 715 of 10⁴ on jurybench's 2% shape.
 ///
-/// Pass 2 runs the ordinary incremental pmf scan up to the largest size
-/// whose lower bound fails to clear the incumbent by [`PRUNE_SLACK`],
-/// evaluating tails only at those survivors. It stops early on either
-/// of two certificates that no later size can win:
+/// Pass 2 is [`settle`], over the sizes whose lower bound fails to clear
+/// the incumbent by [`PRUNE_SLACK`]. A stop can shorten the monotone
+/// segment, but only at sizes past the stop, and every survivor lies
+/// before it; so pass 2 reads the same survivors, cutoff and segment
+/// exits as a sweep over every size would, and `candidates_considered`
+/// still counts every odd size.
+fn scan_pruned(
+    len: usize,
+    mut rate: impl FnMut(usize) -> f64,
+    eps: &mut Vec<f64>,
+    pmf: &mut PoiBin,
+    lower: &mut Vec<f64>,
+) -> (usize, f64, SolverStats) {
+    eps.clear();
+    lower.clear();
+    let mut gather = |eps: &mut Vec<f64>, i: usize| {
+        if i == eps.len() {
+            eps.extend((i..len.min(i + GATHER_BLOCK)).map(&mut rate));
+        }
+        eps[i]
+    };
+    let first = gather(eps, 0);
+    let mut moments = PrefixMoments::new();
+    moments.push(first);
+    // JER of the single best juror is its rate, bit-exactly (the tail of
+    // a one-trial pmf) — a free certified incumbent.
+    let mut incumbent_ub = first;
+    // The first run of consecutive guarded odd sizes, `(start, end)`.
+    let mut segment = None;
+    let mut n = 1;
+    loop {
+        let lb = size_bounds(&moments, n, &mut incumbent_ub);
+        lower.push(lb);
+        if n + 2 > len {
+            break;
+        }
+        let next = gather(eps, n);
+        if guarded_step(n, next, moments.mu()) {
+            extend_segment(&mut segment, n);
+        }
+        if tail_certified(&moments, n, next, lb, incumbent_ub * (1.0 + PRUNE_SLACK), len) {
+            break;
+        }
+        let after = gather(eps, n + 1);
+        moments.push(next);
+        moments.push(after);
+        n += 2;
+    }
+    settle(eps, pmf, lower, incumbent_ub * (1.0 + PRUNE_SLACK), segment, len.div_ceil(2))
+}
+
+/// Pass 1's work at odd size `n`, whose prefix `moments` holds: folds
+/// the applicable Cantelli/Chernoff upper bounds into `incumbent_ub` and
+/// returns the larger of two lower bounds, Paley–Zygmund (`-∞` when
+/// inapplicable or inside [`PRUNE_MARGIN`] of the `μ = t` crossover) and
+/// Berry–Esseen (which carries its own rounding budget, so it needs no
+/// margin).
+fn size_bounds(moments: &PrefixMoments, n: usize, incumbent_ub: &mut f64) -> f64 {
+    let t = JerEngine::majority_threshold(n);
+    let margin = PRUNE_MARGIN * t as f64;
+    let gap = t as f64 - moments.mu();
+    if gap >= margin {
+        if let TailBound::Value(v) = moments.cantelli_upper(t) {
+            *incumbent_ub = incumbent_ub.min(v);
+        }
+        if let TailBound::Value(v) = moments.chernoff_upper(t) {
+            *incumbent_ub = incumbent_ub.min(v);
+        }
+    }
+    let pz = match moments.paley_zygmund_lower(t) {
+        TailBound::Value(v) if -gap >= margin => v,
+        _ => f64::NEG_INFINITY,
+    };
+    // The incumbent only falls, so a size Paley–Zygmund prunes against
+    // it now stays pruned: Berry–Esseen (an `erfc`) is evaluated only
+    // where it could decide.
+    if pz > *incumbent_ub * (1.0 + PRUNE_SLACK) {
+        pz
+    } else {
+        pz.max(moments.berry_esseen_lower(t).value().unwrap_or(f64::NEG_INFINITY))
+    }
+}
+
+/// Rates [`scan_pruned`] gathers per refill of `eps`. Read through the
+/// visit order, each rate is a scattered load; in a loop of their own
+/// many are in flight at once, while one rate at a time between the
+/// bound kernels waits on each (that cost a 10⁵-juror sweep that cannot
+/// stop about half again its time). A stopped sweep reads at most this
+/// many rates past its stop.
+const GATHER_BLOCK: usize = 256;
+
+/// Extends the monotone segment `(start, end)` with the guarded odd size
+/// `n` while the run of guarded sizes stays unbroken.
+fn extend_segment(segment: &mut Option<(usize, usize)>, n: usize) {
+    match segment {
+        None => *segment = Some((n, n)),
+        Some((_, end)) if *end + 2 == n => *end = n,
+        Some(_) => {}
+    }
+}
+
+/// Pass 2 of [`scan_pruned`]: the ordinary incremental pmf scan up to
+/// the largest size whose lower bound is at most `cutoff`, evaluating
+/// tails only at those survivors. `eps` must reach that size. It stops
+/// early on either of two certificates that no later size can win:
 ///
 /// * the best JER is exactly `0.0` — tails clamp to `[0, 1]` and only a
 ///   strict `<` replaces the best;
-/// * an evaluated size in the monotone segment reads above
+/// * an evaluated size in the monotone `segment` reads above
 ///   `best·(1 + PRUNE_SLACK)` (and above [`MONOTONE_FLOOR`]): every size
 ///   up to the segment's end + 2 is no better, and the bounds already
 ///   pruned everything past it. When survivors remain past the segment,
 ///   the scan pushes on but evaluates nothing inside it.
-fn scan_pruned(
-    eps_sorted: &[f64],
+///
+/// `candidates` is the number of odd sizes; every one not evaluated
+/// counts as pruned.
+fn settle(
+    eps: &[f64],
     pmf: &mut PoiBin,
-    lower: &mut Vec<f64>,
+    lower: &[f64],
+    cutoff: f64,
+    segment: Option<(usize, usize)>,
+    candidates: usize,
 ) -> (usize, f64, SolverStats) {
-    let mut moments = PrefixMoments::new();
-    let mut incumbent_ub = f64::INFINITY;
-    // The first run of consecutive guarded odd sizes, `(start, end)`.
-    let mut segment: Option<(usize, usize)> = None;
-    lower.clear();
-    for (i, &e) in eps_sorted.iter().enumerate() {
-        moments.push(e);
-        let n = i + 1;
-        if n % 2 == 0 {
-            continue;
-        }
-        let t = JerEngine::majority_threshold(n);
-        let margin = PRUNE_MARGIN * t as f64;
-        let gap = t as f64 - moments.mu();
-        if n == 1 {
-            // JER of the single best juror is its rate, bit-exactly
-            // (the tail of a one-trial pmf) — a free certified incumbent.
-            incumbent_ub = incumbent_ub.min(e);
-        }
-        if gap >= margin {
-            if let TailBound::Value(v) = moments.cantelli_upper(t) {
-                incumbent_ub = incumbent_ub.min(v);
-            }
-            if let TailBound::Value(v) = moments.chernoff_upper(t) {
-                incumbent_ub = incumbent_ub.min(v);
-            }
-        }
-        let pz = match moments.paley_zygmund_lower(t) {
-            TailBound::Value(v) if -gap >= margin => v,
-            _ => f64::NEG_INFINITY,
-        };
-        // The incumbent only falls, so a size Paley–Zygmund prunes
-        // against it now stays pruned: Berry–Esseen (an `erfc`) is
-        // evaluated only where it could decide.
-        let lb = if pz > incumbent_ub * (1.0 + PRUNE_SLACK) {
-            pz
-        } else {
-            pz.max(moments.berry_esseen_lower(t).value().unwrap_or(f64::NEG_INFINITY))
-        };
-        lower.push(lb);
-        if guarded_step(eps_sorted, n, moments.mu()) {
-            match &mut segment {
-                None => segment = Some((n, n)),
-                Some((_, end)) if *end + 2 == n => *end = n,
-                Some(_) => {}
-            }
-        }
-    }
-
-    // Survivors: odd sizes whose lower bound cannot certify defeat.
-    let cutoff = incumbent_ub * (1.0 + PRUNE_SLACK);
     let survives = |n: usize| lower[(n - 1) / 2] <= cutoff;
     let max_survivor = lower.iter().rposition(|&lb| lb <= cutoff).map_or(0, |k| 2 * k + 1);
 
-    let mut stats = SolverStats { candidates_considered: lower.len(), ..SolverStats::default() };
+    let mut stats = SolverStats { candidates_considered: candidates, ..SolverStats::default() };
     let mut best_n = 0usize;
     let mut best_jer = f64::INFINITY;
     // Sizes up to here are certified no better than the best.
     let mut settled = 0usize;
     pmf.reset();
-    for (i, &e) in eps_sorted[..max_survivor].iter().enumerate() {
+    for (i, &e) in eps[..max_survivor].iter().enumerate() {
         pmf.push(e);
         let n = i + 1;
         if n % 2 == 0 || n <= settled || !survives(n) {
@@ -481,7 +549,8 @@ fn scan_pruned(
 }
 
 /// Whether the step from odd size `n` to `n + 2` over an ε-sorted run
-/// provably cannot lower the exact JER, given the prefix mean `mu`.
+/// provably cannot lower the exact JER, given the prefix mean `mu` and
+/// `next`, the rate at rank `n` (the smaller of the two the step adds).
 /// With `k = (n+1)/2` and `a ≤ b` the next two rates,
 ///
 /// ```text
@@ -493,10 +562,51 @@ fn scan_pruned(
 /// (Darroch 1964), so `k − 1 ≥ μ + 1` gives `p_n(k−1) ≥ p_n(k)`; both
 /// terms favour the smaller jury. [`PRUNE_MARGIN`] absorbs the rounding
 /// of `μ`. Chained over a run of guarded sizes `[start, end]`, exact JER
-/// is non-decreasing from `start` through `end + 2`.
-fn guarded_step(eps_sorted: &[f64], n: usize, mu: f64) -> bool {
+/// is non-decreasing from `start` through `end + 2`. The caller asks only
+/// when size `n + 2` exists.
+fn guarded_step(n: usize, next: f64, mu: f64) -> bool {
     let t = JerEngine::majority_threshold(n) as f64;
-    n + 2 <= eps_sorted.len() && eps_sorted[n] >= 0.5 && t - mu >= 2.0 + PRUNE_MARGIN * t
+    next >= 0.5 && t - mu >= 2.0 + PRUNE_MARGIN * t
+}
+
+/// Whether pass 1 may stop after odd size `n` of a run of `len` rates:
+/// no larger size can survive it or lower the incumbent. `moments` holds
+/// the prefix, `next` is the rate at rank `n` (the first past the
+/// prefix), `lb` is `n`'s lower bound and `cutoff` the current incumbent
+/// times `1 + PRUNE_SLACK`. All four must hold:
+///
+/// 1. `next ≥ ½`, so every later rate is too: the run is ascending;
+/// 2. `gap = t − 1 − μ ≥ 0`;
+/// 3. `lb > cutoff`;
+/// 4. `n`'s [`PrefixMoments::berry_esseen_floor`], budgeted for every
+///    prefix of up to `len` rates, exceeds `cutoff`.
+///
+/// Each later step adds two rates `a, b ≥ ½` and raises `t` by one, so
+/// `gap` falls by `a + b − 1 ≥ 0` and `σ²` grows by
+/// `a(1−a) + b(1−b) ≥ 0`. While `gap` stays `≥ 0`, `−gap/σ` cannot
+/// fall; once `gap` is negative, `−gap/σ` is positive, above `n`'s
+/// `−gap/σ ≤ 0`. And `C/σ` cannot grow. So every later size's exact
+/// Berry–Esseen value `Φ(−gap/σ) − C/σ` is at least `n`'s, and by 4 its
+/// computed lower bound exceeds `cutoff`: pass 1 would prune it against
+/// this incumbent or any smaller one. Its exact JER is above that lower
+/// bound, and its Cantelli/Chernoff upper bounds, which rounding moves
+/// by far less than [`PRUNE_SLACK`], are above its exact JER; so they
+/// cannot lower the incumbent either, and `cutoff` is final. Condition
+/// 3 follows from 4 up to rounding; it spares the `erfc` at sizes that
+/// survive.
+fn tail_certified(
+    moments: &PrefixMoments,
+    n: usize,
+    next: f64,
+    lb: f64,
+    cutoff: f64,
+    len: usize,
+) -> bool {
+    let t = JerEngine::majority_threshold(n);
+    next >= 0.5
+        && (t - 1) as f64 - moments.mu() >= 0.0
+        && lb > cutoff
+        && moments.berry_esseen_floor(t, len).value().is_some_and(|v| v > cutoff)
 }
 
 /// Smallest JER the monotone-segment exit trusts. Pass 2's pmf is
@@ -922,7 +1032,10 @@ mod tests {
                     continue;
                 }
                 let before = jer[(n - 1) / 2].1;
-                if guarded_step(&eps, n, moments.mu()) && before >= MONOTONE_FLOOR {
+                if n + 2 <= eps.len()
+                    && guarded_step(n, eps[n], moments.mu())
+                    && before >= MONOTONE_FLOOR
+                {
                     let after = jer[(n - 1) / 2 + 1].1;
                     guarded_steps += 1;
                     assert!(
@@ -979,6 +1092,141 @@ mod tests {
             sel.stats.jer_evaluations + sel.stats.pruned_by_bound,
             sel.stats.candidates_considered
         );
+    }
+
+    /// Pass 1 without the certified stop — every odd size of the run is
+    /// swept — followed by the same pass 2: the oracle the stopped sweep
+    /// must equal, stats included.
+    fn full_sweep(eps: &[f64]) -> (usize, f64, SolverStats) {
+        let mut moments = PrefixMoments::new();
+        let mut incumbent_ub = eps[0];
+        let mut segment = None;
+        let mut lower = Vec::new();
+        for (i, &e) in eps.iter().enumerate() {
+            moments.push(e);
+            let n = i + 1;
+            if n % 2 == 0 {
+                continue;
+            }
+            lower.push(size_bounds(&moments, n, &mut incumbent_ub));
+            if n + 2 <= eps.len() && guarded_step(n, eps[n], moments.mu()) {
+                extend_segment(&mut segment, n);
+            }
+        }
+        let cutoff = incumbent_ub * (1.0 + PRUNE_SLACK);
+        settle(eps, &mut PoiBin::empty(), &lower, cutoff, segment, lower.len())
+    }
+
+    /// Random ascending-run shapes for the stopped sweep: expert blocks
+    /// of 0.5–50% before a mob, a band of rates at exactly ½ or ½ + 10⁻⁹
+    /// between them, near-0/near-1 runs with tiny σ, all-mob runs, a
+    /// uniform spread, and one strong expert before a long narrow block
+    /// under ½, where JER falls again long after the block's first sizes
+    /// read a high Berry–Esseen bound.
+    fn stop_case(trial: usize, next: &mut impl FnMut() -> f64) -> Vec<f64> {
+        let len = match trial % 4 {
+            0 => 1 + trial % 60,
+            1 | 2 => 1 + (trial * 97) % 700,
+            _ => 1 + (trial * 389) % 2_000,
+        };
+        let experts = ((0.005 + 0.495 * next()) * len as f64).round() as usize;
+        let regime = trial % 7;
+        let mut eps: Vec<f64> = (0..len)
+            .map(|i| {
+                let u = next();
+                match regime {
+                    0 if i < experts => 0.02 + 0.43 * u,
+                    0 => 0.55 + 0.40 * u,
+                    1 | 2 if i < experts => 0.3 + 0.2 * u,
+                    1 if u < 0.3 => 0.5,
+                    2 if u < 0.3 => 0.5 + 1e-9,
+                    1 | 2 => 0.5 + 0.3 * next(),
+                    3 if i < experts => 1e-9 * (1.0 + u),
+                    3 => 1.0 - 1e-9 * (1.0 + u),
+                    4 if u < 0.2 => 0.5,
+                    4 => 0.5 + 0.45 * next(),
+                    5 => 0.02 + 0.96 * u,
+                    _ if i == 0 => 0.01 + 0.05 * u,
+                    _ if i < len / 2 + experts => 0.45 + 0.02 * u,
+                    _ => 0.55 + 0.4 * u,
+                }
+            })
+            .collect();
+        eps.sort_by(f64::total_cmp);
+        eps
+    }
+
+    #[test]
+    fn stopped_sweep_matches_the_full_sweep_oracle() {
+        let mut next = xorshift(0x94d049bb133111eb);
+        let mut stopped = 0usize;
+        let trials = 300;
+        for trial in 0..trials {
+            let rates = stop_case(trial, &mut next);
+            let pool = pool_from_rates(&rates).unwrap();
+            let mut order = Vec::new();
+            crate::solver::sorted_order_into(&pool, &mut order);
+            let mut scratch = SolverScratch::new();
+            let pruned = AltrAlg::default().solve_pruned(&pool, &order, &mut scratch).unwrap();
+            let eps: Vec<f64> = order.iter().map(|&i| rates[i]).collect();
+            let oracle = prefix_selection(&pool, &order, full_sweep(&eps));
+            let ctx = format!("trial {trial}, N = {}", rates.len());
+            assert_eq!(pruned, oracle, "{ctx}");
+            assert_eq!(pruned.jer.to_bits(), oracle.jer.to_bits(), "{ctx}: jer bits");
+            assert_eq!(scratch.eps[..], eps[..scratch.eps.len()], "{ctx}: gathered prefix");
+            // Pass 1 records one lower bound per odd size it visits.
+            stopped += usize::from(scratch.bounds.len() < rates.len().div_ceil(2));
+            assert_pruned_matches(&pool, &ctx);
+        }
+        assert!(stopped * 4 > trials, "the sweep stopped early on only {stopped} of {trials} runs");
+    }
+
+    #[test]
+    fn tail_certificate_needs_each_of_its_conditions() {
+        let n = 1_001;
+        let t = JerEngine::majority_threshold(n);
+        let prefix = |rate: &dyn Fn(usize) -> f64| {
+            let mut moments = PrefixMoments::new();
+            (0..n).for_each(|i| moments.push(rate(i)));
+            moments
+        };
+        // One strong expert and a block just under ½: the mean sits 5
+        // below t − 1. And a mob whose mean sits 100 above it.
+        let block = prefix(&|i| if i == 0 { 0.01 } else { 0.495 });
+        let above = prefix(&|_| 0.6);
+        let lb = |m: &PrefixMoments| m.berry_esseen_lower(t).value().unwrap();
+        let floor = |m: &PrefixMoments, len| m.berry_esseen_floor(t, len).value().unwrap();
+        let len = 10_000_000;
+        let cutoff = 0.1;
+        assert!(floor(&block, len) > cutoff && floor(&above, len) > cutoff);
+        assert!(tail_certified(&block, n, 0.55, lb(&block), cutoff, len));
+        // (i) the block goes on: later steps lower JER again.
+        assert!(!tail_certified(&block, n, 0.495, lb(&block), cutoff, len));
+        // (ii) a mean above t − 1.
+        assert!(!tail_certified(&above, n, 0.6, lb(&above), cutoff, len));
+        // (iii) a lower bound at the cutoff.
+        assert!(!tail_certified(&block, n, 0.55, cutoff, cutoff, len));
+        // (iv) a rounding budget for `n` rates does not cover a run of `len`.
+        let between = (floor(&block, n) + floor(&block, len)) / 2.0;
+        assert!(lb(&block) > between);
+        assert!(tail_certified(&block, n, 0.55, lb(&block), between, n));
+        assert!(!tail_certified(&block, n, 0.55, lb(&block), between, len));
+    }
+
+    #[test]
+    fn sweep_stops_past_the_last_survivor() {
+        // jurybench's 2% shape at 10⁴: the last size that can survive
+        // sits near 750, so the sweep gathers well under N/5 rates.
+        let n = 10_000;
+        let pool = pool_from_rates(&expert_mob(n)).unwrap();
+        let mut order = Vec::new();
+        crate::solver::sorted_order_into(&pool, &mut order);
+        let mut scratch = SolverScratch::new();
+        let sel = AltrAlg::default().solve_pruned(&pool, &order, &mut scratch).unwrap();
+        assert!(scratch.eps.len() <= n / 5, "gathered {} of {n} rates", scratch.eps.len());
+        assert_eq!(sel.stats.candidates_considered, n / 2, "every odd size is still counted");
+        let eps: Vec<f64> = order.iter().map(|&i| pool[i].epsilon()).collect();
+        assert_eq!(sel, prefix_selection(&pool, &order, full_sweep(&eps)));
     }
 
     #[test]

@@ -23,10 +23,13 @@
 //! [`PrefixMoments`] maintains them incrementally: one
 //! [`PrefixMoments::push`] per juror and every bound evaluates in
 //! `O(1)` per candidate prefix — the kernel behind
-//! `AltrAlg::solve_pruned`'s rescan-free bound sweep. The slice entry
-//! points and the prefix form share the same moment→bound formulas, so
-//! the two evaluation styles agree bit-for-bit when fed the same
-//! accumulated moments.
+//! `AltrAlg::solve_pruned`'s rescan-free bound sweep.
+//! [`PrefixMoments::berry_esseen_floor`] budgets the rounding of every
+//! longer prefix as well, which lets that sweep stop where the bound
+//! certifies the rest of the run instead of visiting all `N` sizes. The
+//! slice entry points and the prefix form share the same moment→bound
+//! formulas, so the two evaluation styles agree bit-for-bit when fed the
+//! same accumulated moments.
 
 use crate::approx::standard_normal_cdf;
 
@@ -127,6 +130,36 @@ impl PrefixMoments {
     #[inline]
     pub fn berry_esseen_lower(&self, threshold: usize) -> TailBound {
         berry_esseen_from_moments(self.n, self.mu, self.sigma2, threshold)
+    }
+
+    /// A floor under [`PrefixMoments::berry_esseen_lower`] *as computed*
+    /// on any longer prefix of at most `len` terms whose exact normal
+    /// value `Φ(−(t'−1−μ')/σ') − C/σ'` is at least this prefix's.
+    /// Deciding that premise is the caller's proof; this value carries
+    /// the rounding both evaluations may differ by.
+    ///
+    /// Each computed value sits within `δ + r` of its exact one, where
+    /// `δ ≤ NORMAL_CDF_ERROR / 2` is the `erfc` error and `r` the
+    /// moment rounding that [`berry_esseen_from_moments`] budgets. A
+    /// longer prefix of `m ≤ len` terms has `μ' + |t'−1−μ'| ≤ 2m` and,
+    /// its `σ'²` being this `σ²` plus non-negative terms, `σ' ≥ σ`; so
+    /// `R = (len + 4)·ε·(2·len/σ + 1)` covers the `r` of both. This
+    /// value subtracts the longer prefix's own budget, at most
+    /// `NORMAL_CDF_ERROR + R`, plus `2δ + 2R` for the two evaluations'
+    /// errors: `2·NORMAL_CDF_ERROR + 3R` in all. Inapplicable exactly
+    /// where [`PrefixMoments::berry_esseen_lower`] is.
+    pub fn berry_esseen_floor(&self, threshold: usize, len: usize) -> TailBound {
+        let Some((gap, sigma)) = berry_esseen_reach(self.mu, self.sigma2, threshold) else {
+            return TailBound::Inapplicable;
+        };
+        let len = len as f64;
+        let rounding = (len + 4.0) * f64::EPSILON * (2.0 * len / sigma + 1.0);
+        TailBound::Value(
+            standard_normal_cdf(-gap / sigma)
+                - BERRY_ESSEEN_C / sigma
+                - 2.0 * NORMAL_CDF_ERROR
+                - 3.0 * rounding,
+        )
     }
 }
 
@@ -275,16 +308,9 @@ pub fn berry_esseen_lower_bound(eps: &[f64], threshold: usize) -> TailBound {
 /// reliable prefix.
 #[inline]
 pub fn berry_esseen_from_moments(n: usize, mu: f64, sigma2: f64, threshold: usize) -> TailBound {
-    if threshold == 0 || sigma2 <= 0.0 {
+    let Some((gap, sigma)) = berry_esseen_reach(mu, sigma2, threshold) else {
         return TailBound::Inapplicable;
-    }
-    let gap = (threshold - 1) as f64 - mu;
-    // σ ≤ C(1 + gap²/σ²), squared: σ⁶ ≤ C²(σ² + gap²)².
-    let reach = BERRY_ESSEEN_C * (sigma2 + gap * gap);
-    if gap >= 0.0 && sigma2 * sigma2 * sigma2 <= reach * reach {
-        return TailBound::Inapplicable;
-    }
-    let sigma = sigma2.sqrt();
+    };
     // `μ` and `σ²` are sums of `n` terms, each off by at most `n` ulps
     // of its size; Φ' ≤ 0.4 and z·φ(z) ≤ 0.25 turn that into this much
     // absolute error in the normal tail (doubled for the subtractions).
@@ -292,6 +318,22 @@ pub fn berry_esseen_from_moments(n: usize, mu: f64, sigma2: f64, threshold: usiz
     TailBound::Value(
         standard_normal_cdf(-gap / sigma) - BERRY_ESSEEN_C / sigma - NORMAL_CDF_ERROR - rounding,
     )
+}
+
+/// `Some((t − 1 − μ, σ))` when the Berry–Esseen bound can be positive
+/// (see [`berry_esseen_from_moments`]), `None` when it is inapplicable.
+#[inline]
+fn berry_esseen_reach(mu: f64, sigma2: f64, threshold: usize) -> Option<(f64, f64)> {
+    if threshold == 0 || sigma2 <= 0.0 {
+        return None;
+    }
+    let gap = (threshold - 1) as f64 - mu;
+    // σ ≤ C(1 + gap²/σ²), squared: σ⁶ ≤ C²(σ² + gap²)².
+    let reach = BERRY_ESSEEN_C * (sigma2 + gap * gap);
+    if gap >= 0.0 && sigma2 * sigma2 * sigma2 <= reach * reach {
+        return None;
+    }
+    Some((gap, sigma2.sqrt()))
 }
 
 /// KL divergence between Bernoulli(q) and Bernoulli(p), with the usual
@@ -495,6 +537,24 @@ mod tests {
         // A point mass has no normal approximation; t = 0 is trivial.
         assert_eq!(berry_esseen_lower_bound(&[0.0, 1.0], 1), TailBound::Inapplicable);
         assert_eq!(berry_esseen_lower_bound(&eps, 0), TailBound::Inapplicable);
+    }
+
+    #[test]
+    fn berry_esseen_floor_sits_under_the_bound_and_widens_with_len() {
+        let mut moments = PrefixMoments::new();
+        (0..1_001).for_each(|i| moments.push(if i < 201 { 0.2 } else { 0.55 }));
+        let t = majority(1_001);
+        let lower = moments.berry_esseen_lower(t).value().unwrap();
+        let own = moments.berry_esseen_floor(t, 1_001).value().unwrap();
+        let long = moments.berry_esseen_floor(t, 10_000_000).value().unwrap();
+        assert!(long < own && own <= lower - NORMAL_CDF_ERROR, "{long} {own} {lower}");
+        // Inapplicable exactly where the bound is: a small σ below the
+        // threshold, and a point mass.
+        let mut reliable = PrefixMoments::new();
+        (0..3).for_each(|_| reliable.push(0.01));
+        assert_eq!(reliable.berry_esseen_lower(2), TailBound::Inapplicable);
+        assert_eq!(reliable.berry_esseen_floor(2, 1_000), TailBound::Inapplicable);
+        assert_eq!(PrefixMoments::new().berry_esseen_floor(1, 1_000), TailBound::Inapplicable);
     }
 
     #[test]
